@@ -8,7 +8,8 @@ classifies the submanifold as invariant, anti-invariant, semi-invariant or
 generic, and numerically verifies the identity suites relating the
 covariant derivatives of the structure projections to the second
 fundamental form, including the characterization statements for
-pseudo-umbilical submanifolds.
+pseudo-umbilical submanifolds.  :func:`verify` runs all of it with one
+geometry build per sample point.
 
 All derivatives are exact (truncated Taylor jets); an independent
 finite-difference oracle cross-checks them in the test-suite.
@@ -70,5 +71,6 @@ from .theorems import (
     theorem3_check,
     theorem4_check,
 )
+from .verify import VerificationOutcome, verify
 
 __version__ = "0.1.0"

@@ -156,21 +156,13 @@ def product_of(block_a, p: int, block_b, q: int) -> AmbientSpace:
     return AmbientSpace(dim, metric, structure, product_split=(p, q))
 
 
-def _pivots(matrix: np.ndarray) -> np.ndarray:
-    """Diagonal pivots of symmetric Gaussian elimination (LDL^T)."""
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    pivots = np.empty(n)
-    for k in range(n):
-        pivots[k] = a[k, k]
-        if a[k, k] != 0.0:
-            for i in range(k + 1, n):
-                a[i, k + 1 :] -= a[k, k + 1 :] * (a[i, k] / a[k, k])
-    return pivots
-
-
 def _assert_positive_definite(g: np.ndarray, tol: float = 1e-10):
-    if np.min(_pivots(g)) <= tol:
+    # the LDL^T pivots of g are diag(L)^2 for its Cholesky factor L
+    try:
+        chol = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None or np.min(np.diag(chol)) ** 2 <= tol:
         raise SingularMetric("metric is not positive definite at the sample point")
 
 

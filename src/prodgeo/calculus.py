@@ -15,7 +15,8 @@ space satisfies:
     (nabla_X C) xi = - omega A_xi X - h(X, B xi)
 
 ``check_lemma1`` / ``check_lemma2`` measure the worst residual of these
-identities over samples and frame directions; a corrupted ambient space
+identities over samples and frame directions (through
+:func:`prodgeo.verify.verify`); a corrupted ambient space
 (one with nabla F != 0) breaks them by an O(1) margin, which is the
 engine's negative control.
 """
@@ -154,15 +155,11 @@ class LemmaReport:
     tol: float
 
 
-def _default_directions(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
-def _lemma1_point(geo: _JetGeometry, directions) -> float:
+def _lemma1_point(geo: _JetGeometry) -> float:
+    """Worst residual over coordinate directions X and coordinate fields Y."""
     worst = 0.0
     y_fields = [_tangent_field(geo, b) for b in range(geo.n)]
-    for x in directions:
-        x = np.asarray(x, dtype=float)
+    for x in np.eye(geo.n):
         for b in range(geo.n):
             lhs = _nabla_omega(geo, x, y_fields[b])
             phi_y = geo.f_tangent_part(geo.J0[:, b])
@@ -173,14 +170,14 @@ def _lemma1_point(geo: _JetGeometry, directions) -> float:
     return worst
 
 
-def _lemma2_point(geo: _JetGeometry, directions, xi_choices) -> float:
+def _lemma2_point(geo: _JetGeometry) -> float:
+    """Worst residual over coordinate directions and every normal frame field plus H."""
     worst = 0.0
-    for xi_spec in xi_choices:
+    for xi_spec in list(range(geo.m)) + ["H"]:
         xi_field = _normal_field(geo, xi_spec)
         xi0 = np.array([j.value for j in xi_field])
         b_xi = geo.f_tangent_part(xi0)
-        for x in directions:
-            x = np.asarray(x, dtype=float)
+        for x in np.eye(geo.n):
             lhs = _nabla_C(geo, x, xi_field)
             rhs = -geo.f_normal_part(geo.shape_operator(x, xi0)) - geo.h_bilinear(x, b_xi)
             worst = max(worst, geo.norm_g(lhs - rhs))
@@ -191,44 +188,23 @@ def check_lemma1(
     immersion: Immersion,
     space: AmbientSpace,
     samples: Sequence[Sequence[float]] | None = None,
-    directions: Sequence[Sequence[float]] | None = None,
     tol: float = 1e-8,
 ) -> LemmaReport:
     """Residuals of (nabla_X omega) Y + h(X, phi Y) - C h(X, Y) over samples."""
-    if samples is None:
-        samples = immersion.samples
-    per_point = []
-    for u in samples:
-        geo = _geometry(immersion, space, u)
-        dirs = _default_directions(geo.n) if directions is None else directions
-        per_point.append((tuple(float(v) for v in u), _lemma1_point(geo, dirs)))
-    worst = max(r for _, r in per_point)
-    return LemmaReport("lemma1", worst, tuple(per_point), worst <= tol, tol)
+    return check_lemmas(immersion, space, samples, tol)[0]
 
 
 def check_lemma2(
     immersion: Immersion,
     space: AmbientSpace,
     samples: Sequence[Sequence[float]] | None = None,
-    directions: Sequence[Sequence[float]] | None = None,
-    xi_choices: Sequence | None = None,
     tol: float = 1e-8,
 ) -> LemmaReport:
     """Residuals of (nabla_X C) xi + omega A_xi X + h(X, B xi) over samples.
 
-    ``xi_choices`` defaults to every normal frame field plus the mean
-    curvature field.
+    xi ranges over every normal frame field and the mean curvature field.
     """
-    if samples is None:
-        samples = immersion.samples
-    per_point = []
-    for u in samples:
-        geo = _geometry(immersion, space, u)
-        dirs = _default_directions(geo.n) if directions is None else directions
-        choices = list(range(geo.m)) + ["H"] if xi_choices is None else xi_choices
-        per_point.append((tuple(float(v) for v in u), _lemma2_point(geo, dirs, choices)))
-    worst = max(r for _, r in per_point)
-    return LemmaReport("lemma2", worst, tuple(per_point), worst <= tol, tol)
+    return check_lemmas(immersion, space, samples, tol)[1]
 
 
 def check_lemmas(
@@ -238,19 +214,7 @@ def check_lemmas(
     tol: float = 1e-8,
 ) -> tuple[LemmaReport, LemmaReport]:
     """Both lemma suites sharing one geometry build per sample."""
-    if samples is None:
-        samples = immersion.samples
-    points1, points2 = [], []
-    for u in samples:
-        geo = _geometry(immersion, space, u)
-        dirs = _default_directions(geo.n)
-        choices = list(range(geo.m)) + ["H"]
-        key = tuple(float(v) for v in u)
-        points1.append((key, _lemma1_point(geo, dirs)))
-        points2.append((key, _lemma2_point(geo, dirs, choices)))
-    worst1 = max(r for _, r in points1)
-    worst2 = max(r for _, r in points2)
-    return (
-        LemmaReport("lemma1", worst1, tuple(points1), worst1 <= tol, tol),
-        LemmaReport("lemma2", worst2, tuple(points2), worst2 <= tol, tol),
-    )
+    from .verify import Tolerances, verify
+
+    outcome = verify(space, immersion, samples, Tolerances(identity_tol=tol), theorems=False)
+    return outcome.lemma1, outcome.lemma2

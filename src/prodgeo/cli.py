@@ -1,54 +1,43 @@
-"""Command-line driver: scenario ingestion, verification runs, reports.
+"""Command-line driver: parses arguments, loads a scenario, calls
+:func:`prodgeo.verify.verify` and renders the outcome.
 
 Commands::
 
-    prodgeo classify <file>                      four-way verdict per scenario
+    prodgeo classify [--force] [--seed S] <file>       four-way verdict
     prodgeo check [--lemmas|--theorems|--all] [--tol T] [--force]
                   [--seed S] [--format text|json] <file>
+    prodgeo report [--tol T] [--force] [--seed S] [--format text|json] <file>
+                                                       same as check --all
     prodgeo catalog [list | run <label> | export <label> <path>]
-    prodgeo report --format text|json <file>     full structured document
 
-Exit codes: 0 success, 1 usage error, 2 parse/validation error,
-3 verification failure (a lemma residual above tolerance or an inconsistent
-biconditional; a skipped proof-residual section is not a failure).
+Exit codes: 0 success, 1 usage error (including a non-positive or
+non-finite ``--tol``), 2 parse/validation error, 3 verification failure (a
+lemma residual above tolerance or an inconsistent biconditional; a skipped
+proof-residual section is not a failure).
 
-``PRODGEO_THREADS`` caps the number of worker threads used for per-point
-evaluation (default 1); results are assembled in sample order either way,
-so reports are byte-identical for identical inputs and seeds.
+Reports are byte-identical for identical inputs and seeds.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
 from . import expr as ex
-from .ambient import AmbientSpace, validate_ambient
-from .calculus import LemmaReport, _lemma1_point, _lemma2_point
 from .catalog import Scenario, UnknownScenario, catalog_get, catalog_list
 from .scenario import (
     AmbientValidationFailure,
     LoadedScenario,
     ScenarioError,
-    Tolerances,
     export_scenario,
     load_scenario,
 )
-from .subgeom import (
-    ClassificationResult,
-    DegenerateImmersion,
-    Immersion,
-    _JetGeometry,
-    aggregate_classification,
-    classify_point,
-    param_vars,
-)
-from .theorems import TheoremVerdict, _PointData, _t2_point, _t3_point, _t4_point, _verdict
+from .subgeom import DegenerateImmersion
+from .verify import THEOREMS, Tolerances, VerificationOutcome, verify
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_FAILED = 0, 1, 2, 3
 
@@ -62,115 +51,8 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class VerificationOutcome:
-    label: str
-    space: AmbientSpace
-    immersion: Immersion
-    samples: tuple[tuple[float, ...], ...]
-    tolerances: Tolerances
-    ambient_report: object
-    classification: ClassificationResult
-    lemma1: LemmaReport | None
-    lemma2: LemmaReport | None
-    theorems: dict[str, TheoremVerdict] | None
-
-    @property
-    def consistent(self) -> bool:
-        ok = True
-        if self.lemma1 is not None:
-            ok = ok and self.lemma1.passed and self.lemma2.passed
-        if self.theorems is not None:
-            ok = ok and all(v.biconditional_consistent for v in self.theorems.values())
-        return ok
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("PRODGEO_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def run_verification(
-    space: AmbientSpace,
-    immersion: Immersion,
-    samples,
-    tolerances: Tolerances = Tolerances(),
-    ambient_report=None,
-    lemmas: bool = True,
-    theorems: bool = True,
-    label: str | None = None,
-) -> VerificationOutcome:
-    """Classification plus the requested identity suites, one geometry per point."""
-    samples = tuple(tuple(float(v) for v in u) for u in samples)
-    if ambient_report is None:
-        images = []
-        for u in samples:
-            env = dict(zip(param_vars(immersion.n), u))
-            images.append([ex.evaluate(c, env) for c in immersion.components])
-        ambient_report = validate_ambient(space, images)
-
-    tol = tolerances.identity_tol
-
-    def point_work(u):
-        geo = _JetGeometry(immersion, space, u, order=3)
-        work = {"cls": classify_point(geo, tolerances.classify_tol)}
-        if lemmas:
-            directions = np.eye(geo.n)
-            choices = list(range(geo.m)) + ["H"]
-            work["lemma1"] = _lemma1_point(geo, directions)
-            work["lemma2"] = _lemma2_point(geo, directions, choices)
-        if theorems:
-            data = _PointData(geo, tol)
-            work["rank"] = data.rank_phi
-            work["t2"] = _t2_point(data, tol)
-            work["t3"] = _t3_point(data, tol)
-            work["t4"] = _t4_point(data, tol)
-        return work
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_point = list(pool.map(point_work, samples))
-    else:
-        per_point = [point_work(u) for u in samples]
-
-    classification = aggregate_classification(
-        [w["cls"] for w in per_point], immersion.n, tolerances.classify_tol
-    )
-    lemma1 = lemma2 = None
-    if lemmas:
-        pts1 = tuple((u, w["lemma1"]) for u, w in zip(samples, per_point))
-        pts2 = tuple((u, w["lemma2"]) for u, w in zip(samples, per_point))
-        worst1 = max(r for _, r in pts1)
-        worst2 = max(r for _, r in pts2)
-        lemma1 = LemmaReport("lemma1", worst1, pts1, worst1 <= tol, tol)
-        lemma2 = LemmaReport("lemma2", worst2, pts2, worst2 <= tol, tol)
-    verdicts = None
-    if theorems:
-        ranks = [w["rank"] for w in per_point]
-        verdicts = {
-            key: _verdict(key, [w[key] for w in per_point], ranks, tol)
-            for key in ("t2", "t3", "t4")
-        }
-    return VerificationOutcome(
-        label=label if label is not None else immersion.label,
-        space=space,
-        immersion=immersion,
-        samples=samples,
-        tolerances=tolerances,
-        ambient_report=ambient_report,
-        classification=classification,
-        lemma1=lemma1,
-        lemma2=lemma2,
-        theorems=verdicts,
-    )
-
-
 def run_loaded(loaded: LoadedScenario, tolerances=None, lemmas=True, theorems=True):
-    return run_verification(
+    return verify(
         loaded.space,
         loaded.immersion,
         loaded.samples,
@@ -178,14 +60,11 @@ def run_loaded(loaded: LoadedScenario, tolerances=None, lemmas=True, theorems=Tr
         ambient_report=loaded.ambient_report,
         lemmas=lemmas,
         theorems=theorems,
-        label=loaded.label,
     )
 
 
-def run_catalog_scenario(scn: Scenario, tolerances: Tolerances = Tolerances(), **kw):
-    return run_verification(
-        scn.space, scn.immersion, scn.samples, tolerances, label=scn.label, **kw
-    )
+def run_catalog_scenario(scn: Scenario):
+    return verify(scn.space, scn.immersion, scn.samples)
 
 
 # ---- structured report -----------------------------------------------------
@@ -195,7 +74,7 @@ def build_document(outcome: VerificationOutcome) -> dict:
     rep = outcome.ambient_report
     doc = {
         "scenario": {
-            "label": outcome.label,
+            "label": outcome.immersion.label,
             "parametric_dim": outcome.immersion.n,
             "ambient_dim": outcome.space.dim,
             "num_samples": len(outcome.samples),
@@ -203,7 +82,6 @@ def build_document(outcome: VerificationOutcome) -> dict:
         "tolerances": {
             "identity_tol": outcome.tolerances.identity_tol,
             "classify_tol": outcome.tolerances.classify_tol,
-            "fail_threshold": outcome.tolerances.fail_threshold,
         },
         "ambient_validation": {
             "max_f_squared_residual": rep.max_f_squared_residual,
@@ -236,7 +114,7 @@ def build_document(outcome: VerificationOutcome) -> dict:
             entry["residuals"]["lemma1"] = outcome.lemma1.per_point[index][1]
             entry["residuals"]["lemma2"] = outcome.lemma2.per_point[index][1]
         if outcome.theorems is not None:
-            for key in ("t2", "t3", "t4"):
+            for key in THEOREMS:
                 record = outcome.theorems[key].points[index]
                 entry["residuals"][key] = {
                     "identity": record.identity_residual,
@@ -258,16 +136,13 @@ def build_document(outcome: VerificationOutcome) -> dict:
         "insufficient_samples": outcome.classification.insufficient_samples,
     }
     if outcome.lemma1 is not None:
-        verdicts["lemma1"] = {
-            "max_residual": outcome.lemma1.max_residual,
-            "passed": outcome.lemma1.passed,
-        }
-        verdicts["lemma2"] = {
-            "max_residual": outcome.lemma2.max_residual,
-            "passed": outcome.lemma2.passed,
-        }
+        for report in (outcome.lemma1, outcome.lemma2):
+            verdicts[report.lemma] = {
+                "max_residual": report.max_residual,
+                "passed": report.passed,
+            }
     if outcome.theorems is not None:
-        for key in ("t2", "t3", "t4"):
+        for key in THEOREMS:
             verdict = outcome.theorems[key]
             verdicts[key] = {
                 "identity_holds_everywhere": verdict.identity_holds_everywhere,
@@ -298,9 +173,7 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _json_number(float(obj))
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -338,7 +211,7 @@ def render_text(outcome: VerificationOutcome) -> str:
     lines = []
     rep = outcome.ambient_report
     lines.append(
-        f"scenario {outcome.label or '(unlabeled)'}: "
+        f"scenario {outcome.immersion.label or '(unlabeled)'}: "
         f"n={outcome.immersion.n} -> N={outcome.space.dim}, "
         f"{len(outcome.samples)} sample(s)"
     )
@@ -370,7 +243,7 @@ def render_text(outcome: VerificationOutcome) -> str:
                 f"-> {'PASS' if report.passed else 'FAIL'} (tol {report.tol:.1e})"
             )
     if outcome.theorems is not None:
-        for key in ("t2", "t3", "t4"):
+        for key in THEOREMS:
             verdict = outcome.theorems[key]
             lines.append(
                 f"{key.upper()}: identity everywhere: "
@@ -402,53 +275,19 @@ def render_text(outcome: VerificationOutcome) -> str:
 # ---- commands ---------------------------------------------------------------
 
 
-def _load(ns) -> LoadedScenario:
-    return load_scenario(
-        ns.scenario,
-        force=getattr(ns, "force", False),
-        seed_override=getattr(ns, "seed", None),
-    )
+def _emit(outcome: VerificationOutcome, fmt: str) -> int:
+    sys.stdout.write(render_json(outcome) if fmt == "json" else render_text(outcome))
+    return EXIT_OK if outcome.consistent else EXIT_FAILED
 
 
-def _tolerances_for(ns, loaded: LoadedScenario) -> Tolerances:
+def _cmd_scenario(ns) -> int:
+    """classify, check and report: load, verify, render."""
+    loaded = load_scenario(ns.scenario, force=ns.force, seed_override=ns.seed)
     tolerances = loaded.tolerances
-    tol = getattr(ns, "tol", None)
-    if tol is not None:
-        tolerances = Tolerances(
-            identity_tol=tol,
-            classify_tol=tolerances.classify_tol,
-            fail_threshold=tolerances.fail_threshold,
-        )
-    return tolerances
-
-
-def _cmd_classify(ns) -> int:
-    loaded = _load(ns)
-    outcome = run_loaded(loaded, _tolerances_for(ns, loaded), lemmas=False, theorems=False)
-    sys.stdout.write(render_text(outcome))
-    return EXIT_OK
-
-
-def _cmd_check(ns) -> int:
-    loaded = _load(ns)
-    lemmas = ns.lemmas or ns.all or not (ns.lemmas or ns.theorems)
-    theorems = ns.theorems or ns.all or not (ns.lemmas or ns.theorems)
-    outcome = run_loaded(loaded, _tolerances_for(ns, loaded), lemmas=lemmas, theorems=theorems)
-    if ns.format == "json":
-        sys.stdout.write(render_json(outcome))
-    else:
-        sys.stdout.write(render_text(outcome))
-    return EXIT_OK if outcome.consistent else EXIT_FAILED
-
-
-def _cmd_report(ns) -> int:
-    loaded = _load(ns)
-    outcome = run_loaded(loaded, _tolerances_for(ns, loaded))
-    if ns.format == "json":
-        sys.stdout.write(render_json(outcome))
-    else:
-        sys.stdout.write(render_text(outcome))
-    return EXIT_OK if outcome.consistent else EXIT_FAILED
+    if ns.tol is not None:
+        tolerances = replace(tolerances, identity_tol=ns.tol)
+    outcome = run_loaded(loaded, tolerances, lemmas=ns.lemmas, theorems=ns.theorems)
+    return _emit(outcome, ns.format)
 
 
 def _cmd_catalog(ns) -> int:
@@ -457,19 +296,17 @@ def _cmd_catalog(ns) -> int:
             sys.stdout.write(label + "\n")
         return EXIT_OK
     if ns.action == "run":
-        scn = catalog_get(ns.label)
-        outcome = run_catalog_scenario(scn)
-        if ns.format == "json":
-            sys.stdout.write(render_json(outcome))
-        else:
-            sys.stdout.write(render_text(outcome))
-        return EXIT_OK if outcome.consistent else EXIT_FAILED
-    if ns.action == "export":
-        scn = catalog_get(ns.label)
-        export_scenario(ns.path, scn)
-        sys.stdout.write(f"wrote {ns.path}\n")
-        return EXIT_OK
-    raise _UsageError(f"unknown catalog action {ns.action!r}")
+        return _emit(run_catalog_scenario(catalog_get(ns.label)), ns.format)
+    export_scenario(ns.path, catalog_get(ns.label))
+    sys.stdout.write(f"wrote {ns.path}\n")
+    return EXIT_OK
+
+
+def _tolerance(text: str) -> float:
+    try:
+        return Tolerances(identity_tol=float(text)).identity_tol
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _build_parser() -> _ArgumentParser:
@@ -479,37 +316,34 @@ def _build_parser() -> _ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, with_tol=True):
+    def scenario_command(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--force", action="store_true",
                        help="downgrade ambient validation failure to a warning")
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed of a random sample section")
-        if with_tol:
-            p.add_argument("--tol", type=float, default=None,
-                           help="override the identity tolerance")
+        p.add_argument("scenario")
+        return p
 
-    p_classify = sub.add_parser("classify", help="four-way classification of a scenario")
-    common(p_classify)
-    p_classify.add_argument("scenario")
-
-    p_check = sub.add_parser("check", help="run the lemma/theorem verification suites")
+    scenario_command("classify", "four-way classification of a scenario").set_defaults(
+        lemmas=False, theorems=False, tol=None, format="text"
+    )
+    p_check = scenario_command("check", "run the lemma/theorem verification suites")
     p_check.add_argument("--lemmas", action="store_true")
     p_check.add_argument("--theorems", action="store_true")
     p_check.add_argument("--all", action="store_true")
-    p_check.add_argument("--format", choices=("text", "json"), default="text")
-    common(p_check)
-    p_check.add_argument("scenario")
+    p_report = scenario_command("report", "emit the full verification document")
+    p_report.set_defaults(lemmas=True, theorems=True)
+    for p in (p_check, p_report):
+        p.add_argument("--tol", type=_tolerance, default=None,
+                       help="override the identity tolerance")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_catalog = sub.add_parser("catalog", help="list, run or export built-in scenarios")
     p_catalog.add_argument("action", nargs="?", choices=("list", "run", "export"))
     p_catalog.add_argument("label", nargs="?")
     p_catalog.add_argument("path", nargs="?")
     p_catalog.add_argument("--format", choices=("text", "json"), default="text")
-
-    p_report = sub.add_parser("report", help="emit the full verification document")
-    p_report.add_argument("--format", choices=("text", "json"), default="text")
-    common(p_report)
-    p_report.add_argument("scenario")
     return parser
 
 
@@ -525,13 +359,9 @@ def main(argv=None) -> int:
             if ns.action == "export" and not ns.path:
                 raise _UsageError("catalog export needs a destination path")
             return _cmd_catalog(ns)
-        if ns.command == "classify":
-            return _cmd_classify(ns)
-        if ns.command == "check":
-            return _cmd_check(ns)
-        if ns.command == "report":
-            return _cmd_report(ns)
-        raise _UsageError(f"unknown command {ns.command!r}")
+        if ns.command == "check" and (ns.all or not (ns.lemmas or ns.theorems)):
+            ns.lemmas = ns.theorems = True
+        return _cmd_scenario(ns)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return EXIT_USAGE

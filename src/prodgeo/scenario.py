@@ -23,10 +23,9 @@ A scenario file is an INI-style document with four sections::
     # grid = u1: 0 : 1.5 : 4; u2: -1 : 1 : 3        (start : stop : count)
     # random = count=5 seed=42 box=(-1,1)x(-1,1)
 
-    [tolerances]              # optional, defaults shown
-    identity_tol = 1e-8
+    [tolerances]              # optional, defaults shown; each must be
+    identity_tol = 1e-8       # a positive finite number
     classify_tol = 1e-8
-    fail_threshold = 1e-3
 
 Loading validates dimensions, parses every expression, runs the ambient
 validation at the immersed sample points, and fails (or warns, with
@@ -47,6 +46,7 @@ from .ambient import AmbientSpace, AmbientValidationReport, product_of, validate
 from .catalog import Scenario
 from .rng import SplitMix64
 from .subgeom import Immersion, param_vars
+from .verify import Tolerances
 
 __all__ = [
     "ScenarioError",
@@ -91,13 +91,6 @@ class AmbientValidationFailure(ValueError):
             f"{report.max_parallel_residual:.3e} (worst {worst:.3e}, "
             f"tolerance {report.tol:.1e})"
         )
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    identity_tol: float = 1e-8
-    classify_tol: float = 1e-8
-    fail_threshold: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -325,16 +318,13 @@ def loads_scenario(
     space = _load_ambient(cfg)
     immersion = _load_immersion(cfg, space)
     samples = _load_samples(cfg, immersion.n, seed_override)
-    tolerances = Tolerances(
-        identity_tol=_get_float(cfg, "tolerances", "identity_tol", 1e-8),
-        classify_tol=_get_float(cfg, "tolerances", "classify_tol", 1e-8),
-        fail_threshold=_get_float(cfg, "tolerances", "fail_threshold", 1e-3),
-    )
-    ambient_points = []
-    for u in samples:
-        env = {name: value for name, value in zip(param_vars(immersion.n), u)}
-        ambient_points.append([ex.evaluate(c, env) for c in immersion.components])
-    report = validate_ambient(space, ambient_points)
+    identity_tol = _get_float(cfg, "tolerances", "identity_tol", 1e-8)
+    classify_tol = _get_float(cfg, "tolerances", "classify_tol", 1e-8)
+    try:
+        tolerances = Tolerances(identity_tol, classify_tol)
+    except ValueError as err:
+        raise ScenarioError(str(err), "tolerances") from None
+    report = validate_ambient(space, [immersion.image(u) for u in samples])
     if not report.passed and not force:
         raise AmbientValidationFailure(report)
     return LoadedScenario(
@@ -396,7 +386,6 @@ def scenario_text(
     out.write("\n[tolerances]\n")
     out.write(f"identity_tol = {tolerances.identity_tol!r}\n")
     out.write(f"classify_tol = {tolerances.classify_tol!r}\n")
-    out.write(f"fail_threshold = {tolerances.fail_threshold!r}\n")
     return out.getvalue()
 
 
@@ -405,20 +394,10 @@ def export_scenario(
     source: Scenario | LoadedScenario,
     tolerances: Tolerances | None = None,
 ) -> None:
-    if isinstance(source, LoadedScenario):
-        text = scenario_text(
-            source.space,
-            source.immersion,
-            source.samples,
-            tolerances or source.tolerances,
-            label=source.label,
+    if tolerances is None:
+        tolerances = getattr(source, "tolerances", Tolerances())
+    Path(path).write_text(
+        scenario_text(
+            source.space, source.immersion, source.samples, tolerances, label=source.label
         )
-    else:
-        text = scenario_text(
-            source.space,
-            source.immersion,
-            source.samples,
-            tolerances or Tolerances(),
-            label=source.label,
-        )
-    Path(path).write_text(text)
+    )

@@ -86,6 +86,11 @@ class Immersion:
     def ambient_dim(self) -> int:
         return len(self.components)
 
+    def image(self, u: Sequence[float]) -> list[float]:
+        """Ambient coordinates of the point with parameters ``u``."""
+        env = dict(zip(param_vars(self.n), u))
+        return [ex.evaluate(c, env) for c in self.components]
+
 
 @dataclass
 class PointGeometry:
@@ -104,17 +109,37 @@ class PointGeometry:
     normal_on: np.ndarray
     induced_metric: np.ndarray
     ambient_metric: np.ndarray
-    h: np.ndarray | None = None
-    A: np.ndarray | None = None
-    H: np.ndarray | None = None
-    phi: np.ndarray | None = None
-    omega: np.ndarray | None = None
-    Bm: np.ndarray | None = None
-    Cm: np.ndarray | None = None
+    h: np.ndarray
+    A: np.ndarray
+    H: np.ndarray
+    phi: np.ndarray
+    omega: np.ndarray
+    Bm: np.ndarray
+    Cm: np.ndarray
 
 
 def _values(vec: Sequence[jets.Jet]) -> np.ndarray:
     return np.array([j.value for j in vec])
+
+
+def _split_structure(f0, g0, tangent_on, normal_on):
+    """phi/omega (F on the tangent frame) and B/C (F on the normal frame)."""
+    fe = tangent_on @ f0.T
+    fxi = normal_on @ f0.T
+    return (
+        (fe @ g0 @ tangent_on.T).T,
+        (fe @ g0 @ normal_on.T).T,
+        (fxi @ g0 @ tangent_on.T).T,
+        (fxi @ g0 @ normal_on.T).T,
+    )
+
+
+def _umbilicity_gap(h, normal_on, g0, H) -> float:
+    """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |, h in frame components."""
+    h_xi = normal_on @ g0 @ H
+    h_dot_h = np.einsum("mab,m->ab", h, h_xi)
+    hsq = float(H @ g0 @ H)
+    return float(np.max(np.abs(h_dot_h - hsq * np.eye(h.shape[1]))))
 
 
 def _jet_matrix_inverse(matrix):
@@ -320,12 +345,10 @@ class _JetGeometry:
         self.h_on0 = np.einsum("ca,db,cdi->abi", self.P, self.P, self.hc0)
         self.hcomp0 = np.einsum("abi,ij,mj->mab", self.h_on0, self.g0, self.Xi0)
 
-        fe = self.E0 @ self.F0.T
-        fxi = self.Xi0 @ self.F0.T
-        self.phi0 = (fe @ self.g0 @ self.E0.T).T
-        self.omega0 = (fe @ self.g0 @ self.Xi0.T).T
-        self.B0 = (fxi @ self.g0 @ self.E0.T).T
-        self.C0 = (fxi @ self.g0 @ self.Xi0.T).T
+        self.phi0, self.omega0, self.B0, self.C0 = _split_structure(
+            self.F0, self.g0, self.E0, self.Xi0
+        )
+        self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
 
     # ---- jet-field helpers ----------------------------------------------
 
@@ -451,70 +474,27 @@ class _JetGeometry:
         h_xb = np.einsum("a,cb,aci->bi", x_params, self.P, self.hc0)
         return (h_xb @ self.g0 @ xi) @ self.E0
 
-    def point_geometry(self) -> PointGeometry:
-        pg = PointGeometry(
-            u=self.u,
-            x=self.x0.copy(),
-            tangent_on=self.E0.copy(),
-            normal_on=self.Xi0.copy(),
-            induced_metric=self.G0.copy(),
-            ambient_metric=self.g0.copy(),
-        )
-        pg.h = self.hcomp0.copy()
-        pg.A = self.hcomp0.copy()
-        pg.H = self.H0.copy()
-        pg.phi = self.phi0.copy()
-        pg.omega = self.omega0.copy()
-        pg.Bm = self.B0.copy()
-        pg.Cm = self.C0.copy()
-        return pg
-
 
 # ---- public per-point operations ----------------------------------------
 
 
 def frames_at(immersion: Immersion, space: AmbientSpace, u: Sequence[float]) -> PointGeometry:
     """Orthonormal frames and induced metric at one parameter point."""
-    geo = _JetGeometry(immersion, space, u, order=2)
-    return PointGeometry(
-        u=geo.u,
-        x=geo.x0.copy(),
-        tangent_on=geo.E0.copy(),
-        normal_on=geo.Xi0.copy(),
-        induced_metric=geo.G0.copy(),
-        ambient_metric=geo.g0.copy(),
-    )
+    return point_geometry(immersion, space, u)
 
 
 def second_fundamental_form(
     immersion: Immersion, space: AmbientSpace, u: Sequence[float]
 ) -> PointGeometry:
     """Frames plus h, the shape matrices and the mean curvature vector."""
-    geo = _JetGeometry(immersion, space, u, order=2)
-    pg = PointGeometry(
-        u=geo.u,
-        x=geo.x0.copy(),
-        tangent_on=geo.E0.copy(),
-        normal_on=geo.Xi0.copy(),
-        induced_metric=geo.G0.copy(),
-        ambient_metric=geo.g0.copy(),
-    )
-    pg.h = geo.hcomp0.copy()
-    pg.A = geo.hcomp0.copy()
-    pg.H = geo.H0.copy()
-    return pg
+    return point_geometry(immersion, space, u)
 
 
 def f_decompose(pg: PointGeometry, space: AmbientSpace):
     """Split F over the frames: phi/omega on tangents, B/C on normals."""
-    f0 = space.structure_at(pg.x)
-    g0 = pg.ambient_metric
-    fe = pg.tangent_on @ f0.T
-    fxi = pg.normal_on @ f0.T
-    pg.phi = (fe @ g0 @ pg.tangent_on.T).T
-    pg.omega = (fe @ g0 @ pg.normal_on.T).T
-    pg.Bm = (fxi @ g0 @ pg.tangent_on.T).T
-    pg.Cm = (fxi @ g0 @ pg.normal_on.T).T
+    pg.phi, pg.omega, pg.Bm, pg.Cm = _split_structure(
+        space.structure_at(pg.x), pg.ambient_metric, pg.tangent_on, pg.normal_on
+    )
     return pg.phi, pg.omega, pg.Bm, pg.Cm
 
 
@@ -526,13 +506,22 @@ def point_geometry(
     column_order: str = "forward",
 ) -> PointGeometry:
     """Full per-point bundle (frames, h, A, H, phi/omega/B/C)."""
-    return _JetGeometry(
-        immersion, space, u, order=order, column_order=column_order
-    ).point_geometry()
-
-
-def _normal_components_of_H(pg: PointGeometry) -> np.ndarray:
-    return pg.normal_on @ pg.ambient_metric @ pg.H
+    geo = _JetGeometry(immersion, space, u, order=order, column_order=column_order)
+    return PointGeometry(
+        u=geo.u,
+        x=geo.x0.copy(),
+        tangent_on=geo.E0.copy(),
+        normal_on=geo.Xi0.copy(),
+        induced_metric=geo.G0.copy(),
+        ambient_metric=geo.g0.copy(),
+        h=geo.hcomp0.copy(),
+        A=geo.hcomp0.copy(),
+        H=geo.H0.copy(),
+        phi=geo.phi0.copy(),
+        omega=geo.omega0.copy(),
+        Bm=geo.B0.copy(),
+        Cm=geo.C0.copy(),
+    )
 
 
 def is_minimal(pg: PointGeometry, tol: float = 1e-8) -> bool:
@@ -542,10 +531,7 @@ def is_minimal(pg: PointGeometry, tol: float = 1e-8) -> bool:
 
 def pseudo_umbilical_gap(pg: PointGeometry) -> float:
     """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |."""
-    h_xi = _normal_components_of_H(pg)
-    h_dot_h = np.einsum("mab,m->ab", pg.h, h_xi)
-    hsq = float(h_xi @ h_xi)
-    return float(np.max(np.abs(h_dot_h - hsq * np.eye(pg.h.shape[1]))))
+    return _umbilicity_gap(pg.h, pg.normal_on, pg.ambient_metric, pg.H)
 
 
 def is_pseudo_umbilical(pg: PointGeometry, tol: float = 1e-8) -> bool:
@@ -587,9 +573,6 @@ def rank_of(matrix: np.ndarray, tol: float) -> int:
 
 def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> PointClassification:
     """Norms, rank and flags of one already-built point geometry."""
-    h_xi = geo.Xi0 @ geo.g0 @ geo.H0
-    h_dot_h = np.einsum("mab,m->ab", geo.hcomp0, h_xi)
-    gap = float(np.max(np.abs(h_dot_h - geo.Hsq * np.eye(geo.n))))
     return PointClassification(
         u=geo.u,
         phi_norm=float(np.linalg.norm(geo.phi0)),
@@ -597,7 +580,7 @@ def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> PointClassification:
         omega_phi_norm=float(np.linalg.norm(geo.omega0 @ geo.phi0)),
         rank_phi=rank_of(geo.phi0, tol),
         minimal=geo.norm_g(geo.H0) <= tol,
-        pseudo_umbilical=gap <= tol,
+        pseudo_umbilical=geo.pu_gap <= tol,
         mean_curvature_sq=geo.Hsq,
     )
 

@@ -69,12 +69,6 @@ class TheoremVerdict:
     tol: float
 
 
-def _pu_gap(geo: _JetGeometry) -> float:
-    h_xi = geo.Xi0 @ geo.g0 @ geo.H0
-    h_dot_h = np.einsum("mab,m->ab", geo.hcomp0, h_xi)
-    return float(np.max(np.abs(h_dot_h - geo.Hsq * np.eye(geo.n))))
-
-
 def _dot(geo: _JetGeometry, v: np.ndarray, w: np.ndarray) -> float:
     return float(v @ geo.g0 @ w)
 
@@ -84,7 +78,7 @@ class _PointData:
 
     def __init__(self, geo: _JetGeometry, tol: float):
         self.geo = geo
-        self.pseudo_umbilical = _pu_gap(geo) <= tol
+        self.pseudo_umbilical = geo.pu_gap <= tol
         self.minimal = geo.norm_g(geo.H0) <= tol
         self.invariant = float(np.linalg.norm(geo.omega0)) <= tol
         self.anti_invariant = float(np.linalg.norm(geo.phi0)) <= tol
@@ -100,6 +94,22 @@ class _PointData:
         return d_perp - geo.f_normal_part(geo.nabla_perp(geo.H_field, direction))
 
 
+def _record(
+    data: _PointData, tol: float, identity, obstruction, proof, branches
+) -> TheoremPointRecord:
+    """One point's record; the branches are the statement's disjunction."""
+    return TheoremPointRecord(
+        u=data.geo.u,
+        pseudo_umbilical=data.pseudo_umbilical,
+        identity_residual=identity,
+        obstruction=obstruction,
+        proof_residual=proof if data.pseudo_umbilical else None,
+        branches=branches,
+        identity_holds=identity <= tol,
+        disjunction_pointwise=any(branches.values()),
+    )
+
+
 def _t2_point(data: _PointData, tol: float) -> TheoremPointRecord:
     geo = data.geo
     identity = obstruction = proof = 0.0
@@ -112,16 +122,7 @@ def _t2_point(data: _PointData, tol: float) -> TheoremPointRecord:
         obstruction = max(obstruction, geo.Hsq * geo.norm_g(omega_x))
         proof = max(proof, geo.norm_g(d_ch + geo.Hsq * omega_x + h_term))
     branches = {"minimal": data.minimal, "invariant": data.invariant}
-    return TheoremPointRecord(
-        u=geo.u,
-        pseudo_umbilical=data.pseudo_umbilical,
-        identity_residual=identity,
-        obstruction=obstruction,
-        proof_residual=proof if data.pseudo_umbilical else None,
-        branches=branches,
-        identity_holds=identity <= tol,
-        disjunction_pointwise=data.minimal or data.invariant,
-    )
+    return _record(data, tol, identity, obstruction, proof, branches)
 
 
 def _t3_point(data: _PointData, tol: float) -> TheoremPointRecord:
@@ -137,16 +138,7 @@ def _t3_point(data: _PointData, tol: float) -> TheoremPointRecord:
             obstruction = max(obstruction, geo.Hsq * abs(geo.phi0[a, b]))
             proof = max(proof, abs(lhs + geo.Hsq * geo.phi0[a, b] - rhs))
     branches = {"minimal": data.minimal, "anti_invariant": data.anti_invariant}
-    return TheoremPointRecord(
-        u=geo.u,
-        pseudo_umbilical=data.pseudo_umbilical,
-        identity_residual=identity,
-        obstruction=obstruction,
-        proof_residual=proof if data.pseudo_umbilical else None,
-        branches=branches,
-        identity_holds=identity <= tol,
-        disjunction_pointwise=data.minimal or data.anti_invariant,
-    )
+    return _record(data, tol, identity, obstruction, proof, branches)
 
 
 def _t4_point(data: _PointData, tol: float) -> TheoremPointRecord:
@@ -168,16 +160,7 @@ def _t4_point(data: _PointData, tol: float) -> TheoremPointRecord:
         "semi_invariant": data.omega_phi_zero,
         "perpendicular": perpendicular,
     }
-    return TheoremPointRecord(
-        u=geo.u,
-        pseudo_umbilical=data.pseudo_umbilical,
-        identity_residual=identity,
-        obstruction=obstruction,
-        proof_residual=proof if data.pseudo_umbilical else None,
-        branches=branches,
-        identity_holds=identity <= tol,
-        disjunction_pointwise=data.minimal or data.omega_phi_zero or perpendicular,
-    )
+    return _record(data, tol, identity, obstruction, proof, branches)
 
 
 def _verdict(theorem: str, records, ranks, tol: float) -> TheoremVerdict:
@@ -205,32 +188,6 @@ def _verdict(theorem: str, records, ranks, tol: float) -> TheoremVerdict:
     )
 
 
-def _run(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples,
-    tol: float,
-    strict: bool,
-    which: Sequence[str],
-) -> dict[str, TheoremVerdict]:
-    if samples is None:
-        samples = immersion.samples
-    point_fns = {"t2": _t2_point, "t3": _t3_point, "t4": _t4_point}
-    records: dict[str, list[TheoremPointRecord]] = {w: [] for w in which}
-    ranks = []
-    for u in samples:
-        geo = _JetGeometry(immersion, space, u, order=3)
-        data = _PointData(geo, tol)
-        if strict and not data.pseudo_umbilical:
-            raise NotPseudoUmbilical(
-                f"point u = {tuple(u)} is not pseudo-umbilical (gap {_pu_gap(geo):.3e})"
-            )
-        ranks.append(data.rank_phi)
-        for w in which:
-            records[w].append(point_fns[w](data, tol))
-    return {w: _verdict(w, records[w], ranks, tol) for w in which}
-
-
 def theorem2_check(
     immersion: Immersion,
     space: AmbientSpace,
@@ -239,7 +196,7 @@ def theorem2_check(
     strict: bool = False,
 ) -> TheoremVerdict:
     """(nabla_X C) H = -h(X, BH)  vs  minimal-or-invariant."""
-    return _run(immersion, space, samples, tol, strict, ("t2",))["t2"]
+    return check_theorems(immersion, space, samples, tol, strict)["t2"]
 
 
 def theorem3_check(
@@ -250,7 +207,7 @@ def theorem3_check(
     strict: bool = False,
 ) -> TheoremVerdict:
     """g((nabla_X omega) Y, H) = g(Y, A_CH X)  vs  minimal-or-anti-invariant."""
-    return _run(immersion, space, samples, tol, strict, ("t3",))["t3"]
+    return check_theorems(immersion, space, samples, tol, strict)["t3"]
 
 
 def theorem4_check(
@@ -261,7 +218,7 @@ def theorem4_check(
     strict: bool = False,
 ) -> TheoremVerdict:
     """g((nabla_{phi X} C) H, CH) = -g(h(phi X, BH), CH)  vs  the three branches."""
-    return _run(immersion, space, samples, tol, strict, ("t4",))["t4"]
+    return check_theorems(immersion, space, samples, tol, strict)["t4"]
 
 
 def check_theorems(
@@ -271,5 +228,16 @@ def check_theorems(
     tol: float = 1e-8,
     strict: bool = False,
 ) -> dict[str, TheoremVerdict]:
-    """All three statements, sharing one geometry build per sample."""
-    return _run(immersion, space, samples, tol, strict, ("t2", "t3", "t4"))
+    """All three statements, sharing one geometry build per sample.
+
+    ``strict`` raises :class:`NotPseudoUmbilical` if a sample point violates
+    the pseudo-umbilical hypothesis of the statements.
+    """
+    from .verify import Tolerances, verify
+
+    verdicts = verify(space, immersion, samples, Tolerances(identity_tol=tol), lemmas=False).theorems
+    if strict:
+        for record in verdicts["t2"].points:
+            if not record.pseudo_umbilical:
+                raise NotPseudoUmbilical(f"point u = {record.u} is not pseudo-umbilical")
+    return verdicts

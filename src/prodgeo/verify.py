@@ -1,0 +1,129 @@
+"""The per-point verification pipeline behind every entry point.
+
+:func:`verify` builds the jet geometry of each sample point once and reads
+off it the four-way classification, the two lemma identities and the T2-T4
+statements.  The lemma and theorem checks, the catalog runner and every CLI
+command are calls to it that keep their part of the outcome.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+from .ambient import AmbientSpace, AmbientValidationReport, validate_ambient
+from .calculus import LemmaReport, _lemma1_point, _lemma2_point
+from .subgeom import (
+    ClassificationResult,
+    Immersion,
+    _JetGeometry,
+    aggregate_classification,
+    classify_point,
+)
+from .theorems import TheoremVerdict, _PointData, _t2_point, _t3_point, _t4_point, _verdict
+
+__all__ = ["THEOREMS", "Tolerances", "VerificationOutcome", "verify"]
+
+THEOREMS = ("t2", "t3", "t4")
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Identity residual and classification thresholds; positive and finite."""
+
+    identity_tol: float = 1e-8
+    classify_tol: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("identity_tol", "classify_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+@dataclass
+class VerificationOutcome:
+    space: AmbientSpace
+    immersion: Immersion
+    samples: tuple[tuple[float, ...], ...]
+    tolerances: Tolerances
+    ambient_report: AmbientValidationReport
+    classification: ClassificationResult
+    lemma1: LemmaReport | None
+    lemma2: LemmaReport | None
+    theorems: dict[str, TheoremVerdict] | None
+
+    @property
+    def consistent(self) -> bool:
+        ok = True
+        if self.lemma1 is not None:
+            ok = ok and self.lemma1.passed and self.lemma2.passed
+        if self.theorems is not None:
+            ok = ok and all(v.biconditional_consistent for v in self.theorems.values())
+        return ok
+
+
+def _lemma_report(lemma: str, samples, residuals, tol: float) -> LemmaReport:
+    worst = max(residuals)
+    return LemmaReport(lemma, worst, tuple(zip(samples, residuals)), worst <= tol, tol)
+
+
+def verify(
+    space: AmbientSpace,
+    immersion: Immersion,
+    samples: Sequence[Sequence[float]] | None = None,
+    tolerances: Tolerances = Tolerances(),
+    *,
+    lemmas: bool = True,
+    theorems: bool = True,
+    ambient_report: AmbientValidationReport | None = None,
+) -> VerificationOutcome:
+    """Classification plus the requested identity suites, one geometry per point.
+
+    ``samples`` defaults to the immersion's own; ``ambient_report`` to the
+    ambient validation at their images.  The identities differentiate the
+    frames once more than the classification reads, so the jets are built
+    to order 3 when lemmas or theorems are requested and to order 2 when not.
+    """
+    if samples is None:
+        samples = immersion.samples
+    samples = tuple(tuple(float(v) for v in u) for u in samples)
+    if ambient_report is None:
+        ambient_report = validate_ambient(space, [immersion.image(u) for u in samples])
+    tol = tolerances.identity_tol
+    order = 3 if lemmas or theorems else 2
+
+    points, residuals1, residuals2, ranks = [], [], [], []
+    records = {key: [] for key in THEOREMS}
+    for u in samples:
+        geo = _JetGeometry(immersion, space, u, order=order)
+        points.append(classify_point(geo, tolerances.classify_tol))
+        if lemmas:
+            residuals1.append(_lemma1_point(geo))
+            residuals2.append(_lemma2_point(geo))
+        if theorems:
+            data = _PointData(geo, tol)
+            ranks.append(data.rank_phi)
+            records["t2"].append(_t2_point(data, tol))
+            records["t3"].append(_t3_point(data, tol))
+            records["t4"].append(_t4_point(data, tol))
+
+    classification = aggregate_classification(points, immersion.n, tolerances.classify_tol)
+    lemma1 = lemma2 = verdicts = None
+    if lemmas:
+        lemma1 = _lemma_report("lemma1", samples, residuals1, tol)
+        lemma2 = _lemma_report("lemma2", samples, residuals2, tol)
+    if theorems:
+        verdicts = {key: _verdict(key, records[key], ranks, tol) for key in THEOREMS}
+    return VerificationOutcome(
+        space=space,
+        immersion=immersion,
+        samples=samples,
+        tolerances=tolerances,
+        ambient_report=ambient_report,
+        classification=classification,
+        lemma1=lemma1,
+        lemma2=lemma2,
+        theorems=verdicts,
+    )

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from prodgeo.catalog import catalog_get
-from prodgeo.cli import main, run_catalog_scenario, run_loaded, render_json
+from prodgeo.calculus import check_lemmas
+from prodgeo.catalog import catalog_get, catalog_list, corrupted_lemma_case
+from prodgeo.cli import main, run_catalog_scenario, run_loaded, render_json, render_text
 from prodgeo.scenario import (
     AmbientValidationFailure,
     DimensionMismatch,
@@ -16,6 +17,9 @@ from prodgeo.scenario import (
     loads_scenario,
     scenario_text,
 )
+from prodgeo.subgeom import classify
+from prodgeo.theorems import check_theorems
+from prodgeo.verify import verify
 
 CORRUPTED = """
 [ambient]
@@ -192,6 +196,29 @@ def test_tolerances_parsed_with_defaults():
         CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\n", force=True
     )
     assert loaded.tolerances == Tolerances(identity_tol=1e-7)
+    # a file that still sets the removed third key loads and verifies the same
+    legacy = loads_scenario(
+        CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\nfail_threshold = 1e-3\n",
+        force=True,
+    )
+    assert legacy.tolerances == loaded.tolerances
+    assert render_json(run_loaded(legacy)) == render_json(run_loaded(loaded))
+
+
+@pytest.mark.parametrize("key", ["identity_tol", "classify_tol"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_bad_file_tolerance_is_rejected(key, value, capsys, tmp_path):
+    scn = catalog_get("circle")
+    text = scenario_text(scn.space, scn.immersion, scn.samples).replace(
+        f"{key} = 1e-08", f"{key} = {value}"
+    )
+    with pytest.raises(ScenarioError, match=r"^\[tolerances\] " + key):
+        loads_scenario(text)
+    path = tmp_path / "c.ini"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", "--all", str(path))
+    assert code == 2 and out == ""
+    assert "[tolerances]" in err
 
 
 def test_scenario_text_is_reparseable():
@@ -318,12 +345,30 @@ random = count=2 seed=7 box=(0,6)
     assert out1 != out3
 
 
-def test_cli_threads_do_not_change_results(capsys, tmp_path, monkeypatch):
-    export_scenario(tmp_path / "t.ini", catalog_get("square-torus-rotated"))
-    _, serial, _ = run_cli(capsys, "check", "--all", "--format", "json", str(tmp_path / "t.ini"))
-    monkeypatch.setenv("PRODGEO_THREADS", "4")
-    _, threaded, _ = run_cli(capsys, "check", "--all", "--format", "json", str(tmp_path / "t.ini"))
-    assert serial == threaded
+def test_entry_points_agree_with_verify(capsys, tmp_path):
+    cases = [catalog_get(label) for label in catalog_list()]
+    cases = [(scn.space, scn.immersion) for scn in cases] + [corrupted_lemma_case()]
+    for space, imm in cases:
+        outcome = verify(space, imm)
+        assert check_lemmas(imm, space) == (outcome.lemma1, outcome.lemma2), imm.label
+        assert check_theorems(imm, space) == outcome.theorems, imm.label
+        assert classify(imm, space) == outcome.classification, imm.label
+        path = tmp_path / "s.ini"
+        path.write_text(scenario_text(space, imm, imm.samples))
+        code, out, _ = run_cli(capsys, "classify", "--force", str(path))
+        classified = verify(space, imm, lemmas=False, theorems=False)
+        assert classified.classification == outcome.classification, imm.label
+        assert code == 0
+        assert out == render_text(classified)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_cli_bad_tol_is_usage_error(value, capsys, tmp_path):
+    export_scenario(tmp_path / "c.ini", catalog_get("circle"))
+    for command in ("check", "report"):
+        code, out, err = run_cli(capsys, command, "--tol", value, str(tmp_path / "c.ini"))
+        assert code == 1 and out == ""
+        assert "usage error" in err and "--tol" in err
 
 
 def test_cli_tol_override(capsys, tmp_path):
