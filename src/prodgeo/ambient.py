@@ -4,8 +4,9 @@ Models a chart of the ambient manifold by component expressions: a metric
 ``g_ij(x)`` and a (1,1) structure tensor ``F^i_j(x)`` with ``F^2 = I`` and
 ``g(FX, FY) = g(X, Y)``.  Provides the canonical block constructor (constant
 ``F = diag(+1.., -1..)`` over a block metric, which is parallel by
-construction), Christoffel symbols, covariant differentiation along curves,
-and pointwise validation that a hand-written space really is locally
+construction), the metric derivatives as expressions, Christoffel symbols
+over floats or jets, covariant differentiation along curves, and pointwise
+validation that a hand-written space really is locally
 product: the validator measures ``F^2 - I``, the metric compatibility
 defect, and ``(nabla_X F) Y``.
 """
@@ -13,6 +14,7 @@ defect, and ``(nabla_X F) Y``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ __all__ = [
     "flat_block",
     "product_of",
     "christoffel",
+    "levi_civita",
     "ambient_cov_derivative",
     "validate_ambient",
 ]
@@ -59,14 +62,27 @@ def _as_matrix(rows, dim: int, what: str) -> tuple[tuple[ex.ExprAst, ...], ...]:
     return parsed
 
 
+def _evaluate(rows, env):
+    if isinstance(rows, tuple):
+        return [_evaluate(row, env) for row in rows]
+    return ex.evaluate(rows, env)
+
+
 @dataclass(frozen=True)
 class AmbientSpace:
-    """Chart dimension plus metric and structure component expressions."""
+    """Chart dimension plus metric and structure component expressions.
+
+    ``metric_diff[l][i][j]`` and ``structure_diff[l][i][j]`` hold the
+    partial derivatives of ``g_ij`` and ``F^i_j`` along ``x(l+1)``, zero
+    folded, so a flat block contributes plain ``Num(0)`` entries.
+    """
 
     dim: int
     metric: tuple[tuple[ex.ExprAst, ...], ...]
     structure: tuple[tuple[ex.ExprAst, ...], ...]
     product_split: tuple[int, int] | None = field(default=None)
+    metric_diff: tuple = field(init=False, repr=False, compare=False)
+    structure_diff: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric"))
@@ -78,6 +94,9 @@ class AmbientSpace:
             used = frozenset().union(*(ex.variables(e) for row in matrix for e in row))
             if not used <= allowed:
                 raise ex.UnknownVariable(sorted(used - allowed)[0])
+            d = tuple(tuple(tuple(ex.diff(e, x) for e in row) for row in matrix)
+                      for x in ambient_vars(self.dim))
+            object.__setattr__(self, f"{name}_diff", d)
         for i in range(self.dim):
             for j in range(i):
                 if self.metric[i][j] != self.metric[j][i]:
@@ -88,21 +107,39 @@ class AmbientSpace:
             raise ValueError(f"expected a point with {self.dim} coordinates")
         return {name: value for name, value in zip(ambient_vars(self.dim), x)}
 
+    @cached_property
+    def _constants(self) -> dict[str, np.ndarray]:
+        """The expression tables that do not depend on x, evaluated once."""
+        constants = {}
+        for name in ("metric", "structure", "metric_diff", "structure_diff"):
+            try:
+                constants[name] = np.array(_evaluate(getattr(self, name), {}), dtype=float)
+            except ex.UnknownVariable:
+                pass
+        return constants
+
+    def _table(self, name: str, x):
+        """An expression table at x (floats or jets): a jet, or a float array if constant."""
+        env = self._env(list(x))
+        if name in self._constants:
+            return self._constants[name].copy()
+        return jets.array(_evaluate(getattr(self, name), env))
+
     def metric_at(self, x: Sequence[float]) -> np.ndarray:
-        env = self._env([float(v) for v in x])
-        return np.array([[ex.evaluate(e, env) for e in row] for row in self.metric])
+        return self._table("metric", [float(v) for v in x])
 
     def structure_at(self, x: Sequence[float]) -> np.ndarray:
-        env = self._env([float(v) for v in x])
-        return np.array([[ex.evaluate(e, env) for e in row] for row in self.structure])
+        return self._table("structure", [float(v) for v in x])
 
-    def metric_jets(self, x: Sequence[jets.Jet]):
-        env = self._env(list(x))
-        return [[ex.evaluate(e, env) for e in row] for row in self.metric]
+    def metric_jets(self, x):
+        return self._table("metric", x)
 
-    def structure_jets(self, x: Sequence[jets.Jet]):
-        env = self._env(list(x))
-        return [[ex.evaluate(e, env) for e in row] for row in self.structure]
+    def structure_jets(self, x):
+        return self._table("structure", x)
+
+    def metric_derivatives(self, x):
+        """``dg[l, i, j] = d g_ij / d x^l`` at ``x`` (floats or jets)."""
+        return self._table("metric_diff", x)
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:
@@ -157,6 +194,8 @@ def product_of(block_a, p: int, block_b, q: int) -> AmbientSpace:
 
 
 def _assert_positive_definite(g: np.ndarray, tol: float = 1e-10):
+    if not np.isfinite(g).all():
+        raise SingularMetric("metric is not finite at the sample point")
     # the LDL^T pivots of g are diag(L)^2 for its Cholesky factor L
     try:
         chol = np.linalg.cholesky(g)
@@ -166,29 +205,22 @@ def _assert_positive_definite(g: np.ndarray, tol: float = 1e-10):
         raise SingularMetric("metric is not positive definite at the sample point")
 
 
-def christoffel(space: AmbientSpace, x: Sequence[float]) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma^i_{jk} at a point.
+def levi_civita(ginv, dg):
+    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk), floats or jets.
 
-    Metric derivatives are taken by jets; symmetric in the lower indices.
+    ``ginv`` is the inverse metric and ``dg[l, i, j] = d g_ij / d x^l``; the
+    result is symmetric in the lower indices.
     """
-    n = space.dim
-    seeds = jets.seed_point([float(v) for v in x], order=1)
-    gj = [[jets.as_jet(entry, 1, n) for entry in row] for row in space.metric_jets(seeds)]
-    g0 = np.array([[entry.value for entry in row] for row in gj])
+    lowered = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
+    return 0.5 * jets.einsum("il,ljk->ijk", ginv, lowered)
+
+
+def christoffel(space: AmbientSpace, x: Sequence[float]) -> np.ndarray:
+    """Levi-Civita connection coefficients Gamma^i_{jk} at a point."""
+    x = [float(v) for v in x]
+    g0 = space.metric_at(x)
     _assert_positive_definite(g0)
-    # dg[l, i, j] = d g_ij / d x^l
-    dg = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            dg[:, i, j] = gj[i][j].gradient()
-    ginv = np.linalg.inv(g0)
-    # Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk)
-    gamma = 0.5 * (
-        np.einsum("il,jlk->ijk", ginv, dg)
-        + np.einsum("il,klj->ijk", ginv, dg)
-        - np.einsum("il,ljk->ijk", ginv, dg)
-    )
-    return gamma
+    return levi_civita(np.linalg.inv(g0), space.metric_derivatives(x))
 
 
 def ambient_cov_derivative(
@@ -203,15 +235,10 @@ def ambient_cov_derivative(
     the curve parameter; ``velocity`` is the curve velocity at the base
     point ``x0``.
     """
-    if any(j.order < 1 for j in v):
-        raise jets.InsufficientJetOrder(
-            "covariant differentiation requires order >= 1 along the curve"
-        )
-    gamma = christoffel(space, x0)
-    v0 = np.array([j.value for j in v])
-    dv = np.array([j.gradient()[0] for j in v])
+    field = jets.array(list(v))
+    dv = field.gradient()[:, 0]  # raises InsufficientJetOrder at order 0
     xdot = np.asarray(velocity, dtype=float)
-    return dv + np.einsum("ijk,j,k->i", gamma, xdot, v0)
+    return dv + np.einsum("ijk,j,k->i", christoffel(space, x0), xdot, field.value)
 
 
 @dataclass(frozen=True)
@@ -226,63 +253,58 @@ class AmbientValidationReport:
 
 
 def validate_ambient(
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]],
-    directions: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
+    space: AmbientSpace, samples: Sequence[Sequence[float]]
 ) -> AmbientValidationReport:
     """Measure the locally-product defects at sample points.
 
     Reports the largest residuals of ``F^2 - I``, metric compatibility and
-    ``(nabla_X F) Y`` over the samples.  Failures are reported, not thrown.
+    ``(nabla_X F) Y`` over the samples and the coordinate directions X, Y.
+    Failures are reported, not thrown.  A non-finite metric is not positive
+    definite; a sample whose residuals are not finite (from a non-finite
+    metric, structure or derivative, or an overflow) fails the report and
+    stays out of its residuals.
     """
-    n = space.dim
-    if directions is None:
-        directions = np.eye(n)
-    directions = np.asarray(directions, dtype=float)
-
-    r_f2 = r_compat = r_parallel = 0.0
-    pd_ok = True
-    max_minus_identity = 0.0
-    max_plus_identity = 0.0
-    identity = np.eye(n)
+    identity = np.eye(space.dim)
+    worst = np.zeros(3)  # F^2 - I, compatibility, (nabla_X F) Y
+    pd_ok = finite = True
+    max_minus_identity = max_plus_identity = 0.0
 
     for point in samples:
-        x0 = np.asarray(point, dtype=float)
+        x0 = [float(v) for v in point]
         g0 = space.metric_at(x0)
         f0 = space.structure_at(x0)
-        r_f2 = max(r_f2, float(np.max(np.abs(f0 @ f0 - identity))))
-        r_compat = max(r_compat, float(np.max(np.abs(f0.T @ g0 @ f0 - g0))))
-        max_minus_identity = max(max_minus_identity, float(np.max(np.abs(f0 - identity))))
-        max_plus_identity = max(max_plus_identity, float(np.max(np.abs(f0 + identity))))
         try:
             _assert_positive_definite(g0)
-            gamma = christoffel(space, x0)
+            point_pd = True
         except SingularMetric:
-            pd_ok = False
-            continue
-        for d in directions:
-            curve = [
-                jets.lift_constant(x0[j], 1) + d[j] * jets.seed_variable(0.0, 0, 1)
-                for j in range(n)
+            pd_ok = point_pd = False
+        # overflow and NaN are detected below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            residuals = [
+                np.max(np.abs(f0 @ f0 - identity)), np.max(np.abs(f0.T @ g0 @ f0 - g0)), 0.0
             ]
-            ft = [[jets.as_jet(entry, 1, 1) for entry in row] for row in space.structure_jets(curve)]
-            df = np.array([[entry.gradient()[0] for entry in row] for row in ft])
-            gamma_d = np.einsum("ijk,j->ik", gamma, d)
-            for k in range(n):
-                y = identity[k]
-                # (nabla_X F)Y = nabla_X (FY) - F (nabla_X Y) for constant Y
-                residual = df @ y + gamma_d @ (f0 @ y) - f0 @ (gamma_d @ y)
-                r_parallel = max(r_parallel, float(np.sqrt(residual @ g0 @ residual)))
+            if point_pd:
+                # gl[l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
+                gamma = levi_civita(np.linalg.inv(g0), space.metric_derivatives(x0))
+                gl = gamma.transpose(1, 0, 2)
+                nabla_f = space._table("structure_diff", x0) + gl @ f0 - f0 @ gl
+                # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
+                sq = np.max(np.einsum("lik,ij,ljk->lk", nabla_f, g0, nabla_f))
+                residuals[2] = np.sqrt(max(sq, 0.0))
+        if not np.isfinite(residuals).all():
+            finite = False
+            continue
+        worst = np.maximum(worst, residuals)
+        max_minus_identity = max(max_minus_identity, float(np.max(np.abs(f0 - identity))))
+        max_plus_identity = max(max_plus_identity, float(np.max(np.abs(f0 + identity))))
 
     f_flag = max_minus_identity <= 1e-12 or max_plus_identity <= 1e-12
-    passed = pd_ok and max(r_f2, r_compat, r_parallel) <= tol
+    passed = pd_ok and finite and float(np.max(worst)) <= 1e-8
     return AmbientValidationReport(
-        max_f_squared_residual=r_f2,
-        max_compat_residual=r_compat,
-        max_parallel_residual=r_parallel,
+        max_f_squared_residual=float(worst[0]),
+        max_compat_residual=float(worst[1]),
+        max_parallel_residual=float(worst[2]),
         positive_definite=pd_ok,
         f_is_identity=f_flag,
         passed=passed,
-        tol=tol,
     )

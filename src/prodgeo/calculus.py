@@ -73,8 +73,7 @@ def _tangent_field(geo: _JetGeometry, y):
     if isinstance(y, (int, np.integer)):
         if not 0 <= int(y) < geo.n:
             raise ValueError(f"coordinate index {y} out of range")
-        coefficients = [1.0 if b == int(y) else 0.0 for b in range(geo.n)]
-        return geo.coordinate_field(coefficients)
+        return geo.T[int(y)]
     return geo.coordinate_field(list(y))
 
 
@@ -88,16 +87,10 @@ def _normal_field(geo: _JetGeometry, xi):
         if not 0 <= int(xi) < geo.m:
             raise ValueError(f"normal frame index {xi} out of range")
         return geo.xi_field[int(xi)]
-    coefficients = [float(c) for c in xi]
+    coefficients = np.array([float(c) for c in xi])
     if len(coefficients) != geo.m:
         raise ValueError(f"expected {geo.m} normal frame coefficients")
-    out = []
-    for i in range(geo.N):
-        total = coefficients[0] * geo.xi_field[0][i]
-        for a in range(1, geo.m):
-            total = total + coefficients[a] * geo.xi_field[a][i]
-        out.append(total)
-    return out
+    return jets.einsum("a,ai->i", coefficients, geo.xi_field)
 
 
 def tangential_connection(
@@ -114,6 +107,10 @@ def normal_connection(
     """nabla^perp_X xi: normal part of the ambient covariant derivative."""
     geo = _geometry(immersion, space, ctx.base)
     return geo.nabla_perp(_normal_field(geo, xi), ctx.direction)
+
+
+# Both derivatives below accept a batch of fields (leading axes before the
+# ambient component) and return one ambient vector per field.
 
 
 def _nabla_omega(geo: _JetGeometry, direction, y_field) -> np.ndarray:
@@ -158,10 +155,9 @@ class LemmaReport:
 def _lemma1_point(geo: _JetGeometry) -> float:
     """Worst residual over coordinate directions X and coordinate fields Y."""
     worst = 0.0
-    y_fields = [_tangent_field(geo, b) for b in range(geo.n)]
     for x in np.eye(geo.n):
-        for b in range(geo.n):
-            lhs = _nabla_omega(geo, x, y_fields[b])
+        lhs_all = _nabla_omega(geo, x, geo.T)  # one row per coordinate field
+        for b, lhs in enumerate(lhs_all):
             phi_y = geo.f_tangent_part(geo.J0[:, b])
             h_x_phiy = geo.h_bilinear(x, phi_y)
             y_params = np.eye(geo.n)[b]
@@ -173,12 +169,11 @@ def _lemma1_point(geo: _JetGeometry) -> float:
 def _lemma2_point(geo: _JetGeometry) -> float:
     """Worst residual over coordinate directions and every normal frame field plus H."""
     worst = 0.0
-    for xi_spec in list(range(geo.m)) + ["H"]:
-        xi_field = _normal_field(geo, xi_spec)
-        xi0 = np.array([j.value for j in xi_field])
-        b_xi = geo.f_tangent_part(xi0)
-        for x in np.eye(geo.n):
-            lhs = _nabla_C(geo, x, xi_field)
+    xi_fields = jets.array([*geo.xi_field, geo.H_field])
+    xi0s = xi_fields.value
+    for x in np.eye(geo.n):
+        for lhs, xi0 in zip(_nabla_C(geo, x, xi_fields), xi0s):
+            b_xi = geo.f_tangent_part(xi0)
             rhs = -geo.f_normal_part(geo.shape_operator(x, xi0)) - geo.h_bilinear(x, b_xi)
             worst = max(worst, geo.norm_g(lhs - rhs))
     return worst

@@ -36,6 +36,7 @@ __all__ = [
     "pretty",
     "variables",
     "evaluate",
+    "diff",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt")
@@ -299,3 +300,63 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
     if node.op == "*":
         return lhs * rhs
     return lhs / rhs
+
+
+# ---- symbolic differentiation ---------------------------------------------
+
+
+def _is_num(node: ExprAst, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _neg(a: ExprAst) -> ExprAst:
+    if isinstance(a, Num):
+        return Num(-a.value if a.value else 0.0)
+    return a.arg if isinstance(a, Neg) else Neg(a)
+
+
+def _sum(op: str, a: ExprAst, b: ExprAst) -> ExprAst:
+    if _is_num(b, 0):
+        return a
+    if _is_num(a, 0):
+        return b if op == "+" else _neg(b)
+    return BinOp(op, a, b)
+
+
+def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
+    if _is_num(a, 0) or _is_num(b, 0):
+        return Num(0.0)
+    return b if _is_num(a, 1) else a if _is_num(b, 1) else BinOp("*", a, b)
+
+
+def _div(a: ExprAst, b: ExprAst) -> ExprAst:
+    return a if _is_num(a, 0) else BinOp("/", a, b)
+
+
+def diff(node: ExprAst, var: str) -> ExprAst:
+    """Partial derivative with respect to the variable ``var``, as an expression.
+
+    Zeros and units are folded as the tree is built, so the derivative of an
+    expression without ``var`` is ``Num(0)`` and a flat block costs nothing
+    to evaluate.
+    """
+    if isinstance(node, (Num, Var)):
+        return Num(1.0 if node == Var(var) else 0.0)
+    if isinstance(node, Neg):
+        return _neg(diff(node.arg, var))
+    if isinstance(node, Call):
+        d, arg = diff(node.arg, var), node.arg
+        if node.fn == "sqrt":
+            return _div(d, BinOp("*", Num(2.0), node))
+        outer = {"sin": Call("cos", arg), "cos": Neg(Call("sin", arg)), "exp": node}
+        return _mul(outer[node.fn], d)
+    da, db = diff(node.lhs, var), diff(node.rhs, var)
+    if node.op == "^":
+        q = node.rhs.value
+        power = Num(1.0) if q == 1 else node.lhs if q == 2 else BinOp("^", node.lhs, Num(q - 1))
+        return _mul(_mul(Num(q), power), da)
+    if node.op in "+-":
+        return _sum(node.op, da, db)
+    if node.op == "*":
+        return _sum("+", _mul(da, node.rhs), _mul(node.lhs, db))
+    return _sum("-", _div(da, node.rhs), _div(_mul(node.lhs, db), BinOp("^", node.rhs, Num(2.0))))

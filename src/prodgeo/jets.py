@@ -1,55 +1,48 @@
-"""Truncated multivariate Taylor arithmetic (jets).
+"""Truncated multivariate Taylor arithmetic on arrays (jets).
 
 A :class:`Jet` carries the value and all partial derivatives, up to a fixed
-total order, of a scalar quantity with respect to a fixed set of seed
-directions.  Arithmetic and the elementary functions propagate coefficients
-through the truncated Taylor algebra, so every derivative downstream code
-reads off is exact up to machine roundoff rather than a difference
+total order, of a scalar or of an array of scalars with respect to a fixed
+set of seed directions.  The coefficients sit on the last axis of
+``coeffs``; any leading shape is allowed, so a vector field along a
+submanifold is one jet of shape ``(N,)`` and a metric one of shape
+``(N, N)``.  Jets index and iterate over their leading axes like the nested
+lists they stand for (``g[i][j]`` is a scalar jet), and arithmetic
+broadcasts over those axes the way numpy does.  Every derivative downstream
+code reads off is exact up to machine roundoff rather than a difference
 approximation.
 
 Coefficients use the Taylor normalization: the entry stored for the
-multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  Mixed partials of any
-composed expression are exact to the carried total order, which is what the
-curvature pipeline needs when it differentiates quantities that already
-contain second derivatives of an immersion.
+multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  A product gathers the
+coefficient pairs whose degrees fit the carried order and scatters their
+products with one matrix multiplication through the cached table of
+:meth:`_Algebra.mul_table`.  :func:`einsum` contracts field axes the same
+way, so a metric contraction over all components is one numpy call;
+:func:`inverse` inverts a jet matrix by a Neumann series around its value
+matrix, which is exact in the truncated algebra because the non-constant
+part is nilpotent there.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Jet",
-    "InsufficientJetOrder",
-    "lift_constant",
-    "seed_variable",
-    "seed_point",
-    "as_jet",
-    "partial",
-    "sin",
-    "cos",
-    "exp",
-    "sqrt",
+    "Jet", "InsufficientJetOrder", "lift_constant", "seed_variable", "seed_point", "as_jet",
+    "array", "partial", "einsum", "inverse", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)
+_CONST = (int, float, np.integer, np.floating, np.ndarray)
+_COEFF_AXIS = "Z"  # einsum letter of the coefficient axis; specs may not use it
 
 
 class InsufficientJetOrder(ValueError):
     """A jet does not carry enough derivative orders for the requested operation."""
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
 
 
 class _Algebra:
@@ -60,59 +53,40 @@ class _Algebra:
     variables; truncation is a slice.
     """
 
-    __slots__ = ("nvars", "order", "exps", "index", "size", "_mul", "_diff", "_masks")
+    __slots__ = ("nvars", "order", "exps", "index", "size", "_mul", "_diff")
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
         self.order = order
-        exps: list[tuple[int, ...]] = []
-        for total in range(order + 1):
-            exps.extend(_compositions(total, nvars))
-        self.exps = tuple(exps)
-        self.index = {e: i for i, e in enumerate(exps)}
-        self.size = len(exps)
+        # by total degree, then with the first variable's exponent highest
+        exps = [e for e in itertools.product(range(order + 1), repeat=nvars) if sum(e) <= order]
+        self.exps = tuple(sorted(exps, key=lambda e: (sum(e), [-x for x in e])))
+        self.index = {e: i for i, e in enumerate(self.exps)}
+        self.size = len(self.exps)
         self._mul = None
         self._diff: dict[int, tuple] = {}
-        self._masks: dict[tuple[int, ...], np.ndarray] = {}
 
     def mul_table(self):
+        """``(ia, ib, scatter)``: the coefficient pairs of a product whose
+        degrees fit the order, and the 0/1 matrix adding each pair's product
+        into its output coefficient."""
         if self._mul is None:
-            ia, ib, iout = [], [], []
-            for i, a in enumerate(self.exps):
-                da = sum(a)
-                for j, b in enumerate(self.exps):
-                    if da + sum(b) > self.order:
-                        continue
-                    ia.append(i)
-                    ib.append(j)
-                    iout.append(self.index[tuple(x + y for x, y in zip(a, b))])
-            self._mul = (np.asarray(ia), np.asarray(ib), np.asarray(iout))
+            exps = np.array(self.exps)
+            degree = exps.sum(axis=1)
+            ia, ib = np.nonzero(degree[:, None] + degree[None, :] <= self.order)
+            scatter = np.zeros((len(ia), self.size))
+            scatter[np.arange(len(ia)), [self.index[tuple(e)] for e in exps[ia] + exps[ib]]] = 1.0
+            self._mul = (ia, ib, scatter)
         return self._mul
 
     def diff_table(self, var: int):
+        """``(src, fac)``: coefficient k of the derivative is ``c[src[k]] * fac[k]``."""
         if var not in self._diff:
-            small = _algebra(self.nvars, self.order - 1)
-            dst, src, fac = [], [], []
-            for k, e in enumerate(small.exps):
-                lifted = list(e)
-                lifted[var] += 1
-                dst.append(k)
-                src.append(self.index[tuple(lifted)])
-                fac.append(e[var] + 1)
-            self._diff[var] = (
-                np.asarray(dst),
-                np.asarray(src),
-                np.asarray(fac, dtype=float),
-            )
+            small = np.array(_algebra(self.nvars, self.order - 1).exps)
+            lifted = small + np.eye(self.nvars, dtype=int)[var]
+            src = np.array([self.index[tuple(e)] for e in lifted])
+            self._diff[var] = (src, lifted[:, var].astype(float))
         return self._diff[var]
-
-    def zero_mask(self, variables: Iterable[int]) -> np.ndarray:
-        key = tuple(sorted(set(variables)))
-        if key not in self._masks:
-            self._masks[key] = np.array(
-                [all(e[v] == 0 for v in key) for e in self.exps], dtype=float
-            )
-        return self._masks[key]
 
 
 @lru_cache(maxsize=None)
@@ -125,9 +99,10 @@ def _algebra(nvars: int, order: int) -> _Algebra:
 
 
 class Jet:
-    """Value plus exact derivatives of a scalar, up to a fixed total order."""
+    """Values plus exact derivatives of an array of scalars, up to a fixed total order."""
 
     __slots__ = ("alg", "coeffs")
+    __array_ufunc__ = None  # numpy operands defer to the jet's operators
 
     def __init__(self, alg: _Algebra, coeffs: np.ndarray):
         self.alg = alg
@@ -144,108 +119,105 @@ class Jet:
         return self.alg.nvars
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def shape(self) -> tuple[int, ...]:
+        return self.coeffs.shape[:-1]
 
-    def coefficient(self, exponents: Sequence[int]) -> float:
+    @property
+    def value(self):
+        """The value: a float for a scalar jet, an array for an array jet."""
+        v = self.coeffs[..., 0]
+        return float(v) if v.ndim == 0 else v.copy()
+
+    def coefficient(self, exponents: Sequence[int]):
         key = tuple(exponents)
-        try:
-            return float(self.coeffs[self.alg.index[key]])
-        except KeyError:
-            raise InsufficientJetOrder(
-                f"multi-index {key} is not carried at order {self.order}"
-            ) from None
+        if key not in self.alg.index:
+            raise InsufficientJetOrder(f"multi-index {key} is not carried at order {self.order}")
+        c = self.coeffs[..., self.alg.index[key]]
+        return float(c) if c.ndim == 0 else c.copy()
 
-    def derivative(self, exponents: Sequence[int]) -> float:
-        scale = 1.0
-        for e in exponents:
-            scale *= math.factorial(e)
-        return self.coefficient(exponents) * scale
+    def derivative(self, exponents: Sequence[int]):
+        return self.coefficient(exponents) * math.prod(math.factorial(e) for e in exponents)
 
     def gradient(self) -> np.ndarray:
-        """First partial derivatives along every seed direction."""
+        """First partial derivatives along every seed direction (last axis)."""
         if self.order < 1:
             raise InsufficientJetOrder("order-0 jet has no first derivatives")
-        return self.coeffs[1 : 1 + self.nvars].copy()
+        return self.coeffs[..., 1 : 1 + self.nvars].copy()
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
-            raise InsufficientJetOrder(
-                f"cannot raise jet order from {self.order} to {order}"
-            )
+            raise InsufficientJetOrder(f"cannot raise jet order from {self.order} to {order}")
         if order == self.order:
             return self
         alg = _algebra(self.nvars, order)
-        return Jet(alg, self.coeffs[: alg.size].copy())
+        return Jet(alg, self.coeffs[..., : alg.size].copy())
 
-    def drop_directions(self, variables: Iterable[int]) -> "Jet":
-        """Evaluate at zero offset in the given seed directions."""
-        return Jet(self.alg, self.coeffs * self.alg.zero_mask(variables))
+    def transpose(self, *axes: int) -> "Jet":
+        """Permute the leading axes (reverse them if none are given)."""
+        lead = len(self.shape)
+        return Jet(self.alg, self.coeffs.transpose(*(axes or range(lead - 1, -1, -1)), lead))
+
+    def __getitem__(self, index) -> "Jet":
+        if not self.shape:
+            raise TypeError("a scalar jet cannot be indexed")
+        return Jet(self.alg, self.coeffs[index])
+
+    def __len__(self) -> int:
+        if not self.shape:
+            raise TypeError("a scalar jet has no length")
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
-        return f"Jet(order={self.order}, nvars={self.nvars}, value={self.value!r})"
+        return f"Jet(order={self.order}, nvars={self.nvars}, shape={self.shape})"
 
     # ---- arithmetic ----------------------------------------------------
 
-    def _lift(self, value: float) -> "Jet":
-        c = np.zeros(self.alg.size)
-        c[0] = float(value)
-        return Jet(self.alg, c)
-
     def _coerce(self, other):
+        """(algebra, own coefficients, the other's coefficients), or None."""
         if isinstance(other, Jet):
-            return _align(self, other)
-        if isinstance(other, _Number):
-            return self, self._lift(float(other))
+            a, b = _align(self, other)
+            return a.alg, a.coeffs, b.coeffs
+        if isinstance(other, _CONST):
+            return self.alg, self.coeffs, _constant(self.alg, other).coeffs
         return None
 
     def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.alg, a.coeffs + b.coeffs)
+        c = self._coerce(other)
+        return NotImplemented if c is None else Jet(c[0], c[1] + c[2])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.alg, a.coeffs - b.coeffs)
+        c = self._coerce(other)
+        return NotImplemented if c is None else Jet(c[0], c[1] - c[2])
 
     def __rsub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.alg, b.coeffs - a.coeffs)
+        c = self._coerce(other)
+        return NotImplemented if c is None else Jet(c[0], c[2] - c[1])
 
     def __mul__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        ia, ib, iout = a.alg.mul_table()
-        w = a.coeffs[ia] * b.coeffs[ib]
-        return Jet(a.alg, np.bincount(iout, weights=w, minlength=a.alg.size))
+        if isinstance(other, Jet):
+            a, b = _align(self, other)
+            ia, ib, scatter = a.alg.mul_table()
+            return Jet(a.alg, (a.coeffs[..., ia] * b.coeffs[..., ib]) @ scatter)
+        if isinstance(other, _CONST):
+            return Jet(self.alg, self.coeffs * np.asarray(other, dtype=float)[..., None])
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a * b._reciprocal()
+        if isinstance(other, Jet):
+            return self * other._reciprocal()
+        if isinstance(other, _CONST):
+            return self * (1.0 / np.asarray(other, dtype=float))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return b * a._reciprocal()
+        return self._reciprocal() * other if isinstance(other, _CONST) else NotImplemented
 
     def __neg__(self):
         return Jet(self.alg, -self.coeffs)
@@ -261,7 +233,7 @@ class Jet:
             k = int(q)
             base = self if k >= 0 else self._reciprocal()
             k = abs(k)
-            result = self._lift(1.0)
+            result = _constant(self.alg, 1.0)
             while k:
                 if k & 1:
                     result = result * base
@@ -269,11 +241,10 @@ class Jet:
                 k >>= 1
             return result
         if (2.0 * q).is_integer():
-            v = self.value
-            if v <= 0.0:
+            v = self.coeffs[..., 0]
+            if np.any(v <= 0.0):
                 raise ValueError(
-                    f"half-integer power needs a positive base value, got {v}"
-                )
+                    f"half-integer power needs a positive base value, got {self.value}")
             ders, c = [], 1.0
             for k in range(self.order + 1):
                 ders.append(c * v ** (q - k))
@@ -282,14 +253,18 @@ class Jet:
         raise ValueError("only integer and half-integer exponents are supported")
 
     def _reciprocal(self) -> "Jet":
-        v = self.value
-        if v == 0.0:
+        v = self.coeffs[..., 0]
+        if np.any(v == 0.0):
             raise ZeroDivisionError("division by a jet with zero value")
-        ders = [
-            (-1.0) ** k * math.factorial(k) / v ** (k + 1)
-            for k in range(self.order + 1)
-        ]
+        ders = [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(self.order + 1)]
         return _analytic(self, ders)
+
+
+def _constant(alg: _Algebra, value) -> Jet:
+    v = np.asarray(value, dtype=float)
+    c = np.zeros(v.shape + (alg.size,))
+    c[..., 0] = v
+    return Jet(alg, c)
 
 
 def _align(a: Jet, b: Jet) -> tuple[Jet, Jet]:
@@ -301,19 +276,18 @@ def _align(a: Jet, b: Jet) -> tuple[Jet, Jet]:
     return a.truncate(m), b.truncate(m)
 
 
-def _analytic(j: Jet, derivatives: Sequence[float]) -> Jet:
-    """Compose a scalar analytic function with a jet.
+def _analytic(j: Jet, derivatives: Sequence) -> Jet:
+    """Compose a scalar analytic function with a jet, element by element.
 
-    ``derivatives[k]`` is the k-th derivative of the function at ``j.value``.
-    Uses a Horner scheme in the derivative part of ``j``.
+    ``derivatives[k]`` is the k-th derivative of the function at the values
+    of ``j``.  Uses a Horner scheme in the derivative part of ``j``.
     """
-    zero_part = Jet(j.alg, j.coeffs.copy())
-    zero_part.coeffs[0] = 0.0
+    zero_part = j - j.coeffs[..., 0]
     ck = [d / math.factorial(k) for k, d in enumerate(derivatives)]
-    result = j._lift(ck[-1])
+    result = _constant(j.alg, ck[-1])
     for k in range(j.order - 1, -1, -1):
         result = result * zero_part
-        result.coeffs[0] += ck[k]
+        result.coeffs[..., 0] += ck[k]
     return result
 
 
@@ -322,10 +296,7 @@ def _analytic(j: Jet, derivatives: Sequence[float]) -> Jet:
 
 def lift_constant(value: float, order: int, nvars: int = 1) -> Jet:
     """Jet of a constant: zeroth coefficient is the value, all others zero."""
-    alg = _algebra(nvars, order)
-    c = np.zeros(alg.size)
-    c[0] = float(value)
-    return Jet(alg, c)
+    return _constant(_algebra(nvars, order), float(value))
 
 
 def seed_variable(value: float, direction: int, order: int, nvars: int | None = None) -> Jet:
@@ -336,24 +307,45 @@ def seed_variable(value: float, direction: int, order: int, nvars: int | None = 
         raise ValueError(f"direction {direction} invalid for {nvars} seed directions")
     if order < 1:
         raise InsufficientJetOrder("seeding a variable requires order >= 1")
-    alg = _algebra(nvars, order)
-    c = np.zeros(alg.size)
-    c[0] = float(value)
-    c[1 + direction] = 1.0
-    return Jet(alg, c)
+    j = lift_constant(value, order, nvars)
+    j.coeffs[1 + direction] = 1.0
+    return j
 
 
 def seed_point(values: Sequence[float], order: int) -> list[Jet]:
     """Seed one jet per entry, each along its own direction."""
-    nvars = len(values)
-    return [seed_variable(v, i, order, nvars) for i, v in enumerate(values)]
+    return [seed_variable(v, i, order, len(values)) for i, v in enumerate(values)]
 
 
 def as_jet(value, order: int, nvars: int) -> Jet:
     """Pass jets through; lift plain numbers to constant jets."""
-    if isinstance(value, Jet):
-        return value
-    return lift_constant(float(value), order, nvars)
+    return value if isinstance(value, Jet) else lift_constant(float(value), order, nvars)
+
+
+def array(entries):
+    """One jet from a nested list of equally shaped jets and numbers.
+
+    The result carries the lowest order among the jets; without any jet it
+    is a float array.
+    """
+    def jets_in(e):
+        if isinstance(e, (list, tuple)):
+            return [j for x in e for j in jets_in(x)]
+        return [e] if isinstance(e, Jet) else []
+
+    leaves = jets_in(entries)
+    if not leaves:
+        return np.array(entries, dtype=float)
+    if len({j.nvars for j in leaves}) > 1:
+        raise ValueError("jets carry different seed sets")
+    alg = _algebra(leaves[0].nvars, min(j.order for j in leaves))
+
+    def coeffs(e):
+        if isinstance(e, (list, tuple)):
+            return [coeffs(x) for x in e]
+        return e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, float(e)).coeffs
+
+    return Jet(alg, np.array(coeffs(entries)))
 
 
 def partial(j: Jet, var: int) -> Jet:
@@ -362,42 +354,79 @@ def partial(j: Jet, var: int) -> Jet:
         raise InsufficientJetOrder("cannot differentiate an order-0 jet")
     if not 0 <= var < j.nvars:
         raise ValueError(f"direction {var} invalid for {j.nvars} seed directions")
-    dst, src, fac = j.alg.diff_table(var)
-    alg = _algebra(j.nvars, j.order - 1)
-    out = np.zeros(alg.size)
-    out[dst] = j.coeffs[src] * fac
-    return Jet(alg, out)
+    src, fac = j.alg.diff_table(var)
+    return Jet(_algebra(j.nvars, j.order - 1), j.coeffs[..., src] * fac)
+
+
+def einsum(spec: str, a, b):
+    """``np.einsum(spec, a, b)`` over the field axes, for jets or float arrays.
+
+    ``spec`` names the leading axes only and must give the output explicitly
+    (``"ij,j->i"``).  Two jets contract through the multiplication table in
+    one call; a float array against a jet scales the coefficients; two float
+    arrays give a float array.
+    """
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    z = _COEFF_AXIS
+    if isinstance(a, Jet) and isinstance(b, Jet):
+        a, b = _align(a, b)
+        ia, ib, scatter = a.alg.mul_table()
+        pairs = np.einsum(f"{sa}{z},{sb}{z}->{out}{z}", a.coeffs[..., ia], b.coeffs[..., ib])
+        return Jet(a.alg, pairs @ scatter)
+    if isinstance(a, Jet):
+        return Jet(a.alg, np.einsum(f"{sa}{z},{sb}->{out}{z}", a.coeffs, b))
+    if isinstance(b, Jet):
+        return Jet(b.alg, np.einsum(f"{sa},{sb}{z}->{out}{z}", a, b.coeffs))
+    return np.einsum(spec, a, b)
+
+
+def inverse(m):
+    """Inverse of a square jet matrix (leading shape ``(..., k, k)``).
+
+    With ``M = M0 + D`` (``M0`` the value matrix, ``D`` without constant
+    term) the inverse is ``sum_j (-M0^-1 D)^j M0^-1``; ``D`` to the power
+    ``order + 1`` vanishes in the truncated algebra, so the sum up to
+    ``j = order`` is exact.  A float matrix gets its float inverse.
+    """
+    if not isinstance(m, Jet):
+        return np.linalg.inv(m)
+    m0inv = np.linalg.inv(m.coeffs[..., 0])
+    step = -einsum("...ij,...jk->...ik", m0inv, m - m.coeffs[..., 0])
+    result = _constant(m.alg, m0inv)
+    for k in range(m.order):
+        # the first pass multiplies by the constant m0inv, not by a jet
+        result = einsum("...ij,...jk->...ik", step, m0inv if k == 0 else result) + m0inv
+    return result
 
 
 # ---- elementary functions (work on floats and jets alike) ---------------
 
 
+def _trig(x: Jet, shift: int) -> Jet:
+    """sin (shift 0) or cos (shift 1): the derivatives cycle through four values."""
+    v = x.coeffs[..., 0]
+    cycle = (np.sin(v), np.cos(v), -np.sin(v), -np.cos(v))
+    return _analytic(x, [cycle[(k + shift) % 4] for k in range(x.order + 1)])
+
+
 def sin(x):
-    if isinstance(x, Jet):
-        v = x.value
-        cycle = (math.sin(v), math.cos(v), -math.sin(v), -math.cos(v))
-        return _analytic(x, [cycle[k % 4] for k in range(x.order + 1)])
-    return math.sin(x)
+    return _trig(x, 0) if isinstance(x, Jet) else math.sin(x)
 
 
 def cos(x):
-    if isinstance(x, Jet):
-        v = x.value
-        cycle = (math.cos(v), -math.sin(v), -math.cos(v), math.sin(v))
-        return _analytic(x, [cycle[k % 4] for k in range(x.order + 1)])
-    return math.cos(x)
+    return _trig(x, 1) if isinstance(x, Jet) else math.cos(x)
 
 
 def exp(x):
     if isinstance(x, Jet):
-        e = math.exp(x.value)
-        return _analytic(x, [e] * (x.order + 1))
+        return _analytic(x, [np.exp(x.coeffs[..., 0])] * (x.order + 1))
     return math.exp(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet):
-        if x.value <= 0.0:
+        if np.any(x.coeffs[..., 0] <= 0.0):
             raise ValueError(f"sqrt needs a positive jet value, got {x.value}")
         return x ** 0.5
     return math.sqrt(x)

@@ -6,10 +6,12 @@ tangential/normal split of the ambient product structure (the phi, omega,
 B, C matrices), and the invariant / anti-invariant / semi-invariant /
 generic classifier.
 
-Everything is computed from jets seeded in the submanifold parameters, so
-each quantity is available not just as a value but as a germ carrying its
-own parameter derivatives; the connection and identity machinery in
-:mod:`prodgeo.calculus` differentiates those germs directly.
+Everything is computed from jets seeded in the n submanifold parameters
+only, so each quantity is available not just as a value but as a germ
+carrying its own parameter derivatives; the connection and identity
+machinery in :mod:`prodgeo.calculus` differentiates those germs directly.
+Vector, matrix and frame fields are array jets, so the build is a few
+hundred numpy contractions rather than thousands of scalar jet products.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .ambient import AmbientSpace, SingularMetric
+from .ambient import AmbientSpace, SingularMetric, levi_civita
 
 __all__ = [
     "DegenerateImmersion",
@@ -118,8 +120,9 @@ class PointGeometry:
     Cm: np.ndarray
 
 
-def _values(vec: Sequence[jets.Jet]) -> np.ndarray:
-    return np.array([j.value for j in vec])
+def _values(field) -> np.ndarray:
+    """Values of a jet field; a constant field is already a float array."""
+    return field.value if isinstance(field, jets.Jet) else field
 
 
 def _split_structure(f0, g0, tangent_on, normal_on):
@@ -142,43 +145,20 @@ def _umbilicity_gap(h, normal_on, g0, H) -> float:
     return float(np.max(np.abs(h_dot_h - hsq * np.eye(h.shape[1]))))
 
 
-def _jet_matrix_inverse(matrix):
-    """Gauss-Jordan inverse of a square matrix with jet entries."""
-    n = len(matrix)
-    sample = matrix[0][0]
-    order, nvars = sample.order, sample.nvars
-    a = [list(row) for row in matrix]
-    inv = [
-        [jets.lift_constant(1.0 if i == j else 0.0, order, nvars) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if abs(a[pivot][col].value) < 1e-250:
-            raise SingularMetric("jet matrix inversion hit a zero pivot")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = 1.0 / a[col][col]
-        a[col] = [entry * scale for entry in a[col]]
-        inv[col] = [entry * scale for entry in inv[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = a[row][col]
-            if not np.any(factor.coeffs):
-                continue
-            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
-            inv[row] = [x - factor * y for x, y in zip(inv[row], inv[col])]
-    return inv
-
-
 class _JetGeometry:
     """All per-point data of one immersion sample, carried as jets.
 
-    Seed layout: directions ``0..n-1`` are the submanifold parameters,
-    directions ``n..n+N-1`` are offsets in the ambient coordinates used only
-    to read off ambient partial derivatives of the metric along the
-    immersion (they are zeroed everywhere else).
+    Seed layout: one seed direction per submanifold parameter ``u1..un`` and
+    no other; the ambient metric derivatives are the space's symbolic
+    ``metric_diff`` evaluated along the immersion.  The immersion ``f``
+    carries the requested order ``p``; the coordinate tangent fields ``T``
+    (shape ``(n, N)``), the metric ``gf`` ``(N, N)`` and structure ``Ff``
+    along the immersion, the frames ``e_field`` ``(n, N)`` and ``xi_field``
+    ``(m, N)`` and the induced metric carry ``p - 1``; the Christoffel
+    symbols ``gamma_f`` ``(N, N, N)``, the second fundamental form
+    ``h_field`` ``(n, n, N)`` and ``H_field`` ``(N,)`` carry ``p - 2``.  A
+    metric, structure or connection that is constant along the immersion
+    stays a float array.
     """
 
     def __init__(
@@ -197,52 +177,26 @@ class _JetGeometry:
         if order < 2:
             raise jets.InsufficientJetOrder("point geometry needs jet order >= 2")
         n, N = immersion.n, space.dim
-        V = n + N
-        self.immersion, self.space = immersion, space
         self.n, self.N, self.m = n, N, N - n
-        self.order = order
         self.u = tuple(float(v) for v in u)
 
-        self.uenv = {
-            name: jets.seed_variable(self.u[a], a, order, V)
-            for a, name in enumerate(param_vars(n))
-        }
-        self.f = [
-            jets.as_jet(ex.evaluate(c, self.uenv), order, V)
-            for c in immersion.components
-        ]
-        self.x0 = _values(self.f)
+        self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
+        self.f = jets.array(
+            [jets.as_jet(ex.evaluate(c, self.uenv), order, n) for c in immersion.components]
+        )
+        self.x0 = self.f.value
 
-        # coordinate tangent fields T[a] = df/du^a
-        self.T = [[jets.partial(self.f[i], a) for i in range(N)] for a in range(n)]
-        self.J0 = np.array([[self.T[a][i].value for a in range(n)] for i in range(N)])
+        # coordinate tangent fields T[a] = df/du^a; ambient metric and
+        # structure along the immersion
+        self.T = jets.array([jets.partial(self.f, a) for a in range(n)])
+        self.J0 = self.T.value.T
+        along = list(self.f.truncate(order - 1))
+        self.gf = space.metric_jets(along)
+        self.Ff = space.structure_jets(along)
+        self.g0, self.F0 = _values(self.gf), _values(self.Ff)
 
-        # ambient metric and structure along the immersion; the metric is
-        # also evaluated with ambient offsets so its x-derivatives are
-        # available for the Christoffel symbols
-        xdirs = tuple(range(n, V))
-        eps_args = [
-            self.f[j] + jets.seed_variable(0.0, n + j, order, V) for j in range(N)
-        ]
-        g_eps = [
-            [jets.as_jet(entry, order, V) for entry in row]
-            for row in space.metric_jets(eps_args)
-        ]
-        self.gf = [[entry.drop_directions(xdirs) for entry in row] for row in g_eps]
-        dg = [
-            [
-                [jets.partial(g_eps[i][j], n + l).drop_directions(xdirs) for j in range(N)]
-                for i in range(N)
-            ]
-            for l in range(N)
-        ]
-        self.Ff = [
-            [jets.as_jet(entry, order, V) for entry in row]
-            for row in space.structure_jets(self.f)
-        ]
-        self.g0 = np.array([[e.value for e in row] for row in self.gf])
-        self.F0 = np.array([[e.value for e in row] for row in self.Ff])
-
+        if not np.isfinite(self.g0).all():
+            raise SingularMetric("ambient metric is not finite along the immersion")
         try:
             chol = np.linalg.cholesky(self.g0)
         except np.linalg.LinAlgError:
@@ -256,24 +210,10 @@ class _JetGeometry:
                 f"(smallest singular value {singular_values.min():.3e})"
             )
 
-        # Christoffel symbols along the immersion, as jets in u
-        ginv_f = _jet_matrix_inverse(self.gf)
-        self.gamma_f = [[[None] * N for _ in range(N)] for _ in range(N)]
-        for j in range(N):
-            for k in range(j + 1):
-                column = []
-                for l in range(N):
-                    column.append(dg[j][l][k] + dg[k][l][j] - dg[l][j][k])
-                for i in range(N):
-                    total = ginv_f[i][0] * column[0]
-                    for l in range(1, N):
-                        total = total + ginv_f[i][l] * column[l]
-                    half = 0.5 * total
-                    self.gamma_f[i][j][k] = half
-                    self.gamma_f[i][k][j] = half
-        self.Gamma0 = np.array(
-            [[[self.gamma_f[i][j][k].value for k in range(N)] for j in range(N)] for i in range(N)]
-        )
+        # Christoffel symbols along the immersion
+        dg = space.metric_derivatives(list(self.f.truncate(order - 2)))
+        self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
+        self.Gamma0 = _values(self.gamma_f)
 
         # orthonormal frames (Gram-Schmidt under the ambient metric)
         columns = list(range(n))
@@ -281,63 +221,37 @@ class _JetGeometry:
             columns.reverse()
         elif column_order != "forward":
             raise ValueError("column_order must be 'forward' or 'reversed'")
-        self.e_field = []
+        frames = []
         for c in columns:
-            self.e_field.append(self._orthonormalize(self.T[c], self.e_field))
-        self.xi_field = []
-        for i in range(N):
-            if len(self.xi_field) == self.m:
+            frames.append(self._orthonormalize(self.T[c], frames))
+        for axis in np.eye(N):
+            if len(frames) == N:
                 break
-            candidate = [
-                jets.lift_constant(1.0 if i == j else 0.0, order, V) for j in range(N)
-            ]
-            frame = self._orthonormalize(
-                candidate, self.e_field + self.xi_field, skip_below=1e-8
-            )
+            frame = self._orthonormalize(axis, frames, skip_below=1e-8)
             if frame is not None:
-                self.xi_field.append(frame)
-        if len(self.xi_field) != self.m:
+                frames.append(frame)
+        if len(frames) != N:
             raise DegenerateImmersion("could not complete the normal frame")
-        self.E0 = np.array([_values(e) for e in self.e_field])
-        self.Xi0 = np.array([_values(xi) for xi in self.xi_field])
+        self.e_field, self.xi_field = jets.array(frames[:n]), jets.array(frames[n:])
+        self.gE = self.lower(self.e_field)
+        self.E0, self.Xi0 = self.e_field.value, self.xi_field.value
 
-        # induced metric and its inverse, as jets
-        self.G_field = [
-            [self.ip_field(self.T[a], self.T[b]) for b in range(n)] for a in range(n)
-        ]
-        self.G0 = np.array([[e.value for e in row] for row in self.G_field])
+        # induced metric and its inverse
+        self.G_field = jets.einsum("ai,bi->ab", self.T, self.lower(self.T))
+        self.G0 = self.G_field.value
         self.G0inv = np.linalg.inv(self.G0)
-        self.Ginv_field = _jet_matrix_inverse(self.G_field)
+        self.Ginv_field = jets.inverse(self.G_field.truncate(order - 2))
 
-        # coordinate-frame second fundamental form, as normal-valued fields
-        self.h_field = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a + 1):
-                raw = []
-                for i in range(N):
-                    total = jets.partial(self.T[a][i], b)
-                    for j in range(N):
-                        inner = self.gamma_f[i][j][0] * self.T[b][0]
-                        for k in range(1, N):
-                            inner = inner + self.gamma_f[i][j][k] * self.T[b][k]
-                        total = total + self.T[a][j] * inner
-                    raw.append(total)
-                vec = self.normal_part_field(raw)
-                self.h_field[a][b] = vec
-                self.h_field[b][a] = vec
-        self.hc0 = np.array(
-            [[_values(self.h_field[a][b]) for b in range(n)] for a in range(n)]
-        )
+        # coordinate-frame second fundamental form: the normal part of
+        # d_b T_a + Gamma(T_a, T_b), an (n, n, N) field
+        dT = jets.array([jets.partial(self.T, b) for b in range(n)]).transpose(1, 0, 2)
+        gamma_t = jets.einsum("ijk,bk->bij", self.gamma_f, self.T)
+        self.h_field = self.normal_part_field(dT + jets.einsum("aj,bij->abi", self.T, gamma_t))
+        self.hc0 = self.h_field.value
 
         # mean curvature field H = (1/n) G^{ab} h_ab
-        hf = [None] * N
-        for a in range(n):
-            for b in range(n):
-                for i in range(N):
-                    term = self.Ginv_field[a][b] * self.h_field[a][b][i]
-                    hf[i] = term if hf[i] is None else hf[i] + term
-        self.H_field = [entry * (1.0 / n) for entry in hf]
-        self.H0 = _values(self.H_field)
+        self.H_field = jets.einsum("ab,abi->i", self.Ginv_field, self.h_field) * (1.0 / n)
+        self.H0 = self.H_field.value
         self.Hsq = float(self.H0 @ self.g0 @ self.H0)
 
         # frame decomposition of the tangent frame in coordinate components
@@ -351,91 +265,66 @@ class _JetGeometry:
         self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
 
     # ---- jet-field helpers ----------------------------------------------
+    # Fields are jets (or float arrays) whose last field axis is the ambient
+    # component; leading axes batch several fields at once.
 
-    def ip_field(self, v, w) -> jets.Jet:
-        total = None
-        for i in range(self.N):
-            for j in range(self.N):
-                term = self.gf[i][j] * v[i] * w[j]
-                total = term if total is None else total + term
-        return total
+    def lower(self, vec):
+        """g(vec, .) as components: g_ij vec^j."""
+        return jets.einsum("ij,...j->...i", self.gf, vec)
+
+    def ip_field(self, v, w):
+        return jets.einsum("...i,...i->...", v, self.lower(w))
 
     def _orthonormalize(self, vec, against, skip_below: float | None = None):
-        w = list(vec)
+        w = vec
         for e in against:
-            c = self.ip_field(w, e)
-            w = [wi - c * ei for wi, ei in zip(w, e)]
+            w = w - self.ip_field(w, e) * e
         nrm2 = self.ip_field(w, w)
-        if nrm2.value <= 0.0 or (
-            skip_below is not None and nrm2.value < skip_below ** 2
-        ):
-            if skip_below is not None:
+        if skip_below is not None:
+            if nrm2.value < skip_below ** 2:
                 return None
+        elif nrm2.value <= 0.0:
             raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
-        inv_norm = 1.0 / jets.sqrt(nrm2)
-        return [wi * inv_norm for wi in w]
+        return w * nrm2 ** -0.5
 
     def apply_F_field(self, vec):
-        out = []
-        for i in range(self.N):
-            total = self.Ff[i][0] * vec[0]
-            for j in range(1, self.N):
-                total = total + self.Ff[i][j] * vec[j]
-            out.append(total)
-        return out
+        return jets.einsum("ij,...j->...i", self.Ff, vec)
 
     def tangent_part_field(self, vec):
-        out = [None] * self.N
-        for e in self.e_field:
-            c = self.ip_field(vec, e)
-            for i in range(self.N):
-                term = c * e[i]
-                out[i] = term if out[i] is None else out[i] + term
-        return out
+        coefficients = jets.einsum("...i,ai->...a", vec, self.gE)
+        return jets.einsum("...a,ai->...i", coefficients, self.e_field)
 
     def normal_part_field(self, vec):
-        tang = self.tangent_part_field(vec)
-        return [v - t for v, t in zip(vec, tang)]
+        return vec - self.tangent_part_field(vec)
 
     def coordinate_field(self, coefficients):
-        """Tangent field sum_b c_b(u) T_b with constant or expression coefficients."""
-        coeffs = []
-        for c in coefficients:
-            if isinstance(c, str):
-                c = ex.parse(c)
-            if isinstance(c, (ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call)):
-                value = ex.evaluate(c, self.uenv)
-            else:
-                value = c
-            coeffs.append(jets.as_jet(value, self.order, self.n + self.N))
-        out = []
-        for i in range(self.N):
-            total = coeffs[0] * self.T[0][i]
-            for b in range(1, self.n):
-                total = total + coeffs[b] * self.T[b][i]
-            out.append(total)
-        return out
+        """Tangent field sum_b c_b(u) T_b with constant or expression coefficients.
+
+        A float array of coefficients may carry leading axes (one field per
+        row); a list may mix numbers and expressions in ``u1..un``.
+        """
+        if not isinstance(coefficients, np.ndarray):
+            parsed = [ex.parse(c) if isinstance(c, str) else c for c in coefficients]
+            coefficients = jets.array(
+                [ex.evaluate(c, self.uenv) if isinstance(c, ex.ExprAst) else c for c in parsed]
+            )
+        return jets.einsum("...b,bi->...i", coefficients, self.T)
 
     # ---- directional derivatives at the base point -----------------------
 
     def dirderiv(self, vec, direction) -> np.ndarray:
         """Derivative of a jet field along a parameter direction."""
-        x = np.asarray(direction, dtype=float)
-        out = np.empty(self.N)
-        for i in range(self.N):
-            out[i] = float(vec[i].gradient()[: self.n] @ x)
-        return out
+        return vec.gradient() @ np.asarray(direction, dtype=float)
 
     def cov_deriv(self, vec, direction) -> np.ndarray:
         """Ambient covariant derivative of a field along a parameter direction."""
         xdot = self.J0 @ np.asarray(direction, dtype=float)
-        v0 = _values(vec)
         return self.dirderiv(vec, direction) + np.einsum(
-            "ijk,j,k->i", self.Gamma0, xdot, v0
+            "ijk,j,...k->...i", self.Gamma0, xdot, vec.value
         )
 
     def project_tangent(self, v: np.ndarray) -> np.ndarray:
-        return self.E0.T @ (self.E0 @ self.g0 @ v)
+        return (v @ self.g0 @ self.E0.T) @ self.E0
 
     def project_normal(self, v: np.ndarray) -> np.ndarray:
         return v - self.project_tangent(v)
@@ -447,17 +336,19 @@ class _JetGeometry:
         return self.project_normal(self.cov_deriv(vec, direction))
 
     # ---- base-point tensor algebra ---------------------------------------
+    # f_tangent_part and f_normal_part accept a batch of vectors (leading
+    # axes); the other helpers take one vector.
 
     def norm_g(self, v: np.ndarray) -> float:
         return float(np.sqrt(max(v @ self.g0 @ v, 0.0)))
 
     def f_tangent_part(self, v: np.ndarray) -> np.ndarray:
         """phi on tangent vectors, B on normal vectors."""
-        return self.project_tangent(self.F0 @ v)
+        return self.project_tangent(v @ self.F0.T)
 
     def f_normal_part(self, v: np.ndarray) -> np.ndarray:
         """omega on tangent vectors, C on normal vectors."""
-        return self.project_normal(self.F0 @ v)
+        return self.project_normal(v @ self.F0.T)
 
     def param_components(self, v: np.ndarray) -> np.ndarray:
         return self.G0inv @ (self.J0.T @ self.g0 @ v)

@@ -128,11 +128,12 @@ def _t2_point(data: _PointData, tol: float) -> TheoremPointRecord:
 def _t3_point(data: _PointData, tol: float) -> TheoremPointRecord:
     geo = data.geo
     identity = obstruction = proof = 0.0
-    y_fields = [geo.coordinate_field(geo.P[:, b]) for b in range(geo.n)]
+    y_fields = geo.coordinate_field(geo.P.T)  # row b: the frame field P[:, b]^c T_c
     for a in range(geo.n):
         xp = geo.P[:, a]
+        nabla_omega_y = _nabla_omega(geo, xp, y_fields)
         for b in range(geo.n):
-            lhs = _dot(geo, _nabla_omega(geo, xp, y_fields[b]), geo.H0)
+            lhs = _dot(geo, nabla_omega_y[b], geo.H0)
             rhs = _dot(geo, geo.h_on0[a][b], data.CH0)
             identity = max(identity, abs(lhs - rhs))
             obstruction = max(obstruction, geo.Hsq * abs(geo.phi0[a, b]))

@@ -210,3 +210,57 @@ def test_structure_is_self_adjoint_on_valid_spaces():
             x = [rng.uniform(lo, hi) for lo, hi in box]
             g0, f0 = sp.metric_at(x), sp.structure_at(x)
             assert np.max(np.abs(f0.T @ g0 - g0 @ f0)) <= 1e-10
+
+
+@pytest.mark.parametrize("g", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
+def test_non_finite_metric_is_singular(g):
+    from prodgeo.ambient import _assert_positive_definite
+
+    with pytest.raises(SingularMetric):
+        _assert_positive_definite(np.array(g))
+
+
+def _assert_finite_report(report):
+    values = (report.max_f_squared_residual, report.max_compat_residual,
+              report.max_parallel_residual)
+    assert all(math.isfinite(v) for v in values)
+    assert not report.passed
+
+
+def test_overflowing_metric_fails_validation():
+    sp = AmbientSpace(2, [["1e308 * 10 + x1 * 0", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
+    report = validate_ambient(sp, [[0.1, 0.2], [0.5, -1.0]])
+    assert not report.positive_definite
+    _assert_finite_report(report)
+
+
+def test_overflowing_structure_fails_validation():
+    sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1e308 * 10 + x2 * 0", "0"], ["0", "-1"]])
+    report = validate_ambient(sp, [[0.1, 0.2]])
+    assert report.positive_definite
+    _assert_finite_report(report)
+
+
+def test_overflowing_residual_fails_validation():
+    # finite entries whose F^2 overflows
+    sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1e200", "0"], ["0", "-1"]])
+    report = validate_ambient(sp, [[0.1, 0.2]])
+    _assert_finite_report(report)
+
+
+def test_non_finite_metric_derivative_fails_validation():
+    # g_11 is about 1e7 at x1 = 1.01, its derivative overflows to inf
+    sp = AmbientSpace(2, [["1 + 1e-300 * exp(700 * x1)", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
+    report = validate_ambient(sp, [[1.01, 0.2]])
+    assert report.positive_definite
+    _assert_finite_report(report)
+
+
+def test_ambient_validation_checks_each_sample_once(monkeypatch):
+    import prodgeo.ambient as ambient
+
+    calls = []
+    check = ambient._assert_positive_definite
+    monkeypatch.setattr(ambient, "_assert_positive_definite", lambda g: calls.append(1) or check(g))
+    validate_ambient(sphere_block_space(), [[0.5, 0.1, 0.2], [1.0, 0.3, -0.4]])
+    assert len(calls) == 2

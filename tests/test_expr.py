@@ -159,3 +159,50 @@ def test_float_eval_guards():
         ex.evaluate(ex.parse("1 / u1"), {"u1": 0.0})
     with pytest.raises(ValueError):
         ex.evaluate(ex.parse("u1^0.5"), {"u1": -1.0})
+
+
+DIFF_CASES = [
+    "x1^3 * x2",
+    "x1^-1 - x2",
+    "x1^0.5 * x2",
+    "x1 / (x2 + 3)",
+    "sqrt(x1 * x2)",
+    "sin(exp(x1 * x2))",
+    "cos(x1) * exp(-x2)",
+    "-(x1 - 2 * x2)^2",
+    "x2^0 + 3",
+]
+
+
+@pytest.mark.parametrize("src", DIFF_CASES)
+def test_diff_matches_jet_derivatives(src):
+    # first and second symbolic derivatives against the jet's partials
+    node = ex.parse(src)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        x0 = rng.uniform(0.3, 1.7, 2)
+        x1, x2 = seed_point(list(x0), order=3)
+        j = ex.evaluate(node, {"x1": x1, "x2": x2})
+        floats = {"x1": float(x0[0]), "x2": float(x0[1])}
+        for a, name in enumerate(("x1", "x2")):
+            d = ex.diff(node, name)
+            expected = j.gradient()[a] if hasattr(j, "gradient") else 0.0
+            assert abs(ex.evaluate(d, floats) - expected) <= 1e-12 * max(1.0, abs(expected))
+            for b, other in enumerate(("x1", "x2")):
+                exps = [0, 0]
+                exps[a] += 1
+                exps[b] += 1
+                expected = j.derivative(exps) if hasattr(j, "derivative") else 0.0
+                got = ex.evaluate(ex.diff(d, other), floats)
+                assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
+
+
+def test_diff_folds_zeros():
+    from prodgeo.ambient import product_of
+
+    assert ex.diff(ex.parse("sin(x2) * 3 + x2^2"), "x1") == ex.Num(0)
+    assert ex.diff(ex.parse("1e308 * 10 + x1 * 0"), "x1") == ex.Num(0)
+    assert ex.diff(ex.parse("x1"), "x1") == ex.Num(1)
+    space = product_of("flat", 2, "flat", 2)
+    entries = [e for table in space.metric_diff for row in table for e in row]
+    assert len(entries) == 64 and all(e == ex.Num(0) for e in entries)

@@ -8,8 +8,11 @@ import pytest
 from prodgeo.jets import (
     InsufficientJetOrder,
     Jet,
+    array,
     cos,
+    einsum,
     exp,
+    inverse,
     lift_constant,
     partial,
     seed_point,
@@ -197,15 +200,6 @@ def test_seed_point_bilinear_mixed_partial():
     assert p.derivative((1, 1)) == 1.0
 
 
-def test_drop_directions_zeroes_content():
-    u, v = seed_point([0.3, 0.8], order=2)
-    f = sin(u) * v
-    g = f.drop_directions([1])
-    assert g.value == f.value
-    assert g.derivative((0, 1)) == 0.0
-    assert g.derivative((1, 0)) == f.derivative((1, 0))
-
-
 def test_scalar_coercion_both_sides():
     j = seed_variable(2.0, 0, 2)
     assert (2.0 - j).value == 0.0
@@ -221,3 +215,65 @@ def test_jet_equality_with_order_zero_env():
     j = lift_constant(0.25, 0)
     assert isinstance(j, Jet)
     assert sqrt(j).value == 0.5
+
+
+def _random_jet(rng, shape, order=3, nvars=2):
+    j = lift_constant(0.0, order, nvars)
+    return Jet(j.alg, rng.uniform(-1, 1, tuple(shape) + j.coeffs.shape))
+
+
+def test_array_product_equals_elementwise_scalar_products():
+    rng = np.random.default_rng(31)
+    a, b = _random_jet(rng, (3, 1)), _random_jet(rng, (4,))
+    ab = a * b
+    assert ab.shape == (3, 4)
+    for i in range(3):
+        for k in range(4):
+            scalar = Jet(a.alg, a.coeffs[i, 0].copy()) * Jet(b.alg, b.coeffs[k].copy())
+            assert np.max(np.abs(ab[i][k].coeffs - scalar.coeffs)) <= 1e-15
+    scaled = a * np.array([2.0, -1.0, 0.5, 3.0])
+    assert scaled.shape == (3, 4)
+    assert np.array_equal(scaled[2][3].coeffs, a[2][0].coeffs * 3.0)
+
+
+def test_einsum_matches_explicit_loops():
+    rng = np.random.default_rng(37)
+    g, w = _random_jet(rng, (3, 3)), _random_jet(rng, (2, 3))
+    c = rng.uniform(-1, 1, (3, 3))
+    contracted = einsum("ij,bj->bi", g, w)
+    floats = einsum("ij,bj->bi", c, w)
+    assert contracted.shape == floats.shape == (2, 3)
+    for b in range(2):
+        for i in range(3):
+            total = lift_constant(0.0, 3, 2)
+            float_total = lift_constant(0.0, 3, 2)
+            for j in range(3):
+                total = total + g[i][j] * w[b][j]
+                float_total = float_total + c[i, j] * w[b][j]
+            assert np.max(np.abs(contracted[b][i].coeffs - total.coeffs)) <= 1e-14
+            assert np.max(np.abs(floats[b][i].coeffs - float_total.coeffs)) <= 1e-14
+    assert np.allclose(einsum("ij,bj->bi", c, w.value), np.einsum("ij,bj->bi", c, w.value))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_inverse_times_matrix_is_identity_to_carried_order(order):
+    # a non-diagonal curved metric along a seeded point
+    u, v = seed_point([0.4, -0.9], order=max(order, 1))
+    s = 0.3 * sin(v)
+    entries = [[2.0 + u * u, u * v, s], [u * v, 2.0 + cos(u), 0.3 * u], [s, 0.3 * u, 1.0 + exp(v)]]
+    m = array(entries).truncate(order)
+    product = einsum("ij,jk->ik", inverse(m), m)
+    identity = np.zeros(product.coeffs.shape)
+    identity[..., 0] = np.eye(3)
+    scale = np.max(np.abs(inverse(m).coeffs)) * np.max(np.abs(m.coeffs))
+    assert product.order == order
+    assert np.max(np.abs(product.coeffs - identity)) <= 1e-15 * scale
+    assert np.allclose(inverse(m).value, np.linalg.inv(m.value), atol=1e-14)
+
+
+def test_array_stacks_jets_and_numbers_at_lowest_order():
+    u, v = seed_point([0.5, 0.2], order=3)
+    stacked = array([[u, 2.0], [v.truncate(2), 0.0]])
+    assert stacked.shape == (2, 2) and stacked.order == 2
+    assert stacked[0][1].value == 2.0 and stacked[1][0].gradient().tolist() == [0.0, 1.0]
+    assert isinstance(array([[1.0, 0.0]]), np.ndarray)

@@ -250,3 +250,25 @@ def test_dimension_mismatch_between_immersion_and_space():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     with pytest.raises(ValueError):
         point_geometry(imm, FLAT21, (0.0,))
+
+
+def test_geometry_jets_seed_only_the_parameters():
+    # n seed directions: an n=2 jet carries 10 coefficients at order 3
+    for label in catalog_list():
+        scn = catalog_get(label)
+        n = scn.immersion.n
+        geo = _JetGeometry(scn.immersion, scn.space, scn.samples[0], order=3)
+        fields = (geo.f, geo.T, geo.e_field, geo.xi_field, geo.G_field, geo.h_field, geo.H_field)
+        assert all(field.nvars == n for field in fields), label
+        assert geo.f.coeffs.shape[-1] == math.comb(n + 3, 3), label
+        assert geo.T.shape == (n, geo.N) and geo.xi_field.shape == (geo.m, geo.N), label
+        assert geo.h_field.shape == (n, n, geo.N) and geo.H_field.shape == (geo.N,), label
+
+
+def test_non_finite_metric_is_rejected_by_the_geometry():
+    from prodgeo.ambient import SingularMetric
+
+    space = product_of([["1e308 * 10 + x1 * 0", "0"], ["0", "1"]], 2, "flat", 1)
+    imm = Immersion(2, ("u1", "u2", "0"))
+    with pytest.raises(SingularMetric, match="not finite"):
+        _JetGeometry(imm, space, (0.1, 0.2))
