@@ -9,7 +9,7 @@ generic, and numerically verifies the identity suites relating the
 covariant derivatives of the structure projections to the second
 fundamental form, including the characterization statements for
 pseudo-umbilical submanifolds.  :func:`verify` runs all of it with one
-geometry build per sample point.
+geometry build for all sample points.
 
 All derivatives are exact (truncated Taylor jets); an independent
 finite-difference oracle cross-checks them in the test-suite.

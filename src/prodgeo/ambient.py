@@ -14,7 +14,7 @@ defect, and ``(nabla_X F) Y``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "product_of",
     "christoffel",
     "levi_civita",
+    "positive_definite",
     "ambient_cov_derivative",
     "validate_ambient",
 ]
@@ -102,11 +103,6 @@ class AmbientSpace:
                 if self.metric[i][j] != self.metric[j][i]:
                     raise ValueError("metric component matrix must be symmetric")
 
-    def _env(self, x) -> dict[str, object]:
-        if len(x) != self.dim:
-            raise ValueError(f"expected a point with {self.dim} coordinates")
-        return {name: value for name, value in zip(ambient_vars(self.dim), x)}
-
     @cached_property
     def _constants(self) -> dict[str, np.ndarray]:
         """The expression tables that do not depend on x, evaluated once."""
@@ -119,17 +115,27 @@ class AmbientSpace:
         return constants
 
     def _table(self, name: str, x):
-        """An expression table at x (floats or jets): a jet, or a float array if constant."""
-        env = self._env(list(x))
+        """An expression table at the points ``x``.
+
+        ``x`` has shape ``(..., dim)`` (floats or a jet) or is a list of
+        coordinates.  The result is a jet or float array with the points'
+        leading shape; a constant table is a float array of the table's own
+        shape, which broadcasts over any points.
+        """
+        if isinstance(x, (list, tuple)):
+            x = jets.array(list(x))
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"expected a point with {self.dim} coordinates")
         if name in self._constants:
             return self._constants[name].copy()
+        env = {name: x[..., i] for i, name in enumerate(ambient_vars(self.dim))}
         return jets.array(_evaluate(getattr(self, name), env))
 
-    def metric_at(self, x: Sequence[float]) -> np.ndarray:
-        return self._table("metric", [float(v) for v in x])
+    def metric_at(self, x) -> np.ndarray:
+        return self._table("metric", np.asarray(x, dtype=float))
 
-    def structure_at(self, x: Sequence[float]) -> np.ndarray:
-        return self._table("structure", [float(v) for v in x])
+    def structure_at(self, x) -> np.ndarray:
+        return self._table("structure", np.asarray(x, dtype=float))
 
     def metric_jets(self, x):
         return self._table("metric", x)
@@ -193,26 +199,48 @@ def product_of(block_a, p: int, block_b, q: int) -> AmbientSpace:
     return AmbientSpace(dim, metric, structure, product_split=(p, q))
 
 
+@lru_cache(maxsize=None)
+def _leading_blocks(dim: int) -> np.ndarray:
+    """Masks of the leading principal submatrices, stacked: (dim, dim, dim)."""
+    k = np.arange(dim)
+    inside = k[None, :] <= k[:, None]  # row j: the first j + 1 indices
+    return inside[:, :, None] & inside[:, None, :]
+
+
+def positive_definite(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Mask over the leading axes of ``g`` (shape ``(..., N, N)``): finite
+    with every LDL^T pivot above ``tol``.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading principal
+    minor, so the test needs no factorization that could fail part way
+    through a batch; with ``tol >= 0`` every pivot above it keeps the next
+    divisor positive.
+    """
+    ok = np.isfinite(g).all(axis=(-2, -1))
+    identity = np.eye(g.shape[-1])
+    g = np.where(ok[..., None, None], g, identity)
+    minors = np.linalg.det(np.where(_leading_blocks(g.shape[-1]), g[..., None, :, :], identity))
+    pivots_ok = (minors[..., 0] > tol) & np.all(minors[..., 1:] > tol * minors[..., :-1], axis=-1)
+    return ok & pivots_ok
+
+
 def _assert_positive_definite(g: np.ndarray, tol: float = 1e-10):
-    if not np.isfinite(g).all():
-        raise SingularMetric("metric is not finite at the sample point")
-    # the LDL^T pivots of g are diag(L)^2 for its Cholesky factor L
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        chol = None
-    if chol is None or np.min(np.diag(chol)) ** 2 <= tol:
+    if not positive_definite(g, tol):
+        if not np.isfinite(g).all():
+            raise SingularMetric("metric is not finite at the sample point")
         raise SingularMetric("metric is not positive definite at the sample point")
 
 
 def levi_civita(ginv, dg):
     """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk), floats or jets.
 
-    ``ginv`` is the inverse metric and ``dg[l, i, j] = d g_ij / d x^l``; the
-    result is symmetric in the lower indices.
+    ``ginv`` is the inverse metric and ``dg[..., l, i, j] = d g_ij / d x^l``,
+    both with any leading point axes; the result is symmetric in the lower
+    indices.
     """
-    lowered = dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) - dg
-    return 0.5 * jets.einsum("il,ljk->ijk", ginv, lowered)
+    swapped = dg.swapaxes(-3, -2)  # d_j g_lk at [l, j, k]
+    lowered = swapped + swapped.swapaxes(-2, -1) - dg
+    return 0.5 * jets.einsum("...il,...ljk->...ijk", ginv, lowered)
 
 
 def christoffel(space: AmbientSpace, x: Sequence[float]) -> np.ndarray:
@@ -250,6 +278,7 @@ class AmbientValidationReport:
     f_is_identity: bool
     passed: bool
     tol: float = 1e-8
+    residuals_finite: bool = True
 
 
 def validate_ambient(
@@ -259,52 +288,62 @@ def validate_ambient(
 
     Reports the largest residuals of ``F^2 - I``, metric compatibility and
     ``(nabla_X F) Y`` over the samples and the coordinate directions X, Y.
-    Failures are reported, not thrown.  A non-finite metric is not positive
-    definite; a sample whose residuals are not finite (from a non-finite
-    metric, structure or derivative, or an overflow) fails the report and
-    stays out of its residuals.
+    The expression tables are evaluated for all samples at once.  Failures
+    are reported, not thrown.  A non-finite metric is not positive definite;
+    a sample whose residuals are not finite (from a non-finite metric,
+    structure or derivative, or an overflow) fails the report and stays out
+    of its residuals.
     """
+    x = np.asarray(samples, dtype=float)
+    if x.size == 0:
+        x = x.reshape(0, space.dim)
+    shape = (len(x), space.dim, space.dim)
     identity = np.eye(space.dim)
-    worst = np.zeros(3)  # F^2 - I, compatibility, (nabla_X F) Y
-    pd_ok = finite = True
-    max_minus_identity = max_plus_identity = 0.0
-
-    for point in samples:
-        x0 = [float(v) for v in point]
-        g0 = space.metric_at(x0)
-        f0 = space.structure_at(x0)
+    residuals = np.zeros((len(x), 3))  # F^2 - I, compatibility, (nabla_X F) Y
+    # overflow and NaN are detected below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
-            _assert_positive_definite(g0)
-            point_pd = True
-        except SingularMetric:
-            pd_ok = point_pd = False
-        # overflow and NaN are detected below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            residuals = [
-                np.max(np.abs(f0 @ f0 - identity)), np.max(np.abs(f0.T @ g0 @ f0 - g0)), 0.0
-            ]
-            if point_pd:
-                # gl[l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
-                gamma = levi_civita(np.linalg.inv(g0), space.metric_derivatives(x0))
-                gl = gamma.transpose(1, 0, 2)
-                nabla_f = space._table("structure_diff", x0) + gl @ f0 - f0 @ gl
-                # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
-                sq = np.max(np.einsum("lik,ij,ljk->lk", nabla_f, g0, nabla_f))
-                residuals[2] = np.sqrt(max(sq, 0.0))
-        if not np.isfinite(residuals).all():
-            finite = False
-            continue
-        worst = np.maximum(worst, residuals)
-        max_minus_identity = max(max_minus_identity, float(np.max(np.abs(f0 - identity))))
-        max_plus_identity = max(max_plus_identity, float(np.max(np.abs(f0 + identity))))
+            g = np.broadcast_to(space.metric_at(x), shape)
+            f = np.broadcast_to(space.structure_at(x), shape)
+        except jets.DomainError as err:
+            raise err.at("x", x) from None
+        definite = np.ones(len(x), dtype=bool)
+        for p, gp in enumerate(g):
+            try:
+                _assert_positive_definite(gp)
+            except SingularMetric:
+                definite[p] = False
+        ft = f.swapaxes(-2, -1)
+        residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
+        residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))
+        if definite.any():
+            # the derivative tables only where the metric is positive definite
+            xd, gd, fd = x[definite], g[definite], f[definite][:, None]
+            try:
+                dg = space.metric_derivatives(xd)
+                df = space._table("structure_diff", xd)
+            except jets.DomainError as err:
+                raise err.at("x", xd) from None
+            # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
+            gl = levi_civita(np.linalg.inv(gd), dg).swapaxes(-3, -2)
+            nabla_f = df + gl @ fd - fd @ gl
+            # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
+            sq = np.einsum("plik,pij,pljk->plk", nabla_f, gd, nabla_f)
+            residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
+        finite = np.isfinite(residuals).all(axis=1)
+        f_finite = f[finite]
+        worst = residuals[finite].max(axis=0, initial=0.0)
+        max_minus_identity = np.max(np.abs(f_finite - identity), initial=0.0)
+        max_plus_identity = np.max(np.abs(f_finite + identity), initial=0.0)
 
     f_flag = max_minus_identity <= 1e-12 or max_plus_identity <= 1e-12
-    passed = pd_ok and finite and float(np.max(worst)) <= 1e-8
+    passed = bool(definite.all() and finite.all() and float(np.max(worst)) <= 1e-8)
     return AmbientValidationReport(
         max_f_squared_residual=float(worst[0]),
         max_compat_residual=float(worst[1]),
         max_parallel_residual=float(worst[2]),
-        positive_definite=pd_ok,
-        f_is_identity=f_flag,
+        positive_definite=bool(definite.all()),
+        f_is_identity=bool(f_flag),
         passed=passed,
+        residuals_finite=bool(finite.all()),
     )

@@ -73,7 +73,7 @@ def _tangent_field(geo: _JetGeometry, y):
     if isinstance(y, (int, np.integer)):
         if not 0 <= int(y) < geo.n:
             raise ValueError(f"coordinate index {y} out of range")
-        return geo.T[int(y)]
+        return geo.T[..., int(y), :]
     return geo.coordinate_field(list(y))
 
 
@@ -86,11 +86,11 @@ def _normal_field(geo: _JetGeometry, xi):
     if isinstance(xi, (int, np.integer)):
         if not 0 <= int(xi) < geo.m:
             raise ValueError(f"normal frame index {xi} out of range")
-        return geo.xi_field[int(xi)]
+        return geo.xi_field[..., int(xi), :]
     coefficients = np.array([float(c) for c in xi])
     if len(coefficients) != geo.m:
         raise ValueError(f"expected {geo.m} normal frame coefficients")
-    return jets.einsum("a,ai->i", coefficients, geo.xi_field)
+    return jets.einsum("a,...ai->...i", coefficients, geo.xi_field)
 
 
 def tangential_connection(
@@ -109,8 +109,9 @@ def normal_connection(
     return geo.nabla_perp(_normal_field(geo, xi), ctx.direction)
 
 
-# Both derivatives below accept a batch of fields (leading axes before the
-# ambient component) and return one ambient vector per field.
+# Both derivatives below accept a batch of fields (batch axes between the
+# point axes and the ambient component) and return one ambient vector per
+# field and point.
 
 
 def _nabla_omega(geo: _JetGeometry, direction, y_field) -> np.ndarray:
@@ -152,30 +153,31 @@ class LemmaReport:
     tol: float
 
 
-def _lemma1_point(geo: _JetGeometry) -> float:
-    """Worst residual over coordinate directions X and coordinate fields Y."""
+def _lemma1_point(geo: _JetGeometry) -> np.ndarray:
+    """Worst residual at every point over coordinate directions X and coordinate fields Y."""
     worst = 0.0
+    phi_y = geo.f_tangent_part(geo.J0.swapaxes(-1, -2))  # row b: phi T_b
     for x in np.eye(geo.n):
-        lhs_all = _nabla_omega(geo, x, geo.T)  # one row per coordinate field
-        for b, lhs in enumerate(lhs_all):
-            phi_y = geo.f_tangent_part(geo.J0[:, b])
-            h_x_phiy = geo.h_bilinear(x, phi_y)
-            y_params = np.eye(geo.n)[b]
-            c_h = geo.f_normal_part(geo.h_params(x, y_params))
-            worst = max(worst, geo.norm_g(lhs + h_x_phiy - c_h))
+        lhs = _nabla_omega(geo, x, geo.T)  # row b: (nabla_X omega) T_b
+        c_h = geo.f_normal_part(np.einsum("a,...abi->...bi", x, geo.hc0))  # row b: C h(X, T_b)
+        residual = lhs + geo.h_bilinear(x, phi_y) - c_h
+        worst = np.maximum(worst, geo.norm_g(residual).max(axis=-1))
     return worst
 
 
-def _lemma2_point(geo: _JetGeometry) -> float:
-    """Worst residual over coordinate directions and every normal frame field plus H."""
+def _lemma2_point(geo: _JetGeometry) -> np.ndarray:
+    """Worst residual at every point over coordinate directions and every
+    normal frame field plus H."""
     worst = 0.0
-    xi_fields = jets.array([*geo.xi_field, geo.H_field])
+    xi_fields = jets.array(
+        [geo.xi_field[..., a, :] for a in range(geo.m)] + [geo.H_field]
+    ).swapaxes(-1, -2)
     xi0s = xi_fields.value
+    b_xi = geo.f_tangent_part(xi0s)
     for x in np.eye(geo.n):
-        for lhs, xi0 in zip(_nabla_C(geo, x, xi_fields), xi0s):
-            b_xi = geo.f_tangent_part(xi0)
-            rhs = -geo.f_normal_part(geo.shape_operator(x, xi0)) - geo.h_bilinear(x, b_xi)
-            worst = max(worst, geo.norm_g(lhs - rhs))
+        lhs = _nabla_C(geo, x, xi_fields)
+        rhs = -geo.f_normal_part(geo.shape_operator(x, xi0s)) - geo.h_bilinear(x, b_xi)
+        worst = np.maximum(worst, geo.norm_g(lhs - rhs).max(axis=-1))
     return worst
 
 
@@ -208,7 +210,7 @@ def check_lemmas(
     samples: Sequence[Sequence[float]] | None = None,
     tol: float = 1e-8,
 ) -> tuple[LemmaReport, LemmaReport]:
-    """Both lemma suites sharing one geometry build per sample."""
+    """Both lemma suites sharing one geometry build for all samples."""
     from .verify import Tolerances, verify
 
     outcome = verify(space, immersion, samples, Tolerances(identity_tol=tol), theorems=False)

@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from . import jets
 
 __all__ = [
@@ -266,18 +268,28 @@ def _power(base, exponent: float):
     if isinstance(base, jets.Jet):
         return base ** exponent
     if not float(exponent).is_integer():
-        if base < 0.0:
-            raise ValueError(f"fractional power of a negative base {base}")
-        if base == 0.0 and exponent < 0.0:
-            raise ZeroDivisionError("zero base with negative exponent")
+        jets.check_domain(np.less(base, 0.0), base, "fractional power of a negative base {}")
+    if exponent < 0.0:
+        jets.check_domain(np.equal(base, 0.0), base, "zero base with negative exponent",
+                          jets.DivisionByZero)
     return base ** exponent
+
+
+def _divide(lhs, rhs):
+    if not isinstance(rhs, jets.Jet):
+        jets.check_domain(np.equal(rhs, 0.0), rhs, "division by zero", jets.DivisionByZero)
+    return lhs / rhs
 
 
 _CALLS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}
 
 
 def evaluate(node: ExprAst, env: Mapping[str, object]):
-    """Evaluate over an environment of floats and/or jets."""
+    """Evaluate over an environment of floats, float arrays and/or jets.
+
+    Arrays and jets evaluate a batch of points at once; a domain error
+    (:class:`prodgeo.jets.DomainError`) locates the first offending point.
+    """
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -299,7 +311,7 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
         return lhs - rhs
     if node.op == "*":
         return lhs * rhs
-    return lhs / rhs
+    return _divide(lhs, rhs)
 
 
 # ---- symbolic differentiation ---------------------------------------------

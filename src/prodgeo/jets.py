@@ -5,8 +5,10 @@ total order, of a scalar or of an array of scalars with respect to a fixed
 set of seed directions.  The coefficients sit on the last axis of
 ``coeffs``; any leading shape is allowed, so a vector field along a
 submanifold is one jet of shape ``(N,)`` and a metric one of shape
-``(N, N)``.  Jets index and iterate over their leading axes like the nested
-lists they stand for (``g[i][j]`` is a scalar jet), and arithmetic
+``(N, N)``; the fields of P sample points at once carry one more leading
+axis, ``(P, N)`` and ``(P, N, N)``.  Jets index and iterate over their
+leading axes like the nested lists they stand for (``g[i][j]`` is a scalar
+jet, ``g[..., i, j]`` the same entry at every point), and arithmetic
 broadcasts over those axes the way numpy does.  Every derivative downstream
 code reads off is exact up to machine roundoff rather than a difference
 approximation.
@@ -32,8 +34,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "Jet", "InsufficientJetOrder", "lift_constant", "seed_variable", "seed_point", "as_jet",
-    "array", "partial", "einsum", "inverse", "sin", "cos", "exp", "sqrt",
+    "Jet", "InsufficientJetOrder", "DomainError", "DivisionByZero", "check_domain",
+    "lift_constant", "seed_variable", "seed_point", "as_jet", "array", "partial", "einsum",
+    "inverse", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)
@@ -43,6 +46,43 @@ _COEFF_AXIS = "Z"  # einsum letter of the coefficient axis; specs may not use it
 
 class InsufficientJetOrder(ValueError):
     """A jet does not carry enough derivative orders for the requested operation."""
+
+
+class DomainError(ValueError):
+    """An operation left its domain at some entry of its operand.
+
+    ``index`` locates the first offending entry among the operand's leading
+    axes, so a caller that evaluated a batch of sample points can name the
+    point (:meth:`at`).
+    """
+
+    def __init__(self, message: str, index: tuple = ()):
+        super().__init__(message)
+        self.index = index
+
+    def at(self, name: str, points) -> "DomainError":
+        """This error naming ``name = points[index]`` for ``points`` of shape
+        ``(..., k)``; unchanged if it did not occur at one of those points."""
+        points = np.asarray(points)
+        if len(self.index) != points.ndim - 1:
+            return self
+        where = tuple(float(v) for v in points[self.index])
+        return type(self)(f"{self} at {name} = {where}", self.index)
+
+
+class DivisionByZero(DomainError, ZeroDivisionError):
+    """Division by zero, or a zero base raised to a negative power."""
+
+
+def check_domain(bad, values, message: str, error=DomainError) -> None:
+    """Raise ``error`` at the first entry where ``bad`` holds.
+
+    ``message`` is formatted with the offending entry of ``values``.
+    """
+    bad = np.asarray(bad)
+    if bad.any():
+        index = np.unravel_index(np.argmax(bad), bad.shape)
+        raise error(message.format(float(np.asarray(values)[index])), index)
 
 
 class _Algebra:
@@ -152,13 +192,17 @@ class Jet:
         alg = _algebra(self.nvars, order)
         return Jet(alg, self.coeffs[..., : alg.size].copy())
 
-    def transpose(self, *axes: int) -> "Jet":
-        """Permute the leading axes (reverse them if none are given)."""
-        lead = len(self.shape)
-        return Jet(self.alg, self.coeffs.transpose(*(axes or range(lead - 1, -1, -1)), lead))
+    def swapaxes(self, a: int, b: int) -> "Jet":
+        """Swap two leading axes; negative axes count from the last leading axis."""
+        a, b = (x - 1 if x < 0 else x for x in (a, b))
+        return Jet(self.alg, self.coeffs.swapaxes(a, b))
 
     def __getitem__(self, index) -> "Jet":
-        if not self.shape:
+        """Index the leading axes; with an ``...`` the index ends at the last one."""
+        index = index if isinstance(index, tuple) else (index,)
+        if any(i is Ellipsis for i in index):
+            index += (slice(None),)
+        elif not self.shape:
             raise TypeError("a scalar jet cannot be indexed")
         return Jet(self.alg, self.coeffs[index])
 
@@ -242,9 +286,7 @@ class Jet:
             return result
         if (2.0 * q).is_integer():
             v = self.coeffs[..., 0]
-            if np.any(v <= 0.0):
-                raise ValueError(
-                    f"half-integer power needs a positive base value, got {self.value}")
+            check_domain(v <= 0.0, v, "half-integer power needs a positive base value, got {}")
             ders, c = [], 1.0
             for k in range(self.order + 1):
                 ders.append(c * v ** (q - k))
@@ -254,8 +296,7 @@ class Jet:
 
     def _reciprocal(self) -> "Jet":
         v = self.coeffs[..., 0]
-        if np.any(v == 0.0):
-            raise ZeroDivisionError("division by a jet with zero value")
+        check_domain(v == 0.0, v, "division by a jet with zero value", DivisionByZero)
         ders = [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(self.order + 1)]
         return _analytic(self, ders)
 
@@ -312,9 +353,22 @@ def seed_variable(value: float, direction: int, order: int, nvars: int | None = 
     return j
 
 
-def seed_point(values: Sequence[float], order: int) -> list[Jet]:
-    """Seed one jet per entry, each along its own direction."""
-    return [seed_variable(v, i, order, len(values)) for i, v in enumerate(values)]
+def seed_point(values, order: int) -> list[Jet]:
+    """Seed one jet per coordinate, each along its own direction.
+
+    ``values`` has shape ``(..., n)``: one point, or a batch of points whose
+    leading shape every seeded jet carries.
+    """
+    values = np.asarray(values, dtype=float)
+    if order < 1:
+        raise InsufficientJetOrder("seeding a variable requires order >= 1")
+    alg = _algebra(values.shape[-1], order)
+    seeds = []
+    for i in range(alg.nvars):
+        j = _constant(alg, values[..., i])
+        j.coeffs[..., 1 + i] = 1.0
+        seeds.append(j)
+    return seeds
 
 
 def as_jet(value, order: int, nvars: int) -> Jet:
@@ -322,30 +376,43 @@ def as_jet(value, order: int, nvars: int) -> Jet:
     return value if isinstance(value, Jet) else lift_constant(float(value), order, nvars)
 
 
+def _nesting(entries) -> tuple[tuple[int, ...], list]:
+    """The shape of a regular nested list and its leaves in row-major order."""
+    if not isinstance(entries, (list, tuple)):
+        return (), [entries]
+    parts = [_nesting(e) for e in entries]
+    if len({shape for shape, _ in parts}) > 1:
+        raise ValueError("nested entries are not regular")
+    inner = parts[0][0] if parts else ()
+    return (len(parts),) + inner, [leaf for _, leaves in parts for leaf in leaves]
+
+
 def array(entries):
-    """One jet from a nested list of equally shaped jets and numbers.
+    """One jet from a nested list of jets, numbers and float arrays.
 
-    The result carries the lowest order among the jets; without any jet it
-    is a float array.
+    The leaves broadcast to their common shape, which leads; the nesting
+    gives the trailing axes.  A table of scalar expressions evaluated at a
+    batch of points is so one field of leading shape ``(P, ...)``, whatever
+    entries are constant.  The result carries the lowest order among the
+    jets; without any jet it is a float array.
     """
-    def jets_in(e):
-        if isinstance(e, (list, tuple)):
-            return [j for x in e for j in jets_in(x)]
-        return [e] if isinstance(e, Jet) else []
-
-    leaves = jets_in(entries)
-    if not leaves:
-        return np.array(entries, dtype=float)
-    if len({j.nvars for j in leaves}) > 1:
+    nest, leaves = _nesting(entries)
+    lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
+    found = [e for e in leaves if isinstance(e, Jet)]
+    if not found:
+        stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
+        return np.stack(stacked, axis=-1).reshape(lead + nest)
+    if len({j.nvars for j in found}) > 1:
         raise ValueError("jets carry different seed sets")
-    alg = _algebra(leaves[0].nvars, min(j.order for j in leaves))
-
-    def coeffs(e):
-        if isinstance(e, (list, tuple)):
-            return [coeffs(x) for x in e]
-        return e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, float(e)).coeffs
-
-    return Jet(alg, np.array(coeffs(entries)))
+    alg = _algebra(found[0].nvars, min(j.order for j in found))
+    stacked = [
+        np.broadcast_to(
+            e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, e).coeffs,
+            lead + (alg.size,),
+        )
+        for e in leaves
+    ]
+    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + nest + (alg.size,)))
 
 
 def partial(j: Jet, var: int) -> Jet:
@@ -400,7 +467,7 @@ def inverse(m):
     return result
 
 
-# ---- elementary functions (work on floats and jets alike) ---------------
+# ---- elementary functions (work on floats, float arrays and jets) --------
 
 
 def _trig(x: Jet, shift: int) -> Jet:
@@ -411,22 +478,23 @@ def _trig(x: Jet, shift: int) -> Jet:
 
 
 def sin(x):
-    return _trig(x, 0) if isinstance(x, Jet) else math.sin(x)
+    return _trig(x, 0) if isinstance(x, Jet) else np.sin(x)
 
 
 def cos(x):
-    return _trig(x, 1) if isinstance(x, Jet) else math.cos(x)
+    return _trig(x, 1) if isinstance(x, Jet) else np.cos(x)
 
 
 def exp(x):
     if isinstance(x, Jet):
         return _analytic(x, [np.exp(x.coeffs[..., 0])] * (x.order + 1))
-    return math.exp(x)
+    return np.exp(x)
 
 
 def sqrt(x):
     if isinstance(x, Jet):
-        if np.any(x.coeffs[..., 0] <= 0.0):
-            raise ValueError(f"sqrt needs a positive jet value, got {x.value}")
+        v = x.coeffs[..., 0]
+        check_domain(v <= 0.0, v, "sqrt needs a positive jet value, got {}")
         return x ** 0.5
-    return math.sqrt(x)
+    check_domain(np.less(x, 0.0), x, "sqrt needs a non-negative value, got {}")
+    return np.sqrt(x)

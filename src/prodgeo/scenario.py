@@ -84,8 +84,15 @@ class AmbientValidationFailure(ValueError):
             report.max_compat_residual,
             report.max_parallel_residual,
         )
+        reasons = []
+        if not report.positive_definite:
+            reasons.append("metric not positive definite")
+        if not report.residuals_finite:
+            reasons.append("non-finite residuals")
         super().__init__(
-            f"ambient validation failed: F^2-I residual "
+            "ambient validation failed"
+            + (f" ({', '.join(reasons)})" if reasons else "")
+            + ": F^2-I residual "
             f"{report.max_f_squared_residual:.3e}, compatibility residual "
             f"{report.max_compat_residual:.3e}, parallelism residual "
             f"{report.max_parallel_residual:.3e} (worst {worst:.3e}, "
@@ -324,7 +331,7 @@ def loads_scenario(
         tolerances = Tolerances(identity_tol, classify_tol)
     except ValueError as err:
         raise ScenarioError(str(err), "tolerances") from None
-    report = validate_ambient(space, [immersion.image(u) for u in samples])
+    report = validate_ambient(space, immersion.image(samples))
     if not report.passed and not force:
         raise AmbientValidationFailure(report)
     return LoadedScenario(

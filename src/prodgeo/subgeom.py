@@ -1,4 +1,4 @@
-"""Per-point geometry of an immersed submanifold.
+"""Pointwise geometry of an immersed submanifold, for all sample points at once.
 
 Builds orthonormal tangent/normal frames, the induced metric, the second
 fundamental form and shape operators, the mean curvature vector, the
@@ -10,8 +10,9 @@ Everything is computed from jets seeded in the n submanifold parameters
 only, so each quantity is available not just as a value but as a germ
 carrying its own parameter derivatives; the connection and identity
 machinery in :mod:`prodgeo.calculus` differentiates those germs directly.
-Vector, matrix and frame fields are array jets, so the build is a few
-hundred numpy contractions rather than thousands of scalar jet products.
+Vector, matrix and frame fields are array jets whose leading axis runs over
+the sample points, so one build is a few hundred numpy contractions for a
+whole document; a single point is the same code with no point axis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .ambient import AmbientSpace, SingularMetric, levi_civita
+from .ambient import AmbientSpace, SingularMetric, levi_civita, positive_definite
 
 __all__ = [
     "DegenerateImmersion",
@@ -88,10 +89,16 @@ class Immersion:
     def ambient_dim(self) -> int:
         return len(self.components)
 
-    def image(self, u: Sequence[float]) -> list[float]:
-        """Ambient coordinates of the point with parameters ``u``."""
-        env = dict(zip(param_vars(self.n), u))
-        return [ex.evaluate(c, env) for c in self.components]
+    def image(self, u) -> np.ndarray:
+        """Ambient coordinates of the points with parameters ``u``, shape ``(..., n)``."""
+        u = np.asarray(u, dtype=float)
+        if u.size == 0:
+            u = u.reshape(0, self.n)
+        env = {name: u[..., a] for a, name in enumerate(param_vars(self.n))}
+        try:
+            return jets.array([ex.evaluate(c, env) for c in self.components])
+        except jets.DomainError as err:
+            raise err.at("u", u) from None
 
 
 @dataclass
@@ -125,47 +132,64 @@ def _values(field) -> np.ndarray:
     return field.value if isinstance(field, jets.Jet) else field
 
 
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose the last two axes (one matrix per point)."""
+    return a.swapaxes(-1, -2)
+
+
 def _split_structure(f0, g0, tangent_on, normal_on):
     """phi/omega (F on the tangent frame) and B/C (F on the normal frame)."""
-    fe = tangent_on @ f0.T
-    fxi = normal_on @ f0.T
+    fe = tangent_on @ _t(f0)
+    fxi = normal_on @ _t(f0)
     return (
-        (fe @ g0 @ tangent_on.T).T,
-        (fe @ g0 @ normal_on.T).T,
-        (fxi @ g0 @ tangent_on.T).T,
-        (fxi @ g0 @ normal_on.T).T,
+        _t(fe @ g0 @ _t(tangent_on)),
+        _t(fe @ g0 @ _t(normal_on)),
+        _t(fxi @ g0 @ _t(tangent_on)),
+        _t(fxi @ g0 @ _t(normal_on)),
     )
 
 
-def _umbilicity_gap(h, normal_on, g0, H) -> float:
+def _umbilicity_gap(h, normal_on, g0, H):
     """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |, h in frame components."""
-    h_xi = normal_on @ g0 @ H
-    h_dot_h = np.einsum("mab,m->ab", h, h_xi)
-    hsq = float(H @ g0 @ H)
-    return float(np.max(np.abs(h_dot_h - hsq * np.eye(h.shape[1]))))
+    h_xi = np.einsum("...mi,...ij,...j->...m", normal_on, g0, H)
+    h_dot_h = np.einsum("...mab,...m->...ab", h, h_xi)
+    hsq = np.einsum("...i,...ij,...j->...", H, g0, H)
+    return np.max(np.abs(h_dot_h - hsq[..., None, None] * np.eye(h.shape[-1])), axis=(-2, -1))
+
+
+def _points(samples, n: int) -> np.ndarray:
+    """Sample points as a ``(P, n)`` array; at least one is needed."""
+    if len(samples) == 0:
+        raise ValueError("classification needs at least one sample point")
+    return np.reshape(np.asarray(samples, dtype=float), (len(samples), n))
 
 
 class _JetGeometry:
-    """All per-point data of one immersion sample, carried as jets.
+    """All pointwise data of an immersion at its sample points, carried as jets.
 
-    Seed layout: one seed direction per submanifold parameter ``u1..un`` and
-    no other; the ambient metric derivatives are the space's symbolic
-    ``metric_diff`` evaluated along the immersion.  The immersion ``f``
-    carries the requested order ``p``; the coordinate tangent fields ``T``
-    (shape ``(n, N)``), the metric ``gf`` ``(N, N)`` and structure ``Ff``
-    along the immersion, the frames ``e_field`` ``(n, N)`` and ``xi_field``
-    ``(m, N)`` and the induced metric carry ``p - 1``; the Christoffel
-    symbols ``gamma_f`` ``(N, N, N)``, the second fundamental form
-    ``h_field`` ``(n, n, N)`` and ``H_field`` ``(N,)`` carry ``p - 2``.  A
-    metric, structure or connection that is constant along the immersion
-    stays a float array.
+    ``u`` is one point (shape ``(n,)``) or a batch of points (``(P, n)``);
+    every field then carries that leading point shape.  Seed layout: one
+    seed direction per submanifold parameter ``u1..un`` and no other; the
+    ambient metric derivatives are the space's symbolic ``metric_diff``
+    evaluated along the immersion.  The immersion ``f`` carries the
+    requested order ``p``; the coordinate tangent fields ``T`` (shape
+    ``(..., n, N)``), the metric ``gf`` ``(..., N, N)`` and structure ``Ff``
+    along the immersion, the frames ``e_field`` ``(..., n, N)`` and
+    ``xi_field`` ``(..., m, N)`` and the induced metric carry ``p - 1``; the
+    Christoffel symbols ``gamma_f`` ``(..., N, N, N)``, the second
+    fundamental form ``h_field`` ``(..., n, n, N)`` and ``H_field``
+    ``(..., N)`` carry ``p - 2``.  A metric, structure or connection that is
+    constant along the immersion stays a float array without point axes.
+    Decisions that differ between points (the Jacobian rank, positive
+    definiteness, the normal frame completion) are masks over the points;
+    a failing check names the first failing point.
     """
 
     def __init__(
         self,
         immersion: Immersion,
         space: AmbientSpace,
-        u: Sequence[float],
+        u,
         order: int = 3,
         column_order: str = "forward",
     ):
@@ -178,121 +202,150 @@ class _JetGeometry:
             raise jets.InsufficientJetOrder("point geometry needs jet order >= 2")
         n, N = immersion.n, space.dim
         self.n, self.N, self.m = n, N, N - n
-        self.u = tuple(float(v) for v in u)
+        self.u = np.array(u, dtype=float)
+        self.lead = self.u.ndim - 1  # 0 for one point, 1 for a batch
+        shape = self.u.shape[:-1]
+        self.points = [tuple(row) for row in self.u.reshape(-1, n).tolist()]
 
         self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
-        self.f = jets.array(
-            [jets.as_jet(ex.evaluate(c, self.uenv), order, n) for c in immersion.components]
-        )
+        try:
+            self.f = jets.array(
+                [jets.as_jet(ex.evaluate(c, self.uenv), order, n) for c in immersion.components]
+            )
+            # ambient metric, structure and metric derivatives along the immersion
+            self.gf = space.metric_jets(self.f.truncate(order - 1))
+            self.Ff = space.structure_jets(self.f.truncate(order - 1))
+            dg = space.metric_derivatives(self.f.truncate(order - 2))
+        except jets.DomainError as err:
+            raise err.at("u", self.u) from None
         self.x0 = self.f.value
 
-        # coordinate tangent fields T[a] = df/du^a; ambient metric and
-        # structure along the immersion
-        self.T = jets.array([jets.partial(self.f, a) for a in range(n)])
-        self.J0 = self.T.value.T
-        along = list(self.f.truncate(order - 1))
-        self.gf = space.metric_jets(along)
-        self.Ff = space.structure_jets(along)
+        # coordinate tangent fields T[..., a, :] = df/du^a
+        jacobian = jets.array([jets.partial(self.f, a) for a in range(n)])
+        self.J0 = jacobian.value
+        self.T = jacobian.swapaxes(-1, -2)
         self.g0, self.F0 = _values(self.gf), _values(self.Ff)
 
-        if not np.isfinite(self.g0).all():
-            raise SingularMetric("ambient metric is not finite along the immersion")
-        try:
-            chol = np.linalg.cholesky(self.g0)
-        except np.linalg.LinAlgError:
-            raise SingularMetric(
-                "ambient metric is not positive definite along the immersion"
-            ) from None
-        singular_values = np.linalg.svd(chol.T @ self.J0, compute_uv=False)
-        if singular_values.min() <= 1e-8:
+        finite = np.broadcast_to(np.isfinite(self.g0).all(axis=(-2, -1)), shape)
+        definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), shape)
+        chol = np.linalg.cholesky(np.where(definite[..., None, None], self.g0, np.eye(N)))
+        smallest = np.linalg.svd(_t(chol) @ self.J0, compute_uv=False).min(axis=-1)
+        bad = ~definite | (smallest <= 1e-8)
+        if bad.any():
+            p = np.unravel_index(np.argmax(bad), shape)
+            if not finite[p]:
+                raise SingularMetric("ambient metric is not finite along the immersion")
+            if not definite[p]:
+                raise SingularMetric(
+                    "ambient metric is not positive definite along the immersion"
+                )
             raise DegenerateImmersion(
-                f"Jacobian rank < {n} at u = {self.u} "
-                f"(smallest singular value {singular_values.min():.3e})"
+                f"Jacobian rank < {n} at u = {tuple(self.u[p].tolist())} "
+                f"(smallest singular value {smallest[p]:.3e})"
             )
 
         # Christoffel symbols along the immersion
-        dg = space.metric_derivatives(list(self.f.truncate(order - 2)))
         self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
         self.Gamma0 = _values(self.gamma_f)
 
-        # orthonormal frames (Gram-Schmidt under the ambient metric)
+        # orthonormal frames (modified Gram-Schmidt under the ambient metric):
+        # the tangent columns, then coordinate axes until the frame is full.
+        # Slot s of ``frames`` holds the s-th frame vector once filled and
+        # zero before, so orthogonalizing against an empty slot is an exact
+        # no-op; ``filled`` counts the slots of each point.
         columns = list(range(n))
         if column_order == "reversed":
             columns.reverse()
         elif column_order != "forward":
             raise ValueError("column_order must be 'forward' or 'reversed'")
-        frames = []
-        for c in columns:
-            frames.append(self._orthonormalize(self.T[c], frames))
-        for axis in np.eye(N):
-            if len(frames) == N:
+        frames = jets.Jet(self.T.alg, np.zeros(shape + (N, N, self.T.alg.size)))
+        filled = np.zeros(shape, dtype=int)
+        for k, vec in enumerate([self.T[..., c, :] for c in columns] + list(np.eye(N))):
+            if k >= n and (filled == N).all():
                 break
-            frame = self._orthonormalize(axis, frames, skip_below=1e-8)
-            if frame is not None:
-                frames.append(frame)
-        if len(frames) != N:
+            w = vec
+            for slot in range(int(filled.max())):
+                e = frames[..., slot, :]
+                w = w - self.ip_field(w, e)[..., None] * e
+            nrm2 = self.ip_field(w, w)
+            if k < n:
+                if (nrm2.coeffs[..., 0] <= 0.0).any():
+                    raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
+                accept = np.ones(shape, dtype=bool)
+            else:
+                accept = (nrm2.coeffs[..., 0] >= 1e-8 ** 2) & (filled < N)
+            # a rejected candidate gets a unit norm, then a zero weight
+            unit = w * ((nrm2 + np.where(accept, 0.0, 1.0)) ** -0.5)[..., None]
+            weight = (np.arange(N) == filled[..., None]) & accept[..., None]
+            frames = frames + unit[..., None, :] * weight[..., None]
+            filled = filled + accept
+        if (filled != N).any():
             raise DegenerateImmersion("could not complete the normal frame")
-        self.e_field, self.xi_field = jets.array(frames[:n]), jets.array(frames[n:])
+        self.e_field, self.xi_field = frames[..., :n, :], frames[..., n:, :]
         self.gE = self.lower(self.e_field)
-        self.E0, self.Xi0 = self.e_field.value, self.xi_field.value
+        self.E0, self.Xi0, self.gE0 = self.e_field.value, self.xi_field.value, self.gE.value
 
         # induced metric and its inverse
-        self.G_field = jets.einsum("ai,bi->ab", self.T, self.lower(self.T))
+        self.G_field = jets.einsum("...ai,...bi->...ab", self.T, self.lower(self.T))
         self.G0 = self.G_field.value
         self.G0inv = np.linalg.inv(self.G0)
         self.Ginv_field = jets.inverse(self.G_field.truncate(order - 2))
 
         # coordinate-frame second fundamental form: the normal part of
-        # d_b T_a + Gamma(T_a, T_b), an (n, n, N) field
-        dT = jets.array([jets.partial(self.T, b) for b in range(n)]).transpose(1, 0, 2)
-        gamma_t = jets.einsum("ijk,bk->bij", self.gamma_f, self.T)
-        self.h_field = self.normal_part_field(dT + jets.einsum("aj,bij->abi", self.T, gamma_t))
+        # d_b T_a + Gamma(T_a, T_b), an (..., n, n, N) field
+        dT = jets.array([jets.partial(self.T, b) for b in range(n)]).swapaxes(-1, -2)
+        gamma_t = jets.einsum("...ijk,...bk->...bij", self.gamma_f, self.T)
+        self.h_field = self.normal_part_field(
+            dT + jets.einsum("...aj,...bij->...abi", self.T, gamma_t)
+        )
         self.hc0 = self.h_field.value
 
         # mean curvature field H = (1/n) G^{ab} h_ab
-        self.H_field = jets.einsum("ab,abi->i", self.Ginv_field, self.h_field) * (1.0 / n)
+        self.H_field = jets.einsum("...ab,...abi->...i", self.Ginv_field, self.h_field) * (1.0 / n)
         self.H0 = self.H_field.value
-        self.Hsq = float(self.H0 @ self.g0 @ self.H0)
+        self.Hsq = np.einsum("...i,...ij,...j->...", self.H0, self.g0, self.H0)
 
         # frame decomposition of the tangent frame in coordinate components
-        self.P = self.G0inv @ (self.J0.T @ self.g0 @ self.E0.T)  # e_a = P[:,a]^c T_c
-        self.h_on0 = np.einsum("ca,db,cdi->abi", self.P, self.P, self.hc0)
-        self.hcomp0 = np.einsum("abi,ij,mj->mab", self.h_on0, self.g0, self.Xi0)
+        self.P = self.G0inv @ (_t(self.J0) @ self.g0 @ _t(self.E0))  # e_a = P[..., :, a]^c T_c
+        self.h_on0 = np.einsum("...ca,...db,...cdi->...abi", self.P, self.P, self.hc0)
+        self.hcomp0 = np.einsum("...abi,...ij,...mj->...mab", self.h_on0, self.g0, self.Xi0)
 
         self.phi0, self.omega0, self.B0, self.C0 = _split_structure(
             self.F0, self.g0, self.E0, self.Xi0
         )
         self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
 
+    def per_point(self, values) -> list:
+        """A per-point array (or a value shared by all points) as a list over the points."""
+        return np.broadcast_to(values, self.u.shape[:-1]).reshape(-1).tolist()
+
     # ---- jet-field helpers ----------------------------------------------
-    # Fields are jets (or float arrays) whose last field axis is the ambient
-    # component; leading axes batch several fields at once.
+    # Fields are jets (or float arrays) shaped (points..., batch..., N): the
+    # point axes of the geometry, then any axes that batch several fields
+    # (one row per field), then the ambient component.  Geometry fields get
+    # unit axes for the batch axes (_fit); constant fields broadcast as they are.
+
+    def _fit(self, field, axes: int, vec):
+        """``field`` (``axes`` trailing non-point axes) broadcastable against
+        the point and batch axes of ``vec``, a vector or vector field."""
+        extra = len(vec.shape) - 1 - self.lead
+        if extra <= 0 or len(field.shape) == axes:
+            return field
+        return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]
 
     def lower(self, vec):
         """g(vec, .) as components: g_ij vec^j."""
-        return jets.einsum("ij,...j->...i", self.gf, vec)
+        return jets.einsum("...ij,...j->...i", self._fit(self.gf, 2, vec), vec)
 
     def ip_field(self, v, w):
         return jets.einsum("...i,...i->...", v, self.lower(w))
 
-    def _orthonormalize(self, vec, against, skip_below: float | None = None):
-        w = vec
-        for e in against:
-            w = w - self.ip_field(w, e) * e
-        nrm2 = self.ip_field(w, w)
-        if skip_below is not None:
-            if nrm2.value < skip_below ** 2:
-                return None
-        elif nrm2.value <= 0.0:
-            raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
-        return w * nrm2 ** -0.5
-
     def apply_F_field(self, vec):
-        return jets.einsum("ij,...j->...i", self.Ff, vec)
+        return jets.einsum("...ij,...j->...i", self._fit(self.Ff, 2, vec), vec)
 
     def tangent_part_field(self, vec):
-        coefficients = jets.einsum("...i,ai->...a", vec, self.gE)
-        return jets.einsum("...a,ai->...i", coefficients, self.e_field)
+        coefficients = jets.einsum("...i,...ai->...a", vec, self._fit(self.gE, 2, vec))
+        return jets.einsum("...a,...ai->...i", coefficients, self._fit(self.e_field, 2, vec))
 
     def normal_part_field(self, vec):
         return vec - self.tangent_part_field(vec)
@@ -300,31 +353,36 @@ class _JetGeometry:
     def coordinate_field(self, coefficients):
         """Tangent field sum_b c_b(u) T_b with constant or expression coefficients.
 
-        A float array of coefficients may carry leading axes (one field per
-        row); a list may mix numbers and expressions in ``u1..un``.
+        A float array of coefficients may carry point axes and then batch
+        axes (one field per row); a list may mix numbers and expressions in
+        ``u1..un``.
         """
         if not isinstance(coefficients, np.ndarray):
             parsed = [ex.parse(c) if isinstance(c, str) else c for c in coefficients]
             coefficients = jets.array(
                 [ex.evaluate(c, self.uenv) if isinstance(c, ex.ExprAst) else c for c in parsed]
             )
-        return jets.einsum("...b,bi->...i", coefficients, self.T)
+        return jets.einsum("...b,...bi->...i", coefficients, self._fit(self.T, 2, coefficients))
 
-    # ---- directional derivatives at the base point -----------------------
+    # ---- directional derivatives at the base points ----------------------
+    # A direction is a constant (n,) or one per point (points..., n).
 
     def dirderiv(self, vec, direction) -> np.ndarray:
         """Derivative of a jet field along a parameter direction."""
-        return vec.gradient() @ np.asarray(direction, dtype=float)
+        d = self._fit(np.asarray(direction, dtype=float), 1, vec)
+        return np.einsum("...ia,...a->...i", vec.gradient(), d)
 
     def cov_deriv(self, vec, direction) -> np.ndarray:
         """Ambient covariant derivative of a field along a parameter direction."""
-        xdot = self.J0 @ np.asarray(direction, dtype=float)
+        xdot = np.einsum("...ia,...a->...i", self.J0, np.asarray(direction, dtype=float))
+        connection = np.einsum("...ijk,...j->...ik", self.Gamma0, xdot)
         return self.dirderiv(vec, direction) + np.einsum(
-            "ijk,j,...k->...i", self.Gamma0, xdot, vec.value
+            "...ik,...k->...i", self._fit(connection, 2, vec), vec.value
         )
 
     def project_tangent(self, v: np.ndarray) -> np.ndarray:
-        return (v @ self.g0 @ self.E0.T) @ self.E0
+        coefficients = np.einsum("...i,...ai->...a", v, self._fit(self.gE0, 2, v))
+        return np.einsum("...a,...ai->...i", coefficients, self._fit(self.E0, 2, v))
 
     def project_normal(self, v: np.ndarray) -> np.ndarray:
         return v - self.project_tangent(v)
@@ -336,34 +394,42 @@ class _JetGeometry:
         return self.project_normal(self.cov_deriv(vec, direction))
 
     # ---- base-point tensor algebra ---------------------------------------
-    # f_tangent_part and f_normal_part accept a batch of vectors (leading
-    # axes); the other helpers take one vector.
+    # Vectors are (points..., batch..., N) arrays; parameter-space vectors
+    # (points..., batch..., n), or a constant (n,).
 
-    def norm_g(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(v @ self.g0 @ v, 0.0)))
+    def norm_g(self, v: np.ndarray) -> np.ndarray:
+        sq = np.einsum("...i,...ij,...j->...", v, self._fit(self.g0, 2, v), v)
+        return np.sqrt(np.maximum(sq, 0.0))
 
     def f_tangent_part(self, v: np.ndarray) -> np.ndarray:
         """phi on tangent vectors, B on normal vectors."""
-        return self.project_tangent(v @ self.F0.T)
+        return self.project_tangent(np.einsum("...ij,...j->...i", self._fit(self.F0, 2, v), v))
 
     def f_normal_part(self, v: np.ndarray) -> np.ndarray:
         """omega on tangent vectors, C on normal vectors."""
-        return self.project_normal(v @ self.F0.T)
+        return self.project_normal(np.einsum("...ij,...j->...i", self._fit(self.F0, 2, v), v))
 
     def param_components(self, v: np.ndarray) -> np.ndarray:
-        return self.G0inv @ (self.J0.T @ self.g0 @ v)
+        lowered = np.einsum("...ij,...j->...i", self._fit(self.g0, 2, v), v)
+        coordinate = np.einsum("...ia,...i->...a", self._fit(self.J0, 2, v), lowered)
+        return np.einsum("...ab,...b->...a", self._fit(self.G0inv, 2, v), coordinate)
 
     def h_bilinear(self, x_params: np.ndarray, w: np.ndarray) -> np.ndarray:
         """h(X, W) for X in parameter components and W a tangent vector."""
-        return np.einsum("a,b,abi->i", x_params, self.param_components(w), self.hc0)
+        return self.h_params(x_params, self.param_components(w))
 
     def h_params(self, x_params: np.ndarray, y_params: np.ndarray) -> np.ndarray:
-        return np.einsum("a,b,abi->i", x_params, y_params, self.hc0)
+        x_params = self._fit(np.asarray(x_params, dtype=float), 1, y_params)
+        return np.einsum(
+            "...a,...b,...abi->...i", x_params, y_params, self._fit(self.hc0, 3, y_params)
+        )
 
     def shape_operator(self, x_params: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """A_xi X via g(A_xi X, e_b) = g(h(X, e_b), xi)."""
-        h_xb = np.einsum("a,cb,aci->bi", x_params, self.P, self.hc0)
-        return (h_xb @ self.g0 @ xi) @ self.E0
+        h_xb = np.einsum("...a,...cb,...aci->...bi", x_params, self.P, self.hc0)
+        h_xb_lowered = np.einsum("...bi,...ij->...bj", h_xb, self.g0)
+        coefficients = np.einsum("...bj,...j->...b", self._fit(h_xb_lowered, 2, xi), xi)
+        return np.einsum("...b,...bi->...i", coefficients, self._fit(self.E0, 2, xi))
 
 
 # ---- public per-point operations ----------------------------------------
@@ -399,7 +465,7 @@ def point_geometry(
     """Full per-point bundle (frames, h, A, H, phi/omega/B/C)."""
     geo = _JetGeometry(immersion, space, u, order=order, column_order=column_order)
     return PointGeometry(
-        u=geo.u,
+        u=geo.points[0],
         x=geo.x0.copy(),
         tangent_on=geo.E0.copy(),
         normal_on=geo.Xi0.copy(),
@@ -422,7 +488,7 @@ def is_minimal(pg: PointGeometry, tol: float = 1e-8) -> bool:
 
 def pseudo_umbilical_gap(pg: PointGeometry) -> float:
     """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |."""
-    return _umbilicity_gap(pg.h, pg.normal_on, pg.ambient_metric, pg.H)
+    return float(_umbilicity_gap(pg.h, pg.normal_on, pg.ambient_metric, pg.H))
 
 
 def is_pseudo_umbilical(pg: PointGeometry, tol: float = 1e-8) -> bool:
@@ -454,26 +520,36 @@ class ClassificationResult:
     tol: float
 
 
-def rank_of(matrix: np.ndarray, tol: float) -> int:
-    """Numerical rank with the documented sqrt(tol) singular-value threshold."""
+def rank_of(matrix: np.ndarray, tol: float):
+    """Numerical rank with the documented sqrt(tol) singular-value threshold.
+
+    ``matrix`` may carry leading point axes; the rank then has that shape.
+    """
     if matrix.size == 0:
-        return 0
+        return np.zeros(matrix.shape[:-2], dtype=int)
     singular = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.sum(singular > np.sqrt(tol)))
+    return np.sum(singular > np.sqrt(tol), axis=-1)
 
 
-def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> PointClassification:
-    """Norms, rank and flags of one already-built point geometry."""
-    return PointClassification(
-        u=geo.u,
-        phi_norm=float(np.linalg.norm(geo.phi0)),
-        omega_norm=float(np.linalg.norm(geo.omega0)),
-        omega_phi_norm=float(np.linalg.norm(geo.omega0 @ geo.phi0)),
-        rank_phi=rank_of(geo.phi0, tol),
-        minimal=geo.norm_g(geo.H0) <= tol,
-        pseudo_umbilical=geo.pu_gap <= tol,
-        mean_curvature_sq=geo.Hsq,
+def _frobenius(matrix: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(matrix, axis=(-2, -1))
+
+
+def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> list[PointClassification]:
+    """Norms, rank and flags at every point of an already-built geometry."""
+    columns = (
+        _frobenius(geo.phi0),
+        _frobenius(geo.omega0),
+        _frobenius(geo.omega0 @ geo.phi0),
+        rank_of(geo.phi0, tol),
+        geo.norm_g(geo.H0) <= tol,
+        geo.pu_gap <= tol,
+        geo.Hsq,
     )
+    return [
+        PointClassification(*row)
+        for row in zip(geo.points, *(geo.per_point(c) for c in columns))
+    ]
 
 
 def aggregate_classification(
@@ -520,10 +596,7 @@ def classify(
     """
     if samples is None:
         samples = immersion.samples
-    points = [
-        classify_point(
-            _JetGeometry(immersion, space, u, order=2, column_order=column_order), tol
-        )
-        for u in samples
-    ]
-    return aggregate_classification(points, immersion.n, tol)
+    geo = _JetGeometry(
+        immersion, space, _points(samples, immersion.n), order=2, column_order=column_order
+    )
+    return aggregate_classification(classify_point(geo, tol), immersion.n, tol)

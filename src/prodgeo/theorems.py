@@ -69,20 +69,20 @@ class TheoremVerdict:
     tol: float
 
 
-def _dot(geo: _JetGeometry, v: np.ndarray, w: np.ndarray) -> float:
-    return float(v @ geo.g0 @ w)
+def _dot(geo: _JetGeometry, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return np.einsum("...i,...ij,...j->...", v, geo.g0, w)
 
 
 class _PointData:
-    """Shared per-sample quantities for the three statements."""
+    """Quantities the three statements share, at every sample point."""
 
     def __init__(self, geo: _JetGeometry, tol: float):
         self.geo = geo
         self.pseudo_umbilical = geo.pu_gap <= tol
         self.minimal = geo.norm_g(geo.H0) <= tol
-        self.invariant = float(np.linalg.norm(geo.omega0)) <= tol
-        self.anti_invariant = float(np.linalg.norm(geo.phi0)) <= tol
-        self.omega_phi_zero = float(np.linalg.norm(geo.omega0 @ geo.phi0)) <= tol
+        self.invariant = np.linalg.norm(geo.omega0, axis=(-2, -1)) <= tol
+        self.anti_invariant = np.linalg.norm(geo.phi0, axis=(-2, -1)) <= tol
+        self.omega_phi_zero = np.linalg.norm(geo.omega0 @ geo.phi0, axis=(-2, -1)) <= tol
         self.rank_phi = rank_of(geo.phi0, tol)
         self.CH_field = geo.normal_part_field(geo.apply_F_field(geo.H_field))
         self.CH0 = geo.f_normal_part(geo.H0)
@@ -94,74 +94,83 @@ class _PointData:
         return d_perp - geo.f_normal_part(geo.nabla_perp(geo.H_field, direction))
 
 
-def _record(
+def _records(
     data: _PointData, tol: float, identity, obstruction, proof, branches
-) -> TheoremPointRecord:
-    """One point's record; the branches are the statement's disjunction."""
-    return TheoremPointRecord(
-        u=data.geo.u,
-        pseudo_umbilical=data.pseudo_umbilical,
-        identity_residual=identity,
-        obstruction=obstruction,
-        proof_residual=proof if data.pseudo_umbilical else None,
-        branches=branches,
-        identity_holds=identity <= tol,
-        disjunction_pointwise=any(branches.values()),
-    )
+) -> list[TheoremPointRecord]:
+    """One record per point from per-point arrays; the branches are the
+    statement's disjunction."""
+    geo = data.geo
+    names = list(branches)
+    columns = [geo.per_point(c) for c in (data.pseudo_umbilical, identity, obstruction, proof)]
+    flags = zip(*(geo.per_point(branches[name]) for name in names))
+    return [
+        TheoremPointRecord(
+            u=u,
+            pseudo_umbilical=pu,
+            identity_residual=ident,
+            obstruction=obst,
+            proof_residual=prf if pu else None,
+            branches=dict(zip(names, flag)),
+            identity_holds=ident <= tol,
+            disjunction_pointwise=any(flag),
+        )
+        for u, pu, ident, obst, prf, flag in zip(geo.points, *columns, flags)
+    ]
 
 
-def _t2_point(data: _PointData, tol: float) -> TheoremPointRecord:
+def _t2_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     geo = data.geo
     identity = obstruction = proof = 0.0
     for a in range(geo.n):
-        xp = geo.P[:, a]
+        xp = geo.P[..., :, a]
         d_ch = data.nabla_C_of_H(xp)
         h_term = geo.h_bilinear(xp, data.BH0)
-        omega_x = geo.f_normal_part(geo.E0[a])
-        identity = max(identity, geo.norm_g(d_ch + h_term))
-        obstruction = max(obstruction, geo.Hsq * geo.norm_g(omega_x))
-        proof = max(proof, geo.norm_g(d_ch + geo.Hsq * omega_x + h_term))
+        omega_x = geo.f_normal_part(geo.E0[..., a, :])
+        identity = np.maximum(identity, geo.norm_g(d_ch + h_term))
+        obstruction = np.maximum(obstruction, geo.Hsq * geo.norm_g(omega_x))
+        proof = np.maximum(proof, geo.norm_g(d_ch + geo.Hsq[..., None] * omega_x + h_term))
     branches = {"minimal": data.minimal, "invariant": data.invariant}
-    return _record(data, tol, identity, obstruction, proof, branches)
+    return _records(data, tol, identity, obstruction, proof, branches)
 
 
-def _t3_point(data: _PointData, tol: float) -> TheoremPointRecord:
+def _t3_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     geo = data.geo
     identity = obstruction = proof = 0.0
-    y_fields = geo.coordinate_field(geo.P.T)  # row b: the frame field P[:, b]^c T_c
+    hsq = geo.Hsq[..., None]
+    y_fields = geo.coordinate_field(geo.P.swapaxes(-1, -2))  # row b: the frame field P[:, b]^c T_c
     for a in range(geo.n):
-        xp = geo.P[:, a]
+        xp = geo.P[..., :, a]
         nabla_omega_y = _nabla_omega(geo, xp, y_fields)
-        for b in range(geo.n):
-            lhs = _dot(geo, nabla_omega_y[b], geo.H0)
-            rhs = _dot(geo, geo.h_on0[a][b], data.CH0)
-            identity = max(identity, abs(lhs - rhs))
-            obstruction = max(obstruction, geo.Hsq * abs(geo.phi0[a, b]))
-            proof = max(proof, abs(lhs + geo.Hsq * geo.phi0[a, b] - rhs))
+        lhs = np.einsum("...bi,...ij,...j->...b", nabla_omega_y, geo.g0, geo.H0)
+        rhs = np.einsum("...bi,...ij,...j->...b", geo.h_on0[..., a, :, :], geo.g0, data.CH0)
+        phi_row = geo.phi0[..., a, :]
+        identity = np.maximum(identity, np.abs(lhs - rhs).max(axis=-1))
+        obstruction = np.maximum(obstruction, (hsq * np.abs(phi_row)).max(axis=-1))
+        proof = np.maximum(proof, np.abs(lhs + hsq * phi_row - rhs).max(axis=-1))
     branches = {"minimal": data.minimal, "anti_invariant": data.anti_invariant}
-    return _record(data, tol, identity, obstruction, proof, branches)
+    return _records(data, tol, identity, obstruction, proof, branches)
 
 
-def _t4_point(data: _PointData, tol: float) -> TheoremPointRecord:
+def _t4_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     geo = data.geo
     identity = obstruction = proof = 0.0
     perpendicular = True
     for a in range(geo.n):
-        phi_x = geo.f_tangent_part(geo.E0[a])
+        phi_x = geo.f_tangent_part(geo.E0[..., a, :])
         pp = geo.param_components(phi_x)
         lhs = _dot(geo, data.nabla_C_of_H(pp), data.CH0)
         h_term = _dot(geo, geo.h_bilinear(pp, data.BH0), data.CH0)
         o_term = _dot(geo, geo.f_normal_part(phi_x), data.CH0)
-        identity = max(identity, abs(lhs + h_term))
-        obstruction = max(obstruction, geo.Hsq * abs(o_term))
-        proof = max(proof, abs(lhs + geo.Hsq * o_term + h_term))
-        perpendicular = perpendicular and abs(o_term) <= tol
+        identity = np.maximum(identity, np.abs(lhs + h_term))
+        obstruction = np.maximum(obstruction, geo.Hsq * np.abs(o_term))
+        proof = np.maximum(proof, np.abs(lhs + geo.Hsq * o_term + h_term))
+        perpendicular = perpendicular & (np.abs(o_term) <= tol)
     branches = {
         "minimal": data.minimal,
         "semi_invariant": data.omega_phi_zero,
         "perpendicular": perpendicular,
     }
-    return _record(data, tol, identity, obstruction, proof, branches)
+    return _records(data, tol, identity, obstruction, proof, branches)
 
 
 def _verdict(theorem: str, records, ranks, tol: float) -> TheoremVerdict:
@@ -229,7 +238,7 @@ def check_theorems(
     tol: float = 1e-8,
     strict: bool = False,
 ) -> dict[str, TheoremVerdict]:
-    """All three statements, sharing one geometry build per sample.
+    """All three statements, sharing one geometry build for all samples.
 
     ``strict`` raises :class:`NotPseudoUmbilical` if a sample point violates
     the pseudo-umbilical hypothesis of the statements.

@@ -1,9 +1,10 @@
-"""The per-point verification pipeline behind every entry point.
+"""The verification pipeline behind every entry point.
 
-:func:`verify` builds the jet geometry of each sample point once and reads
-off it the four-way classification, the two lemma identities and the T2-T4
-statements.  The lemma and theorem checks, the catalog runner and every CLI
-command are calls to it that keep their part of the outcome.
+:func:`verify` builds one jet geometry for all sample points of a document
+and reads off it, for every point at once, the four-way classification, the
+two lemma identities and the T2-T4 statements.  The lemma and theorem
+checks, the catalog runner and every CLI command are calls to it that keep
+their part of the outcome.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .subgeom import (
     ClassificationResult,
     Immersion,
     _JetGeometry,
+    _points,
     aggregate_classification,
     classify_point,
 )
@@ -64,7 +66,8 @@ class VerificationOutcome:
         return ok
 
 
-def _lemma_report(lemma: str, samples, residuals, tol: float) -> LemmaReport:
+def _lemma_report(lemma: str, geo: _JetGeometry, residuals, tol: float) -> LemmaReport:
+    samples, residuals = geo.points, geo.per_point(residuals)
     worst = max(residuals)
     return LemmaReport(lemma, worst, tuple(zip(samples, residuals)), worst <= tol, tol)
 
@@ -79,7 +82,7 @@ def verify(
     theorems: bool = True,
     ambient_report: AmbientValidationReport | None = None,
 ) -> VerificationOutcome:
-    """Classification plus the requested identity suites, one geometry per point.
+    """Classification plus the requested identity suites, one geometry for all samples.
 
     ``samples`` defaults to the immersion's own; ``ambient_report`` to the
     ambient validation at their images.  The identities differentiate the
@@ -88,38 +91,31 @@ def verify(
     """
     if samples is None:
         samples = immersion.samples
-    samples = tuple(tuple(float(v) for v in u) for u in samples)
+    points = _points(samples, immersion.n)
     if ambient_report is None:
-        ambient_report = validate_ambient(space, [immersion.image(u) for u in samples])
+        ambient_report = validate_ambient(space, immersion.image(points))
     tol = tolerances.identity_tol
     order = 3 if lemmas or theorems else 2
 
-    points, residuals1, residuals2, ranks = [], [], [], []
-    records = {key: [] for key in THEOREMS}
-    for u in samples:
-        geo = _JetGeometry(immersion, space, u, order=order)
-        points.append(classify_point(geo, tolerances.classify_tol))
-        if lemmas:
-            residuals1.append(_lemma1_point(geo))
-            residuals2.append(_lemma2_point(geo))
-        if theorems:
-            data = _PointData(geo, tol)
-            ranks.append(data.rank_phi)
-            records["t2"].append(_t2_point(data, tol))
-            records["t3"].append(_t3_point(data, tol))
-            records["t4"].append(_t4_point(data, tol))
-
-    classification = aggregate_classification(points, immersion.n, tolerances.classify_tol)
+    geo = _JetGeometry(immersion, space, points, order=order)
+    classification = aggregate_classification(
+        classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
+    )
     lemma1 = lemma2 = verdicts = None
     if lemmas:
-        lemma1 = _lemma_report("lemma1", samples, residuals1, tol)
-        lemma2 = _lemma_report("lemma2", samples, residuals2, tol)
+        lemma1 = _lemma_report("lemma1", geo, _lemma1_point(geo), tol)
+        lemma2 = _lemma_report("lemma2", geo, _lemma2_point(geo), tol)
     if theorems:
+        data = _PointData(geo, tol)
+        ranks = geo.per_point(data.rank_phi)
+        records = {
+            "t2": _t2_point(data, tol), "t3": _t3_point(data, tol), "t4": _t4_point(data, tol)
+        }
         verdicts = {key: _verdict(key, records[key], ranks, tol) for key in THEOREMS}
     return VerificationOutcome(
         space=space,
         immersion=immersion,
-        samples=samples,
+        samples=tuple(geo.points),
         tolerances=tolerances,
         ambient_report=ambient_report,
         classification=classification,

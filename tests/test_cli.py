@@ -1,11 +1,19 @@
 """Scenario files and the command-line driver."""
 
+import dataclasses
 import json
+import math
 
 import pytest
 
 from prodgeo.calculus import check_lemmas
-from prodgeo.catalog import catalog_get, catalog_list, corrupted_lemma_case
+from prodgeo.catalog import (
+    catalog_get,
+    catalog_list,
+    corrupted_lemma_case,
+    flat_product,
+    random_trig_immersion,
+)
 from prodgeo.cli import main, run_catalog_scenario, run_loaded, render_json, render_text
 from prodgeo.scenario import (
     AmbientValidationFailure,
@@ -17,7 +25,7 @@ from prodgeo.scenario import (
     loads_scenario,
     scenario_text,
 )
-from prodgeo.subgeom import classify
+from prodgeo.subgeom import Immersion, classify
 from prodgeo.theorems import check_theorems
 from prodgeo.verify import verify
 
@@ -141,6 +149,20 @@ def test_ambient_validation_failure_and_force():
     with pytest.raises(AmbientValidationFailure) as err:
         loads_scenario(ROTATION)
     assert "F^2-I" in str(err.value)
+
+
+@pytest.mark.parametrize("block, reasons", [
+    ("1e308 * 10 + x1 * 0, 0; 0, 1", "(metric not positive definite, non-finite residuals)"),
+    ("-1 + x1 * 0, 0; 0, 1", "(metric not positive definite)"),
+])
+def test_ambient_validation_failure_states_its_reason(block, reasons):
+    scn = catalog_get("rect-torus")
+    text = scenario_text(scn.space, scn.immersion, scn.samples, label="rect-torus")
+    lines = [f"blockA_metric = {block}" if line.startswith("blockA_metric") else line
+             for line in text.splitlines()]
+    with pytest.raises(AmbientValidationFailure) as err:
+        loads_scenario("\n".join(lines))
+    assert str(err.value).startswith(f"ambient validation failed {reasons}: F^2-I residual")
 
 
 def test_grid_sampling():
@@ -360,6 +382,78 @@ def test_entry_points_agree_with_verify(capsys, tmp_path):
         assert classified.classification == outcome.classification, imm.label
         assert code == 0
         assert out == render_text(classified)
+
+
+def _assert_same_record(batched, alone, where):
+    """Flags, ranks and branches equal; numbers within rtol 1e-9, atol 1e-12."""
+    for field in dataclasses.fields(batched):
+        a, b = getattr(batched, field.name), getattr(alone, field.name)
+        if isinstance(a, float) and isinstance(b, float):
+            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), (where, field.name, a, b)
+        else:
+            assert a == b, (where, field.name, a, b)
+
+
+def test_batch_size_does_not_change_point_records():
+    cases = [(scn.space, scn.immersion) for scn in map(catalog_get, catalog_list())]
+    cases += [corrupted_lemma_case(), (flat_product(2, 2), random_trig_immersion(5, 6))]
+    # the normal frame is completed by e2 at pi/2 and by e1 at the other samples
+    circle = Immersion(1, ("cos(u1)", "sin(u1)"), samples=((0.3,), (math.pi / 2,), (1.0,)))
+    cases.append((flat_product(1, 1), circle))
+    for space, imm in cases:
+        batched = verify(space, imm)
+        for index, u in enumerate(imm.samples):
+            alone = verify(space, imm, [u])
+            where = (imm.label, u)
+            _assert_same_record(
+                batched.classification.points[index], alone.classification.points[0], where
+            )
+            for lemma in ("lemma1", "lemma2"):
+                (u_b, r_b), (u_a, r_a) = (getattr(o, lemma).per_point[i]
+                                          for o, i in ((batched, index), (alone, 0)))
+                assert u_b == u_a and math.isclose(r_b, r_a, rel_tol=1e-9, abs_tol=1e-12), where
+            for key in ("t2", "t3", "t4"):
+                _assert_same_record(
+                    batched.theorems[key].points[index], alone.theorems[key].points[0], where
+                )
+
+
+DOMAIN = """
+[ambient]
+mode = product
+p = 2
+q = 2
+blockA_metric = flat
+blockB_metric = flat
+
+[immersion]
+n = 2
+map = {}
+
+[samples]
+points = (1.0, 0.5); (0.0, 0.3); (2.0, 1.0)
+"""
+
+
+@pytest.mark.parametrize("component, message", [
+    ("sqrt(u1)", "sqrt needs a positive jet value, got 0.0"),
+    ("u1^0.5", "half-integer power needs a positive base value, got 0.0"),
+    ("1 / u1", "division by zero"),
+])
+def test_cli_domain_error_names_the_sample_point(component, message, capsys, tmp_path):
+    path = tmp_path / "domain.ini"
+    path.write_text(DOMAIN.format(f"{component}, u2, u1, u2"))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} at u = (0.0, 0.3)\n"
+
+
+def test_cli_one_degenerate_point_among_good_ones(capsys, tmp_path):
+    path = tmp_path / "cusp.ini"
+    path.write_text(DOMAIN.format("u1^3, u1^2, u2, u2"))
+    code, out, err = run_cli(capsys, "check", "--all", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Jacobian rank < 2 at u = (0.0, 0.3) (smallest singular value")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])

@@ -272,3 +272,14 @@ def test_non_finite_metric_is_rejected_by_the_geometry():
     imm = Immersion(2, ("u1", "u2", "0"))
     with pytest.raises(SingularMetric, match="not finite"):
         _JetGeometry(imm, space, (0.1, 0.2))
+
+
+def test_metric_not_finite_at_one_sample_is_singular():
+    from prodgeo.ambient import SingularMetric
+
+    # exp(1000 x1) overflows at the middle sample only
+    space = product_of([["exp(1000 * x1)", "0"], ["0", "1"]], 2, "flat", 1)
+    imm = Immersion(2, ("u1", "u2", "0"), samples=((0.1, 0.2), (1.0, 0.3), (0.2, 0.1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SingularMetric, match="not finite"):
+            classify(imm, space)
