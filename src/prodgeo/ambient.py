@@ -307,12 +307,7 @@ def validate_ambient(
             f = np.broadcast_to(space.structure_at(x), shape)
         except jets.DomainError as err:
             raise err.at("x", x) from None
-        definite = np.ones(len(x), dtype=bool)
-        for p, gp in enumerate(g):
-            try:
-                _assert_positive_definite(gp)
-            except SingularMetric:
-                definite[p] = False
+        definite = positive_definite(g, 1e-10)
         ft = f.swapaxes(-2, -1)
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))

@@ -110,22 +110,25 @@ def normal_connection(
 
 
 # Both derivatives below accept a batch of fields (batch axes between the
-# point axes and the ambient component) and return one ambient vector per
-# field and point.
+# point axes and the ambient component) and a sequence of directions; they
+# return, per direction, one ambient vector per field and point.  The field
+# omega Y or C xi is built once for all directions.
 
 
-def _nabla_omega(geo: _JetGeometry, direction, y_field) -> np.ndarray:
+def _nabla_omega(geo: _JetGeometry, directions, y_field) -> list[np.ndarray]:
     omega_y = geo.normal_part_field(geo.apply_F_field(y_field))
-    d_perp = geo.nabla_perp(omega_y, direction)
-    nab_y = geo.nabla_tan(y_field, direction)
-    return d_perp - geo.f_normal_part(nab_y)
+    return [
+        geo.nabla_perp(omega_y, d) - geo.f_normal_part(geo.nabla_tan(y_field, d))
+        for d in directions
+    ]
 
 
-def _nabla_C(geo: _JetGeometry, direction, xi_field) -> np.ndarray:
+def _nabla_C(geo: _JetGeometry, directions, xi_field) -> list[np.ndarray]:
     c_xi = geo.normal_part_field(geo.apply_F_field(xi_field))
-    d_perp = geo.nabla_perp(c_xi, direction)
-    nab_xi = geo.nabla_perp(xi_field, direction)
-    return d_perp - geo.f_normal_part(nab_xi)
+    return [
+        geo.nabla_perp(c_xi, d) - geo.f_normal_part(geo.nabla_perp(xi_field, d))
+        for d in directions
+    ]
 
 
 def nabla_omega(
@@ -133,7 +136,7 @@ def nabla_omega(
 ) -> np.ndarray:
     """(nabla_X omega) Y as an ambient (normal) vector."""
     geo = _geometry(immersion, space, ctx.base)
-    return _nabla_omega(geo, ctx.direction, _tangent_field(geo, y))
+    return _nabla_omega(geo, [ctx.direction], _tangent_field(geo, y))[0]
 
 
 def nabla_C(
@@ -141,7 +144,7 @@ def nabla_C(
 ) -> np.ndarray:
     """(nabla_X C) xi as an ambient (normal) vector."""
     geo = _geometry(immersion, space, ctx.base)
-    return _nabla_C(geo, ctx.direction, _normal_field(geo, xi))
+    return _nabla_C(geo, [ctx.direction], _normal_field(geo, xi))[0]
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,9 @@ def _lemma1_point(geo: _JetGeometry) -> np.ndarray:
     """Worst residual at every point over coordinate directions X and coordinate fields Y."""
     worst = 0.0
     phi_y = geo.f_tangent_part(geo.J0.swapaxes(-1, -2))  # row b: phi T_b
-    for x in np.eye(geo.n):
-        lhs = _nabla_omega(geo, x, geo.T)  # row b: (nabla_X omega) T_b
+    directions = np.eye(geo.n)
+    for x, lhs in zip(directions, _nabla_omega(geo, directions, geo.T)):
+        # lhs row b: (nabla_X omega) T_b
         c_h = geo.f_normal_part(np.einsum("a,...abi->...bi", x, geo.hc0))  # row b: C h(X, T_b)
         residual = lhs + geo.h_bilinear(x, phi_y) - c_h
         worst = np.maximum(worst, geo.norm_g(residual).max(axis=-1))
@@ -174,8 +178,8 @@ def _lemma2_point(geo: _JetGeometry) -> np.ndarray:
     ).swapaxes(-1, -2)
     xi0s = xi_fields.value
     b_xi = geo.f_tangent_part(xi0s)
-    for x in np.eye(geo.n):
-        lhs = _nabla_C(geo, x, xi_fields)
+    directions = np.eye(geo.n)
+    for x, lhs in zip(directions, _nabla_C(geo, directions, xi_fields)):
         rhs = -geo.f_normal_part(geo.shape_operator(x, xi0s)) - geo.h_bilinear(x, b_xi)
         worst = np.maximum(worst, geo.norm_g(lhs - rhs).max(axis=-1))
     return worst

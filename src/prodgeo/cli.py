@@ -15,15 +15,21 @@ non-finite ``--tol``), 2 parse/validation error, 3 verification failure (a
 lemma residual above tolerance or an inconsistent biconditional; a skipped
 proof-residual section is not a failure).
 
-Reports are byte-identical for identical inputs and seeds.
+Reports are byte-identical for identical inputs and seeds.  JSON reports
+are indented by two spaces per level and write floats with ``%.17g``;
+:func:`dump_json` renders the members of an array that share one layout,
+such as the points of a report, through one template.  The argument parser
+is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -156,14 +162,8 @@ def build_document(outcome: VerificationOutcome) -> dict:
     return doc
 
 
-def _json_number(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        raise ValueError("report numbers must be finite")
-    return f"{x:.17g}"
-
-
-def _dump_json(obj, indent: int = 0) -> str:
-    pad, pad_in = " " * indent, " " * (indent + 2)
+def _json_leaf(obj) -> str:
+    """JSON text of anything but a non-empty object or array."""
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -171,27 +171,92 @@ def _dump_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _json_number(float(obj))
+        if not math.isfinite(obj):
+            raise ValueError("report numbers must be finite")
+        return f"{float(obj):.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = [
-            f'{pad_in}"{key}": {_dump_json(value, indent + 2)}'
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(rows) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        rows = [f"{pad_in}{_dump_json(value, indent + 2)}" for value in obj]
-        return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
+    if isinstance(obj, (dict, list, tuple)) and not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _layout(obj, put, keep) -> None:
+    """Pass the layout of a non-empty object or array to ``put`` in prefix
+    order and its floats to ``keep``: the object's tuple of keys or the
+    array's length, then each member's; a float member is ``float``, for a
+    slot, any other value its JSON text."""
+    keyed = isinstance(obj, dict)
+    put(tuple(obj) if keyed else len(obj))
+    for value in obj.values() if keyed else obj:
+        kind = type(value)
+        if kind is float and value - value == 0.0:  # finite
+            put(float)
+            keep(value)
+        elif kind is bool or value is None:
+            put("null" if value is None else "true" if value else "false")
+        elif (kind is dict or kind is list) and value:
+            _layout(value, put, keep)
+        elif kind is int:
+            put(str(value))
+        elif isinstance(value, (dict, list, tuple)) and value:  # tuples, subclasses
+            _layout(value, put, keep)
+        else:
+            put(_json_leaf(value))
+
+
+def _template(shape, pad: str) -> str:
+    """JSON text of the next layout taken from the iterator ``shape``, with
+    a ``%.17g`` slot for each float."""
+    token = next(shape)
+    if token is float:
+        return "%.17g"
+    if isinstance(token, str):
+        return token.replace("%", "%%")
+    inner = pad + "  "
+    if isinstance(token, tuple):
+        rows = [f'{inner}"{key}": '.replace("%", "%%") + _template(shape, inner) for key in token]
+        return "{" + ",".join(rows) + pad + "}"
+    return "[" + ",".join([inner + _template(shape, inner) for _ in range(token)]) + pad + "]"
+
+
+def dump_json(doc, pad: str = "\n") -> str:
+    """``doc`` (dicts, lists, tuples, strings, numbers, booleans, None) as
+    JSON text indented by two spaces per level; ``pad`` is the line break
+    and indentation of ``doc`` itself.
+
+    Floats are written with ``%.17g``, so they read back exactly; NaN and
+    infinities raise ``ValueError``.  Each member of an array is walked once
+    into its layout and its floats; the members of one layout (the points
+    of a report) share one template, which formats all floats of a member
+    in one ``%`` operation.
+    """
+    inner = pad + "  "
+    if isinstance(doc, dict) and doc:
+        rows = [f'{inner}"{key}": {dump_json(value, inner)}' for key, value in doc.items()]
+        return "{" + ",".join(rows) + pad + "}"
+    if not (isinstance(doc, (list, tuple)) and doc):
+        return _json_leaf(doc)
+    templates, rows = {}, []
+    for member in doc:
+        if not (isinstance(member, (dict, list, tuple)) and member):
+            rows.append(inner + dump_json(member, inner))
+            continue
+        shape, values = [], []
+        _layout(member, shape.append, values.append)
+        shape = tuple(shape)
+        template = templates.get(shape)
+        if template is None:
+            template = _template(iter(shape), inner)
+            # keys that are not strings may be equal and still print apart
+            if all(type(k) is str for t in shape if isinstance(t, tuple) for k in t):
+                templates[shape] = template
+        rows.append(inner + template % tuple(values))
+    return "[" + ",".join(rows) + pad + "]"
+
+
 def render_json(outcome: VerificationOutcome) -> str:
-    return _dump_json(build_document(outcome)) + "\n"
+    return dump_json(build_document(outcome)) + "\n"
 
 
 # ---- text rendering --------------------------------------------------------
@@ -309,7 +374,9 @@ def _tolerance(text: str) -> float:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _build_parser() -> _ArgumentParser:
+@lru_cache(maxsize=None)
+def _parser() -> _ArgumentParser:
+    """The argument parser, built on first use: parsing does not change it."""
     parser = _ArgumentParser(
         prog="prodgeo",
         description="Verify submanifold geometry in locally product Riemannian spaces",
@@ -348,9 +415,8 @@ def _build_parser() -> _ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
         if ns.command is None:
             raise _UsageError("a command is required (classify/check/catalog/report)")
         if ns.command == "catalog":

@@ -22,6 +22,14 @@ way, so a metric contraction over all components is one numpy call;
 :func:`inverse` inverts a jet matrix by a Neumann series around its value
 matrix, which is exact in the truncated algebra because the non-constant
 part is nilpotent there.
+
+Gathers and contractions keep the coefficient axis innermost and C-ordered.
+A gather is ``ndarray.take`` along the last axis, which returns a C-ordered
+array; indexing ``c[..., idx]`` would put the gathered axis outermost in
+memory, and the contraction after it would then run its inner loop across
+a stride of the whole array.  Products, contractions and derivatives also
+return C-ordered coefficient arrays, so the next gather reads contiguous
+rows.
 """
 
 from __future__ import annotations
@@ -246,7 +254,7 @@ class Jet:
         if isinstance(other, Jet):
             a, b = _align(self, other)
             ia, ib, scatter = a.alg.mul_table()
-            return Jet(a.alg, (a.coeffs[..., ia] * b.coeffs[..., ib]) @ scatter)
+            return Jet(a.alg, (a.coeffs.take(ia, axis=-1) * b.coeffs.take(ib, axis=-1)) @ scatter)
         if isinstance(other, _CONST):
             return Jet(self.alg, self.coeffs * np.asarray(other, dtype=float)[..., None])
         return NotImplemented
@@ -422,7 +430,7 @@ def partial(j: Jet, var: int) -> Jet:
     if not 0 <= var < j.nvars:
         raise ValueError(f"direction {var} invalid for {j.nvars} seed directions")
     src, fac = j.alg.diff_table(var)
-    return Jet(_algebra(j.nvars, j.order - 1), j.coeffs[..., src] * fac)
+    return Jet(_algebra(j.nvars, j.order - 1), j.coeffs.take(src, axis=-1) * fac)
 
 
 def einsum(spec: str, a, b):
@@ -439,12 +447,14 @@ def einsum(spec: str, a, b):
     if isinstance(a, Jet) and isinstance(b, Jet):
         a, b = _align(a, b)
         ia, ib, scatter = a.alg.mul_table()
-        pairs = np.einsum(f"{sa}{z},{sb}{z}->{out}{z}", a.coeffs[..., ia], b.coeffs[..., ib])
+        pa, pb = a.coeffs.take(ia, axis=-1), b.coeffs.take(ib, axis=-1)
+        pairs = np.einsum(f"{sa}{z},{sb}{z}->{out}{z}", pa, pb)
         return Jet(a.alg, pairs @ scatter)
+    # np.einsum lays the result out like a permuted jet operand; copy it back to C order
     if isinstance(a, Jet):
-        return Jet(a.alg, np.einsum(f"{sa}{z},{sb}->{out}{z}", a.coeffs, b))
+        return Jet(a.alg, np.ascontiguousarray(np.einsum(f"{sa}{z},{sb}->{out}{z}", a.coeffs, b)))
     if isinstance(b, Jet):
-        return Jet(b.alg, np.einsum(f"{sa},{sb}{z}->{out}{z}", a, b.coeffs))
+        return Jet(b.alg, np.ascontiguousarray(np.einsum(f"{sa},{sb}{z}->{out}{z}", a, b.coeffs)))
     return np.einsum(spec, a, b)
 
 

@@ -112,18 +112,15 @@ class LoadedScenario:
 
 def _split_top(text: str, sep: str) -> list[str]:
     """Split at separators that are not nested inside parentheses."""
-    parts, depth, current = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current).strip())
+    parts, current = [], None
+    for piece in text.split(sep):
+        current = piece if current is None else current + sep + piece
+        # the separator after ``current`` is at depth 0 when its parentheses balance
+        if current.count("(") == current.count(")"):
+            parts.append(current.strip())
+            current = None
+    if current is not None:
+        parts.append(current.strip())
     return [p for p in parts if p]
 
 

@@ -96,7 +96,9 @@ class Immersion:
             u = u.reshape(0, self.n)
         env = {name: u[..., a] for a, name in enumerate(param_vars(self.n))}
         try:
-            return jets.array([ex.evaluate(c, env) for c in self.components])
+            # a non-finite image fails ambient validation or the geometry build
+            with np.errstate(over="ignore", invalid="ignore"):
+                return jets.array([ex.evaluate(c, env) for c in self.components])
         except jets.DomainError as err:
             raise err.at("u", u) from None
 
@@ -209,13 +211,15 @@ class _JetGeometry:
 
         self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
         try:
-            self.f = jets.array(
-                [jets.as_jet(ex.evaluate(c, self.uenv), order, n) for c in immersion.components]
-            )
-            # ambient metric, structure and metric derivatives along the immersion
-            self.gf = space.metric_jets(self.f.truncate(order - 1))
-            self.Ff = space.structure_jets(self.f.truncate(order - 1))
-            dg = space.metric_derivatives(self.f.truncate(order - 2))
+            # overflow and NaN are found by the masks below, not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.f = jets.array(
+                    [jets.as_jet(ex.evaluate(c, self.uenv), order, n) for c in immersion.components]
+                )
+                # ambient metric, structure and metric derivatives along the immersion
+                self.gf = space.metric_jets(self.f.truncate(order - 1))
+                self.Ff = space.structure_jets(self.f.truncate(order - 1))
+                dg = space.metric_derivatives(self.f.truncate(order - 2))
         except jets.DomainError as err:
             raise err.at("u", self.u) from None
         self.x0 = self.f.value
@@ -226,13 +230,21 @@ class _JetGeometry:
         self.T = jacobian.swapaxes(-1, -2)
         self.g0, self.F0 = _values(self.gf), _values(self.Ff)
 
+        # the image, J and the higher derivatives of the immersion
+        immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
         finite = np.broadcast_to(np.isfinite(self.g0).all(axis=(-2, -1)), shape)
         definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), shape)
         chol = np.linalg.cholesky(np.where(definite[..., None, None], self.g0, np.eye(N)))
-        smallest = np.linalg.svd(_t(chol) @ self.J0, compute_uv=False).min(axis=-1)
-        bad = ~definite | (smallest <= 1e-8)
+        jac = np.where(immersed[..., None, None], self.J0, 0.0)
+        smallest = np.linalg.svd(_t(chol) @ jac, compute_uv=False).min(axis=-1)
+        bad = ~immersed | ~definite | (smallest <= 1e-8)
         if bad.any():
             p = np.unravel_index(np.argmax(bad), shape)
+            if not immersed[p]:
+                raise DegenerateImmersion(
+                    f"immersion is not finite at u = {tuple(self.u[p].tolist())} "
+                    "(its value or a derivative overflows)"
+                )
             if not finite[p]:
                 raise SingularMetric("ambient metric is not finite along the immersion")
             if not definite[p]:
@@ -244,30 +256,32 @@ class _JetGeometry:
                 f"(smallest singular value {smallest[p]:.3e})"
             )
 
-        # Christoffel symbols along the immersion
+        # Christoffel symbols along the immersion; Gamma(T_a, .) at the base points
         self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
-        self.Gamma0 = _values(self.gamma_f)
+        self.GammaT0 = np.einsum("...ijk,...ja->...ika", _values(self.gamma_f), self.J0)
 
         # orthonormal frames (modified Gram-Schmidt under the ambient metric):
         # the tangent columns, then coordinate axes until the frame is full.
         # Slot s of ``frames`` holds the s-th frame vector once filled and
         # zero before, so orthogonalizing against an empty slot is an exact
-        # no-op; ``filled`` counts the slots of each point.
+        # no-op; ``filled`` counts the slots of each point.  ``lowered`` holds
+        # g(e_s, .) beside each slot, so no frame vector is lowered twice.
         columns = list(range(n))
         if column_order == "reversed":
             columns.reverse()
         elif column_order != "forward":
             raise ValueError("column_order must be 'forward' or 'reversed'")
-        frames = jets.Jet(self.T.alg, np.zeros(shape + (N, N, self.T.alg.size)))
+        frames = lowered = jets.Jet(self.T.alg, np.zeros(shape + (N, N, self.T.alg.size)))
         filled = np.zeros(shape, dtype=int)
         for k, vec in enumerate([self.T[..., c, :] for c in columns] + list(np.eye(N))):
             if k >= n and (filled == N).all():
                 break
             w = vec
             for slot in range(int(filled.max())):
-                e = frames[..., slot, :]
-                w = w - self.ip_field(w, e)[..., None] * e
-            nrm2 = self.ip_field(w, w)
+                ip = jets.einsum("...i,...i->...", w, lowered[..., slot, :])
+                w = w - ip[..., None] * frames[..., slot, :]
+            w_lowered = self.lower(w)
+            nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
             if k < n:
                 if (nrm2.coeffs[..., 0] <= 0.0).any():
                     raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
@@ -275,15 +289,18 @@ class _JetGeometry:
             else:
                 accept = (nrm2.coeffs[..., 0] >= 1e-8 ** 2) & (filled < N)
             # a rejected candidate gets a unit norm, then a zero weight
-            unit = w * ((nrm2 + np.where(accept, 0.0, 1.0)) ** -0.5)[..., None]
-            weight = (np.arange(N) == filled[..., None]) & accept[..., None]
-            frames = frames + unit[..., None, :] * weight[..., None]
+            scale = ((nrm2 + np.where(accept, 0.0, 1.0)) ** -0.5)[..., None]
+            weight = ((np.arange(N) == filled[..., None]) & accept[..., None])[..., None]
+            frames = frames + (w * scale)[..., None, :] * weight
+            lowered = lowered + (w_lowered * scale)[..., None, :] * weight
             filled = filled + accept
         if (filled != N).any():
             raise DegenerateImmersion("could not complete the normal frame")
         self.e_field, self.xi_field = frames[..., :n, :], frames[..., n:, :]
-        self.gE = self.lower(self.e_field)
-        self.E0, self.Xi0, self.gE0 = self.e_field.value, self.xi_field.value, self.gE.value
+        self.gE = lowered[..., :n, :]
+        self.E0, self.Xi0 = self.e_field.value, self.xi_field.value
+        # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
+        self.P_tan0 = np.einsum("...ai,...aj->...ij", self.E0, self.gE.value)
 
         # induced metric and its inverse
         self.G_field = jets.einsum("...ai,...bi->...ab", self.T, self.lower(self.T))
@@ -305,8 +322,10 @@ class _JetGeometry:
         self.H0 = self.H_field.value
         self.Hsq = np.einsum("...i,...ij,...j->...", self.H0, self.g0, self.H0)
 
-        # frame decomposition of the tangent frame in coordinate components
-        self.P = self.G0inv @ (_t(self.J0) @ self.g0 @ _t(self.E0))  # e_a = P[..., :, a]^c T_c
+        # coordinate components of tangent vectors, v^a = G^ab g(T_b, v), and
+        # the frame decomposition of the tangent frame in them
+        self.to_params = self.G0inv @ _t(self.J0) @ self.g0
+        self.P = self.to_params @ _t(self.E0)  # e_a = P[..., :, a]^c T_c
         self.h_on0 = np.einsum("...ca,...db,...cdi->...abi", self.P, self.P, self.hc0)
         self.hcomp0 = np.einsum("...abi,...ij,...mj->...mab", self.h_on0, self.g0, self.Xi0)
 
@@ -336,9 +355,6 @@ class _JetGeometry:
     def lower(self, vec):
         """g(vec, .) as components: g_ij vec^j."""
         return jets.einsum("...ij,...j->...i", self._fit(self.gf, 2, vec), vec)
-
-    def ip_field(self, v, w):
-        return jets.einsum("...i,...i->...", v, self.lower(w))
 
     def apply_F_field(self, vec):
         return jets.einsum("...ij,...j->...i", self._fit(self.Ff, 2, vec), vec)
@@ -374,15 +390,13 @@ class _JetGeometry:
 
     def cov_deriv(self, vec, direction) -> np.ndarray:
         """Ambient covariant derivative of a field along a parameter direction."""
-        xdot = np.einsum("...ia,...a->...i", self.J0, np.asarray(direction, dtype=float))
-        connection = np.einsum("...ijk,...j->...ik", self.Gamma0, xdot)
+        d = self._fit(np.asarray(direction, dtype=float), 1, vec)
         return self.dirderiv(vec, direction) + np.einsum(
-            "...ik,...k->...i", self._fit(connection, 2, vec), vec.value
+            "...ika,...a,...k->...i", self._fit(self.GammaT0, 3, vec), d, vec.value
         )
 
     def project_tangent(self, v: np.ndarray) -> np.ndarray:
-        coefficients = np.einsum("...i,...ai->...a", v, self._fit(self.gE0, 2, v))
-        return np.einsum("...a,...ai->...i", coefficients, self._fit(self.E0, 2, v))
+        return np.einsum("...ij,...j->...i", self._fit(self.P_tan0, 2, v), v)
 
     def project_normal(self, v: np.ndarray) -> np.ndarray:
         return v - self.project_tangent(v)
@@ -410,9 +424,7 @@ class _JetGeometry:
         return self.project_normal(np.einsum("...ij,...j->...i", self._fit(self.F0, 2, v), v))
 
     def param_components(self, v: np.ndarray) -> np.ndarray:
-        lowered = np.einsum("...ij,...j->...i", self._fit(self.g0, 2, v), v)
-        coordinate = np.einsum("...ia,...i->...a", self._fit(self.J0, 2, v), lowered)
-        return np.einsum("...ab,...b->...a", self._fit(self.G0inv, 2, v), coordinate)
+        return np.einsum("...ai,...i->...a", self._fit(self.to_params, 2, v), v)
 
     def h_bilinear(self, x_params: np.ndarray, w: np.ndarray) -> np.ndarray:
         """h(X, W) for X in parameter components and W a tangent vector."""

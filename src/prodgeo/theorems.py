@@ -138,9 +138,8 @@ def _t3_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     identity = obstruction = proof = 0.0
     hsq = geo.Hsq[..., None]
     y_fields = geo.coordinate_field(geo.P.swapaxes(-1, -2))  # row b: the frame field P[:, b]^c T_c
-    for a in range(geo.n):
-        xp = geo.P[..., :, a]
-        nabla_omega_y = _nabla_omega(geo, xp, y_fields)
+    directions = [geo.P[..., :, a] for a in range(geo.n)]
+    for a, nabla_omega_y in enumerate(_nabla_omega(geo, directions, y_fields)):
         lhs = np.einsum("...bi,...ij,...j->...b", nabla_omega_y, geo.g0, geo.H0)
         rhs = np.einsum("...bi,...ij,...j->...b", geo.h_on0[..., a, :, :], geo.g0, data.CH0)
         phi_row = geo.phi0[..., a, :]

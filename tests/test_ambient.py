@@ -259,8 +259,14 @@ def test_non_finite_metric_derivative_fails_validation():
 def test_ambient_validation_checks_each_sample_once(monkeypatch):
     import prodgeo.ambient as ambient
 
-    calls = []
-    check = ambient._assert_positive_definite
-    monkeypatch.setattr(ambient, "_assert_positive_definite", lambda g: calls.append(1) or check(g))
+    checked = []  # the size of every mask returned: the samples checked
+    check = ambient.positive_definite
+
+    def counting(g, tol=1e-10):
+        mask = check(g, tol)
+        checked.append(mask.size)
+        return mask
+
+    monkeypatch.setattr(ambient, "positive_definite", counting)
     validate_ambient(sphere_block_space(), [[0.5, 0.1, 0.2], [1.0, 0.3, -0.4]])
-    assert len(calls) == 2
+    assert sum(checked) == 2

@@ -1,9 +1,12 @@
 """Scenario files and the command-line driver."""
 
+import collections
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from prodgeo.calculus import check_lemmas
@@ -14,7 +17,16 @@ from prodgeo.catalog import (
     flat_product,
     random_trig_immersion,
 )
-from prodgeo.cli import main, run_catalog_scenario, run_loaded, render_json, render_text
+from prodgeo import cli
+from prodgeo.cli import (
+    build_document,
+    dump_json,
+    main,
+    render_json,
+    render_text,
+    run_catalog_scenario,
+    run_loaded,
+)
 from prodgeo.scenario import (
     AmbientValidationFailure,
     DimensionMismatch,
@@ -480,3 +492,111 @@ def test_cli_catalog_export_then_check(capsys, tmp_path):
     assert code == 0 and path.exists()
     code, out, _ = run_cli(capsys, "check", "--all", str(path))
     assert code == 0
+
+
+def test_cli_overflowing_image_names_the_sample_point(capsys, tmp_path):
+    path = tmp_path / "overflow.ini"
+    text = DOMAIN.format("exp(800 * u1), u2, u1, u2")
+    samples = "(0.1, 0.5); (1.0, 0.3); (0.2, 1.0)"  # exp(800) overflows at the second
+    path.write_text(text.replace("(1.0, 0.5); (0.0, 0.3); (2.0, 1.0)", samples))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: immersion is not finite at u = (1.0, 0.3) (its value or a derivative overflows)\n"
+    )
+
+
+def test_cli_calls_back_to_back_match_fresh_runs(capsys, tmp_path):
+    # the argument parser is built once per process; no call may see another's options
+    path = str(tmp_path / "c.ini")
+    export_scenario(path, catalog_get("circle"))
+    sequence = [
+        ["check", "--lemmas", "--tol", "1e-6", "--format", "json", path],
+        ["check", path],
+        ["classify", path],
+        ["report", "--format", "json", path],
+        ["catalog", "list"],
+    ]
+    back_to_back = [run_cli(capsys, *argv)[:2] for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv)[:2])
+    assert back_to_back == fresh
+    assert [code for code, _ in fresh] == [0] * 5
+    assert json.loads(fresh[0][1])["tolerances"]["identity_tol"] == 1e-6
+    assert "tol 1.0e-08" in fresh[1][1]
+
+
+# ---- JSON rendering -----------------------------------------------------------
+
+
+def _reference_json(obj, indent: int = 0) -> str:
+    """The recursive serializer that defines the report's JSON format."""
+    pad, pad_in = " " * indent, " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError("report numbers must be finite")
+        return f"{float(obj):.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        rows = [f'{pad_in}"{key}": {_reference_json(v, indent + 2)}' for key, v in obj.items()]
+        return "{\n" + ",\n".join(rows) + "\n" + pad + "}" if rows else "{}"
+    if isinstance(obj, (list, tuple)):
+        rows = [f"{pad_in}{_reference_json(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def test_render_json_matches_the_reference_serializer():
+    cases = [(scn.space, scn.immersion, scn.samples) for scn in map(catalog_get, catalog_list())]
+    for label in ("rect-torus", "curved-block"):  # 8x8 grids
+        scn = catalog_get(label)
+        grid = list(itertools.product([-0.9 + 0.8 * i for i in range(8)],
+                                      [-0.4 + 0.8 * j for j in range(8)]))
+        cases.append((scn.space, scn.immersion, grid))
+    space, imm = corrupted_lemma_case()
+    cases.append((space, imm, imm.samples))
+    for space, imm, samples in cases:
+        outcome = verify(space, imm, samples)
+        assert render_json(outcome) == _reference_json(build_document(outcome)) + "\n", imm.label
+
+
+@pytest.mark.parametrize("doc", [
+    {},
+    [],
+    (),
+    {"empty object": {}, "empty array": [], "empty tuple": ()},
+    [np.bool_(True), np.bool_(False), np.int64(-3), np.float64(0.1), (1, 2.5, None)],
+    {"nested": [[{"x": [0.5, -0.0, 1e300, 5e-324]}], {"y": (True, False)}, "text"]},
+    [{"a": 1.5, "b": [2.0]}, {"a": 2.5, "b": [3.0]}, {"a": None, "b": [4.0]}, {"a": 1, "b": []}],
+    [{"per%cent": 0.25, "s": "%s %d"}, {"per%cent": 0.5, "s": "%%"}],
+    [{1: 0.5}, {True: 0.5}, {1.0: 0.5}],
+    [[True, [5.0]], [[True], 5.0]],
+    [collections.OrderedDict(a=1.5, b=[2.0]), collections.OrderedDict(a=2.5, b=(3.0,))],
+    0.1,
+    np.float64(2.5),
+    "plain",
+    None,
+])
+def test_dump_json_matches_the_reference_serializer(doc):
+    assert dump_json(doc) == _reference_json(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    float("nan"),
+    [1.0, float("inf")],
+    {"x": [{"y": -math.inf}]},
+    [np.float64("nan")],
+    [{"a": 1.0}, {"a": float("nan")}],
+])
+def test_dump_json_rejects_non_finite_numbers(doc):
+    with pytest.raises(ValueError, match="report numbers must be finite"):
+        dump_json(doc)

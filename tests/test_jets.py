@@ -255,6 +255,37 @@ def test_einsum_matches_explicit_loops():
     assert np.allclose(einsum("ij,bj->bi", c, w.value), np.einsum("ij,bj->bi", c, w.value))
 
 
+def test_contractions_keep_the_coefficient_axis_innermost(monkeypatch):
+    # a gather that put the coefficient pairs outermost in memory made every
+    # contraction's inner loop stride across the whole array
+    rng = np.random.default_rng(41)
+    strides = []
+    real = np.einsum
+
+    def spy(spec, *operands, **kwargs):
+        terms = spec.split("->")[0].split(",")
+        strides.extend(op.strides[-1] // op.itemsize for term, op in zip(terms, operands)
+                       if term.endswith("Z"))
+        return real(spec, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    a, b = _random_jet(rng, (64, 2, 3)), _random_jet(rng, (64, 1, 2, 3))
+    results = [
+        a * b,
+        a.swapaxes(-1, -2) * _random_jet(rng, (64, 3, 2)),
+        partial(a.swapaxes(-1, -2), 0),
+        einsum("...i,...ai->...a", a, b),
+        einsum("...a,...ai->...i", _random_jet(rng, (64, 2, 2)), b),
+        einsum("...ij,...jk->...ik", a.swapaxes(-1, -2), a),
+        einsum("...ij,...j->...i", rng.normal(size=(3, 3)).T, a),
+        einsum("...ijk,...bk->...bij", rng.normal(size=(3, 3, 3)),
+               _random_jet(rng, (2, 64, 3)).swapaxes(0, 1)),
+    ]
+    assert strides and set(strides) == {1}
+    for result in results:
+        assert result.coeffs.flags.c_contiguous
+
+
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_inverse_times_matrix_is_identity_to_carried_order(order):
     # a non-diagonal curved metric along a seeded point
