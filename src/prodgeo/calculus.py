@@ -14,11 +14,13 @@ space satisfies:
     (nabla_X omega) Y + h(X, phi Y) = C h(X, Y)
     (nabla_X C) xi = - omega A_xi X - h(X, B xi)
 
-``check_lemma1`` / ``check_lemma2`` measure the worst residual of these
-identities over samples and frame directions (through
-:func:`prodgeo.verify.verify`); a corrupted ambient space
-(one with nabla F != 0) breaks them by an O(1) margin, which is the
-engine's negative control.
+:func:`lemma_tensors` differentiates the jets once per document for both
+tensors along every coordinate direction; the lemma suites and the T2-T4
+statements of :mod:`prodgeo.theorems` read its arrays.  ``check_lemma1`` /
+``check_lemma2`` measure the worst residual of the identities over samples
+and coordinate directions (through :func:`prodgeo.verify.verify`); a
+corrupted ambient space (one with nabla F != 0) breaks them by an O(1)
+margin, which is the engine's negative control.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "check_lemma1",
     "check_lemma2",
     "check_lemmas",
+    "lemma_tensors",
 ]
 
 
@@ -51,7 +54,6 @@ class DirectionalContext:
 
     base: tuple[float, ...]
     direction: tuple[float, ...]
-    order: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "base", tuple(float(v) for v in self.base))
@@ -60,8 +62,6 @@ class DirectionalContext:
             raise ValueError("base point and direction have different dimensions")
         if not any(self.direction):
             raise ValueError("direction must be nonzero")
-        if self.order < 1:
-            raise jets.InsufficientJetOrder("directional derivatives need order >= 1")
 
 
 def _geometry(immersion: Immersion, space: AmbientSpace, base) -> _JetGeometry:
@@ -156,32 +156,40 @@ class LemmaReport:
     tol: float
 
 
-def _lemma1_point(geo: _JetGeometry) -> np.ndarray:
-    """Worst residual at every point over coordinate directions X and coordinate fields Y."""
-    worst = 0.0
-    phi_y = geo.f_tangent_part(geo.J0.swapaxes(-1, -2))  # row b: phi T_b
+def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """The two derived tensors at every point, along the coordinate directions.
+
+    ``(nabla_{d_a} omega) T_b`` has shape ``(..., n, n, N)``; ``(nabla_{d_a} C) xi``,
+    with xi over the normal frame fields and then H, ``(..., n, m + 1, N)``.  Both
+    are tensorial, so a frame direction or field is a contraction of these.
+    """
     directions = np.eye(geo.n)
-    for x, lhs in zip(directions, _nabla_omega(geo, directions, geo.T)):
-        # lhs row b: (nabla_X omega) T_b
-        c_h = geo.f_normal_part(np.einsum("a,...abi->...bi", x, geo.hc0))  # row b: C h(X, T_b)
-        residual = lhs + geo.h_bilinear(x, phi_y) - c_h
-        worst = np.maximum(worst, geo.norm_g(residual).max(axis=-1))
-    return worst
-
-
-def _lemma2_point(geo: _JetGeometry) -> np.ndarray:
-    """Worst residual at every point over coordinate directions and every
-    normal frame field plus H."""
-    worst = 0.0
     xi_fields = jets.array(
         [geo.xi_field[..., a, :] for a in range(geo.m)] + [geo.H_field]
     ).swapaxes(-1, -2)
-    xi0s = xi_fields.value
+    return (
+        np.stack(_nabla_omega(geo, directions, geo.T), axis=-3),
+        np.stack(_nabla_C(geo, directions, xi_fields), axis=-3),
+    )
+
+
+def _lemma1_point(geo: _JetGeometry, nabla_omega_t: np.ndarray) -> np.ndarray:
+    """Worst residual at every point over coordinate directions X and coordinate fields Y."""
+    phi_y = geo.param_components(geo.f_tangent_part(geo.J0.swapaxes(-1, -2)))  # row b: phi T_b
+    h_x_phi_y = np.einsum("...bd,...adi->...abi", phi_y, geo.hc0)  # [a, b]: h(T_a, phi T_b)
+    residual = nabla_omega_t + h_x_phi_y - geo.f_normal_part(geo.hc0)
+    return geo.norm_g(residual).max(axis=(-2, -1))
+
+
+def _lemma2_point(geo: _JetGeometry, nabla_c_xi: np.ndarray) -> np.ndarray:
+    """Worst residual at every point over coordinate directions and every
+    normal frame field plus H."""
+    worst = 0.0
+    xi0s = np.concatenate([geo.Xi0, geo.H0[..., None, :]], axis=-2)
     b_xi = geo.f_tangent_part(xi0s)
-    directions = np.eye(geo.n)
-    for x, lhs in zip(directions, _nabla_C(geo, directions, xi_fields)):
+    for a, x in enumerate(np.eye(geo.n)):
         rhs = -geo.f_normal_part(geo.shape_operator(x, xi0s)) - geo.h_bilinear(x, b_xi)
-        worst = np.maximum(worst, geo.norm_g(lhs - rhs).max(axis=-1))
+        worst = np.maximum(worst, geo.norm_g(nabla_c_xi[..., a, :, :] - rhs).max(axis=-1))
     return worst
 
 

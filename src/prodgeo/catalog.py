@@ -16,7 +16,7 @@ from typing import Mapping
 
 from .ambient import AmbientSpace, product_of
 from .rng import SplitMix64
-from .subgeom import Immersion, frames_at, DegenerateImmersion
+from .subgeom import DegenerateImmersion, Immersion, _JetGeometry
 
 __all__ = [
     "UnknownScenario",
@@ -457,8 +457,8 @@ def random_trig_immersion(seed: int, num_samples: int = 2) -> Immersion:
         )
         imm = Immersion(2, tuple(components), samples=samples, label=f"fuzz-{seed}")
         try:
-            for u in samples:
-                frames_at(imm, space, u)
+            if samples:  # one batched build checks every sample point
+                _JetGeometry(imm, space, samples, order=2)
         except DegenerateImmersion:
             continue
         return imm

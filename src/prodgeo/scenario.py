@@ -274,17 +274,19 @@ def _parse_random(text: str, n: int, seed_override: int | None) -> tuple[tuple[f
         seed = int(fields["seed"])
     except ValueError:
         raise ScenarioError("random count and seed must be integers", section) from None
+    if count < 1:
+        raise ScenarioError("random count must be >= 1", section)
     if seed_override is not None:
         seed = seed_override
     ranges = []
     for rng_text in fields["box"].split("x"):
         rng_text = rng_text.strip()
-        if not (rng_text.startswith("(") and rng_text.endswith(")")):
-            raise ScenarioError(f"box range {rng_text!r} must look like (lo,hi)", section)
-        lo_hi = rng_text[1:-1].split(",")
-        if len(lo_hi) != 2:
-            raise ScenarioError(f"box range {rng_text!r} must look like (lo,hi)", section)
-        ranges.append((float(lo_hi[0]), float(lo_hi[1])))
+        parenthesized = rng_text.startswith("(") and rng_text.endswith(")")
+        try:
+            lo, hi = (float(v) for v in rng_text[1:-1].split(",")) if parenthesized else ()
+        except ValueError:
+            raise ScenarioError(f"box range {rng_text!r} must look like (lo,hi)", section) from None
+        ranges.append((lo, hi))
     if len(ranges) != n:
         raise DimensionMismatch(
             f"box has {len(ranges)} ranges, expected {n}", section
@@ -318,7 +320,7 @@ def loads_scenario(
     try:
         cfg.read_string(text)
     except configparser.Error as err:
-        raise ScenarioError(str(err)) from err
+        raise ScenarioError(str(err), getattr(err, "section", None)) from err
     space = _load_ambient(cfg)
     immersion = _load_immersion(cfg, space)
     samples = _load_samples(cfg, immersion.n, seed_override)

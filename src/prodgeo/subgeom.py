@@ -43,7 +43,6 @@ __all__ = [
     "classify",
     "classify_point",
     "aggregate_classification",
-    "rank_of",
 ]
 
 
@@ -333,6 +332,13 @@ class _JetGeometry:
             self.F0, self.g0, self.E0, self.Xi0
         )
         self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
+        # what the classes are defined by; each caller thresholds them with its tolerance
+        self.H_norm = np.sqrt(np.maximum(self.Hsq, 0.0))
+        self.phi_norm, self.omega_norm, self.omega_phi_norm = (
+            np.linalg.norm(m, axis=(-2, -1))
+            for m in (self.phi0, self.omega0, self.omega0 @ self.phi0)
+        )
+        self.phi_singular = np.linalg.svd(self.phi0, compute_uv=False)
 
     def per_point(self, values) -> list:
         """A per-point array (or a value shared by all points) as a list over the points."""
@@ -467,15 +473,9 @@ def f_decompose(pg: PointGeometry, space: AmbientSpace):
     return pg.phi, pg.omega, pg.Bm, pg.Cm
 
 
-def point_geometry(
-    immersion: Immersion,
-    space: AmbientSpace,
-    u: Sequence[float],
-    order: int = 2,
-    column_order: str = "forward",
-) -> PointGeometry:
+def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]) -> PointGeometry:
     """Full per-point bundle (frames, h, A, H, phi/omega/B/C)."""
-    geo = _JetGeometry(immersion, space, u, order=order, column_order=column_order)
+    geo = _JetGeometry(immersion, space, u, order=2)
     return PointGeometry(
         u=geo.points[0],
         x=geo.x0.copy(),
@@ -532,29 +532,24 @@ class ClassificationResult:
     tol: float
 
 
-def rank_of(matrix: np.ndarray, tol: float):
-    """Numerical rank with the documented sqrt(tol) singular-value threshold.
-
-    ``matrix`` may carry leading point axes; the rank then has that shape.
-    """
-    if matrix.size == 0:
-        return np.zeros(matrix.shape[:-2], dtype=int)
-    singular = np.linalg.svd(matrix, compute_uv=False)
+def _rank(singular: np.ndarray, tol: float):
+    """Numerical rank from singular values, with the documented sqrt(tol) threshold."""
     return np.sum(singular > np.sqrt(tol), axis=-1)
 
 
-def _frobenius(matrix: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(matrix, axis=(-2, -1))
+def _semi_invariant(omega_phi_vanishes: bool, ranks) -> bool:
+    """Semi-invariance is global: omega.phi vanishes and rank(phi) is constant."""
+    return omega_phi_vanishes and len(set(ranks)) == 1
 
 
 def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> list[PointClassification]:
-    """Norms, rank and flags at every point of an already-built geometry."""
+    """The geometry's class measures at every point, thresholded at ``tol``."""
     columns = (
-        _frobenius(geo.phi0),
-        _frobenius(geo.omega0),
-        _frobenius(geo.omega0 @ geo.phi0),
-        rank_of(geo.phi0, tol),
-        geo.norm_g(geo.H0) <= tol,
+        geo.phi_norm,
+        geo.omega_norm,
+        geo.omega_phi_norm,
+        _rank(geo.phi_singular, tol),
+        geo.H_norm <= tol,
         geo.pu_gap <= tol,
         geo.Hsq,
     )
@@ -572,8 +567,8 @@ def aggregate_classification(
         raise ValueError("classification needs at least one sample point")
     invariant = max(p.omega_norm for p in points) <= tol
     anti = max(p.phi_norm for p in points) <= tol
-    ranks = {p.rank_phi for p in points}
-    semi = max(p.omega_phi_norm for p in points) <= tol and len(ranks) == 1
+    omega_phi = max(p.omega_phi_norm for p in points) <= tol
+    semi = _semi_invariant(omega_phi, [p.rank_phi for p in points])
     if invariant:
         verdict = "invariant"
     elif anti:

@@ -13,7 +13,8 @@ For every statement the residual of the identity equals a closed
 (T2: |H|^2 |omega X|; T3: |H|^2 |g(X, phi Y)|; T4: |H|^2 |g(omega phi X,
 CH)|), and the chain that produces the obstruction is itself checked as the
 "proof residual".  Directions range over the orthonormal tangent frame, so
-every reported scalar is frame-covariant.
+every reported scalar is frame-covariant; each is float algebra on the
+coordinate-direction tensors of :func:`prodgeo.calculus.lemma_tensors`.
 
 At points that are not pseudo-umbilical the identity is still evaluated (a
 useful negative control) but the proof residual is skipped and flagged.
@@ -27,8 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ambient import AmbientSpace
-from .calculus import _nabla_omega
-from .subgeom import Immersion, _JetGeometry, rank_of
+from .subgeom import Immersion, _JetGeometry, _rank, _semi_invariant
 
 __all__ = [
     "NotPseudoUmbilical",
@@ -69,29 +69,29 @@ class TheoremVerdict:
     tol: float
 
 
-def _dot(geo: _JetGeometry, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...ij,...j->...", v, geo.g0, w)
-
-
 class _PointData:
-    """Quantities the three statements share, at every sample point."""
+    """Quantities the three statements share, at every sample point; the
+    tensors are those of :func:`prodgeo.calculus.lemma_tensors`."""
 
-    def __init__(self, geo: _JetGeometry, tol: float):
+    def __init__(self, geo: _JetGeometry, tol: float, nabla_omega_t, nabla_c_xi):
         self.geo = geo
+        self.nabla_omega_t = nabla_omega_t
+        self.nabla_c_h = nabla_c_xi[..., :, -1, :]  # row c: (nabla_{d_c} C) H
         self.pseudo_umbilical = geo.pu_gap <= tol
-        self.minimal = geo.norm_g(geo.H0) <= tol
-        self.invariant = np.linalg.norm(geo.omega0, axis=(-2, -1)) <= tol
-        self.anti_invariant = np.linalg.norm(geo.phi0, axis=(-2, -1)) <= tol
-        self.omega_phi_zero = np.linalg.norm(geo.omega0 @ geo.phi0, axis=(-2, -1)) <= tol
-        self.rank_phi = rank_of(geo.phi0, tol)
-        self.CH_field = geo.normal_part_field(geo.apply_F_field(geo.H_field))
+        self.minimal = geo.H_norm <= tol
+        self.invariant = geo.omega_norm <= tol
+        self.anti_invariant = geo.phi_norm <= tol
+        self.omega_phi_zero = geo.omega_phi_norm <= tol
+        self.rank_phi = _rank(geo.phi_singular, tol)
         self.CH0 = geo.f_normal_part(geo.H0)
-        self.BH0 = geo.f_tangent_part(geo.H0)
+        self.BH_params = geo.param_components(geo.f_tangent_part(geo.H0))
 
-    def nabla_C_of_H(self, direction: np.ndarray) -> np.ndarray:
+    def along(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(nabla_X C) H and h(X, BH) for every row X of ``x``, in parameter components."""
         geo = self.geo
-        d_perp = geo.nabla_perp(self.CH_field, direction)
-        return d_perp - geo.f_normal_part(geo.nabla_perp(geo.H_field, direction))
+        d_ch = np.einsum("...ac,...ci->...ai", x, self.nabla_c_h)
+        h_term = np.einsum("...ac,...d,...cdi->...ai", x, self.BH_params, geo.hc0)
+        return d_ch, h_term
 
 
 def _records(
@@ -120,54 +120,46 @@ def _records(
 
 def _t2_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     geo = data.geo
-    identity = obstruction = proof = 0.0
-    for a in range(geo.n):
-        xp = geo.P[..., :, a]
-        d_ch = data.nabla_C_of_H(xp)
-        h_term = geo.h_bilinear(xp, data.BH0)
-        omega_x = geo.f_normal_part(geo.E0[..., a, :])
-        identity = np.maximum(identity, geo.norm_g(d_ch + h_term))
-        obstruction = np.maximum(obstruction, geo.Hsq * geo.norm_g(omega_x))
-        proof = np.maximum(proof, geo.norm_g(d_ch + geo.Hsq[..., None] * omega_x + h_term))
+    d_ch, h_term = data.along(geo.P.swapaxes(-1, -2))  # row a: X = e_a
+    omega_x = geo.f_normal_part(geo.E0)
+    hsq = geo.Hsq[..., None]
+    identity = geo.norm_g(d_ch + h_term).max(axis=-1)
+    obstruction = (hsq * geo.norm_g(omega_x)).max(axis=-1)
+    proof = geo.norm_g(d_ch + hsq[..., None] * omega_x + h_term).max(axis=-1)
     branches = {"minimal": data.minimal, "invariant": data.invariant}
     return _records(data, tol, identity, obstruction, proof, branches)
 
 
 def _t3_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     geo = data.geo
-    identity = obstruction = proof = 0.0
-    hsq = geo.Hsq[..., None]
-    y_fields = geo.coordinate_field(geo.P.swapaxes(-1, -2))  # row b: the frame field P[:, b]^c T_c
-    directions = [geo.P[..., :, a] for a in range(geo.n)]
-    for a, nabla_omega_y in enumerate(_nabla_omega(geo, directions, y_fields)):
-        lhs = np.einsum("...bi,...ij,...j->...b", nabla_omega_y, geo.g0, geo.H0)
-        rhs = np.einsum("...bi,...ij,...j->...b", geo.h_on0[..., a, :, :], geo.g0, data.CH0)
-        phi_row = geo.phi0[..., a, :]
-        identity = np.maximum(identity, np.abs(lhs - rhs).max(axis=-1))
-        obstruction = np.maximum(obstruction, (hsq * np.abs(phi_row)).max(axis=-1))
-        proof = np.maximum(proof, np.abs(lhs + hsq * phi_row - rhs).max(axis=-1))
+    # (nabla_{e_a} omega) e_b = P[c, a] P[d, b] (nabla_{d_c} omega) T_d
+    nabla_omega_e = np.einsum("...ca,...db,...cdi->...abi", geo.P, geo.P, data.nabla_omega_t)
+    lhs = np.einsum("...abi,...ij,...j->...ab", nabla_omega_e, geo.g0, geo.H0)
+    rhs = np.einsum("...abi,...ij,...j->...ab", geo.h_on0, geo.g0, data.CH0)
+    hsq = geo.Hsq[..., None, None]
+    identity = np.abs(lhs - rhs).max(axis=(-2, -1))
+    obstruction = (hsq * np.abs(geo.phi0)).max(axis=(-2, -1))
+    proof = np.abs(lhs + hsq * geo.phi0 - rhs).max(axis=(-2, -1))
     branches = {"minimal": data.minimal, "anti_invariant": data.anti_invariant}
     return _records(data, tol, identity, obstruction, proof, branches)
 
 
 def _t4_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     geo = data.geo
-    identity = obstruction = proof = 0.0
-    perpendicular = True
-    for a in range(geo.n):
-        phi_x = geo.f_tangent_part(geo.E0[..., a, :])
-        pp = geo.param_components(phi_x)
-        lhs = _dot(geo, data.nabla_C_of_H(pp), data.CH0)
-        h_term = _dot(geo, geo.h_bilinear(pp, data.BH0), data.CH0)
-        o_term = _dot(geo, geo.f_normal_part(phi_x), data.CH0)
-        identity = np.maximum(identity, np.abs(lhs + h_term))
-        obstruction = np.maximum(obstruction, geo.Hsq * np.abs(o_term))
-        proof = np.maximum(proof, np.abs(lhs + geo.Hsq * o_term + h_term))
-        perpendicular = perpendicular & (np.abs(o_term) <= tol)
+    phi_x = geo.f_tangent_part(geo.E0)  # row a: X = phi e_a
+    d_ch, h_x = data.along(geo.param_components(phi_x))
+    lhs, h_term, o_term = (
+        np.einsum("...ai,...ij,...j->...a", v, geo.g0, data.CH0)
+        for v in (d_ch, h_x, geo.f_normal_part(phi_x))
+    )
+    hsq = geo.Hsq[..., None]
+    identity = np.abs(lhs + h_term).max(axis=-1)
+    obstruction = (hsq * np.abs(o_term)).max(axis=-1)
+    proof = np.abs(lhs + hsq * o_term + h_term).max(axis=-1)
     branches = {
         "minimal": data.minimal,
         "semi_invariant": data.omega_phi_zero,
-        "perpendicular": perpendicular,
+        "perpendicular": (np.abs(o_term) <= tol).all(axis=-1),
     }
     return _records(data, tol, identity, obstruction, proof, branches)
 
@@ -179,10 +171,8 @@ def _verdict(theorem: str, records, ranks, tol: float) -> TheoremVerdict:
         name: all(r.branches[name] for r in records) for name in branch_names
     }
     if theorem == "t4":
-        # semi-invariance is a global notion: constant rank is part of it
-        global_branches["semi_invariant"] = (
-            global_branches["semi_invariant"] and len(set(ranks)) == 1
-        )
+        semi = global_branches["semi_invariant"]
+        global_branches["semi_invariant"] = _semi_invariant(semi, ranks)
     disjunction_global = any(global_branches.values())
     pointwise_everywhere = all(r.disjunction_pointwise for r in records)
     return TheoremVerdict(

@@ -2,9 +2,10 @@
 
 :func:`verify` builds one jet geometry for all sample points of a document
 and reads off it, for every point at once, the four-way classification, the
-two lemma identities and the T2-T4 statements.  The lemma and theorem
-checks, the catalog runner and every CLI command are calls to it that keep
-their part of the outcome.
+two lemma identities and the T2-T4 statements, which share one evaluation
+of nabla omega and nabla C.  The lemma and theorem checks, the catalog
+runner and every CLI command are calls to it that keep their part of the
+outcome.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .ambient import AmbientSpace, AmbientValidationReport, validate_ambient
-from .calculus import LemmaReport, _lemma1_point, _lemma2_point
+from .calculus import LemmaReport, _lemma1_point, _lemma2_point, lemma_tensors
 from .subgeom import (
     ClassificationResult,
     Immersion,
@@ -102,11 +103,13 @@ def verify(
         classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
     )
     lemma1 = lemma2 = verdicts = None
+    if lemmas or theorems:
+        nabla_omega_t, nabla_c_xi = lemma_tensors(geo)
     if lemmas:
-        lemma1 = _lemma_report("lemma1", geo, _lemma1_point(geo), tol)
-        lemma2 = _lemma_report("lemma2", geo, _lemma2_point(geo), tol)
+        lemma1 = _lemma_report("lemma1", geo, _lemma1_point(geo, nabla_omega_t), tol)
+        lemma2 = _lemma_report("lemma2", geo, _lemma2_point(geo, nabla_c_xi), tol)
     if theorems:
-        data = _PointData(geo, tol)
+        data = _PointData(geo, tol, nabla_omega_t, nabla_c_xi)
         ranks = geo.per_point(data.rank_phi)
         records = {
             "t2": _t2_point(data, tol), "t3": _t3_point(data, tol), "t4": _t4_point(data, tol)

@@ -1,10 +1,12 @@
 """Induced connections, nabla-omega / nabla-C, and the lemma suites."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from prodgeo import calculus
 from prodgeo.ambient import product_of
 from prodgeo.calculus import (
     DirectionalContext,
@@ -23,9 +25,9 @@ from prodgeo.catalog import (
     random_trig_immersion,
     flat_product,
 )
-from prodgeo.jets import InsufficientJetOrder
 from prodgeo.oracle import fd_derivative
 from prodgeo.subgeom import Immersion, _JetGeometry, point_geometry
+from prodgeo.verify import verify
 
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)
@@ -37,8 +39,6 @@ def test_context_validation():
         DirectionalContext((0.0,), (0.0,))
     with pytest.raises(ValueError):
         DirectionalContext((0.0, 0.0), (1.0,))
-    with pytest.raises(InsufficientJetOrder):
-        DirectionalContext((0.0,), (1.0,), order=0)
 
 
 def test_tangential_connection_plane_vanishes():
@@ -204,6 +204,46 @@ def test_nabla_omega_is_linear_in_x():
         scn.immersion, scn.space, DirectionalContext(u0, (2.0, -3.0)), 1
     )
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
+
+
+@pytest.mark.parametrize("xi", ["H", 0])
+def test_nabla_C_is_linear_in_x(xi):
+    # the theorems contract the coordinate-direction values to frame directions
+    scn = catalog_get("sphere")
+    u0 = (0.7, 0.3)
+    xa = nabla_C(scn.immersion, scn.space, DirectionalContext(u0, (1.0, 0.0)), xi)
+    xb = nabla_C(scn.immersion, scn.space, DirectionalContext(u0, (0.0, 1.0)), xi)
+    xc = nabla_C(scn.immersion, scn.space, DirectionalContext(u0, (2.0, -3.0)), xi)
+    assert np.max(np.abs(xa)) > 1e-3
+    assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
+
+
+def test_nabla_C_is_additive_in_xi():
+    scn = catalog_get("square-torus-rotated")
+    ctx = DirectionalContext(scn.samples[0], (1.0, 0.5))
+    xi0, xi1 = (nabla_C(scn.immersion, scn.space, ctx, a) for a in range(2))
+    assert np.max(np.abs(xi0)) > 1e-3
+    assert np.max(np.abs(nabla_C(scn.immersion, scn.space, ctx, (1.0, 0.0)) - xi0)) <= 1e-12
+    both = nabla_C(scn.immersion, scn.space, ctx, (2.0, -1.0))
+    assert np.max(np.abs(both - (2.0 * xi0 - xi1))) <= 1e-9
+
+
+@pytest.mark.parametrize("lemmas, theorems", [(True, True), (True, False), (False, True)])
+def test_verify_derives_each_tensor_once(lemmas, theorems, monkeypatch):
+    calls = collections.Counter()
+    for name in ("_nabla_omega", "_nabla_C"):
+        original = getattr(calculus, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(calculus, name, counted)
+    scn = catalog_get("square-torus-rotated")
+    verify(scn.space, scn.immersion, lemmas=lemmas, theorems=theorems)
+    assert calls == {"_nabla_omega": 1, "_nabla_C": 1}
+    verify(scn.space, scn.immersion, lemmas=False, theorems=False)
+    assert calls == {"_nabla_omega": 1, "_nabla_C": 1}
 
 
 def test_gauss_and_weingarten_reassembly():

@@ -103,6 +103,62 @@ def test_missing_section_and_keys():
         loads_scenario("[immersion]\nn = 1\n")
 
 
+REFLECTION_CIRCLE = {
+    "ambient": "mode = explicit\ndim = 2\nmetric = 1, 0; 0, 1\nstructure = 1, 0; 0, -1",
+    "immersion": "n = 1\nmap = cos(u1), sin(u1)\nlabel = circle",
+    "samples": "points = (0.5,); (1.2,)",
+}
+PRODUCT = "mode = product\np = 1\nq = 1\nblockA_metric = flat\nblockB_metric = flat"
+
+
+def _malformed(section, body):
+    """The reflection circle with one section's body replaced (None drops it)."""
+    sections = dict(REFLECTION_CIRCLE, **{section: body})
+    return "".join(f"[{name}]\n{text}\n\n" for name, text in sections.items() if text is not None)
+
+
+MALFORMED = {
+    "non-square-matrix": ("ambient", REFLECTION_CIRCLE["ambient"].replace("0; 0, 1", "0; 0")),
+    "bad-mode": ("ambient", "mode = hyperbolic"),
+    "non-integer-block-size": ("ambient", PRODUCT.replace("p = 1", "p = one")),
+    "missing-key": ("ambient", PRODUCT.replace("blockB_metric = flat", "")),
+    "unparsable-metric": ("ambient", PRODUCT.replace("A_metric = flat", "A_metric = 1 +")),
+    "missing-immersion": ("immersion", None),
+    "unknown-variable": ("immersion", "n = 1\nmap = cos(v1), sin(u1)"),
+    "not-a-proper-submanifold": ("immersion", "n = 2\nmap = u1, u2"),
+    "missing-samples": ("samples", None),
+    "no-sample-form": ("samples", "label = nothing"),
+    "two-sample-forms": ("samples", "points = (0.5,)\ngrid = u1: 0 : 1 : 3"),
+    "duplicate-key": ("samples", "points = (0.5,)\npoints = (1.2,)"),
+    "unparenthesized-point": ("samples", "points = 0.5"),
+    "non-numeric-point": ("samples", "points = (a,)"),
+    "empty-points": ("samples", "points = ;"),
+    "grid-axis-fields": ("samples", "grid = u1: 0 : 1"),
+    "grid-axis-count": ("samples", "grid = u1: 0 : 1 : many"),
+    "grid-axis-empty": ("samples", "grid = u1: 0 : 1 : 0"),
+    "random-token": ("samples", "random = count=3 seed=1 box=(0,1) wide"),
+    "random-missing-key": ("samples", "random = count=3 box=(0,1)"),
+    "random-count-not-integer": ("samples", "random = count=three seed=1 box=(0,1)"),
+    "random-count-zero": ("samples", "random = count=0 seed=1 box=(0,1)"),
+    "random-count-negative": ("samples", "random = count=-2 seed=1 box=(0,1)"),
+    "box-brackets": ("samples", "random = count=3 seed=1 box=[0,1]"),
+    "box-three-bounds": ("samples", "random = count=3 seed=1 box=(0,1,2)"),
+    "box-non-numeric": ("samples", "random = count=3 seed=1 box=(a,b)"),
+}
+
+
+@pytest.mark.parametrize("section, body", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_scenario_names_its_section(section, body, capsys, tmp_path):
+    text = _malformed(section, body)
+    with pytest.raises(ScenarioError, match=rf"^\[{section}\] "):
+        loads_scenario(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: [{section}] "), err
+
+
 def test_dimension_mismatch_names_section():
     text = """
 [ambient]

@@ -4,11 +4,17 @@ import math
 
 import pytest
 
+from prodgeo import jets
 from prodgeo.ambient import product_of
+from prodgeo.calculus import lemma_tensors
 from prodgeo.catalog import catalog_get, catalog_list
-from prodgeo.subgeom import Immersion
+from prodgeo.subgeom import Immersion, _JetGeometry
 from prodgeo.theorems import (
     NotPseudoUmbilical,
+    _PointData,
+    _t2_point,
+    _t3_point,
+    _t4_point,
     check_theorems,
     theorem2_check,
     theorem3_check,
@@ -176,3 +182,20 @@ def test_verdict_shape():
     assert verdict.theorem == "t4"
     assert len(verdict.points) == 3
     assert set(verdict.points[0].branches) == {"minimal", "semi_invariant", "perpendicular"}
+
+
+def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
+    scn = catalog_get("square-torus-rotated")
+    geo = _JetGeometry(scn.immersion, scn.space, scn.samples, order=3)
+    tensors = lemma_tensors(geo)
+    expected = check_theorems(scn.immersion, scn.space)
+
+    def no_jets(*args, **kwargs):
+        raise AssertionError("jet work in a statement")
+
+    for name in ("__init__", "gradient", "truncate", "coefficient"):
+        monkeypatch.setattr(jets.Jet, name, no_jets)
+    monkeypatch.setattr(jets.Jet, "value", property(no_jets))
+    data = _PointData(geo, 1e-8, *tensors)
+    for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
+        assert statement(data, 1e-8) == list(expected[key].points), key
