@@ -50,23 +50,34 @@ def ambient_vars(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
-def _as_expr(entry) -> ex.ExprAst:
-    if isinstance(entry, str):
-        return ex.parse(entry)
-    return entry
+def _as_matrix(rows, dim: int, what: str, nodes: dict | None = None):
+    """A ``dim x dim`` tuple of expressions from strings or nodes, interned in ``nodes``."""
 
+    def entry(e):
+        if isinstance(e, str):
+            return ex.parse(e, nodes)
+        return e if nodes is None else ex.intern(e, nodes)
 
-def _as_matrix(rows, dim: int, what: str) -> tuple[tuple[ex.ExprAst, ...], ...]:
-    parsed = tuple(tuple(_as_expr(e) for e in row) for row in rows)
+    parsed = tuple(tuple(entry(e) for e in row) for row in rows)
     if len(parsed) != dim or any(len(row) != dim for row in parsed):
         raise ValueError(f"{what} must be a {dim}x{dim} matrix of expressions")
     return parsed
 
 
-def _evaluate(rows, env):
-    if isinstance(rows, tuple):
-        return [_evaluate(row, env) for row in rows]
-    return ex.evaluate(rows, env)
+def _differ(a: ex.ExprAst, b: ex.ExprAst, dim: int) -> bool:
+    """Whether two expressions differ in value, relative to 1e-12, at one of a
+    few fixed probe points of the chart (points where either is undefined or
+    not finite are skipped)."""
+    for probe in ((0.37, 0.11), (0.61, 0.07)):
+        env = {x: probe[0] + probe[1] * i for i, x in enumerate(ambient_vars(dim))}
+        try:
+            with np.errstate(all="ignore"):
+                va, vb = float(ex.evaluate(a, env)), float(ex.evaluate(b, env))
+        except jets.DomainError:
+            continue
+        if np.isfinite(va) and np.isfinite(vb) and abs(va - vb) > 1e-12 * max(abs(va), abs(vb)):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -75,7 +86,16 @@ class AmbientSpace:
 
     ``metric_diff[l][i][j]`` and ``structure_diff[l][i][j]`` hold the
     partial derivatives of ``g_ij`` and ``F^i_j`` along ``x(l+1)``, zero
-    folded, so a flat block contributes plain ``Num(0)`` entries.
+    folded, so a flat block contributes plain ``Num(0)`` entries; an entry
+    is only differentiated along the variables it contains.  The four tables
+    are interned through one intern table while the space is built, so they
+    share subtrees.
+
+    Evaluated once per space: a metric or structure table without variables
+    becomes a float array on first use, and its derivative table a zero
+    array without evaluating it; every later call copies them.  The other
+    tables are evaluated per call, in one memoized pass for all the tables
+    requested together.
     """
 
     dim: int
@@ -84,68 +104,86 @@ class AmbientSpace:
     product_split: tuple[int, int] | None = field(default=None)
     metric_diff: tuple = field(init=False, repr=False, compare=False)
     structure_diff: tuple = field(init=False, repr=False, compare=False)
+    _fixed: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric"))
+        nodes: dict = {}  # the intern table of this space's expressions
+        zero = ex.make(nodes, ex.Num, 0.0)
+        object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric", nodes))
         object.__setattr__(
-            self, "structure", _as_matrix(self.structure, self.dim, "structure")
+            self, "structure", _as_matrix(self.structure, self.dim, "structure", nodes)
         )
         allowed = set(ambient_vars(self.dim))
+        fixed = []  # the tables without variables
         for name, matrix in (("metric", self.metric), ("structure", self.structure)):
-            used = frozenset().union(*(ex.variables(e) for row in matrix for e in row))
-            if not used <= allowed:
-                raise ex.UnknownVariable(sorted(used - allowed)[0])
-            d = tuple(tuple(tuple(ex.diff(e, x) for e in row) for row in matrix)
-                      for x in ambient_vars(self.dim))
+            used = tuple(tuple(ex.variables(e) for e in row) for row in matrix)
+            free = frozenset().union(*(v for row in used for v in row))
+            if not free <= allowed:
+                raise ex.UnknownVariable(sorted(free - allowed)[0])
+            if not free:
+                fixed.append(name)
+            d = tuple(
+                tuple(
+                    tuple(ex.diff(e, x, nodes) if x in v else zero for e, v in zip(row, vrow))
+                    for row, vrow in zip(matrix, used)
+                )
+                for x in ambient_vars(self.dim)
+            )
             object.__setattr__(self, f"{name}_diff", d)
+        object.__setattr__(self, "_fixed", tuple(fixed))
         for i in range(self.dim):
             for j in range(i):
-                if self.metric[i][j] != self.metric[j][i]:
+                a, b = self.metric[i][j], self.metric[j][i]
+                if a is not b and _differ(a, b, self.dim):
                     raise ValueError("metric component matrix must be symmetric")
 
     @cached_property
     def _constants(self) -> dict[str, np.ndarray]:
-        """The expression tables that do not depend on x, evaluated once."""
+        """The constant tables and their zero derivative tables, evaluated once."""
         constants = {}
-        for name in ("metric", "structure", "metric_diff", "structure_diff"):
-            try:
-                constants[name] = np.array(_evaluate(getattr(self, name), {}), dtype=float)
-            except ex.UnknownVariable:
-                pass
+        tables = ex.evaluate_tables([getattr(self, name) for name in self._fixed], {})
+        for name, table in zip(self._fixed, tables):
+            constants[name] = table
+            constants[f"{name}_diff"] = np.zeros((self.dim,) * 3)
         return constants
 
-    def _table(self, name: str, x):
-        """An expression table at the points ``x``.
+    def tables(self, names: Sequence[str], x) -> list:
+        """The named expression tables at the points ``x``.
 
         ``x`` has shape ``(..., dim)`` (floats or a jet) or is a list of
-        coordinates.  The result is a jet or float array with the points'
+        coordinates.  Each result is a jet or float array with the points'
         leading shape; a constant table is a float array of the table's own
-        shape, which broadcasts over any points.
+        shape, which broadcasts over any points.  The tables that depend on
+        ``x`` are evaluated in one memoized pass.
         """
         if isinstance(x, (list, tuple)):
             x = jets.array(list(x))
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
-        if name in self._constants:
-            return self._constants[name].copy()
-        env = {name: x[..., i] for i, name in enumerate(ambient_vars(self.dim))}
-        return jets.array(_evaluate(getattr(self, name), env))
+        constants = self._constants
+        varying = [name for name in names if name not in constants]
+        values = {}
+        if varying:
+            env = {v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))}
+            tables = ex.evaluate_tables([getattr(self, name) for name in varying], env)
+            values = dict(zip(varying, tables))
+        return [constants[name].copy() if name in constants else values[name] for name in names]
 
     def metric_at(self, x) -> np.ndarray:
-        return self._table("metric", np.asarray(x, dtype=float))
+        return self.tables(("metric",), np.asarray(x, dtype=float))[0]
 
     def structure_at(self, x) -> np.ndarray:
-        return self._table("structure", np.asarray(x, dtype=float))
+        return self.tables(("structure",), np.asarray(x, dtype=float))[0]
 
     def metric_jets(self, x):
-        return self._table("metric", x)
+        return self.tables(("metric",), x)[0]
 
     def structure_jets(self, x):
-        return self._table("structure", x)
+        return self.tables(("structure",), x)[0]
 
     def metric_derivatives(self, x):
         """``dg[l, i, j] = d g_ij / d x^l`` at ``x`` (floats or jets)."""
-        return self._table("metric_diff", x)
+        return self.tables(("metric_diff",), x)[0]
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:
@@ -208,8 +246,9 @@ def _leading_blocks(dim: int) -> np.ndarray:
 
 
 def positive_definite(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Mask over the leading axes of ``g`` (shape ``(..., N, N)``): finite
-    with every LDL^T pivot above ``tol``.
+    """Mask over the leading axes of ``g`` (shape ``(..., N, N)``): finite,
+    symmetric to 1e-12 relative to its largest entry, and with every LDL^T
+    pivot above ``tol``.
 
     The k-th pivot is the ratio of the k-th to the (k-1)-th leading principal
     minor, so the test needs no factorization that could fail part way
@@ -219,9 +258,11 @@ def positive_definite(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     ok = np.isfinite(g).all(axis=(-2, -1))
     identity = np.eye(g.shape[-1])
     g = np.where(ok[..., None, None], g, identity)
+    scale = np.max(np.abs(g), axis=(-2, -1))
+    symmetric = np.max(np.abs(g - g.swapaxes(-2, -1)), axis=(-2, -1)) <= 1e-12 * scale
     minors = np.linalg.det(np.where(_leading_blocks(g.shape[-1]), g[..., None, :, :], identity))
     pivots_ok = (minors[..., 0] > tol) & np.all(minors[..., 1:] > tol * minors[..., :-1], axis=-1)
-    return ok & pivots_ok
+    return ok & symmetric & pivots_ok
 
 
 def _assert_positive_definite(g: np.ndarray, tol: float = 1e-10):
@@ -288,7 +329,9 @@ def validate_ambient(
 
     Reports the largest residuals of ``F^2 - I``, metric compatibility and
     ``(nabla_X F) Y`` over the samples and the coordinate directions X, Y.
-    The expression tables are evaluated for all samples at once.  Failures
+    The expression tables are evaluated for all samples at once; when the
+    metric and structure tables are constant, the residuals are computed
+    once on the ``(N, N)`` tables and hold for every sample.  Failures
     are reported, not thrown.  A non-finite metric is not positive definite;
     a sample whose residuals are not finite (from a non-finite metric,
     structure or derivative, or an overflow) fails the report and stays out
@@ -297,26 +340,28 @@ def validate_ambient(
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         x = x.reshape(0, space.dim)
-    shape = (len(x), space.dim, space.dim)
     identity = np.eye(space.dim)
-    residuals = np.zeros((len(x), 3))  # F^2 - I, compatibility, (nabla_X F) Y
     # overflow and NaN are detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            g = np.broadcast_to(space.metric_at(x), shape)
-            f = np.broadcast_to(space.structure_at(x), shape)
+            g, f = space.tables(("metric", "structure"), x)
         except jets.DomainError as err:
             raise err.at("x", x) from None
+        # constant tables (whose derivative tables are then zero) are checked
+        # once, at one point standing for every sample
+        at = np.zeros((1, space.dim)) if g.ndim == f.ndim == 2 else x
+        shape = (len(at), space.dim, space.dim)
+        g, f = np.broadcast_to(g, shape), np.broadcast_to(f, shape)
+        residuals = np.zeros((len(at), 3))  # F^2 - I, compatibility, (nabla_X F) Y
         definite = positive_definite(g, 1e-10)
         ft = f.swapaxes(-2, -1)
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))
         if definite.any():
             # the derivative tables only where the metric is positive definite
-            xd, gd, fd = x[definite], g[definite], f[definite][:, None]
+            xd, gd, fd = at[definite], g[definite], f[definite][:, None]
             try:
-                dg = space.metric_derivatives(xd)
-                df = space._table("structure_diff", xd)
+                dg, df = space.tables(("metric_diff", "structure_diff"), xd)
             except jets.DomainError as err:
                 raise err.at("x", xd) from None
             # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
@@ -325,6 +370,9 @@ def validate_ambient(
             # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
             sq = np.einsum("plik,pij,pljk->plk", nabla_f, gd, nabla_f)
             residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
+        definite, residuals, f = (
+            np.broadcast_to(a, (len(x),) + a.shape[1:]) for a in (definite, residuals, f)
+        )
         finite = np.isfinite(residuals).all(axis=1)
         f_finite = f[finite]
         worst = residuals[finite].max(axis=0, initial=0.0)

@@ -12,11 +12,20 @@ Parentheses override.  Function calls are ``sin``, ``cos``, ``exp``,
 ``sqrt``.  There is no implicit multiplication: ``2u1`` is a syntax error.
 Variables follow the convention ``u1..un`` for submanifold parameters and
 ``x1..xN`` for ambient coordinates; unknown names are only rejected when an
-expression is evaluated against an environment.
+expression is evaluated against an environment.  A numeric literal must be
+finite: one that overflows a float is a :class:`ParseError`.
+
+Expression interning: :func:`parse`, :func:`intern` and :func:`diff` take an
+optional intern table (a dict owned by the object whose expressions it holds,
+such as an :class:`~prodgeo.subgeom.Immersion`) and then build one node per
+distinct subtree, so a repeated ``sin(u1)`` is one object.
+:func:`evaluate_tables` evaluates several tables of such nodes in one
+memoized pass, which computes each shared node once per environment.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -34,10 +43,13 @@ __all__ = [
     "ExprAst",
     "ParseError",
     "UnknownVariable",
+    "make",
+    "intern",
     "parse",
     "pretty",
     "variables",
     "evaluate",
+    "evaluate_tables",
     "diff",
 ]
 
@@ -89,6 +101,42 @@ class Call:
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 
 
+def make(nodes: dict | None, cls, *fields) -> ExprAst:
+    """``cls(*fields)``, or the node of the same structure already in ``nodes``.
+
+    ``nodes`` is an intern table; ``None`` builds a fresh node.  Children are
+    keyed by identity, so they should come from the same table; a zero keeps
+    its sign.
+    """
+    if nodes is None:
+        return cls(*fields)
+    if cls is BinOp:
+        key = (BinOp, fields[0], id(fields[1]), id(fields[2]))
+    elif cls is Num:
+        key = (Num, fields[0], math.copysign(1.0, fields[0]))
+    elif cls is Var:
+        key = (Var, fields[0])
+    else:  # Neg and Call: the child comes last
+        key = (cls,) + fields[:-1] + (id(fields[-1]),)
+    node = nodes.get(key)
+    if node is None:
+        node = nodes[key] = cls(*fields)
+    return node
+
+
+def intern(node: ExprAst, nodes: dict) -> ExprAst:
+    """The node of ``node``'s structure in the intern table ``nodes``, added if missing."""
+    if isinstance(node, Num):
+        return make(nodes, Num, node.value)
+    if isinstance(node, Var):
+        return make(nodes, Var, node.name)
+    if isinstance(node, Neg):
+        return make(nodes, Neg, intern(node.arg, nodes))
+    if isinstance(node, Call):
+        return make(nodes, Call, node.fn, intern(node.arg, nodes))
+    return make(nodes, BinOp, node.op, intern(node.lhs, nodes), intern(node.rhs, nodes))
+
+
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -113,10 +161,14 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, src: str):
+    def __init__(self, src: str, nodes: dict | None):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nodes = nodes
+
+    def _make(self, cls, *fields) -> ExprAst:
+        return make(self.nodes, cls, *fields)
 
     def _peek(self):
         if self.pos < len(self.tokens):
@@ -147,7 +199,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "+-":
                 self.pos += 1
-                node = BinOp(text, node, self.term())
+                node = self._make(BinOp, text, node, self.term())
             else:
                 return node
 
@@ -157,7 +209,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "*/":
                 self.pos += 1
-                node = BinOp(text, node, self.unary())
+                node = self._make(BinOp, text, node, self.unary())
             else:
                 return node
 
@@ -165,7 +217,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "-":
             self.pos += 1
-            return Neg(self.unary())
+            return self._make(Neg, self.unary())
         return self.power()
 
     def power(self) -> ExprAst:
@@ -173,7 +225,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "^":
             self.pos += 1
-            return BinOp("^", base, Num(self.exponent()))
+            return self._make(BinOp, "^", base, self._make(Num, self.exponent()))
         return base
 
     def exponent(self) -> float:
@@ -186,18 +238,29 @@ class _Parser:
             kind, text, offset = self._peek()
         if kind != "num":
             raise ParseError("exponent must be a numeric literal", offset)
-        self.pos += 1
-        value = float(text)
+        value = self._number()
         kind, text, _ = self._peek()
         if kind == "op" and text == "^":
             self.pos += 1
-            value = value ** self.exponent()
+            try:
+                value = value ** self.exponent()
+            except (OverflowError, ZeroDivisionError):
+                raise ParseError("exponent is not a finite number", offset) from None
         return -value if negate else value
 
+    def _number(self) -> float:
+        """The numeric literal at the cursor, which must be a finite float."""
+        _, text, offset = self._next()
+        value = float(text)
+        if math.isinf(value):
+            raise ParseError(f"numeric literal {text!r} overflows", offset)
+        return value
+
     def atom(self) -> ExprAst:
-        kind, text, offset = self._next()
+        kind, text, offset = self._peek()
         if kind == "num":
-            return Num(float(text))
+            return self._make(Num, self._number())
+        self.pos += 1
         if kind == "name":
             nkind, ntext, _ = self._peek()
             if nkind == "op" and ntext == "(":
@@ -206,8 +269,8 @@ class _Parser:
                 self.pos += 1
                 arg = self.sum()
                 self._expect_op(")")
-                return Call(text, arg)
-            return Var(text)
+                return self._make(Call, text, arg)
+            return self._make(Var, text)
         if kind == "op" and text == "(":
             node = self.sum()
             self._expect_op(")")
@@ -215,8 +278,9 @@ class _Parser:
         raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", offset)
 
 
-def parse(src: str) -> ExprAst:
-    return _Parser(src).parse()
+def parse(src: str, nodes: dict | None = None) -> ExprAst:
+    """The expression tree of ``src``, built through the intern table ``nodes`` if given."""
+    return _Parser(src, nodes).parse()
 
 
 def variables(node: ExprAst) -> frozenset[str]:
@@ -284,12 +348,26 @@ def _divide(lhs, rhs):
 _CALLS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}
 
 
+class _Memo(dict):
+    """An environment that also holds, by node id, the value of every node
+    evaluated under it; its nodes must outlive it."""
+
+
 def evaluate(node: ExprAst, env: Mapping[str, object]):
     """Evaluate over an environment of floats, float arrays and/or jets.
 
     Arrays and jets evaluate a batch of points at once; a domain error
     (:class:`prodgeo.jets.DomainError`) locates the first offending point.
     """
+    if type(env) is _Memo:
+        value = env.get(id(node), _Memo)
+        if value is _Memo:
+            value = env[id(node)] = _node_value(node, env)
+        return value
+    return _node_value(node, env)
+
+
+def _node_value(node: ExprAst, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -314,6 +392,23 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
     return _divide(lhs, rhs)
 
 
+def evaluate_tables(tables, env: Mapping[str, object]) -> list:
+    """Several tables (nested tuples of nodes) under one environment, in one pass.
+
+    The pass is memoized, so a node shared by several entries or tables is
+    computed once.  Each table comes back as one fresh float array or jet
+    (:func:`prodgeo.jets.array`), so no two tables or callers share storage.
+    """
+    memo = _Memo(env)
+
+    def entries(table):
+        if isinstance(table, tuple):
+            return [entries(entry) for entry in table]
+        return evaluate(table, memo)
+
+    return [jets.array(entries(table)) for table in tables]
+
+
 # ---- symbolic differentiation ---------------------------------------------
 
 
@@ -321,54 +416,66 @@ def _is_num(node: ExprAst, value: float) -> bool:
     return isinstance(node, Num) and node.value == value
 
 
-def _neg(a: ExprAst) -> ExprAst:
+def _neg(a: ExprAst, nodes) -> ExprAst:
     if isinstance(a, Num):
-        return Num(-a.value if a.value else 0.0)
-    return a.arg if isinstance(a, Neg) else Neg(a)
+        return make(nodes, Num, -a.value if a.value else 0.0)
+    return a.arg if isinstance(a, Neg) else make(nodes, Neg, a)
 
 
-def _sum(op: str, a: ExprAst, b: ExprAst) -> ExprAst:
+def _sum(op: str, a: ExprAst, b: ExprAst, nodes) -> ExprAst:
     if _is_num(b, 0):
         return a
     if _is_num(a, 0):
-        return b if op == "+" else _neg(b)
-    return BinOp(op, a, b)
+        return b if op == "+" else _neg(b, nodes)
+    return make(nodes, BinOp, op, a, b)
 
 
-def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
+def _mul(a: ExprAst, b: ExprAst, nodes) -> ExprAst:
     if _is_num(a, 0) or _is_num(b, 0):
-        return Num(0.0)
-    return b if _is_num(a, 1) else a if _is_num(b, 1) else BinOp("*", a, b)
+        return make(nodes, Num, 0.0)
+    return b if _is_num(a, 1) else a if _is_num(b, 1) else make(nodes, BinOp, "*", a, b)
 
 
-def _div(a: ExprAst, b: ExprAst) -> ExprAst:
-    return a if _is_num(a, 0) else BinOp("/", a, b)
+def _div(a: ExprAst, b: ExprAst, nodes) -> ExprAst:
+    return a if _is_num(a, 0) else make(nodes, BinOp, "/", a, b)
 
 
-def diff(node: ExprAst, var: str) -> ExprAst:
+def diff(node: ExprAst, var: str, nodes: dict | None = None) -> ExprAst:
     """Partial derivative with respect to the variable ``var``, as an expression.
 
     Zeros and units are folded as the tree is built, so the derivative of an
     expression without ``var`` is ``Num(0)`` and a flat block costs nothing
-    to evaluate.
+    to evaluate.  With an intern table ``nodes`` (the one ``node`` was built
+    in) the derivative shares its subtrees with ``node``.
     """
     if isinstance(node, (Num, Var)):
-        return Num(1.0 if node == Var(var) else 0.0)
+        return make(nodes, Num, 1.0 if node == Var(var) else 0.0)
     if isinstance(node, Neg):
-        return _neg(diff(node.arg, var))
+        return _neg(diff(node.arg, var, nodes), nodes)
     if isinstance(node, Call):
-        d, arg = diff(node.arg, var), node.arg
+        d, arg = diff(node.arg, var, nodes), node.arg
         if node.fn == "sqrt":
-            return _div(d, BinOp("*", Num(2.0), node))
-        outer = {"sin": Call("cos", arg), "cos": Neg(Call("sin", arg)), "exp": node}
-        return _mul(outer[node.fn], d)
-    da, db = diff(node.lhs, var), diff(node.rhs, var)
+            return _div(d, make(nodes, BinOp, "*", make(nodes, Num, 2.0), node), nodes)
+        if node.fn == "sin":
+            outer = make(nodes, Call, "cos", arg)
+        elif node.fn == "cos":
+            outer = make(nodes, Neg, make(nodes, Call, "sin", arg))
+        else:
+            outer = node
+        return _mul(outer, d, nodes)
+    da, db = diff(node.lhs, var, nodes), diff(node.rhs, var, nodes)
     if node.op == "^":
         q = node.rhs.value
-        power = Num(1.0) if q == 1 else node.lhs if q == 2 else BinOp("^", node.lhs, Num(q - 1))
-        return _mul(_mul(Num(q), power), da)
+        power = (
+            make(nodes, Num, 1.0) if q == 1 else node.lhs if q == 2
+            else make(nodes, BinOp, "^", node.lhs, make(nodes, Num, q - 1))
+        )
+        return _mul(_mul(make(nodes, Num, q), power, nodes), da, nodes)
     if node.op in "+-":
-        return _sum(node.op, da, db)
+        return _sum(node.op, da, db, nodes)
     if node.op == "*":
-        return _sum("+", _mul(da, node.rhs), _mul(node.lhs, db))
-    return _sum("-", _div(da, node.rhs), _div(_mul(node.lhs, db), BinOp("^", node.rhs, Num(2.0))))
+        return _sum("+", _mul(da, node.rhs, nodes), _mul(node.lhs, db, nodes), nodes)
+    square = make(nodes, BinOp, "^", node.rhs, make(nodes, Num, 2.0))
+    return _sum(
+        "-", _div(da, node.rhs, nodes), _div(_mul(node.lhs, db, nodes), square, nodes), nodes
+    )

@@ -37,6 +37,7 @@ from __future__ import annotations
 import configparser
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -306,10 +307,15 @@ def _load_samples(cfg, n: int, seed_override: int | None) -> tuple[tuple[float, 
         raise ScenarioError("need exactly one of points/grid/random", section)
     text = cfg.get(section, keys[0]).strip()
     if keys[0] == "points":
-        return _parse_points(text, n)
-    if keys[0] == "grid":
-        return _parse_grid(text, n)
-    return _parse_random(text, n, seed_override)
+        samples = _parse_points(text, n)
+    elif keys[0] == "grid":
+        samples = _parse_grid(text, n)
+    else:
+        samples = _parse_random(text, n, seed_override)
+    for point in samples:
+        if not all(math.isfinite(v) for v in point):
+            raise ScenarioError(f"sample point {point} is not finite", section)
+    return samples
 
 
 def loads_scenario(

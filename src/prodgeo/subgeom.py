@@ -56,7 +56,13 @@ def param_vars(n: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class Immersion:
-    """Parametric immersion: N component expressions over u1..un."""
+    """Parametric immersion: N component expressions over u1..un.
+
+    The components are interned while they are parsed, through an intern
+    table of this immersion's own, so a subexpression repeated across them
+    (``sin(u1)`` in several components) is one node, evaluated once per
+    environment.
+    """
 
     n: int
     components: tuple[ex.ExprAst, ...]
@@ -64,8 +70,10 @@ class Immersion:
     label: str = ""
 
     def __post_init__(self):
+        nodes: dict = {}
         components = tuple(
-            ex.parse(c) if isinstance(c, str) else c for c in self.components
+            ex.parse(c, nodes) if isinstance(c, str) else ex.intern(c, nodes)
+            for c in self.components
         )
         object.__setattr__(self, "components", components)
         if self.n < 1:
@@ -97,7 +105,7 @@ class Immersion:
         try:
             # a non-finite image fails ambient validation or the geometry build
             with np.errstate(over="ignore", invalid="ignore"):
-                return jets.array([ex.evaluate(c, env) for c in self.components])
+                return ex.evaluate_tables([self.components], env)[0]
         except jets.DomainError as err:
             raise err.at("u", u) from None
 
@@ -172,15 +180,23 @@ class _JetGeometry:
     every field then carries that leading point shape.  Seed layout: one
     seed direction per submanifold parameter ``u1..un`` and no other; the
     ambient metric derivatives are the space's symbolic ``metric_diff``
-    evaluated along the immersion.  The immersion ``f`` carries the
-    requested order ``p``; the coordinate tangent fields ``T`` (shape
-    ``(..., n, N)``), the metric ``gf`` ``(..., N, N)`` and structure ``Ff``
-    along the immersion, the frames ``e_field`` ``(..., n, N)`` and
-    ``xi_field`` ``(..., m, N)`` and the induced metric carry ``p - 1``; the
-    Christoffel symbols ``gamma_f`` ``(..., N, N, N)``, the second
-    fundamental form ``h_field`` ``(..., n, n, N)`` and ``H_field``
-    ``(..., N)`` carry ``p - 2``.  A metric, structure or connection that is
-    constant along the immersion stays a float array without point axes.
+    evaluated along the immersion, in one memoized pass with the metric and
+    structure.  Each field carries the order its readers need, for the
+    requested order ``p``: the immersion ``f`` carries ``p`` and the
+    coordinate tangent fields ``T`` (shape ``(..., n, N)``) ``p - 1``.  The
+    metric ``gf`` ``(..., N, N)`` and structure ``Ff`` along the immersion,
+    the Gram-Schmidt input, the frames ``e_field`` ``(..., n, N)`` and
+    ``xi_field`` ``(..., m, N)``, the lowered tangent frame ``gE`` and the
+    induced metric ``G_field`` carry ``max(p - 2, 1)``: every reader
+    differentiates them at most once.  The Christoffel symbols ``gamma_f``
+    ``(..., N, N, N)``, the second fundamental form ``h_field``
+    ``(..., n, n, N)``, ``H_field`` ``(..., N)`` and ``Ginv_field`` carry
+    ``p - 2``.  A metric, structure or connection that is constant along the
+    immersion stays a float array without point axes.  Two cases are read
+    off those evaluated tables: a metric-derivative table that is a constant
+    zero array sets ``flat``, and then ``gamma_f`` and ``GammaT0`` are
+    ``None`` and no Christoffel term is contracted; a constant identity
+    metric sets ``unit_metric``, and :meth:`lower` returns its argument.
     Decisions that differ between points (the Jacobian rank, positive
     definiteness, the normal frame completion) are masks over the points;
     a failing check names the first failing point.
@@ -209,16 +225,19 @@ class _JetGeometry:
         self.points = [tuple(row) for row in self.u.reshape(-1, n).tolist()]
 
         self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
+        low = max(order - 2, 1)  # the order of every field read at most once differentiated
         try:
             # overflow and NaN are found by the masks below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                self.f = jets.array(
-                    [jets.as_jet(ex.evaluate(c, self.uenv), order, n) for c in immersion.components]
-                )
+                self.f = ex.evaluate_tables([immersion.components], self.uenv)[0]
+                if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
+                    self.f = jets.array([0.0 * self.uenv["u1"] + c for c in self.f])
                 # ambient metric, structure and metric derivatives along the immersion
-                self.gf = space.metric_jets(self.f.truncate(order - 1))
-                self.Ff = space.structure_jets(self.f.truncate(order - 1))
-                dg = space.metric_derivatives(self.f.truncate(order - 2))
+                self.gf, self.Ff, dg = space.tables(
+                    ("metric", "structure", "metric_diff"), self.f.truncate(low)
+                )
+                if isinstance(dg, jets.Jet):
+                    dg = dg.truncate(order - 2)
         except jets.DomainError as err:
             raise err.at("u", self.u) from None
         self.x0 = self.f.value
@@ -255,9 +274,14 @@ class _JetGeometry:
                 f"(smallest singular value {smallest[p]:.3e})"
             )
 
-        # Christoffel symbols along the immersion; Gamma(T_a, .) at the base points
-        self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
-        self.GammaT0 = np.einsum("...ijk,...ja->...ika", _values(self.gamma_f), self.J0)
+        # Christoffel symbols along the immersion and Gamma(T_a, .) at the
+        # base points, unless the connection vanishes
+        self.flat = isinstance(dg, np.ndarray) and not dg.any()
+        self.gamma_f = self.GammaT0 = None
+        if not self.flat:
+            self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
+            self.GammaT0 = np.einsum("...ijk,...ja->...ika", _values(self.gamma_f), self.J0)
+        self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
 
         # orthonormal frames (modified Gram-Schmidt under the ambient metric):
         # the tangent columns, then coordinate axes until the frame is full.
@@ -270,9 +294,10 @@ class _JetGeometry:
             columns.reverse()
         elif column_order != "forward":
             raise ValueError("column_order must be 'forward' or 'reversed'")
-        frames = lowered = jets.Jet(self.T.alg, np.zeros(shape + (N, N, self.T.alg.size)))
+        tangents = self.T.truncate(low)
+        frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
         filled = np.zeros(shape, dtype=int)
-        for k, vec in enumerate([self.T[..., c, :] for c in columns] + list(np.eye(N))):
+        for k, vec in enumerate([tangents[..., c, :] for c in columns] + list(np.eye(N))):
             if k >= n and (filled == N).all():
                 break
             w = vec
@@ -302,7 +327,7 @@ class _JetGeometry:
         self.P_tan0 = np.einsum("...ai,...aj->...ij", self.E0, self.gE.value)
 
         # induced metric and its inverse
-        self.G_field = jets.einsum("...ai,...bi->...ab", self.T, self.lower(self.T))
+        self.G_field = jets.einsum("...ai,...bi->...ab", tangents, self.lower(tangents))
         self.G0 = self.G_field.value
         self.G0inv = np.linalg.inv(self.G0)
         self.Ginv_field = jets.inverse(self.G_field.truncate(order - 2))
@@ -310,10 +335,10 @@ class _JetGeometry:
         # coordinate-frame second fundamental form: the normal part of
         # d_b T_a + Gamma(T_a, T_b), an (..., n, n, N) field
         dT = jets.array([jets.partial(self.T, b) for b in range(n)]).swapaxes(-1, -2)
-        gamma_t = jets.einsum("...ijk,...bk->...bij", self.gamma_f, self.T)
-        self.h_field = self.normal_part_field(
-            dT + jets.einsum("...aj,...bij->...abi", self.T, gamma_t)
-        )
+        if not self.flat:
+            gamma_t = jets.einsum("...ijk,...bk->...bij", self.gamma_f, self.T)
+            dT = dT + jets.einsum("...aj,...bij->...abi", self.T, gamma_t)
+        self.h_field = self.normal_part_field(dT)
         self.hc0 = self.h_field.value
 
         # mean curvature field H = (1/n) G^{ab} h_ab
@@ -359,7 +384,9 @@ class _JetGeometry:
         return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]
 
     def lower(self, vec):
-        """g(vec, .) as components: g_ij vec^j."""
+        """g(vec, .) as components: g_ij vec^j (``vec`` itself for a unit metric)."""
+        if self.unit_metric:
+            return vec
         return jets.einsum("...ij,...j->...i", self._fit(self.gf, 2, vec), vec)
 
     def apply_F_field(self, vec):
@@ -396,6 +423,8 @@ class _JetGeometry:
 
     def cov_deriv(self, vec, direction) -> np.ndarray:
         """Ambient covariant derivative of a field along a parameter direction."""
+        if self.flat:
+            return self.dirderiv(vec, direction)
         d = self._fit(np.asarray(direction, dtype=float), 1, vec)
         return self.dirderiv(vec, direction) + np.einsum(
             "...ika,...a,...k->...i", self._fit(self.GammaT0, 3, vec), d, vec.value

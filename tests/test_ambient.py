@@ -12,6 +12,7 @@ from prodgeo.ambient import (
     SingularMetric,
     ambient_cov_derivative,
     christoffel,
+    positive_definite,
     product_of,
     validate_ambient,
 )
@@ -270,3 +271,38 @@ def test_ambient_validation_checks_each_sample_once(monkeypatch):
     monkeypatch.setattr(ambient, "positive_definite", counting)
     validate_ambient(sphere_block_space(), [[0.5, 0.1, 0.2], [1.0, 0.3, -0.4]])
     assert sum(checked) == 2
+
+
+@pytest.mark.parametrize("upper, lower", [("0.5", "1/2"), ("0.1*x1*x2", "0.1*x2*x1")])
+def test_metric_symmetry_is_decided_on_values(upper, lower):
+    sp = AmbientSpace(2, [["2", upper], [lower, "2"]], [["1", "0"], ["0", "1"]])
+    x = [[0.3, -0.7], [1.1, 0.4]]
+    g = sp.metric_at(x)
+    assert np.array_equal(g, np.swapaxes(g, -2, -1))
+    assert validate_ambient(sp, x).passed
+
+
+def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
+    from prodgeo.subgeom import Immersion, _JetGeometry
+
+    assert not positive_definite(np.array([[2.0, 0.1], [0.2, 2.0]]))
+    assert positive_definite(np.array([[2.0, 0.1], [0.1, 2.0]]))
+    # the mirrored entries agree for x1 >= 0 only
+    sp = AmbientSpace(2, [["2", "0.1*x1"], ["0.1*sqrt(x1^2)", "2"]], [["1", "0"], ["0", "1"]])
+    assert validate_ambient(sp, [[0.5, 0.2]]).passed
+    report = validate_ambient(sp, [[0.5, 0.2], [-0.5, 0.2]])
+    assert not report.positive_definite and not report.passed
+    imm = Immersion(1, ("u1", "0.3*u1"))
+    _JetGeometry(imm, sp, [[0.5]], order=2)
+    with pytest.raises(SingularMetric, match="not positive definite"):
+        _JetGeometry(imm, sp, [[0.5], [-0.5]], order=2)
+
+
+def test_constant_tables_are_not_shared_with_callers():
+    sp = constant_reflection_space()
+    x = [[0.3, -0.7]]
+    g, f = sp.metric_at(x), sp.structure_at(x)
+    g[...] = 5.0
+    f[...] = 5.0
+    assert np.array_equal(sp.metric_at(x), np.eye(2))
+    assert np.array_equal(sp.structure_at(x), constant_reflection_space().structure_at(x))

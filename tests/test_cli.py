@@ -656,3 +656,27 @@ def test_dump_json_matches_the_reference_serializer(doc):
 def test_dump_json_rejects_non_finite_numbers(doc):
     with pytest.raises(ValueError, match="report numbers must be finite"):
         dump_json(doc)
+
+
+@pytest.mark.parametrize("body", [
+    "points = (0.1,); (nan,)",
+    "grid = u1: 0 : inf : 3",  # 0 * inf is already a NaN point
+    "random = count=3 seed=1 box=(1,nan)",
+], ids=["points", "grid", "random"])
+def test_non_finite_sample_point_is_a_scenario_error(body, capsys, tmp_path):
+    text = _malformed("samples", body)
+    with pytest.raises(ScenarioError, match=r"^\[samples\] sample point \(nan,\) is not finite"):
+        loads_scenario(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: [samples] sample point (nan,) is not finite\n"
+
+
+def test_constant_map_is_a_degenerate_immersion(capsys, tmp_path):
+    path = tmp_path / "constant.ini"
+    path.write_text(_malformed("immersion", "n = 1\nmap = 1, 2"))
+    code, out, err = run_cli(capsys, "check", "--all", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Jacobian rank < 1 at u = (0.5,)"), err

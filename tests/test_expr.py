@@ -206,3 +206,55 @@ def test_diff_folds_zeros():
     space = product_of("flat", 2, "flat", 2)
     entries = [e for table in space.metric_diff for row in table for e in row]
     assert len(entries) == 64 and all(e == ex.Num(0) for e in entries)
+
+
+@pytest.mark.parametrize("src, offset", [
+    ("1e309", 0), ("x1^1e309", 3), ("2 * 1e400 + x1", 4), ("x1^10^400", 3), ("x1^0^-1", 3),
+])
+def test_overflowing_literal_is_a_parse_error(src, offset):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(src)
+    assert err.value.offset == offset
+
+
+def test_interning_shares_equal_subtrees():
+    nodes = {}
+    a, b = ex.parse("2*sin(u1) + cos(u1)", nodes), ex.parse("sin(u1)^2 - 0.0", nodes)
+    assert a.lhs.rhs is b.lhs.lhs  # one sin(u1)
+    assert ex.parse("2*sin(u1) + cos(u1)", nodes) is a
+    assert ex.parse("-0.0", nodes).arg is b.rhs
+    assert ex.make(nodes, ex.Num, -0.0) is not ex.make(nodes, ex.Num, 0.0)  # the sign stays
+    # a tree built elsewhere joins the table; structural equality is unchanged
+    assert ex.intern(ex.parse("sin(u1)^2 - 0.0"), nodes) is b
+    assert ex.diff(b, "u1", nodes).rhs is ex.parse("cos(u1)", nodes)
+    assert ex.parse("sin(u1)") == a.lhs.rhs
+
+
+def test_memoized_pass_evaluates_a_shared_node_once(monkeypatch):
+    calls = []
+    monkeypatch.setitem(ex._CALLS, "sin", lambda x: calls.append(x) or np.sin(x))
+    nodes = {}
+    tables = [(ex.parse("sin(u1) + 1", nodes), ex.parse("2*sin(u1)", nodes)),
+              ((ex.parse("sin(u1)^2", nodes),),)]
+    u = np.array([0.1, 0.2])
+    first, second = ex.evaluate_tables(tables, {"u1": u})
+    assert len(calls) == 1
+    # the point axis leads, the table's nesting trails
+    assert np.array_equal(first, np.stack([np.sin(u) + 1, 2 * np.sin(u)], axis=-1))
+    assert second.shape == (2, 1, 1) and np.array_equal(second[:, 0, 0], np.sin(u) ** 2)
+
+
+def test_memoized_tables_share_no_storage():
+    nodes = {}
+    u1 = np.array([0.3, -0.4])
+    table = (ex.parse("u1", nodes), ex.parse("sin(u1)", nodes), ex.parse("sin(u1)", nodes))
+    (seed,) = seed_point(u1[:, None], order=2)
+    for env in ({"u1": u1}, {"u1": seed}):
+        first, second = ex.evaluate_tables([table, table], env)
+        data = (lambda t: t.coeffs) if hasattr(first, "coeffs") else (lambda t: t)
+        expected = data(second).copy()
+        data(first)[...] = 7.0  # a caller writes into its result
+        assert np.array_equal(data(second), expected)
+        assert np.array_equal(data(ex.evaluate_tables([table], env)[0]), expected)
+    assert np.array_equal(u1, [0.3, -0.4])
+    assert np.array_equal(seed.coeffs[..., 0], u1)
