@@ -353,6 +353,9 @@ class _Memo(dict):
     evaluated under it; its nodes must outlive it."""
 
 
+_MISSING = object()
+
+
 def evaluate(node: ExprAst, env: Mapping[str, object]):
     """Evaluate over an environment of floats, float arrays and/or jets.
 
@@ -360,8 +363,8 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
     (:class:`prodgeo.jets.DomainError`) locates the first offending point.
     """
     if type(env) is _Memo:
-        value = env.get(id(node), _Memo)
-        if value is _Memo:
+        value = env.get(id(node), _MISSING)
+        if value is _MISSING:
             value = env[id(node)] = _node_value(node, env)
         return value
     return _node_value(node, env)
@@ -400,13 +403,14 @@ def evaluate_tables(tables, env: Mapping[str, object]) -> list:
     (:func:`prodgeo.jets.array`), so no two tables or callers share storage.
     """
     memo = _Memo(env)
+    return [jets.array(_entries(table, memo)) for table in tables]
 
-    def entries(table):
-        if isinstance(table, tuple):
-            return [entries(entry) for entry in table]
-        return evaluate(table, memo)
 
-    return [jets.array(entries(table)) for table in tables]
+def _entries(table, memo: _Memo):
+    """A nested tuple of nodes as the nested list of their values."""
+    if isinstance(table, tuple):
+        return [_entries(entry, memo) for entry in table]
+    return evaluate(table, memo)
 
 
 # ---- symbolic differentiation ---------------------------------------------
