@@ -141,9 +141,9 @@ class AmbientSpace:
     def _constants(self) -> dict[str, np.ndarray]:
         """The constant tables and their zero derivative tables, evaluated once."""
         constants = {}
-        tables = ex.evaluate_tables([getattr(self, name) for name in self._fixed], {})
-        for name, table in zip(self._fixed, tables):
-            constants[name] = table
+        for name in self._fixed:
+            rows = getattr(self, name)
+            constants[name] = np.array([[ex.evaluate(e, {}) for e in row] for row in rows], dtype=float)
             constants[f"{name}_diff"] = np.zeros((self.dim,) * 3)
         return constants
 
@@ -348,8 +348,8 @@ def validate_ambient(
         except jets.DomainError as err:
             raise err.at("x", x) from None
         # constant tables (whose derivative tables are then zero) are checked
-        # once, at one point standing for every sample
-        at = np.zeros((1, space.dim)) if g.ndim == f.ndim == 2 else x
+        # once, at one sample standing for all of them
+        at = x[:1] if g.ndim == f.ndim == 2 else x
         shape = (len(at), space.dim, space.dim)
         g, f = np.broadcast_to(g, shape), np.broadcast_to(f, shape)
         residuals = np.zeros((len(at), 3))  # F^2 - I, compatibility, (nabla_X F) Y
@@ -370,9 +370,6 @@ def validate_ambient(
             # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
             sq = np.einsum("plik,pij,pljk->plk", nabla_f, gd, nabla_f)
             residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
-        definite, residuals, f = (
-            np.broadcast_to(a, (len(x),) + a.shape[1:]) for a in (definite, residuals, f)
-        )
         finite = np.isfinite(residuals).all(axis=1)
         f_finite = f[finite]
         worst = residuals[finite].max(axis=0, initial=0.0)

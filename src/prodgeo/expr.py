@@ -165,10 +165,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
-        self.nodes = nodes
-
-    def _make(self, cls, *fields) -> ExprAst:
-        return make(self.nodes, cls, *fields)
+        self.nodes = nodes  # the intern table, or None
 
     def _peek(self):
         if self.pos < len(self.tokens):
@@ -199,7 +196,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "+-":
                 self.pos += 1
-                node = self._make(BinOp, text, node, self.term())
+                node = make(self.nodes, BinOp, text, node, self.term())
             else:
                 return node
 
@@ -209,7 +206,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "*/":
                 self.pos += 1
-                node = self._make(BinOp, text, node, self.unary())
+                node = make(self.nodes, BinOp, text, node, self.unary())
             else:
                 return node
 
@@ -217,7 +214,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "-":
             self.pos += 1
-            return self._make(Neg, self.unary())
+            return make(self.nodes, Neg, self.unary())
         return self.power()
 
     def power(self) -> ExprAst:
@@ -225,7 +222,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "^":
             self.pos += 1
-            return self._make(BinOp, "^", base, self._make(Num, self.exponent()))
+            return make(self.nodes, BinOp, "^", base, make(self.nodes, Num, self.exponent()))
         return base
 
     def exponent(self) -> float:
@@ -259,7 +256,7 @@ class _Parser:
     def atom(self) -> ExprAst:
         kind, text, offset = self._peek()
         if kind == "num":
-            return self._make(Num, self._number())
+            return make(self.nodes, Num, self._number())
         self.pos += 1
         if kind == "name":
             nkind, ntext, _ = self._peek()
@@ -269,8 +266,8 @@ class _Parser:
                 self.pos += 1
                 arg = self.sum()
                 self._expect_op(")")
-                return self._make(Call, text, arg)
-            return self._make(Var, text)
+                return make(self.nodes, Call, text, arg)
+            return make(self.nodes, Var, text)
         if kind == "op" and text == "(":
             node = self.sum()
             self._expect_op(")")
@@ -361,16 +358,9 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
 
     Arrays and jets evaluate a batch of points at once; a domain error
     (:class:`prodgeo.jets.DomainError`) locates the first offending point.
+    Under the environment of :func:`evaluate_tables` every inner node is
+    evaluated once.
     """
-    if type(env) is _Memo:
-        value = env.get(id(node), _MISSING)
-        if value is _MISSING:
-            value = env[id(node)] = _node_value(node, env)
-        return value
-    return _node_value(node, env)
-
-
-def _node_value(node: ExprAst, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -378,21 +368,30 @@ def _node_value(node: ExprAst, env):
             return env[node.name]
         except KeyError:
             raise UnknownVariable(node.name) from None
+    memo = env if type(env) is _Memo else None
+    if memo is not None:
+        value = memo.get(id(node), _MISSING)
+        if value is not _MISSING:
+            return value
     if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
-    if isinstance(node, Call):
-        return _CALLS[node.fn](evaluate(node.arg, env))
-    lhs = evaluate(node.lhs, env)
-    if node.op == "^":
-        return _power(lhs, node.rhs.value)
-    rhs = evaluate(node.rhs, env)
-    if node.op == "+":
-        return lhs + rhs
-    if node.op == "-":
-        return lhs - rhs
-    if node.op == "*":
-        return lhs * rhs
-    return _divide(lhs, rhs)
+        value = -evaluate(node.arg, env)
+    elif isinstance(node, Call):
+        value = _CALLS[node.fn](evaluate(node.arg, env))
+    elif node.op == "^":
+        value = _power(evaluate(node.lhs, env), node.rhs.value)
+    else:
+        lhs, rhs = evaluate(node.lhs, env), evaluate(node.rhs, env)
+        if node.op == "+":
+            value = lhs + rhs
+        elif node.op == "-":
+            value = lhs - rhs
+        elif node.op == "*":
+            value = lhs * rhs
+        else:
+            value = _divide(lhs, rhs)
+    if memo is not None:
+        memo[id(node)] = value
+    return value
 
 
 def evaluate_tables(tables, env: Mapping[str, object]) -> list:

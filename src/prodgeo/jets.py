@@ -408,8 +408,6 @@ def array(entries):
     lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
     found = [e for e in leaves if isinstance(e, Jet)]
     if not found:
-        if not lead:
-            return np.array(leaves, dtype=float).reshape(nest)
         stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
         return np.stack(stacked, axis=-1).reshape(lead + nest)
     if len({j.nvars for j in found}) > 1:

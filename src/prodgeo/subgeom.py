@@ -105,9 +105,11 @@ class Immersion:
         try:
             # a non-finite image fails ambient validation or the geometry build
             with np.errstate(over="ignore", invalid="ignore"):
-                return ex.evaluate_tables([self.components], env)[0]
+                x = ex.evaluate_tables([self.components], env)[0]
         except jets.DomainError as err:
             raise err.at("u", u) from None
+        # a constant map has no point axes of its own
+        return np.broadcast_to(x, u.shape[:-1] + x.shape).copy() if x.ndim < u.ndim else x
 
 
 @dataclass
