@@ -16,9 +16,10 @@ expression is evaluated against an environment.  A numeric literal must be
 finite: one that overflows a float is a :class:`ParseError`.
 
 Expression interning: :func:`parse`, :func:`intern` and :func:`diff` take an
-optional intern table (a dict owned by the object whose expressions it holds,
-such as an :class:`~prodgeo.subgeom.Immersion`) and then build one node per
-distinct subtree, so a repeated ``sin(u1)`` is one object.
+optional intern table, a dict the caller keeps while it builds related
+expressions (an :class:`~prodgeo.subgeom.Immersion` or an ambient space keeps
+one while it is constructed), and then build one node per distinct subtree,
+so a repeated ``sin(u1)`` is one object.
 :func:`evaluate_tables` evaluates several tables of such nodes in one
 memoized pass, which computes each shared node once per environment.
 """
