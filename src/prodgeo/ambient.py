@@ -50,15 +50,9 @@ def ambient_vars(dim: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(dim))
 
 
-def _as_matrix(rows, dim: int, what: str, nodes: dict | None = None):
-    """A ``dim x dim`` tuple of expressions from strings or nodes, interned in ``nodes``."""
-
-    def entry(e):
-        if isinstance(e, str):
-            return ex.parse(e, nodes)
-        return e if nodes is None else ex.intern(e, nodes)
-
-    parsed = tuple(tuple(entry(e) for e in row) for row in rows)
+def _as_matrix(rows, dim: int, what: str):
+    """A ``dim x dim`` tuple of expressions from strings or nodes."""
+    parsed = tuple(tuple(ex.parse(e) if isinstance(e, str) else e for e in row) for row in rows)
     if len(parsed) != dim or any(len(row) != dim for row in parsed):
         raise ValueError(f"{what} must be a {dim}x{dim} matrix of expressions")
     return parsed
@@ -87,15 +81,14 @@ class AmbientSpace:
     ``metric_diff[l][i][j]`` and ``structure_diff[l][i][j]`` hold the
     partial derivatives of ``g_ij`` and ``F^i_j`` along ``x(l+1)``, zero
     folded, so a flat block contributes plain ``Num(0)`` entries; an entry
-    is only differentiated along the variables it contains.  The four tables
-    are interned through one intern table while the space is built, so they
-    share subtrees.
+    is only differentiated along the variables it contains.
 
     Evaluated once per space: a metric or structure table without variables
     becomes a float array on first use, and its derivative table a zero
     array without evaluating it; every later call copies them.  The other
-    tables are evaluated per call, in one memoized pass for all the tables
-    requested together.
+    tables are evaluated per call, by one :class:`~prodgeo.expr.Plan` for
+    the tables requested together, compiled on first request, so the
+    subtrees they share are computed once.
     """
 
     dim: int
@@ -105,14 +98,12 @@ class AmbientSpace:
     metric_diff: tuple = field(init=False, repr=False, compare=False)
     structure_diff: tuple = field(init=False, repr=False, compare=False)
     _fixed: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
-        nodes: dict = {}  # the intern table of this space's expressions
-        zero = ex.make(nodes, ex.Num, 0.0)
-        object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric", nodes))
-        object.__setattr__(
-            self, "structure", _as_matrix(self.structure, self.dim, "structure", nodes)
-        )
+        zero = ex.Num(0.0)
+        object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric"))
+        object.__setattr__(self, "structure", _as_matrix(self.structure, self.dim, "structure"))
         allowed = set(ambient_vars(self.dim))
         fixed = []  # the tables without variables
         for name, matrix in (("metric", self.metric), ("structure", self.structure)):
@@ -124,7 +115,7 @@ class AmbientSpace:
                 fixed.append(name)
             d = tuple(
                 tuple(
-                    tuple(ex.diff(e, x, nodes) if x in v else zero for e, v in zip(row, vrow))
+                    tuple(ex.diff(e, x) if x in v else zero for e, v in zip(row, vrow))
                     for row, vrow in zip(matrix, used)
                 )
                 for x in ambient_vars(self.dim)
@@ -134,7 +125,7 @@ class AmbientSpace:
         for i in range(self.dim):
             for j in range(i):
                 a, b = self.metric[i][j], self.metric[j][i]
-                if a is not b and _differ(a, b, self.dim):
+                if a != b and _differ(a, b, self.dim):
                     raise ValueError("metric component matrix must be symmetric")
 
     @cached_property
@@ -154,19 +145,21 @@ class AmbientSpace:
         coordinates.  Each result is a jet or float array with the points'
         leading shape; a constant table is a float array of the table's own
         shape, which broadcasts over any points.  The tables that depend on
-        ``x`` are evaluated in one memoized pass.
+        ``x`` are evaluated by one plan.
         """
         if isinstance(x, (list, tuple)):
             x = jets.array(list(x))
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
         constants = self._constants
-        varying = [name for name in names if name not in constants]
+        varying = tuple(name for name in names if name not in constants)
         values = {}
         if varying:
+            plan = self._plans.get(varying)
+            if plan is None:
+                plan = self._plans[varying] = ex.Plan([getattr(self, name) for name in varying])
             env = {v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))}
-            tables = ex.evaluate_tables([getattr(self, name) for name in varying], env)
-            values = dict(zip(varying, tables))
+            values = dict(zip(varying, plan(env)))
         return [constants[name].copy() if name in constants else values[name] for name in names]
 
     def metric_at(self, x) -> np.ndarray:
@@ -177,9 +170,6 @@ class AmbientSpace:
 
     def metric_jets(self, x):
         return self.tables(("metric",), x)[0]
-
-    def structure_jets(self, x):
-        return self.tables(("structure",), x)[0]
 
     def metric_derivatives(self, x):
         """``dg[l, i, j] = d g_ij / d x^l`` at ``x`` (floats or jets)."""

@@ -15,18 +15,16 @@ Variables follow the convention ``u1..un`` for submanifold parameters and
 expression is evaluated against an environment.  A numeric literal must be
 finite: one that overflows a float is a :class:`ParseError`.
 
-Expression interning: :func:`parse`, :func:`intern` and :func:`diff` take an
-optional intern table, a dict the caller keeps while it builds related
-expressions (an :class:`~prodgeo.subgeom.Immersion` or an ambient space keeps
-one while it is constructed), and then build one node per distinct subtree,
-so a repeated ``sin(u1)`` is one object.
-:func:`evaluate_tables` evaluates several tables of such nodes in one
-memoized pass, which computes each shared node once per environment.
+A :class:`Plan` compiles several tables of expressions (nested tuples of
+nodes) into one straight-line program with a step per structurally distinct
+subtree, so a ``sin(u1)`` repeated across entries and tables is computed
+once per environment.  :func:`evaluate` evaluates a single tree.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -44,13 +42,11 @@ __all__ = [
     "ExprAst",
     "ParseError",
     "UnknownVariable",
-    "make",
-    "intern",
+    "Plan",
     "parse",
     "pretty",
     "variables",
     "evaluate",
-    "evaluate_tables",
     "diff",
 ]
 
@@ -102,42 +98,6 @@ class Call:
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 
 
-def make(nodes: dict | None, cls, *fields) -> ExprAst:
-    """``cls(*fields)``, or the node of the same structure already in ``nodes``.
-
-    ``nodes`` is an intern table; ``None`` builds a fresh node.  Children are
-    keyed by identity, so they should come from the same table; a zero keeps
-    its sign.
-    """
-    if nodes is None:
-        return cls(*fields)
-    if cls is BinOp:
-        key = (BinOp, fields[0], id(fields[1]), id(fields[2]))
-    elif cls is Num:
-        key = (Num, fields[0], math.copysign(1.0, fields[0]))
-    elif cls is Var:
-        key = (Var, fields[0])
-    else:  # Neg and Call: the child comes last
-        key = (cls,) + fields[:-1] + (id(fields[-1]),)
-    node = nodes.get(key)
-    if node is None:
-        node = nodes[key] = cls(*fields)
-    return node
-
-
-def intern(node: ExprAst, nodes: dict) -> ExprAst:
-    """The node of ``node``'s structure in the intern table ``nodes``, added if missing."""
-    if isinstance(node, Num):
-        return make(nodes, Num, node.value)
-    if isinstance(node, Var):
-        return make(nodes, Var, node.name)
-    if isinstance(node, Neg):
-        return make(nodes, Neg, intern(node.arg, nodes))
-    if isinstance(node, Call):
-        return make(nodes, Call, node.fn, intern(node.arg, nodes))
-    return make(nodes, BinOp, node.op, intern(node.lhs, nodes), intern(node.rhs, nodes))
-
-
 _TOKEN = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
@@ -162,11 +122,10 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, src: str, nodes: dict | None):
+    def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
-        self.nodes = nodes  # the intern table, or None
 
     def _peek(self):
         if self.pos < len(self.tokens):
@@ -197,7 +156,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "+-":
                 self.pos += 1
-                node = make(self.nodes, BinOp, text, node, self.term())
+                node = BinOp(text, node, self.term())
             else:
                 return node
 
@@ -207,7 +166,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "*/":
                 self.pos += 1
-                node = make(self.nodes, BinOp, text, node, self.unary())
+                node = BinOp(text, node, self.unary())
             else:
                 return node
 
@@ -215,7 +174,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "-":
             self.pos += 1
-            return make(self.nodes, Neg, self.unary())
+            return Neg(self.unary())
         return self.power()
 
     def power(self) -> ExprAst:
@@ -223,7 +182,7 @@ class _Parser:
         kind, text, _ = self._peek()
         if kind == "op" and text == "^":
             self.pos += 1
-            return make(self.nodes, BinOp, "^", base, make(self.nodes, Num, self.exponent()))
+            return BinOp("^", base, Num(self.exponent()))
         return base
 
     def exponent(self) -> float:
@@ -257,7 +216,7 @@ class _Parser:
     def atom(self) -> ExprAst:
         kind, text, offset = self._peek()
         if kind == "num":
-            return make(self.nodes, Num, self._number())
+            return Num(self._number())
         self.pos += 1
         if kind == "name":
             nkind, ntext, _ = self._peek()
@@ -267,8 +226,8 @@ class _Parser:
                 self.pos += 1
                 arg = self.sum()
                 self._expect_op(")")
-                return make(self.nodes, Call, text, arg)
-            return make(self.nodes, Var, text)
+                return Call(text, arg)
+            return Var(text)
         if kind == "op" and text == "(":
             node = self.sum()
             self._expect_op(")")
@@ -276,9 +235,9 @@ class _Parser:
         raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", offset)
 
 
-def parse(src: str, nodes: dict | None = None) -> ExprAst:
-    """The expression tree of ``src``, built through the intern table ``nodes`` if given."""
-    return _Parser(src, nodes).parse()
+def parse(src: str) -> ExprAst:
+    """The expression tree of ``src``."""
+    return _Parser(src).parse()
 
 
 def variables(node: ExprAst) -> frozenset[str]:
@@ -343,15 +302,12 @@ def _divide(lhs, rhs):
     return lhs / rhs
 
 
-_CALLS = {"sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt}
-
-
-class _Memo(dict):
-    """An environment that also holds, by node id, the value of every node
-    evaluated under it; its nodes must outlive it."""
-
-
-_MISSING = object()
+# each node's operation: a function by name, "neg", or a binary operator by symbol
+_CALLS = {
+    "sin": jets.sin, "cos": jets.cos, "exp": jets.exp, "sqrt": jets.sqrt,
+    "neg": operator.neg, "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _divide, "^": _power,
+}
 
 
 def evaluate(node: ExprAst, env: Mapping[str, object]):
@@ -359,8 +315,6 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
 
     Arrays and jets evaluate a batch of points at once; a domain error
     (:class:`prodgeo.jets.DomainError`) locates the first offending point.
-    Under the environment of :func:`evaluate_tables` every inner node is
-    evaluated once.
     """
     if isinstance(node, Num):
         return node.value
@@ -369,48 +323,76 @@ def evaluate(node: ExprAst, env: Mapping[str, object]):
             return env[node.name]
         except KeyError:
             raise UnknownVariable(node.name) from None
-    memo = env if type(env) is _Memo else None
-    if memo is not None:
-        value = memo.get(id(node), _MISSING)
-        if value is not _MISSING:
-            return value
-    if isinstance(node, Neg):
-        value = -evaluate(node.arg, env)
-    elif isinstance(node, Call):
-        value = _CALLS[node.fn](evaluate(node.arg, env))
-    elif node.op == "^":
-        value = _power(evaluate(node.lhs, env), node.rhs.value)
-    else:
-        lhs, rhs = evaluate(node.lhs, env), evaluate(node.rhs, env)
-        if node.op == "+":
-            value = lhs + rhs
-        elif node.op == "-":
-            value = lhs - rhs
-        elif node.op == "*":
-            value = lhs * rhs
-        else:
-            value = _divide(lhs, rhs)
-    if memo is not None:
-        memo[id(node)] = value
-    return value
+    if isinstance(node, (Neg, Call)):
+        return _CALLS[node.fn if isinstance(node, Call) else "neg"](evaluate(node.arg, env))
+    return _CALLS[node.op](evaluate(node.lhs, env), evaluate(node.rhs, env))
 
 
-def evaluate_tables(tables, env: Mapping[str, object]) -> list:
-    """Several tables (nested tuples of nodes) under one environment, in one pass.
+class Plan:
+    """Several tables (nested tuples of nodes) as one straight-line program.
 
-    The pass is memoized, so a node shared by several entries or tables is
-    computed once.  Each table comes back as one fresh float array or jet
-    (:func:`prodgeo.jets.array`), so no two tables or callers share storage.
+    Each structurally distinct subtree is one step, keyed by its operation,
+    its literal (a zero keeps its sign) and its operand step numbers, so it
+    is computed once per call.  ``plan(env)`` returns each table as a fresh
+    float array or jet (:func:`prodgeo.jets.array`) whose leading axes are
+    the points' and trailing axes the table's nesting.
     """
-    memo = _Memo(env)
-    return [jets.array(_entries(table, memo)) for table in tables]
+
+    def __init__(self, tables):
+        self.steps: list[tuple] = []
+        index: dict = {}  # step key -> step number
+        self.layouts = [_compile(table, index, self.steps) for table in tables]
+
+    def __call__(self, env: Mapping[str, object]) -> list:
+        values = _fill(self.steps, env)
+        return [jets.array(_gather(layout, values)) for layout in self.layouts]
 
 
-def _entries(table, memo: _Memo):
-    """A nested tuple of nodes as the nested list of their values."""
-    if isinstance(table, tuple):
-        return [_entries(entry, memo) for entry in table]
-    return evaluate(table, memo)
+def _compile(entry, index: dict, steps: list):
+    """The step number of a node (a nested tuple of them for a table),
+    adding the steps it needs to ``steps`` and their keys to ``index``."""
+    if isinstance(entry, tuple):
+        return tuple(_compile(e, index, steps) for e in entry)
+    if isinstance(entry, Num):
+        key = ("num", entry.value, math.copysign(1.0, entry.value))
+    elif isinstance(entry, Var):
+        key = ("var", entry.name)
+    elif isinstance(entry, (Neg, Call)):
+        key = (entry.fn if isinstance(entry, Call) else "neg", _compile(entry.arg, index, steps))
+    else:
+        key = (entry.op, _compile(entry.lhs, index, steps), _compile(entry.rhs, index, steps))
+    step = index.get(key)
+    if step is None:
+        step = index[key] = len(steps)
+        steps.append(key)
+    return step
+
+
+def _fill(steps: list, env: Mapping[str, object]) -> list:
+    """The value of every step, in order."""
+    values = []
+    for step in steps:
+        op = step[0]
+        if op == "num":
+            value = step[1]
+        elif op == "var":
+            try:
+                value = env[step[1]]
+            except KeyError:
+                raise UnknownVariable(step[1]) from None
+        elif len(step) == 2:
+            value = _CALLS[op](values[step[1]])
+        else:
+            value = _CALLS[op](values[step[1]], values[step[2]])
+        values.append(value)
+    return values
+
+
+def _gather(layout, values: list):
+    """A nested tuple of step numbers as the nested list of their values."""
+    if isinstance(layout, tuple):
+        return [_gather(entry, values) for entry in layout]
+    return values[layout]
 
 
 # ---- symbolic differentiation ---------------------------------------------
@@ -420,66 +402,60 @@ def _is_num(node: ExprAst, value: float) -> bool:
     return isinstance(node, Num) and node.value == value
 
 
-def _neg(a: ExprAst, nodes) -> ExprAst:
+def _neg(a: ExprAst) -> ExprAst:
     if isinstance(a, Num):
-        return make(nodes, Num, -a.value if a.value else 0.0)
-    return a.arg if isinstance(a, Neg) else make(nodes, Neg, a)
+        return Num(-a.value if a.value else 0.0)
+    return a.arg if isinstance(a, Neg) else Neg(a)
 
 
-def _sum(op: str, a: ExprAst, b: ExprAst, nodes) -> ExprAst:
+def _sum(op: str, a: ExprAst, b: ExprAst) -> ExprAst:
     if _is_num(b, 0):
         return a
     if _is_num(a, 0):
-        return b if op == "+" else _neg(b, nodes)
-    return make(nodes, BinOp, op, a, b)
+        return b if op == "+" else _neg(b)
+    return BinOp(op, a, b)
 
 
-def _mul(a: ExprAst, b: ExprAst, nodes) -> ExprAst:
+def _mul(a: ExprAst, b: ExprAst) -> ExprAst:
     if _is_num(a, 0) or _is_num(b, 0):
-        return make(nodes, Num, 0.0)
-    return b if _is_num(a, 1) else a if _is_num(b, 1) else make(nodes, BinOp, "*", a, b)
+        return Num(0.0)
+    return b if _is_num(a, 1) else a if _is_num(b, 1) else BinOp("*", a, b)
 
 
-def _div(a: ExprAst, b: ExprAst, nodes) -> ExprAst:
-    return a if _is_num(a, 0) else make(nodes, BinOp, "/", a, b)
+def _div(a: ExprAst, b: ExprAst) -> ExprAst:
+    return a if _is_num(a, 0) else BinOp("/", a, b)
 
 
-def diff(node: ExprAst, var: str, nodes: dict | None = None) -> ExprAst:
+def diff(node: ExprAst, var: str) -> ExprAst:
     """Partial derivative with respect to the variable ``var``, as an expression.
 
     Zeros and units are folded as the tree is built, so the derivative of an
     expression without ``var`` is ``Num(0)`` and a flat block costs nothing
-    to evaluate.  With an intern table ``nodes`` (the one ``node`` was built
-    in) the derivative shares its subtrees with ``node``.
+    to evaluate.  The derivative reuses the subtrees of ``node``.
     """
     if isinstance(node, (Num, Var)):
-        return make(nodes, Num, 1.0 if node == Var(var) else 0.0)
+        return Num(1.0 if node == Var(var) else 0.0)
     if isinstance(node, Neg):
-        return _neg(diff(node.arg, var, nodes), nodes)
+        return _neg(diff(node.arg, var))
     if isinstance(node, Call):
-        d, arg = diff(node.arg, var, nodes), node.arg
+        d, arg = diff(node.arg, var), node.arg
         if node.fn == "sqrt":
-            return _div(d, make(nodes, BinOp, "*", make(nodes, Num, 2.0), node), nodes)
+            return _div(d, BinOp("*", Num(2.0), node))
         if node.fn == "sin":
-            outer = make(nodes, Call, "cos", arg)
+            outer = Call("cos", arg)
         elif node.fn == "cos":
-            outer = make(nodes, Neg, make(nodes, Call, "sin", arg))
+            outer = Neg(Call("sin", arg))
         else:
             outer = node
-        return _mul(outer, d, nodes)
-    da, db = diff(node.lhs, var, nodes), diff(node.rhs, var, nodes)
+        return _mul(outer, d)
+    da, db = diff(node.lhs, var), diff(node.rhs, var)
     if node.op == "^":
         q = node.rhs.value
-        power = (
-            make(nodes, Num, 1.0) if q == 1 else node.lhs if q == 2
-            else make(nodes, BinOp, "^", node.lhs, make(nodes, Num, q - 1))
-        )
-        return _mul(_mul(make(nodes, Num, q), power, nodes), da, nodes)
+        power = Num(1.0) if q == 1 else node.lhs if q == 2 else BinOp("^", node.lhs, Num(q - 1))
+        return _mul(_mul(Num(q), power), da)
     if node.op in "+-":
-        return _sum(node.op, da, db, nodes)
+        return _sum(node.op, da, db)
     if node.op == "*":
-        return _sum("+", _mul(da, node.rhs, nodes), _mul(node.lhs, db, nodes), nodes)
-    square = make(nodes, BinOp, "^", node.rhs, make(nodes, Num, 2.0))
-    return _sum(
-        "-", _div(da, node.rhs, nodes), _div(_mul(node.lhs, db, nodes), square, nodes), nodes
-    )
+        return _sum("+", _mul(da, node.rhs), _mul(node.lhs, db))
+    square = BinOp("^", node.rhs, Num(2.0))
+    return _sum("-", _div(da, node.rhs), _div(_mul(node.lhs, db), square))

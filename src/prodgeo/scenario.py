@@ -245,6 +245,8 @@ def _parse_grid(text: str, n: int) -> tuple[tuple[float, ...], ...]:
             raise ScenarioError(f"bad grid axis {chunk!r}", section) from None
         if count < 1:
             raise ScenarioError("grid axis count must be >= 1", section)
+        if name in axes:
+            raise ScenarioError(f"grid axis {name!r} is given twice", section)
         if count == 1:
             axes[name] = [start]
         else:

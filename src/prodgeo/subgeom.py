@@ -17,7 +17,7 @@ whole document; a single point is the same code with no point axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -58,23 +58,19 @@ def param_vars(n: int) -> tuple[str, ...]:
 class Immersion:
     """Parametric immersion: N component expressions over u1..un.
 
-    The components are interned while they are parsed, through an intern
-    table of this immersion's own, so a subexpression repeated across them
-    (``sin(u1)`` in several components) is one node, evaluated once per
-    environment.
+    The components are compiled into one :class:`~prodgeo.expr.Plan` at
+    construction, so a subexpression repeated across them (``sin(u1)`` in
+    several components) is evaluated once per environment.
     """
 
     n: int
     components: tuple[ex.ExprAst, ...]
     samples: tuple[tuple[float, ...], ...] = ()
     label: str = ""
+    _plan: ex.Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes: dict = {}
-        components = tuple(
-            ex.parse(c, nodes) if isinstance(c, str) else ex.intern(c, nodes)
-            for c in self.components
-        )
+        components = tuple(ex.parse(c) if isinstance(c, str) else c for c in self.components)
         object.__setattr__(self, "components", components)
         if self.n < 1:
             raise ValueError("parametric dimension must be at least 1")
@@ -91,6 +87,9 @@ class Immersion:
         for s in samples:
             if len(s) != self.n:
                 raise ValueError(f"sample {s} does not have {self.n} coordinates")
+        if samples:
+            _points(samples, self.n)  # rejects a non-finite sample
+        object.__setattr__(self, "_plan", ex.Plan([components]))
 
     @property
     def ambient_dim(self) -> int:
@@ -105,7 +104,7 @@ class Immersion:
         try:
             # a non-finite image fails ambient validation or the geometry build
             with np.errstate(over="ignore", invalid="ignore"):
-                x = ex.evaluate_tables([self.components], env)[0]
+                x = self._plan(env)[0]
         except jets.DomainError as err:
             raise err.at("u", u) from None
         # a constant map has no point axes of its own
@@ -169,10 +168,14 @@ def _umbilicity_gap(h, normal_on, g0, H):
 
 
 def _points(samples, n: int) -> np.ndarray:
-    """Sample points as a ``(P, n)`` array; at least one is needed."""
+    """Sample points as a ``(P, n)`` array; at least one is needed, and all finite."""
     if len(samples) == 0:
         raise ValueError("classification needs at least one sample point")
-    return np.reshape(np.asarray(samples, dtype=float), (len(samples), n))
+    u = np.reshape(np.asarray(samples, dtype=float), (len(samples), n))
+    finite = np.isfinite(u).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"sample point {tuple(u[np.argmin(finite)].tolist())} is not finite")
+    return u
 
 
 class _JetGeometry:
@@ -182,7 +185,7 @@ class _JetGeometry:
     every field then carries that leading point shape.  Seed layout: one
     seed direction per submanifold parameter ``u1..un`` and no other; the
     ambient metric derivatives are the space's symbolic ``metric_diff``
-    evaluated along the immersion, in one memoized pass with the metric and
+    evaluated along the immersion, by one plan with the metric and
     structure.  Each field carries the order its readers need, for the
     requested order ``p``: the immersion ``f`` carries ``p`` and the
     coordinate tangent fields ``T`` (shape ``(..., n, N)``) ``p - 1``.  The
@@ -231,7 +234,7 @@ class _JetGeometry:
         try:
             # overflow and NaN are found by the masks below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
-                self.f = ex.evaluate_tables([immersion.components], self.uenv)[0]
+                self.f = immersion._plan(self.uenv)[0]
                 if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
                     self.f = jets.array([0.0 * self.uenv["u1"] + c for c in self.f])
                 # ambient metric, structure and metric derivatives along the immersion

@@ -136,6 +136,7 @@ MALFORMED = {
     "grid-axis-fields": ("samples", "grid = u1: 0 : 1"),
     "grid-axis-count": ("samples", "grid = u1: 0 : 1 : many"),
     "grid-axis-empty": ("samples", "grid = u1: 0 : 1 : 0"),
+    "grid-axis-twice": ("samples", "grid = u1: 0 : 1 : 2; u1: 5 : 6 : 3"),
     "random-token": ("samples", "random = count=3 seed=1 box=(0,1) wide"),
     "random-missing-key": ("samples", "random = count=3 box=(0,1)"),
     "random-count-not-integer": ("samples", "random = count=three seed=1 box=(0,1)"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prodgeo import expr as ex
-from prodgeo.catalog import catalog_get, catalog_list
+from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion
 from prodgeo.jets import seed_point, seed_variable
 from prodgeo.oracle import fd_derivative
 
@@ -217,44 +217,64 @@ def test_overflowing_literal_is_a_parse_error(src, offset):
     assert err.value.offset == offset
 
 
-def test_interning_shares_equal_subtrees():
-    nodes = {}
-    a, b = ex.parse("2*sin(u1) + cos(u1)", nodes), ex.parse("sin(u1)^2 - 0.0", nodes)
-    assert a.lhs.rhs is b.lhs.lhs  # one sin(u1)
-    assert ex.parse("2*sin(u1) + cos(u1)", nodes) is a
-    assert ex.parse("-0.0", nodes).arg is b.rhs
-    assert ex.make(nodes, ex.Num, -0.0) is not ex.make(nodes, ex.Num, 0.0)  # the sign stays
-    # a tree built elsewhere joins the table; structural equality is unchanged
-    assert ex.intern(ex.parse("sin(u1)^2 - 0.0"), nodes) is b
-    assert ex.diff(b, "u1", nodes).rhs is ex.parse("cos(u1)", nodes)
-    assert ex.parse("sin(u1)") == a.lhs.rhs
+def test_plan_has_one_step_per_distinct_subtree():
+    a, b = ex.parse("2*sin(u1) + cos(u1)"), ex.parse("sin(u1)^2 - 0.0")
+    # u1, 2, sin(u1), 2*sin(u1), cos(u1), a; then ^ and 0 and -, whose 2 is a's
+    assert len(ex.Plan([(a, b), ex.parse("2*sin(u1) + cos(u1)")]).steps) == 9
+    # the derivative 2*sin(u1)*cos(u1) adds only cos(u1) and two products
+    assert len(ex.Plan([b, ex.diff(b, "u1")]).steps) == 6 + 3
+    zeros = ex.Plan([(ex.Num(-0.0), ex.Num(0.0), ex.parse("-0.0"))])
+    assert len(zeros.steps) == 3  # the sign stays
+    assert np.signbit(zeros({})[0]).tolist() == [True, False, True]
+    assert ex.parse("sin(u1)") == a.lhs.rhs  # trees compare by structure
 
 
-def test_memoized_pass_evaluates_a_shared_node_once(monkeypatch):
+def test_plan_computes_a_shared_step_once(monkeypatch):
     calls = []
-    monkeypatch.setitem(ex._CALLS, "sin", lambda x: calls.append(x) or np.sin(x))
-    nodes = {}
-    tables = [(ex.parse("sin(u1) + 1", nodes), ex.parse("2*sin(u1)", nodes)),
-              ((ex.parse("sin(u1)^2", nodes),),)]
+
+    def counting(name, fn):
+        return lambda x: calls.append(name) or fn(x)
+
+    for name in ("sin", "cos"):
+        monkeypatch.setitem(ex._CALLS, name, counting(name, ex._CALLS[name]))
+    tables = [(ex.parse("sin(u1) + 1"), ex.parse("2*sin(u1)")), ((ex.parse("sin(u1)^2"),),)]
     u = np.array([0.1, 0.2])
-    first, second = ex.evaluate_tables(tables, {"u1": u})
-    assert len(calls) == 1
+    first, second = ex.Plan(tables)({"u1": u})
+    assert calls == ["sin"]
     # the point axis leads, the table's nesting trails
     assert np.array_equal(first, np.stack([np.sin(u) + 1, 2 * np.sin(u)], axis=-1))
     assert second.shape == (2, 1, 1) and np.array_equal(second[:, 0, 0], np.sin(u) ** 2)
 
+    # a random trig surface: four distinct sin/cos among the 24 of its components
+    imm = random_trig_immersion(5, 16)
+    calls.clear()
+    imm.image(imm.samples)
+    assert sorted(calls) == ["cos", "cos", "sin", "sin"]
+    calls.clear()
+    env = {"u1": 0.3, "u2": -0.2}
+    for component in imm.components:
+        ex.evaluate(component, env)
+    assert len(calls) == 24
 
-def test_memoized_tables_share_no_storage():
-    nodes = {}
+    # curved-block: sin(x1) in the metric and in its derivative 2*sin(x1)*cos(x1)
+    space = catalog_get("curved-block").space
+    calls.clear()
+    x = np.array([[0.3, 0.1, 0.2], [0.5, 0.0, 1.0]])
+    space.tables(("metric", "structure", "metric_diff"), x)
+    assert sorted(calls) == ["cos", "sin"]
+
+
+def test_plan_tables_share_no_storage():
     u1 = np.array([0.3, -0.4])
-    table = (ex.parse("u1", nodes), ex.parse("sin(u1)", nodes), ex.parse("sin(u1)", nodes))
+    table = (ex.parse("u1"), ex.parse("sin(u1)"), ex.parse("sin(u1)"))
+    plan = ex.Plan([table, table])
     (seed,) = seed_point(u1[:, None], order=2)
     for env in ({"u1": u1}, {"u1": seed}):
-        first, second = ex.evaluate_tables([table, table], env)
+        first, second = plan(env)
         data = (lambda t: t.coeffs) if hasattr(first, "coeffs") else (lambda t: t)
         expected = data(second).copy()
         data(first)[...] = 7.0  # a caller writes into its result
         assert np.array_equal(data(second), expected)
-        assert np.array_equal(data(ex.evaluate_tables([table], env)[0]), expected)
+        assert np.array_equal(data(plan(env)[0]), expected)
     assert np.array_equal(u1, [0.3, -0.4])
     assert np.array_equal(seed.coeffs[..., 0], u1)

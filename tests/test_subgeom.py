@@ -20,6 +20,7 @@ from prodgeo.subgeom import (
     pseudo_umbilical_gap,
     second_fundamental_form,
 )
+from prodgeo.verify import verify
 
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)
@@ -263,6 +264,19 @@ def test_geometry_jets_seed_only_the_parameters():
         assert geo.f.coeffs.shape[-1] == math.comb(n + 3, 3), label
         assert geo.T.shape == (n, geo.N) and geo.xi_field.shape == (geo.m, geo.N), label
         assert geo.h_field.shape == (n, n, geo.N) and geo.H_field.shape == (geo.N,), label
+
+
+def test_non_finite_sample_is_a_value_error_naming_it():
+    imm = Immersion(1, ("cos(u1)", "sin(u1)"))
+    samples = [(0.1,), (math.nan,)]
+    for call in (
+        lambda: classify(imm, FLAT11, samples),
+        lambda: verify(FLAT11, imm, samples),
+        lambda: Immersion(1, imm.components, samples=((math.inf,),)),
+    ):
+        with pytest.raises(ValueError, match=r"^sample point \((nan|inf),\) is not finite$") as err:
+            call()
+        assert not isinstance(err.value, DegenerateImmersion)
 
 
 def test_non_finite_metric_is_rejected_by_the_geometry():
