@@ -5,20 +5,24 @@ Grammar (standard precedence, tightest first)::
 
     power:  ^            right-associative, exponents are numeric literals
     unary:  -
-    term:   * /          left-associative
-    sum:    + -          left-associative
+    * /                  left-associative
+    + -                  left-associative
 
 Parentheses override.  Function calls are ``sin``, ``cos``, ``exp``,
 ``sqrt``.  There is no implicit multiplication: ``2u1`` is a syntax error.
 Variables follow the convention ``u1..un`` for submanifold parameters and
 ``x1..xN`` for ambient coordinates; unknown names are only rejected when an
 expression is evaluated against an environment.  A numeric literal must be
-finite: one that overflows a float is a :class:`ParseError`.
+finite: one that overflows a float is a :class:`ParseError`, and so is an
+expression nested deeper than :data:`MAX_DEPTH` levels.
 
-A :class:`Plan` compiles several tables of expressions (nested tuples of
-nodes) into one straight-line program with a step per structurally distinct
-subtree, so a ``sin(u1)`` repeated across entries and tables is computed
-once per environment.  :func:`evaluate` evaluates a single tree.
+One regular expression scans the source, and one precedence-climbing loop
+builds every left-associative operator.  A :class:`Plan` compiles several
+tables of expressions (nested tuples of nodes) into one straight-line program
+with a step per structurally distinct subtree, so a ``sin(u1)`` repeated
+across entries and tables is computed once per environment; a table is kept
+as its shape and the flat list of its step numbers.  :func:`evaluate`
+evaluates a single tree.
 """
 
 from __future__ import annotations
@@ -98,141 +102,129 @@ class Call:
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 
 
+# how deeply an expression may nest; each operator, call, minus sign, group
+# and exponent-chain link is a level, and recursive walks stay well inside
+# the interpreter's recursion limit
+MAX_DEPTH = 100
+_TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
+
 _TOKEN = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
+    r"|(?P<eof>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
+
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}  # how tightly each left-associative operator binds
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, offset)`` of each token, ending with an ``eof`` token."""
     tokens = []
-    pos = 0
-    while pos < len(src):
-        if src[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN.match(src, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
+    for match in _TOKEN.finditer(src):
         kind = match.lastgroup
-        tokens.append((kind, match.group(), pos))
-        pos = match.end()
-    return tokens
+        token = (kind, match.group(kind), match.start(kind))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {token[1]!r}", token[2])
+        tokens.append(token)
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
+    """Precedence climbing over the token list.  A rule returns its subtree
+    and the subtree's depth; ``nest`` counts the levels the cursor is in."""
+
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.nest = 0
 
-    def _peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("eof", "", len(self.src))
+    def _take(self, symbol: str) -> bool:
+        """Whether the next token is ``symbol``; if so, it is consumed."""
+        taken = self.tokens[self.pos][1] == symbol
+        self.pos += taken
+        return taken
 
-    def _next(self):
-        tok = self._peek()
-        self.pos += 1
-        return tok
-
-    def _expect_op(self, symbol: str):
-        kind, text, offset = self._peek()
-        if kind != "op" or text != symbol:
-            raise ParseError(f"expected {symbol!r}", offset)
-        self.pos += 1
+    def _inner(self, rule, offset: int):
+        """``rule()`` one level further in, for the token at ``offset``."""
+        if self.nest == MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, offset)
+        self.nest += 1
+        result = rule()
+        self.nest -= 1
+        return result
 
     def parse(self) -> ExprAst:
-        node = self.sum()
-        kind, text, offset = self._peek()
+        node, _ = self.binary()
+        kind, text, offset = self.tokens[self.pos]
         if kind != "eof":
             raise ParseError(f"unexpected token {text!r}", offset)
         return node
 
-    def sum(self) -> ExprAst:
-        node = self.term()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self.pos += 1
-                node = BinOp(text, node, self.term())
-            else:
-                return node
-
-    def term(self) -> ExprAst:
-        node = self.unary()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "*/":
-                self.pos += 1
-                node = BinOp(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> ExprAst:
-        kind, text, _ = self._peek()
-        if kind == "op" and text == "-":
+    def binary(self, floor: int = 1) -> tuple[ExprAst, int]:
+        """Operands joined by the operators binding at least ``floor``, left to right."""
+        node, depth = self.unary()
+        while (strength := _BINDING.get(op := self.tokens[self.pos][1], 0)) >= floor:
             self.pos += 1
-            return Neg(self.unary())
+            rhs, rhs_depth = self.binary(strength + 1)
+            node, depth = BinOp(op, node, rhs), max(depth, rhs_depth) + 1
+        if depth > MAX_DEPTH:  # reported at the last token read
+            raise ParseError(_TOO_DEEP, self.tokens[self.pos - 1][2])
+        return node, depth
+
+    def unary(self) -> tuple[ExprAst, int]:
+        if self._take("-"):
+            node, depth = self._inner(self.unary, self.tokens[self.pos - 1][2])
+            return Neg(node), depth + 1
         return self.power()
 
-    def power(self) -> ExprAst:
-        base = self.atom()
-        kind, text, _ = self._peek()
-        if kind == "op" and text == "^":
-            self.pos += 1
-            return BinOp("^", base, Num(self.exponent()))
-        return base
+    def power(self) -> tuple[ExprAst, int]:
+        base, depth = self.atom()
+        if self._take("^"):
+            return BinOp("^", base, Num(self.exponent())), depth + 1
+        return base, depth
 
     def exponent(self) -> float:
         """Exponents are (possibly signed) numeric literals; chains fold right."""
-        kind, text, offset = self._peek()
-        negate = False
-        if kind == "op" and text == "-":
-            negate = True
-            self.pos += 1
-            kind, text, offset = self._peek()
+        negate = self._take("-")
+        kind, _, offset = self.tokens[self.pos]
         if kind != "num":
             raise ParseError("exponent must be a numeric literal", offset)
         value = self._number()
-        kind, text, _ = self._peek()
-        if kind == "op" and text == "^":
-            self.pos += 1
+        if self._take("^"):
             try:
-                value = value ** self.exponent()
+                value = value ** self._inner(self.exponent, offset)
             except (OverflowError, ZeroDivisionError):
                 raise ParseError("exponent is not a finite number", offset) from None
         return -value if negate else value
 
     def _number(self) -> float:
         """The numeric literal at the cursor, which must be a finite float."""
-        _, text, offset = self._next()
+        _, text, offset = self.tokens[self.pos]
+        self.pos += 1
         value = float(text)
         if math.isinf(value):
             raise ParseError(f"numeric literal {text!r} overflows", offset)
         return value
 
-    def atom(self) -> ExprAst:
-        kind, text, offset = self._peek()
+    def atom(self) -> tuple[ExprAst, int]:
+        kind, text, offset = self.tokens[self.pos]
         if kind == "num":
-            return Num(self._number())
+            return Num(self._number()), 1
         self.pos += 1
-        if kind == "name":
-            nkind, ntext, _ = self._peek()
-            if nkind == "op" and ntext == "(":
-                if text not in FUNCTIONS:
-                    raise ParseError(f"unknown function {text!r}", offset)
-                self.pos += 1
-                arg = self.sum()
-                self._expect_op(")")
-                return Call(text, arg)
-            return Var(text)
-        if kind == "op" and text == "(":
-            node = self.sum()
-            self._expect_op(")")
-            return node
-        raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", offset)
+        call = kind == "name" and self._take("(")
+        if kind == "name" and not call:
+            return Var(text), 1
+        if call and text not in FUNCTIONS:
+            raise ParseError(f"unknown function {text!r}", offset)
+        if not call and text != "(":
+            raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", offset)
+        node, depth = self._inner(self.binary, offset)
+        if not self._take(")"):
+            raise ParseError("expected ')'", self.tokens[self.pos][2])
+        return (Call(text, node) if call else node), depth + 1
 
 
 def parse(src: str) -> ExprAst:
@@ -263,7 +255,8 @@ def _fmt_num(value: float) -> str:
 
 def _pp(node: ExprAst, context: int) -> str:
     if isinstance(node, Num):
-        return _fmt_num(node.value)
+        text = _fmt_num(node.value)
+        return f"({text})" if text[0] == "-" and context > _P_NEG else text
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Call):
@@ -272,7 +265,8 @@ def _pp(node: ExprAst, context: int) -> str:
         text = f"-{_pp(node.arg, _P_POW)}"
         return f"({text})" if context > _P_NEG else text
     if node.op == "^":
-        return f"{_pp(node.lhs, _P_ATOM)}^{_fmt_num(node.rhs.value)}"
+        text = f"{_pp(node.lhs, _P_ATOM)}^{_fmt_num(node.rhs.value)}"
+        return f"({text})" if context > _P_POW else text
     if node.op in "+-":
         text = f"{_pp(node.lhs, _P_SUM)} {node.op} {_pp(node.rhs, _P_SUM + 1)}"
         return f"({text})" if context > _P_SUM else text
@@ -333,19 +327,20 @@ class Plan:
 
     Each structurally distinct subtree is one step, keyed by its operation,
     its literal (a zero keeps its sign) and its operand step numbers, so it
-    is computed once per call.  ``plan(env)`` returns each table as a fresh
-    float array or jet (:func:`prodgeo.jets.array`) whose leading axes are
-    the points' and trailing axes the table's nesting.
+    is computed once per call.  A table is kept as its shape and the flat
+    list of its entries' step numbers; ``plan(env)`` stacks its values into a
+    fresh float array or jet (:func:`prodgeo.jets.stack`), points' axes first.
     """
 
     def __init__(self, tables):
         self.steps: list[tuple] = []
         index: dict = {}  # step key -> step number
-        self.layouts = [_compile(table, index, self.steps) for table in tables]
+        layouts = [np.array(_compile(table, index, self.steps), dtype=int) for table in tables]
+        self.layouts = [(layout.shape, layout.ravel().tolist()) for layout in layouts]
 
     def __call__(self, env: Mapping[str, object]) -> list:
         values = _fill(self.steps, env)
-        return [jets.array(_gather(layout, values)) for layout in self.layouts]
+        return [jets.stack(shape, [values[step] for step in flat]) for shape, flat in self.layouts]
 
 
 def _compile(entry, index: dict, steps: list):
@@ -386,13 +381,6 @@ def _fill(steps: list, env: Mapping[str, object]) -> list:
             value = _CALLS[op](values[step[1]], values[step[2]])
         values.append(value)
     return values
-
-
-def _gather(layout, values: list):
-    """A nested tuple of step numbers as the nested list of their values."""
-    if isinstance(layout, tuple):
-        return [_gather(entry, values) for entry in layout]
-    return values[layout]
 
 
 # ---- symbolic differentiation ---------------------------------------------

@@ -396,20 +396,25 @@ def _nesting(entries) -> tuple[tuple[int, ...], list]:
 
 
 def array(entries):
-    """One jet from a nested list of jets, numbers and float arrays.
+    """The leaves of a nested list, stacked by :func:`stack` to its shape."""
+    return stack(*_nesting(entries))
 
-    The leaves broadcast to their common shape, which leads; the nesting
-    gives the trailing axes.  A table of scalar expressions evaluated at a
-    batch of points is so one field of leading shape ``(P, ...)``, whatever
-    entries are constant.  The result carries the lowest order among the
-    jets; without any jet it is a float array.
+
+def stack(shape: tuple[int, ...], leaves: list):
+    """The flat ``leaves`` (jets, numbers and float arrays, row-major) as one
+    table of trailing ``shape``.
+
+    The leaves broadcast to their common shape, which leads.  A table of
+    scalar expressions evaluated at a batch of points is so one field of
+    leading shape ``(P, ...)``, whatever entries are constant.  The result
+    carries the lowest order among the jets; without any jet it is a float
+    array.
     """
-    nest, leaves = _nesting(entries)
     lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
     found = [e for e in leaves if isinstance(e, Jet)]
     if not found:
         stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
-        return np.stack(stacked, axis=-1).reshape(lead + nest)
+        return np.stack(stacked, axis=-1).reshape(lead + shape)
     if len({j.nvars for j in found}) > 1:
         raise ValueError("jets carry different seed sets")
     alg = _algebra(found[0].nvars, min(j.order for j in found))
@@ -420,7 +425,7 @@ def array(entries):
         )
         for e in leaves
     ]
-    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + nest + (alg.size,)))
+    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + shape + (alg.size,)))
 
 
 def partial(j: Jet, var: int) -> Jet:

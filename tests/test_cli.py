@@ -145,6 +145,10 @@ MALFORMED = {
     "box-brackets": ("samples", "random = count=3 seed=1 box=[0,1]"),
     "box-three-bounds": ("samples", "random = count=3 seed=1 box=(0,1,2)"),
     "box-non-numeric": ("samples", "random = count=3 seed=1 box=(a,b)"),
+    "nested-parentheses": ("immersion", "n = 1\nmap = " + "(" * 1000 + "cos(u1)" + ")" * 1000 + ", sin(u1)"),
+    "long-sum": ("immersion", "n = 1\nmap = cos(u1)" + " + u1" * 1499 + ", sin(u1)"),
+    "leading-minus-signs": ("immersion", "n = 1\nmap = " + "-" * 1200 + "cos(u1), sin(u1)"),
+    "deep-block-metric": ("ambient", PRODUCT.replace("A_metric = flat", "A_metric = 1" + " + 0*x1" * 1499)),
 }
 
 

@@ -1,13 +1,16 @@
 """Expression parsing, printing and evaluation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodgeo import expr as ex
 from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion
-from prodgeo.jets import seed_point, seed_variable
+from prodgeo.jets import Jet, as_jet, seed_point, seed_variable
 from prodgeo.oracle import fd_derivative
 
 
@@ -130,6 +133,7 @@ def test_real_env_equals_order_zero_jets():
         "u1^-2",
         "sin(cos(u1) * 2) / sqrt(u2 + 3)",
         "1e-3 * u1 + 2.5E2",
+        "(u1^2)^3",
     ],
 )
 def test_pretty_roundtrip_is_fixed_point(src):
@@ -278,3 +282,92 @@ def test_plan_tables_share_no_storage():
         assert np.array_equal(data(plan(env)[0]), expected)
     assert np.array_equal(u1, [0.3, -0.4])
     assert np.array_equal(seed.coeffs[..., 0], u1)
+
+
+# ---- properties -------------------------------------------------------------
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _trees(draw, leaves, depth=5):
+    """A tree over ``leaves``, at most ``depth`` deep, with every node kind
+    (mostly binary operators, whose precedence is the most error-prone);
+    exponents are literals."""
+    kind = draw(st.sampled_from(["leaf", "binop", "binop", "binop", "neg", "call", "power"])) if depth else "leaf"
+    if kind == "leaf":
+        return draw(leaves)
+    operand = _trees(leaves, depth - 1)
+    if kind == "neg":
+        return ex.Neg(draw(operand))
+    if kind == "call":
+        return ex.Call(draw(st.sampled_from(ex.FUNCTIONS)), draw(operand))
+    if kind == "power":
+        exponent = draw(st.sampled_from([2.0, 3.0, 0.5, -1.0, -2.0]) | _FINITE)
+        return ex.BinOp("^", draw(operand), ex.Num(exponent))
+    return ex.BinOp(draw(st.sampled_from("+-*/")), draw(operand), draw(operand))
+
+
+@settings(derandomize=True, deadline=None)
+@given(_trees(_FINITE.map(ex.Num) | _NAMES.map(ex.Var)))
+def test_pretty_is_a_fixed_point_of_parse(tree):
+    printed = ex.pretty(tree)
+    assert ex.pretty(ex.parse(printed)) == printed
+
+
+_FRAGMENTS = [
+    "0", "7", "2.5", ".5", "3.", "1e3", "2E-2", "1e999", "e", "u1", "x2", "_a", *ex.FUNCTIONS, "tan",
+    "+", "-", "*", "/", "^", "(", ")", " ", "\t", "\n", " ", "é", "$",
+    "(" * 60, ")" * 60, "-" * 60, "+u1" * 60, "^1" * 60,
+]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=24).map("".join)
+       | st.text(alphabet="0123456789.eE+-*/^()_ \tuxsincoé", max_size=30))
+def test_parse_gives_a_tree_or_a_located_parse_error(src):
+    try:
+        tree = ex.parse(src)
+    except ex.ParseError as err:
+        assert 0 <= err.offset <= len(src)
+    else:
+        assert isinstance(tree, (ex.Num, ex.Var, ex.Neg, ex.BinOp, ex.Call))
+
+
+def _bits(values):
+    values = np.ascontiguousarray(values, dtype=float)
+    return values.shape, values.tobytes()
+
+
+_ENTRIES = _trees(
+    st.sampled_from([ex.Num(0.0), ex.Num(-0.0), ex.Var("u1"), ex.Var("u2")])
+    | st.floats(-3.0, 3.0).map(ex.Num),
+    depth=3,
+)
+_TABLES = st.lists(
+    st.integers(1, 3).flatmap(lambda cols: st.lists(st.tuples(*[_ENTRIES] * cols), min_size=1, max_size=3)),
+    min_size=1, max_size=3,
+).map(lambda tables: [tuple(rows) for rows in tables])
+
+
+@settings(derandomize=True, deadline=None, report_multiple_bugs=False)
+@given(_TABLES)
+def test_plan_matches_evaluating_each_entry(tables):
+    u = np.array([[0.3, -0.7], [1.1, 0.0], [-0.4, 2.5]])
+    for env in (dict(zip(("u1", "u2"), u.T)), dict(zip(("u1", "u2"), seed_point(u, order=2)))):
+        with np.errstate(all="ignore"):
+            try:
+                expected = [[[ex.evaluate(e, env) for e in row] for row in table] for table in tables]
+            except (ArithmeticError, ValueError) as err:  # the plan stops at the same first failure
+                with pytest.raises(type(err), match=re.escape(str(err))):
+                    ex.Plan(tables)(env)
+                continue
+            got = ex.Plan(tables)(env)
+        for values, rows in zip(got, expected):
+            for i, row in enumerate(rows):
+                for j, value in enumerate(row):
+                    entry = values[..., i, j]
+                    if isinstance(entry, Jet):  # a constant entry of a jet table is a constant jet
+                        entry, value = entry.coeffs, as_jet(value, 2, 2).coeffs
+                    assert _bits(entry) == _bits(np.broadcast_to(value, entry.shape))
