@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jets
 from .ambient import AmbientSpace
-from .subgeom import Immersion, _JetGeometry
+from .subgeom import Immersion, PointRecords, _JetGeometry
 
 __all__ = [
     "DirectionalContext",
@@ -151,7 +151,7 @@ def nabla_C(
 class LemmaReport:
     lemma: str
     max_residual: float
-    per_point: tuple[tuple[tuple[float, ...], float], ...]
+    per_point: PointRecords  # columns "u" and "residual"; records (u, residual)
     passed: bool
     tol: float
 

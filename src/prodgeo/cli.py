@@ -16,10 +16,12 @@ lemma residual above tolerance or an inconsistent biconditional; a skipped
 proof-residual section is not a failure).
 
 Reports are byte-identical for identical inputs and seeds.  JSON reports
-are indented by two spaces per level and write floats with ``%.17g``;
-:func:`dump_json` renders the members of an array that share one layout,
-such as the points of a report, through one template.  The argument parser
-is built once per process.
+are indented by two spaces per level and write floats with ``%.17g``.  The
+outcome keeps each per-point quantity as a column over the points, and
+:func:`render_json` writes the ``points`` array from those columns through
+one ``%`` template per document, one fill per point, without building a
+record or a dict per point; :func:`dump_json` writes the rest.  The
+argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -76,8 +78,33 @@ def run_catalog_scenario(scn: Scenario):
 # ---- structured report -----------------------------------------------------
 
 
-def build_document(outcome: VerificationOutcome) -> dict:
+def _point_fields(outcome: VerificationOutcome) -> dict:
+    """The keys of a point entry in report order, each with its column over the points."""
+    cls = outcome.classification.points.columns
+    residuals = {}
+    if outcome.lemma1 is not None:
+        residuals["lemma1"] = outcome.lemma1.per_point.columns["residual"]
+        residuals["lemma2"] = outcome.lemma2.per_point.columns["residual"]
+    if outcome.theorems is not None:
+        for key in THEOREMS:
+            columns = outcome.theorems[key].points.columns
+            residuals[key] = {"identity": columns["identity_residual"],
+                              "obstruction": columns["obstruction"],
+                              "proof": columns["proof_residual"], "branches": columns["branches"]}
+    return {
+        "u": cls["u"],
+        "norms": {"mean_curvature_sq": cls["mean_curvature_sq"], "phi": cls["phi_norm"],
+                  "omega": cls["omega_norm"], "omega_phi": cls["omega_phi_norm"]},
+        "rank_phi": cls["rank_phi"],
+        "flags": {"minimal": cls["minimal"], "pseudo_umbilical": cls["pseudo_umbilical"]},
+        "residuals": residuals,
+    }
+
+
+def _document(outcome: VerificationOutcome) -> dict:
+    """The report, with ``points`` as the column tree of :func:`_point_fields`."""
     rep = outcome.ambient_report
+    cls = outcome.classification
     doc = {
         "scenario": {
             "label": outcome.immersion.label,
@@ -97,56 +124,19 @@ def build_document(outcome: VerificationOutcome) -> dict:
             "f_is_identity": rep.f_is_identity,
             "passed": rep.passed,
         },
+        "points": _point_fields(outcome),
     }
-    points = []
-    for index, u in enumerate(outcome.samples):
-        cls = outcome.classification.points[index]
-        entry = {
-            "u": list(u),
-            "norms": {
-                "mean_curvature_sq": cls.mean_curvature_sq,
-                "phi": cls.phi_norm,
-                "omega": cls.omega_norm,
-                "omega_phi": cls.omega_phi_norm,
-            },
-            "rank_phi": cls.rank_phi,
-            "flags": {
-                "minimal": cls.minimal,
-                "pseudo_umbilical": cls.pseudo_umbilical,
-            },
-            "residuals": {},
-        }
-        if outcome.lemma1 is not None:
-            entry["residuals"]["lemma1"] = outcome.lemma1.per_point[index][1]
-            entry["residuals"]["lemma2"] = outcome.lemma2.per_point[index][1]
-        if outcome.theorems is not None:
-            for key in THEOREMS:
-                record = outcome.theorems[key].points[index]
-                entry["residuals"][key] = {
-                    "identity": record.identity_residual,
-                    "obstruction": record.obstruction,
-                    "proof": record.proof_residual,
-                    "branches": dict(record.branches),
-                }
-        points.append(entry)
-    doc["points"] = points
-
     verdicts = {
-        "classification": outcome.classification.classification,
-        "dim_d": outcome.classification.dim_d,
-        "dim_d_perp": outcome.classification.dim_d_perp,
-        "minimal": all(p.minimal for p in outcome.classification.points),
-        "pseudo_umbilical": all(
-            p.pseudo_umbilical for p in outcome.classification.points
-        ),
-        "insufficient_samples": outcome.classification.insufficient_samples,
+        "classification": cls.classification,
+        "dim_d": cls.dim_d,
+        "dim_d_perp": cls.dim_d_perp,
+        "minimal": all(cls.points.columns["minimal"]),
+        "pseudo_umbilical": all(cls.points.columns["pseudo_umbilical"]),
+        "insufficient_samples": cls.insufficient_samples,
     }
     if outcome.lemma1 is not None:
         for report in (outcome.lemma1, outcome.lemma2):
-            verdicts[report.lemma] = {
-                "max_residual": report.max_residual,
-                "passed": report.passed,
-            }
+            verdicts[report.lemma] = {"max_residual": report.max_residual, "passed": report.passed}
     if outcome.theorems is not None:
         for key in THEOREMS:
             verdict = outcome.theorems[key]
@@ -159,6 +149,22 @@ def build_document(outcome: VerificationOutcome) -> dict:
             }
     verdicts["consistent"] = outcome.consistent
     doc["verdicts"] = verdicts
+    return doc
+
+
+def _entry(fields, index: int):
+    """Entry ``index`` of a column tree: each column's value at that point."""
+    if isinstance(fields, dict):
+        return {key: _entry(column, index) for key, column in fields.items()}
+    value = fields[index]
+    return list(value) if isinstance(value, tuple) else value
+
+
+def build_document(outcome: VerificationOutcome) -> dict:
+    """The report as dicts and lists, one dict per point; :func:`render_json`
+    writes its JSON text without building them."""
+    doc = _document(outcome)
+    doc["points"] = [_entry(doc["points"], index) for index in range(len(outcome.samples))]
     return doc
 
 
@@ -181,82 +187,60 @@ def _json_leaf(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _layout(obj, put, keep) -> None:
-    """Pass the layout of a non-empty object or array to ``put`` in prefix
-    order and its floats to ``keep``: the object's tuple of keys or the
-    array's length, then each member's; a float member is ``float``, for a
-    slot, any other value its JSON text."""
-    keyed = isinstance(obj, dict)
-    put(tuple(obj) if keyed else len(obj))
-    for value in obj.values() if keyed else obj:
-        kind = type(value)
-        if kind is float and value - value == 0.0:  # finite
-            put(float)
-            keep(value)
-        elif kind is bool or value is None:
-            put("null" if value is None else "true" if value else "false")
-        elif (kind is dict or kind is list) and value:
-            _layout(value, put, keep)
-        elif kind is int:
-            put(str(value))
-        elif isinstance(value, (dict, list, tuple)) and value:  # tuples, subclasses
-            _layout(value, put, keep)
-        else:
-            put(_json_leaf(value))
-
-
-def _template(shape, pad: str) -> str:
-    """JSON text of the next layout taken from the iterator ``shape``, with
-    a ``%.17g`` slot for each float."""
-    token = next(shape)
-    if token is float:
-        return "%.17g"
-    if isinstance(token, str):
-        return token.replace("%", "%%")
-    inner = pad + "  "
-    if isinstance(token, tuple):
-        rows = [f'{inner}"{key}": '.replace("%", "%%") + _template(shape, inner) for key in token]
-        return "{" + ",".join(rows) + pad + "}"
-    return "[" + ",".join([inner + _template(shape, inner) for _ in range(token)]) + pad + "]"
-
-
 def dump_json(doc, pad: str = "\n") -> str:
     """``doc`` (dicts, lists, tuples, strings, numbers, booleans, None) as
     JSON text indented by two spaces per level; ``pad`` is the line break
-    and indentation of ``doc`` itself.
-
-    Floats are written with ``%.17g``, so they read back exactly; NaN and
-    infinities raise ``ValueError``.  Each member of an array is walked once
-    into its layout and its floats; the members of one layout (the points
-    of a report) share one template, which formats all floats of a member
-    in one ``%`` operation.
-    """
+    and indentation of ``doc`` itself.  Floats are written with ``%.17g``,
+    so they read back exactly; NaN and infinities raise ``ValueError``."""
     inner = pad + "  "
     if isinstance(doc, dict) and doc:
         rows = [f'{inner}"{key}": {dump_json(value, inner)}' for key, value in doc.items()]
         return "{" + ",".join(rows) + pad + "}"
-    if not (isinstance(doc, (list, tuple)) and doc):
-        return _json_leaf(doc)
-    templates, rows = {}, []
-    for member in doc:
-        if not (isinstance(member, (dict, list, tuple)) and member):
-            rows.append(inner + dump_json(member, inner))
-            continue
-        shape, values = [], []
-        _layout(member, shape.append, values.append)
-        shape = tuple(shape)
-        template = templates.get(shape)
-        if template is None:
-            template = _template(iter(shape), inner)
-            # keys that are not strings may be equal and still print apart
-            if all(type(k) is str for t in shape if isinstance(t, tuple) for k in t):
-                templates[shape] = template
-        rows.append(inner + template % tuple(values))
-    return "[" + ",".join(rows) + pad + "]"
+    if isinstance(doc, (list, tuple)) and doc:
+        return "[" + ",".join([inner + dump_json(member, inner) for member in doc]) + pad + "]"
+    return _json_leaf(doc)
+
+
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _slots(fields, pad: str, columns: list) -> str:
+    """JSON text of a point entry of the column tree ``fields``, with a
+    ``%`` slot per value; the columns that fill the slots, in slot order,
+    go to ``columns``.  A column of floats fills ``%.17g`` slots, of ints
+    ``%d`` slots, of tuples an array of slots; any other column is written
+    as its JSON text."""
+    inner = pad + "  "
+    if isinstance(fields, dict):
+        rows = [f'{inner}"{key}": {_slots(column, inner, columns)}' for key, column in fields.items()]
+        return "{" + ",".join(rows) + pad + "}" if rows else "{}"
+    kinds = set(map(type, fields))
+    if kinds == {tuple}:
+        return "[" + ",".join([inner + _slots(c, inner, columns) for c in zip(*fields)]) + pad + "]"
+    if kinds == {float} and not all(map(math.isfinite, fields)):
+        raise ValueError("report numbers must be finite")
+    if kinds == {float} or kinds == {int}:
+        columns.append(fields)
+        return "%.17g" if kinds == {float} else "%d"
+    leaf = _CONSTANTS.__getitem__ if kinds <= {bool, type(None)} else _json_leaf
+    columns.append(list(map(leaf, fields)))
+    return "%s"
 
 
 def render_json(outcome: VerificationOutcome) -> str:
-    return dump_json(build_document(outcome)) + "\n"
+    """The text of :func:`dump_json` of :func:`build_document`; the points
+    are one template per document, filled from the columns once per point."""
+    pad, inner = "\n  ", "\n    "
+    rows = []
+    for key, value in _document(outcome).items():
+        if key == "points":
+            columns = []
+            template = _slots(value, inner, columns)
+            value = "[" + ",".join([inner + template % row for row in zip(*columns)]) + pad + "]"
+        else:
+            value = dump_json(value, pad)
+        rows.append(f'{pad}"{key}": {value}')
+    return "{" + ",".join(rows) + "\n}\n"
 
 
 # ---- text rendering --------------------------------------------------------

@@ -109,7 +109,7 @@ MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
     r"|(?P<eof>\Z)|(?P<bad>.))",

@@ -17,8 +17,9 @@ whole document; a single point is the same code with no point axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,9 @@ __all__ = [
     "DegenerateImmersion",
     "Immersion",
     "PointGeometry",
+    "PointRecords",
     "PointClassification",
+    "ClassificationPoints",
     "ClassificationResult",
     "param_vars",
     "frames_at",
@@ -544,6 +547,37 @@ def is_pseudo_umbilical(pg: PointGeometry, tol: float = 1e-8) -> bool:
 # ---- classification -------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class PointRecords(Sequence):
+    """A per-point result kept as ``columns``, which map each field (``"u"``
+    first) to its values over the points, and read as a tuple of records,
+    built on first read: ``(u, value, ...)`` tuples here, a record type in
+    subclasses.  A list or tuple of the same records compares equal."""
+
+    columns: dict
+
+    def rows(self) -> tuple:
+        return tuple(zip(*self.columns.values()))
+
+    @cached_property
+    def _rows(self) -> tuple:
+        return self.rows()
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __len__(self) -> int:
+        return len(self.columns["u"])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (PointRecords, tuple, list)):
+            return self._rows == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+
 @dataclass(frozen=True)
 class PointClassification:
     u: tuple[float, ...]
@@ -556,10 +590,17 @@ class PointClassification:
     mean_curvature_sq: float
 
 
+class ClassificationPoints(PointRecords):
+    """Columns named and ordered like the fields of :class:`PointClassification`."""
+
+    def rows(self) -> tuple:
+        return tuple(map(PointClassification, *self.columns.values()))
+
+
 @dataclass(frozen=True)
 class ClassificationResult:
     classification: str
-    points: tuple[PointClassification, ...]
+    points: ClassificationPoints
     dim_d: int | None
     dim_d_perp: int | None
     insufficient_samples: bool
@@ -576,33 +617,26 @@ def _semi_invariant(omega_phi_vanishes: bool, ranks) -> bool:
     return omega_phi_vanishes and len(set(ranks)) == 1
 
 
-def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> list[PointClassification]:
+def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> ClassificationPoints:
     """The geometry's class measures at every point, thresholded at ``tol``."""
-    columns = (
-        geo.phi_norm,
-        geo.omega_norm,
-        geo.omega_phi_norm,
-        _rank(geo.phi_singular, tol),
-        geo.H_norm <= tol,
-        geo.pu_gap <= tol,
-        geo.Hsq,
-    )
-    return [
-        PointClassification(*row)
-        for row in zip(geo.points, *(geo.per_point(c) for c in columns))
-    ]
+    columns = (geo.phi_norm, geo.omega_norm, geo.omega_phi_norm, _rank(geo.phi_singular, tol),
+               geo.H_norm <= tol, geo.pu_gap <= tol, geo.Hsq)
+    names = [f.name for f in fields(PointClassification)]
+    return ClassificationPoints(dict(zip(names, [geo.points, *map(geo.per_point, columns)])))
 
 
 def aggregate_classification(
-    points: Sequence[PointClassification], n: int, tol: float
+    points: ClassificationPoints, n: int, tol: float
 ) -> ClassificationResult:
     """Fold per-point data into the four-way verdict."""
     if not points:
         raise ValueError("classification needs at least one sample point")
-    invariant = max(p.omega_norm for p in points) <= tol
-    anti = max(p.phi_norm for p in points) <= tol
-    omega_phi = max(p.omega_phi_norm for p in points) <= tol
-    semi = _semi_invariant(omega_phi, [p.rank_phi for p in points])
+    columns = points.columns
+    invariant = max(columns["omega_norm"]) <= tol
+    anti = max(columns["phi_norm"]) <= tol
+    omega_phi = max(columns["omega_phi_norm"]) <= tol
+    ranks = columns["rank_phi"]
+    semi = _semi_invariant(omega_phi, ranks)
     if invariant:
         verdict = "invariant"
     elif anti:
@@ -611,10 +645,10 @@ def aggregate_classification(
         verdict = "proper semi-invariant"
     else:
         verdict = "generic"
-    dim_d = points[0].rank_phi if verdict != "generic" else None
+    dim_d = ranks[0] if verdict != "generic" else None
     return ClassificationResult(
         classification=verdict,
-        points=tuple(points),
+        points=points,
         dim_d=dim_d,
         dim_d_perp=n - dim_d if dim_d is not None else None,
         insufficient_samples=len(points) < 2,

@@ -23,16 +23,18 @@ useful negative control) but the proof residual is skipped and flagged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ambient import AmbientSpace
-from .subgeom import Immersion, _JetGeometry, _rank, _semi_invariant
+from .subgeom import Immersion, PointRecords, _JetGeometry, _rank, _semi_invariant
 
 __all__ = [
     "NotPseudoUmbilical",
     "TheoremPointRecord",
+    "TheoremPoints",
     "TheoremVerdict",
     "theorem2_check",
     "theorem3_check",
@@ -57,10 +59,20 @@ class TheoremPointRecord:
     disjunction_pointwise: bool
 
 
+class TheoremPoints(PointRecords):
+    """Columns named and ordered like the fields of :class:`TheoremPointRecord`;
+    ``"branches"`` maps each branch of the disjunction to its column."""
+
+    def rows(self) -> tuple:
+        flags = self.columns["branches"]
+        branches = [dict(zip(flags, values)) for values in zip(*flags.values())]
+        return tuple(map(TheoremPointRecord, *dict(self.columns, branches=branches).values()))
+
+
 @dataclass(frozen=True)
 class TheoremVerdict:
     theorem: str
-    points: tuple[TheoremPointRecord, ...]
+    points: TheoremPoints
     identity_holds_everywhere: bool
     disjunction_global: bool
     disjunction_pointwise_everywhere: bool
@@ -94,31 +106,25 @@ class _PointData:
         return d_ch, h_term
 
 
-def _records(
-    data: _PointData, tol: float, identity, obstruction, proof, branches
-) -> list[TheoremPointRecord]:
-    """One record per point from per-point arrays; the branches are the
-    statement's disjunction."""
-    geo = data.geo
-    names = list(branches)
-    columns = [geo.per_point(c) for c in (data.pseudo_umbilical, identity, obstruction, proof)]
-    flags = zip(*(geo.per_point(branches[name]) for name in names))
-    return [
-        TheoremPointRecord(
-            u=u,
-            pseudo_umbilical=pu,
-            identity_residual=ident,
-            obstruction=obst,
-            proof_residual=prf if pu else None,
-            branches=dict(zip(names, flag)),
-            identity_holds=ident <= tol,
-            disjunction_pointwise=any(flag),
-        )
-        for u, pu, ident, obst, prf, flag in zip(geo.points, *columns, flags)
-    ]
+def _columns(data: _PointData, tol: float, identity, obstruction, proof, branches) -> TheoremPoints:
+    """The statement's columns from its per-point arrays; the branches are
+    the statement's disjunction, and the proof residual is kept only where
+    the point is pseudo-umbilical."""
+    per_point = data.geo.per_point
+    pu = per_point(data.pseudo_umbilical)
+    return TheoremPoints({
+        "u": data.geo.points,
+        "pseudo_umbilical": pu,
+        "identity_residual": per_point(identity),
+        "obstruction": per_point(obstruction),
+        "proof_residual": [p if ok else None for p, ok in zip(per_point(proof), pu)],
+        "branches": {name: per_point(flags) for name, flags in branches.items()},
+        "identity_holds": per_point(identity <= tol),
+        "disjunction_pointwise": per_point(reduce(np.logical_or, branches.values())),
+    })
 
 
-def _t2_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
+def _t2_point(data: _PointData, tol: float) -> TheoremPoints:
     geo = data.geo
     d_ch, h_term = data.along(geo.P.swapaxes(-1, -2))  # row a: X = e_a
     omega_x = geo.f_normal_part(geo.E0)
@@ -127,10 +133,10 @@ def _t2_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     obstruction = (hsq * geo.norm_g(omega_x)).max(axis=-1)
     proof = geo.norm_g(d_ch + hsq[..., None] * omega_x + h_term).max(axis=-1)
     branches = {"minimal": data.minimal, "invariant": data.invariant}
-    return _records(data, tol, identity, obstruction, proof, branches)
+    return _columns(data, tol, identity, obstruction, proof, branches)
 
 
-def _t3_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
+def _t3_point(data: _PointData, tol: float) -> TheoremPoints:
     geo = data.geo
     # (nabla_{e_a} omega) e_b = P[c, a] P[d, b] (nabla_{d_c} omega) T_d
     nabla_omega_e = np.einsum("...ca,...db,...cdi->...abi", geo.P, geo.P, data.nabla_omega_t)
@@ -141,10 +147,10 @@ def _t3_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
     obstruction = (hsq * np.abs(geo.phi0)).max(axis=(-2, -1))
     proof = np.abs(lhs + hsq * geo.phi0 - rhs).max(axis=(-2, -1))
     branches = {"minimal": data.minimal, "anti_invariant": data.anti_invariant}
-    return _records(data, tol, identity, obstruction, proof, branches)
+    return _columns(data, tol, identity, obstruction, proof, branches)
 
 
-def _t4_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
+def _t4_point(data: _PointData, tol: float) -> TheoremPoints:
     geo = data.geo
     phi_x = geo.f_tangent_part(geo.E0)  # row a: X = phi e_a
     d_ch, h_x = data.along(geo.param_components(phi_x))
@@ -161,28 +167,25 @@ def _t4_point(data: _PointData, tol: float) -> list[TheoremPointRecord]:
         "semi_invariant": data.omega_phi_zero,
         "perpendicular": (np.abs(o_term) <= tol).all(axis=-1),
     }
-    return _records(data, tol, identity, obstruction, proof, branches)
+    return _columns(data, tol, identity, obstruction, proof, branches)
 
 
-def _verdict(theorem: str, records, ranks, tol: float) -> TheoremVerdict:
-    identity_everywhere = all(r.identity_holds for r in records)
-    branch_names = records[0].branches.keys()
-    global_branches = {
-        name: all(r.branches[name] for r in records) for name in branch_names
-    }
+def _verdict(theorem: str, points: TheoremPoints, ranks, tol: float) -> TheoremVerdict:
+    columns = points.columns
+    identity_everywhere = all(columns["identity_holds"])
+    global_branches = {name: all(flags) for name, flags in columns["branches"].items()}
     if theorem == "t4":
         semi = global_branches["semi_invariant"]
         global_branches["semi_invariant"] = _semi_invariant(semi, ranks)
     disjunction_global = any(global_branches.values())
-    pointwise_everywhere = all(r.disjunction_pointwise for r in records)
     return TheoremVerdict(
         theorem=theorem,
-        points=tuple(records),
+        points=points,
         identity_holds_everywhere=identity_everywhere,
         disjunction_global=disjunction_global,
-        disjunction_pointwise_everywhere=pointwise_everywhere,
+        disjunction_pointwise_everywhere=all(columns["disjunction_pointwise"]),
         biconditional_consistent=identity_everywhere == disjunction_global,
-        proof_points_skipped=sum(1 for r in records if r.proof_residual is None),
+        proof_points_skipped=columns["proof_residual"].count(None),
         tol=tol,
     )
 

@@ -19,6 +19,7 @@ from .calculus import LemmaReport, _lemma1_point, _lemma2_point, lemma_tensors
 from .subgeom import (
     ClassificationResult,
     Immersion,
+    PointRecords,
     _JetGeometry,
     _points,
     aggregate_classification,
@@ -68,9 +69,10 @@ class VerificationOutcome:
 
 
 def _lemma_report(lemma: str, geo: _JetGeometry, residuals, tol: float) -> LemmaReport:
-    samples, residuals = geo.points, geo.per_point(residuals)
+    residuals = geo.per_point(residuals)
     worst = max(residuals)
-    return LemmaReport(lemma, worst, tuple(zip(samples, residuals)), worst <= tol, tol)
+    per_point = PointRecords({"u": geo.points, "residual": residuals})
+    return LemmaReport(lemma, worst, per_point, worst <= tol, tol)
 
 
 def verify(
@@ -111,10 +113,10 @@ def verify(
     if theorems:
         data = _PointData(geo, tol, nabla_omega_t, nabla_c_xi)
         ranks = geo.per_point(data.rank_phi)
-        records = {
+        points = {
             "t2": _t2_point(data, tol), "t3": _t3_point(data, tol), "t4": _t4_point(data, tol)
         }
-        verdicts = {key: _verdict(key, records[key], ranks, tol) for key in THEOREMS}
+        verdicts = {key: _verdict(key, points[key], ranks, tol) for key in THEOREMS}
     return VerificationOutcome(
         space=space,
         immersion=immersion,

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import importlib
 import itertools
 import json
 import math
@@ -37,9 +38,9 @@ from prodgeo.scenario import (
     loads_scenario,
     scenario_text,
 )
-from prodgeo.subgeom import Immersion, classify
-from prodgeo.theorems import check_theorems
-from prodgeo.verify import verify
+from prodgeo.subgeom import Immersion, PointClassification, classify
+from prodgeo.theorems import TheoremPointRecord, check_theorems
+from prodgeo.verify import THEOREMS, verify
 
 CORRUPTED = """
 [ambient]
@@ -149,6 +150,8 @@ MALFORMED = {
     "long-sum": ("immersion", "n = 1\nmap = cos(u1)" + " + u1" * 1499 + ", sin(u1)"),
     "leading-minus-signs": ("immersion", "n = 1\nmap = " + "-" * 1200 + "cos(u1), sin(u1)"),
     "deep-block-metric": ("ambient", PRODUCT.replace("A_metric = flat", "A_metric = 1" + " + 0*x1" * 1499)),
+    "arabic-indic-digit": ("immersion", "n = 1\nmap = \u0663 * u1, sin(u1)"),
+    "fullwidth-digit": ("immersion", "n = 1\nmap = cos(u1), \uff11+u1"),
 }
 
 
@@ -162,6 +165,15 @@ def test_malformed_scenario_names_its_section(section, body, capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: [{section}] "), err
+
+
+@pytest.mark.parametrize("key, digit", [("arabic-indic-digit", "\u0663"), ("fullwidth-digit", "\uff11")])
+def test_cli_non_ascii_digit_is_an_unexpected_character(key, digit, capsys, tmp_path):
+    path = tmp_path / "digit.ini"
+    path.write_text(_malformed(*MALFORMED[key]))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [immersion] unexpected character {digit!r} (offset 0)\n"
 
 
 def test_dimension_mismatch_names_section():
@@ -628,6 +640,110 @@ def test_render_json_matches_the_reference_serializer():
     for space, imm, samples in cases:
         outcome = verify(space, imm, samples)
         assert render_json(outcome) == _reference_json(build_document(outcome)) + "\n", imm.label
+
+
+def _grid_8x8():
+    return list(itertools.product([-0.9 + 0.8 * i for i in range(8)],
+                                  [-0.4 + 0.8 * j for j in range(8)]))
+
+
+def test_render_json_matches_the_reference_serializer_on_every_part():
+    # a paraboloid is pseudo-umbilical at its vertex only: one proof residual, then nulls
+    paraboloid = Immersion(2, ("u1", "u2", "u1^2 + u2^2", "0"), label="paraboloid")
+    vertex_first = [(0.0, 0.0), (0.5, 0.2), (-0.3, 0.4)]
+    fuzz = random_trig_immersion(7, 16)
+    cases = [(scn.space, scn.immersion, scn.samples) for scn in map(catalog_get, catalog_list())]
+    cases += [(flat_product(2, 2), fuzz, fuzz.samples), (flat_product(2, 2), paraboloid, vertex_first)]
+    for space, imm, samples in cases:
+        for lemmas, theorems in itertools.product((True, False), repeat=2):
+            outcome = verify(space, imm, samples, lemmas=lemmas, theorems=theorems)
+            text = render_json(outcome)
+            where = (imm.label, lemmas, theorems)
+            assert text == _reference_json(build_document(outcome)) + "\n", where
+            points = json.loads(text)["points"]
+            keys = ["lemma1", "lemma2"] * lemmas + list(THEOREMS) * theorems
+            assert [list(p["residuals"]) for p in points] == [keys] * len(samples), where
+    points = json.loads(render_json(verify(flat_product(2, 2), paraboloid, vertex_first)))["points"]
+    assert [p["flags"]["pseudo_umbilical"] for p in points] == [True, False, False]
+    assert [p["residuals"]["t2"]["proof"] for p in points] == [0.0, None, None]
+
+
+def _entry_from_records(outcome, index):
+    """A report's point entry, read from the API records."""
+    cls = outcome.classification.points[index]
+    residuals = {}
+    if outcome.lemma1 is not None:
+        residuals = {"lemma1": outcome.lemma1.per_point[index][1],
+                     "lemma2": outcome.lemma2.per_point[index][1]}
+    for key in THEOREMS if outcome.theorems is not None else ():
+        record = outcome.theorems[key].points[index]
+        residuals[key] = {"identity": record.identity_residual, "obstruction": record.obstruction,
+                          "proof": record.proof_residual, "branches": dict(record.branches)}
+    return {
+        "u": list(cls.u),
+        "norms": {"mean_curvature_sq": cls.mean_curvature_sq, "phi": cls.phi_norm,
+                  "omega": cls.omega_norm, "omega_phi": cls.omega_phi_norm},
+        "rank_phi": cls.rank_phi,
+        "flags": {"minimal": cls.minimal, "pseudo_umbilical": cls.pseudo_umbilical},
+        "residuals": residuals,
+    }
+
+
+def test_report_points_are_the_records_in_key_order():
+    space, imm = corrupted_lemma_case()
+    cases = [(scn.space, scn.immersion, scn.samples) for scn in map(catalog_get, catalog_list())]
+    cases.append((space, imm, imm.samples))
+    for space, imm, samples in cases:
+        for lemmas, theorems in ((True, True), (False, False)):
+            outcome = verify(space, imm, samples, lemmas=lemmas, theorems=theorems)
+            rendered = render_json(outcome)
+            doc = json.loads(rendered)
+            doc["points"] = [_entry_from_records(outcome, i) for i in range(len(samples))]
+            assert _reference_json(doc) + "\n" == rendered, imm.label
+
+
+def test_render_json_builds_no_point_records(monkeypatch):
+    made = collections.Counter()
+    for record in (PointClassification, TheoremPointRecord):
+        def counting_init(self, *args, _init=record.__init__, _name=record.__name__, **kwargs):
+            made[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(record, "__init__", counting_init)
+    scn = catalog_get("curved-block")
+    grid = _grid_8x8()
+    outcome = verify(scn.space, scn.immersion, grid)
+    render_json(outcome)
+    assert made == {}
+    # the records are built on first read, once
+    for _ in range(2):
+        assert len(outcome.classification.points) == 64
+        assert [p.u for p in outcome.classification.points] == grid
+        assert all(len(outcome.theorems[key].points[:]) == 64 for key in THEOREMS)
+    assert made == {"PointClassification": 64, "TheoremPointRecord": 192}
+
+
+def test_non_finite_residual_column_is_not_rendered(monkeypatch, capsys, tmp_path):
+    pipeline = importlib.import_module("prodgeo.verify")
+    lemma1 = pipeline._lemma1_point
+
+    def nan_at_second_point(geo, nabla_omega_t):
+        residuals = lemma1(geo, nabla_omega_t).copy()
+        residuals[1] = math.nan
+        return residuals
+
+    monkeypatch.setattr(pipeline, "_lemma1_point", nan_at_second_point)
+    scn = catalog_get("circle")
+    outcome = verify(scn.space, scn.immersion)
+    # only the column holds the NaN: the worst residual skips it
+    assert math.isnan(outcome.lemma1.per_point[1][1])
+    assert math.isfinite(outcome.lemma1.max_residual)
+    with pytest.raises(ValueError, match="report numbers must be finite"):
+        render_json(outcome)
+    path = tmp_path / "c.ini"
+    export_scenario(path, scn)
+    code, out, err = run_cli(capsys, "report", "--format", "json", str(path))
+    assert (code, out, err) == (2, "", "error: report numbers must be finite\n")
 
 
 @pytest.mark.parametrize("doc", [

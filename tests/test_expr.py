@@ -80,6 +80,16 @@ def test_unexpected_character_offset():
     assert err.value.offset == 5
 
 
+@pytest.mark.parametrize("src, offset", [
+    ("\u0663 * u1", 0), ("\uff11+u1", 0), ("u1 + 2\u0663", 6), ("1e\u0663", 2), ("u1^\u0662", 3),
+])
+def test_non_ascii_digits_are_unexpected_characters(src, offset):
+    # an Arabic-Indic or fullwidth digit is not a number, as a non-ASCII letter is not a name
+    with pytest.raises(ex.ParseError, match="^unexpected character") as err:
+        ex.parse(src)
+    assert err.value.offset == offset
+
+
 def test_unknown_variable_deferred_to_eval():
     ast = ex.parse("u7 + 1")
     with pytest.raises(ex.UnknownVariable):
