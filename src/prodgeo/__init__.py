@@ -8,8 +8,10 @@ classifies the submanifold as invariant, anti-invariant, semi-invariant or
 generic, and numerically verifies the identity suites relating the
 covariant derivatives of the structure projections to the second
 fundamental form, including the characterization statements for
-pseudo-umbilical submanifolds.  :func:`verify` runs all of it with one
-geometry build for all sample points.
+pseudo-umbilical submanifolds.  :func:`verify` is the one computation: it
+runs all of it with one geometry build for all sample points, and its
+outcome holds the classification, the lemma reports and the T2-T4 verdicts.
+:func:`point_geometry` reads the frames and invariants at one point.
 
 All derivatives are exact (truncated Taylor jets); an independent
 finite-difference oracle cross-checks them in the test-suite.
@@ -25,17 +27,7 @@ from .ambient import (
     product_of,
     validate_ambient,
 )
-from .calculus import (
-    DirectionalContext,
-    LemmaReport,
-    check_lemma1,
-    check_lemma2,
-    check_lemmas,
-    nabla_C,
-    nabla_omega,
-    normal_connection,
-    tangential_connection,
-)
+from .calculus import LemmaReport
 from .catalog import Scenario, UnknownScenario, catalog_get, catalog_list
 from .expr import ExprAst, ParseError, UnknownVariable, evaluate, parse, pretty
 from .jets import InsufficientJetOrder, Jet, lift_constant, seed_point, seed_variable
@@ -55,22 +47,12 @@ from .subgeom import (
     Immersion,
     PointGeometry,
     classify,
-    f_decompose,
-    frames_at,
     is_minimal,
     is_pseudo_umbilical,
     point_geometry,
     pseudo_umbilical_gap,
-    second_fundamental_form,
 )
-from .theorems import (
-    NotPseudoUmbilical,
-    TheoremVerdict,
-    check_theorems,
-    theorem2_check,
-    theorem3_check,
-    theorem4_check,
-)
+from .theorems import TheoremVerdict
 from .verify import VerificationOutcome, verify
 
 __version__ = "0.1.0"

@@ -1,9 +1,9 @@
-"""Connections induced on the submanifold and the derived identity suites.
+"""The derived connection calculus and the two lemma identities.
 
 The tangential connection is the tangent part of the ambient covariant
 derivative, the normal connection its normal part (Gauss and Weingarten
-splits).  On top of those sit the covariant derivatives of the
-product-structure projections,
+splits; ``_JetGeometry.nabla_tan`` and ``nabla_perp``).  On top of those
+sit the covariant derivatives of the product-structure projections,
 
     (nabla_X omega) Y = nabla^perp_X (omega Y) - omega (nabla_X Y)
     (nabla_X C) xi    = nabla^perp_X (C xi)    - C (nabla^perp_X xi)
@@ -15,98 +15,24 @@ space satisfies:
     (nabla_X C) xi = - omega A_xi X - h(X, B xi)
 
 :func:`lemma_tensors` differentiates the jets once per document for both
-tensors along every coordinate direction; the lemma suites and the T2-T4
-statements of :mod:`prodgeo.theorems` read its arrays.  ``check_lemma1`` /
-``check_lemma2`` measure the worst residual of the identities over samples
-and coordinate directions (through :func:`prodgeo.verify.verify`); a
-corrupted ambient space (one with nabla F != 0) breaks them by an O(1)
-margin, which is the engine's negative control.
+tensors along every coordinate direction; the lemma residuals here and the
+T2-T4 statements of :mod:`prodgeo.theorems` read its arrays, and
+:func:`prodgeo.verify.verify` reports the worst residual of each identity
+over samples and coordinate directions.  A corrupted ambient space (one
+with nabla F != 0) breaks them by an O(1) margin, which is the engine's
+negative control.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import jets
-from .ambient import AmbientSpace
-from .subgeom import Immersion, PointRecords, _JetGeometry
+from .subgeom import PointRecords, _JetGeometry
 
-__all__ = [
-    "DirectionalContext",
-    "LemmaReport",
-    "tangential_connection",
-    "normal_connection",
-    "nabla_omega",
-    "nabla_C",
-    "check_lemma1",
-    "check_lemma2",
-    "check_lemmas",
-    "lemma_tensors",
-]
-
-
-@dataclass(frozen=True)
-class DirectionalContext:
-    """Base point and parameter-space direction for one derivative."""
-
-    base: tuple[float, ...]
-    direction: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "base", tuple(float(v) for v in self.base))
-        object.__setattr__(self, "direction", tuple(float(v) for v in self.direction))
-        if len(self.base) != len(self.direction):
-            raise ValueError("base point and direction have different dimensions")
-        if not any(self.direction):
-            raise ValueError("direction must be nonzero")
-
-
-def _geometry(immersion: Immersion, space: AmbientSpace, base) -> _JetGeometry:
-    return _JetGeometry(immersion, space, base, order=3)
-
-
-def _tangent_field(geo: _JetGeometry, y):
-    """Resolve a tangent-field spec: coordinate index or parameter components."""
-    if isinstance(y, (int, np.integer)):
-        if not 0 <= int(y) < geo.n:
-            raise ValueError(f"coordinate index {y} out of range")
-        return geo.T[..., int(y), :]
-    return geo.coordinate_field(list(y))
-
-
-def _normal_field(geo: _JetGeometry, xi):
-    """Resolve a normal-field spec: frame index, 'H', or frame coefficients."""
-    if isinstance(xi, str):
-        if xi != "H":
-            raise ValueError("normal field must be a frame index, 'H', or coefficients")
-        return geo.H_field
-    if isinstance(xi, (int, np.integer)):
-        if not 0 <= int(xi) < geo.m:
-            raise ValueError(f"normal frame index {xi} out of range")
-        return geo.xi_field[..., int(xi), :]
-    coefficients = np.array([float(c) for c in xi])
-    if len(coefficients) != geo.m:
-        raise ValueError(f"expected {geo.m} normal frame coefficients")
-    return jets.einsum("a,...ai->...i", coefficients, geo.xi_field)
-
-
-def tangential_connection(
-    immersion: Immersion, space: AmbientSpace, ctx: DirectionalContext, y
-) -> np.ndarray:
-    """nabla_X Y: tangent part of the ambient covariant derivative."""
-    geo = _geometry(immersion, space, ctx.base)
-    return geo.nabla_tan(_tangent_field(geo, y), ctx.direction)
-
-
-def normal_connection(
-    immersion: Immersion, space: AmbientSpace, ctx: DirectionalContext, xi
-) -> np.ndarray:
-    """nabla^perp_X xi: normal part of the ambient covariant derivative."""
-    geo = _geometry(immersion, space, ctx.base)
-    return geo.nabla_perp(_normal_field(geo, xi), ctx.direction)
+__all__ = ["LemmaReport", "lemma_tensors"]
 
 
 # Both derivatives below accept a batch of fields (batch axes between the
@@ -129,22 +55,6 @@ def _nabla_C(geo: _JetGeometry, directions, xi_field) -> list[np.ndarray]:
         geo.nabla_perp(c_xi, d) - geo.f_normal_part(geo.nabla_perp(xi_field, d))
         for d in directions
     ]
-
-
-def nabla_omega(
-    immersion: Immersion, space: AmbientSpace, ctx: DirectionalContext, y
-) -> np.ndarray:
-    """(nabla_X omega) Y as an ambient (normal) vector."""
-    geo = _geometry(immersion, space, ctx.base)
-    return _nabla_omega(geo, [ctx.direction], _tangent_field(geo, y))[0]
-
-
-def nabla_C(
-    immersion: Immersion, space: AmbientSpace, ctx: DirectionalContext, xi
-) -> np.ndarray:
-    """(nabla_X C) xi as an ambient (normal) vector."""
-    geo = _geometry(immersion, space, ctx.base)
-    return _nabla_C(geo, [ctx.direction], _normal_field(geo, xi))[0]
 
 
 @dataclass(frozen=True)
@@ -191,39 +101,3 @@ def _lemma2_point(geo: _JetGeometry, nabla_c_xi: np.ndarray) -> np.ndarray:
         rhs = -geo.f_normal_part(geo.shape_operator(x, xi0s)) - geo.h_bilinear(x, b_xi)
         worst = np.maximum(worst, geo.norm_g(nabla_c_xi[..., a, :, :] - rhs).max(axis=-1))
     return worst
-
-
-def check_lemma1(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-) -> LemmaReport:
-    """Residuals of (nabla_X omega) Y + h(X, phi Y) - C h(X, Y) over samples."""
-    return check_lemmas(immersion, space, samples, tol)[0]
-
-
-def check_lemma2(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-) -> LemmaReport:
-    """Residuals of (nabla_X C) xi + omega A_xi X + h(X, B xi) over samples.
-
-    xi ranges over every normal frame field and the mean curvature field.
-    """
-    return check_lemmas(immersion, space, samples, tol)[1]
-
-
-def check_lemmas(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-) -> tuple[LemmaReport, LemmaReport]:
-    """Both lemma suites sharing one geometry build for all samples."""
-    from .verify import Tolerances, verify
-
-    outcome = verify(space, immersion, samples, Tolerances(identity_tol=tol), theorems=False)
-    return outcome.lemma1, outcome.lemma2

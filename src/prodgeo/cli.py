@@ -404,6 +404,8 @@ def main(argv=None) -> int:
         if ns.command is None:
             raise _UsageError("a command is required (classify/check/catalog/report)")
         if ns.command == "catalog":
+            if ns.action in ("list", None) and ns.label:
+                raise _UsageError("catalog list takes no scenario label")
             if ns.action in ("run", "export") and not ns.label:
                 raise _UsageError(f"catalog {ns.action} needs a scenario label")
             if ns.action == "export" and not ns.path:

@@ -43,8 +43,8 @@ import numpy as np
 
 __all__ = [
     "Jet", "InsufficientJetOrder", "DomainError", "DivisionByZero", "check_domain",
-    "lift_constant", "seed_variable", "seed_point", "as_jet", "array", "partial", "einsum",
-    "inverse", "sin", "cos", "exp", "sqrt",
+    "lift_constant", "seed_variable", "seed_point", "as_jet", "array", "stack", "partial",
+    "einsum", "inverse", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)

@@ -8,11 +8,13 @@ generic classifier.
 
 Everything is computed from jets seeded in the n submanifold parameters
 only, so each quantity is available not just as a value but as a germ
-carrying its own parameter derivatives; the connection and identity
-machinery in :mod:`prodgeo.calculus` differentiates those germs directly.
+carrying its own parameter derivatives; the connection calculus of
+:mod:`prodgeo.calculus` differentiates those germs directly, inside
+:func:`prodgeo.verify.verify`.
 Vector, matrix and frame fields are array jets whose leading axis runs over
 the sample points, so one build is a few hundred numpy contractions for a
-whole document; a single point is the same code with no point axis.
+whole document; a single point is the same code with no point axis, and
+:func:`point_geometry` reads its values.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ __all__ = [
     "ClassificationPoints",
     "ClassificationResult",
     "param_vars",
-    "frames_at",
-    "second_fundamental_form",
-    "f_decompose",
     "point_geometry",
     "is_minimal",
     "is_pseudo_umbilical",
@@ -119,10 +118,10 @@ class PointGeometry:
     """Per-point bundle of frames and first/second-order invariants.
 
     ``h`` stores the second fundamental form components h^a_{ab} in the
-    orthonormal frames; ``A`` the shape operator matrices (equal to the
-    ``h`` slices by the duality g(A_xi X, Y) = g(h(X,Y), xi)); ``phi``,
-    ``omega``, ``Bm``, ``Cm`` the tangential/normal parts of the product
-    structure on tangent and normal vectors.
+    orthonormal frames; its slice ``h[a]`` is also the matrix of the shape
+    operator A_{xi_a}, by the duality g(A_xi X, Y) = g(h(X,Y), xi).
+    ``phi``, ``omega``, ``Bm``, ``Cm`` are the tangential/normal parts of
+    the product structure on tangent and normal vectors.
     """
 
     u: tuple[float, ...]
@@ -132,7 +131,6 @@ class PointGeometry:
     induced_metric: np.ndarray
     ambient_metric: np.ndarray
     h: np.ndarray
-    A: np.ndarray
     H: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
@@ -407,20 +405,6 @@ class _JetGeometry:
     def normal_part_field(self, vec):
         return vec - self.tangent_part_field(vec)
 
-    def coordinate_field(self, coefficients):
-        """Tangent field sum_b c_b(u) T_b with constant or expression coefficients.
-
-        A float array of coefficients may carry point axes and then batch
-        axes (one field per row); a list may mix numbers and expressions in
-        ``u1..un``.
-        """
-        if not isinstance(coefficients, np.ndarray):
-            parsed = [ex.parse(c) if isinstance(c, str) else c for c in coefficients]
-            coefficients = jets.array(
-                [ex.evaluate(c, self.uenv) if isinstance(c, ex.ExprAst) else c for c in parsed]
-            )
-        return jets.einsum("...b,...bi->...i", coefficients, self._fit(self.T, 2, coefficients))
-
     # ---- directional derivatives at the base points ----------------------
     # A direction is a constant (n,) or one per point (points..., n).
 
@@ -490,28 +474,8 @@ class _JetGeometry:
 # ---- public per-point operations ----------------------------------------
 
 
-def frames_at(immersion: Immersion, space: AmbientSpace, u: Sequence[float]) -> PointGeometry:
-    """Orthonormal frames and induced metric at one parameter point."""
-    return point_geometry(immersion, space, u)
-
-
-def second_fundamental_form(
-    immersion: Immersion, space: AmbientSpace, u: Sequence[float]
-) -> PointGeometry:
-    """Frames plus h, the shape matrices and the mean curvature vector."""
-    return point_geometry(immersion, space, u)
-
-
-def f_decompose(pg: PointGeometry, space: AmbientSpace):
-    """Split F over the frames: phi/omega on tangents, B/C on normals."""
-    pg.phi, pg.omega, pg.Bm, pg.Cm = _split_structure(
-        space.structure_at(pg.x), pg.ambient_metric, pg.tangent_on, pg.normal_on
-    )
-    return pg.phi, pg.omega, pg.Bm, pg.Cm
-
-
 def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]) -> PointGeometry:
-    """Full per-point bundle (frames, h, A, H, phi/omega/B/C)."""
+    """Full per-point bundle (frames, h, H, phi/omega/B/C) at one parameter point."""
     geo = _JetGeometry(immersion, space, u, order=2)
     return PointGeometry(
         u=geo.points[0],
@@ -521,7 +485,6 @@ def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]
         induced_metric=geo.G0.copy(),
         ambient_metric=geo.g0.copy(),
         h=geo.hcomp0.copy(),
-        A=geo.hcomp0.copy(),
         H=geo.H0.copy(),
         phi=geo.phi0.copy(),
         omega=geo.omega0.copy(),

@@ -18,33 +18,20 @@ coordinate-direction tensors of :func:`prodgeo.calculus.lemma_tensors`.
 
 At points that are not pseudo-umbilical the identity is still evaluated (a
 useful negative control) but the proof residual is skipped and flagged.
+:func:`prodgeo.verify.verify` returns the verdicts as ``outcome.theorems``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .ambient import AmbientSpace
-from .subgeom import Immersion, PointRecords, _JetGeometry, _rank, _semi_invariant
+from .subgeom import PointRecords, _JetGeometry, _rank, _semi_invariant
 
-__all__ = [
-    "NotPseudoUmbilical",
-    "TheoremPointRecord",
-    "TheoremPoints",
-    "TheoremVerdict",
-    "theorem2_check",
-    "theorem3_check",
-    "theorem4_check",
-    "check_theorems",
-]
-
-
-class NotPseudoUmbilical(ValueError):
-    """Strict mode: a sample point violates the pseudo-umbilical hypothesis."""
+__all__ = ["TheoremPointRecord", "TheoremPoints", "TheoremVerdict"]
 
 
 @dataclass(frozen=True)
@@ -188,58 +175,3 @@ def _verdict(theorem: str, points: TheoremPoints, ranks, tol: float) -> TheoremV
         proof_points_skipped=columns["proof_residual"].count(None),
         tol=tol,
     )
-
-
-def theorem2_check(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-    strict: bool = False,
-) -> TheoremVerdict:
-    """(nabla_X C) H = -h(X, BH)  vs  minimal-or-invariant."""
-    return check_theorems(immersion, space, samples, tol, strict)["t2"]
-
-
-def theorem3_check(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-    strict: bool = False,
-) -> TheoremVerdict:
-    """g((nabla_X omega) Y, H) = g(Y, A_CH X)  vs  minimal-or-anti-invariant."""
-    return check_theorems(immersion, space, samples, tol, strict)["t3"]
-
-
-def theorem4_check(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-    strict: bool = False,
-) -> TheoremVerdict:
-    """g((nabla_{phi X} C) H, CH) = -g(h(phi X, BH), CH)  vs  the three branches."""
-    return check_theorems(immersion, space, samples, tol, strict)["t4"]
-
-
-def check_theorems(
-    immersion: Immersion,
-    space: AmbientSpace,
-    samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
-    strict: bool = False,
-) -> dict[str, TheoremVerdict]:
-    """All three statements, sharing one geometry build for all samples.
-
-    ``strict`` raises :class:`NotPseudoUmbilical` if a sample point violates
-    the pseudo-umbilical hypothesis of the statements.
-    """
-    from .verify import Tolerances, verify
-
-    verdicts = verify(space, immersion, samples, Tolerances(identity_tol=tol), lemmas=False).theorems
-    if strict:
-        for record in verdicts["t2"].points:
-            if not record.pseudo_umbilical:
-                raise NotPseudoUmbilical(f"point u = {record.u} is not pseudo-umbilical")
-    return verdicts

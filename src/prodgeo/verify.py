@@ -3,9 +3,9 @@
 :func:`verify` builds one jet geometry for all sample points of a document
 and reads off it, for every point at once, the four-way classification, the
 two lemma identities and the T2-T4 statements, which share one evaluation
-of nabla omega and nabla C.  The lemma and theorem checks, the catalog
-runner and every CLI command are calls to it that keep their part of the
-outcome.
+of nabla omega and nabla C.  The catalog runner and every CLI command are
+calls to it that keep their part of the outcome; ``lemmas=False`` or
+``theorems=False`` skips a part.
 """
 
 from __future__ import annotations

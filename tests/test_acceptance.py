@@ -8,7 +8,6 @@ import numpy as np
 
 from prodgeo import expr as ex
 from prodgeo.ambient import product_of, validate_ambient
-from prodgeo.calculus import check_lemmas
 from prodgeo.catalog import (
     catalog_get,
     catalog_list,
@@ -22,14 +21,8 @@ from prodgeo.cli import main, render_json, run_catalog_scenario, run_loaded
 from prodgeo.jets import seed_variable
 from prodgeo.oracle import fd_derivative, fd_second, fd_third
 from prodgeo.scenario import export_scenario, load_scenario
-from prodgeo.subgeom import (
-    _JetGeometry,
-    classify,
-    point_geometry,
-    pseudo_umbilical_gap,
-    second_fundamental_form,
-)
-from prodgeo.theorems import check_theorems
+from prodgeo.subgeom import _JetGeometry, classify, point_geometry, pseudo_umbilical_gap
+from prodgeo.verify import verify
 
 
 def _report(n, text):
@@ -154,19 +147,22 @@ def test_criterion_4_lemma_suite():
     worst = 0.0
     for label in catalog_list():
         scn = catalog_get(label)
-        r1, r2 = check_lemmas(scn.immersion, scn.space)
+        outcome = verify(scn.space, scn.immersion, theorems=False)
+        r1, r2 = outcome.lemma1, outcome.lemma2
         assert r1.max_residual <= 1e-8, label
         assert r2.max_residual <= 1e-8, label
         worst = max(worst, r1.max_residual, r2.max_residual)
     flat = flat_product(2, 2)
     for seed in range(20):
         imm = random_trig_immersion(seed)
-        r1, r2 = check_lemmas(imm, flat)
+        outcome = verify(flat, imm, theorems=False)
+        r1, r2 = outcome.lemma1, outcome.lemma2
         assert r1.max_residual <= 1e-8, seed
         assert r2.max_residual <= 1e-8, seed
         worst = max(worst, r1.max_residual, r2.max_residual)
     space, imm = corrupted_lemma_case()
-    b1, b2 = check_lemmas(imm, space)
+    outcome = verify(space, imm, theorems=False)
+    b1, b2 = outcome.lemma1, outcome.lemma2
     assert max(b1.max_residual, b2.max_residual) > 1e-3
     _report(4, f"both identities hold on 10 scenarios + 20 fuzz immersions "
                f"(worst {worst:.2e}); corrupted ambient fails at "
@@ -180,7 +176,7 @@ def test_criterion_5_proof_residuals_and_obstructions():
     worst_proof, worst_gap, pu_points = 0.0, 0.0, 0
     for label in catalog_list():
         scn = catalog_get(label)
-        verdicts = check_theorems(scn.immersion, scn.space)
+        verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             for p in verdict.points:
                 if not p.pseudo_umbilical:
@@ -201,14 +197,14 @@ def test_criterion_5_proof_residuals_and_obstructions():
 
 def test_criterion_6_quantitative_spot_values():
     circle = catalog_get("circle")
-    verdicts = check_theorems(circle.immersion, circle.space)
+    verdicts = verify(circle.space, circle.immersion, lemmas=False).theorems
     t3 = verdicts["t3"].points[1].obstruction
     t4 = verdicts["t4"].points[1].obstruction
     assert abs(t3 - 0.7071067811865476) <= 1e-6
     assert abs(t4 - 0.35355339059327373) <= 1e-6
 
     sphere = catalog_get("sphere")
-    named = check_theorems(sphere.immersion, sphere.space)["t2"].points[0]
+    named = verify(sphere.space, sphere.immersion, lemmas=False).theorems["t2"].points[0]
     assert abs(named.identity_residual - 1.0) <= 1e-6
 
     torus = catalog_get("square-torus-aligned")
@@ -217,7 +213,7 @@ def test_criterion_6_quantitative_spot_values():
         assert abs(float(pg.H @ pg.ambient_metric @ pg.H) - 0.5) <= 1e-9
 
     rect = catalog_get("rect-torus")
-    pg = second_fundamental_form(rect.immersion, rect.space, rect.samples[0])
+    pg = point_geometry(rect.immersion, rect.space, rect.samples[0])
     assert abs(pseudo_umbilical_gap(pg) - 0.1875) <= 1e-9
     _report(6, f"circle obstructions {t3:.6f} / {t4:.6f}, sphere residual "
                f"{named.identity_residual:.6f}, torus |H|^2 = 0.5, "
@@ -250,7 +246,7 @@ def test_criterion_8_biconditional_consistency():
     checked = 0
     for label in catalog_list():
         scn = catalog_get(label)
-        verdicts = check_theorems(scn.immersion, scn.space)
+        verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             assert verdict.biconditional_consistent, (label, key)
             checked += 1

@@ -1,4 +1,10 @@
-"""Induced connections, nabla-omega / nabla-C, and the lemma suites."""
+"""Induced connections, nabla-omega / nabla-C, and the lemma suites.
+
+The directional derivatives are read off one order-3 geometry at a base
+point: the connections through ``nabla_tan`` / ``nabla_perp``, and nabla
+omega / nabla C through the batched ``calculus._nabla_omega`` / ``_nabla_C``
+that ``verify`` runs.  The fields are built here from the geometry's frames.
+"""
 
 import collections
 import math
@@ -6,18 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from prodgeo import calculus
+from prodgeo import calculus, jets
 from prodgeo.ambient import product_of
-from prodgeo.calculus import (
-    DirectionalContext,
-    check_lemma1,
-    check_lemma2,
-    check_lemmas,
-    nabla_C,
-    nabla_omega,
-    normal_connection,
-    tangential_connection,
-)
 from prodgeo.catalog import (
     catalog_get,
     catalog_list,
@@ -34,43 +30,45 @@ FLAT21 = product_of("flat", 2, "flat", 1)
 FLAT22 = product_of("flat", 2, "flat", 2)
 
 
-def test_context_validation():
-    with pytest.raises(ValueError):
-        DirectionalContext((0.0,), (0.0,))
-    with pytest.raises(ValueError):
-        DirectionalContext((0.0, 0.0), (1.0,))
+def _coordinate_field(geo, coefficients):
+    """The tangent field sum_b c_b T_b with constant coefficients."""
+    return jets.einsum("b,...bi->...i", np.asarray(coefficients, float), geo.T)
+
+
+def _normal_field(geo, coefficients):
+    """The normal field sum_a c_a xi_a with constant coefficients."""
+    return jets.einsum("a,...ai->...i", np.asarray(coefficients, float), geo.xi_field)
 
 
 def test_tangential_connection_plane_vanishes():
     imm = Immersion(2, ("u1", "u2", "0"))
-    ctx = DirectionalContext((0.2, -0.3), (1.0, 0.0))
-    assert np.max(np.abs(tangential_connection(imm, FLAT21, ctx, 0))) <= 1e-14
+    geo = _JetGeometry(imm, FLAT21, (0.2, -0.3), order=3)
+    assert np.max(np.abs(geo.nabla_tan(geo.T[..., 0, :], (1.0, 0.0)))) <= 1e-14
 
 
 def test_tangential_connection_circle_purely_normal():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
-    ctx = DirectionalContext((0.8,), (1.0,))
-    assert np.max(np.abs(tangential_connection(imm, FLAT11, ctx, 0))) <= 1e-13
+    geo = _JetGeometry(imm, FLAT11, (0.8,), order=3)
+    assert np.max(np.abs(geo.nabla_tan(geo.T[..., 0, :], (1.0,)))) <= 1e-13
 
 
 def test_tangential_connection_sphere_matches_christoffels():
     # longitude derivative on the unit sphere: nabla_{d2} d2 = -sin u1 cos u1 d1
     imm = Immersion(2, ("sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"))
     u = (math.pi / 4, 0.9)
-    ctx = DirectionalContext(u, (0.0, 1.0))
-    out = tangential_connection(imm, FLAT21, ctx, 1)
     geo = _JetGeometry(imm, FLAT21, u, order=3)
+    out = geo.nabla_tan(geo.T[..., 1, :], (0.0, 1.0))
     expected = -math.sin(u[0]) * math.cos(u[0]) * geo.J0[:, 0]
     assert np.max(np.abs(out - expected)) <= 1e-8
 
 
 def test_normal_connection_plane_and_circle():
     plane = Immersion(2, ("u1", "u2", "0"))
-    ctx = DirectionalContext((0.1, 0.4), (1.0, -2.0))
-    assert np.max(np.abs(normal_connection(plane, FLAT21, ctx, 0))) <= 1e-14
+    geo = _JetGeometry(plane, FLAT21, (0.1, 0.4), order=3)
+    assert np.max(np.abs(geo.nabla_perp(geo.xi_field[..., 0, :], (1.0, -2.0)))) <= 1e-14
     circle = Immersion(1, ("cos(u1)", "sin(u1)"))
-    ctx = DirectionalContext((0.5,), (1.0,))
-    assert np.max(np.abs(normal_connection(circle, FLAT11, ctx, 0))) <= 1e-13
+    geo = _JetGeometry(circle, FLAT11, (0.5,), order=3)
+    assert np.max(np.abs(geo.nabla_perp(geo.xi_field[..., 0, :], (1.0,)))) <= 1e-13
 
 
 def test_weingarten_cross_check_on_circle():
@@ -90,14 +88,15 @@ def test_weingarten_cross_check_on_circle():
 
 def test_nabla_omega_invariant_and_anti_invariant_vanish():
     torus = catalog_get("square-torus-aligned")
+    geo = _JetGeometry(torus.immersion, torus.space, (0.5, 1.1), order=3)
     for a in range(2):
         for b in range(2):
             direction = [1.0 if i == a else 0.0 for i in range(2)]
-            ctx = DirectionalContext((0.5, 1.1), direction)
-            out = nabla_omega(torus.immersion, torus.space, ctx, b)
+            out = calculus._nabla_omega(geo, [direction], geo.T[..., b, :])[0]
             assert np.max(np.abs(out)) <= 1e-12
     diag = Immersion(1, ("u1", "u1"))
-    out = nabla_omega(diag, FLAT11, DirectionalContext((0.4,), (1.0,)), 0)
+    geo = _JetGeometry(diag, FLAT11, (0.4,), order=3)
+    out = calculus._nabla_omega(geo, [(1.0,)], geo.T[..., 0, :])[0]
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -106,7 +105,7 @@ def test_nabla_omega_circle_closed_form():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     for u in (0.0, math.pi / 8, 0.9):
         geo = _JetGeometry(imm, FLAT11, (u,), order=3)
-        out = nabla_omega(imm, FLAT11, DirectionalContext((u,), (1.0,)), 0)
+        out = calculus._nabla_omega(geo, [(1.0,)], geo.T[..., 0, :])[0]
         sign = math.copysign(1.0, geo.Xi0[0] @ [math.cos(u), math.sin(u)])
         expected = -2.0 * math.cos(2 * u) * sign * geo.Xi0[0]
         assert np.max(np.abs(out - expected)) <= 1e-9
@@ -117,9 +116,9 @@ def test_nabla_omega_circle_closed_form():
 
 def test_nabla_C_flat_plane_vanishes():
     plane = Immersion(2, ("u1", "u2", "0"))
-    ctx = DirectionalContext((0.3, 0.1), (1.0, 1.0))
-    assert np.max(np.abs(nabla_C(plane, FLAT21, ctx, 0))) <= 1e-13
-    assert np.max(np.abs(nabla_C(plane, FLAT21, ctx, "H"))) <= 1e-13
+    geo = _JetGeometry(plane, FLAT21, (0.3, 0.1), order=3)
+    for xi in (geo.xi_field[..., 0, :], geo.H_field):
+        assert np.max(np.abs(calculus._nabla_C(geo, [(1.0, 1.0)], xi)[0])) <= 1e-13
 
 
 def test_nabla_C_circle_matches_oracle():
@@ -132,7 +131,7 @@ def test_nabla_C_circle_matches_oracle():
         return float(pg.Cm[0, 0])
 
     geo = _JetGeometry(imm, FLAT11, (u0,), order=3)
-    out = nabla_C(imm, FLAT11, DirectionalContext((u0,), (1.0,)), 0)
+    out = calculus._nabla_C(geo, [(1.0,)], geo.xi_field[..., 0, :])[0]
     # (nabla C) xi dotted with xi equals d/dt C - C * d... both normal bundles
     # are rank one, so compare the xi component against the derivative of the
     # scalar C(u) (the connection of a rank-one bundle has no extra term).
@@ -146,8 +145,7 @@ def test_nabla_C_torus_mean_curvature_field():
     geo = _JetGeometry(torus.immersion, torus.space, (0.5, 1.1), order=3)
     for a in range(2):
         direction = [1.0 if i == a else 0.0 for i in range(2)]
-        out = nabla_C(torus.immersion, torus.space,
-                      DirectionalContext((0.5, 1.1), direction), "H")
+        out = calculus._nabla_C(geo, [direction], geo.H_field)[0]
         # rhs of the second identity with xi = H: -omega A_H X - h(X, BH)
         x = np.asarray(direction, float)
         rhs = -geo.f_normal_part(geo.shape_operator(x, geo.H0))
@@ -159,15 +157,16 @@ def test_nabla_C_torus_mean_curvature_field():
 def test_lemma_checks_pass_on_all_catalog_scenarios():
     for label in catalog_list():
         scn = catalog_get(label)
-        r1 = check_lemma1(scn.immersion, scn.space)
-        r2 = check_lemma2(scn.immersion, scn.space)
+        outcome = verify(scn.space, scn.immersion, theorems=False)
+        r1, r2 = outcome.lemma1, outcome.lemma2
         assert r1.passed and r1.max_residual <= 1e-9, (label, r1.max_residual)
         assert r2.passed and r2.max_residual <= 1e-9, (label, r2.max_residual)
 
 
 def test_lemma_checks_fail_on_corrupted_ambient():
     space, imm = corrupted_lemma_case()
-    r1, r2 = check_lemmas(imm, space)
+    outcome = verify(space, imm, theorems=False)
+    r1, r2 = outcome.lemma1, outcome.lemma2
     assert not r1.passed and r1.max_residual > 1e-3
     assert not r2.passed and r2.max_residual > 1e-3
 
@@ -175,7 +174,8 @@ def test_lemma_checks_fail_on_corrupted_ambient():
 def test_lemma_checks_pass_on_random_immersions():
     for seed in range(5):
         imm = random_trig_immersion(seed)
-        r1, r2 = check_lemmas(imm, flat_product(2, 2))
+        outcome = verify(flat_product(2, 2), imm, theorems=False)
+        r1, r2 = outcome.lemma1, outcome.lemma2
         assert r1.passed, (seed, r1.max_residual)
         assert r2.passed, (seed, r2.max_residual)
 
@@ -183,26 +183,28 @@ def test_lemma_checks_pass_on_random_immersions():
 def test_nabla_omega_is_tensorial_in_y():
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
-    ctx = DirectionalContext(u0, (1.0, 0.5))
+    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
+
+    def nabla_omega(y_field):
+        return calculus._nabla_omega(geo, [(1.0, 0.5)], y_field)[0]
+
     # scaling Y by the scalar field f(u) = u1 multiplies the value by f(u0)
-    plain = nabla_omega(scn.immersion, scn.space, ctx, (0.0, 1.0))
-    scaled = nabla_omega(scn.immersion, scn.space, ctx, ("0", "u1"))
+    plain = nabla_omega(_coordinate_field(geo, (0.0, 1.0)))
+    scaled = nabla_omega(geo.T[..., 1, :] * geo.uenv["u1"])
     assert np.max(np.abs(scaled - u0[0] * plain)) <= 1e-8
     # additivity in Y
-    y0 = nabla_omega(scn.immersion, scn.space, ctx, (1.0, 0.0))
-    y1 = nabla_omega(scn.immersion, scn.space, ctx, (0.0, 1.0))
-    both = nabla_omega(scn.immersion, scn.space, ctx, (1.0, 1.0))
+    y0 = nabla_omega(_coordinate_field(geo, (1.0, 0.0)))
+    y1 = nabla_omega(_coordinate_field(geo, (0.0, 1.0)))
+    both = nabla_omega(_coordinate_field(geo, (1.0, 1.0)))
     assert np.max(np.abs(both - (y0 + y1))) <= 1e-9
 
 
 def test_nabla_omega_is_linear_in_x():
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
-    xa = nabla_omega(scn.immersion, scn.space, DirectionalContext(u0, (1.0, 0.0)), 1)
-    xb = nabla_omega(scn.immersion, scn.space, DirectionalContext(u0, (0.0, 1.0)), 1)
-    xc = nabla_omega(
-        scn.immersion, scn.space, DirectionalContext(u0, (2.0, -3.0)), 1
-    )
+    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
+    directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
+    xa, xb, xc = calculus._nabla_omega(geo, directions, geo.T[..., 1, :])
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
 
@@ -211,20 +213,25 @@ def test_nabla_C_is_linear_in_x(xi):
     # the theorems contract the coordinate-direction values to frame directions
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
-    xa = nabla_C(scn.immersion, scn.space, DirectionalContext(u0, (1.0, 0.0)), xi)
-    xb = nabla_C(scn.immersion, scn.space, DirectionalContext(u0, (0.0, 1.0)), xi)
-    xc = nabla_C(scn.immersion, scn.space, DirectionalContext(u0, (2.0, -3.0)), xi)
+    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
+    field = geo.H_field if xi == "H" else geo.xi_field[..., xi, :]
+    directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
+    xa, xb, xc = calculus._nabla_C(geo, directions, field)
     assert np.max(np.abs(xa)) > 1e-3
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
 
 def test_nabla_C_is_additive_in_xi():
     scn = catalog_get("square-torus-rotated")
-    ctx = DirectionalContext(scn.samples[0], (1.0, 0.5))
-    xi0, xi1 = (nabla_C(scn.immersion, scn.space, ctx, a) for a in range(2))
+    geo = _JetGeometry(scn.immersion, scn.space, scn.samples[0], order=3)
+
+    def nabla_C(xi_field):
+        return calculus._nabla_C(geo, [(1.0, 0.5)], xi_field)[0]
+
+    xi0, xi1 = (nabla_C(geo.xi_field[..., a, :]) for a in range(2))
     assert np.max(np.abs(xi0)) > 1e-3
-    assert np.max(np.abs(nabla_C(scn.immersion, scn.space, ctx, (1.0, 0.0)) - xi0)) <= 1e-12
-    both = nabla_C(scn.immersion, scn.space, ctx, (2.0, -1.0))
+    assert np.max(np.abs(nabla_C(_normal_field(geo, (1.0, 0.0))) - xi0)) <= 1e-12
+    both = nabla_C(_normal_field(geo, (2.0, -1.0)))
     assert np.max(np.abs(both - (2.0 * xi0 - xi1))) <= 1e-9
 
 

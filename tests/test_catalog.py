@@ -2,7 +2,6 @@
 
 import pytest
 
-from prodgeo.calculus import check_lemmas
 from prodgeo.catalog import (
     UnknownScenario,
     catalog_get,
@@ -10,8 +9,8 @@ from prodgeo.catalog import (
     flat_product,
     random_trig_immersion,
 )
-from prodgeo.subgeom import classify, frames_at, point_geometry
-from prodgeo.theorems import check_theorems
+from prodgeo.subgeom import classify, point_geometry
+from prodgeo.verify import verify
 
 ALL_LABELS = (
     "plane-invariant",
@@ -65,7 +64,8 @@ def test_scenario_regression(label):
             hsq = float(pg.H @ pg.ambient_metric @ pg.H)
             assert abs(hsq - expected.mean_curvature_sq) <= 1e-9, (label, u)
 
-    verdicts = check_theorems(scn.immersion, scn.space)
+    outcome = verify(scn.space, scn.immersion)
+    verdicts = outcome.theorems
     for key in ("t2", "t3", "t4"):
         assert (
             verdicts[key].identity_holds_everywhere
@@ -73,21 +73,19 @@ def test_scenario_regression(label):
         ), (label, key)
         assert verdicts[key].biconditional_consistent, (label, key)
 
-    lemma1, lemma2 = check_lemmas(scn.immersion, scn.space)
+    lemma1, lemma2 = outcome.lemma1, outcome.lemma2
     assert lemma1.passed and lemma2.passed
 
 
 @pytest.mark.parametrize("label", [l for l in ALL_LABELS if catalog_get(l).spots])
 def test_scenario_spot_values(label):
     scn = catalog_get(label)
-    verdicts = check_theorems(scn.immersion, scn.space)
+    verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
     for spot in scn.spots:
         if spot.quantity == "pu_gap":
-            from prodgeo.subgeom import pseudo_umbilical_gap, second_fundamental_form
+            from prodgeo.subgeom import pseudo_umbilical_gap
 
-            pg = second_fundamental_form(
-                scn.immersion, scn.space, scn.samples[spot.point_index]
-            )
+            pg = point_geometry(scn.immersion, scn.space, scn.samples[spot.point_index])
             actual = pseudo_umbilical_gap(pg)
         else:
             key, field = spot.quantity.split("_", 1)
@@ -104,5 +102,5 @@ def test_random_immersions_are_deterministic_and_valid():
         assert a.components == b.components
         assert a.samples == b.samples
         for u in a.samples:
-            frames_at(a, space, u)  # full rank by construction
+            point_geometry(a, space, u)  # full rank by construction
     assert random_trig_immersion(0).components != random_trig_immersion(1).components

@@ -2,31 +2,20 @@
 
 import math
 
-import pytest
-
 from prodgeo import jets
 from prodgeo.ambient import product_of
 from prodgeo.calculus import lemma_tensors
 from prodgeo.catalog import catalog_get, catalog_list
 from prodgeo.subgeom import Immersion, _JetGeometry
-from prodgeo.theorems import (
-    NotPseudoUmbilical,
-    _PointData,
-    _t2_point,
-    _t3_point,
-    _t4_point,
-    check_theorems,
-    theorem2_check,
-    theorem3_check,
-    theorem4_check,
-)
+from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
+from prodgeo.verify import verify
 
 COS_PI_4 = math.cos(math.pi / 4)
 
 
 def test_t2_aligned_torus_invariant_branch():
     scn = catalog_get("square-torus-aligned")
-    verdict = theorem2_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     assert verdict.identity_holds_everywhere
     assert all(p.identity_residual <= 1e-8 for p in verdict.points)
     assert all(p.branches["invariant"] for p in verdict.points)
@@ -35,7 +24,7 @@ def test_t2_aligned_torus_invariant_branch():
 
 def test_t2_sphere_named_point():
     scn = catalog_get("sphere")
-    verdict = theorem2_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     named = verdict.points[0]  # u = (pi/4, 0) maps to (sqrt2/2, 0, sqrt2/2)
     assert abs(named.identity_residual - 1.0) <= 1e-6
     assert abs(named.obstruction - 1.0) <= 1e-6
@@ -47,14 +36,14 @@ def test_t2_sphere_named_point():
 def test_t2_minimal_scenarios_hold():
     for label in ("plane-invariant", "diagonal-line", "semi-invariant-plane"):
         scn = catalog_get(label)
-        verdict = theorem2_check(scn.immersion, scn.space)
+        verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
         assert all(p.identity_residual <= 1e-8 for p in verdict.points), label
         assert all(p.branches["minimal"] for p in verdict.points), label
 
 
 def test_t3_anti_invariant_curve_holds():
     scn = catalog_get("anti-invariant-curve")
-    verdict = theorem3_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t3"]
     assert verdict.identity_holds_everywhere
     assert all(p.branches["anti_invariant"] for p in verdict.points)
     assert verdict.biconditional_consistent
@@ -62,7 +51,7 @@ def test_t3_anti_invariant_curve_holds():
 
 def test_t3_circle_spot_value():
     scn = catalog_get("circle")
-    verdict = theorem3_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t3"]
     at_pi8 = verdict.points[1]
     assert abs(at_pi8.obstruction - COS_PI_4) <= 1e-6
     assert abs(at_pi8.identity_residual - at_pi8.obstruction) <= 1e-6
@@ -73,7 +62,7 @@ def test_t3_circle_spot_value():
 
 def test_t4_circle_spot_value_and_pointwise_branch():
     scn = catalog_get("circle")
-    verdict = theorem4_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
     at_zero, at_pi8, at_pi4 = verdict.points
     assert abs(at_pi8.obstruction - COS_PI_4 ** 2 * math.sin(math.pi / 4)) <= 1e-6
     assert abs(at_pi8.identity_residual - at_pi8.obstruction) <= 1e-6
@@ -86,7 +75,7 @@ def test_t4_circle_spot_value_and_pointwise_branch():
 
 def test_t4_semi_invariant_plane_two_branches():
     scn = catalog_get("semi-invariant-plane")
-    verdict = theorem4_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
     assert all(p.identity_residual <= 1e-10 for p in verdict.points)
     assert all(p.branches["minimal"] and p.branches["semi_invariant"] for p in verdict.points)
 
@@ -94,7 +83,7 @@ def test_t4_semi_invariant_plane_two_branches():
 def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
     for label in catalog_list():
         scn = catalog_get(label)
-        verdicts = check_theorems(scn.immersion, scn.space)
+        verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             for p in verdict.points:
                 if p.pseudo_umbilical:
@@ -107,7 +96,7 @@ def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
 def test_identity_residual_equals_obstruction_at_pu_points():
     for label in catalog_list():
         scn = catalog_get(label)
-        verdicts = check_theorems(scn.immersion, scn.space)
+        verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             for p in verdict.points:
                 if p.pseudo_umbilical:
@@ -122,7 +111,7 @@ def test_branch_soundness():
     # a true branch flag at a point forces the identity there
     for label in catalog_list():
         scn = catalog_get(label)
-        verdicts = check_theorems(scn.immersion, scn.space)
+        verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             for p in verdict.points:
                 if p.disjunction_pointwise:
@@ -132,7 +121,7 @@ def test_branch_soundness():
 def test_biconditional_consistency_all_catalog():
     for label in catalog_list():
         scn = catalog_get(label)
-        verdicts = check_theorems(scn.immersion, scn.space)
+        verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             assert verdict.biconditional_consistent, (label, key)
             # the pointwise disjunction is equivalent to pointwise identity
@@ -142,14 +131,12 @@ def test_biconditional_consistency_all_catalog():
             )
 
 
-def test_rect_torus_skips_proof_and_strict_raises():
+def test_rect_torus_skips_proof():
     scn = catalog_get("rect-torus")
-    verdict = theorem2_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     assert verdict.proof_points_skipped == len(scn.samples)
     assert all(p.proof_residual is None for p in verdict.points)
     assert verdict.biconditional_consistent
-    with pytest.raises(NotPseudoUmbilical):
-        theorem2_check(scn.immersion, scn.space, strict=True)
 
 
 def test_scaling_covariance_on_circle():
@@ -158,8 +145,8 @@ def test_scaling_covariance_on_circle():
     samples = ((math.pi / 8,), (0.6,))
     unit = Immersion(1, ("cos(u1)", "sin(u1)"), samples=samples)
     doubled = Immersion(1, ("2*cos(u1)", "2*sin(u1)"), samples=samples)
-    v1 = check_theorems(unit, flat, samples)
-    v2 = check_theorems(doubled, flat, samples)
+    v1 = verify(flat, unit, samples, lemmas=False).theorems
+    v2 = verify(flat, doubled, samples, lemmas=False).theorems
     for i in range(len(samples)):
         t2_ratio = v1["t2"].points[i].obstruction / v2["t2"].points[i].obstruction
         t4_ratio = v1["t4"].points[i].obstruction / v2["t4"].points[i].obstruction
@@ -169,7 +156,7 @@ def test_scaling_covariance_on_circle():
 
 def test_rotated_torus_obstruction_is_large():
     scn = catalog_get("square-torus-rotated")
-    verdict = theorem2_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     for p in verdict.points:
         assert p.identity_residual > 0.1
         assert abs(p.identity_residual - p.obstruction) <= 1e-6
@@ -178,7 +165,7 @@ def test_rotated_torus_obstruction_is_large():
 
 def test_verdict_shape():
     scn = catalog_get("circle")
-    verdict = theorem4_check(scn.immersion, scn.space)
+    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
     assert verdict.theorem == "t4"
     assert len(verdict.points) == 3
     assert set(verdict.points[0].branches) == {"minimal", "semi_invariant", "perpendicular"}
@@ -188,7 +175,7 @@ def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
     scn = catalog_get("square-torus-rotated")
     geo = _JetGeometry(scn.immersion, scn.space, scn.samples, order=3)
     tensors = lemma_tensors(geo)
-    expected = check_theorems(scn.immersion, scn.space)
+    expected = verify(scn.space, scn.immersion, lemmas=False).theorems
 
     def no_jets(*args, **kwargs):
         raise AssertionError("jet work in a statement")
