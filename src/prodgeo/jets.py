@@ -413,19 +413,21 @@ def stack(shape: tuple[int, ...], leaves: list):
     lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
     found = [e for e in leaves if isinstance(e, Jet)]
     if not found:
-        stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
-        return np.stack(stacked, axis=-1).reshape(lead + shape)
+        out = np.empty(lead + (len(leaves),))
+        for i, e in enumerate(leaves):
+            out[..., i] = e
+        return out.reshape(lead + shape)
     if len({j.nvars for j in found}) > 1:
         raise ValueError("jets carry different seed sets")
     alg = _algebra(found[0].nvars, min(j.order for j in found))
-    stacked = [
-        np.broadcast_to(
-            e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, e).coeffs,
-            lead + (alg.size,),
-        )
-        for e in leaves
-    ]
-    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + shape + (alg.size,)))
+    # a number fills coefficient 0 of its zero row
+    out = np.zeros(lead + (len(leaves), alg.size))
+    for i, e in enumerate(leaves):
+        if isinstance(e, Jet):
+            out[..., i, :] = e.coeffs[..., : alg.size]
+        else:
+            out[..., i, 0] = e
+    return Jet(alg, out.reshape(lead + shape + (alg.size,)))
 
 
 def partial(j: Jet, var: int) -> Jet:

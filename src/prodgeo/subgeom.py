@@ -373,7 +373,10 @@ class _JetGeometry:
 
     def per_point(self, values) -> list:
         """A per-point array (or a value shared by all points) as a list over the points."""
-        return np.broadcast_to(values, self.u.shape[:-1]).reshape(-1).tolist()
+        shape = self.u.shape[:-1]
+        if np.shape(values) != shape:
+            values = np.broadcast_to(values, shape)
+        return np.reshape(values, -1).tolist()
 
     # ---- jet-field helpers ----------------------------------------------
     # Fields are jets (or float arrays) shaped (points..., batch..., N): the

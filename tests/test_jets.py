@@ -308,3 +308,62 @@ def test_array_stacks_jets_and_numbers_at_lowest_order():
     assert stacked.shape == (2, 2) and stacked.order == 2
     assert stacked[0][1].value == 2.0 and stacked[1][0].gradient().tolist() == [0.0, 1.0]
     assert isinstance(array([[1.0, 0.0]]), np.ndarray)
+
+
+# ---- stack against the plain form it replaces -------------------------------
+# The reference broadcasts every leaf (a number lifted to a full jet) and
+# stacks the results; stack fills one array and must give the same bits.
+
+from prodgeo.jets import _algebra, _constant, stack  # noqa: E402
+
+
+def _ref_stack(shape, leaves):
+    lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
+    found = [e for e in leaves if isinstance(e, Jet)]
+    if not found:
+        stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
+        return np.stack(stacked, axis=-1).reshape(lead + shape)
+    alg = _algebra(found[0].nvars, min(j.order for j in found))
+    stacked = [
+        np.broadcast_to(
+            e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, e).coeffs,
+            lead + (alg.size,),
+        )
+        for e in leaves
+    ]
+    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + shape + (alg.size,)))
+
+
+def _same(a, b):
+    """The same bits: equal values and equal signs, of zeros too."""
+    if isinstance(b, Jet):
+        assert isinstance(a, Jet) and a.alg is b.alg
+        a, b = a.coeffs, b.coeffs
+    assert a.shape == b.shape and np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _signed_zeros(rng, j):
+    """``j`` with about a third of its coefficients set to +0.0 or -0.0."""
+    c = j.coeffs.copy()
+    hit = rng.random(c.shape) < 1 / 3
+    c[hit] = np.where(rng.random(c.shape) < 0.5, 0.0, -0.0)[hit]
+    return Jet(j.alg, c)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+def test_stack_matches_broadcast_then_stack(order):
+    rng = np.random.default_rng(400 + order)
+    high = _signed_zeros(rng, _random_jet(rng, (5, 1), order=order + 1))
+    low = _signed_zeros(rng, _random_jet(rng, (3,), order=order))
+    cases = [
+        ((2, 2), [high, 2.0, low, rng.normal(size=(5, 3))]),
+        ((3,), [low, -1, np.float64(0.25)]),
+        ((2,), [rng.normal(size=(4, 1)), 3.0]),
+        ((2, 2), [1.0, 0, rng.normal(size=(3,)), np.arange(3)]),
+        ((1,), [high]),
+        ((2,), [low, -0.0]),
+        ((3,), [-0.0, 0.0, np.array([0.0, -0.0, 1.0])]),
+    ]
+    for shape, leaves in cases:
+        _same(stack(shape, leaves), _ref_stack(shape, leaves))
