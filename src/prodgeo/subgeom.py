@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -168,6 +168,13 @@ def _umbilicity_gap(h, normal_on, g0, H):
     return np.max(np.abs(h_dot_h - hsq[..., None, None] * np.eye(h.shape[-1])), axis=(-2, -1))
 
 
+@lru_cache(maxsize=None)
+def _half_lower(size: int) -> np.ndarray:
+    """Phi of the frame jets as a mask: the strictly lower triangle and half
+    the diagonal of a ``(size, size)`` matrix, with a unit seed axis."""
+    return (np.tril(np.ones((size, size)), -1) + 0.5 * np.eye(size))[..., None]
+
+
 def _points(samples, n: int) -> np.ndarray:
     """Sample points as a ``(P, n)`` array; at least one is needed, and all finite."""
     if len(samples) == 0:
@@ -191,10 +198,15 @@ class _JetGeometry:
     requested order ``p``: the immersion ``f`` carries ``p`` and the
     coordinate tangent fields ``T`` (shape ``(..., n, N)``) ``p - 1``.  The
     metric ``gf`` ``(..., N, N)`` and structure ``Ff`` along the immersion,
-    the Gram-Schmidt input, the frames ``e_field`` ``(..., n, N)`` and
-    ``xi_field`` ``(..., m, N)``, the lowered tangent frame ``gE`` and the
-    induced metric ``G_field`` carry ``max(p - 2, 1)``: every reader
-    differentiates them at most once.  The Christoffel symbols ``gamma_f``
+    the frames ``e_field`` ``(..., n, N)`` and ``xi_field`` ``(..., m, N)``,
+    the lowered tangent frame ``gE`` and the induced metric ``G_field``
+    carry ``max(p - 2, 1)``: every reader differentiates them at most once.
+    Only ``p`` 2 and 3 are accepted, so that order is 1: the frame values
+    come from masked modified Gram-Schmidt on the base-point floats, each
+    candidate orthogonalized a second time against the filled slots, and
+    their first-order jets are solved in closed form from ``E g E^T = I``
+    and the lower triangular change of basis, with no jet arithmetic per
+    candidate.  The Christoffel symbols ``gamma_f``
     ``(..., N, N, N)``, the second fundamental form ``h_field``
     ``(..., n, n, N)``, ``H_field`` ``(..., N)`` and ``Ginv_field`` carry
     ``p - 2``.  A metric, structure or connection that is constant along the
@@ -223,6 +235,8 @@ class _JetGeometry:
             )
         if order < 2:
             raise jets.InsufficientJetOrder("point geometry needs jet order >= 2")
+        if order > 3:
+            raise ValueError("point geometry carries jet orders 2 and 3 only")
         n, N = immersion.n, space.dim
         self.n, self.N, self.m = n, N, N - n
         self.u = np.array(u, dtype=float)
@@ -289,48 +303,77 @@ class _JetGeometry:
             self.GammaT0 = np.einsum("...ijk,...ja->...ika", _values(self.gamma_f), self.J0)
         self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
 
-        # orthonormal frames (modified Gram-Schmidt under the ambient metric):
-        # the tangent columns, then coordinate axes until the frame is full.
-        # Slot s of ``frames`` holds the s-th frame vector once filled and
-        # zero before, so orthogonalizing against an empty slot is an exact
-        # no-op; ``filled`` counts the slots of each point.  ``lowered`` holds
-        # g(e_s, .) beside each slot, so no frame vector is lowered twice.
+        # orthonormal frames under the ambient metric: the tangent columns,
+        # then coordinate axes until the frame is full.  The values come from
+        # modified Gram-Schmidt on the base-point floats, each candidate
+        # orthogonalized twice against the filled slots.  Slot s of ``E0``
+        # holds the s-th frame vector once filled and zero before, so
+        # orthogonalizing against an empty slot is an exact no-op; ``filled``
+        # counts the slots of each point, ``GE0`` holds g(e_s, .) beside each
+        # slot and ``V0`` the candidate that filled it.
         columns = list(range(n))
         if column_order == "reversed":
             columns.reverse()
         elif column_order != "forward":
             raise ValueError("column_order must be 'forward' or 'reversed'")
         tangents = self.T.truncate(low)
-        frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
-        filled = np.zeros(shape, dtype=int)
-        for k, vec in enumerate([tangents[..., c, :] for c in columns] + list(np.eye(N))):
+        T0 = tangents.value[..., columns, :]
+        E0, GE0, V0 = (np.zeros(shape + (N, N)) for _ in range(3))
+        V0[..., :n, :] = T0
+        filled = np.full(shape, n)  # once the tangent columns are in
+        for k, vec in enumerate(list(np.moveaxis(T0, -2, 0)) + list(np.eye(N))):
             if k >= n and (filled == N).all():
                 break
             w = vec
-            for slot in range(int(filled.max())):
-                ip = jets.einsum("...i,...i->...", w, lowered[..., slot, :])
-                w = w - ip[..., None] * frames[..., slot, :]
-            w_lowered = self.lower(w)
-            nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
+            for slot in range(k if k < n else int(filled.max())):
+                ip = np.einsum("...i,...i->...", w, GE0[..., slot, :])
+                w = w - ip[..., None] * E0[..., slot, :]
+            # orthogonalize once more, against all slots in one projection
+            w = w - np.einsum("...s,...si->...i", np.einsum("...si,...i->...s", GE0, w), E0)
+            w_lowered = w if self.unit_metric else np.einsum("...ij,...j->...i", self.g0, w)
+            nrm2 = np.einsum("...i,...i->...", w, w_lowered)
             if k < n:
-                if (nrm2.coeffs[..., 0] <= 0.0).any():
+                if (nrm2 <= 0.0).any():
                     raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
-                accept = np.ones(shape, dtype=bool)
-            else:
-                accept = (nrm2.coeffs[..., 0] >= 1e-8 ** 2) & (filled < N)
-            # a rejected candidate gets a unit norm, then a zero weight
-            scale = ((nrm2 + np.where(accept, 0.0, 1.0)) ** -0.5)[..., None]
-            weight = ((np.arange(N) == filled[..., None]) & accept[..., None])[..., None]
-            frames = frames + (w * scale)[..., None, :] * weight
-            lowered = lowered + (w_lowered * scale)[..., None, :] * weight
+                scale = 1.0 / np.sqrt(nrm2)[..., None]
+                E0[..., k, :], GE0[..., k, :] = w * scale, w_lowered * scale
+                continue
+            accept = (nrm2 >= 1e-8 ** 2) & (filled < N)
+            scale = 1.0 / np.sqrt(np.where(accept, nrm2, 1.0))[..., None]
+            slot = ((np.arange(N) == filled[..., None]) & accept[..., None])[..., None]
+            E0 = np.where(slot, (w * scale)[..., None, :], E0)
+            GE0 = np.where(slot, (w_lowered * scale)[..., None, :], GE0)
+            V0 = np.where(slot, vec, V0)
             filled = filled + accept
         if (filled != N).any():
             raise DegenerateImmersion("could not complete the normal frame")
+
+        # first-order jets of the frames in closed form.  E = K V with K lower
+        # triangular and E g E^T = I give dE = A - Phi(X) E0, where
+        # A = L0^-1 dV, L0 = V0 (g0 E0)^T, X = Y + Y^T + E0 dg E0^T with
+        # Y = A (g0 E0)^T, and Phi keeps the strictly lower triangle and half
+        # the diagonal.  Only the tangent rows of V vary; the axes are constant.
+        dV = np.zeros(shape + (N, N, n))
+        dV[..., :n, :, :] = tangents.coeffs[..., columns, :, 1:]
+        A = np.linalg.solve(V0 @ _t(GE0), dV.reshape(shape + (N, N * n)))
+        A = A.reshape(shape + (N, N, n))
+        Y = np.einsum("...riz,...si->...rsz", A, GE0)
+        X = Y + Y.swapaxes(-3, -2)
+        dg = self.gf.coeffs[..., 1:] if isinstance(self.gf, jets.Jet) else None
+        if dg is not None:
+            X = X + np.einsum("...ri,...ijz,...sj->...rsz", E0, dg, E0)
+        dE = A - np.einsum("...rsz,...si->...riz", X * _half_lower(N), E0)
+        dGE = dE[..., :n, :, :]
+        if not self.unit_metric:
+            dGE = np.einsum("...riz,...ij->...rjz", dGE, self.g0)
+        if dg is not None:
+            dGE = dGE + np.einsum("...ri,...ijz->...rjz", E0[..., :n, :], dg)
+        frames = jets.Jet(tangents.alg, np.concatenate([E0[..., None], dE], axis=-1))
         self.e_field, self.xi_field = frames[..., :n, :], frames[..., n:, :]
-        self.gE = lowered[..., :n, :]
-        self.E0, self.Xi0 = self.e_field.value, self.xi_field.value
+        self.gE = jets.Jet(tangents.alg, np.concatenate([GE0[..., :n, :, None], dGE], axis=-1))
+        self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
-        self.P_tan0 = np.einsum("...ai,...aj->...ij", self.E0, self.gE.value)
+        self.P_tan0 = np.einsum("...ai,...aj->...ij", self.E0, GE0[..., :n, :])
 
         # induced metric and its inverse
         self.G_field = jets.einsum("...ai,...bi->...ab", tangents, self.lower(tangents))

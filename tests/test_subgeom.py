@@ -1,12 +1,20 @@
 """Per-point submanifold geometry: frames, h, H, decompositions, classifier."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from prodgeo import jets
 from prodgeo.ambient import product_of
-from prodgeo.catalog import catalog_get, catalog_list
+from prodgeo.catalog import (
+    catalog_get,
+    catalog_list,
+    corrupted_lemma_case,
+    flat_product,
+    random_trig_immersion,
+)
 from prodgeo.subgeom import (
     DegenerateImmersion,
     Immersion,
@@ -294,3 +302,106 @@ def test_metric_not_finite_at_one_sample_is_singular():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(SingularMetric, match="not finite"):
             classify(imm, space)
+
+
+def test_geometry_carries_jet_orders_two_and_three_only():
+    imm = Immersion(1, ("cos(u1)", "sin(u1)"))
+    for order in (2, 3):
+        _JetGeometry(imm, FLAT11, (0.3,), order=order)
+    with pytest.raises(ValueError, match="orders 2 and 3 only"):
+        _JetGeometry(imm, FLAT11, (0.3,), order=4)
+
+
+# ---- frames: closed-form jets against the Gram-Schmidt loop in jets ----------
+
+
+@lru_cache(maxsize=None)
+def _frame_cases():
+    """(label, space, immersion): the catalog, the corrupted ambient, 30
+    random surfaces and a circle whose normal frame is completed by e2 at
+    pi/2 and by e1 at its other samples."""
+    cases = [(label, catalog_get(label).space, catalog_get(label).immersion)
+             for label in catalog_list()]
+    cases.append(("corrupted",) + corrupted_lemma_case())
+    cases += [(f"fuzz-{seed}", flat_product(2, 2), random_trig_immersion(seed, 16))
+              for seed in range(30)]
+    circle = Immersion(1, ("cos(u1)", "sin(u1)"), samples=((0.3,), (math.pi / 2,), (1.0,)))
+    cases.append(("circle-e2", FLAT11, circle))
+    return cases
+
+
+def _frame_geometries():
+    for label, space, imm in _frame_cases():
+        for order in (2, 3):
+            for column_order in ("forward", "reversed"):
+                geo = _JetGeometry(imm, space, np.array(imm.samples), order=order,
+                                   column_order=column_order)
+                yield (label, order, column_order), geo
+
+
+def _reference_frames(geo, column_order):
+    """The frames by masked modified Gram-Schmidt carried out in jets, and the
+    smallest accepted residual norm at each point.
+
+    Slot s of ``frames`` holds the s-th frame vector once filled and zero
+    before; ``filled`` counts the slots of each point and ``lowered`` holds
+    g(e_s, .) beside each slot.
+    """
+    n, N, shape = geo.n, geo.N, geo.u.shape[:-1]
+    columns = list(range(n))[::-1] if column_order == "reversed" else list(range(n))
+    tangents = geo.T.truncate(geo.e_field.order)
+    frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
+    filled = np.zeros(shape, dtype=int)
+    smallest = np.full(shape, np.inf)
+    for k, vec in enumerate([tangents[..., c, :] for c in columns] + list(np.eye(N))):
+        if k >= n and (filled == N).all():
+            break
+        w = vec
+        for slot in range(int(filled.max())):
+            ip = jets.einsum("...i,...i->...", w, lowered[..., slot, :])
+            w = w - ip[..., None] * frames[..., slot, :]
+        w_lowered = geo.lower(w)
+        nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
+        value = nrm2.coeffs[..., 0]
+        accept = np.ones(shape, dtype=bool) if k < n else (value >= 1e-8 ** 2) & (filled < N)
+        smallest = np.where(accept, np.minimum(smallest, np.sqrt(np.abs(value))), smallest)
+        # a rejected candidate gets a unit norm, then a zero weight
+        scale = ((nrm2 + np.where(accept, 0.0, 1.0)) ** -0.5)[..., None]
+        weight = ((np.arange(N) == filled[..., None]) & accept[..., None])[..., None]
+        frames = frames + (w * scale)[..., None, :] * weight
+        lowered = lowered + (w_lowered * scale)[..., None, :] * weight
+        filled = filled + accept
+    assert (filled == N).all()
+    return (frames[..., :n, :], frames[..., n:, :], lowered[..., :n, :]), smallest
+
+
+def test_frames_match_the_gram_schmidt_loop_in_jets():
+    ill_conditioned = set()
+    for key, geo in _frame_geometries():
+        fields, smallest = _reference_frames(geo, key[2])
+        good = smallest >= 1e-3
+        ill_conditioned |= {(key[0], int(p)) for p in np.flatnonzero(~good)}
+        for got, want in zip((geo.e_field, geo.xi_field, geo.gE), fields):
+            assert got.shape == want.shape and got.order == want.order == 1, key
+            scale = np.abs(want.coeffs[good]).max(axis=(-3, -2, -1))
+            diff = np.abs(got.coeffs - want.coeffs)[good]
+            assert (diff[..., 0].max(axis=(-2, -1)) <= 1e-12 * scale).all(), key
+            assert (diff[..., 1:].max(axis=(-3, -2, -1)) <= 1e-9 * scale).all(), key
+    # the one point that is left to the orthonormality test below
+    assert ill_conditioned == {("fuzz-3", 6)}
+
+
+def test_frames_are_orthonormal_to_first_order():
+    for key, geo in _frame_geometries():
+        frames = jets.Jet(geo.e_field.alg,
+                          np.concatenate([geo.e_field.coeffs, geo.xi_field.coeffs], axis=-3))
+        gram = jets.einsum("...ri,...si->...rs", frames, geo.lower(frames))
+        assert np.abs(gram.coeffs[..., 1:]).max() <= 1e-9, key
+
+
+def test_frame_completion_failure_keeps_its_message():
+    # under a metric of scale 1e-20 no coordinate axis has the accepted length
+    tiny = product_of([["1e-20"]], 1, [["1e-20"]], 1)
+    circle = Immersion(1, ("1e6 * cos(u1)", "1e6 * sin(u1)"))
+    with pytest.raises(DegenerateImmersion, match="^could not complete the normal frame$"):
+        _JetGeometry(circle, tiny, [(0.3,), (1.0,)], order=2)
