@@ -165,12 +165,6 @@ class AmbientSpace:
     def metric_at(self, x) -> np.ndarray:
         return self.tables(("metric",), np.asarray(x, dtype=float))[0]
 
-    def structure_at(self, x) -> np.ndarray:
-        return self.tables(("structure",), np.asarray(x, dtype=float))[0]
-
-    def metric_jets(self, x):
-        return self.tables(("metric",), x)[0]
-
     def metric_derivatives(self, x):
         """``dg[l, i, j] = d g_ij / d x^l`` at ``x`` (floats or jets)."""
         return self.tables(("metric_diff",), x)[0]

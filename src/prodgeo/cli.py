@@ -406,6 +406,8 @@ def main(argv=None) -> int:
         if ns.command == "catalog":
             if ns.action in ("list", None) and ns.label:
                 raise _UsageError("catalog list takes no scenario label")
+            if ns.action == "run" and ns.path:
+                raise _UsageError("catalog run takes no destination path")
             if ns.action in ("run", "export") and not ns.label:
                 raise _UsageError(f"catalog {ns.action} needs a scenario label")
             if ns.action == "export" and not ns.path:

@@ -31,13 +31,13 @@ def sphere_block_space():
 def test_product_of_r1_r1():
     sp = product_of("flat", 1, "flat", 1)
     assert np.array_equal(sp.metric_at([0.3, -0.7]), np.eye(2))
-    assert np.array_equal(sp.structure_at([0.3, -0.7]), np.diag([1.0, -1.0]))
+    assert np.array_equal(sp.tables(("structure",), [0.3, -0.7])[0], np.diag([1.0, -1.0]))
     assert sp.product_split == (1, 1)
 
 
 def test_product_of_r2_r2_flat_christoffels():
     sp = product_of("flat", 2, "flat", 2)
-    assert np.array_equal(sp.structure_at([0] * 4), np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(sp.tables(("structure",), [0] * 4)[0], np.diag([1.0, 1.0, -1.0, -1.0]))
     assert np.max(np.abs(christoffel(sp, [0.2, 0.4, -1.0, 2.0]))) == 0.0
 
 
@@ -145,7 +145,7 @@ def test_metric_compatibility_along_random_curves():
             jets.lift_constant(x0[j], 1) + d[j] * jets.seed_variable(0.0, 0, 1)
             for j in range(3)
         ]
-        gj = [[jets.as_jet(e, 1, 1) for e in row] for row in sp.metric_jets(curve)]
+        gj = [[jets.as_jet(e, 1, 1) for e in row] for row in sp.tables(("metric",), curve)[0]]
         g_vw = None
         for i in range(3):
             for j in range(3):
@@ -209,7 +209,7 @@ def test_structure_is_self_adjoint_on_valid_spaces():
     ]:
         for _ in range(10):
             x = [rng.uniform(lo, hi) for lo, hi in box]
-            g0, f0 = sp.metric_at(x), sp.structure_at(x)
+            g0, f0 = sp.tables(("metric", "structure"), x)
             assert np.max(np.abs(f0.T @ g0 - g0 @ f0)) <= 1e-10
 
 
@@ -301,8 +301,9 @@ def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
 def test_constant_tables_are_not_shared_with_callers():
     sp = constant_reflection_space()
     x = [[0.3, -0.7]]
-    g, f = sp.metric_at(x), sp.structure_at(x)
+    g, f = sp.tables(("metric", "structure"), x)
     g[...] = 5.0
     f[...] = 5.0
     assert np.array_equal(sp.metric_at(x), np.eye(2))
-    assert np.array_equal(sp.structure_at(x), constant_reflection_space().structure_at(x))
+    assert np.array_equal(sp.tables(("structure",), x)[0],
+                          constant_reflection_space().tables(("structure",), x)[0])

@@ -413,6 +413,12 @@ def test_cli_catalog_list_rejects_a_label(capsys):
     assert err == "usage error: catalog list takes no scenario label\n"
 
 
+def test_cli_catalog_run_rejects_an_extra_argument(capsys):
+    code, out, err = run_cli(capsys, "catalog", "run", "circle", "extra")
+    assert (code, out) == (1, "")
+    assert err == "usage error: catalog run takes no destination path\n"
+
+
 def test_cli_report_text_uses_six_significant_digits(capsys, tmp_path):
     export_scenario(tmp_path / "c.ini", catalog_get("circle"))
     code, out, _ = run_cli(capsys, "report", str(tmp_path / "c.ini"))
