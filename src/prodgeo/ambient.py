@@ -291,7 +291,7 @@ def ambient_cov_derivative(
     field = jets.array(list(v))
     dv = field.gradient()[:, 0]  # raises InsufficientJetOrder at order 0
     xdot = np.asarray(velocity, dtype=float)
-    return dv + np.einsum("ijk,j,k->i", christoffel(space, x0), xdot, field.value)
+    return dv + (christoffel(space, x0) @ field.value) @ xdot
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ def validate_ambient(
             gl = levi_civita(np.linalg.inv(gd), dg).swapaxes(-3, -2)
             nabla_f = df + gl @ fd - fd @ gl
             # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
-            sq = np.einsum("plik,pij,pljk->plk", nabla_f, gd, nabla_f)
+            sq = (nabla_f * (gd[:, None] @ nabla_f)).sum(axis=-2)
             residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
         finite = np.isfinite(residuals).all(axis=1)
         f_finite = f[finite]

@@ -445,24 +445,38 @@ def einsum(spec: str, a, b):
 
     ``spec`` names the leading axes only and must give the output explicitly
     (``"ij,j->i"``).  Two jets contract through the multiplication table in
-    one call; a float array against a jet scales the coefficients; two float
-    arrays give a float array.
+    one call.  A float array against a jet (or a float array) is one matmul
+    over one axis ``c``: with the other operand's axes ``P c S`` the output
+    must be ``P A S``, ``A`` the float's other axes; ``S`` empty is ``a @ coeffs``.
     """
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
-    z = _COEFF_AXIS
     if isinstance(a, Jet) and isinstance(b, Jet):
+        z = _COEFF_AXIS
         a, b = _align(a, b)
         ia, ib, scatter = a.alg.mul_table()
         pa, pb = a.coeffs.take(ia, axis=-1), b.coeffs.take(ib, axis=-1)
         pairs = np.einsum(f"{sa}{z},{sb}{z}->{out}{z}", pa, pb)
         return Jet(a.alg, pairs @ scatter)
-    # np.einsum lays the result out like a permuted jet operand; copy it back to C order
-    if isinstance(a, Jet):
-        return Jet(a.alg, np.ascontiguousarray(np.einsum(f"{sa}{z},{sb}->{out}{z}", a.coeffs, b)))
-    if isinstance(b, Jet):
-        return Jet(b.alg, np.ascontiguousarray(np.einsum(f"{sa},{sb}{z}->{out}{z}", a, b.coeffs)))
-    return np.einsum(spec, a, b)
+    if isinstance(a, Jet):  # the float operand first
+        (a, sa), (b, sb) = (b, sb), (a, sa)
+    sa, sb, out = (x.replace("...", "") for x in (sa, sb, out))
+    shared = set(sa) & set(sb)
+    k = sb.index(shared.pop()) if len(shared) == 1 else -1  # the contracted axis in b
+    if k < 0 or out != sb[:k] + sa.replace(sb[k], "") + sb[k + 1 :]:
+        raise ValueError(f"{spec!r} is not a single-axis matrix product")
+    a = np.asarray(a, dtype=float)
+    if sa[-1] != sb[k]:  # the contracted axis last
+        a = np.moveaxis(a, sa.index(sb[k]) - len(sa), -1)
+    inner = a.shape[a.ndim - len(sa) : -1]
+    a = a.reshape(a.shape[: a.ndim - len(sa)] + (1,) * k + (math.prod(inner), a.shape[-1]))
+    coeffs = b.coeffs if isinstance(b, Jet) else np.asarray(b, dtype=float)[..., None]
+    cut = coeffs.ndim - len(sb) + k  # the axes up to the contracted one
+    tail = coeffs.shape[cut:]
+    # in C order: a permuted operand would otherwise lay the product out like itself
+    product = np.matmul(a, coeffs.reshape(coeffs.shape[:cut] + (math.prod(tail),)), order="C")
+    product = product.reshape(product.shape[:-2] + inner + tail)
+    return Jet(b.alg, product) if isinstance(b, Jet) else product[..., 0]
 
 
 def inverse(m):

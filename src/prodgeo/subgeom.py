@@ -12,13 +12,15 @@ carrying its own parameter derivatives; the connection calculus of
 :mod:`prodgeo.calculus` differentiates those germs directly, inside
 :func:`prodgeo.verify.verify`.
 Vector, matrix and frame fields are array jets whose leading axis runs over
-the sample points, so one build is a few hundred numpy contractions for a
-whole document; a single point is the same code with no point axis, and
-:func:`point_geometry` reads its values.
+the sample points, so one build makes the same numpy calls for a whole
+document as for one point; a single point is the same code with no point
+axis, and :func:`point_geometry` reads its values.  Contractions of float
+arrays are stacked matrix products (``@``), one call for all points and rows.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -148,23 +150,19 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _split_structure(f0, g0, tangent_on, normal_on):
-    """phi/omega (F on the tangent frame) and B/C (F on the normal frame)."""
-    fe = tangent_on @ _t(f0)
-    fxi = normal_on @ _t(f0)
-    return (
-        _t(fe @ g0 @ _t(tangent_on)),
-        _t(fe @ g0 @ _t(normal_on)),
-        _t(fxi @ g0 @ _t(tangent_on)),
-        _t(fxi @ g0 @ _t(normal_on)),
-    )
+def _split_structure(f0, g0, frame, n: int):
+    """phi/omega (F on the tangent frame) and B/C (F on the normal frame): the
+    blocks of g(F e_s, e_r) over the ``frame`` rows, tangent rows first."""
+    m = _t(frame @ _t(f0) @ g0 @ _t(frame))
+    return m[..., :n, :n], m[..., n:, :n], m[..., :n, n:], m[..., n:, n:]
 
 
 def _umbilicity_gap(h, normal_on, g0, H):
     """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |, h in frame components."""
-    h_xi = np.einsum("...mi,...ij,...j->...m", normal_on, g0, H)
-    h_dot_h = np.einsum("...mab,...m->...ab", h, h_xi)
-    hsq = np.einsum("...i,...ij,...j->...", H, g0, H)
+    g_h = (g0 @ H[..., None])[..., 0]
+    h_xi = (normal_on @ g_h[..., None])[..., None]
+    h_dot_h = (h * h_xi).sum(axis=-3)
+    hsq = (H * g_h).sum(axis=-1)
     return np.max(np.abs(h_dot_h - hsq[..., None, None] * np.eye(h.shape[-1])), axis=(-2, -1))
 
 
@@ -202,11 +200,10 @@ class _JetGeometry:
     the lowered tangent frame ``gE`` and the induced metric ``G_field``
     carry ``max(p - 2, 1)``: every reader differentiates them at most once.
     Only ``p`` 2 and 3 are accepted, so that order is 1: the frame values
-    come from masked modified Gram-Schmidt on the base-point floats, each
-    candidate orthogonalized a second time against the filled slots, and
-    their first-order jets are solved in closed form from ``E g E^T = I``
-    and the lower triangular change of basis, with no jet arithmetic per
-    candidate.  The Christoffel symbols ``gamma_f``
+    come from modified Gram-Schmidt with column pivoting on the base-point
+    floats, and their first-order jets are solved in closed form from
+    ``E g E^T = I`` and the lower triangular change of basis, with no jet
+    arithmetic per candidate.  The Christoffel symbols ``gamma_f``
     ``(..., N, N, N)``, the second fundamental form ``h_field``
     ``(..., n, n, N)``, ``H_field`` ``(..., N)`` and ``Ginv_field`` carry
     ``p - 2``.  A metric, structure or connection that is constant along the
@@ -214,7 +211,8 @@ class _JetGeometry:
     off those evaluated tables: a metric-derivative table that is a constant
     zero array sets ``flat``, and then ``gamma_f`` and ``GammaT0`` are
     ``None`` and no Christoffel term is contracted; a constant identity
-    metric sets ``unit_metric``, and :meth:`lower` returns its argument.
+    metric sets ``unit_metric``, and :meth:`lower` and :meth:`lower0` return
+    their argument.
     Decisions that differ between points (the Jacobian rank, positive
     definiteness, the normal frame completion) are masks over the points;
     a failing check names the first failing point.
@@ -294,23 +292,26 @@ class _JetGeometry:
                 f"(smallest singular value {smallest[p]:.3e})"
             )
 
-        # Christoffel symbols along the immersion and Gamma(T_a, .) at the
-        # base points, unless the connection vanishes
+        # Christoffel symbols along the immersion and, unless the connection
+        # vanishes, Gamma(T_a, .) at the base points with the direction first:
+        # GammaT0[..., a, k, i] = Gamma^i_jk T_a^j
         self.flat = isinstance(dg, np.ndarray) and not dg.any()
         self.gamma_f = self.GammaT0 = None
         if not self.flat:
             self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
-            self.GammaT0 = np.einsum("...ijk,...ja->...ika", _values(self.gamma_f), self.J0)
+            gamma0 = np.moveaxis(_values(self.gamma_f), -3, -1)  # [j, k, i]
+            gamma0 = gamma0.reshape(gamma0.shape[:-3] + (N, N * N))
+            self.GammaT0 = (_t(self.J0) @ gamma0).reshape(shape + (n, N, N))
         self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
 
-        # orthonormal frames under the ambient metric: the tangent columns,
-        # then coordinate axes until the frame is full.  The values come from
-        # modified Gram-Schmidt on the base-point floats, each candidate
-        # orthogonalized twice against the filled slots.  Slot s of ``E0``
-        # holds the s-th frame vector once filled and zero before, so
-        # orthogonalizing against an empty slot is an exact no-op; ``filled``
-        # counts the slots of each point, ``GE0`` holds g(e_s, .) beside each
-        # slot and ``V0`` the candidate that filled it.
+        # orthonormal frames under the ambient metric by modified Gram-Schmidt
+        # on the base-point floats: the tangent columns, then in each normal
+        # slot the coordinate axis whose residual is longest (column pivoting;
+        # under a unit metric it is at least 1/sqrt(N)).  ``W`` holds every
+        # candidate's residual, orthogonalized against each slot as it fills;
+        # a slot's candidates are orthogonalized once more against all filled
+        # slots.  Slot s of ``E0`` holds the s-th frame vector once filled and
+        # zero before, ``GE0`` g(e_s, .) beside it and ``V0`` its candidate.
         columns = list(range(n))
         if column_order == "reversed":
             columns.reverse()
@@ -318,62 +319,59 @@ class _JetGeometry:
             raise ValueError("column_order must be 'forward' or 'reversed'")
         tangents = self.T.truncate(low)
         T0 = tangents.value[..., columns, :]
-        E0, GE0, V0 = (np.zeros(shape + (N, N)) for _ in range(3))
-        V0[..., :n, :] = T0
-        filled = np.full(shape, n)  # once the tangent columns are in
-        for k, vec in enumerate(list(np.moveaxis(T0, -2, 0)) + list(np.eye(N))):
-            if k >= n and (filled == N).all():
-                break
-            w = vec
-            for slot in range(k if k < n else int(filled.max())):
-                ip = np.einsum("...i,...i->...", w, GE0[..., slot, :])
-                w = w - ip[..., None] * E0[..., slot, :]
-            # orthogonalize once more, against all slots in one projection
-            w = w - np.einsum("...s,...si->...i", np.einsum("...si,...i->...s", GE0, w), E0)
-            w_lowered = w if self.unit_metric else np.einsum("...ij,...j->...i", self.g0, w)
-            nrm2 = np.einsum("...i,...i->...", w, w_lowered)
-            if k < n:
-                if (nrm2 <= 0.0).any():
-                    raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
-                scale = 1.0 / np.sqrt(nrm2)[..., None]
-                E0[..., k, :], GE0[..., k, :] = w * scale, w_lowered * scale
-                continue
-            accept = (nrm2 >= 1e-8 ** 2) & (filled < N)
-            scale = 1.0 / np.sqrt(np.where(accept, nrm2, 1.0))[..., None]
-            slot = ((np.arange(N) == filled[..., None]) & accept[..., None])[..., None]
-            E0 = np.where(slot, (w * scale)[..., None, :], E0)
-            GE0 = np.where(slot, (w_lowered * scale)[..., None, :], GE0)
-            V0 = np.where(slot, vec, V0)
-            filled = filled + accept
-        if (filled != N).any():
-            raise DegenerateImmersion("could not complete the normal frame")
+        axes = np.eye(N)
+        E0, GE0, self.V0 = (np.zeros(shape + (N, N)) for _ in range(3))
+        self.V0[..., :n, :] = T0
+        W = np.concatenate([T0, np.broadcast_to(axes, shape + (N, N))], axis=-2)
+        each = np.arange(math.prod(shape))  # the points, flattened
+        for slot in range(N):
+            w = W[..., slot : slot + 1, :] if slot < n else W[..., n:, :]
+            w = w - (w @ _t(GE0)) @ E0
+            w_lowered = self.lower0(w)
+            nrm2 = (w * w_lowered).sum(axis=-1).reshape(len(each), -1)
+            best = nrm2.argmax(axis=-1)
+            nrm2 = nrm2[each, best]
+            if slot < n and (nrm2 <= 0.0).any():
+                raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
+            if slot >= n and (nrm2 < 1e-8 ** 2).any():
+                raise DegenerateImmersion("could not complete the normal frame")
+            picked = np.stack([w, w_lowered]).reshape(2, len(each), -1, N)[:, each, best]
+            picked = picked * (1.0 / np.sqrt(nrm2))[:, None]
+            E0[..., slot, :], GE0[..., slot, :] = picked.reshape((2,) + shape + (N,))
+            if slot >= n:
+                self.V0[..., slot, :] = axes[best].reshape(shape + (N,))
+            W = W - (W @ GE0[..., slot, :, None]) * E0[..., slot, None, :]
 
         # first-order jets of the frames in closed form.  E = K V with K lower
         # triangular and E g E^T = I give dE = A - Phi(X) E0, where
         # A = L0^-1 dV, L0 = V0 (g0 E0)^T, X = Y + Y^T + E0 dg E0^T with
         # Y = A (g0 E0)^T, and Phi keeps the strictly lower triangle and half
         # the diagonal.  Only the tangent rows of V vary; the axes are constant.
+        # Each contraction is a stacked matmul: [..., r, s, z] holds entry
+        # (r, s) of the derivative along seed z.
         dV = np.zeros(shape + (N, N, n))
         dV[..., :n, :, :] = tangents.coeffs[..., columns, :, 1:]
-        A = np.linalg.solve(V0 @ _t(GE0), dV.reshape(shape + (N, N * n)))
+        A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(shape + (N, N * n)))
         A = A.reshape(shape + (N, N, n))
-        Y = np.einsum("...riz,...si->...rsz", A, GE0)
+        Y = GE0[..., None, :, :] @ A
         X = Y + Y.swapaxes(-3, -2)
         dg = self.gf.coeffs[..., 1:] if isinstance(self.gf, jets.Jet) else None
         if dg is not None:
-            X = X + np.einsum("...ri,...ijz,...sj->...rsz", E0, dg, E0)
-        dE = A - np.einsum("...rsz,...si->...riz", X * _half_lower(N), E0)
+            dg_e = (E0[..., None, :, :] @ dg).reshape(shape + (N, N * n))  # [i, s, z]
+            X = X + (E0 @ dg_e).reshape(shape + (N, N, n))
+        dE = A - _t(E0)[..., None, :, :] @ (X * _half_lower(N))
         dGE = dE[..., :n, :, :]
         if not self.unit_metric:
-            dGE = np.einsum("...riz,...ij->...rjz", dGE, self.g0)
+            dGE = _t(self.g0)[..., None, :, :] @ dGE
         if dg is not None:
-            dGE = dGE + np.einsum("...ri,...ijz->...rjz", E0[..., :n, :], dg)
+            dg_rows = dg.reshape(shape + (N, N * n))
+            dGE = dGE + (E0[..., :n, :] @ dg_rows).reshape(shape + (n, N, n))
         frames = jets.Jet(tangents.alg, np.concatenate([E0[..., None], dE], axis=-1))
         self.e_field, self.xi_field = frames[..., :n, :], frames[..., n:, :]
         self.gE = jets.Jet(tangents.alg, np.concatenate([GE0[..., :n, :, None], dGE], axis=-1))
         self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
-        self.P_tan0 = np.einsum("...ai,...aj->...ij", self.E0, GE0[..., :n, :])
+        self.P_tan0 = _t(self.E0) @ GE0[..., :n, :]
 
         # induced metric and its inverse
         self.G_field = jets.einsum("...ai,...bi->...ab", tangents, self.lower(tangents))
@@ -393,18 +391,19 @@ class _JetGeometry:
         # mean curvature field H = (1/n) G^{ab} h_ab
         self.H_field = jets.einsum("...ab,...abi->...i", self.Ginv_field, self.h_field) * (1.0 / n)
         self.H0 = self.H_field.value
-        self.Hsq = np.einsum("...i,...ij,...j->...", self.H0, self.g0, self.H0)
+        self.Hsq = (self.H0 * self.lower0(self.H0)).sum(axis=-1)
 
         # coordinate components of tangent vectors, v^a = G^ab g(T_b, v), and
         # the frame decomposition of the tangent frame in them
         self.to_params = self.G0inv @ _t(self.J0) @ self.g0
         self.P = self.to_params @ _t(self.E0)  # e_a = P[..., :, a]^c T_c
-        self.h_on0 = np.einsum("...ca,...db,...cdi->...abi", self.P, self.P, self.hc0)
-        self.hcomp0 = np.einsum("...abi,...ij,...mj->...mab", self.h_on0, self.g0, self.Xi0)
+        # h(d_c, e_b) at [c, b], h(e_a, e_b) at [a, b] and its normal components
+        self.h_ce0 = _t(self.P)[..., None, :, :] @ self.hc0
+        h_on0 = (_t(self.P) @ self.h_ce0.reshape(shape + (n, n * N))).reshape(shape + (n * n, N))
+        self.h_on0 = h_on0.reshape(shape + (n, n, N))
+        self.hcomp0 = (GE0[..., n:, :] @ _t(h_on0)).reshape(shape + (self.m, n, n))
 
-        self.phi0, self.omega0, self.B0, self.C0 = _split_structure(
-            self.F0, self.g0, self.E0, self.Xi0
-        )
+        self.phi0, self.omega0, self.B0, self.C0 = _split_structure(self.F0, self.g0, E0, n)
         self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
         # what the classes are defined by; each caller thresholds them with its tolerance
         self.H_norm = np.sqrt(np.maximum(self.Hsq, 0.0))
@@ -425,7 +424,8 @@ class _JetGeometry:
     # Fields are jets (or float arrays) shaped (points..., batch..., N): the
     # point axes of the geometry, then any axes that batch several fields
     # (one row per field), then the ambient component.  Geometry fields get
-    # unit axes for the batch axes (_fit); constant fields broadcast as they are.
+    # unit axes for the batch axes (_fit); constant fields broadcast as they
+    # are, and a constant matrix against a jet field is one matmul.
 
     def _fit(self, field, axes: int, vec):
         """``field`` (``axes`` trailing non-point axes) broadcastable against
@@ -451,70 +451,69 @@ class _JetGeometry:
     def normal_part_field(self, vec):
         return vec - self.tangent_part_field(vec)
 
-    # ---- directional derivatives at the base points ----------------------
-    # A direction is a constant (n,) or one per point (points..., n).
-
-    def dirderiv(self, vec, direction) -> np.ndarray:
-        """Derivative of a jet field along a parameter direction."""
-        d = self._fit(np.asarray(direction, dtype=float), 1, vec)
-        return np.einsum("...ia,...a->...i", vec.gradient(), d)
-
-    def cov_deriv(self, vec, direction) -> np.ndarray:
-        """Ambient covariant derivative of a field along a parameter direction."""
+    def nabla(self, vec) -> np.ndarray:
+        """Ambient covariant derivative of a jet field along every coordinate
+        direction: ``(points..., n, batch..., N)``, row a along d_a.  That is
+        the jet gradient, with the direction axis moved next to the points,
+        plus Gamma(T_a, vec) for all a in one matmul."""
+        grad = vec.coeffs[..., 1 : 1 + self.n]
+        axes = tuple(range(grad.ndim - 1))
+        grad = grad.transpose(axes[: self.lead] + (grad.ndim - 1,) + axes[self.lead :])
         if self.flat:
-            return self.dirderiv(vec, direction)
-        d = self._fit(np.asarray(direction, dtype=float), 1, vec)
-        return self.dirderiv(vec, direction) + np.einsum(
-            "...ika,...a,...k->...i", self._fit(self.GammaT0, 3, vec), d, vec.value
-        )
+            return grad
+        value = vec.coeffs[..., 0]
+        rows = value.reshape(value.shape[: self.lead] + (1, -1, self.N))
+        return grad + (rows @ self.GammaT0).reshape(grad.shape)
+
+    # ---- base-point tensor algebra ---------------------------------------
+    # Vectors are (points..., batch..., N) arrays, parameter-space vectors
+    # (points..., batch..., n); a batch axis may be the direction axis of
+    # :meth:`nabla`.  A per-point matrix acts on the rows of every point in
+    # one stacked matmul, a constant one (no point axes) on all rows at once.
+    # h_params and shape_operator take one batch axis and return it behind
+    # the direction axis, (points..., n, batch, N).
+
+    def _apply(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``m v`` for every vector ``v`` of ``(points..., batch..., K)``, with
+        ``m`` ``(points..., J, K)`` or a constant ``(J, K)``."""
+        if m.ndim == 2:
+            return v @ _t(m)
+        rows = v.reshape(v.shape[: self.lead] + (-1, v.shape[-1]))
+        return (rows @ _t(m)).reshape(v.shape[:-1] + m.shape[-2:-1])
+
+    def lower0(self, v: np.ndarray) -> np.ndarray:
+        """g(v, .) at the base points (``v`` itself for a unit metric)."""
+        return v if self.unit_metric else self._apply(self.g0, v)
 
     def project_tangent(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...j->...i", self._fit(self.P_tan0, 2, v), v)
+        return self._apply(self.P_tan0, v)
 
     def project_normal(self, v: np.ndarray) -> np.ndarray:
         return v - self.project_tangent(v)
 
-    def nabla_tan(self, vec, direction) -> np.ndarray:
-        return self.project_tangent(self.cov_deriv(vec, direction))
-
-    def nabla_perp(self, vec, direction) -> np.ndarray:
-        return self.project_normal(self.cov_deriv(vec, direction))
-
-    # ---- base-point tensor algebra ---------------------------------------
-    # Vectors are (points..., batch..., N) arrays; parameter-space vectors
-    # (points..., batch..., n), or a constant (n,).
-
     def norm_g(self, v: np.ndarray) -> np.ndarray:
-        sq = np.einsum("...i,...ij,...j->...", v, self._fit(self.g0, 2, v), v)
-        return np.sqrt(np.maximum(sq, 0.0))
+        return np.sqrt(np.maximum((v * self.lower0(v)).sum(axis=-1), 0.0))
 
     def f_tangent_part(self, v: np.ndarray) -> np.ndarray:
         """phi on tangent vectors, B on normal vectors."""
-        return self.project_tangent(np.einsum("...ij,...j->...i", self._fit(self.F0, 2, v), v))
+        return self.project_tangent(self._apply(self.F0, v))
 
     def f_normal_part(self, v: np.ndarray) -> np.ndarray:
         """omega on tangent vectors, C on normal vectors."""
-        return self.project_normal(np.einsum("...ij,...j->...i", self._fit(self.F0, 2, v), v))
+        return self.project_normal(self._apply(self.F0, v))
 
     def param_components(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...ai,...i->...a", self._fit(self.to_params, 2, v), v)
+        return self._apply(self.to_params, v)
 
-    def h_bilinear(self, x_params: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """h(X, W) for X in parameter components and W a tangent vector."""
-        return self.h_params(x_params, self.param_components(w))
+    def h_params(self, y_params: np.ndarray) -> np.ndarray:
+        """h(d_a, Y) for every coordinate direction a and row Y of ``y_params``."""
+        return y_params[..., None, :, :] @ self.hc0
 
-    def h_params(self, x_params: np.ndarray, y_params: np.ndarray) -> np.ndarray:
-        x_params = self._fit(np.asarray(x_params, dtype=float), 1, y_params)
-        return np.einsum(
-            "...a,...b,...abi->...i", x_params, y_params, self._fit(self.hc0, 3, y_params)
-        )
-
-    def shape_operator(self, x_params: np.ndarray, xi: np.ndarray) -> np.ndarray:
-        """A_xi X via g(A_xi X, e_b) = g(h(X, e_b), xi)."""
-        h_xb = np.einsum("...a,...cb,...aci->...bi", x_params, self.P, self.hc0)
-        h_xb_lowered = np.einsum("...bi,...ij->...bj", h_xb, self.g0)
-        coefficients = np.einsum("...bj,...j->...b", self._fit(h_xb_lowered, 2, xi), xi)
-        return np.einsum("...b,...bi->...i", coefficients, self._fit(self.E0, 2, xi))
+    def shape_operator(self, xi: np.ndarray) -> np.ndarray:
+        """A_xi d_a for every coordinate direction a and normal vector xi, a
+        row of ``xi``, via g(A_xi X, e_b) = g(h(X, e_b), xi)."""
+        coefficients = self.lower0(xi)[..., None, :, :] @ _t(self.h_ce0)
+        return coefficients @ self.E0[..., None, :, :]
 
 
 # ---- public per-point operations ----------------------------------------

@@ -83,14 +83,13 @@ class _PointData:
         self.omega_phi_zero = geo.omega_phi_norm <= tol
         self.rank_phi = _rank(geo.phi_singular, tol)
         self.CH0 = geo.f_normal_part(geo.H0)
-        self.BH_params = geo.param_components(geo.f_tangent_part(geo.H0))
+        self.g_h, self.g_ch = geo.lower0(geo.H0), geo.lower0(self.CH0)
+        bh_params = geo.param_components(geo.f_tangent_part(geo.H0))
+        self.h_bh = geo.h_params(bh_params[..., None, :])[..., 0, :]  # row c: h(d_c, BH)
 
     def along(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(nabla_X C) H and h(X, BH) for every row X of ``x``, in parameter components."""
-        geo = self.geo
-        d_ch = np.einsum("...ac,...ci->...ai", x, self.nabla_c_h)
-        h_term = np.einsum("...ac,...d,...cdi->...ai", x, self.BH_params, geo.hc0)
-        return d_ch, h_term
+        return x @ self.nabla_c_h, x @ self.h_bh
 
 
 def _columns(data: _PointData, tol: float, identity, obstruction, proof, branches) -> TheoremPoints:
@@ -125,10 +124,10 @@ def _t2_point(data: _PointData, tol: float) -> TheoremPoints:
 
 def _t3_point(data: _PointData, tol: float) -> TheoremPoints:
     geo = data.geo
-    # (nabla_{e_a} omega) e_b = P[c, a] P[d, b] (nabla_{d_c} omega) T_d
-    nabla_omega_e = np.einsum("...ca,...db,...cdi->...abi", geo.P, geo.P, data.nabla_omega_t)
-    lhs = np.einsum("...abi,...ij,...j->...ab", nabla_omega_e, geo.g0, geo.H0)
-    rhs = np.einsum("...abi,...ij,...j->...ab", geo.h_on0, geo.g0, data.CH0)
+    # g((nabla_{e_a} omega) e_b, H) = P[c, a] P[d, b] g((nabla_{d_c} omega) T_d, H)
+    p = geo.P
+    lhs = p.swapaxes(-1, -2) @ (data.nabla_omega_t @ data.g_h[..., None, :, None])[..., 0] @ p
+    rhs = (geo.h_on0 @ data.g_ch[..., None, :, None])[..., 0]
     hsq = geo.Hsq[..., None, None]
     identity = np.abs(lhs - rhs).max(axis=(-2, -1))
     obstruction = (hsq * np.abs(geo.phi0)).max(axis=(-2, -1))
@@ -142,8 +141,7 @@ def _t4_point(data: _PointData, tol: float) -> TheoremPoints:
     phi_x = geo.f_tangent_part(geo.E0)  # row a: X = phi e_a
     d_ch, h_x = data.along(geo.param_components(phi_x))
     lhs, h_term, o_term = (
-        np.einsum("...ai,...ij,...j->...a", v, geo.g0, data.CH0)
-        for v in (d_ch, h_x, geo.f_normal_part(phi_x))
+        (v @ data.g_ch[..., :, None])[..., 0] for v in (d_ch, h_x, geo.f_normal_part(phi_x))
     )
     hsq = geo.Hsq[..., None]
     identity = np.abs(lhs + h_term).max(axis=-1)

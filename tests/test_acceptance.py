@@ -123,7 +123,7 @@ def test_criterion_3_structural_identities():
             gaps = [np.max(np.abs(geo.hcomp0 - np.transpose(geo.hcomp0, (0, 2, 1))))]
             for alpha in range(m):
                 for a in range(n):
-                    weingarten = -geo.nabla_tan(geo.xi_field[alpha], geo.P[:, a])
+                    weingarten = -geo.project_tangent(geo.P[:, a] @ geo.nabla(geo.xi_field[alpha]))
                     comps = geo.E0 @ geo.g0 @ weingarten
                     gaps.append(np.max(np.abs(comps - geo.hcomp0[alpha, a])))
             phi, om, bm, cm = geo.phi0, geo.omega0, geo.B0, geo.C0

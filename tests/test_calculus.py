@@ -1,9 +1,12 @@
 """Induced connections, nabla-omega / nabla-C, and the lemma suites.
 
 The directional derivatives are read off one order-3 geometry at a base
-point: the connections through ``nabla_tan`` / ``nabla_perp``, and nabla
-omega / nabla C through the batched ``calculus._nabla_omega`` / ``_nabla_C``
-that ``verify`` runs.  The fields are built here from the geometry's frames.
+point: the ambient covariant derivative along every coordinate direction
+(``_JetGeometry.nabla``), whose tangent and normal parts are the induced
+connections, and nabla omega / nabla C through the batched
+``calculus._nabla_omega`` / ``_nabla_C`` that ``verify`` runs.  Each returns
+one row per coordinate direction; a test contracts the rows with its
+direction.  The fields are built here from the geometry's frames.
 """
 
 import collections
@@ -40,16 +43,43 @@ def _normal_field(geo, coefficients):
     return jets.einsum("a,...ai->...i", np.asarray(coefficients, float), geo.xi_field)
 
 
+def _along(derivatives, direction):
+    """Rows along the coordinate directions (one point) contracted with ``direction``."""
+    return np.tensordot(np.asarray(direction, float), derivatives, axes=1)
+
+
+def _cov(geo, field, direction):
+    """The ambient covariant derivative of ``field`` along ``direction``."""
+    return _along(geo.nabla(field), direction)
+
+
+def _nabla_tan(geo, field, direction):
+    return geo.project_tangent(_cov(geo, field, direction))
+
+
+def _nabla_perp(geo, field, direction):
+    return geo.project_normal(_cov(geo, field, direction))
+
+
+def _h(geo, x, y_params):
+    """h(X, Y) for X and Y in parameter components."""
+    return _along(geo.h_params(np.asarray(y_params, float)[None]), x)[0]
+
+
+def _shape_operator(geo, x, xi):
+    return _along(geo.shape_operator(np.asarray(xi, float)[None]), x)[0]
+
+
 def test_tangential_connection_plane_vanishes():
     imm = Immersion(2, ("u1", "u2", "0"))
     geo = _JetGeometry(imm, FLAT21, (0.2, -0.3), order=3)
-    assert np.max(np.abs(geo.nabla_tan(geo.T[..., 0, :], (1.0, 0.0)))) <= 1e-14
+    assert np.max(np.abs(_nabla_tan(geo, geo.T[..., 0, :], (1.0, 0.0)))) <= 1e-14
 
 
 def test_tangential_connection_circle_purely_normal():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     geo = _JetGeometry(imm, FLAT11, (0.8,), order=3)
-    assert np.max(np.abs(geo.nabla_tan(geo.T[..., 0, :], (1.0,)))) <= 1e-13
+    assert np.max(np.abs(_nabla_tan(geo, geo.T[..., 0, :], (1.0,)))) <= 1e-13
 
 
 def test_tangential_connection_sphere_matches_christoffels():
@@ -57,7 +87,7 @@ def test_tangential_connection_sphere_matches_christoffels():
     imm = Immersion(2, ("sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"))
     u = (math.pi / 4, 0.9)
     geo = _JetGeometry(imm, FLAT21, u, order=3)
-    out = geo.nabla_tan(geo.T[..., 1, :], (0.0, 1.0))
+    out = _nabla_tan(geo, geo.T[..., 1, :], (0.0, 1.0))
     expected = -math.sin(u[0]) * math.cos(u[0]) * geo.J0[:, 0]
     assert np.max(np.abs(out - expected)) <= 1e-8
 
@@ -65,10 +95,10 @@ def test_tangential_connection_sphere_matches_christoffels():
 def test_normal_connection_plane_and_circle():
     plane = Immersion(2, ("u1", "u2", "0"))
     geo = _JetGeometry(plane, FLAT21, (0.1, 0.4), order=3)
-    assert np.max(np.abs(geo.nabla_perp(geo.xi_field[..., 0, :], (1.0, -2.0)))) <= 1e-14
+    assert np.max(np.abs(_nabla_perp(geo, geo.xi_field[..., 0, :], (1.0, -2.0)))) <= 1e-14
     circle = Immersion(1, ("cos(u1)", "sin(u1)"))
     geo = _JetGeometry(circle, FLAT11, (0.5,), order=3)
-    assert np.max(np.abs(geo.nabla_perp(geo.xi_field[..., 0, :], (1.0,)))) <= 1e-13
+    assert np.max(np.abs(_nabla_perp(geo, geo.xi_field[..., 0, :], (1.0,)))) <= 1e-13
 
 
 def test_weingarten_cross_check_on_circle():
@@ -77,7 +107,7 @@ def test_weingarten_cross_check_on_circle():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     u = (0.5,)
     geo = _JetGeometry(imm, FLAT11, u, order=3)
-    full = geo.cov_deriv(geo.xi_field[0], [1.0])
+    full = _cov(geo, geo.xi_field[0], [1.0])
     a_e = -geo.project_tangent(full)
     h_ee_dot_xi = float(geo.hcomp0[0, 0, 0])  # = -1 for the outward frame
     expected = h_ee_dot_xi * geo.E0[0]
@@ -92,11 +122,11 @@ def test_nabla_omega_invariant_and_anti_invariant_vanish():
     for a in range(2):
         for b in range(2):
             direction = [1.0 if i == a else 0.0 for i in range(2)]
-            out = calculus._nabla_omega(geo, [direction], geo.T[..., b, :])[0]
+            out = _along(calculus._nabla_omega(geo, geo.T[..., b, :]), direction)
             assert np.max(np.abs(out)) <= 1e-12
     diag = Immersion(1, ("u1", "u1"))
     geo = _JetGeometry(diag, FLAT11, (0.4,), order=3)
-    out = calculus._nabla_omega(geo, [(1.0,)], geo.T[..., 0, :])[0]
+    out = _along(calculus._nabla_omega(geo, geo.T[..., 0, :]), (1.0,))
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -105,12 +135,13 @@ def test_nabla_omega_circle_closed_form():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     for u in (0.0, math.pi / 8, 0.9):
         geo = _JetGeometry(imm, FLAT11, (u,), order=3)
-        out = calculus._nabla_omega(geo, [(1.0,)], geo.T[..., 0, :])[0]
+        out = _along(calculus._nabla_omega(geo, geo.T[..., 0, :]), (1.0,))
         sign = math.copysign(1.0, geo.Xi0[0] @ [math.cos(u), math.sin(u)])
         expected = -2.0 * math.cos(2 * u) * sign * geo.Xi0[0]
         assert np.max(np.abs(out - expected)) <= 1e-9
-        rhs = geo.f_normal_part(geo.h_params(np.array([1.0]), np.array([1.0])))
-        rhs = rhs - geo.h_bilinear(np.array([1.0]), geo.f_tangent_part(geo.J0[:, 0]))
+        rhs = geo.f_normal_part(_h(geo, np.array([1.0]), np.array([1.0])))
+        phi_t = geo.param_components(geo.f_tangent_part(geo.J0[:, 0]))
+        rhs = rhs - _h(geo, np.array([1.0]), phi_t)
         assert np.max(np.abs(out - rhs)) <= 1e-9
 
 
@@ -118,7 +149,7 @@ def test_nabla_C_flat_plane_vanishes():
     plane = Immersion(2, ("u1", "u2", "0"))
     geo = _JetGeometry(plane, FLAT21, (0.3, 0.1), order=3)
     for xi in (geo.xi_field[..., 0, :], geo.H_field):
-        assert np.max(np.abs(calculus._nabla_C(geo, [(1.0, 1.0)], xi)[0])) <= 1e-13
+        assert np.max(np.abs(_along(calculus._nabla_C(geo, xi), (1.0, 1.0)))) <= 1e-13
 
 
 def test_nabla_C_circle_matches_oracle():
@@ -131,7 +162,7 @@ def test_nabla_C_circle_matches_oracle():
         return float(pg.Cm[0, 0])
 
     geo = _JetGeometry(imm, FLAT11, (u0,), order=3)
-    out = calculus._nabla_C(geo, [(1.0,)], geo.xi_field[..., 0, :])[0]
+    out = _along(calculus._nabla_C(geo, geo.xi_field[..., 0, :]), (1.0,))
     # (nabla C) xi dotted with xi equals d/dt C - C * d... both normal bundles
     # are rank one, so compare the xi component against the derivative of the
     # scalar C(u) (the connection of a rank-one bundle has no extra term).
@@ -145,11 +176,11 @@ def test_nabla_C_torus_mean_curvature_field():
     geo = _JetGeometry(torus.immersion, torus.space, (0.5, 1.1), order=3)
     for a in range(2):
         direction = [1.0 if i == a else 0.0 for i in range(2)]
-        out = calculus._nabla_C(geo, [direction], geo.H_field)[0]
+        out = _along(calculus._nabla_C(geo, geo.H_field), direction)
         # rhs of the second identity with xi = H: -omega A_H X - h(X, BH)
         x = np.asarray(direction, float)
-        rhs = -geo.f_normal_part(geo.shape_operator(x, geo.H0))
-        rhs = rhs - geo.h_bilinear(x, geo.f_tangent_part(geo.H0))
+        rhs = -geo.f_normal_part(_shape_operator(geo, x, geo.H0))
+        rhs = rhs - _h(geo, x, geo.param_components(geo.f_tangent_part(geo.H0)))
         assert np.max(np.abs(out)) <= 1e-9
         assert np.max(np.abs(out - rhs)) <= 1e-9
 
@@ -186,7 +217,7 @@ def test_nabla_omega_is_tensorial_in_y():
     geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
 
     def nabla_omega(y_field):
-        return calculus._nabla_omega(geo, [(1.0, 0.5)], y_field)[0]
+        return _along(calculus._nabla_omega(geo, y_field), (1.0, 0.5))
 
     # scaling Y by the scalar field f(u) = u1 multiplies the value by f(u0)
     plain = nabla_omega(_coordinate_field(geo, (0.0, 1.0)))
@@ -204,7 +235,8 @@ def test_nabla_omega_is_linear_in_x():
     u0 = (0.7, 0.3)
     geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
-    xa, xb, xc = calculus._nabla_omega(geo, directions, geo.T[..., 1, :])
+    rows = calculus._nabla_omega(geo, geo.T[..., 1, :])
+    xa, xb, xc = (_along(rows, d) for d in directions)
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
 
@@ -216,7 +248,8 @@ def test_nabla_C_is_linear_in_x(xi):
     geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
     field = geo.H_field if xi == "H" else geo.xi_field[..., xi, :]
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
-    xa, xb, xc = calculus._nabla_C(geo, directions, field)
+    rows = calculus._nabla_C(geo, field)
+    xa, xb, xc = (_along(rows, d) for d in directions)
     assert np.max(np.abs(xa)) > 1e-3
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
@@ -226,7 +259,7 @@ def test_nabla_C_is_additive_in_xi():
     geo = _JetGeometry(scn.immersion, scn.space, scn.samples[0], order=3)
 
     def nabla_C(xi_field):
-        return calculus._nabla_C(geo, [(1.0, 0.5)], xi_field)[0]
+        return _along(calculus._nabla_C(geo, xi_field), (1.0, 0.5))
 
     xi0, xi1 = (nabla_C(geo.xi_field[..., a, :]) for a in range(2))
     assert np.max(np.abs(xi0)) > 1e-3
@@ -261,13 +294,13 @@ def test_gauss_and_weingarten_reassembly():
             for a in range(geo.n):
                 x = np.eye(geo.n)[a]
                 for b in range(geo.n):
-                    full = geo.cov_deriv(geo.T[b], x)
-                    split = geo.nabla_tan(geo.T[b], x) + geo.h_params(x, np.eye(geo.n)[b])
+                    full = _cov(geo, geo.T[b], x)
+                    split = _nabla_tan(geo, geo.T[b], x) + _h(geo, x, np.eye(geo.n)[b])
                     assert np.max(np.abs(full - split)) <= 1e-10
                 for alpha in range(geo.m):
                     xi0 = geo.Xi0[alpha]
-                    full = geo.cov_deriv(geo.xi_field[alpha], x)
-                    split = -geo.shape_operator(x, xi0) + geo.nabla_perp(
+                    full = _cov(geo, geo.xi_field[alpha], x)
+                    split = -_shape_operator(geo, x, xi0) + _nabla_perp(geo, 
                         geo.xi_field[alpha], x
                     )
                     assert np.max(np.abs(full - split)) <= 1e-10
@@ -287,8 +320,8 @@ def test_normal_connection_is_metric_compatible():
                     term = geo.gf[i][j] * geo.H_field[i] * geo.xi_field[alpha][j]
                     pairing = term if pairing is None else pairing + term
             lhs = float(pairing.gradient()[: geo.n] @ x)
-            rhs = geo.nabla_perp(geo.H_field, x) @ geo.g0 @ geo.Xi0[alpha]
-            rhs += geo.H0 @ geo.g0 @ geo.nabla_perp(geo.xi_field[alpha], x)
+            rhs = _nabla_perp(geo, geo.H_field, x) @ geo.g0 @ geo.Xi0[alpha]
+            rhs += geo.H0 @ geo.g0 @ _nabla_perp(geo, geo.xi_field[alpha], x)
             assert abs(lhs - rhs) <= 1e-8
 
 

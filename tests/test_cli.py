@@ -41,6 +41,8 @@ from prodgeo.subgeom import Immersion, PointClassification, classify
 from prodgeo.theorems import TheoremPointRecord
 from prodgeo.verify import THEOREMS, verify
 
+from grids import seed_one_grids
+
 CORRUPTED = """
 [ambient]
 mode = explicit
@@ -464,8 +466,11 @@ random = count=2 seed=7 box=(0,6)
 
 
 def test_entry_points_agree_with_verify(capsys, tmp_path):
+    # exact equality: a contraction's value must not depend on the jet order
+    # it carries (order 2 here, order 3 in verify), at 3 points or at 64
     cases = [catalog_get(label) for label in catalog_list()]
     cases = [(scn.space, scn.immersion) for scn in cases] + [corrupted_lemma_case()]
+    cases += seed_one_grids()
     for space, imm in cases:
         outcome = verify(space, imm)
         assert classify(imm, space) == outcome.classification, imm.label
@@ -491,9 +496,11 @@ def _assert_same_record(batched, alone, where):
 def test_batch_size_does_not_change_point_records():
     cases = [(scn.space, scn.immersion) for scn in map(catalog_get, catalog_list())]
     cases += [corrupted_lemma_case(), (flat_product(2, 2), random_trig_immersion(5, 6))]
-    # the normal frame is completed by e2 at pi/2 and by e1 at the other samples
+    # the normal frame is completed by e1 at 0.3 and by e2 at pi/2 and 1.0
     circle = Immersion(1, ("cos(u1)", "sin(u1)"), samples=((0.3,), (math.pi / 2,), (1.0,)))
     cases.append((flat_product(1, 1), circle))
+    # 64 points, where a stacked matmul may take another kernel than at 3
+    cases += seed_one_grids()
     for space, imm in cases:
         batched = verify(space, imm)
         for index, u in enumerate(imm.samples):
@@ -510,6 +517,14 @@ def test_batch_size_does_not_change_point_records():
                 _assert_same_record(
                     batched.theorems[key].points[index], alone.theorems[key].points[0], where
                 )
+
+
+def test_repeated_report_is_byte_identical():
+    # the same document twice in one process: a product whose summation
+    # order varied between calls would change the JSON's last digits
+    for space, imm in seed_one_grids():
+        first = render_json(verify(space, imm))
+        assert render_json(verify(space, imm)) == first, imm.label
 
 
 DOMAIN = """

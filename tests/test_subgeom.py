@@ -218,7 +218,7 @@ def test_structural_identities_every_catalog_sample():
             # duality g(A_xi e_a, e_b) = h components, via the Weingarten route
             for alpha in range(m):
                 for a in range(n):
-                    weingarten = -geo.nabla_tan(geo.xi_field[alpha], geo.P[:, a])
+                    weingarten = -geo.project_tangent(geo.P[:, a] @ geo.nabla(geo.xi_field[alpha]))
                     comps = geo.E0 @ geo.g0 @ weingarten
                     assert np.max(np.abs(comps - geo.hcomp0[alpha, a])) <= 1e-10, label
             # adjointness
@@ -318,8 +318,8 @@ def test_geometry_carries_jet_orders_two_and_three_only():
 @lru_cache(maxsize=None)
 def _frame_cases():
     """(label, space, immersion): the catalog, the corrupted ambient, 30
-    random surfaces and a circle whose normal frame is completed by e2 at
-    pi/2 and by e1 at its other samples."""
+    random surfaces and a circle whose normal frame is completed by e1 at
+    0.3 and by e2 at pi/2 and 1.0."""
     cases = [(label, catalog_get(label).space, catalog_get(label).immersion)
              for label in catalog_list()]
     cases.append(("corrupted",) + corrupted_lemma_case())
@@ -341,7 +341,9 @@ def _frame_geometries():
 
 def _reference_frames(geo, column_order):
     """The frames by masked modified Gram-Schmidt carried out in jets, and the
-    smallest accepted residual norm at each point.
+    smallest accepted residual norm at each point.  The candidates are the
+    tangent columns and then, per point, the axes in the order ``geo.V0``
+    records for the normal slots.
 
     Slot s of ``frames`` holds the s-th frame vector once filled and zero
     before; ``filled`` counts the slots of each point and ``lowered`` holds
@@ -353,7 +355,8 @@ def _reference_frames(geo, column_order):
     frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
     filled = np.zeros(shape, dtype=int)
     smallest = np.full(shape, np.inf)
-    for k, vec in enumerate([tangents[..., c, :] for c in columns] + list(np.eye(N))):
+    axes = [geo.V0[..., s, :] for s in range(n, N)]
+    for k, vec in enumerate([tangents[..., c, :] for c in columns] + axes):
         if k >= n and (filled == N).all():
             break
         w = vec
@@ -387,8 +390,8 @@ def test_frames_match_the_gram_schmidt_loop_in_jets():
             diff = np.abs(got.coeffs - want.coeffs)[good]
             assert (diff[..., 0].max(axis=(-2, -1)) <= 1e-12 * scale).all(), key
             assert (diff[..., 1:].max(axis=(-3, -2, -1)) <= 1e-9 * scale).all(), key
-    # the one point that is left to the orthonormality test below
-    assert ill_conditioned == {("fuzz-3", 6)}
+    # the pivoted completion leaves no ill-conditioned point
+    assert ill_conditioned == set()
 
 
 def test_frames_are_orthonormal_to_first_order():
@@ -405,3 +408,21 @@ def test_frame_completion_failure_keeps_its_message():
     circle = Immersion(1, ("1e6 * cos(u1)", "1e6 * sin(u1)"))
     with pytest.raises(DegenerateImmersion, match="^could not complete the normal frame$"):
         _JetGeometry(circle, tiny, [(0.3,), (1.0,)], order=2)
+
+
+def test_pivoted_completion_takes_the_longest_residual():
+    # under the identity metric the squared residuals of the N axes against
+    # the filled slots sum to the number of slots left to fill, so the axis
+    # taken for a normal slot has a residual of at least 1/sqrt(N); that
+    # residual is g(e_s, V0[s]), the candidate's length along its frame vector
+    cases = [(catalog_get(label).space, catalog_get(label).immersion) for label in catalog_list()]
+    cases += [(flat_product(2, 2), random_trig_immersion(seed, 16)) for seed in range(30)]
+    checked = 0
+    for space, imm in cases:
+        geo = _JetGeometry(imm, space, np.array(imm.samples), order=2)
+        if not geo.unit_metric:
+            continue
+        residual = (geo.Xi0 * geo.V0[..., geo.n :, :]).sum(axis=-1)
+        assert residual.min() >= (1.0 - 1e-12) / math.sqrt(geo.N), imm.label
+        checked += 1
+    assert checked >= 30 + len(catalog_list()) - 1
