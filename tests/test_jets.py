@@ -255,6 +255,41 @@ def test_einsum_matches_explicit_loops():
     assert np.allclose(einsum("ij,bj->bi", c, w.value), np.einsum("ij,bj->bi", c, w.value))
 
 
+@pytest.mark.parametrize("spec, float_shape, jet_shape, float_first", [
+    ("...ij,...j->...i", (64, 3, 4), (64, 4), True),   # the jet's last axis: a @ coeffs
+    ("...ij,...j->...i", (3, 4), (64, 2, 4), True),    # a constant matrix, batched jet
+    ("...ij,...jk->...ik", (64, 3, 4), (64, 4, 2), True),  # the jet's first axis
+    ("...ij,...jk->...ik", (64, 4, 2), (64, 3, 4), False),  # the float's first axis
+    ("b,...bi->...i", (2,), (64, 2, 3), True),
+    ("...ijk,...bk->...bij", (3, 3, 3), (64, 2, 3), True),
+    ("...il,...ljk->...ijk", (64, 3, 3), (64, 3, 3, 3), True),
+    ("...jik,...bj->...bik", (4, 3, 2), (64, 5, 4), True),  # the float's axes reordered
+])
+def test_float_by_jet_contraction_is_the_einsum_on_coefficients(
+    spec, float_shape, jet_shape, float_first
+):
+    # the reference is np.einsum on the coefficients, the coefficient axis
+    # riding along as one more output axis
+    rng = np.random.default_rng(43)
+    f, j = rng.uniform(-1, 1, float_shape), _random_jet(rng, jet_shape)
+    (sa, sb), out = spec.split("->")[0].split(","), spec.split("->")[1]
+    if float_first:
+        got, want = einsum(spec, f, j), np.einsum(f"{sa},{sb}Z->{out}Z", f, j.coeffs)
+    else:
+        got, want = einsum(spec, j, f), np.einsum(f"{sa}Z,{sb}->{out}Z", j.coeffs, f)
+    assert got.coeffs.shape == want.shape and got.coeffs.flags.c_contiguous
+    assert np.max(np.abs(got.coeffs - want)) <= 1e-14
+    floats = einsum(spec, f, j.value) if float_first else einsum(spec, j.value, f)
+    assert np.max(np.abs(floats - want[..., 0])) <= 1e-14
+
+
+@pytest.mark.parametrize("spec", ["...ij,...ij->...", "...i,...j->...ij", "...ij,...jk->...ki"])
+def test_float_by_jet_contraction_rejects_other_specs(spec):
+    rng = np.random.default_rng(47)
+    with pytest.raises(ValueError, match="single-axis matrix product"):
+        einsum(spec, rng.uniform(-1, 1, (3, 3)), _random_jet(rng, (3, 3)))
+
+
 def test_contractions_keep_the_coefficient_axis_innermost(monkeypatch):
     # a gather that put the coefficient pairs outermost in memory made every
     # contraction's inner loop stride across the whole array
