@@ -22,8 +22,6 @@ from .ambient import (
     AmbientValidationReport,
     BlockVariableLeak,
     SingularMetric,
-    ambient_cov_derivative,
-    christoffel,
     product_of,
     validate_ambient,
 )

@@ -4,11 +4,11 @@ Models a chart of the ambient manifold by component expressions: a metric
 ``g_ij(x)`` and a (1,1) structure tensor ``F^i_j(x)`` with ``F^2 = I`` and
 ``g(FX, FY) = g(X, Y)``.  Provides the canonical block constructor (constant
 ``F = diag(+1.., -1..)`` over a block metric, which is parallel by
-construction), the metric derivatives as expressions, Christoffel symbols
-over floats or jets, covariant differentiation along curves, and pointwise
-validation that a hand-written space really is locally
-product: the validator measures ``F^2 - I``, the metric compatibility
-defect, and ``(nabla_X F) Y``.
+construction), the metric derivatives as expressions, the Levi-Civita
+connection of a metric table (floats or jets, with any point axes), and
+pointwise validation that a hand-written space really is locally product:
+the validator measures ``F^2 - I``, the metric compatibility defect, and
+``(nabla_X F) Y``.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ __all__ = [
     "ambient_vars",
     "flat_block",
     "product_of",
-    "christoffel",
     "levi_civita",
     "positive_definite",
-    "ambient_cov_derivative",
     "validate_ambient",
 ]
 
@@ -162,13 +160,6 @@ class AmbientSpace:
             values = dict(zip(varying, plan(env)))
         return [constants[name].copy() if name in constants else values[name] for name in names]
 
-    def metric_at(self, x) -> np.ndarray:
-        return self.tables(("metric",), np.asarray(x, dtype=float))[0]
-
-    def metric_derivatives(self, x):
-        """``dg[l, i, j] = d g_ij / d x^l`` at ``x`` (floats or jets)."""
-        return self.tables(("metric_diff",), x)[0]
-
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:
     """Identity metric block."""
@@ -249,13 +240,6 @@ def positive_definite(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return ok & symmetric & pivots_ok
 
 
-def _assert_positive_definite(g: np.ndarray, tol: float = 1e-10):
-    if not positive_definite(g, tol):
-        if not np.isfinite(g).all():
-            raise SingularMetric("metric is not finite at the sample point")
-        raise SingularMetric("metric is not positive definite at the sample point")
-
-
 def levi_civita(ginv, dg):
     """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk), floats or jets.
 
@@ -266,32 +250,6 @@ def levi_civita(ginv, dg):
     swapped = dg.swapaxes(-3, -2)  # d_j g_lk at [l, j, k]
     lowered = swapped + swapped.swapaxes(-2, -1) - dg
     return 0.5 * jets.einsum("...il,...ljk->...ijk", ginv, lowered)
-
-
-def christoffel(space: AmbientSpace, x: Sequence[float]) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma^i_{jk} at a point."""
-    x = [float(v) for v in x]
-    g0 = space.metric_at(x)
-    _assert_positive_definite(g0)
-    return levi_civita(np.linalg.inv(g0), space.metric_derivatives(x))
-
-
-def ambient_cov_derivative(
-    space: AmbientSpace,
-    x0: Sequence[float],
-    v: Sequence[jets.Jet],
-    velocity: Sequence[float],
-) -> np.ndarray:
-    """Covariant derivative of a vector field given along a curve.
-
-    ``v`` holds the field components as jets whose first seed direction is
-    the curve parameter; ``velocity`` is the curve velocity at the base
-    point ``x0``.
-    """
-    field = jets.array(list(v))
-    dv = field.gradient()[:, 0]  # raises InsufficientJetOrder at order 0
-    xdot = np.asarray(velocity, dtype=float)
-    return dv + (christoffel(space, x0) @ field.value) @ xdot
 
 
 @dataclass(frozen=True)
@@ -321,9 +279,9 @@ def validate_ambient(
     structure or derivative, or an overflow) fails the report and stays out
     of its residuals.
     """
+    if len(samples) == 0:
+        raise ValueError("ambient validation needs at least one sample point")
     x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        x = x.reshape(0, space.dim)
     identity = np.eye(space.dim)
     # overflow and NaN are detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):

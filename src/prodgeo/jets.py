@@ -410,24 +410,24 @@ def stack(shape: tuple[int, ...], leaves: list):
     carries the lowest order among the jets; without any jet it is a float
     array.
     """
-    lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
+    outer = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
     found = [e for e in leaves if isinstance(e, Jet)]
     if not found:
-        out = np.empty(lead + (len(leaves),))
+        out = np.empty(outer + (len(leaves),))
         for i, e in enumerate(leaves):
             out[..., i] = e
-        return out.reshape(lead + shape)
+        return out.reshape(outer + shape)
     if len({j.nvars for j in found}) > 1:
         raise ValueError("jets carry different seed sets")
     alg = _algebra(found[0].nvars, min(j.order for j in found))
     # a number fills coefficient 0 of its zero row
-    out = np.zeros(lead + (len(leaves), alg.size))
+    out = np.zeros(outer + (len(leaves), alg.size))
     for i, e in enumerate(leaves):
         if isinstance(e, Jet):
             out[..., i, :] = e.coeffs[..., : alg.size]
         else:
             out[..., i, 0] = e
-    return Jet(alg, out.reshape(lead + shape + (alg.size,)))
+    return Jet(alg, out.reshape(outer + shape + (alg.size,)))
 
 
 def partial(j: Jet, var: int) -> Jet:

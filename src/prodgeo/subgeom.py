@@ -13,14 +13,13 @@ carrying its own parameter derivatives; the connection calculus of
 :func:`prodgeo.verify.verify`.
 Vector, matrix and frame fields are array jets whose leading axis runs over
 the sample points, so one build makes the same numpy calls for a whole
-document as for one point; a single point is the same code with no point
-axis, and :func:`point_geometry` reads its values.  Contractions of float
-arrays are stacked matrix products (``@``), one call for all points and rows.
+document as for one point; :func:`point_geometry` reads row 0 of a one-point
+batch.  Contractions of float arrays are stacked matrix products (``@``),
+one call for all points and rows.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
@@ -103,7 +102,7 @@ class Immersion:
         """Ambient coordinates of the points with parameters ``u``, shape ``(..., n)``."""
         u = np.asarray(u, dtype=float)
         if u.size == 0:
-            u = u.reshape(0, self.n)
+            raise ValueError("the image needs at least one sample point")
         env = {name: u[..., a] for a, name in enumerate(param_vars(self.n))}
         try:
             # a non-finite image fails ambient validation or the geometry build
@@ -138,6 +137,8 @@ class PointGeometry:
     omega: np.ndarray
     Bm: np.ndarray
     Cm: np.ndarray
+    H_norm: float
+    pu_gap: float
 
 
 def _values(field) -> np.ndarray:
@@ -187,45 +188,37 @@ def _points(samples, n: int) -> np.ndarray:
 class _JetGeometry:
     """All pointwise data of an immersion at its sample points, carried as jets.
 
-    ``u`` is one point (shape ``(n,)``) or a batch of points (``(P, n)``);
-    every field then carries that leading point shape.  Seed layout: one
-    seed direction per submanifold parameter ``u1..un`` and no other; the
-    ambient metric derivatives are the space's symbolic ``metric_diff``
-    evaluated along the immersion, by one plan with the metric and
-    structure.  Each field carries the order its readers need, for the
-    requested order ``p``: the immersion ``f`` carries ``p`` and the
-    coordinate tangent fields ``T`` (shape ``(..., n, N)``) ``p - 1``.  The
-    metric ``gf`` ``(..., N, N)`` and structure ``Ff`` along the immersion,
-    the frames ``e_field`` ``(..., n, N)`` and ``xi_field`` ``(..., m, N)``,
-    the lowered tangent frame ``gE`` and the induced metric ``G_field``
-    carry ``max(p - 2, 1)``: every reader differentiates them at most once.
-    Only ``p`` 2 and 3 are accepted, so that order is 1: the frame values
-    come from modified Gram-Schmidt with column pivoting on the base-point
-    floats, and their first-order jets are solved in closed form from
-    ``E g E^T = I`` and the lower triangular change of basis, with no jet
-    arithmetic per candidate.  The Christoffel symbols ``gamma_f``
-    ``(..., N, N, N)``, the second fundamental form ``h_field``
-    ``(..., n, n, N)``, ``H_field`` ``(..., N)`` and ``Ginv_field`` carry
-    ``p - 2``.  A metric, structure or connection that is constant along the
-    immersion stays a float array without point axes.  Two cases are read
-    off those evaluated tables: a metric-derivative table that is a constant
-    zero array sets ``flat``, and then ``gamma_f`` and ``GammaT0`` are
-    ``None`` and no Christoffel term is contracted; a constant identity
-    metric sets ``unit_metric``, and :meth:`lower` and :meth:`lower0` return
-    their argument.
+    ``u`` is a batch of points, shape ``(P, n)``, and every field carries
+    that leading point axis; the tangent columns are in parameter order.
+    Seed layout: one seed direction per submanifold parameter ``u1..un`` and
+    no other; the ambient metric derivatives are the space's symbolic
+    ``metric_diff`` evaluated along the immersion, by one plan with the
+    metric and structure.  Each field carries the order its readers need,
+    for the requested order ``p``: the immersion ``f`` carries ``p`` and the
+    coordinate tangent fields ``T`` (shape ``(P, n, N)``) ``p - 1``.  The
+    metric ``gf`` ``(P, N, N)`` and structure ``Ff`` along the immersion,
+    the frames ``e_field`` ``(P, n, N)`` and ``xi_field`` ``(P, m, N)``, the
+    lowered tangent frame ``gE`` and the induced metric ``G_field`` carry
+    order 1: every reader differentiates them at most once, and only ``p`` 2
+    and 3 are accepted.  The frame values come from modified Gram-Schmidt
+    with column pivoting on the base-point floats, and their first-order
+    jets are solved in closed form from ``E g E^T = I`` and the lower
+    triangular change of basis, with no jet arithmetic per candidate.  The
+    Christoffel symbols ``gamma_f`` ``(P, N, N, N)``, the second fundamental
+    form ``h_field`` ``(P, n, n, N)``, ``H_field`` ``(P, N)`` and
+    ``Ginv_field`` carry ``p - 2``.  A metric, structure or connection that
+    is constant along the immersion stays a float array without a point
+    axis.  Two cases are read off those evaluated tables: a
+    metric-derivative table that is a constant zero array sets ``flat``, and
+    then ``gamma_f`` and ``GammaT0`` are ``None`` and no Christoffel term is
+    contracted; a constant identity metric sets ``unit_metric``, and
+    :meth:`lower` and :meth:`lower0` return their argument.
     Decisions that differ between points (the Jacobian rank, positive
     definiteness, the normal frame completion) are masks over the points;
     a failing check names the first failing point.
     """
 
-    def __init__(
-        self,
-        immersion: Immersion,
-        space: AmbientSpace,
-        u,
-        order: int = 3,
-        column_order: str = "forward",
-    ):
+    def __init__(self, immersion: Immersion, space: AmbientSpace, u, order: int = 3):
         if immersion.ambient_dim != space.dim:
             raise ValueError(
                 f"immersion maps into dimension {immersion.ambient_dim}, "
@@ -238,12 +231,12 @@ class _JetGeometry:
         n, N = immersion.n, space.dim
         self.n, self.N, self.m = n, N, N - n
         self.u = np.array(u, dtype=float)
-        self.lead = self.u.ndim - 1  # 0 for one point, 1 for a batch
-        shape = self.u.shape[:-1]
-        self.points = [tuple(row) for row in self.u.reshape(-1, n).tolist()]
+        if self.u.ndim != 2 or self.u.shape[1] != n:
+            raise ValueError(f"sample points must have shape (P, {n}), not {self.u.shape}")
+        npts = len(self.u)
+        self.points = [tuple(row) for row in self.u.tolist()]
 
         self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
-        low = max(order - 2, 1)  # the order of every field read at most once differentiated
         try:
             # overflow and NaN are found by the masks below, not warned about
             with np.errstate(over="ignore", invalid="ignore"):
@@ -252,7 +245,7 @@ class _JetGeometry:
                     self.f = jets.array([0.0 * self.uenv["u1"] + c for c in self.f])
                 # ambient metric, structure and metric derivatives along the immersion
                 self.gf, self.Ff, dg = space.tables(
-                    ("metric", "structure", "metric_diff"), self.f.truncate(low)
+                    ("metric", "structure", "metric_diff"), self.f.truncate(1)
                 )
                 if isinstance(dg, jets.Jet):
                     dg = dg.truncate(order - 2)
@@ -268,14 +261,14 @@ class _JetGeometry:
 
         # the image, J and the higher derivatives of the immersion
         immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
-        finite = np.broadcast_to(np.isfinite(self.g0).all(axis=(-2, -1)), shape)
-        definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), shape)
+        finite = np.broadcast_to(np.isfinite(self.g0).all(axis=(-2, -1)), (npts,))
+        definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), (npts,))
         chol = np.linalg.cholesky(np.where(definite[..., None, None], self.g0, np.eye(N)))
         jac = np.where(immersed[..., None, None], self.J0, 0.0)
         smallest = np.linalg.svd(_t(chol) @ jac, compute_uv=False).min(axis=-1)
         bad = ~immersed | ~definite | (smallest <= 1e-8)
         if bad.any():
-            p = np.unravel_index(np.argmax(bad), shape)
+            p = np.argmax(bad)
             if not immersed[p]:
                 raise DegenerateImmersion(
                     f"immersion is not finite at u = {tuple(self.u[p].tolist())} "
@@ -300,8 +293,8 @@ class _JetGeometry:
         if not self.flat:
             self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
             gamma0 = np.moveaxis(_values(self.gamma_f), -3, -1)  # [j, k, i]
-            gamma0 = gamma0.reshape(gamma0.shape[:-3] + (N, N * N))
-            self.GammaT0 = (_t(self.J0) @ gamma0).reshape(shape + (n, N, N))
+            gamma0 = gamma0.reshape(npts, N, N * N)
+            self.GammaT0 = (_t(self.J0) @ gamma0).reshape(npts, n, N, N)
         self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
 
         # orthonormal frames under the ambient metric by modified Gram-Schmidt
@@ -312,35 +305,29 @@ class _JetGeometry:
         # a slot's candidates are orthogonalized once more against all filled
         # slots.  Slot s of ``E0`` holds the s-th frame vector once filled and
         # zero before, ``GE0`` g(e_s, .) beside it and ``V0`` its candidate.
-        columns = list(range(n))
-        if column_order == "reversed":
-            columns.reverse()
-        elif column_order != "forward":
-            raise ValueError("column_order must be 'forward' or 'reversed'")
-        tangents = self.T.truncate(low)
-        T0 = tangents.value[..., columns, :]
+        tangents = self.T.truncate(1)
+        T0 = tangents.value
         axes = np.eye(N)
-        E0, GE0, self.V0 = (np.zeros(shape + (N, N)) for _ in range(3))
-        self.V0[..., :n, :] = T0
-        W = np.concatenate([T0, np.broadcast_to(axes, shape + (N, N))], axis=-2)
-        each = np.arange(math.prod(shape))  # the points, flattened
+        E0, GE0, self.V0 = (np.zeros((npts, N, N)) for _ in range(3))
+        self.V0[:, :n] = T0
+        W = np.concatenate([T0, np.broadcast_to(axes, (npts, N, N))], axis=-2)
+        each = np.arange(npts)
         for slot in range(N):
-            w = W[..., slot : slot + 1, :] if slot < n else W[..., n:, :]
+            w = W[:, slot : slot + 1] if slot < n else W[:, n:]
             w = w - (w @ _t(GE0)) @ E0
             w_lowered = self.lower0(w)
-            nrm2 = (w * w_lowered).sum(axis=-1).reshape(len(each), -1)
+            nrm2 = (w * w_lowered).sum(axis=-1)
             best = nrm2.argmax(axis=-1)
             nrm2 = nrm2[each, best]
             if slot < n and (nrm2 <= 0.0).any():
                 raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
             if slot >= n and (nrm2 < 1e-8 ** 2).any():
                 raise DegenerateImmersion("could not complete the normal frame")
-            picked = np.stack([w, w_lowered]).reshape(2, len(each), -1, N)[:, each, best]
-            picked = picked * (1.0 / np.sqrt(nrm2))[:, None]
-            E0[..., slot, :], GE0[..., slot, :] = picked.reshape((2,) + shape + (N,))
+            picked = np.stack([w, w_lowered])[:, each, best]
+            E0[:, slot], GE0[:, slot] = picked * (1.0 / np.sqrt(nrm2))[:, None]
             if slot >= n:
-                self.V0[..., slot, :] = axes[best].reshape(shape + (N,))
-            W = W - (W @ GE0[..., slot, :, None]) * E0[..., slot, None, :]
+                self.V0[:, slot] = axes[best]
+            W = W - (W @ GE0[:, slot, :, None]) * E0[:, slot, None, :]
 
         # first-order jets of the frames in closed form.  E = K V with K lower
         # triangular and E g E^T = I give dE = A - Phi(X) E0, where
@@ -349,23 +336,23 @@ class _JetGeometry:
         # the diagonal.  Only the tangent rows of V vary; the axes are constant.
         # Each contraction is a stacked matmul: [..., r, s, z] holds entry
         # (r, s) of the derivative along seed z.
-        dV = np.zeros(shape + (N, N, n))
-        dV[..., :n, :, :] = tangents.coeffs[..., columns, :, 1:]
-        A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(shape + (N, N * n)))
-        A = A.reshape(shape + (N, N, n))
+        dV = np.zeros((npts, N, N, n))
+        dV[:, :n] = tangents.coeffs[..., 1:]
+        A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(npts, N, N * n))
+        A = A.reshape(npts, N, N, n)
         Y = GE0[..., None, :, :] @ A
         X = Y + Y.swapaxes(-3, -2)
         dg = self.gf.coeffs[..., 1:] if isinstance(self.gf, jets.Jet) else None
         if dg is not None:
-            dg_e = (E0[..., None, :, :] @ dg).reshape(shape + (N, N * n))  # [i, s, z]
-            X = X + (E0 @ dg_e).reshape(shape + (N, N, n))
+            dg_e = (E0[..., None, :, :] @ dg).reshape(npts, N, N * n)  # [i, s, z]
+            X = X + (E0 @ dg_e).reshape(npts, N, N, n)
         dE = A - _t(E0)[..., None, :, :] @ (X * _half_lower(N))
         dGE = dE[..., :n, :, :]
         if not self.unit_metric:
             dGE = _t(self.g0)[..., None, :, :] @ dGE
         if dg is not None:
-            dg_rows = dg.reshape(shape + (N, N * n))
-            dGE = dGE + (E0[..., :n, :] @ dg_rows).reshape(shape + (n, N, n))
+            dg_rows = dg.reshape(npts, N, N * n)
+            dGE = dGE + (E0[..., :n, :] @ dg_rows).reshape(npts, n, N, n)
         frames = jets.Jet(tangents.alg, np.concatenate([E0[..., None], dE], axis=-1))
         self.e_field, self.xi_field = frames[..., :n, :], frames[..., n:, :]
         self.gE = jets.Jet(tangents.alg, np.concatenate([GE0[..., :n, :, None], dGE], axis=-1))
@@ -399,9 +386,9 @@ class _JetGeometry:
         self.P = self.to_params @ _t(self.E0)  # e_a = P[..., :, a]^c T_c
         # h(d_c, e_b) at [c, b], h(e_a, e_b) at [a, b] and its normal components
         self.h_ce0 = _t(self.P)[..., None, :, :] @ self.hc0
-        h_on0 = (_t(self.P) @ self.h_ce0.reshape(shape + (n, n * N))).reshape(shape + (n * n, N))
-        self.h_on0 = h_on0.reshape(shape + (n, n, N))
-        self.hcomp0 = (GE0[..., n:, :] @ _t(h_on0)).reshape(shape + (self.m, n, n))
+        h_on0 = (_t(self.P) @ self.h_ce0.reshape(npts, n, n * N)).reshape(npts, n * n, N)
+        self.h_on0 = h_on0.reshape(npts, n, n, N)
+        self.hcomp0 = (GE0[..., n:, :] @ _t(h_on0)).reshape(npts, self.m, n, n)
 
         self.phi0, self.omega0, self.B0, self.C0 = _split_structure(self.F0, self.g0, E0, n)
         self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
@@ -413,24 +400,21 @@ class _JetGeometry:
         )
         self.phi_singular = np.linalg.svd(self.phi0, compute_uv=False)
 
-    def per_point(self, values) -> list:
-        """A per-point array (or a value shared by all points) as a list over the points."""
-        shape = self.u.shape[:-1]
-        if np.shape(values) != shape:
-            values = np.broadcast_to(values, shape)
-        return np.reshape(values, -1).tolist()
+    def per_point(self, values: np.ndarray) -> list:
+        """A per-point array, shape ``(P,)``, as a list over the points."""
+        return values.tolist()
 
     # ---- jet-field helpers ----------------------------------------------
-    # Fields are jets (or float arrays) shaped (points..., batch..., N): the
-    # point axes of the geometry, then any axes that batch several fields
-    # (one row per field), then the ambient component.  Geometry fields get
-    # unit axes for the batch axes (_fit); constant fields broadcast as they
-    # are, and a constant matrix against a jet field is one matmul.
+    # Fields are jets (or float arrays) shaped (P, batch..., N): the point
+    # axis of the geometry, then any axes that batch several fields (one row
+    # per field), then the ambient component.  Geometry fields get unit axes
+    # for the batch axes (_fit); constant fields broadcast as they are, and
+    # a constant matrix against a jet field is one matmul.
 
     def _fit(self, field, axes: int, vec):
         """``field`` (``axes`` trailing non-point axes) broadcastable against
         the point and batch axes of ``vec``, a vector or vector field."""
-        extra = len(vec.shape) - 1 - self.lead
+        extra = len(vec.shape) - 2
         if extra <= 0 or len(field.shape) == axes:
             return field
         return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]
@@ -453,32 +437,31 @@ class _JetGeometry:
 
     def nabla(self, vec) -> np.ndarray:
         """Ambient covariant derivative of a jet field along every coordinate
-        direction: ``(points..., n, batch..., N)``, row a along d_a.  That is
-        the jet gradient, with the direction axis moved next to the points,
-        plus Gamma(T_a, vec) for all a in one matmul."""
+        direction: ``(P, n, batch..., N)``, row a along d_a.  That is the jet
+        gradient, with the direction axis moved next to the points, plus
+        Gamma(T_a, vec) for all a in one matmul."""
         grad = vec.coeffs[..., 1 : 1 + self.n]
-        axes = tuple(range(grad.ndim - 1))
-        grad = grad.transpose(axes[: self.lead] + (grad.ndim - 1,) + axes[self.lead :])
+        grad = grad.transpose((0, grad.ndim - 1) + tuple(range(1, grad.ndim - 1)))
         if self.flat:
             return grad
         value = vec.coeffs[..., 0]
-        rows = value.reshape(value.shape[: self.lead] + (1, -1, self.N))
+        rows = value.reshape(len(value), 1, -1, self.N)
         return grad + (rows @ self.GammaT0).reshape(grad.shape)
 
     # ---- base-point tensor algebra ---------------------------------------
-    # Vectors are (points..., batch..., N) arrays, parameter-space vectors
-    # (points..., batch..., n); a batch axis may be the direction axis of
+    # Vectors are (P, batch..., N) arrays, parameter-space vectors
+    # (P, batch..., n); a batch axis may be the direction axis of
     # :meth:`nabla`.  A per-point matrix acts on the rows of every point in
-    # one stacked matmul, a constant one (no point axes) on all rows at once.
+    # one stacked matmul, a constant one (no point axis) on all rows at once.
     # h_params and shape_operator take one batch axis and return it behind
-    # the direction axis, (points..., n, batch, N).
+    # the direction axis, (P, n, batch, N).
 
     def _apply(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``m v`` for every vector ``v`` of ``(points..., batch..., K)``, with
-        ``m`` ``(points..., J, K)`` or a constant ``(J, K)``."""
+        """``m v`` for every vector ``v`` of ``(P, batch..., K)``, with ``m``
+        ``(P, J, K)`` or a constant ``(J, K)``."""
         if m.ndim == 2:
             return v @ _t(m)
-        rows = v.reshape(v.shape[: self.lead] + (-1, v.shape[-1]))
+        rows = v.reshape(len(v), -1, v.shape[-1])
         return (rows @ _t(m)).reshape(v.shape[:-1] + m.shape[-2:-1])
 
     def lower0(self, v: np.ndarray) -> np.ndarray:
@@ -520,36 +503,38 @@ class _JetGeometry:
 
 
 def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]) -> PointGeometry:
-    """Full per-point bundle (frames, h, H, phi/omega/B/C) at one parameter point."""
-    geo = _JetGeometry(immersion, space, u, order=2)
+    """Full per-point bundle (frames, h, H, phi/omega/B/C) at one parameter
+    point: row 0 of the geometry of a one-point batch."""
+    geo = _JetGeometry(immersion, space, [u], order=2)
     return PointGeometry(
         u=geo.points[0],
-        x=geo.x0.copy(),
-        tangent_on=geo.E0.copy(),
-        normal_on=geo.Xi0.copy(),
-        induced_metric=geo.G0.copy(),
-        ambient_metric=geo.g0.copy(),
-        h=geo.hcomp0.copy(),
-        H=geo.H0.copy(),
-        phi=geo.phi0.copy(),
-        omega=geo.omega0.copy(),
-        Bm=geo.B0.copy(),
-        Cm=geo.C0.copy(),
+        x=geo.x0[0],
+        tangent_on=geo.E0[0],
+        normal_on=geo.Xi0[0],
+        induced_metric=geo.G0[0],
+        ambient_metric=geo.g0 if geo.g0.ndim == 2 else geo.g0[0],  # constant: no point axis
+        h=geo.hcomp0[0],
+        H=geo.H0[0],
+        phi=geo.phi0[0],
+        omega=geo.omega0[0],
+        Bm=geo.B0[0],
+        Cm=geo.C0[0],
+        H_norm=float(geo.H_norm[0]),
+        pu_gap=float(geo.pu_gap[0]),
     )
 
 
 def is_minimal(pg: PointGeometry, tol: float = 1e-8) -> bool:
-    h_norm = float(np.sqrt(max(pg.H @ pg.ambient_metric @ pg.H, 0.0)))
-    return h_norm <= tol
+    return pg.H_norm <= tol
 
 
 def pseudo_umbilical_gap(pg: PointGeometry) -> float:
     """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |."""
-    return float(_umbilicity_gap(pg.h, pg.normal_on, pg.ambient_metric, pg.H))
+    return pg.pu_gap
 
 
 def is_pseudo_umbilical(pg: PointGeometry, tol: float = 1e-8) -> bool:
-    return pseudo_umbilical_gap(pg) <= tol
+    return pg.pu_gap <= tol
 
 
 # ---- classification -------------------------------------------------------
@@ -669,7 +654,6 @@ def classify(
     space: AmbientSpace,
     samples: Sequence[Sequence[float]] | None = None,
     tol: float = 1e-8,
-    column_order: str = "forward",
 ) -> ClassificationResult:
     """Four-way classification aggregated over the sample points.
 
@@ -679,7 +663,5 @@ def classify(
     """
     if samples is None:
         samples = immersion.samples
-    geo = _JetGeometry(
-        immersion, space, _points(samples, immersion.n), order=2, column_order=column_order
-    )
+    geo = _JetGeometry(immersion, space, _points(samples, immersion.n), order=2)
     return aggregate_classification(classify_point(geo, tol), immersion.n, tol)

@@ -118,15 +118,18 @@ def test_criterion_3_structural_identities():
     for label in catalog_list():
         scn = catalog_get(label)
         for u in scn.samples:
-            geo = _JetGeometry(scn.immersion, scn.space, u, order=2)
+            geo = _JetGeometry(scn.immersion, scn.space, [u], order=2)
             n, m = geo.n, geo.m
-            gaps = [np.max(np.abs(geo.hcomp0 - np.transpose(geo.hcomp0, (0, 2, 1))))]
+            hcomp = geo.hcomp0[0]
+            g0 = geo.g0 if geo.g0.ndim == 2 else geo.g0[0]  # constant: no point axis
+            gaps = [np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1))))]
             for alpha in range(m):
                 for a in range(n):
-                    weingarten = -geo.project_tangent(geo.P[:, a] @ geo.nabla(geo.xi_field[alpha]))
-                    comps = geo.E0 @ geo.g0 @ weingarten
-                    gaps.append(np.max(np.abs(comps - geo.hcomp0[alpha, a])))
-            phi, om, bm, cm = geo.phi0, geo.omega0, geo.B0, geo.C0
+                    along_e = geo.P[:, None, :, a] @ geo.nabla(geo.xi_field[:, alpha])
+                    weingarten = -geo.project_tangent(along_e)[0, 0]
+                    comps = geo.E0[0] @ g0 @ weingarten
+                    gaps.append(np.max(np.abs(comps - hcomp[alpha, a])))
+            phi, om, bm, cm = geo.phi0[0], geo.omega0[0], geo.B0[0], geo.C0[0]
             gaps.append(np.max(np.abs(phi - phi.T)))
             gaps.append(np.max(np.abs(cm - cm.T)))
             gaps.append(np.max(np.abs(bm - om.T)))

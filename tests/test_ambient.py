@@ -1,4 +1,9 @@
-"""Ambient spaces: construction, Christoffels, covariant derivative, validation."""
+"""Ambient spaces: construction, Christoffels, covariant derivative, validation.
+
+The Christoffel symbols are those of :func:`levi_civita` on the space's
+metric tables, and the covariant derivative along a curve is
+``_JetGeometry.nabla`` of the curve as a one-dimensional immersion.
+"""
 
 import math
 
@@ -10,8 +15,7 @@ from prodgeo.ambient import (
     AmbientSpace,
     BlockVariableLeak,
     SingularMetric,
-    ambient_cov_derivative,
-    christoffel,
+    levi_civita,
     positive_definite,
     product_of,
     validate_ambient,
@@ -22,15 +26,30 @@ from prodgeo.catalog import (
     rotation_structure_space,
 )
 from prodgeo.oracle import fd_directional
+from prodgeo.subgeom import Immersion, _JetGeometry
 
 
 def sphere_block_space():
     return product_of([["1", "0"], ["0", "sin(x1)^2"]], 2, "flat", 1)
 
 
+def _metric(sp, x):
+    return sp.tables(("metric",), np.asarray(x, dtype=float))[0]
+
+
+def _christoffel(sp, x):
+    g, dg = sp.tables(("metric", "metric_diff"), np.asarray(x, dtype=float))
+    return levi_civita(np.linalg.inv(g), dg)
+
+
+def _constant_field(geo, components):
+    """The constant vector field ``components`` along a one-point geometry."""
+    return jets.array([0.0 * geo.uenv["u1"] + c for c in components])
+
+
 def test_product_of_r1_r1():
     sp = product_of("flat", 1, "flat", 1)
-    assert np.array_equal(sp.metric_at([0.3, -0.7]), np.eye(2))
+    assert np.array_equal(_metric(sp, [0.3, -0.7]), np.eye(2))
     assert np.array_equal(sp.tables(("structure",), [0.3, -0.7])[0], np.diag([1.0, -1.0]))
     assert sp.product_split == (1, 1)
 
@@ -38,12 +57,12 @@ def test_product_of_r1_r1():
 def test_product_of_r2_r2_flat_christoffels():
     sp = product_of("flat", 2, "flat", 2)
     assert np.array_equal(sp.tables(("structure",), [0] * 4)[0], np.diag([1.0, 1.0, -1.0, -1.0]))
-    assert np.max(np.abs(christoffel(sp, [0.2, 0.4, -1.0, 2.0]))) == 0.0
+    assert np.max(np.abs(_christoffel(sp, [0.2, 0.4, -1.0, 2.0]))) == 0.0
 
 
 def test_sphere_block_christoffels():
     sp = sphere_block_space()
-    gamma = christoffel(sp, [math.pi / 4, 0.8, -0.3])
+    gamma = _christoffel(sp, [math.pi / 4, 0.8, -0.3])
     assert abs(gamma[0, 1, 1] - (-0.5)) <= 1e-12
     assert abs(gamma[1, 0, 1] - 1.0) <= 1e-12
     assert abs(gamma[1, 1, 0] - 1.0) <= 1e-12
@@ -70,7 +89,7 @@ def test_christoffel_symmetry_random_metric():
     rng = np.random.default_rng(5)
     for _ in range(20):
         x = rng.uniform(-0.8, 0.8, 2)
-        gamma = christoffel(sp, x)
+        gamma = _christoffel(sp, x)
         assert np.max(np.abs(gamma - np.transpose(gamma, (0, 2, 1)))) <= 1e-14
 
 
@@ -79,13 +98,13 @@ def test_christoffel_matches_finite_differences():
     rng = np.random.default_rng(9)
     for _ in range(10):
         x = np.array([rng.uniform(0.4, 2.6), rng.uniform(-2, 2), rng.uniform(-2, 2)])
-        gamma = christoffel(sp, x)
+        gamma = _christoffel(sp, x)
         n = sp.dim
         dg = np.empty((n, n, n))
         for l in range(n):
             direction = np.eye(n)[l]
-            dg[l] = fd_directional(lambda p: sp.metric_at(p), x, direction, 1)
-        ginv = np.linalg.inv(sp.metric_at(x))
+            dg[l] = fd_directional(lambda p: _metric(sp, p), x, direction, 1)
+        ginv = np.linalg.inv(_metric(sp, x))
         expected = 0.5 * (
             np.einsum("il,jlk->ijk", ginv, dg)
             + np.einsum("il,klj->ijk", ginv, dg)
@@ -96,41 +115,36 @@ def test_christoffel_matches_finite_differences():
 
 def test_singular_metric_raises():
     sp = AmbientSpace(2, [["x1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
-    with pytest.raises(SingularMetric):
-        christoffel(sp, [0.0, 1.0])
-    with pytest.raises(SingularMetric):
-        christoffel(sp, [-1.0, 1.0])
+    line = Immersion(1, ("u1", "1"))  # through (x1, 1)
+    for x in ([0.0, 1.0], [-1.0, 1.0]):
+        assert not validate_ambient(sp, [x]).positive_definite
+        with pytest.raises(SingularMetric):
+            _JetGeometry(line, sp, [x[:1]], order=2)
 
 
 def test_cov_derivative_constant_field_flat():
     sp = product_of("flat", 1, "flat", 1)
-    v = [jets.lift_constant(2.0, 1), jets.lift_constant(-1.0, 1)]
-    assert np.array_equal(
-        ambient_cov_derivative(sp, [0.3, 0.4], v, [1.0, 0.0]), [0.0, 0.0]
-    )
+    # the curve through (0.3, 0.4) with velocity (1, 0)
+    geo = _JetGeometry(Immersion(1, ("0.3 + u1", "0.4")), sp, [[0.0]], order=3)
+    v = _constant_field(geo, [2.0, -1.0])
+    assert np.array_equal(geo.nabla(v)[0, 0], [0.0, 0.0])
 
 
 def test_cov_derivative_position_field_along_circle():
     sp = product_of("flat", 1, "flat", 1)
-    t = jets.seed_variable(0.0, 0, 1)
-    v = [jets.cos(t), jets.sin(t)]  # position along the unit circle
-    out = ambient_cov_derivative(sp, [1.0, 0.0], v, [0.0, 1.0])
-    assert np.allclose(out, [0.0, 1.0], atol=1e-15)
+    # the unit circle through (1, 0) with velocity (0, 1)
+    geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]], order=3)
+    t = geo.uenv["u1"]
+    v = jets.array([jets.cos(t), jets.sin(t)])  # position along the unit circle
+    assert np.allclose(geo.nabla(v)[0, 0], [0.0, 1.0], atol=1e-15)
 
 
 def test_cov_derivative_rotating_frame():
     sp = product_of("flat", 1, "flat", 1)
-    t = jets.seed_variable(0.0, 0, 1)
-    e = [-jets.sin(t), jets.cos(t)]
-    out = ambient_cov_derivative(sp, [1.0, 0.0], e, [0.0, 1.0])
-    assert np.allclose(out, [-1.0, 0.0], atol=1e-15)
-
-
-def test_cov_derivative_needs_order_one():
-    sp = product_of("flat", 1, "flat", 1)
-    v = [jets.lift_constant(1.0, 0), jets.lift_constant(0.0, 0)]
-    with pytest.raises(jets.InsufficientJetOrder):
-        ambient_cov_derivative(sp, [0.0, 0.0], v, [1.0, 0.0])
+    geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]], order=3)
+    t = geo.uenv["u1"]
+    e = jets.array([-jets.sin(t), jets.cos(t)])
+    assert np.allclose(geo.nabla(e)[0, 0], [-1.0, 0.0], atol=1e-15)
 
 
 def test_metric_compatibility_along_random_curves():
@@ -152,11 +166,12 @@ def test_metric_compatibility_along_random_curves():
                 term = gj[i][j] * (vv[i] * ww[j])
                 g_vw = term if g_vw is None else g_vw + term
         lhs = g_vw.gradient()[0]
-        v_jets = [jets.lift_constant(c, 1) for c in vv]
-        w_jets = [jets.lift_constant(c, 1) for c in ww]
-        dv = ambient_cov_derivative(sp, x0, v_jets, d)
-        dw = ambient_cov_derivative(sp, x0, w_jets, d)
-        g0 = sp.metric_at(x0)
+        # the same curve as an immersion, differentiated along d/du1 = d
+        line = Immersion(1, tuple(f"{float(x0[j])!r} + {float(d[j])!r} * u1" for j in range(3)))
+        geo = _JetGeometry(line, sp, [[0.0]], order=3)
+        dv = geo.nabla(_constant_field(geo, vv))[0, 0]
+        dw = geo.nabla(_constant_field(geo, ww))[0, 0]
+        g0 = _metric(sp, x0)
         rhs = dv @ g0 @ ww + vv @ g0 @ dw
         assert abs(lhs - rhs) <= 1e-8
 
@@ -215,10 +230,7 @@ def test_structure_is_self_adjoint_on_valid_spaces():
 
 @pytest.mark.parametrize("g", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
 def test_non_finite_metric_is_singular(g):
-    from prodgeo.ambient import _assert_positive_definite
-
-    with pytest.raises(SingularMetric):
-        _assert_positive_definite(np.array(g))
+    assert not positive_definite(np.array(g))
 
 
 def _assert_finite_report(report):
@@ -277,7 +289,7 @@ def test_ambient_validation_checks_each_sample_once(monkeypatch):
 def test_metric_symmetry_is_decided_on_values(upper, lower):
     sp = AmbientSpace(2, [["2", upper], [lower, "2"]], [["1", "0"], ["0", "1"]])
     x = [[0.3, -0.7], [1.1, 0.4]]
-    g = sp.metric_at(x)
+    g = _metric(sp, x)
     assert np.array_equal(g, np.swapaxes(g, -2, -1))
     assert validate_ambient(sp, x).passed
 
@@ -304,6 +316,18 @@ def test_constant_tables_are_not_shared_with_callers():
     g, f = sp.tables(("metric", "structure"), x)
     g[...] = 5.0
     f[...] = 5.0
-    assert np.array_equal(sp.metric_at(x), np.eye(2))
+    assert np.array_equal(_metric(sp, x), np.eye(2))
     assert np.array_equal(sp.tables(("structure",), x)[0],
                           constant_reflection_space().tables(("structure",), x)[0])
+
+
+@pytest.mark.parametrize("space", [rotation_structure_space, position_reflection_space])
+def test_validation_needs_a_sample(space):
+    # with no samples there is nothing to measure F^2 - I or nabla F at
+    with pytest.raises(ValueError, match="needs at least one sample point"):
+        validate_ambient(space(), [])
+
+
+def test_image_needs_a_sample():
+    with pytest.raises(ValueError, match="needs at least one sample point"):
+        Immersion(1, ("cos(u1)", "sin(u1)")).image([])

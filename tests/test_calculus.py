@@ -1,12 +1,13 @@
 """Induced connections, nabla-omega / nabla-C, and the lemma suites.
 
-The directional derivatives are read off one order-3 geometry at a base
-point: the ambient covariant derivative along every coordinate direction
-(``_JetGeometry.nabla``), whose tangent and normal parts are the induced
-connections, and nabla omega / nabla C through the batched
+The directional derivatives are read off one order-3 geometry of a
+one-point batch: the ambient covariant derivative along every coordinate
+direction (``_JetGeometry.nabla``), whose tangent and normal parts are the
+induced connections, and nabla omega / nabla C through the batched
 ``calculus._nabla_omega`` / ``_nabla_C`` that ``verify`` runs.  Each returns
-one row per coordinate direction; a test contracts the rows with its
-direction.  The fields are built here from the geometry's frames.
+one row per coordinate direction behind the point axis; a test contracts the
+rows with its direction and keeps the point axis.  The fields are built here
+from the geometry's frames.
 """
 
 import collections
@@ -43,9 +44,14 @@ def _normal_field(geo, coefficients):
     return jets.einsum("a,...ai->...i", np.asarray(coefficients, float), geo.xi_field)
 
 
+def _geometry(immersion, space, u):
+    """The order-3 geometry of the one-point batch ``[u]``."""
+    return _JetGeometry(immersion, space, [u], order=3)
+
+
 def _along(derivatives, direction):
-    """Rows along the coordinate directions (one point) contracted with ``direction``."""
-    return np.tensordot(np.asarray(direction, float), derivatives, axes=1)
+    """Rows along the coordinate directions, ``(1, n, ...)``, contracted with ``direction``."""
+    return np.tensordot(np.asarray(direction, float), derivatives, axes=(0, 1))
 
 
 def _cov(geo, field, direction):
@@ -63,22 +69,32 @@ def _nabla_perp(geo, field, direction):
 
 def _h(geo, x, y_params):
     """h(X, Y) for X and Y in parameter components."""
-    return _along(geo.h_params(np.asarray(y_params, float)[None]), x)[0]
+    return _along(geo.h_params(np.reshape(y_params, (1, 1, -1))), x)[:, 0]
 
 
 def _shape_operator(geo, x, xi):
-    return _along(geo.shape_operator(np.asarray(xi, float)[None]), x)[0]
+    return _along(geo.shape_operator(np.reshape(xi, (1, 1, -1))), x)[:, 0]
+
+
+def _pairing(geo, a, b):
+    """g(a, b) for two jet vector fields, as a jet of shape ``(1,)``."""
+    pairing = None
+    for i in range(geo.N):
+        for j in range(geo.N):
+            term = geo.gf[..., i, j] * a[..., i] * b[..., j]
+            pairing = term if pairing is None else pairing + term
+    return pairing
 
 
 def test_tangential_connection_plane_vanishes():
     imm = Immersion(2, ("u1", "u2", "0"))
-    geo = _JetGeometry(imm, FLAT21, (0.2, -0.3), order=3)
+    geo = _geometry(imm, FLAT21, (0.2, -0.3))
     assert np.max(np.abs(_nabla_tan(geo, geo.T[..., 0, :], (1.0, 0.0)))) <= 1e-14
 
 
 def test_tangential_connection_circle_purely_normal():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
-    geo = _JetGeometry(imm, FLAT11, (0.8,), order=3)
+    geo = _geometry(imm, FLAT11, (0.8,))
     assert np.max(np.abs(_nabla_tan(geo, geo.T[..., 0, :], (1.0,)))) <= 1e-13
 
 
@@ -86,18 +102,18 @@ def test_tangential_connection_sphere_matches_christoffels():
     # longitude derivative on the unit sphere: nabla_{d2} d2 = -sin u1 cos u1 d1
     imm = Immersion(2, ("sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"))
     u = (math.pi / 4, 0.9)
-    geo = _JetGeometry(imm, FLAT21, u, order=3)
+    geo = _geometry(imm, FLAT21, u)
     out = _nabla_tan(geo, geo.T[..., 1, :], (0.0, 1.0))
-    expected = -math.sin(u[0]) * math.cos(u[0]) * geo.J0[:, 0]
+    expected = -math.sin(u[0]) * math.cos(u[0]) * geo.J0[:, :, 0]
     assert np.max(np.abs(out - expected)) <= 1e-8
 
 
 def test_normal_connection_plane_and_circle():
     plane = Immersion(2, ("u1", "u2", "0"))
-    geo = _JetGeometry(plane, FLAT21, (0.1, 0.4), order=3)
+    geo = _geometry(plane, FLAT21, (0.1, 0.4))
     assert np.max(np.abs(_nabla_perp(geo, geo.xi_field[..., 0, :], (1.0, -2.0)))) <= 1e-14
     circle = Immersion(1, ("cos(u1)", "sin(u1)"))
-    geo = _JetGeometry(circle, FLAT11, (0.5,), order=3)
+    geo = _geometry(circle, FLAT11, (0.5,))
     assert np.max(np.abs(_nabla_perp(geo, geo.xi_field[..., 0, :], (1.0,)))) <= 1e-13
 
 
@@ -106,11 +122,11 @@ def test_weingarten_cross_check_on_circle():
     # shape operator along the outward normal is -identity
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     u = (0.5,)
-    geo = _JetGeometry(imm, FLAT11, u, order=3)
-    full = _cov(geo, geo.xi_field[0], [1.0])
+    geo = _geometry(imm, FLAT11, u)
+    full = _cov(geo, geo.xi_field[:, 0], [1.0])
     a_e = -geo.project_tangent(full)
-    h_ee_dot_xi = float(geo.hcomp0[0, 0, 0])  # = -1 for the outward frame
-    expected = h_ee_dot_xi * geo.E0[0]
+    h_ee_dot_xi = float(geo.hcomp0[0, 0, 0, 0])  # = -1 for the outward frame
+    expected = h_ee_dot_xi * geo.E0[:, 0]
     assert abs(abs(h_ee_dot_xi) - 1.0) <= 1e-12
     assert np.max(np.abs(a_e - expected)) <= 1e-12
     assert np.max(np.abs(geo.project_normal(full))) <= 1e-12
@@ -118,14 +134,14 @@ def test_weingarten_cross_check_on_circle():
 
 def test_nabla_omega_invariant_and_anti_invariant_vanish():
     torus = catalog_get("square-torus-aligned")
-    geo = _JetGeometry(torus.immersion, torus.space, (0.5, 1.1), order=3)
+    geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
     for a in range(2):
         for b in range(2):
             direction = [1.0 if i == a else 0.0 for i in range(2)]
             out = _along(calculus._nabla_omega(geo, geo.T[..., b, :]), direction)
             assert np.max(np.abs(out)) <= 1e-12
     diag = Immersion(1, ("u1", "u1"))
-    geo = _JetGeometry(diag, FLAT11, (0.4,), order=3)
+    geo = _geometry(diag, FLAT11, (0.4,))
     out = _along(calculus._nabla_omega(geo, geo.T[..., 0, :]), (1.0,))
     assert np.max(np.abs(out)) <= 1e-14
 
@@ -134,20 +150,20 @@ def test_nabla_omega_circle_closed_form():
     # (nabla_e omega) e = -2 cos(2u) nu, checked against the identity with C h
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     for u in (0.0, math.pi / 8, 0.9):
-        geo = _JetGeometry(imm, FLAT11, (u,), order=3)
+        geo = _geometry(imm, FLAT11, (u,))
         out = _along(calculus._nabla_omega(geo, geo.T[..., 0, :]), (1.0,))
-        sign = math.copysign(1.0, geo.Xi0[0] @ [math.cos(u), math.sin(u)])
-        expected = -2.0 * math.cos(2 * u) * sign * geo.Xi0[0]
+        sign = math.copysign(1.0, geo.Xi0[0, 0] @ [math.cos(u), math.sin(u)])
+        expected = -2.0 * math.cos(2 * u) * sign * geo.Xi0[:, 0]
         assert np.max(np.abs(out - expected)) <= 1e-9
         rhs = geo.f_normal_part(_h(geo, np.array([1.0]), np.array([1.0])))
-        phi_t = geo.param_components(geo.f_tangent_part(geo.J0[:, 0]))
+        phi_t = geo.param_components(geo.f_tangent_part(geo.J0[:, :, 0]))
         rhs = rhs - _h(geo, np.array([1.0]), phi_t)
         assert np.max(np.abs(out - rhs)) <= 1e-9
 
 
 def test_nabla_C_flat_plane_vanishes():
     plane = Immersion(2, ("u1", "u2", "0"))
-    geo = _JetGeometry(plane, FLAT21, (0.3, 0.1), order=3)
+    geo = _geometry(plane, FLAT21, (0.3, 0.1))
     for xi in (geo.xi_field[..., 0, :], geo.H_field):
         assert np.max(np.abs(_along(calculus._nabla_C(geo, xi), (1.0, 1.0)))) <= 1e-13
 
@@ -161,19 +177,19 @@ def test_nabla_C_circle_matches_oracle():
         pg = point_geometry(imm, FLAT11, (u0 + t,))
         return float(pg.Cm[0, 0])
 
-    geo = _JetGeometry(imm, FLAT11, (u0,), order=3)
+    geo = _geometry(imm, FLAT11, (u0,))
     out = _along(calculus._nabla_C(geo, geo.xi_field[..., 0, :]), (1.0,))
     # (nabla C) xi dotted with xi equals d/dt C - C * d... both normal bundles
     # are rank one, so compare the xi component against the derivative of the
     # scalar C(u) (the connection of a rank-one bundle has no extra term).
-    jet_value = float(out @ geo.g0 @ geo.Xi0[0])
+    jet_value = float(out[0] @ geo.g0 @ geo.Xi0[0, 0])
     oracle = fd_derivative(c_of_nu, 0.0)
     assert abs(jet_value - oracle) <= 1e-6
 
 
 def test_nabla_C_torus_mean_curvature_field():
     torus = catalog_get("square-torus-aligned")
-    geo = _JetGeometry(torus.immersion, torus.space, (0.5, 1.1), order=3)
+    geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
     for a in range(2):
         direction = [1.0 if i == a else 0.0 for i in range(2)]
         out = _along(calculus._nabla_C(geo, geo.H_field), direction)
@@ -214,14 +230,14 @@ def test_lemma_checks_pass_on_random_immersions():
 def test_nabla_omega_is_tensorial_in_y():
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
-    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
+    geo = _geometry(scn.immersion, scn.space, u0)
 
     def nabla_omega(y_field):
         return _along(calculus._nabla_omega(geo, y_field), (1.0, 0.5))
 
     # scaling Y by the scalar field f(u) = u1 multiplies the value by f(u0)
     plain = nabla_omega(_coordinate_field(geo, (0.0, 1.0)))
-    scaled = nabla_omega(geo.T[..., 1, :] * geo.uenv["u1"])
+    scaled = nabla_omega(geo.T[..., 1, :] * geo.uenv["u1"][:, None])
     assert np.max(np.abs(scaled - u0[0] * plain)) <= 1e-8
     # additivity in Y
     y0 = nabla_omega(_coordinate_field(geo, (1.0, 0.0)))
@@ -233,7 +249,7 @@ def test_nabla_omega_is_tensorial_in_y():
 def test_nabla_omega_is_linear_in_x():
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
-    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
+    geo = _geometry(scn.immersion, scn.space, u0)
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
     rows = calculus._nabla_omega(geo, geo.T[..., 1, :])
     xa, xb, xc = (_along(rows, d) for d in directions)
@@ -245,7 +261,7 @@ def test_nabla_C_is_linear_in_x(xi):
     # the theorems contract the coordinate-direction values to frame directions
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
-    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
+    geo = _geometry(scn.immersion, scn.space, u0)
     field = geo.H_field if xi == "H" else geo.xi_field[..., xi, :]
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
     rows = calculus._nabla_C(geo, field)
@@ -256,7 +272,7 @@ def test_nabla_C_is_linear_in_x(xi):
 
 def test_nabla_C_is_additive_in_xi():
     scn = catalog_get("square-torus-rotated")
-    geo = _JetGeometry(scn.immersion, scn.space, scn.samples[0], order=3)
+    geo = _geometry(scn.immersion, scn.space, scn.samples[0])
 
     def nabla_C(xi_field):
         return _along(calculus._nabla_C(geo, xi_field), (1.0, 0.5))
@@ -290,18 +306,18 @@ def test_gauss_and_weingarten_reassembly():
     for label in ("sphere", "square-torus-rotated", "curved-block"):
         scn = catalog_get(label)
         for u in scn.samples:
-            geo = _JetGeometry(scn.immersion, scn.space, u, order=3)
+            geo = _geometry(scn.immersion, scn.space, u)
             for a in range(geo.n):
                 x = np.eye(geo.n)[a]
                 for b in range(geo.n):
-                    full = _cov(geo, geo.T[b], x)
-                    split = _nabla_tan(geo, geo.T[b], x) + _h(geo, x, np.eye(geo.n)[b])
+                    full = _cov(geo, geo.T[:, b], x)
+                    split = _nabla_tan(geo, geo.T[:, b], x) + _h(geo, x, np.eye(geo.n)[b])
                     assert np.max(np.abs(full - split)) <= 1e-10
                 for alpha in range(geo.m):
-                    xi0 = geo.Xi0[alpha]
-                    full = _cov(geo, geo.xi_field[alpha], x)
+                    xi0 = geo.Xi0[:, alpha]
+                    full = _cov(geo, geo.xi_field[:, alpha], x)
                     split = -_shape_operator(geo, x, xi0) + _nabla_perp(geo, 
-                        geo.xi_field[alpha], x
+                        geo.xi_field[:, alpha], x
                     )
                     assert np.max(np.abs(full - split)) <= 1e-10
 
@@ -310,18 +326,14 @@ def test_normal_connection_is_metric_compatible():
     scn = catalog_get("square-torus-rotated")
     rng = np.random.default_rng(2)
     for u in scn.samples:
-        geo = _JetGeometry(scn.immersion, scn.space, u, order=3)
+        geo = _geometry(scn.immersion, scn.space, u)
         x = rng.uniform(-1, 1, geo.n)
         # d/dt g(H, xi_alpha) = g(nabla-perp H, xi) + g(H, nabla-perp xi)
         for alpha in range(geo.m):
-            pairing = None
-            for i in range(geo.N):
-                for j in range(geo.N):
-                    term = geo.gf[i][j] * geo.H_field[i] * geo.xi_field[alpha][j]
-                    pairing = term if pairing is None else pairing + term
-            lhs = float(pairing.gradient()[: geo.n] @ x)
-            rhs = _nabla_perp(geo, geo.H_field, x) @ geo.g0 @ geo.Xi0[alpha]
-            rhs += geo.H0 @ geo.g0 @ _nabla_perp(geo, geo.xi_field[alpha], x)
+            pairing = _pairing(geo, geo.H_field, geo.xi_field[:, alpha])
+            lhs = float(pairing.gradient()[0, : geo.n] @ x)
+            rhs = _nabla_perp(geo, geo.H_field, x)[0] @ geo.g0 @ geo.Xi0[0, alpha]
+            rhs += geo.H0[0] @ geo.g0 @ _nabla_perp(geo, geo.xi_field[:, alpha], x)[0]
             assert abs(lhs - rhs) <= 1e-8
 
 
@@ -334,13 +346,9 @@ def test_directional_derivative_matches_oracle_on_rect_torus():
         pg = point_geometry(scn.immersion, scn.space, u0 + t * x)
         return float(pg.H @ pg.ambient_metric @ pg.H)
 
-    geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
-    pairing = None
-    for i in range(geo.N):
-        for j in range(geo.N):
-            term = geo.gf[i][j] * geo.H_field[i] * geo.H_field[j]
-            pairing = term if pairing is None else pairing + term
-    jet_value = float(pairing.gradient()[: geo.n] @ x)
+    geo = _geometry(scn.immersion, scn.space, u0)
+    pairing = _pairing(geo, geo.H_field, geo.H_field)
+    jet_value = float(pairing.gradient()[0, : geo.n] @ x)
     oracle = fd_derivative(h_sq, 0.0)
     assert abs(jet_value - oracle) <= 1e-5
 
@@ -359,11 +367,7 @@ def test_jet_directional_derivatives_match_oracle_on_all_scenarios():
             pg = point_geometry(scn.immersion, scn.space, u0 + t * x)
             return float(pg.H @ pg.ambient_metric @ pg.H)
 
-        geo = _JetGeometry(scn.immersion, scn.space, u0, order=3)
-        pairing = None
-        for i in range(geo.N):
-            for j in range(geo.N):
-                term = geo.gf[i][j] * geo.H_field[i] * geo.H_field[j]
-                pairing = term if pairing is None else pairing + term
-        jet_value = float(pairing.gradient()[: geo.n] @ x)
+        geo = _geometry(scn.immersion, scn.space, u0)
+        pairing = _pairing(geo, geo.H_field, geo.H_field)
+        jet_value = float(pairing.gradient()[0, : geo.n] @ x)
         assert abs(jet_value - fd_derivative(h_sq, 0.0)) <= 1e-5, label

@@ -54,7 +54,7 @@ CASES = _cases()
 
 
 def _fit(geo, field, axes, vec):
-    extra = len(vec.shape) - 1 - geo.lead
+    extra = len(vec.shape) - 2  # behind the point axis and the component
     if extra <= 0 or len(field.shape) == axes:
         return field
     return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]

@@ -1,11 +1,13 @@
 """Per-point submanifold geometry: frames, h, H, decompositions, classifier."""
 
 import math
+import re
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from prodgeo import expr as ex
 from prodgeo import jets
 from prodgeo.ambient import product_of
 from prodgeo.catalog import (
@@ -26,6 +28,8 @@ from prodgeo.subgeom import (
     pseudo_umbilical_gap,
 )
 from prodgeo.verify import verify
+
+from grids import seed_one_grids
 
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)
@@ -202,47 +206,60 @@ def test_classify_flags_single_sample():
     assert result.insufficient_samples
 
 
-def geometry_of(label, u):
-    scn = catalog_get(label)
-    return _JetGeometry(scn.immersion, scn.space, u, order=2)
+def _row(m, index=0):
+    """Row ``index`` of a per-point matrix; a constant one (no point axis) as it is."""
+    return m if m.ndim == 2 else m[index]
 
 
 def test_structural_identities_every_catalog_sample():
     for label in catalog_list():
         scn = catalog_get(label)
         for u in scn.samples:
-            geo = _JetGeometry(scn.immersion, scn.space, u, order=2)
+            geo = _JetGeometry(scn.immersion, scn.space, [u], order=2)
             n, m = geo.n, geo.m
+            hcomp, E0, Xi0 = geo.hcomp0[0], geo.E0[0], geo.Xi0[0]
             # h symmetry
-            assert np.max(np.abs(geo.hcomp0 - np.transpose(geo.hcomp0, (0, 2, 1)))) <= 1e-10
+            assert np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1)))) <= 1e-10
             # duality g(A_xi e_a, e_b) = h components, via the Weingarten route
             for alpha in range(m):
                 for a in range(n):
-                    weingarten = -geo.project_tangent(geo.P[:, a] @ geo.nabla(geo.xi_field[alpha]))
-                    comps = geo.E0 @ geo.g0 @ weingarten
-                    assert np.max(np.abs(comps - geo.hcomp0[alpha, a])) <= 1e-10, label
+                    along_e = geo.P[:, None, :, a] @ geo.nabla(geo.xi_field[:, alpha])
+                    weingarten = -geo.project_tangent(along_e)[0, 0]
+                    comps = E0 @ _row(geo.g0) @ weingarten
+                    assert np.max(np.abs(comps - hcomp[alpha, a])) <= 1e-10, label
             # adjointness
-            assert np.max(np.abs(geo.phi0 - geo.phi0.T)) <= 1e-10
-            assert np.max(np.abs(geo.C0 - geo.C0.T)) <= 1e-10
-            assert np.max(np.abs(geo.B0 - geo.omega0.T)) <= 1e-10
+            phi, om, bm, cm = geo.phi0[0], geo.omega0[0], geo.B0[0], geo.C0[0]
+            assert np.max(np.abs(phi - phi.T)) <= 1e-10
+            assert np.max(np.abs(cm - cm.T)) <= 1e-10
+            assert np.max(np.abs(bm - om.T)) <= 1e-10
             # F^2 = I block identities
-            phi, om, bm, cm = geo.phi0, geo.omega0, geo.B0, geo.C0
             assert np.max(np.abs(phi @ phi + bm @ om - np.eye(n))) <= 1e-10
             assert np.max(np.abs(om @ phi + cm @ om)) <= 1e-10
             assert np.max(np.abs(phi @ bm + bm @ cm)) <= 1e-10
             assert np.max(np.abs(om @ bm + cm @ cm - np.eye(m))) <= 1e-10
             # completeness: F e_a reassembles from the frame components
             for a in range(n):
-                fe = geo.F0 @ geo.E0[a]
-                rebuilt = phi[:, a] @ geo.E0 + om[:, a] @ geo.Xi0
+                fe = _row(geo.F0) @ E0[a]
+                rebuilt = phi[:, a] @ E0 + om[:, a] @ Xi0
                 assert np.max(np.abs(fe - rebuilt)) <= 1e-12
 
 
+def _parameters_reversed(imm):
+    """The immersion with u_a renamed u_(n+1-a) and each sample reversed: the
+    same points, with the coordinate tangent fields in reverse order."""
+    n = imm.n
+    components = tuple(re.sub(r"\bu(\d+)\b", lambda v: f"u{n + 1 - int(v.group(1))}", ex.pretty(c))
+                       for c in imm.components)
+    return Immersion(n, components, tuple(s[::-1] for s in imm.samples), imm.label)
+
+
 def test_frame_choice_independence():
+    # the frames start from the tangent columns in parameter order, so a
+    # reversed parametrization builds them from the columns reversed
     for label in ("circle", "square-torus-rotated", "sphere", "curved-block"):
         scn = catalog_get(label)
-        fwd = classify(scn.immersion, scn.space, column_order="forward")
-        rev = classify(scn.immersion, scn.space, column_order="reversed")
+        fwd = classify(scn.immersion, scn.space)
+        rev = classify(_parameters_reversed(scn.immersion), scn.space)
         assert fwd.classification == rev.classification
         for a, b in zip(fwd.points, rev.points):
             assert abs(a.phi_norm - b.phi_norm) <= 1e-9
@@ -263,12 +280,12 @@ def test_geometry_jets_seed_only_the_parameters():
     for label in catalog_list():
         scn = catalog_get(label)
         n = scn.immersion.n
-        geo = _JetGeometry(scn.immersion, scn.space, scn.samples[0], order=3)
+        geo = _JetGeometry(scn.immersion, scn.space, [scn.samples[0]], order=3)
         fields = (geo.f, geo.T, geo.e_field, geo.xi_field, geo.G_field, geo.h_field, geo.H_field)
         assert all(field.nvars == n for field in fields), label
         assert geo.f.coeffs.shape[-1] == math.comb(n + 3, 3), label
-        assert geo.T.shape == (n, geo.N) and geo.xi_field.shape == (geo.m, geo.N), label
-        assert geo.h_field.shape == (n, n, geo.N) and geo.H_field.shape == (geo.N,), label
+        assert geo.T.shape == (1, n, geo.N) and geo.xi_field.shape == (1, geo.m, geo.N), label
+        assert geo.h_field.shape == (1, n, n, geo.N) and geo.H_field.shape == (1, geo.N), label
 
 
 def test_non_finite_sample_is_a_value_error_naming_it():
@@ -290,7 +307,7 @@ def test_non_finite_metric_is_rejected_by_the_geometry():
     space = product_of([["1e308 * 10 + x1 * 0", "0"], ["0", "1"]], 2, "flat", 1)
     imm = Immersion(2, ("u1", "u2", "0"))
     with pytest.raises(SingularMetric, match="not finite"):
-        _JetGeometry(imm, space, (0.1, 0.2))
+        _JetGeometry(imm, space, [(0.1, 0.2)])
 
 
 def test_metric_not_finite_at_one_sample_is_singular():
@@ -307,9 +324,50 @@ def test_metric_not_finite_at_one_sample_is_singular():
 def test_geometry_carries_jet_orders_two_and_three_only():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     for order in (2, 3):
-        _JetGeometry(imm, FLAT11, (0.3,), order=order)
+        _JetGeometry(imm, FLAT11, [(0.3,)], order=order)
     with pytest.raises(ValueError, match="orders 2 and 3 only"):
-        _JetGeometry(imm, FLAT11, (0.3,), order=4)
+        _JetGeometry(imm, FLAT11, [(0.3,)], order=4)
+
+
+@pytest.mark.parametrize("u", [(0.3, 0.4), [(0.3, 0.4, 0.5)]])
+def test_geometry_takes_a_batch_of_points_only(u):
+    # one point is a batch of one, (1, n); a row of n + 1 coordinates is no point
+    imm = Immersion(2, ("u1", "u2", "0"))
+    with pytest.raises(ValueError, match=r"^sample points must have shape \(P, 2\)"):
+        _JetGeometry(imm, FLAT21, u, order=2)
+
+
+def _point_cases():
+    cases = [(scn.space, scn.immersion) for scn in map(catalog_get, catalog_list())]
+    cases.append(corrupted_lemma_case())
+    return cases + seed_one_grids()  # 64 points, where a stacked matmul may take another kernel
+
+
+def test_point_geometry_is_a_row_of_the_batch():
+    for space, imm in _point_cases():
+        geo = _JetGeometry(imm, space, imm.samples, order=2)
+        for index, u in enumerate(imm.samples):
+            pg = point_geometry(imm, space, u)
+            row = {"u": geo.points[index], "x": geo.x0[index], "tangent_on": geo.E0[index],
+                   "normal_on": geo.Xi0[index], "induced_metric": geo.G0[index],
+                   "ambient_metric": _row(geo.g0, index), "h": geo.hcomp0[index],
+                   "H": geo.H0[index], "phi": geo.phi0[index], "omega": geo.omega0[index],
+                   "Bm": geo.B0[index], "Cm": geo.C0[index], "H_norm": geo.H_norm[index],
+                   "pu_gap": geo.pu_gap[index]}
+            for name, want in row.items():
+                assert np.array_equal(getattr(pg, name), want), (imm.label, u, name)
+
+
+def test_point_predicates_read_the_classification_measures():
+    for label in catalog_list():
+        scn = catalog_get(label)
+        for tol in (1e-8, 1e-3):
+            result = classify(scn.immersion, scn.space, tol=tol)
+            for u, record in zip(scn.samples, result.points):
+                pg = point_geometry(scn.immersion, scn.space, u)
+                assert is_minimal(pg, tol) == record.minimal, (label, u, tol)
+                assert is_pseudo_umbilical(pg, tol) == record.pseudo_umbilical, (label, u, tol)
+                assert (pseudo_umbilical_gap(pg) <= tol) == record.pseudo_umbilical, (label, u)
 
 
 # ---- frames: closed-form jets against the Gram-Schmidt loop in jets ----------
@@ -331,32 +389,31 @@ def _frame_cases():
 
 
 def _frame_geometries():
+    # each case as given and with its parameters, so its tangent columns, reversed
     for label, space, imm in _frame_cases():
         for order in (2, 3):
-            for column_order in ("forward", "reversed"):
-                geo = _JetGeometry(imm, space, np.array(imm.samples), order=order,
-                                   column_order=column_order)
-                yield (label, order, column_order), geo
+            for parameters, source in (("forward", imm), ("reversed", _parameters_reversed(imm))):
+                geo = _JetGeometry(source, space, np.array(source.samples), order=order)
+                yield (label, order, parameters), geo
 
 
-def _reference_frames(geo, column_order):
+def _reference_frames(geo):
     """The frames by masked modified Gram-Schmidt carried out in jets, and the
     smallest accepted residual norm at each point.  The candidates are the
-    tangent columns and then, per point, the axes in the order ``geo.V0``
-    records for the normal slots.
+    tangent columns in parameter order and then, per point, the axes in the
+    order ``geo.V0`` records for the normal slots.
 
     Slot s of ``frames`` holds the s-th frame vector once filled and zero
     before; ``filled`` counts the slots of each point and ``lowered`` holds
     g(e_s, .) beside each slot.
     """
     n, N, shape = geo.n, geo.N, geo.u.shape[:-1]
-    columns = list(range(n))[::-1] if column_order == "reversed" else list(range(n))
     tangents = geo.T.truncate(geo.e_field.order)
     frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
     filled = np.zeros(shape, dtype=int)
     smallest = np.full(shape, np.inf)
     axes = [geo.V0[..., s, :] for s in range(n, N)]
-    for k, vec in enumerate([tangents[..., c, :] for c in columns] + axes):
+    for k, vec in enumerate([tangents[..., c, :] for c in range(n)] + axes):
         if k >= n and (filled == N).all():
             break
         w = vec
@@ -381,7 +438,7 @@ def _reference_frames(geo, column_order):
 def test_frames_match_the_gram_schmidt_loop_in_jets():
     ill_conditioned = set()
     for key, geo in _frame_geometries():
-        fields, smallest = _reference_frames(geo, key[2])
+        fields, smallest = _reference_frames(geo)
         good = smallest >= 1e-3
         ill_conditioned |= {(key[0], int(p)) for p in np.flatnonzero(~good)}
         for got, want in zip((geo.e_field, geo.xi_field, geo.gE), fields):
