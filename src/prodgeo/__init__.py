@@ -19,6 +19,7 @@ finite-difference oracle cross-checks them in the test-suite.
 
 from .ambient import (
     AmbientSpace,
+    AmbientValidationFailure,
     AmbientValidationReport,
     BlockVariableLeak,
     SingularMetric,
@@ -31,7 +32,6 @@ from .expr import ExprAst, ParseError, UnknownVariable, evaluate, parse, pretty
 from .jets import InsufficientJetOrder, Jet, lift_constant, seed_point, seed_variable
 from .oracle import FDConfig, fd_derivative, fd_directional, fd_second, fd_third
 from .scenario import (
-    AmbientValidationFailure,
     DimensionMismatch,
     LoadedScenario,
     ScenarioError,

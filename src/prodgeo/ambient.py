@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from . import jets
 
 __all__ = [
     "AmbientSpace",
+    "AmbientValidationFailure",
     "AmbientValidationReport",
     "SingularMetric",
     "BlockVariableLeak",
@@ -254,43 +255,63 @@ def levi_civita(ginv, dg):
 
 @dataclass(frozen=True)
 class AmbientValidationReport:
+    tol: ClassVar[float] = 1e-8  # the largest residual that passes
     max_f_squared_residual: float
     max_compat_residual: float
     max_parallel_residual: float
     positive_definite: bool
     f_is_identity: bool
     passed: bool
-    tol: float = 1e-8
     residuals_finite: bool = True
 
 
-def validate_ambient(
-    space: AmbientSpace, samples: Sequence[Sequence[float]]
-) -> AmbientValidationReport:
-    """Measure the locally-product defects at sample points.
+class AmbientValidationFailure(ValueError):
+    """The ambient space fails the locally-product checks at the samples."""
 
-    Reports the largest residuals of ``F^2 - I``, metric compatibility and
-    ``(nabla_X F) Y`` over the samples and the coordinate directions X, Y.
-    The expression tables are evaluated for all samples at once; when the
-    metric and structure tables are constant, the residuals are computed
-    once on the ``(N, N)`` tables and hold for every sample.  Failures
-    are reported, not thrown.  A non-finite metric is not positive definite;
-    a sample whose residuals are not finite (from a non-finite metric,
-    structure or derivative, or an overflow) fails the report and stays out
-    of its residuals.
+    def __init__(self, report: AmbientValidationReport):
+        self.report = report
+        worst = max(
+            report.max_f_squared_residual,
+            report.max_compat_residual,
+            report.max_parallel_residual,
+        )
+        reasons = []
+        if not report.positive_definite:
+            reasons.append("metric not positive definite")
+        if not report.residuals_finite:
+            reasons.append("non-finite residuals")
+        super().__init__(
+            "ambient validation failed"
+            + (f" ({', '.join(reasons)})" if reasons else "")
+            + ": F^2-I residual "
+            f"{report.max_f_squared_residual:.3e}, compatibility residual "
+            f"{report.max_compat_residual:.3e}, parallelism residual "
+            f"{report.max_parallel_residual:.3e} (worst {worst:.3e}, "
+            f"tolerance {report.tol:.1e})"
+        )
+
+
+def validate_ambient(space: AmbientSpace, x, g, f, dg) -> AmbientValidationReport:
+    """Measure the locally-product defects at the points ``x``, shape ``(P, N)``.
+
+    ``g``, ``f`` and ``dg`` are the metric, structure and metric-derivative
+    tables' values there, a constant one without the point axis.  Reports
+    the largest residuals of ``F^2 - I``, metric compatibility and
+    ``(nabla_X F) Y`` over the points and the coordinate directions X, Y;
+    for constant tables they are computed once.  Only the structure
+    derivative is evaluated here, where the metric is positive definite and
+    the structure varies.  Failures are reported, not thrown.  A non-finite
+    metric is not positive definite; a point whose residuals are not finite
+    (from a non-finite metric, structure or derivative, or an overflow)
+    fails the report and stays out of its residuals.
     """
-    if len(samples) == 0:
+    if len(x) == 0:
         raise ValueError("ambient validation needs at least one sample point")
-    x = np.asarray(samples, dtype=float)
     identity = np.eye(space.dim)
     # overflow and NaN are detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            g, f = space.tables(("metric", "structure"), x)
-        except jets.DomainError as err:
-            raise err.at("x", x) from None
         # constant tables (whose derivative tables are then zero) are checked
-        # once, at one sample standing for all of them
+        # once, at one point standing for all of them
         at = x[:1] if g.ndim == f.ndim == 2 else x
         shape = (len(at), space.dim, space.dim)
         g, f = np.broadcast_to(g, shape), np.broadcast_to(f, shape)
@@ -302,8 +323,9 @@ def validate_ambient(
         if definite.any():
             # the derivative tables only where the metric is positive definite
             xd, gd, fd = at[definite], g[definite], f[definite][:, None]
+            dg = dg[definite] if dg.ndim == 4 else dg
             try:
-                dg, df = space.tables(("metric_diff", "structure_diff"), xd)
+                (df,) = space.tables(("structure_diff",), xd)
             except jets.DomainError as err:
                 raise err.at("x", xd) from None
             # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
@@ -319,7 +341,7 @@ def validate_ambient(
         max_plus_identity = np.max(np.abs(f_finite + identity), initial=0.0)
 
     f_flag = max_minus_identity <= 1e-12 or max_plus_identity <= 1e-12
-    passed = bool(definite.all() and finite.all() and float(np.max(worst)) <= 1e-8)
+    passed = bool(definite.all() and finite.all() and float(np.max(worst)) <= AmbientValidationReport.tol)
     return AmbientValidationReport(
         max_f_squared_residual=float(worst[0]),
         max_compat_residual=float(worst[1]),

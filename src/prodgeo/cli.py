@@ -13,7 +13,8 @@ Commands::
 Exit codes: 0 success, 1 usage error (including a non-positive or
 non-finite ``--tol``), 2 parse/validation error, 3 verification failure (a
 lemma residual above tolerance or an inconsistent biconditional; a skipped
-proof-residual section is not a failure).
+proof-residual section is not a failure).  A space that is not locally
+product at the samples is a validation error, unless ``--force`` is given.
 
 Reports are byte-identical for identical inputs and seeds.  JSON reports
 are indented by two spaces per level and write floats with ``%.17g``.  The
@@ -37,8 +38,8 @@ import numpy as np
 
 from . import expr as ex
 from .catalog import Scenario, UnknownScenario, catalog_get, catalog_list
+from .ambient import AmbientValidationFailure
 from .scenario import (
-    AmbientValidationFailure,
     LoadedScenario,
     ScenarioError,
     export_scenario,
@@ -59,15 +60,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def run_loaded(loaded: LoadedScenario, tolerances=None, lemmas=True, theorems=True):
+def run_loaded(loaded: LoadedScenario, tolerances=None, lemmas=True, theorems=True, strict=False):
     return verify(
         loaded.space,
         loaded.immersion,
         loaded.samples,
         tolerances or loaded.tolerances,
-        ambient_report=loaded.ambient_report,
         lemmas=lemmas,
         theorems=theorems,
+        strict=strict,
     )
 
 
@@ -331,11 +332,13 @@ def _emit(outcome: VerificationOutcome, fmt: str) -> int:
 
 def _cmd_scenario(ns) -> int:
     """classify, check and report: load, verify, render."""
-    loaded = load_scenario(ns.scenario, force=ns.force, seed_override=ns.seed)
+    loaded = load_scenario(ns.scenario, seed_override=ns.seed)
     tolerances = loaded.tolerances
     if ns.tol is not None:
         tolerances = replace(tolerances, identity_tol=ns.tol)
-    outcome = run_loaded(loaded, tolerances, lemmas=ns.lemmas, theorems=ns.theorems)
+    outcome = run_loaded(
+        loaded, tolerances, lemmas=ns.lemmas, theorems=ns.theorems, strict=not ns.force
+    )
     return _emit(outcome, ns.format)
 
 
@@ -370,7 +373,7 @@ def _parser() -> _ArgumentParser:
     def scenario_command(name, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--force", action="store_true",
-                       help="downgrade ambient validation failure to a warning")
+                       help="report a failed ambient validation and verify anyway")
         p.add_argument("--seed", type=int, default=None,
                        help="override the seed of a random sample section")
         p.add_argument("scenario")

@@ -279,20 +279,24 @@ def pretty(node: ExprAst) -> str:
     return _pp(node, _P_SUM)
 
 
+def _value(x):
+    """A jet's value or the float itself: floats and jets fail alike."""
+    return x.coeffs[..., 0] if isinstance(x, jets.Jet) else x
+
+
 def _power(base, exponent: float):
-    if isinstance(base, jets.Jet):
-        return base ** exponent
+    value = _value(base)
     if not float(exponent).is_integer():
-        jets.check_domain(np.less(base, 0.0), base, "fractional power of a negative base {}")
+        jets.check_domain(np.less(value, 0.0), value, "fractional power of a negative base {}")
     if exponent < 0.0:
-        jets.check_domain(np.equal(base, 0.0), base, "zero base with negative exponent",
+        jets.check_domain(np.equal(value, 0.0), value, "zero base with negative exponent",
                           jets.DivisionByZero)
     return base ** exponent
 
 
 def _divide(lhs, rhs):
-    if not isinstance(rhs, jets.Jet):
-        jets.check_domain(np.equal(rhs, 0.0), rhs, "division by zero", jets.DivisionByZero)
+    value = _value(rhs)
+    jets.check_domain(np.equal(value, 0.0), value, "division by zero", jets.DivisionByZero)
     return lhs / rhs
 
 

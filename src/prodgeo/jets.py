@@ -523,9 +523,9 @@ def exp(x):
 
 
 def sqrt(x):
-    if isinstance(x, Jet):
-        v = x.coeffs[..., 0]
-        check_domain(v <= 0.0, v, "sqrt needs a positive jet value, got {}")
+    v = x.coeffs[..., 0] if isinstance(x, Jet) else x
+    check_domain(np.less(v, 0.0), v, "sqrt needs a non-negative value, got {}")
+    if isinstance(x, Jet):  # its derivatives also need a value off zero
+        check_domain(v == 0.0, v, "sqrt needs a positive jet value, got {}")
         return x ** 0.5
-    check_domain(np.less(x, 0.0), x, "sqrt needs a non-negative value, got {}")
     return np.sqrt(x)

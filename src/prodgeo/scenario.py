@@ -27,9 +27,10 @@ A scenario file is an INI-style document with four sections::
     identity_tol = 1e-8       # a positive finite number
     classify_tol = 1e-8
 
-Loading validates dimensions, parses every expression, runs the ambient
-validation at the immersed sample points, and fails (or warns, with
-``force=True``) when the space is not locally product at the samples.
+Loading parses: it checks the sections and dimensions and parses every
+expression, but evaluates none.  Whether the space is locally product at the
+images of the samples is measured by the geometry build, inside
+:func:`prodgeo.verify.verify`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import expr as ex
-from .ambient import AmbientSpace, AmbientValidationReport, product_of, validate_ambient
+from .ambient import AmbientSpace, product_of
 from .catalog import Scenario
 from .rng import SplitMix64
 from .subgeom import Immersion, param_vars
@@ -52,7 +53,6 @@ from .verify import Tolerances
 __all__ = [
     "ScenarioError",
     "DimensionMismatch",
-    "AmbientValidationFailure",
     "Tolerances",
     "LoadedScenario",
     "load_scenario",
@@ -75,32 +75,6 @@ class DimensionMismatch(ScenarioError):
     pass
 
 
-class AmbientValidationFailure(ValueError):
-    """The ambient space fails the locally-product checks at the samples."""
-
-    def __init__(self, report: AmbientValidationReport):
-        self.report = report
-        worst = max(
-            report.max_f_squared_residual,
-            report.max_compat_residual,
-            report.max_parallel_residual,
-        )
-        reasons = []
-        if not report.positive_definite:
-            reasons.append("metric not positive definite")
-        if not report.residuals_finite:
-            reasons.append("non-finite residuals")
-        super().__init__(
-            "ambient validation failed"
-            + (f" ({', '.join(reasons)})" if reasons else "")
-            + ": F^2-I residual "
-            f"{report.max_f_squared_residual:.3e}, compatibility residual "
-            f"{report.max_compat_residual:.3e}, parallelism residual "
-            f"{report.max_parallel_residual:.3e} (worst {worst:.3e}, "
-            f"tolerance {report.tol:.1e})"
-        )
-
-
 @dataclass(frozen=True)
 class LoadedScenario:
     label: str
@@ -108,7 +82,6 @@ class LoadedScenario:
     immersion: Immersion
     samples: tuple[tuple[float, ...], ...]
     tolerances: Tolerances
-    ambient_report: AmbientValidationReport
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -320,9 +293,7 @@ def _load_samples(cfg, n: int, seed_override: int | None) -> tuple[tuple[float, 
     return samples
 
 
-def loads_scenario(
-    text: str, force: bool = False, seed_override: int | None = None
-) -> LoadedScenario:
+def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenario:
     cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     cfg.optionxform = str
     try:
@@ -338,25 +309,17 @@ def loads_scenario(
         tolerances = Tolerances(identity_tol, classify_tol)
     except ValueError as err:
         raise ScenarioError(str(err), "tolerances") from None
-    report = validate_ambient(space, immersion.image(samples))
-    if not report.passed and not force:
-        raise AmbientValidationFailure(report)
     return LoadedScenario(
         label=immersion.label,
         space=space,
         immersion=immersion,
         samples=samples,
         tolerances=tolerances,
-        ambient_report=report,
     )
 
 
-def load_scenario(
-    path: str | Path, force: bool = False, seed_override: int | None = None
-) -> LoadedScenario:
-    return loads_scenario(
-        Path(path).read_text(), force=force, seed_override=seed_override
-    )
+def load_scenario(path: str | Path, seed_override: int | None = None) -> LoadedScenario:
+    return loads_scenario(Path(path).read_text(), seed_override=seed_override)
 
 
 def _matrix_text(matrix) -> str:

@@ -28,7 +28,14 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .ambient import AmbientSpace, SingularMetric, levi_civita, positive_definite
+from .ambient import (
+    AmbientSpace,
+    AmbientValidationFailure,
+    SingularMetric,
+    levi_civita,
+    positive_definite,
+    validate_ambient,
+)
 
 __all__ = [
     "DegenerateImmersion",
@@ -97,21 +104,6 @@ class Immersion:
     @property
     def ambient_dim(self) -> int:
         return len(self.components)
-
-    def image(self, u) -> np.ndarray:
-        """Ambient coordinates of the points with parameters ``u``, shape ``(..., n)``."""
-        u = np.asarray(u, dtype=float)
-        if u.size == 0:
-            raise ValueError("the image needs at least one sample point")
-        env = {name: u[..., a] for a, name in enumerate(param_vars(self.n))}
-        try:
-            # a non-finite image fails ambient validation or the geometry build
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = self._plan(env)[0]
-        except jets.DomainError as err:
-            raise err.at("u", u) from None
-        # a constant map has no point axes of its own
-        return np.broadcast_to(x, u.shape[:-1] + x.shape).copy() if x.ndim < u.ndim else x
 
 
 @dataclass
@@ -215,10 +207,14 @@ class _JetGeometry:
     :meth:`lower` and :meth:`lower0` return their argument.
     Decisions that differ between points (the Jacobian rank, positive
     definiteness, the normal frame completion) are masks over the points;
-    a failing check names the first failing point.
+    a failing check names the first failing point.  Before any can raise,
+    :func:`~prodgeo.ambient.validate_ambient` reads ``x0`` and the tables'
+    values into ``ambient_report``; with ``strict`` a failed report raises.
     """
 
-    def __init__(self, immersion: Immersion, space: AmbientSpace, u, order: int = 3):
+    def __init__(
+        self, immersion: Immersion, space: AmbientSpace, u, order: int = 3, strict: bool = False
+    ):
         if immersion.ambient_dim != space.dim:
             raise ValueError(
                 f"immersion maps into dimension {immersion.ambient_dim}, "
@@ -237,27 +233,33 @@ class _JetGeometry:
         self.points = [tuple(row) for row in self.u.tolist()]
 
         self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
-        try:
-            # overflow and NaN are found by the masks below, not warned about
-            with np.errstate(over="ignore", invalid="ignore"):
+        # overflow and NaN are found by the masks below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
                 self.f = immersion._plan(self.uenv)[0]
-                if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
-                    self.f = jets.array([0.0 * self.uenv["u1"] + c for c in self.f])
+            except jets.DomainError as err:
+                raise err.at("u", self.u) from None
+            if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
+                self.f = jets.array([0.0 * self.uenv["u1"] + c for c in self.f])
+            self.x0 = self.f.value
+            try:
                 # ambient metric, structure and metric derivatives along the immersion
                 self.gf, self.Ff, dg = space.tables(
                     ("metric", "structure", "metric_diff"), self.f.truncate(1)
                 )
-                if isinstance(dg, jets.Jet):
-                    dg = dg.truncate(order - 2)
-        except jets.DomainError as err:
-            raise err.at("u", self.u) from None
-        self.x0 = self.f.value
+            except jets.DomainError as err:
+                raise err.at("x", self.x0) from None
+        self.g0, self.F0 = _values(self.gf), _values(self.Ff)
+        self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, _values(dg))
+        if strict and not self.ambient_report.passed:
+            raise AmbientValidationFailure(self.ambient_report)
+        if isinstance(dg, jets.Jet):
+            dg = dg.truncate(order - 2)
 
         # coordinate tangent fields T[..., a, :] = df/du^a
         jacobian = jets.array([jets.partial(self.f, a) for a in range(n)])
         self.J0 = jacobian.value
         self.T = jacobian.swapaxes(-1, -2)
-        self.g0, self.F0 = _values(self.gf), _values(self.Ff)
 
         # the image, J and the higher derivatives of the immersion
         immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))

@@ -3,9 +3,9 @@
 :func:`verify` builds one jet geometry for all sample points of a document
 and reads off it, for every point at once, the four-way classification, the
 two lemma identities and the T2-T4 statements, which share one evaluation
-of nabla omega and nabla C.  The catalog runner and every CLI command are
-calls to it that keep their part of the outcome; ``lemmas=False`` or
-``theorems=False`` skips a part.
+of nabla omega and nabla C, and validates the ambient space at the images.
+The catalog runner and every CLI command are calls to it that keep their
+part of the outcome; ``lemmas=False`` or ``theorems=False`` skips a part.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .ambient import AmbientSpace, AmbientValidationReport, validate_ambient
+from .ambient import AmbientSpace, AmbientValidationReport
 from .calculus import LemmaReport, _lemma1_point, _lemma2_point, lemma_tensors
 from .subgeom import (
     ClassificationResult,
@@ -83,24 +83,24 @@ def verify(
     *,
     lemmas: bool = True,
     theorems: bool = True,
-    ambient_report: AmbientValidationReport | None = None,
+    strict: bool = False,
 ) -> VerificationOutcome:
     """Classification plus the requested identity suites, one geometry for all samples.
 
-    ``samples`` defaults to the immersion's own; ``ambient_report`` to the
-    ambient validation at their images.  The identities differentiate the
-    frames once more than the classification reads, so the jets are built
-    to order 3 when lemmas or theorems are requested and to order 2 when not.
+    ``samples`` defaults to the immersion's own.  With ``strict`` a failed
+    ambient validation at their images raises
+    :class:`~prodgeo.ambient.AmbientValidationFailure`, ahead of any error of
+    the geometry build.  The identities differentiate the frames once more
+    than the classification reads, so the jets are built to order 3 when
+    lemmas or theorems are requested and to order 2 when not.
     """
     if samples is None:
         samples = immersion.samples
-    points = _points(samples, immersion.n)
-    if ambient_report is None:
-        ambient_report = validate_ambient(space, immersion.image(points))
     tol = tolerances.identity_tol
     order = 3 if lemmas or theorems else 2
 
-    geo = _JetGeometry(immersion, space, points, order=order)
+    points = _points(samples, immersion.n)
+    geo = _JetGeometry(immersion, space, points, order=order, strict=strict)
     classification = aggregate_classification(
         classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
     )
@@ -122,7 +122,7 @@ def verify(
         immersion=immersion,
         samples=tuple(geo.points),
         tolerances=tolerances,
-        ambient_report=ambient_report,
+        ambient_report=geo.ambient_report,
         classification=classification,
         lemma1=lemma1,
         lemma2=lemma2,

@@ -7,7 +7,7 @@ lines.  Every tolerance is fixed here; nothing is calibrated at run time.
 import numpy as np
 
 from prodgeo import expr as ex
-from prodgeo.ambient import product_of, validate_ambient
+from prodgeo.ambient import product_of
 from prodgeo.catalog import (
     catalog_get,
     catalog_list,
@@ -23,6 +23,8 @@ from prodgeo.oracle import fd_derivative, fd_second, fd_third
 from prodgeo.scenario import export_scenario, load_scenario
 from prodgeo.subgeom import _JetGeometry, classify, point_geometry, pseudo_umbilical_gap
 from prodgeo.verify import verify
+
+from validation import validate_at
 
 
 def _report(n, text):
@@ -96,14 +98,14 @@ def test_criterion_2_ambient_validity_and_negative_controls():
     worst = 0.0
     for space, box in spaces:
         samples = [[rng.uniform(lo, hi) for lo, hi in box] for _ in range(50)]
-        report = validate_ambient(space, samples)
+        report = validate_at(space, samples)
         assert report.passed
         worst = max(worst, report.max_f_squared_residual,
                     report.max_compat_residual, report.max_parallel_residual)
     assert worst <= 1e-10
-    rot = validate_ambient(rotation_structure_space(), [[0.0, 0.0], [1.0, -2.0]])
+    rot = validate_at(rotation_structure_space(), [[0.0, 0.0], [1.0, -2.0]])
     assert rot.max_f_squared_residual >= 1e-1
-    refl = validate_ambient(position_reflection_space(), [[0.0, 0.0], [0.4, 1.0]])
+    refl = validate_at(position_reflection_space(), [[0.0, 0.0], [0.4, 1.0]])
     assert refl.max_parallel_residual >= 1e-1
     _report(2, f"4 product spaces x 50 points, worst residual {worst:.2e}; "
                f"controls fail at {rot.max_f_squared_residual:.2f} / "

@@ -18,7 +18,6 @@ from prodgeo.ambient import (
     levi_civita,
     positive_definite,
     product_of,
-    validate_ambient,
 )
 from prodgeo.catalog import (
     constant_reflection_space,
@@ -27,6 +26,8 @@ from prodgeo.catalog import (
 )
 from prodgeo.oracle import fd_directional
 from prodgeo.subgeom import Immersion, _JetGeometry
+
+from validation import validate_at
 
 
 def sphere_block_space():
@@ -117,7 +118,7 @@ def test_singular_metric_raises():
     sp = AmbientSpace(2, [["x1", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
     line = Immersion(1, ("u1", "1"))  # through (x1, 1)
     for x in ([0.0, 1.0], [-1.0, 1.0]):
-        assert not validate_ambient(sp, [x]).positive_definite
+        assert not validate_at(sp, [x]).positive_definite
         with pytest.raises(SingularMetric):
             _JetGeometry(line, sp, [x[:1]], order=2)
 
@@ -186,7 +187,7 @@ def test_validate_product_spaces_pass_tightly():
         samples = [
             [rng.uniform(lo, hi) for lo, hi in box] for _ in range(20)
         ]
-        report = validate_ambient(sp, samples)
+        report = validate_at(sp, samples)
         assert report.passed
         assert report.max_f_squared_residual <= 1e-12
         assert report.max_compat_residual <= 1e-12
@@ -195,22 +196,22 @@ def test_validate_product_spaces_pass_tightly():
 
 
 def test_rotation_structure_fails_f_squared():
-    report = validate_ambient(rotation_structure_space(), [[0.0, 0.0], [1.0, 2.0]])
+    report = validate_at(rotation_structure_space(), [[0.0, 0.0], [1.0, 2.0]])
     assert not report.passed
     assert report.max_f_squared_residual >= 1.0
 
 
 def test_constant_reflection_passes_position_dependent_fails():
-    good = validate_ambient(constant_reflection_space(0.7), [[0.0, 0.0], [1.5, -2.0]])
+    good = validate_at(constant_reflection_space(0.7), [[0.0, 0.0], [1.5, -2.0]])
     assert good.passed and not good.f_is_identity
-    bad = validate_ambient(position_reflection_space(), [[0.0, 0.0]])
+    bad = validate_at(position_reflection_space(), [[0.0, 0.0]])
     assert not bad.passed
     assert bad.max_parallel_residual >= 0.1
 
 
 def test_identity_structure_is_flagged():
     sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]])
-    report = validate_ambient(sp, [[0.1, 0.2]])
+    report = validate_at(sp, [[0.1, 0.2]])
     assert report.f_is_identity
     assert report.passed  # flag, not error
 
@@ -242,14 +243,14 @@ def _assert_finite_report(report):
 
 def test_overflowing_metric_fails_validation():
     sp = AmbientSpace(2, [["1e308 * 10 + x1 * 0", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
-    report = validate_ambient(sp, [[0.1, 0.2], [0.5, -1.0]])
+    report = validate_at(sp, [[0.1, 0.2], [0.5, -1.0]])
     assert not report.positive_definite
     _assert_finite_report(report)
 
 
 def test_overflowing_structure_fails_validation():
     sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1e308 * 10 + x2 * 0", "0"], ["0", "-1"]])
-    report = validate_ambient(sp, [[0.1, 0.2]])
+    report = validate_at(sp, [[0.1, 0.2]])
     assert report.positive_definite
     _assert_finite_report(report)
 
@@ -257,14 +258,14 @@ def test_overflowing_structure_fails_validation():
 def test_overflowing_residual_fails_validation():
     # finite entries whose F^2 overflows
     sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1e200", "0"], ["0", "-1"]])
-    report = validate_ambient(sp, [[0.1, 0.2]])
+    report = validate_at(sp, [[0.1, 0.2]])
     _assert_finite_report(report)
 
 
 def test_non_finite_metric_derivative_fails_validation():
     # g_11 is about 1e7 at x1 = 1.01, its derivative overflows to inf
     sp = AmbientSpace(2, [["1 + 1e-300 * exp(700 * x1)", "0"], ["0", "1"]], [["1", "0"], ["0", "-1"]])
-    report = validate_ambient(sp, [[1.01, 0.2]])
+    report = validate_at(sp, [[1.01, 0.2]])
     assert report.positive_definite
     _assert_finite_report(report)
 
@@ -281,7 +282,7 @@ def test_ambient_validation_checks_each_sample_once(monkeypatch):
         return mask
 
     monkeypatch.setattr(ambient, "positive_definite", counting)
-    validate_ambient(sphere_block_space(), [[0.5, 0.1, 0.2], [1.0, 0.3, -0.4]])
+    validate_at(sphere_block_space(), [[0.5, 0.1, 0.2], [1.0, 0.3, -0.4]])
     assert sum(checked) == 2
 
 
@@ -291,7 +292,7 @@ def test_metric_symmetry_is_decided_on_values(upper, lower):
     x = [[0.3, -0.7], [1.1, 0.4]]
     g = _metric(sp, x)
     assert np.array_equal(g, np.swapaxes(g, -2, -1))
-    assert validate_ambient(sp, x).passed
+    assert validate_at(sp, x).passed
 
 
 def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
@@ -301,8 +302,8 @@ def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
     assert positive_definite(np.array([[2.0, 0.1], [0.1, 2.0]]))
     # the mirrored entries agree for x1 >= 0 only
     sp = AmbientSpace(2, [["2", "0.1*x1"], ["0.1*sqrt(x1^2)", "2"]], [["1", "0"], ["0", "1"]])
-    assert validate_ambient(sp, [[0.5, 0.2]]).passed
-    report = validate_ambient(sp, [[0.5, 0.2], [-0.5, 0.2]])
+    assert validate_at(sp, [[0.5, 0.2]]).passed
+    report = validate_at(sp, [[0.5, 0.2], [-0.5, 0.2]])
     assert not report.positive_definite and not report.passed
     imm = Immersion(1, ("u1", "0.3*u1"))
     _JetGeometry(imm, sp, [[0.5]], order=2)
@@ -325,9 +326,4 @@ def test_constant_tables_are_not_shared_with_callers():
 def test_validation_needs_a_sample(space):
     # with no samples there is nothing to measure F^2 - I or nabla F at
     with pytest.raises(ValueError, match="needs at least one sample point"):
-        validate_ambient(space(), [])
-
-
-def test_image_needs_a_sample():
-    with pytest.raises(ValueError, match="needs at least one sample point"):
-        Immersion(1, ("cos(u1)", "sin(u1)")).image([])
+        validate_at(space(), [])

@@ -27,8 +27,8 @@ from prodgeo.cli import (
     run_catalog_scenario,
     run_loaded,
 )
+from prodgeo.ambient import AmbientValidationFailure
 from prodgeo.scenario import (
-    AmbientValidationFailure,
     DimensionMismatch,
     ScenarioError,
     Tolerances,
@@ -202,7 +202,7 @@ points = (0.5,)
 def test_sample_arity_checked():
     text = CORRUPTED.replace("(0.5,); (1.2,); (2.0,)", "(0.5, 1.0)")
     with pytest.raises(DimensionMismatch):
-        loads_scenario(text, force=True)
+        loads_scenario(text)
 
 
 def test_declared_dim_checked():
@@ -227,13 +227,18 @@ points = (0.0,)
         loads_scenario(text)
 
 
+def _verify_strictly(text):
+    loaded = loads_scenario(text)
+    return verify(loaded.space, loaded.immersion, loaded.samples, strict=True)
+
+
 def test_ambient_validation_failure_and_force():
     with pytest.raises(AmbientValidationFailure):
-        loads_scenario(CORRUPTED)
-    loaded = loads_scenario(CORRUPTED, force=True)
-    assert not loaded.ambient_report.passed
+        _verify_strictly(CORRUPTED)
+    loaded = loads_scenario(CORRUPTED)
+    assert not verify(loaded.space, loaded.immersion, loaded.samples).ambient_report.passed
     with pytest.raises(AmbientValidationFailure) as err:
-        loads_scenario(ROTATION)
+        _verify_strictly(ROTATION)
     assert "F^2-I" in str(err.value)
 
 
@@ -247,7 +252,7 @@ def test_ambient_validation_failure_states_its_reason(block, reasons):
     lines = [f"blockA_metric = {block}" if line.startswith("blockA_metric") else line
              for line in text.splitlines()]
     with pytest.raises(AmbientValidationFailure) as err:
-        loads_scenario("\n".join(lines))
+        _verify_strictly("\n".join(lines))
     assert str(err.value).startswith(f"ambient validation failed {reasons}: F^2-I residual")
 
 
@@ -300,14 +305,11 @@ random = count=3 seed=42 box=(0,6)
 
 
 def test_tolerances_parsed_with_defaults():
-    loaded = loads_scenario(
-        CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\n", force=True
-    )
+    loaded = loads_scenario(CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\n")
     assert loaded.tolerances == Tolerances(identity_tol=1e-7)
     # a file that still sets the removed third key loads and verifies the same
     legacy = loads_scenario(
-        CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\nfail_threshold = 1e-3\n",
-        force=True,
+        CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\nfail_threshold = 1e-3\n"
     )
     assert legacy.tolerances == loaded.tolerances
     assert render_json(run_loaded(legacy)) == render_json(run_loaded(loaded))
@@ -396,6 +398,69 @@ def test_cli_corrupted_exit_codes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "--all", "--force", str(path))
     assert code == 3
     assert "FAILED" in out
+
+
+def test_check_all_evaluates_the_curved_tables_once(capsys, tmp_path, monkeypatch):
+    # the geometry build's one plan serves the ambient validation too
+    loaded = []
+
+    def loading(path, **options):
+        loaded.append(load_scenario(path, **options))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_scenario", loading)
+    path = tmp_path / "cb.ini"
+    export_scenario(path, catalog_get("curved-block"))
+    code, _, _ = run_cli(capsys, "check", "--all", str(path))
+    assert code == 0
+    assert set(loaded[0].space._plans) == {("metric", "metric_diff")}
+
+
+CURVED_CIRCLE = """
+[ambient]
+mode = product
+p = 1
+q = 1
+blockA_metric = {}
+blockB_metric = flat
+
+[immersion]
+n = 1
+map = cos(u1), sin(u1)
+
+[samples]
+points = (0.5,); (2.0,)
+"""
+
+COMMANDS = (["classify"], ["check", "--all"], ["report", "--format", "json"])
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_failed_validation_wins_over_a_singular_metric(command, capsys, tmp_path):
+    # 2 + 1/x1 is negative at the image of 2.0, where x1 = cos(2.0) < 0
+    path = tmp_path / "singular.ini"
+    path.write_text(CURVED_CIRCLE.format("2 + 1/x1"))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        "ambient validation: ambient validation failed (metric not positive definite)"
+    ), err
+    code, out, err = run_cli(capsys, *command, "--force", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: ambient metric is not positive definite along the immersion\n"
+
+
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["strict", "force"])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_domain_error_in_a_table_names_the_image_point(command, force, capsys, tmp_path):
+    path = tmp_path / "sqrt.ini"
+    path.write_text(CURVED_CIRCLE.format("1 + sqrt(x1)"))
+    code, out, err = run_cli(capsys, *command, *force, str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: sqrt needs a non-negative value, got -0.4161468365471424 "
+        "at x = (-0.4161468365471424, 0.9092974268256817)\n"
+    )
 
 
 def test_cli_usage_errors(capsys):

@@ -262,7 +262,8 @@ def test_plan_computes_a_shared_step_once(monkeypatch):
     # a random trig surface: four distinct sin/cos among the 24 of its components
     imm = random_trig_immersion(5, 16)
     calls.clear()
-    imm.image(imm.samples)
+    points = np.array(imm.samples)
+    imm._plan({"u1": points[:, 0], "u2": points[:, 1]})
     assert sorted(calls) == ["cos", "cos", "sin", "sin"]
     calls.clear()
     env = {"u1": 0.3, "u2": -0.2}
