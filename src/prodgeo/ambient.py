@@ -300,7 +300,12 @@ def validate_ambient(space: AmbientSpace, x, g, f, dg) -> AmbientValidationRepor
     ``(nabla_X F) Y`` over the points and the coordinate directions X, Y;
     for constant tables they are computed once.  Only the structure
     derivative is evaluated here, where the metric is positive definite and
-    the structure varies.  Failures are reported, not thrown.  A non-finite
+    the structure varies.  All of it is float algebra on the tables'
+    values.  Where the metric-derivative and structure-derivative tables
+    are both zero (a flat product, or any constant structure over a
+    constant metric), the connection and dF vanish, so the parallelism
+    residual is 0.0 and no inverse, connection or nabla F is computed.
+    Failures are reported, not thrown.  A non-finite
     metric is not positive definite; a point whose residuals are not finite
     (from a non-finite metric, structure or derivative, or an overflow)
     fails the report and stays out of its residuals.
@@ -328,12 +333,15 @@ def validate_ambient(space: AmbientSpace, x, g, f, dg) -> AmbientValidationRepor
                 (df,) = space.tables(("structure_diff",), xd)
             except jets.DomainError as err:
                 raise err.at("x", xd) from None
-            # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
-            gl = levi_civita(np.linalg.inv(gd), dg).swapaxes(-3, -2)
-            nabla_f = df + gl @ fd - fd @ gl
-            # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
-            sq = (nabla_f * (gd[:, None] @ nabla_f)).sum(axis=-2)
-            residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
+            # with both derivative tables zero, Gamma and d F vanish, and so
+            # does nabla F: its residual stays 0.0
+            if dg.any() or df.any():
+                # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
+                gl = levi_civita(np.linalg.inv(gd), dg).swapaxes(-3, -2)
+                nabla_f = df + gl @ fd - fd @ gl
+                # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
+                sq = (nabla_f * (gd[:, None] @ nabla_f)).sum(axis=-2)
+                residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
         finite = np.isfinite(residuals).all(axis=1)
         f_finite = f[finite]
         worst = residuals[finite].max(axis=0, initial=0.0)

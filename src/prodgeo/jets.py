@@ -479,17 +479,20 @@ def einsum(spec: str, a, b):
     return Jet(b.alg, product) if isinstance(b, Jet) else product[..., 0]
 
 
-def inverse(m):
+def inverse(m, m0inv=None):
     """Inverse of a square jet matrix (leading shape ``(..., k, k)``).
 
     With ``M = M0 + D`` (``M0`` the value matrix, ``D`` without constant
     term) the inverse is ``sum_j (-M0^-1 D)^j M0^-1``; ``D`` to the power
     ``order + 1`` vanishes in the truncated algebra, so the sum up to
-    ``j = order`` is exact.  A float matrix gets its float inverse.
+    ``j = order`` is exact.  ``m0inv`` is ``M0^-1`` where the caller has it
+    already, and the value of the result.  A float matrix gets its float
+    inverse.
     """
     if not isinstance(m, Jet):
         return np.linalg.inv(m)
-    m0inv = np.linalg.inv(m.coeffs[..., 0])
+    if m0inv is None:
+        m0inv = np.linalg.inv(m.coeffs[..., 0])
     step = -einsum("...ij,...jk->...ik", m0inv, m - m.coeffs[..., 0])
     result = _constant(m.alg, m0inv)
     for k in range(m.order):

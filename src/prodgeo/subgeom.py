@@ -6,11 +6,11 @@ tangential/normal split of the ambient product structure (the phi, omega,
 B, C matrices), and the invariant / anti-invariant / semi-invariant /
 generic classifier.
 
-Everything is computed from jets seeded in the n submanifold parameters
-only, so each quantity is available not just as a value but as a germ
-carrying its own parameter derivatives; the connection calculus of
-:mod:`prodgeo.calculus` differentiates those germs directly, inside
-:func:`prodgeo.verify.verify`.
+The immersion is a jet seeded in the n submanifold parameters only.  The
+base-point values are float algebra on its Taylor coefficients; the fields
+the connection calculus of :mod:`prodgeo.calculus` differentiates are
+jets, germs carrying their own parameter derivatives, built on first read,
+so a classification never builds them.
 Vector, matrix and frame fields are array jets whose leading axis runs over
 the sample points, so one build makes the same numpy calls for a whole
 document as for one point; :func:`point_geometry` reads row 0 of a one-point
@@ -178,36 +178,46 @@ def _points(samples, n: int) -> np.ndarray:
 
 
 class _JetGeometry:
-    """All pointwise data of an immersion at its sample points, carried as jets.
+    """All pointwise data of an immersion at its sample points: values as
+    floats, derivatives as jets built on first read.
 
     ``u`` is a batch of points, shape ``(P, n)``, and every field carries
     that leading point axis; the tangent columns are in parameter order.
     Seed layout: one seed direction per submanifold parameter ``u1..un`` and
-    no other; the ambient metric derivatives are the space's symbolic
-    ``metric_diff`` evaluated along the immersion, by one plan with the
-    metric and structure.  Each field carries the order its readers need,
-    for the requested order ``p``: the immersion ``f`` carries ``p`` and the
-    coordinate tangent fields ``T`` (shape ``(P, n, N)``) ``p - 1``.  The
-    metric ``gf`` ``(P, N, N)`` and structure ``Ff`` along the immersion,
-    the frames ``e_field`` ``(P, n, N)`` and ``xi_field`` ``(P, m, N)``, the
-    lowered tangent frame ``gE`` and the induced metric ``G_field`` carry
-    order 1: every reader differentiates them at most once, and only ``p`` 2
-    and 3 are accepted.  The frame values come from modified Gram-Schmidt
-    with column pivoting on the base-point floats, and their first-order
-    jets are solved in closed form from ``E g E^T = I`` and the lower
-    triangular change of basis, with no jet arithmetic per candidate.  The
-    Christoffel symbols ``gamma_f`` ``(P, N, N, N)``, the second fundamental
-    form ``h_field`` ``(P, n, n, N)``, ``H_field`` ``(P, N)`` and
-    ``Ginv_field`` carry ``p - 2``.  A metric, structure or connection that
-    is constant along the immersion stays a float array without a point
-    axis.  Two cases are read off those evaluated tables: a
-    metric-derivative table that is a constant zero array sets ``flat``, and
-    then ``gamma_f`` and ``GammaT0`` are ``None`` and no Christoffel term is
-    contracted; a constant identity metric sets ``unit_metric``, and
-    :meth:`lower` and :meth:`lower0` return their argument.
-    Decisions that differ between points (the Jacobian rank, positive
-    definiteness, the normal frame completion) are masks over the points;
-    a failing check names the first failing point.  Before any can raise,
+    no other.  The immersion ``f`` is a jet of the requested order ``p``
+    (2 or 3); the metric ``gf``, structure ``Ff`` and metric derivatives
+    ``dgf`` along it are the space's tables, evaluated on ``f`` at order 1
+    by one plan.  A table that is constant along the immersion is a
+    float array without a point axis.
+
+    The rule: every base-point value is float algebra, at either order,
+    and every derivative jet is built on first read.  The construction
+    computes the values only, from the Taylor coefficients of ``f`` and the
+    tables' values: the Jacobian ``J0`` and the coordinate Hessian (a
+    mixed second derivative is its coefficient, ``d_a d_a f`` twice it),
+    Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by modified
+    Gram-Schmidt with column pivoting, the induced metric ``G0`` and its
+    inverse, ``hc0`` (the normal part of the Hessian plus Gamma(T_a, T_b)),
+    ``H0``, and everything the classifier, the lemmas and T2-T4 read at
+    the base points.  The order-2 build of a classification stops there.
+    The jets are cached properties with the orders their readers need:
+    ``T`` (``(P, n, N)``) carries ``p - 1``; the frames ``e_field`` and
+    ``xi_field``, the lowered tangent frame ``gE`` and the induced metric
+    ``G_field`` carry order 1, the frames solved in closed form from
+    ``E g E^T = I`` and the lower triangular change of basis; the
+    Christoffel symbols ``gamma_f``, ``h_field`` (``(P, n, n, N)``),
+    ``Ginv_field`` and ``H_field`` carry ``p - 2``; an inverse is built
+    around the float inverse of its value (``g0inv``, ``G0inv``).
+    :func:`~prodgeo.calculus.lemma_tensors` is their reader.
+
+    Two cases are read off the evaluated tables: a metric-derivative table
+    that is a constant zero array sets ``flat``, and then ``gamma_f`` and
+    ``GammaT0`` are ``None`` and no Christoffel term is contracted; a
+    constant identity metric sets ``unit_metric``, and :meth:`lower` and
+    :meth:`lower0` return their argument.  Decisions that differ between
+    points (the Jacobian rank, positive definiteness, the normal frame
+    completion) are masks over the points; a failing check names the first
+    failing point.  Before any can raise,
     :func:`~prodgeo.ambient.validate_ambient` reads ``x0`` and the tables'
     values into ``ambient_report``; with ``strict`` a failed report raises.
     """
@@ -253,13 +263,12 @@ class _JetGeometry:
         self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, _values(dg))
         if strict and not self.ambient_report.passed:
             raise AmbientValidationFailure(self.ambient_report)
-        if isinstance(dg, jets.Jet):
-            dg = dg.truncate(order - 2)
+        self.order, self.dgf = order, dg  # dgf: the metric derivatives along f
 
-        # coordinate tangent fields T[..., a, :] = df/du^a
-        jacobian = jets.array([jets.partial(self.f, a) for a in range(n)])
-        self.J0 = jacobian.value
-        self.T = jacobian.swapaxes(-1, -2)
+        # the Jacobian J0[..., i, a] = d f^i / d u^a, read off the immersion's
+        # Taylor coefficients; the tangent vectors T_a are its columns
+        self.J0 = self.f.gradient()
+        T0 = _t(self.J0)
 
         # the image, J and the higher derivatives of the immersion
         immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
@@ -287,16 +296,15 @@ class _JetGeometry:
                 f"(smallest singular value {smallest[p]:.3e})"
             )
 
-        # Christoffel symbols along the immersion and, unless the connection
-        # vanishes, Gamma(T_a, .) at the base points with the direction first:
-        # GammaT0[..., a, k, i] = Gamma^i_jk T_a^j
+        # unless the connection vanishes, Gamma(T_a, .) at the base points with
+        # the direction first: GammaT0[..., a, k, i] = Gamma^i_jk T_a^j
         self.flat = isinstance(dg, np.ndarray) and not dg.any()
-        self.gamma_f = self.GammaT0 = None
+        self.GammaT0 = self.g0inv = None
         if not self.flat:
-            self.gamma_f = levi_civita(jets.inverse(self.gf), dg)
-            gamma0 = np.moveaxis(_values(self.gamma_f), -3, -1)  # [j, k, i]
-            gamma0 = gamma0.reshape(npts, N, N * N)
-            self.GammaT0 = (_t(self.J0) @ gamma0).reshape(npts, n, N, N)
+            self.g0inv = np.linalg.inv(self.g0)
+            gamma0 = levi_civita(self.g0inv, _values(dg))
+            gamma0 = np.moveaxis(gamma0, -3, -1).reshape(npts, N, N * N)  # [j, k, i]
+            self.GammaT0 = (T0 @ gamma0).reshape(npts, n, N, N)
         self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
 
         # orthonormal frames under the ambient metric by modified Gram-Schmidt
@@ -307,8 +315,6 @@ class _JetGeometry:
         # a slot's candidates are orthogonalized once more against all filled
         # slots.  Slot s of ``E0`` holds the s-th frame vector once filled and
         # zero before, ``GE0`` g(e_s, .) beside it and ``V0`` its candidate.
-        tangents = self.T.truncate(1)
-        T0 = tangents.value
         axes = np.eye(N)
         E0, GE0, self.V0 = (np.zeros((npts, N, N)) for _ in range(3))
         self.V0[:, :n] = T0
@@ -330,56 +336,29 @@ class _JetGeometry:
             if slot >= n:
                 self.V0[:, slot] = axes[best]
             W = W - (W @ GE0[:, slot, :, None]) * E0[:, slot, None, :]
-
-        # first-order jets of the frames in closed form.  E = K V with K lower
-        # triangular and E g E^T = I give dE = A - Phi(X) E0, where
-        # A = L0^-1 dV, L0 = V0 (g0 E0)^T, X = Y + Y^T + E0 dg E0^T with
-        # Y = A (g0 E0)^T, and Phi keeps the strictly lower triangle and half
-        # the diagonal.  Only the tangent rows of V vary; the axes are constant.
-        # Each contraction is a stacked matmul: [..., r, s, z] holds entry
-        # (r, s) of the derivative along seed z.
-        dV = np.zeros((npts, N, N, n))
-        dV[:, :n] = tangents.coeffs[..., 1:]
-        A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(npts, N, N * n))
-        A = A.reshape(npts, N, N, n)
-        Y = GE0[..., None, :, :] @ A
-        X = Y + Y.swapaxes(-3, -2)
-        dg = self.gf.coeffs[..., 1:] if isinstance(self.gf, jets.Jet) else None
-        if dg is not None:
-            dg_e = (E0[..., None, :, :] @ dg).reshape(npts, N, N * n)  # [i, s, z]
-            X = X + (E0 @ dg_e).reshape(npts, N, N, n)
-        dE = A - _t(E0)[..., None, :, :] @ (X * _half_lower(N))
-        dGE = dE[..., :n, :, :]
-        if not self.unit_metric:
-            dGE = _t(self.g0)[..., None, :, :] @ dGE
-        if dg is not None:
-            dg_rows = dg.reshape(npts, N, N * n)
-            dGE = dGE + (E0[..., :n, :] @ dg_rows).reshape(npts, n, N, n)
-        frames = jets.Jet(tangents.alg, np.concatenate([E0[..., None], dE], axis=-1))
-        self.e_field, self.xi_field = frames[..., :n, :], frames[..., n:, :]
-        self.gE = jets.Jet(tangents.alg, np.concatenate([GE0[..., :n, :, None], dGE], axis=-1))
+        self.frame0, self.lowered_frame0 = E0, GE0
         self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
         self.P_tan0 = _t(self.E0) @ GE0[..., :n, :]
 
-        # induced metric and its inverse
-        self.G_field = jets.einsum("...ai,...bi->...ab", tangents, self.lower(tangents))
-        self.G0 = self.G_field.value
+        # induced metric G_ab = g(T_a, T_b) and its inverse
+        self.G0 = T0 @ _t(self.lower0(T0))
         self.G0inv = np.linalg.inv(self.G0)
-        self.Ginv_field = jets.inverse(self.G_field.truncate(order - 2))
 
-        # coordinate-frame second fundamental form: the normal part of
-        # d_b T_a + Gamma(T_a, T_b), an (..., n, n, N) field
-        dT = jets.array([jets.partial(self.T, b) for b in range(n)]).swapaxes(-1, -2)
+        # coordinate-frame second fundamental form hc0[..., a, b, :]: the normal
+        # part of d_a d_b f + Gamma(T_a, T_b); in the Taylor normalization a
+        # mixed second derivative is its coefficient and d_a d_a f twice it
+        unit = np.eye(n, dtype=int)
+        second = np.array([[self.f.derivative(unit[a] + unit[b]) for b in range(n)]
+                           for a in range(n)])
+        second = np.moveaxis(second, 2, 0)  # (P, n, n, N)
         if not self.flat:
-            gamma_t = jets.einsum("...ijk,...bk->...bij", self.gamma_f, self.T)
-            dT = dT + jets.einsum("...aj,...bij->...abi", self.T, gamma_t)
-        self.h_field = self.normal_part_field(dT)
-        self.hc0 = self.h_field.value
+            second = second + T0[..., None, :, :] @ self.GammaT0
+        self.hc0 = self.project_normal(second)
 
-        # mean curvature field H = (1/n) G^{ab} h_ab
-        self.H_field = jets.einsum("...ab,...abi->...i", self.Ginv_field, self.h_field) * (1.0 / n)
-        self.H0 = self.H_field.value
+        # mean curvature H = (1/n) G^{ab} h_ab
+        hc_rows = self.hc0.reshape(npts, n * n, N)
+        self.H0 = (self.G0inv.reshape(npts, 1, n * n) @ hc_rows)[:, 0] * (1.0 / n)
         self.Hsq = (self.H0 * self.lower0(self.H0)).sum(axis=-1)
 
         # coordinate components of tangent vectors, v^a = G^ab g(T_b, v), and
@@ -402,9 +381,98 @@ class _JetGeometry:
         )
         self.phi_singular = np.linalg.svd(self.phi0, compute_uv=False)
 
-    def per_point(self, values: np.ndarray) -> list:
-        """A per-point array, shape ``(P,)``, as a list over the points."""
-        return values.tolist()
+    # ---- derivative jets, built on first read ---------------------------
+
+    @cached_property
+    def T(self):
+        """The coordinate tangent fields ``T[..., a, :] = df/du^a``, ``(P, n, N)``."""
+        jacobian = jets.array([jets.partial(self.f, a) for a in range(self.n)])
+        return jacobian.swapaxes(-1, -2)
+
+    @cached_property
+    def gamma_f(self):
+        """Christoffel symbols along the immersion, ``(P, N, N, N)``; ``None`` if flat."""
+        if self.flat:
+            return None
+        dg = self.dgf.truncate(self.order - 2) if isinstance(self.dgf, jets.Jet) else self.dgf
+        return levi_civita(jets.inverse(self.gf, self.g0inv), dg)
+
+    @cached_property
+    def _frame_jets(self):
+        """The frames, tangent rows first, and g(e_a, .) of the tangent ones,
+        as first-order jets around the base-point frames.
+
+        E = K V with K lower triangular and E g E^T = I give dE = A - Phi(X) E0,
+        where A = L0^-1 dV, L0 = V0 (g0 E0)^T, X = Y + Y^T + E0 dg E0^T with
+        Y = A (g0 E0)^T, and Phi keeps the strictly lower triangle and half the
+        diagonal.  Only the tangent rows of V vary; the axes are constant.
+        Each contraction is a stacked matmul: [..., r, s, z] holds entry
+        (r, s) of the derivative along seed z.
+        """
+        n, N, npts = self.n, self.N, len(self.u)
+        E0, GE0 = self.frame0, self.lowered_frame0
+        tangents = self.T.truncate(1)
+        dV = np.zeros((npts, N, N, n))
+        dV[:, :n] = tangents.coeffs[..., 1:]
+        A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(npts, N, N * n))
+        A = A.reshape(npts, N, N, n)
+        Y = GE0[..., None, :, :] @ A
+        X = Y + Y.swapaxes(-3, -2)
+        dg = self.gf.coeffs[..., 1:] if isinstance(self.gf, jets.Jet) else None
+        if dg is not None:
+            dg_e = (E0[..., None, :, :] @ dg).reshape(npts, N, N * n)  # [i, s, z]
+            X = X + (E0 @ dg_e).reshape(npts, N, N, n)
+        dE = A - _t(E0)[..., None, :, :] @ (X * _half_lower(N))
+        dGE = dE[..., :n, :, :]
+        if not self.unit_metric:
+            dGE = _t(self.g0)[..., None, :, :] @ dGE
+        if dg is not None:
+            dg_rows = dg.reshape(npts, N, N * n)
+            dGE = dGE + (E0[..., :n, :] @ dg_rows).reshape(npts, n, N, n)
+        frames = jets.Jet(tangents.alg, np.concatenate([E0[..., None], dE], axis=-1))
+        lowered = jets.Jet(tangents.alg, np.concatenate([GE0[..., :n, :, None], dGE], axis=-1))
+        return frames, lowered
+
+    @cached_property
+    def e_field(self):
+        """The orthonormal tangent frame, ``(P, n, N)``."""
+        return self._frame_jets[0][..., : self.n, :]
+
+    @cached_property
+    def xi_field(self):
+        """The orthonormal normal frame, ``(P, m, N)``."""
+        return self._frame_jets[0][..., self.n :, :]
+
+    @cached_property
+    def gE(self):
+        """g(e_a, .) of the tangent frame, ``(P, n, N)``."""
+        return self._frame_jets[1]
+
+    @cached_property
+    def G_field(self):
+        """The induced metric g(T_a, T_b), ``(P, n, n)``."""
+        tangents = self.T.truncate(1)
+        return jets.einsum("...ai,...bi->...ab", tangents, self.lower(tangents))
+
+    @cached_property
+    def Ginv_field(self):
+        """The inverse induced metric, around ``G0inv``."""
+        return jets.inverse(self.G_field.truncate(self.order - 2), self.G0inv)
+
+    @cached_property
+    def h_field(self):
+        """The coordinate-frame second fundamental form: the normal part of
+        d_b T_a + Gamma(T_a, T_b), ``(P, n, n, N)``."""
+        dT = jets.array([jets.partial(self.T, b) for b in range(self.n)]).swapaxes(-1, -2)
+        if not self.flat:
+            gamma_t = jets.einsum("...ijk,...bk->...bij", self.gamma_f, self.T)
+            dT = dT + jets.einsum("...aj,...bij->...abi", self.T, gamma_t)
+        return self.normal_part_field(dT)
+
+    @cached_property
+    def H_field(self):
+        """The mean curvature field H = (1/n) G^{ab} h_ab, ``(P, N)``."""
+        return jets.einsum("...ab,...abi->...i", self.Ginv_field, self.h_field) * (1.0 / self.n)
 
     # ---- jet-field helpers ----------------------------------------------
     # Fields are jets (or float arrays) shaped (P, batch..., N): the point
@@ -617,7 +685,7 @@ def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> ClassificationPoints
     columns = (geo.phi_norm, geo.omega_norm, geo.omega_phi_norm, _rank(geo.phi_singular, tol),
                geo.H_norm <= tol, geo.pu_gap <= tol, geo.Hsq)
     names = [f.name for f in fields(PointClassification)]
-    return ClassificationPoints(dict(zip(names, [geo.points, *map(geo.per_point, columns)])))
+    return ClassificationPoints(dict(zip(names, [geo.points, *(c.tolist() for c in columns)])))
 
 
 def aggregate_classification(

@@ -12,9 +12,17 @@ For every statement the residual of the identity equals a closed
 "obstruction" built from the mean curvature and the structure projections
 (T2: |H|^2 |omega X|; T3: |H|^2 |g(X, phi Y)|; T4: |H|^2 |g(omega phi X,
 CH)|), and the chain that produces the obstruction is itself checked as the
-"proof residual".  Directions range over the orthonormal tangent frame, so
-every reported scalar is frame-covariant; each is float algebra on the
-coordinate-direction tensors of :func:`prodgeo.calculus.lemma_tensors`.
+"proof residual".  Each is float algebra on the coordinate-direction
+tensors of :func:`prodgeo.calculus.lemma_tensors`.  Directions range over
+the orthonormal tangent frame that the geometry completes from the
+coordinate tangents in parameter order, and each reported column is a
+maximum over that frame: of g-norms over the vectors e_a for T2, of
+absolute values over the pairs (e_a, e_b) for T3 and over the vectors
+phi e_a for T4.  A column is so a number of that frame, not of the
+submanifold alone, and it is not frame-covariant: renaming the parameters
+u1 <-> u2 gives another frame, and moves T3's obstruction on random trig
+surfaces by up to 76% of the smaller value.  Only whether a column is
+zero is the same in every frame.
 
 At points that are not pseudo-umbilical the identity is still evaluated (a
 useful negative control) but the proof residual is skipped and flagged.
@@ -96,17 +104,16 @@ def _columns(data: _PointData, tol: float, identity, obstruction, proof, branche
     """The statement's columns from its per-point arrays; the branches are
     the statement's disjunction, and the proof residual is kept only where
     the point is pseudo-umbilical."""
-    per_point = data.geo.per_point
-    pu = per_point(data.pseudo_umbilical)
+    pu = data.pseudo_umbilical.tolist()
     return TheoremPoints({
         "u": data.geo.points,
         "pseudo_umbilical": pu,
-        "identity_residual": per_point(identity),
-        "obstruction": per_point(obstruction),
-        "proof_residual": [p if ok else None for p, ok in zip(per_point(proof), pu)],
-        "branches": {name: per_point(flags) for name, flags in branches.items()},
-        "identity_holds": per_point(identity <= tol),
-        "disjunction_pointwise": per_point(reduce(np.logical_or, branches.values())),
+        "identity_residual": identity.tolist(),
+        "obstruction": obstruction.tolist(),
+        "proof_residual": [p if ok else None for p, ok in zip(proof.tolist(), pu)],
+        "branches": {name: flags.tolist() for name, flags in branches.items()},
+        "identity_holds": (identity <= tol).tolist(),
+        "disjunction_pointwise": reduce(np.logical_or, branches.values()).tolist(),
     })
 
 

@@ -69,7 +69,7 @@ class VerificationOutcome:
 
 
 def _lemma_report(lemma: str, geo: _JetGeometry, residuals, tol: float) -> LemmaReport:
-    residuals = geo.per_point(residuals)
+    residuals = residuals.tolist()
     worst = max(residuals)
     per_point = PointRecords({"u": geo.points, "residual": residuals})
     return LemmaReport(lemma, worst, per_point, worst <= tol, tol)
@@ -112,7 +112,7 @@ def verify(
         lemma2 = _lemma_report("lemma2", geo, _lemma2_point(geo, nabla_c_xi), tol)
     if theorems:
         data = _PointData(geo, tol, nabla_omega_t, nabla_c_xi)
-        ranks = geo.per_point(data.rank_phi)
+        ranks = data.rank_phi.tolist()
         points = {
             "t2": _t2_point(data, tol), "t3": _t3_point(data, tol), "t4": _t4_point(data, tol)
         }

@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from prodgeo import jets
+from prodgeo import ambient, jets
 from prodgeo.ambient import (
     AmbientSpace,
+    AmbientValidationReport,
     BlockVariableLeak,
     SingularMetric,
     levi_civita,
@@ -20,6 +21,7 @@ from prodgeo.ambient import (
     product_of,
 )
 from prodgeo.catalog import (
+    catalog_get,
     constant_reflection_space,
     position_reflection_space,
     rotation_structure_space,
@@ -201,12 +203,33 @@ def test_rotation_structure_fails_f_squared():
     assert report.max_f_squared_residual >= 1.0
 
 
-def test_constant_reflection_passes_position_dependent_fails():
+def test_constant_reflection_passes_position_dependent_fails(monkeypatch):
+    connections = []
+
+    def counted(ginv, dg):
+        connections.append(dg)
+        return levi_civita(ginv, dg)
+
+    monkeypatch.setattr(ambient, "levi_civita", counted)
     good = validate_at(constant_reflection_space(0.7), [[0.0, 0.0], [1.5, -2.0]])
     assert good.passed and not good.f_is_identity
+    # with both derivative tables zero, nabla F is zero without a connection
+    assert good.max_parallel_residual == 0.0
+    for sp, samples in [
+        (product_of("flat", 1, "flat", 1), [[0.3, -1.2]]),
+        (product_of("flat", 2, "flat", 2), [[0.1, 0.2, 0.3, 0.4], [1.0, -1.0, 2.0, -2.0]]),
+    ]:
+        report = validate_at(sp, samples)
+        assert report.passed and report.max_parallel_residual == 0.0
+    assert connections == []
     bad = validate_at(position_reflection_space(), [[0.0, 0.0]])
     assert not bad.passed
     assert bad.max_parallel_residual >= 0.1
+    # a varying structure and a curved block keep their reports
+    assert bad == AmbientValidationReport(0.0, 0.0, 1.0, True, False, False)
+    curved = validate_at(catalog_get("curved-block").space, [[0.3, 0.2, 0.9], [1.0, -0.5, 2.0]])
+    assert curved == AmbientValidationReport(0.0, 0.0, 0.0, True, False, True)
+    assert len(connections) == 2
 
 
 def test_identity_structure_is_flagged():

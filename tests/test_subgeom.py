@@ -10,6 +10,7 @@ import pytest
 from prodgeo import expr as ex
 from prodgeo import jets
 from prodgeo.ambient import product_of
+from prodgeo.calculus import lemma_tensors
 from prodgeo.catalog import (
     catalog_get,
     catalog_list,
@@ -327,6 +328,43 @@ def test_geometry_carries_jet_orders_two_and_three_only():
         _JetGeometry(imm, FLAT11, [(0.3,)], order=order)
     with pytest.raises(ValueError, match="orders 2 and 3 only"):
         _JetGeometry(imm, FLAT11, [(0.3,)], order=4)
+
+
+# the derivative jets of a geometry, built on first read
+LAZY = ("T", "gamma_f", "e_field", "xi_field", "gE", "G_field", "Ginv_field", "h_field", "H_field")
+
+
+def test_classification_builds_no_derivative_jet(monkeypatch):
+    built = []
+    build = _JetGeometry.__init__
+
+    def recording_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(_JetGeometry, "__init__", recording_build)
+    # a connection that does not vanish, and a flat product
+    cases = [(catalog_get("curved-block").space, catalog_get("curved-block").immersion),
+             (FLAT22, random_trig_immersion(4, 6))]
+    for space, imm in cases:
+        classify(imm, space)
+        verify(space, imm, lemmas=False, theorems=False)
+    assert len(built) >= 4
+    for geo in built:
+        assert not set(LAZY) & set(vars(geo)), sorted(set(LAZY) & set(vars(geo)))
+
+
+def test_lemma_tensors_build_the_derivative_jets_around_the_float_values():
+    scn = catalog_get("curved-block")
+    geo = _JetGeometry(scn.immersion, scn.space, scn.samples, order=3)
+    assert not set(LAZY) & set(vars(geo))
+    lemma_tensors(geo)
+    assert set(LAZY) <= set(vars(geo))
+    # each jet's value is the float value of the build, to roundoff
+    for jet, value in ((geo.T, geo.J0.swapaxes(-1, -2)), (geo.e_field, geo.E0),
+                       (geo.xi_field, geo.Xi0), (geo.G_field, geo.G0),
+                       (geo.Ginv_field, geo.G0inv), (geo.h_field, geo.hc0), (geo.H_field, geo.H0)):
+        assert np.allclose(jet.value, value, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("u", [(0.3, 0.4), [(0.3, 0.4, 0.5)]])
