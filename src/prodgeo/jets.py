@@ -192,6 +192,15 @@ class Jet:
             raise InsufficientJetOrder("order-0 jet has no first derivatives")
         return self.coeffs[..., 1 : 1 + self.nvars].copy()
 
+    def hessian(self) -> np.ndarray:
+        """Second partial derivatives along every pair of seed directions (last
+        two axes): a mixed one is its coefficient, a pure one twice it."""
+        if self.order < 2:
+            raise InsufficientJetOrder("a jet below order 2 has no second derivatives")
+        unit = np.eye(self.nvars, dtype=int)
+        index = [[self.alg.index[tuple(a + b)] for b in unit] for a in unit]
+        return self.coeffs.take(index, axis=-1) * (1.0 + np.eye(self.nvars))
+
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
             raise InsufficientJetOrder(f"cannot raise jet order from {self.order} to {order}")

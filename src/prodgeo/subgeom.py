@@ -346,12 +346,8 @@ class _JetGeometry:
         self.G0inv = np.linalg.inv(self.G0)
 
         # coordinate-frame second fundamental form hc0[..., a, b, :]: the normal
-        # part of d_a d_b f + Gamma(T_a, T_b); in the Taylor normalization a
-        # mixed second derivative is its coefficient and d_a d_a f twice it
-        unit = np.eye(n, dtype=int)
-        second = np.array([[self.f.derivative(unit[a] + unit[b]) for b in range(n)]
-                           for a in range(n)])
-        second = np.moveaxis(second, 2, 0)  # (P, n, n, N)
+        # part of d_a d_b f + Gamma(T_a, T_b)
+        second = np.moveaxis(self.f.hessian(), 1, -1)  # (P, n, n, N)
         if not self.flat:
             second = second + T0[..., None, :, :] @ self.GammaT0
         self.hc0 = self.project_normal(second)
@@ -390,6 +386,11 @@ class _JetGeometry:
         return jacobian.swapaxes(-1, -2)
 
     @cached_property
+    def _tangents(self):
+        """``T`` at order 1, all that the frames and the induced metric need."""
+        return self.T.truncate(1)
+
+    @cached_property
     def gamma_f(self):
         """Christoffel symbols along the immersion, ``(P, N, N, N)``; ``None`` if flat."""
         if self.flat:
@@ -411,7 +412,7 @@ class _JetGeometry:
         """
         n, N, npts = self.n, self.N, len(self.u)
         E0, GE0 = self.frame0, self.lowered_frame0
-        tangents = self.T.truncate(1)
+        tangents = self._tangents
         dV = np.zeros((npts, N, N, n))
         dV[:, :n] = tangents.coeffs[..., 1:]
         A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(npts, N, N * n))
@@ -451,8 +452,7 @@ class _JetGeometry:
     @cached_property
     def G_field(self):
         """The induced metric g(T_a, T_b), ``(P, n, n)``."""
-        tangents = self.T.truncate(1)
-        return jets.einsum("...ai,...bi->...ab", tangents, self.lower(tangents))
+        return jets.einsum("...ai,...bi->...ab", self._tangents, self.lower(self._tangents))
 
     @cached_property
     def Ginv_field(self):

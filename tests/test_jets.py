@@ -200,6 +200,16 @@ def test_seed_point_bilinear_mixed_partial():
     assert p.derivative((1, 1)) == 1.0
 
 
+def test_hessian_reads_the_second_coefficients():
+    u1, u2 = seed_point([2.0, 3.0], order=3)
+    p = array([u1 ** 2 * u2 + u2 ** 3, u1 * u2])  # a vector: the pairs on the last two axes
+    assert p.hessian().tolist() == [[[6.0, 4.0], [4.0, 18.0]], [[0.0, 1.0], [1.0, 0.0]]]
+    for exponents, (a, b) in (((2, 0), (0, 0)), ((1, 1), (0, 1)), ((0, 2), (1, 1))):
+        assert p.hessian()[:, a, b].tolist() == [p[i].derivative(exponents) for i in range(2)]
+    with pytest.raises(InsufficientJetOrder):
+        u1.truncate(1).hessian()
+
+
 def test_scalar_coercion_both_sides():
     j = seed_variable(2.0, 0, 2)
     assert (2.0 - j).value == 0.0
