@@ -5,7 +5,7 @@ Models a chart of the ambient manifold by component expressions: a metric
 ``g(FX, FY) = g(X, Y)``.  Provides the canonical block constructor (constant
 ``F = diag(+1.., -1..)`` over a block metric, which is parallel by
 construction), the metric derivatives as expressions, the Levi-Civita
-connection of a metric table (floats or jets, with any point axes), and
+connection of a metric table (float arrays with any point axes), and
 pointwise validation that a hand-written space really is locally product:
 the validator measures ``F^2 - I``, the metric compatibility defect, and
 ``(nabla_X F) Y``.
@@ -242,7 +242,7 @@ def positive_definite(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
 
 
 def levi_civita(ginv, dg):
-    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk), floats or jets.
+    """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk) of float arrays.
 
     ``ginv`` is the inverse metric and ``dg[..., l, i, j] = d g_ij / d x^l``,
     both with any leading point axes; the result is symmetric in the lower
@@ -291,21 +291,21 @@ class AmbientValidationFailure(ValueError):
         )
 
 
-def validate_ambient(space: AmbientSpace, x, g, f, dg) -> AmbientValidationReport:
+def validate_ambient(space: AmbientSpace, x, g, f, gamma) -> AmbientValidationReport:
     """Measure the locally-product defects at the points ``x``, shape ``(P, N)``.
 
-    ``g``, ``f`` and ``dg`` are the metric, structure and metric-derivative
-    tables' values there, a constant one without the point axis.  Reports
-    the largest residuals of ``F^2 - I``, metric compatibility and
-    ``(nabla_X F) Y`` over the points and the coordinate directions X, Y;
-    for constant tables they are computed once.  Only the structure
-    derivative is evaluated here, where the metric is positive definite and
-    the structure varies.  All of it is float algebra on the tables'
-    values.  Where the metric-derivative and structure-derivative tables
-    are both zero (a flat product, or any constant structure over a
-    constant metric), the connection and dF vanish, so the parallelism
-    residual is 0.0 and no inverse, connection or nabla F is computed.
-    Failures are reported, not thrown.  A non-finite
+    ``g`` and ``f`` are the metric and structure tables' values there, a
+    constant one without the point axis, and ``gamma`` the Christoffel
+    symbols of :func:`levi_civita` at every point, or ``None`` where the
+    metric derivatives vanish.  Reports the largest residuals of
+    ``F^2 - I``, metric compatibility and ``(nabla_X F) Y`` over the points
+    and the coordinate directions X, Y; for constant tables they are
+    computed once.  Only the structure derivative is evaluated here, where
+    the metric is positive definite and the structure varies.  All of it is
+    float algebra on the tables' values.  Without a connection and with a
+    zero structure-derivative table (a flat product, or any constant
+    structure over a constant metric), nabla F vanishes and the parallelism
+    residual is 0.0.  Failures are reported, not thrown.  A non-finite
     metric is not positive definite; a point whose residuals are not finite
     (from a non-finite metric, structure or derivative, or an overflow)
     fails the report and stays out of its residuals.
@@ -326,19 +326,20 @@ def validate_ambient(space: AmbientSpace, x, g, f, dg) -> AmbientValidationRepor
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))
         if definite.any():
-            # the derivative tables only where the metric is positive definite
+            # the structure derivative only where the metric is positive definite
             xd, gd, fd = at[definite], g[definite], f[definite][:, None]
-            dg = dg[definite] if dg.ndim == 4 else dg
             try:
                 (df,) = space.tables(("structure_diff",), xd)
             except jets.DomainError as err:
                 raise err.at("x", xd) from None
-            # with both derivative tables zero, Gamma and d F vanish, and so
-            # does nabla F: its residual stays 0.0
-            if dg.any() or df.any():
+            # without a connection and with d F zero, nabla F vanishes: its
+            # residual stays 0.0
+            if gamma is not None or df.any():
                 # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
-                gl = levi_civita(np.linalg.inv(gd), dg).swapaxes(-3, -2)
-                nabla_f = df + gl @ fd - fd @ gl
+                nabla_f = df
+                if gamma is not None:
+                    gl = gamma[definite].swapaxes(-3, -2)
+                    nabla_f = df + gl @ fd - fd @ gl
                 # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
                 sq = (nabla_f * (gd[:, None] @ nabla_f)).sum(axis=-2)
                 residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))

@@ -15,13 +15,15 @@ space satisfies:
     (nabla_X omega) Y + h(X, phi Y) = C h(X, Y)
     (nabla_X C) xi = - omega A_xi X - h(X, B xi)
 
-:func:`lemma_tensors` differentiates the jets once per document for both
-tensors along all coordinate directions together; the lemma residuals and the
-T2-T4 statements of :mod:`prodgeo.theorems` read its arrays, and
-:func:`prodgeo.verify.verify` reports the worst residual of each identity
-over samples and coordinate directions.  A corrupted ambient space (one
-with nabla F != 0) breaks them by an O(1) margin, which is the engine's
-negative control.
+:func:`lemma_tensors` differentiates the first-order jets of the coordinate
+tangent fields and the normal frame once per document, for both tensors
+along all coordinate directions together, and takes (nabla C) H as the
+contraction of the normal frame columns with the components of H; the
+lemma residuals and the T2-T4 statements of :mod:`prodgeo.theorems` read
+its arrays, and :func:`prodgeo.verify.verify` reports the worst residual
+of each identity over samples and coordinate directions.  A corrupted
+ambient space (one with nabla F != 0) breaks them by an O(1) margin, which
+is the engine's negative control.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .subgeom import PointRecords, _JetGeometry
 
 __all__ = ["LemmaReport", "lemma_tensors"]
@@ -67,12 +68,13 @@ def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
 
     ``(nabla_{d_a} omega) T_b`` has shape ``(..., n, n, N)``; ``(nabla_{d_a} C) xi``,
     with xi over the normal frame fields and then H, ``(..., n, m + 1, N)``.  Both
-    are tensorial, so a frame direction or field is a contraction of these.
+    are tensorial, so a frame direction or field is a contraction of these: the
+    H column is ``sum_s g(xi_s, H) (nabla C) xi_s`` at each point.
     """
-    xi_fields = jets.array(
-        [geo.xi_field[..., a, :] for a in range(geo.m)] + [geo.H_field]
-    ).swapaxes(-1, -2)
-    return _nabla_omega(geo, geo.T), _nabla_C(geo, xi_fields)
+    nabla_c_xi = _nabla_C(geo, geo.xi_field)
+    h_components = geo.lowered_frame0[..., None, geo.n :, :] @ geo.H0[..., None, :, None]
+    nabla_c_h = h_components.swapaxes(-1, -2) @ nabla_c_xi
+    return _nabla_omega(geo, geo.T), np.concatenate([nabla_c_xi, nabla_c_h], axis=-2)
 
 
 def _lemma1_point(geo: _JetGeometry, nabla_omega_t: np.ndarray) -> np.ndarray:

@@ -458,7 +458,7 @@ def random_trig_immersion(seed: int, num_samples: int = 2) -> Immersion:
         imm = Immersion(2, tuple(components), samples=samples, label=f"fuzz-{seed}")
         try:
             if samples:  # one batched build checks every sample point
-                _JetGeometry(imm, space, samples, order=2)
+                _JetGeometry(imm, space, samples)
         except DegenerateImmersion:
             continue
         return imm

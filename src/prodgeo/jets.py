@@ -18,10 +18,7 @@ multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  A product gathers the
 coefficient pairs whose degrees fit the carried order and scatters their
 products with one matrix multiplication through the cached table of
 :meth:`_Algebra.mul_table`.  :func:`einsum` contracts field axes the same
-way, so a metric contraction over all components is one numpy call;
-:func:`inverse` inverts a jet matrix by a Neumann series around its value
-matrix, which is exact in the truncated algebra because the non-constant
-part is nilpotent there.
+way, so a metric contraction over all components is one numpy call.
 
 Gathers and contractions keep the coefficient axis innermost and C-ordered.
 A gather is ``ndarray.take`` along the last axis, which returns a C-ordered
@@ -44,7 +41,7 @@ import numpy as np
 __all__ = [
     "Jet", "InsufficientJetOrder", "DomainError", "DivisionByZero", "check_domain",
     "lift_constant", "seed_variable", "seed_point", "as_jet", "array", "stack", "partial",
-    "einsum", "inverse", "sin", "cos", "exp", "sqrt",
+    "einsum", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)
@@ -486,28 +483,6 @@ def einsum(spec: str, a, b):
     product = np.matmul(a, coeffs.reshape(coeffs.shape[:cut] + (math.prod(tail),)), order="C")
     product = product.reshape(product.shape[:-2] + inner + tail)
     return Jet(b.alg, product) if isinstance(b, Jet) else product[..., 0]
-
-
-def inverse(m, m0inv=None):
-    """Inverse of a square jet matrix (leading shape ``(..., k, k)``).
-
-    With ``M = M0 + D`` (``M0`` the value matrix, ``D`` without constant
-    term) the inverse is ``sum_j (-M0^-1 D)^j M0^-1``; ``D`` to the power
-    ``order + 1`` vanishes in the truncated algebra, so the sum up to
-    ``j = order`` is exact.  ``m0inv`` is ``M0^-1`` where the caller has it
-    already, and the value of the result.  A float matrix gets its float
-    inverse.
-    """
-    if not isinstance(m, Jet):
-        return np.linalg.inv(m)
-    if m0inv is None:
-        m0inv = np.linalg.inv(m.coeffs[..., 0])
-    step = -einsum("...ij,...jk->...ik", m0inv, m - m.coeffs[..., 0])
-    result = _constant(m.alg, m0inv)
-    for k in range(m.order):
-        # the first pass multiplies by the constant m0inv, not by a jet
-        result = einsum("...ij,...jk->...ik", step, m0inv if k == 0 else result) + m0inv
-    return result
 
 
 # ---- elementary functions (work on floats, float arrays and jets) --------

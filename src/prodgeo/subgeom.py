@@ -6,11 +6,12 @@ tangential/normal split of the ambient product structure (the phi, omega,
 B, C matrices), and the invariant / anti-invariant / semi-invariant /
 generic classifier.
 
-The immersion is a jet seeded in the n submanifold parameters only.  The
-base-point values are float algebra on its Taylor coefficients; the fields
-the connection calculus of :mod:`prodgeo.calculus` differentiates are
-jets, germs carrying their own parameter derivatives, built on first read,
-so a classification never builds them.
+The immersion is a jet of order 2 seeded in the n submanifold parameters
+only, at every entry point.  The base-point values are float algebra on its
+Taylor coefficients; the fields the connection calculus of
+:mod:`prodgeo.calculus` differentiates are first-order jets, germs carrying
+their own parameter derivatives, built on first read, so a classification
+never builds them.
 Vector, matrix and frame fields are array jets whose leading axis runs over
 the sample points, so one build makes the same numpy calls for a whole
 document as for one point; :func:`point_geometry` reads row 0 of a one-point
@@ -184,56 +185,45 @@ class _JetGeometry:
     ``u`` is a batch of points, shape ``(P, n)``, and every field carries
     that leading point axis; the tangent columns are in parameter order.
     Seed layout: one seed direction per submanifold parameter ``u1..un`` and
-    no other.  The immersion ``f`` is a jet of the requested order ``p``
-    (2 or 3); the metric ``gf``, structure ``Ff`` and metric derivatives
-    ``dgf`` along it are the space's tables, evaluated on ``f`` at order 1
-    by one plan.  A table that is constant along the immersion is a
-    float array without a point axis.
+    no other.  The immersion ``f`` is a jet of order 2; the metric ``gf``
+    and structure ``Ff`` along it are the space's tables, evaluated on ``f``
+    at order 1 by one plan with the metric derivatives.  A table that is
+    constant along the immersion is a float array without a point axis.
 
-    The rule: every base-point value is float algebra, at either order,
-    and every derivative jet is built on first read.  The construction
-    computes the values only, from the Taylor coefficients of ``f`` and the
-    tables' values: the Jacobian ``J0`` and the coordinate Hessian (a
-    mixed second derivative is its coefficient, ``d_a d_a f`` twice it),
-    Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by modified
-    Gram-Schmidt with column pivoting, the induced metric ``G0`` and its
-    inverse, ``hc0`` (the normal part of the Hessian plus Gamma(T_a, T_b)),
-    ``H0``, and everything the classifier, the lemmas and T2-T4 read at
-    the base points.  The order-2 build of a classification stops there.
-    The jets are cached properties with the orders their readers need:
-    ``T`` (``(P, n, N)``) carries ``p - 1``; the frames ``e_field`` and
-    ``xi_field``, the lowered tangent frame ``gE`` and the induced metric
-    ``G_field`` carry order 1, the frames solved in closed form from
-    ``E g E^T = I`` and the lower triangular change of basis; the
-    Christoffel symbols ``gamma_f``, ``h_field`` (``(P, n, n, N)``),
-    ``Ginv_field`` and ``H_field`` carry ``p - 2``; an inverse is built
-    around the float inverse of its value (``g0inv``, ``G0inv``).
-    :func:`~prodgeo.calculus.lemma_tensors` is their reader.
+    The rule: every base-point value is float algebra, and every derivative
+    jet is built on first read.  The construction computes the values only,
+    from the Taylor coefficients of ``f`` and the tables' values: the
+    Jacobian ``J0`` and the coordinate Hessian (a mixed second derivative
+    is its coefficient, ``d_a d_a f`` twice it), Gamma(T_a, .) as
+    ``GammaT0``, the frames ``E0``/``Xi0`` by modified Gram-Schmidt with
+    column pivoting, the induced metric ``G0`` and its inverse, ``hc0``
+    (the normal part of the Hessian plus Gamma(T_a, T_b)), ``H0``, and
+    everything the classifier, the lemmas and T2-T4 read at the base
+    points.  A classification stops there.  The jets are cached properties
+    of order 1, all that their reader,
+    :func:`~prodgeo.calculus.lemma_tensors`, differentiates: ``T``
+    (``(P, n, N)``), and the frames ``e_field`` and ``xi_field`` with the
+    lowered tangent frame ``gE``, solved in closed form from ``E g E^T = I``
+    and the lower triangular change of basis.
 
     Two cases are read off the evaluated tables: a metric-derivative table
-    that is a constant zero array sets ``flat``, and then ``gamma_f`` and
-    ``GammaT0`` are ``None`` and no Christoffel term is contracted; a
-    constant identity metric sets ``unit_metric``, and :meth:`lower` and
-    :meth:`lower0` return their argument.  Decisions that differ between
-    points (the Jacobian rank, positive definiteness, the normal frame
-    completion) are masks over the points; a failing check names the first
-    failing point.  Before any can raise,
-    :func:`~prodgeo.ambient.validate_ambient` reads ``x0`` and the tables'
-    values into ``ambient_report``; with ``strict`` a failed report raises.
+    that is a constant zero array sets ``flat``, and then ``GammaT0`` is
+    ``None`` and no Christoffel term is contracted; a constant identity
+    metric sets ``unit_metric``, and :meth:`lower0` returns its argument.
+    Decisions that differ between points (the Jacobian rank, positive
+    definiteness, the normal frame completion) are masks over the points; a
+    failing check names the first failing point.  Before any can raise,
+    :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the tables'
+    values and the Christoffel symbols into ``ambient_report``; with
+    ``strict`` a failed report raises.
     """
 
-    def __init__(
-        self, immersion: Immersion, space: AmbientSpace, u, order: int = 3, strict: bool = False
-    ):
+    def __init__(self, immersion: Immersion, space: AmbientSpace, u, strict: bool = False):
         if immersion.ambient_dim != space.dim:
             raise ValueError(
                 f"immersion maps into dimension {immersion.ambient_dim}, "
                 f"ambient space has dimension {space.dim}"
             )
-        if order < 2:
-            raise jets.InsufficientJetOrder("point geometry needs jet order >= 2")
-        if order > 3:
-            raise ValueError("point geometry carries jet orders 2 and 3 only")
         n, N = immersion.n, space.dim
         self.n, self.N, self.m = n, N, N - n
         self.u = np.array(u, dtype=float)
@@ -242,7 +232,7 @@ class _JetGeometry:
         npts = len(self.u)
         self.points = [tuple(row) for row in self.u.tolist()]
 
-        self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, order)))
+        self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, 2)))
         # overflow and NaN are found by the masks below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -259,11 +249,17 @@ class _JetGeometry:
                 )
             except jets.DomainError as err:
                 raise err.at("x", self.x0) from None
-        self.g0, self.F0 = _values(self.gf), _values(self.Ff)
-        self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, _values(dg))
+            self.g0, self.F0 = _values(self.gf), _values(self.Ff)
+            # the metric, the identity where it is not positive definite, so that
+            # no inverse or factorization meets a singular matrix; and the
+            # Christoffel symbols at the images unless the connection vanishes
+            definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), (npts,))
+            safe_g0 = np.where(definite[..., None, None], self.g0, np.eye(N))
+            self.flat = isinstance(dg, np.ndarray) and not dg.any()
+            gamma0 = None if self.flat else levi_civita(np.linalg.inv(safe_g0), _values(dg))
+        self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, gamma0)
         if strict and not self.ambient_report.passed:
             raise AmbientValidationFailure(self.ambient_report)
-        self.order, self.dgf = order, dg  # dgf: the metric derivatives along f
 
         # the Jacobian J0[..., i, a] = d f^i / d u^a, read off the immersion's
         # Taylor coefficients; the tangent vectors T_a are its columns
@@ -273,8 +269,7 @@ class _JetGeometry:
         # the image, J and the higher derivatives of the immersion
         immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
         finite = np.broadcast_to(np.isfinite(self.g0).all(axis=(-2, -1)), (npts,))
-        definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), (npts,))
-        chol = np.linalg.cholesky(np.where(definite[..., None, None], self.g0, np.eye(N)))
+        chol = np.linalg.cholesky(safe_g0)
         jac = np.where(immersed[..., None, None], self.J0, 0.0)
         smallest = np.linalg.svd(_t(chol) @ jac, compute_uv=False).min(axis=-1)
         bad = ~immersed | ~definite | (smallest <= 1e-8)
@@ -298,11 +293,8 @@ class _JetGeometry:
 
         # unless the connection vanishes, Gamma(T_a, .) at the base points with
         # the direction first: GammaT0[..., a, k, i] = Gamma^i_jk T_a^j
-        self.flat = isinstance(dg, np.ndarray) and not dg.any()
-        self.GammaT0 = self.g0inv = None
+        self.GammaT0 = None
         if not self.flat:
-            self.g0inv = np.linalg.inv(self.g0)
-            gamma0 = levi_civita(self.g0inv, _values(dg))
             gamma0 = np.moveaxis(gamma0, -3, -1).reshape(npts, N, N * N)  # [j, k, i]
             self.GammaT0 = (T0 @ gamma0).reshape(npts, n, N, N)
         self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
@@ -386,19 +378,6 @@ class _JetGeometry:
         return jacobian.swapaxes(-1, -2)
 
     @cached_property
-    def _tangents(self):
-        """``T`` at order 1, all that the frames and the induced metric need."""
-        return self.T.truncate(1)
-
-    @cached_property
-    def gamma_f(self):
-        """Christoffel symbols along the immersion, ``(P, N, N, N)``; ``None`` if flat."""
-        if self.flat:
-            return None
-        dg = self.dgf.truncate(self.order - 2) if isinstance(self.dgf, jets.Jet) else self.dgf
-        return levi_civita(jets.inverse(self.gf, self.g0inv), dg)
-
-    @cached_property
     def _frame_jets(self):
         """The frames, tangent rows first, and g(e_a, .) of the tangent ones,
         as first-order jets around the base-point frames.
@@ -412,7 +391,7 @@ class _JetGeometry:
         """
         n, N, npts = self.n, self.N, len(self.u)
         E0, GE0 = self.frame0, self.lowered_frame0
-        tangents = self._tangents
+        tangents = self.T
         dV = np.zeros((npts, N, N, n))
         dV[:, :n] = tangents.coeffs[..., 1:]
         A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(npts, N, N * n))
@@ -449,31 +428,6 @@ class _JetGeometry:
         """g(e_a, .) of the tangent frame, ``(P, n, N)``."""
         return self._frame_jets[1]
 
-    @cached_property
-    def G_field(self):
-        """The induced metric g(T_a, T_b), ``(P, n, n)``."""
-        return jets.einsum("...ai,...bi->...ab", self._tangents, self.lower(self._tangents))
-
-    @cached_property
-    def Ginv_field(self):
-        """The inverse induced metric, around ``G0inv``."""
-        return jets.inverse(self.G_field.truncate(self.order - 2), self.G0inv)
-
-    @cached_property
-    def h_field(self):
-        """The coordinate-frame second fundamental form: the normal part of
-        d_b T_a + Gamma(T_a, T_b), ``(P, n, n, N)``."""
-        dT = jets.array([jets.partial(self.T, b) for b in range(self.n)]).swapaxes(-1, -2)
-        if not self.flat:
-            gamma_t = jets.einsum("...ijk,...bk->...bij", self.gamma_f, self.T)
-            dT = dT + jets.einsum("...aj,...bij->...abi", self.T, gamma_t)
-        return self.normal_part_field(dT)
-
-    @cached_property
-    def H_field(self):
-        """The mean curvature field H = (1/n) G^{ab} h_ab, ``(P, N)``."""
-        return jets.einsum("...ab,...abi->...i", self.Ginv_field, self.h_field) * (1.0 / self.n)
-
     # ---- jet-field helpers ----------------------------------------------
     # Fields are jets (or float arrays) shaped (P, batch..., N): the point
     # axis of the geometry, then any axes that batch several fields (one row
@@ -488,12 +442,6 @@ class _JetGeometry:
         if extra <= 0 or len(field.shape) == axes:
             return field
         return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]
-
-    def lower(self, vec):
-        """g(vec, .) as components: g_ij vec^j (``vec`` itself for a unit metric)."""
-        if self.unit_metric:
-            return vec
-        return jets.einsum("...ij,...j->...i", self._fit(self.gf, 2, vec), vec)
 
     def apply_F_field(self, vec):
         return jets.einsum("...ij,...j->...i", self._fit(self.Ff, 2, vec), vec)
@@ -575,7 +523,7 @@ class _JetGeometry:
 def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]) -> PointGeometry:
     """Full per-point bundle (frames, h, H, phi/omega/B/C) at one parameter
     point: row 0 of the geometry of a one-point batch."""
-    geo = _JetGeometry(immersion, space, [u], order=2)
+    geo = _JetGeometry(immersion, space, [u])
     return PointGeometry(
         u=geo.points[0],
         x=geo.x0[0],
@@ -733,5 +681,5 @@ def classify(
     """
     if samples is None:
         samples = immersion.samples
-    geo = _JetGeometry(immersion, space, _points(samples, immersion.n), order=2)
+    geo = _JetGeometry(immersion, space, _points(samples, immersion.n))
     return aggregate_classification(classify_point(geo, tol), immersion.n, tol)

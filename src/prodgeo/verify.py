@@ -90,17 +90,13 @@ def verify(
     ``samples`` defaults to the immersion's own.  With ``strict`` a failed
     ambient validation at their images raises
     :class:`~prodgeo.ambient.AmbientValidationFailure`, ahead of any error of
-    the geometry build.  The identities differentiate the frames once more
-    than the classification reads, so the jets are built to order 3 when
-    lemmas or theorems are requested and to order 2 when not.
+    the geometry build.  The geometry is the same with or without the
+    identities, which build its first-order jets on first read.
     """
     if samples is None:
         samples = immersion.samples
     tol = tolerances.identity_tol
-    order = 3 if lemmas or theorems else 2
-
-    points = _points(samples, immersion.n)
-    geo = _JetGeometry(immersion, space, points, order=order, strict=strict)
+    geo = _JetGeometry(immersion, space, _points(samples, immersion.n), strict=strict)
     classification = aggregate_classification(
         classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
     )

@@ -120,7 +120,7 @@ def test_criterion_3_structural_identities():
     for label in catalog_list():
         scn = catalog_get(label)
         for u in scn.samples:
-            geo = _JetGeometry(scn.immersion, scn.space, [u], order=2)
+            geo = _JetGeometry(scn.immersion, scn.space, [u])
             n, m = geo.n, geo.m
             hcomp = geo.hcomp0[0]
             g0 = geo.g0 if geo.g0.ndim == 2 else geo.g0[0]  # constant: no point axis

@@ -122,13 +122,13 @@ def test_singular_metric_raises():
     for x in ([0.0, 1.0], [-1.0, 1.0]):
         assert not validate_at(sp, [x]).positive_definite
         with pytest.raises(SingularMetric):
-            _JetGeometry(line, sp, [x[:1]], order=2)
+            _JetGeometry(line, sp, [x[:1]])
 
 
 def test_cov_derivative_constant_field_flat():
     sp = product_of("flat", 1, "flat", 1)
     # the curve through (0.3, 0.4) with velocity (1, 0)
-    geo = _JetGeometry(Immersion(1, ("0.3 + u1", "0.4")), sp, [[0.0]], order=3)
+    geo = _JetGeometry(Immersion(1, ("0.3 + u1", "0.4")), sp, [[0.0]])
     v = _constant_field(geo, [2.0, -1.0])
     assert np.array_equal(geo.nabla(v)[0, 0], [0.0, 0.0])
 
@@ -136,7 +136,7 @@ def test_cov_derivative_constant_field_flat():
 def test_cov_derivative_position_field_along_circle():
     sp = product_of("flat", 1, "flat", 1)
     # the unit circle through (1, 0) with velocity (0, 1)
-    geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]], order=3)
+    geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]])
     t = geo.uenv["u1"]
     v = jets.array([jets.cos(t), jets.sin(t)])  # position along the unit circle
     assert np.allclose(geo.nabla(v)[0, 0], [0.0, 1.0], atol=1e-15)
@@ -144,7 +144,7 @@ def test_cov_derivative_position_field_along_circle():
 
 def test_cov_derivative_rotating_frame():
     sp = product_of("flat", 1, "flat", 1)
-    geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]], order=3)
+    geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]])
     t = geo.uenv["u1"]
     e = jets.array([-jets.sin(t), jets.cos(t)])
     assert np.allclose(geo.nabla(e)[0, 0], [-1.0, 0.0], atol=1e-15)
@@ -171,7 +171,7 @@ def test_metric_compatibility_along_random_curves():
         lhs = g_vw.gradient()[0]
         # the same curve as an immersion, differentiated along d/du1 = d
         line = Immersion(1, tuple(f"{float(x0[j])!r} + {float(d[j])!r} * u1" for j in range(3)))
-        geo = _JetGeometry(line, sp, [[0.0]], order=3)
+        geo = _JetGeometry(line, sp, [[0.0]])
         dv = geo.nabla(_constant_field(geo, vv))[0, 0]
         dw = geo.nabla(_constant_field(geo, ww))[0, 0]
         g0 = _metric(sp, x0)
@@ -225,11 +225,35 @@ def test_constant_reflection_passes_position_dependent_fails(monkeypatch):
     bad = validate_at(position_reflection_space(), [[0.0, 0.0]])
     assert not bad.passed
     assert bad.max_parallel_residual >= 0.1
-    # a varying structure and a curved block keep their reports
+    # a varying structure and a curved block keep their reports; over a flat
+    # metric nabla F is d F, without a connection
     assert bad == AmbientValidationReport(0.0, 0.0, 1.0, True, False, False)
     curved = validate_at(catalog_get("curved-block").space, [[0.3, 0.2, 0.9], [1.0, -0.5, 2.0]])
     assert curved == AmbientValidationReport(0.0, 0.0, 0.0, True, False, True)
-    assert len(connections) == 2
+    assert len(connections) == 1
+
+
+@pytest.mark.parametrize("label, connections_computed", [("curved-block", 1), ("rect-torus", 0)])
+@pytest.mark.parametrize("full", [True, False])
+def test_verification_computes_the_connection_once(label, connections_computed, full, monkeypatch):
+    # the geometry build computes the Christoffel symbols and the ambient
+    # validation reads them; the identities take no connection jet, and a
+    # flat product computes none
+    from prodgeo import subgeom
+    from prodgeo.verify import verify
+
+    connections = []
+
+    def counted(ginv, dg):
+        connections.append(dg)
+        return levi_civita(ginv, dg)
+
+    for module in (ambient, subgeom):
+        monkeypatch.setattr(module, "levi_civita", counted)
+    scn = catalog_get(label)
+    outcome = verify(scn.space, scn.immersion, lemmas=full, theorems=full)
+    assert outcome.ambient_report.passed
+    assert len(connections) == connections_computed
 
 
 def test_identity_structure_is_flagged():
@@ -329,9 +353,9 @@ def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
     report = validate_at(sp, [[0.5, 0.2], [-0.5, 0.2]])
     assert not report.positive_definite and not report.passed
     imm = Immersion(1, ("u1", "0.3*u1"))
-    _JetGeometry(imm, sp, [[0.5]], order=2)
+    _JetGeometry(imm, sp, [[0.5]])
     with pytest.raises(SingularMetric, match="not positive definite"):
-        _JetGeometry(imm, sp, [[0.5], [-0.5]], order=2)
+        _JetGeometry(imm, sp, [[0.5], [-0.5]])
 
 
 def test_constant_tables_are_not_shared_with_callers():

@@ -1,13 +1,14 @@
 """Induced connections, nabla-omega / nabla-C, and the lemma suites.
 
-The directional derivatives are read off one order-3 geometry of a
-one-point batch: the ambient covariant derivative along every coordinate
+The directional derivatives are read off the geometry of a one-point
+batch: the ambient covariant derivative along every coordinate
 direction (``_JetGeometry.nabla``), whose tangent and normal parts are the
 induced connections, and nabla omega / nabla C through the batched
 ``calculus._nabla_omega`` / ``_nabla_C`` that ``verify`` runs.  Each returns
 one row per coordinate direction behind the point axis; a test contracts the
 rows with its direction and keeps the point axis.  The fields are built here
-from the geometry's frames.
+from the geometry's frames, and the mean curvature field by the reference
+of the ``mean_curvature`` test module.
 """
 
 import collections
@@ -29,6 +30,8 @@ from prodgeo.oracle import fd_derivative
 from prodgeo.subgeom import Immersion, _JetGeometry, point_geometry
 from prodgeo.verify import verify
 
+from mean_curvature import mean_curvature_field
+
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)
 FLAT22 = product_of("flat", 2, "flat", 2)
@@ -45,8 +48,8 @@ def _normal_field(geo, coefficients):
 
 
 def _geometry(immersion, space, u):
-    """The order-3 geometry of the one-point batch ``[u]``."""
-    return _JetGeometry(immersion, space, [u], order=3)
+    """The geometry of the one-point batch ``[u]``."""
+    return _JetGeometry(immersion, space, [u])
 
 
 def _along(derivatives, direction):
@@ -164,7 +167,7 @@ def test_nabla_omega_circle_closed_form():
 def test_nabla_C_flat_plane_vanishes():
     plane = Immersion(2, ("u1", "u2", "0"))
     geo = _geometry(plane, FLAT21, (0.3, 0.1))
-    for xi in (geo.xi_field[..., 0, :], geo.H_field):
+    for xi in (geo.xi_field[..., 0, :], mean_curvature_field(plane, FLAT21, [(0.3, 0.1)])):
         assert np.max(np.abs(_along(calculus._nabla_C(geo, xi), (1.0, 1.0)))) <= 1e-13
 
 
@@ -190,9 +193,10 @@ def test_nabla_C_circle_matches_oracle():
 def test_nabla_C_torus_mean_curvature_field():
     torus = catalog_get("square-torus-aligned")
     geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
+    h_field = mean_curvature_field(torus.immersion, torus.space, [(0.5, 1.1)])
     for a in range(2):
         direction = [1.0 if i == a else 0.0 for i in range(2)]
-        out = _along(calculus._nabla_C(geo, geo.H_field), direction)
+        out = _along(calculus._nabla_C(geo, h_field), direction)
         # rhs of the second identity with xi = H: -omega A_H X - h(X, BH)
         x = np.asarray(direction, float)
         rhs = -geo.f_normal_part(_shape_operator(geo, x, geo.H0))
@@ -262,7 +266,10 @@ def test_nabla_C_is_linear_in_x(xi):
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
-    field = geo.H_field if xi == "H" else geo.xi_field[..., xi, :]
+    if xi == "H":
+        field = mean_curvature_field(scn.immersion, scn.space, [u0])
+    else:
+        field = geo.xi_field[..., xi, :]
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
     rows = calculus._nabla_C(geo, field)
     xa, xb, xc = (_along(rows, d) for d in directions)
@@ -327,12 +334,13 @@ def test_normal_connection_is_metric_compatible():
     rng = np.random.default_rng(2)
     for u in scn.samples:
         geo = _geometry(scn.immersion, scn.space, u)
+        h_field = mean_curvature_field(scn.immersion, scn.space, [u])
         x = rng.uniform(-1, 1, geo.n)
         # d/dt g(H, xi_alpha) = g(nabla-perp H, xi) + g(H, nabla-perp xi)
         for alpha in range(geo.m):
-            pairing = _pairing(geo, geo.H_field, geo.xi_field[:, alpha])
+            pairing = _pairing(geo, h_field, geo.xi_field[:, alpha])
             lhs = float(pairing.gradient()[0, : geo.n] @ x)
-            rhs = _nabla_perp(geo, geo.H_field, x)[0] @ geo.g0 @ geo.Xi0[0, alpha]
+            rhs = _nabla_perp(geo, h_field, x)[0] @ geo.g0 @ geo.Xi0[0, alpha]
             rhs += geo.H0[0] @ geo.g0 @ _nabla_perp(geo, geo.xi_field[:, alpha], x)[0]
             assert abs(lhs - rhs) <= 1e-8
 
@@ -347,7 +355,8 @@ def test_directional_derivative_matches_oracle_on_rect_torus():
         return float(pg.H @ pg.ambient_metric @ pg.H)
 
     geo = _geometry(scn.immersion, scn.space, u0)
-    pairing = _pairing(geo, geo.H_field, geo.H_field)
+    h_field = mean_curvature_field(scn.immersion, scn.space, [u0])
+    pairing = _pairing(geo, h_field, h_field)
     jet_value = float(pairing.gradient()[0, : geo.n] @ x)
     oracle = fd_derivative(h_sq, 0.0)
     assert abs(jet_value - oracle) <= 1e-5
@@ -368,6 +377,7 @@ def test_jet_directional_derivatives_match_oracle_on_all_scenarios():
             return float(pg.H @ pg.ambient_metric @ pg.H)
 
         geo = _geometry(scn.immersion, scn.space, u0)
-        pairing = _pairing(geo, geo.H_field, geo.H_field)
+        h_field = mean_curvature_field(scn.immersion, scn.space, [u0])
+        pairing = _pairing(geo, h_field, h_field)
         jet_value = float(pairing.gradient()[0, : geo.n] @ x)
         assert abs(jet_value - fd_derivative(h_sq, 0.0)) <= 1e-5, label

@@ -531,8 +531,8 @@ random = count=2 seed=7 box=(0,6)
 
 
 def test_entry_points_agree_with_verify(capsys, tmp_path):
-    # exact equality: a contraction's value must not depend on the jet order
-    # it carries (order 2 here, order 3 in verify), at 3 points or at 64
+    # exact equality: classify and verify build the same order-2 geometry,
+    # at 3 points or at 64
     cases = [catalog_get(label) for label in catalog_list()]
     cases = [(scn.space, scn.immersion) for scn in cases] + [corrupted_lemma_case()]
     cases += seed_one_grids()

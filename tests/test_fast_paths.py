@@ -70,11 +70,11 @@ def test_fast_paths_match_the_general_path(label, space, immersion, samples):
     general_space, general_immersion = _general_space(space), _general_immersion(immersion)
     # the rewritten input takes no shortcut
     points = _points(samples, immersion.n)
-    geo = _JetGeometry(general_immersion, general_space, points, order=3)
+    geo = _JetGeometry(general_immersion, general_space, points)
     assert not geo.flat and not geo.unit_metric
     assert not general_space._constants
 
-    fast_geo = _JetGeometry(immersion, space, points, order=3)
+    fast_geo = _JetGeometry(immersion, space, points)
     assert np.array_equal(fast_geo.x0, geo.x0)
     _assert_same(fast_geo.ambient_report, geo.ambient_report, label)
     for full in (True, False):

@@ -12,7 +12,6 @@ from prodgeo.jets import (
     cos,
     einsum,
     exp,
-    inverse,
     lift_constant,
     partial,
     seed_point,
@@ -329,22 +328,6 @@ def test_contractions_keep_the_coefficient_axis_innermost(monkeypatch):
     assert strides and set(strides) == {1}
     for result in results:
         assert result.coeffs.flags.c_contiguous
-
-
-@pytest.mark.parametrize("order", [0, 1, 2, 3])
-def test_inverse_times_matrix_is_identity_to_carried_order(order):
-    # a non-diagonal curved metric along a seeded point
-    u, v = seed_point([0.4, -0.9], order=max(order, 1))
-    s = 0.3 * sin(v)
-    entries = [[2.0 + u * u, u * v, s], [u * v, 2.0 + cos(u), 0.3 * u], [s, 0.3 * u, 1.0 + exp(v)]]
-    m = array(entries).truncate(order)
-    product = einsum("ij,jk->ik", inverse(m), m)
-    identity = np.zeros(product.coeffs.shape)
-    identity[..., 0] = np.eye(3)
-    scale = np.max(np.abs(inverse(m).coeffs)) * np.max(np.abs(m.coeffs))
-    assert product.order == order
-    assert np.max(np.abs(product.coeffs - identity)) <= 1e-15 * scale
-    assert np.allclose(inverse(m).value, np.linalg.inv(m.value), atol=1e-14)
 
 
 def test_array_stacks_jets_and_numbers_at_lowest_order():

@@ -4,7 +4,9 @@ The library evaluates nabla omega, nabla C, the two lemma residuals and the
 T2-T4 columns as stacked matrix products, with every coordinate direction
 at once.  The references below are the same quantities written as
 ``np.einsum`` contractions, one coordinate direction per pass, the way the
-library computed them before; both read the same geometry.  Each library
+library computed them before; both read the same geometry.  The reference
+differentiates the mean curvature field of the ``mean_curvature`` test
+module, where the library contracts the normal frame columns.  Each library
 array must lie within 1e-12 of the reference array's largest entry, or of
 the size of the terms it is summed from where that is larger (at least 1):
 a residual of a true identity, or a tensor that vanishes, is roundoff in
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from prodgeo import calculus, jets
-from prodgeo.ambient import product_of
+from prodgeo.ambient import levi_civita, product_of
 from prodgeo.catalog import (
     catalog_get,
     catalog_list,
@@ -23,10 +25,11 @@ from prodgeo.catalog import (
     flat_product,
     random_trig_immersion,
 )
-from prodgeo.subgeom import Immersion, _JetGeometry, _values
+from prodgeo.subgeom import Immersion, _JetGeometry
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 
 from grids import seed_one_grids
+from mean_curvature import mean_curvature_field
 
 TOL = 1e-8
 
@@ -99,37 +102,46 @@ def _shape_operator(geo, x_params, xi):
     return np.einsum("...b,...bi->...i", coefficients, _fit(geo, geo.E0, 2, xi))
 
 
-def _cov_deriv(geo, vec, direction):
+def _christoffel(geo, space):
+    """The Christoffel symbols at the images, ``None`` for a flat geometry."""
+    if geo.flat:
+        return None
+    (dg,) = space.tables(("metric_diff",), geo.x0)
+    return levi_civita(np.linalg.inv(geo.g0), dg)
+
+
+def _cov_deriv(geo, gamma, vec, direction):
     d = _fit(geo, np.asarray(direction, dtype=float), 1, vec)
     derivative = np.einsum("...ia,...a->...i", vec.gradient(), d)
-    if geo.flat:
+    if gamma is None:
         return derivative
-    gamma_t = np.einsum("...ijk,...ja->...ika", _values(geo.gamma_f), geo.J0)
+    gamma_t = np.einsum("...ijk,...ja->...ika", gamma, geo.J0)
     return derivative + np.einsum(
         "...ika,...a,...k->...i", _fit(geo, gamma_t, 3, vec), d, vec.value
     )
 
 
-def _nabla_tan(geo, vec, direction):
-    return _project_tangent(geo, _cov_deriv(geo, vec, direction))
+def _nabla_tan(geo, gamma, vec, direction):
+    return _project_tangent(geo, _cov_deriv(geo, gamma, vec, direction))
 
 
-def _nabla_perp(geo, vec, direction):
-    return _project_normal(geo, _cov_deriv(geo, vec, direction))
+def _nabla_perp(geo, gamma, vec, direction):
+    return _project_normal(geo, _cov_deriv(geo, gamma, vec, direction))
 
 
-def _reference_tensors(geo):
+def _reference_tensors(geo, space, h_field):
+    gamma = _christoffel(geo, space)
     xi_fields = jets.array(
-        [geo.xi_field[..., a, :] for a in range(geo.m)] + [geo.H_field]
+        [geo.xi_field[..., a, :] for a in range(geo.m)] + [h_field]
     ).swapaxes(-1, -2)
     omega_y = geo.normal_part_field(geo.apply_F_field(geo.T))
     c_xi = geo.normal_part_field(geo.apply_F_field(xi_fields))
     nabla_omega, nabla_c = [], []
     for d in np.eye(geo.n):
-        nabla_omega.append(_nabla_perp(geo, omega_y, d)
-                           - _f_normal_part(geo, _nabla_tan(geo, geo.T, d)))
-        nabla_c.append(_nabla_perp(geo, c_xi, d)
-                       - _f_normal_part(geo, _nabla_perp(geo, xi_fields, d)))
+        nabla_omega.append(_nabla_perp(geo, gamma, omega_y, d)
+                           - _f_normal_part(geo, _nabla_tan(geo, gamma, geo.T, d)))
+        nabla_c.append(_nabla_perp(geo, gamma, c_xi, d)
+                       - _f_normal_part(geo, _nabla_perp(geo, gamma, xi_fields, d)))
     return np.stack(nabla_omega, axis=-3), np.stack(nabla_c, axis=-3)
 
 
@@ -209,9 +221,10 @@ def _close(got, want, scale, where):
 
 @pytest.mark.parametrize("label, space, imm", CASES, ids=[case[0] for case in CASES])
 def test_kernels_match_the_einsum_references(label, space, imm):
-    geo = _JetGeometry(imm, space, np.array(imm.samples), order=3)
+    geo = _JetGeometry(imm, space, np.array(imm.samples))
     nabla_omega_t, nabla_c_xi = calculus.lemma_tensors(geo)
-    ref_omega, ref_c = _reference_tensors(geo)
+    ref_omega, ref_c = _reference_tensors(
+        geo, space, mean_curvature_field(imm, space, np.array(imm.samples)))
     # every array here is a sum of terms of this size, and some of them
     # (the tensors of an invariant surface, the lemma residuals) are roundoff
     terms = max(np.abs(geo.nabla(geo.T)).max(), np.abs(geo.hc0).max(), geo.Hsq.max(), 1.0)
@@ -238,12 +251,14 @@ def test_all_directions_derivative_is_the_per_direction_one():
     # nabla(field)[..., a, :] is the derivative along d_a, and a direction
     # that differs between points is a contraction of those rows
     for label, space, imm in CASES:
-        geo = _JetGeometry(imm, space, np.array(imm.samples), order=3)
+        geo = _JetGeometry(imm, space, np.array(imm.samples))
+        gamma = _christoffel(geo, space)
         directions = geo.P[..., :, 0]  # e_1 in coordinate components, per point
-        for field in (geo.T, geo.xi_field, geo.H_field):
+        h_field = mean_curvature_field(imm, space, np.array(imm.samples))
+        for field in (geo.T, geo.xi_field, h_field):
             rows = geo.nabla(field)
             scale = np.abs(rows).max()
             for a, d in enumerate(np.eye(geo.n)):
-                _close(rows[:, a], _cov_deriv(geo, field, d), scale, (label, a))
+                _close(rows[:, a], _cov_deriv(geo, gamma, field, d), scale, (label, a))
             _close(np.einsum("pa,pa...->p...", directions, rows),
-                   _cov_deriv(geo, field, directions), scale, (label, "e_1"))
+                   _cov_deriv(geo, gamma, field, directions), scale, (label, "e_1"))

@@ -216,7 +216,7 @@ def test_structural_identities_every_catalog_sample():
     for label in catalog_list():
         scn = catalog_get(label)
         for u in scn.samples:
-            geo = _JetGeometry(scn.immersion, scn.space, [u], order=2)
+            geo = _JetGeometry(scn.immersion, scn.space, [u])
             n, m = geo.n, geo.m
             hcomp, E0, Xi0 = geo.hcomp0[0], geo.E0[0], geo.Xi0[0]
             # h symmetry
@@ -277,16 +277,15 @@ def test_dimension_mismatch_between_immersion_and_space():
 
 
 def test_geometry_jets_seed_only_the_parameters():
-    # n seed directions: an n=2 jet carries 10 coefficients at order 3
+    # n seed directions: an n=2 jet carries 6 coefficients at order 2
     for label in catalog_list():
         scn = catalog_get(label)
         n = scn.immersion.n
-        geo = _JetGeometry(scn.immersion, scn.space, [scn.samples[0]], order=3)
-        fields = (geo.f, geo.T, geo.e_field, geo.xi_field, geo.G_field, geo.h_field, geo.H_field)
+        geo = _JetGeometry(scn.immersion, scn.space, [scn.samples[0]])
+        fields = (geo.f, geo.T, geo.e_field, geo.xi_field, geo.gE)
         assert all(field.nvars == n for field in fields), label
-        assert geo.f.coeffs.shape[-1] == math.comb(n + 3, 3), label
+        assert geo.f.coeffs.shape[-1] == math.comb(n + 2, 2), label
         assert geo.T.shape == (1, n, geo.N) and geo.xi_field.shape == (1, geo.m, geo.N), label
-        assert geo.h_field.shape == (1, n, n, geo.N) and geo.H_field.shape == (1, geo.N), label
 
 
 def test_non_finite_sample_is_a_value_error_naming_it():
@@ -322,19 +321,8 @@ def test_metric_not_finite_at_one_sample_is_singular():
             classify(imm, space)
 
 
-def test_geometry_carries_jet_orders_two_and_three_only():
-    imm = Immersion(1, ("cos(u1)", "sin(u1)"))
-    for order in (2, 3):
-        _JetGeometry(imm, FLAT11, [(0.3,)], order=order)
-    with pytest.raises(ValueError, match="orders 2 and 3 only"):
-        _JetGeometry(imm, FLAT11, [(0.3,)], order=4)
-
-
-# the derivative jets of a geometry, built on first read
-LAZY = ("T", "gamma_f", "e_field", "xi_field", "gE", "G_field", "Ginv_field", "h_field", "H_field")
-
-
-def test_classification_builds_no_derivative_jet(monkeypatch):
+def _record_builds(monkeypatch) -> list:
+    """The geometries built from now on, in the order of their builds."""
     built = []
     build = _JetGeometry.__init__
 
@@ -343,6 +331,27 @@ def test_classification_builds_no_derivative_jet(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(_JetGeometry, "__init__", recording_build)
+    return built
+
+
+def test_immersion_jet_has_order_two_at_every_entry_point(monkeypatch):
+    # the identities read first derivatives of the frames only, so a
+    # classification and a full verification build the same geometry
+    built = _record_builds(monkeypatch)
+    scn = catalog_get("curved-block")
+    classify(scn.immersion, scn.space)
+    verify(scn.space, scn.immersion)
+    verify(scn.space, scn.immersion, lemmas=False, theorems=False)
+    point_geometry(scn.immersion, scn.space, scn.samples[0])
+    assert [geo.f.order for geo in built] == [2, 2, 2, 2]
+
+
+# the derivative jets of a geometry, built on first read
+LAZY = ("T", "e_field", "xi_field", "gE")
+
+
+def test_classification_builds_no_derivative_jet(monkeypatch):
+    built = _record_builds(monkeypatch)
     # a connection that does not vanish, and a flat product
     cases = [(catalog_get("curved-block").space, catalog_get("curved-block").immersion),
              (FLAT22, random_trig_immersion(4, 6))]
@@ -356,14 +365,13 @@ def test_classification_builds_no_derivative_jet(monkeypatch):
 
 def test_lemma_tensors_build_the_derivative_jets_around_the_float_values():
     scn = catalog_get("curved-block")
-    geo = _JetGeometry(scn.immersion, scn.space, scn.samples, order=3)
+    geo = _JetGeometry(scn.immersion, scn.space, scn.samples)
     assert not set(LAZY) & set(vars(geo))
     lemma_tensors(geo)
     assert set(LAZY) <= set(vars(geo))
     # each jet's value is the float value of the build, to roundoff
     for jet, value in ((geo.T, geo.J0.swapaxes(-1, -2)), (geo.e_field, geo.E0),
-                       (geo.xi_field, geo.Xi0), (geo.G_field, geo.G0),
-                       (geo.Ginv_field, geo.G0inv), (geo.h_field, geo.hc0), (geo.H_field, geo.H0)):
+                       (geo.xi_field, geo.Xi0), (geo.gE, geo.lowered_frame0[..., : geo.n, :])):
         assert np.allclose(jet.value, value, rtol=1e-12, atol=1e-12)
 
 
@@ -372,7 +380,7 @@ def test_geometry_takes_a_batch_of_points_only(u):
     # one point is a batch of one, (1, n); a row of n + 1 coordinates is no point
     imm = Immersion(2, ("u1", "u2", "0"))
     with pytest.raises(ValueError, match=r"^sample points must have shape \(P, 2\)"):
-        _JetGeometry(imm, FLAT21, u, order=2)
+        _JetGeometry(imm, FLAT21, u)
 
 
 def _point_cases():
@@ -383,7 +391,7 @@ def _point_cases():
 
 def test_point_geometry_is_a_row_of_the_batch():
     for space, imm in _point_cases():
-        geo = _JetGeometry(imm, space, imm.samples, order=2)
+        geo = _JetGeometry(imm, space, imm.samples)
         for index, u in enumerate(imm.samples):
             pg = point_geometry(imm, space, u)
             row = {"u": geo.points[index], "x": geo.x0[index], "tangent_on": geo.E0[index],
@@ -429,10 +437,9 @@ def _frame_cases():
 def _frame_geometries():
     # each case as given and with its parameters, so its tangent columns, reversed
     for label, space, imm in _frame_cases():
-        for order in (2, 3):
-            for parameters, source in (("forward", imm), ("reversed", _parameters_reversed(imm))):
-                geo = _JetGeometry(source, space, np.array(source.samples), order=order)
-                yield (label, order, parameters), geo
+        for parameters, source in (("forward", imm), ("reversed", _parameters_reversed(imm))):
+            geo = _JetGeometry(source, space, np.array(source.samples))
+            yield (label, parameters), geo
 
 
 def _reference_frames(geo):
@@ -446,7 +453,7 @@ def _reference_frames(geo):
     g(e_s, .) beside each slot.
     """
     n, N, shape = geo.n, geo.N, geo.u.shape[:-1]
-    tangents = geo.T.truncate(geo.e_field.order)
+    tangents = geo.T
     frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
     filled = np.zeros(shape, dtype=int)
     smallest = np.full(shape, np.inf)
@@ -458,7 +465,7 @@ def _reference_frames(geo):
         for slot in range(int(filled.max())):
             ip = jets.einsum("...i,...i->...", w, lowered[..., slot, :])
             w = w - ip[..., None] * frames[..., slot, :]
-        w_lowered = geo.lower(w)
+        w_lowered = jets.einsum("...ij,...j->...i", geo.gf, w)
         nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
         value = nrm2.coeffs[..., 0]
         accept = np.ones(shape, dtype=bool) if k < n else (value >= 1e-8 ** 2) & (filled < N)
@@ -493,7 +500,8 @@ def test_frames_are_orthonormal_to_first_order():
     for key, geo in _frame_geometries():
         frames = jets.Jet(geo.e_field.alg,
                           np.concatenate([geo.e_field.coeffs, geo.xi_field.coeffs], axis=-3))
-        gram = jets.einsum("...ri,...si->...rs", frames, geo.lower(frames))
+        lowered = jets.einsum("...ij,...sj->...si", geo.gf, frames)
+        gram = jets.einsum("...ri,...si->...rs", frames, lowered)
         assert np.abs(gram.coeffs[..., 1:]).max() <= 1e-9, key
 
 
@@ -502,7 +510,7 @@ def test_frame_completion_failure_keeps_its_message():
     tiny = product_of([["1e-20"]], 1, [["1e-20"]], 1)
     circle = Immersion(1, ("1e6 * cos(u1)", "1e6 * sin(u1)"))
     with pytest.raises(DegenerateImmersion, match="^could not complete the normal frame$"):
-        _JetGeometry(circle, tiny, [(0.3,), (1.0,)], order=2)
+        _JetGeometry(circle, tiny, [(0.3,), (1.0,)])
 
 
 def test_pivoted_completion_takes_the_longest_residual():
@@ -514,7 +522,7 @@ def test_pivoted_completion_takes_the_longest_residual():
     cases += [(flat_product(2, 2), random_trig_immersion(seed, 16)) for seed in range(30)]
     checked = 0
     for space, imm in cases:
-        geo = _JetGeometry(imm, space, np.array(imm.samples), order=2)
+        geo = _JetGeometry(imm, space, np.array(imm.samples))
         if not geo.unit_metric:
             continue
         residual = (geo.Xi0 * geo.V0[..., geo.n :, :]).sum(axis=-1)

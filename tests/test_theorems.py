@@ -173,7 +173,7 @@ def test_verdict_shape():
 
 def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
     scn = catalog_get("square-torus-rotated")
-    geo = _JetGeometry(scn.immersion, scn.space, scn.samples, order=3)
+    geo = _JetGeometry(scn.immersion, scn.space, scn.samples)
     tensors = lemma_tensors(geo)
     expected = verify(scn.space, scn.immersion, lemmas=False).theorems
 

@@ -2,12 +2,14 @@
 
 The geometry build validates a space at the images of its sample points;
 the tests that check a space without an immersion evaluate its tables at
-the points themselves, the way the build does along an immersion.
+the points themselves, and the Christoffel symbols from them, the way the
+build does along an immersion.
 """
 
 import numpy as np
 
-from prodgeo.ambient import validate_ambient
+from prodgeo import ambient
+from prodgeo.ambient import positive_definite
 
 
 def validate_at(space, samples):
@@ -16,4 +18,10 @@ def validate_at(space, samples):
     # overflow and NaN are what the report measures, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         g, f, dg = space.tables(("metric", "structure", "metric_diff"), x)
-    return validate_ambient(space, x, g, f, dg)
+        # on the identity where the metric is not positive definite; through
+        # the module, so that a test may count the connections computed
+        gamma = None
+        if dg.any():
+            definite = positive_definite(g, tol=0.0)[..., None, None]
+            gamma = ambient.levi_civita(np.linalg.inv(np.where(definite, g, np.eye(space.dim))), dg)
+    return ambient.validate_ambient(space, x, g, f, gamma)
