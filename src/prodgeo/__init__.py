@@ -13,8 +13,9 @@ runs all of it with one geometry build for all sample points, and its
 outcome holds the classification, the lemma reports and the T2-T4 verdicts.
 :func:`point_geometry` reads the frames and invariants at one point.
 
-All derivatives are exact (truncated Taylor jets); an independent
-finite-difference oracle cross-checks them in the test-suite.
+All derivatives are exact (truncated Taylor jets).  The package ships the
+pipeline only: the finite-difference oracle that cross-checks the jets and
+the negative controls live in the test-suite.
 """
 
 from .ambient import (
@@ -29,13 +30,11 @@ from .ambient import (
 from .calculus import LemmaReport
 from .catalog import Scenario, UnknownScenario, catalog_get, catalog_list
 from .expr import ExprAst, ParseError, UnknownVariable, evaluate, parse, pretty
-from .jets import InsufficientJetOrder, Jet, lift_constant, seed_point, seed_variable
-from .oracle import FDConfig, fd_derivative, fd_directional, fd_second, fd_third
+from .jets import InsufficientJetOrder, Jet, seed_point
 from .scenario import (
     DimensionMismatch,
     LoadedScenario,
     ScenarioError,
-    Tolerances,
     export_scenario,
     load_scenario,
 )
@@ -51,6 +50,6 @@ from .subgeom import (
     pseudo_umbilical_gap,
 )
 from .theorems import TheoremVerdict
-from .verify import VerificationOutcome, verify
+from .verify import Tolerances, VerificationOutcome, verify
 
 __version__ = "0.1.0"

@@ -32,6 +32,7 @@ __all__ = [
     "flat_block",
     "product_of",
     "levi_civita",
+    "leading_minors",
     "positive_definite",
     "validate_ambient",
 ]
@@ -140,14 +141,12 @@ class AmbientSpace:
     def tables(self, names: Sequence[str], x) -> list:
         """The named expression tables at the points ``x``.
 
-        ``x`` has shape ``(..., dim)`` (floats or a jet) or is a list of
-        coordinates.  Each result is a jet or float array with the points'
-        leading shape; a constant table is a float array of the table's own
-        shape, which broadcasts over any points.  The tables that depend on
-        ``x`` are evaluated by one plan.
+        ``x`` is a float array or a jet of shape ``(..., dim)``.  Each result
+        is a jet or float array with the points' leading shape; a constant
+        table is a float array of the table's own shape, which broadcasts
+        over any points.  The tables that depend on ``x`` are evaluated by
+        one plan.
         """
-        if isinstance(x, (list, tuple)):
-            x = jets.array(list(x))
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
         constants = self._constants
@@ -221,24 +220,29 @@ def _leading_blocks(dim: int) -> np.ndarray:
     return inside[:, :, None] & inside[:, None, :]
 
 
-def positive_definite(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Mask over the leading axes of ``g`` (shape ``(..., N, N)``): finite,
-    symmetric to 1e-12 relative to its largest entry, and with every LDL^T
-    pivot above ``tol``.
-
-    The k-th pivot is the ratio of the k-th to the (k-1)-th leading principal
-    minor, so the test needs no factorization that could fail part way
-    through a batch; with ``tol >= 0`` every pivot above it keeps the next
-    divisor positive.
-    """
+def leading_minors(g: np.ndarray) -> np.ndarray:
+    """The leading principal minors of ``g`` (shape ``(..., N, N)``) in one
+    determinant sweep, shape ``(..., N)``; NaN where ``g`` is not finite or
+    not symmetric to 1e-12 relative to its largest entry."""
     ok = np.isfinite(g).all(axis=(-2, -1))
     identity = np.eye(g.shape[-1])
     g = np.where(ok[..., None, None], g, identity)
     scale = np.max(np.abs(g), axis=(-2, -1))
     symmetric = np.max(np.abs(g - g.swapaxes(-2, -1)), axis=(-2, -1)) <= 1e-12 * scale
     minors = np.linalg.det(np.where(_leading_blocks(g.shape[-1]), g[..., None, :, :], identity))
-    pivots_ok = (minors[..., 0] > tol) & np.all(minors[..., 1:] > tol * minors[..., :-1], axis=-1)
-    return ok & symmetric & pivots_ok
+    return np.where((ok & symmetric)[..., None], minors, np.nan)
+
+
+def positive_definite(minors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Mask over the leading axes of :func:`leading_minors`: every LDL^T
+    pivot of the metric is above ``tol``, and no minor is NaN.
+
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading principal
+    minor, so the test needs no factorization that could fail part way
+    through a batch; with ``tol >= 0`` every pivot above it keeps the next
+    divisor positive.
+    """
+    return (minors[..., 0] > tol) & np.all(minors[..., 1:] > tol * minors[..., :-1], axis=-1)
 
 
 def levi_civita(ginv, dg):
@@ -291,13 +295,14 @@ class AmbientValidationFailure(ValueError):
         )
 
 
-def validate_ambient(space: AmbientSpace, x, g, f, gamma) -> AmbientValidationReport:
+def validate_ambient(space: AmbientSpace, x, g, f, gamma, minors) -> AmbientValidationReport:
     """Measure the locally-product defects at the points ``x``, shape ``(P, N)``.
 
     ``g`` and ``f`` are the metric and structure tables' values there, a
-    constant one without the point axis, and ``gamma`` the Christoffel
-    symbols of :func:`levi_civita` at every point, or ``None`` where the
-    metric derivatives vanish.  Reports the largest residuals of
+    constant one without the point axis, ``gamma`` the Christoffel symbols
+    of :func:`levi_civita` at every point, or ``None`` where the metric
+    derivatives vanish, and ``minors`` the :func:`leading_minors` of ``g``,
+    which the report thresholds at 1e-10.  Reports the largest residuals of
     ``F^2 - I``, metric compatibility and ``(nabla_X F) Y`` over the points
     and the coordinate directions X, Y; for constant tables they are
     computed once.  Only the structure derivative is evaluated here, where
@@ -321,7 +326,7 @@ def validate_ambient(space: AmbientSpace, x, g, f, gamma) -> AmbientValidationRe
         shape = (len(at), space.dim, space.dim)
         g, f = np.broadcast_to(g, shape), np.broadcast_to(f, shape)
         residuals = np.zeros((len(at), 3))  # F^2 - I, compatibility, (nabla_X F) Y
-        definite = positive_definite(g, 1e-10)
+        definite = np.broadcast_to(positive_definite(minors, 1e-10), (len(at),))
         ft = f.swapaxes(-2, -1)
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))

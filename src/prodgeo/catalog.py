@@ -2,10 +2,9 @@
 
 Every expected value carries a derivation sketch in the scenario notes, so
 the regression suite checks the engine against closed forms that were not
-produced by the engine itself.  The library also provides the negative
-controls (structures that are not locally product) and a seeded generator
-of random trigonometric-polynomial immersions used for fuzzing the identity
-suites.
+produced by the engine itself.  The library also provides a seeded
+generator of random trigonometric-polynomial immersions used for fuzzing
+the identity suites.
 """
 
 from __future__ import annotations
@@ -26,10 +25,6 @@ __all__ = [
     "catalog_list",
     "catalog_get",
     "flat_product",
-    "rotation_structure_space",
-    "position_reflection_space",
-    "constant_reflection_space",
-    "corrupted_lemma_case",
     "random_trig_immersion",
 ]
 
@@ -395,39 +390,6 @@ def catalog_get(label: str) -> Scenario:
     if label not in _CACHE:
         _CACHE[label] = builder()
     return _CACHE[label]
-
-
-# ---- negative controls -----------------------------------------------------
-
-
-def rotation_structure_space() -> AmbientSpace:
-    """Flat plane with F = rotation by 90 degrees: fails F^2 = I."""
-    return AmbientSpace(2, [["1", "0"], ["0", "1"]], [["0", "-1"], ["1", "0"]])
-
-
-def position_reflection_space() -> AmbientSpace:
-    """Reflection with position-dependent angle: F^2 = I but nabla F != 0."""
-    return AmbientSpace(
-        2,
-        [["1", "0"], ["0", "1"]],
-        [["cos(x1)", "sin(x1)"], ["sin(x1)", "-cos(x1)"]],
-    )
-
-
-def constant_reflection_space(theta: float = 0.7) -> AmbientSpace:
-    """Constant reflection: a valid locally product structure with F != +-I."""
-    c, s = repr(math.cos(theta)), repr(math.sin(theta))
-    return AmbientSpace(2, [["1", "0"], ["0", "1"]], [[c, s], [s, f"-{c}"]])
-
-
-def corrupted_lemma_case() -> tuple[AmbientSpace, Immersion]:
-    """Circle immersed where nabla F != 0: both lemma identities break by O(1)."""
-    imm = Immersion(
-        1, ("cos(u1)", "sin(u1)"),
-        samples=((0.5,), (1.2,), (2.0,)),
-        label="circle-in-corrupted-ambient",
-    )
-    return position_reflection_space(), imm
 
 
 # ---- random immersions for fuzzing ----------------------------------------

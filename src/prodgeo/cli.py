@@ -37,14 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import expr as ex
-from .catalog import Scenario, UnknownScenario, catalog_get, catalog_list
+from .catalog import UnknownScenario, catalog_get, catalog_list
 from .ambient import AmbientValidationFailure
-from .scenario import (
-    LoadedScenario,
-    ScenarioError,
-    export_scenario,
-    load_scenario,
-)
+from .scenario import ScenarioError, _number, export_scenario, load_scenario
 from .subgeom import DegenerateImmersion
 from .verify import THEOREMS, Tolerances, VerificationOutcome, verify
 
@@ -58,22 +53,6 @@ class _UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def run_loaded(loaded: LoadedScenario, tolerances=None, lemmas=True, theorems=True, strict=False):
-    return verify(
-        loaded.space,
-        loaded.immersion,
-        loaded.samples,
-        tolerances or loaded.tolerances,
-        lemmas=lemmas,
-        theorems=theorems,
-        strict=strict,
-    )
-
-
-def run_catalog_scenario(scn: Scenario):
-    return verify(scn.space, scn.immersion, scn.samples)
 
 
 # ---- structured report -----------------------------------------------------
@@ -153,22 +132,6 @@ def _document(outcome: VerificationOutcome) -> dict:
     return doc
 
 
-def _entry(fields, index: int):
-    """Entry ``index`` of a column tree: each column's value at that point."""
-    if isinstance(fields, dict):
-        return {key: _entry(column, index) for key, column in fields.items()}
-    value = fields[index]
-    return list(value) if isinstance(value, tuple) else value
-
-
-def build_document(outcome: VerificationOutcome) -> dict:
-    """The report as dicts and lists, one dict per point; :func:`render_json`
-    writes its JSON text without building them."""
-    doc = _document(outcome)
-    doc["points"] = [_entry(doc["points"], index) for index in range(len(outcome.samples))]
-    return doc
-
-
 def _json_leaf(obj) -> str:
     """JSON text of anything but a non-empty object or array."""
     if obj is None:
@@ -229,8 +192,9 @@ def _slots(fields, pad: str, columns: list) -> str:
 
 
 def render_json(outcome: VerificationOutcome) -> str:
-    """The text of :func:`dump_json` of :func:`build_document`; the points
-    are one template per document, filled from the columns once per point."""
+    """The report as :func:`dump_json` writes it with one dict per point;
+    the points are one template per document, filled from the columns once
+    per point."""
     pad, inner = "\n  ", "\n    "
     rows = []
     for key, value in _document(outcome).items():
@@ -336,9 +300,8 @@ def _cmd_scenario(ns) -> int:
     tolerances = loaded.tolerances
     if ns.tol is not None:
         tolerances = replace(tolerances, identity_tol=ns.tol)
-    outcome = run_loaded(
-        loaded, tolerances, lemmas=ns.lemmas, theorems=ns.theorems, strict=not ns.force
-    )
+    outcome = verify(loaded.space, loaded.immersion, loaded.samples, tolerances,
+                     lemmas=ns.lemmas, theorems=ns.theorems, strict=not ns.force)
     return _emit(outcome, ns.format)
 
 
@@ -348,7 +311,8 @@ def _cmd_catalog(ns) -> int:
             sys.stdout.write(label + "\n")
         return EXIT_OK
     if ns.action == "run":
-        return _emit(run_catalog_scenario(catalog_get(ns.label)), ns.format)
+        scn = catalog_get(ns.label)
+        return _emit(verify(scn.space, scn.immersion, scn.samples), ns.format)
     export_scenario(ns.path, catalog_get(ns.label))
     sys.stdout.write(f"wrote {ns.path}\n")
     return EXIT_OK
@@ -356,9 +320,16 @@ def _cmd_catalog(ns) -> int:
 
 def _tolerance(text: str) -> float:
     try:
-        return Tolerances(identity_tol=float(text)).identity_tol
+        return Tolerances(identity_tol=_number(text)).identity_tol
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
+
+
+def _seed(text: str) -> int:
+    try:
+        return _number(text, int)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -374,7 +345,7 @@ def _parser() -> _ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--force", action="store_true",
                        help="report a failed ambient validation and verify anyway")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="override the seed of a random sample section")
         p.add_argument("scenario")
         return p

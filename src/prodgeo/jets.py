@@ -40,8 +40,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "InsufficientJetOrder", "DomainError", "DivisionByZero", "check_domain",
-    "lift_constant", "seed_variable", "seed_point", "as_jet", "array", "stack", "partial",
-    "einsum", "sin", "cos", "exp", "sqrt",
+    "seed_point", "array", "stack", "partial", "einsum", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)
@@ -349,24 +348,6 @@ def _analytic(j: Jet, derivatives: Sequence) -> Jet:
 # ---- construction ------------------------------------------------------
 
 
-def lift_constant(value: float, order: int, nvars: int = 1) -> Jet:
-    """Jet of a constant: zeroth coefficient is the value, all others zero."""
-    return _constant(_algebra(nvars, order), float(value))
-
-
-def seed_variable(value: float, direction: int, order: int, nvars: int | None = None) -> Jet:
-    """Jet of an independent variable: unit first derivative along one direction."""
-    if nvars is None:
-        nvars = direction + 1
-    if not 0 <= direction < nvars:
-        raise ValueError(f"direction {direction} invalid for {nvars} seed directions")
-    if order < 1:
-        raise InsufficientJetOrder("seeding a variable requires order >= 1")
-    j = lift_constant(value, order, nvars)
-    j.coeffs[1 + direction] = 1.0
-    return j
-
-
 def seed_point(values, order: int) -> list[Jet]:
     """Seed one jet per coordinate, each along its own direction.
 
@@ -383,11 +364,6 @@ def seed_point(values, order: int) -> list[Jet]:
         j.coeffs[..., 1 + i] = 1.0
         seeds.append(j)
     return seeds
-
-
-def as_jet(value, order: int, nvars: int) -> Jet:
-    """Pass jets through; lift plain numbers to constant jets."""
-    return value if isinstance(value, Jet) else lift_constant(float(value), order, nvars)
 
 
 def _nesting(entries) -> tuple[tuple[int, ...], list]:

@@ -27,6 +27,8 @@ A scenario file is an INI-style document with four sections::
     identity_tol = 1e-8       # a positive finite number
     classify_tol = 1e-8
 
+Numbers are written in ASCII without digit-group underscores, as in expressions.
+
 Loading parses: it checks the sections and dimensions and parses every
 expression, but evaluates none.  Whether the space is locally product at the
 images of the samples is measured by the geometry build, inside
@@ -53,7 +55,6 @@ from .verify import Tolerances
 __all__ = [
     "ScenarioError",
     "DimensionMismatch",
-    "Tolerances",
     "LoadedScenario",
     "load_scenario",
     "loads_scenario",
@@ -106,6 +107,14 @@ def _parse_matrix(text: str, section: str) -> list[list[str]]:
     return matrix
 
 
+def _number(text: str, kind=float):
+    """``kind(text)`` for a number written in ASCII without underscores;
+    ``int`` and ``float`` alone also read ``1_0`` and non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return kind(text)
+
+
 def _get(cfg: configparser.ConfigParser, section: str, key: str) -> str:
     if not cfg.has_section(section):
         raise ScenarioError(f"missing section [{section}]", section)
@@ -116,7 +125,7 @@ def _get(cfg: configparser.ConfigParser, section: str, key: str) -> str:
 def _get_int(cfg, section, key) -> int:
     raw = _get(cfg, section, key)
     try:
-        return int(raw)
+        return _number(raw, int)
     except ValueError:
         raise ScenarioError(f"{key} must be an integer, got {raw!r}", section) from None
 
@@ -126,7 +135,7 @@ def _get_float(cfg, section, key, default) -> float:
         return default
     raw = cfg.get(section, key).strip()
     try:
-        return float(raw)
+        return _number(raw)
     except ValueError:
         raise ScenarioError(f"{key} must be a number, got {raw!r}", section) from None
 
@@ -187,9 +196,11 @@ def _parse_points(text: str, n: int) -> tuple[tuple[float, ...], ...]:
         chunk = chunk.strip()
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ScenarioError(f"point {chunk!r} must be parenthesized", section)
-        entries = [e for e in (s.strip() for s in chunk[1:-1].split(",")) if e]
+        entries = [e.strip() for e in chunk[1:-1].split(",")]
+        if not entries[-1]:  # one trailing comma, or no coordinates
+            entries.pop()
         try:
-            point = tuple(float(e) for e in entries)
+            point = tuple(map(_number, entries))
         except ValueError:
             raise ScenarioError(f"non-numeric sample point {chunk!r}", section) from None
         if len(point) != n:
@@ -213,7 +224,7 @@ def _parse_grid(text: str, n: int) -> tuple[tuple[float, ...], ...]:
             )
         name, start, stop, count = pieces
         try:
-            start, stop, count = float(start), float(stop), int(count)
+            start, stop, count = _number(start), _number(stop), _number(count, int)
         except ValueError:
             raise ScenarioError(f"bad grid axis {chunk!r}", section) from None
         if count < 1:
@@ -246,8 +257,8 @@ def _parse_random(text: str, n: int, seed_override: int | None) -> tuple[tuple[f
         if required not in fields:
             raise ScenarioError(f"random spec needs {required}=...", section)
     try:
-        count = int(fields["count"])
-        seed = int(fields["seed"])
+        count = _number(fields["count"], int)
+        seed = _number(fields["seed"], int)
     except ValueError:
         raise ScenarioError("random count and seed must be integers", section) from None
     if count < 1:
@@ -259,7 +270,7 @@ def _parse_random(text: str, n: int, seed_override: int | None) -> tuple[tuple[f
         rng_text = rng_text.strip()
         parenthesized = rng_text.startswith("(") and rng_text.endswith(")")
         try:
-            lo, hi = (float(v) for v in rng_text[1:-1].split(",")) if parenthesized else ()
+            lo, hi = map(_number, rng_text[1:-1].split(",")) if parenthesized else ()
         except ValueError:
             raise ScenarioError(f"box range {rng_text!r} must look like (lo,hi)", section) from None
         ranges.append((lo, hi))

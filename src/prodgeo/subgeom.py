@@ -33,6 +33,7 @@ from .ambient import (
     AmbientSpace,
     AmbientValidationFailure,
     SingularMetric,
+    leading_minors,
     levi_civita,
     positive_definite,
     validate_ambient,
@@ -214,8 +215,8 @@ class _JetGeometry:
     definiteness, the normal frame completion) are masks over the points; a
     failing check names the first failing point.  Before any can raise,
     :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the tables'
-    values and the Christoffel symbols into ``ambient_report``; with
-    ``strict`` a failed report raises.
+    values, the Christoffel symbols and the metric's leading minors into
+    ``ambient_report``; with ``strict`` a failed report raises.
     """
 
     def __init__(self, immersion: Immersion, space: AmbientSpace, u, strict: bool = False):
@@ -252,12 +253,14 @@ class _JetGeometry:
             self.g0, self.F0 = _values(self.gf), _values(self.Ff)
             # the metric, the identity where it is not positive definite, so that
             # no inverse or factorization meets a singular matrix; and the
-            # Christoffel symbols at the images unless the connection vanishes
-            definite = np.broadcast_to(positive_definite(self.g0, tol=0.0), (npts,))
+            # Christoffel symbols at the images unless the connection vanishes;
+            # the validation thresholds the same minors at its own tolerance
+            minors = leading_minors(self.g0)
+            definite = np.broadcast_to(positive_definite(minors, tol=0.0), (npts,))
             safe_g0 = np.where(definite[..., None, None], self.g0, np.eye(N))
             self.flat = isinstance(dg, np.ndarray) and not dg.any()
             gamma0 = None if self.flat else levi_civita(np.linalg.inv(safe_g0), _values(dg))
-        self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, gamma0)
+        self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, gamma0, minors)
         if strict and not self.ambient_report.passed:
             raise AmbientValidationFailure(self.ambient_report)
 

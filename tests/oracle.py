@@ -1,7 +1,7 @@
-"""Finite-difference derivative oracle.
+"""Finite-difference derivative oracle (imported as ``oracle``).
 
 Deliberately independent of the jet engine: symmetric difference stencils
-plus Richardson extrapolation.  The test-suite uses it to cross-check every
+plus Richardson extrapolation.  The tests use it to cross-check every
 directional derivative the jets produce.  Accuracy is bounded by roundoff in
 the stencils, so agreement is asserted at looser tolerances than the jet
 identities; disagreement beyond those tolerances indicates a jet bug, not

@@ -8,22 +8,15 @@ import numpy as np
 
 from prodgeo import expr as ex
 from prodgeo.ambient import product_of
-from prodgeo.catalog import (
-    catalog_get,
-    catalog_list,
-    corrupted_lemma_case,
-    flat_product,
-    position_reflection_space,
-    random_trig_immersion,
-    rotation_structure_space,
-)
-from prodgeo.cli import main, render_json, run_catalog_scenario, run_loaded
-from prodgeo.jets import seed_variable
-from prodgeo.oracle import fd_derivative, fd_second, fd_third
+from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
+from prodgeo.cli import main, render_json
+from prodgeo.jets import seed_point
 from prodgeo.scenario import export_scenario, load_scenario
 from prodgeo.subgeom import _JetGeometry, classify, point_geometry, pseudo_umbilical_gap
 from prodgeo.verify import verify
 
+from controls import corrupted_lemma_case, position_reflection_space, rotation_structure_space
+from oracle import fd_derivative, fd_second, fd_third
 from validation import validate_at
 
 
@@ -65,7 +58,7 @@ def test_criterion_1_jet_derivatives_match_oracle():
         direction = rng.uniform(-1, 1, 2)
         direction /= np.linalg.norm(direction)
 
-        t = seed_variable(0.0, 0, 3)
+        (t,) = seed_point([0.0], 3)
         env = {"u1": base[0] + direction[0] * t, "u2": base[1] + direction[1] * t}
         jet = ex.evaluate(ast, env)
 
@@ -293,8 +286,9 @@ random = count=4 seed=99 box=(0,6)x(0,6)
         scn = catalog_get(label)
         export_path = tmp_path / f"{label}.ini"
         export_scenario(export_path, scn)
-        direct = render_json(run_catalog_scenario(scn))
-        reloaded = render_json(run_loaded(load_scenario(export_path)))
+        loaded = load_scenario(export_path)
+        direct = render_json(verify(scn.space, scn.immersion, scn.samples))
+        reloaded = render_json(verify(loaded.space, loaded.immersion, loaded.samples, loaded.tolerances))
         assert direct == reloaded, label
     _report(9, "byte-identical seeded check runs; export/load round trip "
                "reproduces every verdict bit-for-bit")

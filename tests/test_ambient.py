@@ -16,19 +16,16 @@ from prodgeo.ambient import (
     AmbientValidationReport,
     BlockVariableLeak,
     SingularMetric,
+    leading_minors,
     levi_civita,
     positive_definite,
     product_of,
 )
-from prodgeo.catalog import (
-    catalog_get,
-    constant_reflection_space,
-    position_reflection_space,
-    rotation_structure_space,
-)
-from prodgeo.oracle import fd_directional
+from prodgeo.catalog import catalog_get
 from prodgeo.subgeom import Immersion, _JetGeometry
 
+from controls import constant_reflection_space, position_reflection_space, rotation_structure_space
+from oracle import fd_directional
 from validation import validate_at
 
 
@@ -52,14 +49,15 @@ def _constant_field(geo, components):
 
 def test_product_of_r1_r1():
     sp = product_of("flat", 1, "flat", 1)
-    assert np.array_equal(_metric(sp, [0.3, -0.7]), np.eye(2))
-    assert np.array_equal(sp.tables(("structure",), [0.3, -0.7])[0], np.diag([1.0, -1.0]))
+    x = np.array([0.3, -0.7])
+    assert np.array_equal(_metric(sp, x), np.eye(2))
+    assert np.array_equal(sp.tables(("structure",), x)[0], np.diag([1.0, -1.0]))
     assert sp.product_split == (1, 1)
 
 
 def test_product_of_r2_r2_flat_christoffels():
     sp = product_of("flat", 2, "flat", 2)
-    assert np.array_equal(sp.tables(("structure",), [0] * 4)[0], np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(sp.tables(("structure",), np.zeros(4))[0], np.diag([1.0, 1.0, -1.0, -1.0]))
     assert np.max(np.abs(_christoffel(sp, [0.2, 0.4, -1.0, 2.0]))) == 0.0
 
 
@@ -158,11 +156,8 @@ def test_metric_compatibility_along_random_curves():
         d = rng.uniform(-1, 1, 3)
         vv = rng.uniform(-1, 1, 3)
         ww = rng.uniform(-1, 1, 3)
-        curve = [
-            jets.lift_constant(x0[j], 1) + d[j] * jets.seed_variable(0.0, 0, 1)
-            for j in range(3)
-        ]
-        gj = [[jets.as_jet(e, 1, 1) for e in row] for row in sp.tables(("metric",), curve)[0]]
+        (t,) = jets.seed_point([0.0], 1)
+        (gj,) = sp.tables(("metric",), jets.array([x0[j] + d[j] * t for j in range(3)]))
         g_vw = None
         for i in range(3):
             for j in range(3):
@@ -256,6 +251,28 @@ def test_verification_computes_the_connection_once(label, connections_computed, 
     assert len(connections) == connections_computed
 
 
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("label", ["rect-torus", "curved-block"])
+def test_verification_takes_one_positive_definiteness_sweep(label, full, monkeypatch):
+    # one determinant call over the stacked leading blocks is one sweep: the
+    # geometry build takes it, and its mask and the ambient report threshold
+    # the same minors
+    from prodgeo.verify import verify
+
+    sweeps = []
+    det = np.linalg.det
+
+    def counted(blocks):
+        sweeps.append(blocks.shape)
+        return det(blocks)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    scn = catalog_get(label)
+    outcome = verify(scn.space, scn.immersion, lemmas=full, theorems=full)
+    assert outcome.ambient_report.passed and outcome.ambient_report.positive_definite
+    assert len(sweeps) == 1
+
+
 def test_identity_structure_is_flagged():
     sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]])
     report = validate_at(sp, [[0.1, 0.2]])
@@ -271,14 +288,14 @@ def test_structure_is_self_adjoint_on_valid_spaces():
         (constant_reflection_space(1.1), [(-2, 2)] * 2),
     ]:
         for _ in range(10):
-            x = [rng.uniform(lo, hi) for lo, hi in box]
+            x = np.array([rng.uniform(lo, hi) for lo, hi in box])
             g0, f0 = sp.tables(("metric", "structure"), x)
             assert np.max(np.abs(f0.T @ g0 - g0 @ f0)) <= 1e-10
 
 
 @pytest.mark.parametrize("g", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
 def test_non_finite_metric_is_singular(g):
-    assert not positive_definite(np.array(g))
+    assert not positive_definite(leading_minors(np.array(g)))
 
 
 def _assert_finite_report(report):
@@ -345,8 +362,8 @@ def test_metric_symmetry_is_decided_on_values(upper, lower):
 def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
     from prodgeo.subgeom import Immersion, _JetGeometry
 
-    assert not positive_definite(np.array([[2.0, 0.1], [0.2, 2.0]]))
-    assert positive_definite(np.array([[2.0, 0.1], [0.1, 2.0]]))
+    assert not positive_definite(leading_minors(np.array([[2.0, 0.1], [0.2, 2.0]])))
+    assert positive_definite(leading_minors(np.array([[2.0, 0.1], [0.1, 2.0]])))
     # the mirrored entries agree for x1 >= 0 only
     sp = AmbientSpace(2, [["2", "0.1*x1"], ["0.1*sqrt(x1^2)", "2"]], [["1", "0"], ["0", "1"]])
     assert validate_at(sp, [[0.5, 0.2]]).passed
@@ -360,7 +377,7 @@ def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
 
 def test_constant_tables_are_not_shared_with_callers():
     sp = constant_reflection_space()
-    x = [[0.3, -0.7]]
+    x = np.array([[0.3, -0.7]])
     g, f = sp.tables(("metric", "structure"), x)
     g[...] = 5.0
     f[...] = 5.0

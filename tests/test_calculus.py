@@ -19,18 +19,13 @@ import pytest
 
 from prodgeo import calculus, jets
 from prodgeo.ambient import product_of
-from prodgeo.catalog import (
-    catalog_get,
-    catalog_list,
-    corrupted_lemma_case,
-    random_trig_immersion,
-    flat_product,
-)
-from prodgeo.oracle import fd_derivative
+from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion, flat_product
 from prodgeo.subgeom import Immersion, _JetGeometry, point_geometry
 from prodgeo.verify import verify
 
+from controls import corrupted_lemma_case
 from mean_curvature import mean_curvature_field
+from oracle import fd_derivative
 
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)

@@ -10,28 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from prodgeo.catalog import (
-    catalog_get,
-    catalog_list,
-    corrupted_lemma_case,
-    flat_product,
-    random_trig_immersion,
-)
+from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo import cli
-from prodgeo.cli import (
-    build_document,
-    dump_json,
-    main,
-    render_json,
-    render_text,
-    run_catalog_scenario,
-    run_loaded,
-)
+from prodgeo.cli import dump_json, main, render_json, render_text
 from prodgeo.ambient import AmbientValidationFailure
 from prodgeo.scenario import (
     DimensionMismatch,
     ScenarioError,
-    Tolerances,
     export_scenario,
     load_scenario,
     loads_scenario,
@@ -39,8 +24,9 @@ from prodgeo.scenario import (
 )
 from prodgeo.subgeom import Immersion, PointClassification, classify
 from prodgeo.theorems import TheoremPointRecord
-from prodgeo.verify import THEOREMS, verify
+from prodgeo.verify import THEOREMS, Tolerances, verify
 
+from controls import corrupted_lemma_case
 from grids import seed_one_grids
 
 CORRUPTED = """
@@ -93,8 +79,10 @@ def test_roundtrip_preserves_verification_bit_for_bit(tmp_path):
         scn = catalog_get(label)
         path = tmp_path / f"{label}.ini"
         export_scenario(path, scn)
-        direct = render_json(run_catalog_scenario(scn))
-        from_file = render_json(run_loaded(load_scenario(path)))
+        loaded = load_scenario(path)
+        direct = render_json(verify(scn.space, scn.immersion, scn.samples))
+        from_file = render_json(verify(loaded.space, loaded.immersion, loaded.samples,
+                                       loaded.tolerances))
         assert direct == from_file, label
 
 
@@ -153,6 +141,20 @@ MALFORMED = {
     "deep-block-metric": ("ambient", PRODUCT.replace("A_metric = flat", "A_metric = 1" + " + 0*x1" * 1499)),
     "arabic-indic-digit": ("immersion", "n = 1\nmap = \u0663 * u1, sin(u1)"),
     "fullwidth-digit": ("immersion", "n = 1\nmap = cos(u1), \uff11+u1"),
+    # every other number is ASCII too, without digit-group underscores
+    "arabic-indic-block-size": ("ambient", PRODUCT.replace("p = 1", "p = \u0661")),
+    "arabic-indic-dimension": ("immersion", "n = \u0661\nmap = cos(u1), sin(u1)"),
+    "arabic-indic-point": ("samples", "points = (\u0663,)"),
+    "underscored-point": ("samples", "points = (1_0,)"),
+    "fullwidth-point": ("samples", "points = (\uff11.0,)"),
+    "empty-leading-entry": ("samples", "points = (,1)"),
+    "empty-inner-entry": ("samples", "points = (1,,)"),
+    "arabic-indic-grid-axis": ("samples", "grid = u1: 0 : \u0663 : \u0663"),
+    "arabic-indic-random-count": ("samples", "random = count=\u0663 seed=1 box=(0,1)"),
+    "underscored-random-seed": ("samples", "random = count=3 seed=1_0 box=(0,1)"),
+    "arabic-indic-box-bound": ("samples", "random = count=3 seed=1 box=(0,\u0661)"),
+    "underscored-tolerance": ("tolerances", "identity_tol = 1_0e-8"),
+    "arabic-indic-tolerance": ("tolerances", "identity_tol = \u0661e-8"),
 }
 
 
@@ -312,7 +314,9 @@ def test_tolerances_parsed_with_defaults():
         CORRUPTED + "\n[tolerances]\nidentity_tol = 1e-7\nfail_threshold = 1e-3\n"
     )
     assert legacy.tolerances == loaded.tolerances
-    assert render_json(run_loaded(legacy)) == render_json(run_loaded(loaded))
+    outcomes = [verify(scn.space, scn.immersion, scn.samples, scn.tolerances)
+                for scn in (legacy, loaded)]
+    assert render_json(outcomes[0]) == render_json(outcomes[1])
 
 
 @pytest.mark.parametrize("key", ["identity_tol", "classify_tol"])
@@ -630,13 +634,26 @@ def test_cli_one_degenerate_point_among_good_ones(capsys, tmp_path):
     assert err.startswith("error: Jacobian rank < 2 at u = (0.0, 0.3) (smallest singular value")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "\u0661e-8", "1_0e-8", "\uff11e-8"])
 def test_cli_bad_tol_is_usage_error(value, capsys, tmp_path):
     export_scenario(tmp_path / "c.ini", catalog_get("circle"))
     for command in ("check", "report"):
         code, out, err = run_cli(capsys, command, "--tol", value, str(tmp_path / "c.ini"))
         assert code == 1 and out == ""
         assert "usage error" in err and "--tol" in err
+
+
+@pytest.mark.parametrize("value", ["three", "1.5", "\u0663", "1_0", "\uff13"])
+def test_cli_bad_seed_is_usage_error(value, capsys, tmp_path):
+    export_scenario(tmp_path / "c.ini", catalog_get("circle"))
+    code, out, err = run_cli(capsys, "classify", "--seed", value, str(tmp_path / "c.ini"))
+    assert (code, out) == (1, "")
+    assert err == f"usage error: argument --seed: invalid int value: {value!r}\n"
+
+
+def test_points_take_one_trailing_comma():
+    loaded = loads_scenario(_malformed("samples", "points = (0.5,); (1.2 , ); ( 2.0 )"))
+    assert loaded.samples == ((0.5,), (1.2,), (2.0,))
 
 
 def test_cli_tol_override(capsys, tmp_path):
@@ -715,6 +732,23 @@ def _reference_json(obj, indent: int = 0) -> str:
         rows = [f"{pad_in}{_reference_json(v, indent + 2)}" for v in obj]
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]" if rows else "[]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _entry(fields, index: int):
+    """Entry ``index`` of a column tree: each column's value at that point."""
+    if isinstance(fields, dict):
+        return {key: _entry(column, index) for key, column in fields.items()}
+    value = fields[index]
+    return list(value) if isinstance(value, tuple) else value
+
+
+def build_document(outcome) -> dict:
+    """The report as dicts and lists, one dict per point, for the reference
+    serializer; :func:`~prodgeo.cli.render_json` writes its JSON text
+    without building them."""
+    doc = cli._document(outcome)
+    doc["points"] = [_entry(doc["points"], index) for index in range(len(outcome.samples))]
+    return doc
 
 
 def test_render_json_matches_the_reference_serializer():

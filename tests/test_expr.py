@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 from prodgeo import expr as ex
 from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion
-from prodgeo.jets import Jet, as_jet, seed_point, seed_variable
-from prodgeo.oracle import fd_derivative
+from prodgeo.jets import Jet, _constant, seed_point
+
+from oracle import fd_derivative
 
 
 def test_precedence_example():
@@ -97,7 +98,7 @@ def test_unknown_variable_deferred_to_eval():
 
 
 def test_pythagorean_identity_with_jets():
-    j = seed_variable(0.3, 0, 3)
+    (j,) = seed_point([0.3], 3)
     out = ex.evaluate(ex.parse("sin(u1)^2 + cos(u1)^2"), {"u1": j})
     assert abs(out.value - 1.0) <= 1e-13
     assert np.max(np.abs(out.coeffs[1:])) <= 1e-13
@@ -112,7 +113,7 @@ def test_bilinear_mixed_partials():
 
 
 def test_sqrt_jet_matches_oracle():
-    out = ex.evaluate(ex.parse("sqrt(u1)"), {"u1": seed_variable(4.0, 0, 2)})
+    out = ex.evaluate(ex.parse("sqrt(u1)"), {"u1": seed_point([4.0], 2)[0]})
     assert out.value == 2.0
     oracle = fd_derivative(math.sqrt, 4.0)
     assert abs(out.derivative((1,)) - 0.25) <= 1e-14
@@ -123,12 +124,9 @@ def test_real_env_equals_order_zero_jets():
     src = "sin(u1)*cos(u2) + sqrt(u1 + 2) / (1 + u2^2)"
     ast = ex.parse(src)
     real = ex.evaluate(ast, {"u1": 0.7, "u2": -0.4})
-    from prodgeo.jets import lift_constant
-
-    jet = ex.evaluate(
-        ast, {"u1": lift_constant(0.7, 0, 2), "u2": lift_constant(-0.4, 0, 2)}
-    )
-    assert real == jet.value
+    u1, u2 = (j.truncate(0) for j in seed_point([0.7, -0.4], 1))
+    jet = ex.evaluate(ast, {"u1": u1, "u2": u2})
+    assert jet.order == 0 and real == jet.value
 
 
 @pytest.mark.parametrize(
@@ -380,5 +378,7 @@ def test_plan_matches_evaluating_each_entry(tables):
                 for j, value in enumerate(row):
                     entry = values[..., i, j]
                     if isinstance(entry, Jet):  # a constant entry of a jet table is a constant jet
-                        entry, value = entry.coeffs, as_jet(value, 2, 2).coeffs
+                        if not isinstance(value, Jet):
+                            value = _constant(entry.alg, value)
+                        entry, value = entry.coeffs, value.coeffs
                     assert _bits(entry) == _bits(np.broadcast_to(value, entry.shape))

@@ -8,49 +8,50 @@ import pytest
 from prodgeo.jets import (
     InsufficientJetOrder,
     Jet,
+    _algebra,
+    _constant,
     array,
     cos,
     einsum,
     exp,
-    lift_constant,
     partial,
     seed_point,
-    seed_variable,
     sin,
     sqrt,
+    stack,
 )
-from prodgeo.oracle import FDConfig, fd_derivative, fd_second, fd_third
+
+from oracle import FDConfig, fd_derivative, fd_second, fd_third
 
 
-def test_lift_constant_layout():
-    j = lift_constant(5.0, 2)
-    assert j.coeffs.tolist() == [5.0, 0.0, 0.0]
-    assert lift_constant(0.0, 3).coeffs.tolist() == [0.0] * 4
+def _var(value, order):
+    """The jet of one independent variable at ``value``."""
+    return seed_point([value], order)[0]
 
 
 def test_lift_constant_is_multiplicative_identity():
-    one = lift_constant(1.0, 3)
-    j = sin(seed_variable(0.4, 0, 3)) + 2.0
+    one = _constant(_algebra(1, 3), 1.0)
+    j = sin(_var(0.4, 3)) + 2.0
     assert np.allclose((one * j).coeffs, j.coeffs, atol=0.0)
 
 
 def test_sine_series_at_zero():
-    s = sin(seed_variable(0.0, 0, 3))
+    s = sin(_var(0.0, 3))
     assert np.allclose(s.coeffs, [0.0, 1.0, 0.0, -1.0 / 6.0], atol=1e-15)
 
 
 def test_square_at_two():
-    j = seed_variable(2.0, 0, 1)
+    j = _var(2.0, 1)
     assert (j * j).coeffs.tolist() == [4.0, 4.0]
 
 
 def test_reciprocal_geometric_series():
-    j = 1.0 / seed_variable(1.0, 0, 2)
+    j = 1.0 / _var(1.0, 2)
     assert np.allclose(j.coeffs, [1.0, -1.0, 1.0], atol=1e-15)
 
 
 def test_pythagorean_identity_kills_derivatives():
-    j = seed_variable(0.7, 0, 3)
+    j = _var(0.7, 3)
     p = sin(j) ** 2 + cos(j) ** 2
     assert abs(p.value - 1.0) <= 1e-14
     assert np.max(np.abs(p.coeffs[1:])) <= 1e-14
@@ -59,10 +60,9 @@ def test_pythagorean_identity_kills_derivatives():
 def test_product_rule_on_random_jets():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        a = lift_constant(0.0, 3)
-        b = lift_constant(0.0, 3)
-        a.coeffs[:] = rng.uniform(-2, 2, a.coeffs.shape)
-        b.coeffs[:] = rng.uniform(-2, 2, b.coeffs.shape)
+        alg = _algebra(1, 3)
+        a = Jet(alg, rng.uniform(-2, 2, alg.size))
+        b = Jet(alg, rng.uniform(-2, 2, alg.size))
         ab = a * b
         da, db, dab = partial(a, 0), partial(b, 0), partial(ab, 0)
         lhs = dab.coeffs
@@ -71,7 +71,7 @@ def test_product_rule_on_random_jets():
 
 
 def test_exp_derivative_at_one_matches_oracle():
-    j = exp(seed_variable(1.0, 0, 1))
+    j = exp(_var(1.0, 1))
     oracle = fd_derivative(math.exp, 1.0, FDConfig(step=1e-5))
     assert abs(j.derivative((1,)) - math.e) <= 1e-12
     assert abs(j.derivative((1,)) - oracle) <= 1e-9 * abs(oracle)
@@ -82,9 +82,8 @@ def test_ring_axioms_random():
     for _ in range(100):
         jets3 = []
         for _ in range(3):
-            j = lift_constant(0.0, 3, nvars=2)
-            j.coeffs[:] = rng.uniform(-1, 1, j.coeffs.shape)
-            jets3.append(j)
+            alg = _algebra(2, 3)
+            jets3.append(Jet(alg, rng.uniform(-1, 1, alg.size)))
         a, b, c = jets3
         assert np.max(np.abs(((a + b) + c).coeffs - (a + (b + c)).coeffs)) <= 1e-13
         assert np.max(np.abs(((a * b) * c).coeffs - (a * (b * c)).coeffs)) <= 1e-13
@@ -110,7 +109,7 @@ def test_elementary_functions_match_oracle_to_order_three(fn, math_fn, lo, hi):
     rng = np.random.default_rng(23)
     for _ in range(100):
         t0 = rng.uniform(lo, hi)
-        j = fn(seed_variable(t0, 0, 3))
+        j = fn(_var(t0, 3))
         scale = max(1.0, abs(math_fn(t0)))
         f1 = fd_derivative(math_fn, t0)
         f2 = fd_second(math_fn, t0)
@@ -133,62 +132,63 @@ def test_exact_mixed_partials_of_composition():
 
 def test_division_by_zero_value_raises():
     with pytest.raises(ZeroDivisionError):
-        1.0 / seed_variable(0.0, 0, 2)
+        1.0 / _var(0.0, 2)
 
 
 def test_sqrt_domain_error():
     with pytest.raises(ValueError):
-        sqrt(seed_variable(-1.0, 0, 2))
+        sqrt(_var(-1.0, 2))
     with pytest.raises(ValueError):
-        sqrt(lift_constant(0.0, 2))
+        sqrt(_var(0.0, 2))
 
 
 def test_unsupported_exponent():
     with pytest.raises(ValueError):
-        seed_variable(2.0, 0, 2) ** 0.3
+        _var(2.0, 2) ** 0.3
 
 
 def test_half_integer_power_needs_positive_base():
     with pytest.raises(ValueError):
-        seed_variable(-2.0, 0, 2) ** 1.5
+        _var(-2.0, 2) ** 1.5
 
 
 def test_integer_power_handles_negative_base():
-    j = seed_variable(-2.0, 0, 2) ** 3
+    j = _var(-2.0, 2) ** 3
     assert j.value == -8.0
     assert j.derivative((1,)) == 12.0
 
 
 def test_order_zero_has_no_gradient():
+    constant = Jet(_algebra(1, 0), np.array([1.0]))
     with pytest.raises(InsufficientJetOrder):
-        lift_constant(1.0, 0).gradient()
+        constant.gradient()
     with pytest.raises(InsufficientJetOrder):
-        partial(lift_constant(1.0, 0), 0)
+        partial(constant, 0)
 
 
 def test_truncate_cannot_invent_orders():
-    j = seed_variable(1.0, 0, 1)
+    j = _var(1.0, 1)
     with pytest.raises(InsufficientJetOrder):
         j.truncate(2)
     assert j.truncate(1) is j
 
 
 def test_mixed_order_arithmetic_truncates():
-    a = sin(seed_variable(0.5, 0, 3))
-    b = cos(seed_variable(0.5, 0, 2))
+    a = sin(_var(0.5, 3))
+    b = cos(_var(0.5, 2))
     assert (a * b).order == 2
 
 
 def test_different_seed_sets_rejected():
-    a = seed_variable(1.0, 0, 2, nvars=1)
-    b = seed_variable(1.0, 0, 2, nvars=2)
+    a = _var(1.0, 2)
+    b = seed_point([1.0, 0.0], 2)[0]
     with pytest.raises(ValueError):
         a + b
 
 
 def test_invalid_direction_rejected():
-    with pytest.raises(ValueError):
-        seed_variable(1.0, 3, 2, nvars=2)
+    with pytest.raises(ValueError, match="direction 3 invalid for 2 seed directions"):
+        partial(seed_point([1.0, 0.0], 2)[0], 3)
 
 
 def test_seed_point_bilinear_mixed_partial():
@@ -210,25 +210,25 @@ def test_hessian_reads_the_second_coefficients():
 
 
 def test_scalar_coercion_both_sides():
-    j = seed_variable(2.0, 0, 2)
+    j = _var(2.0, 2)
     assert (2.0 - j).value == 0.0
     assert (3 * j).derivative((1,)) == 3.0
     assert (6.0 / j).value == 3.0
 
 
 def test_repr_mentions_shape():
-    assert "order=2" in repr(seed_variable(1.0, 0, 2))
+    assert "order=2" in repr(_var(1.0, 2))
 
 
 def test_jet_equality_with_order_zero_env():
-    j = lift_constant(0.25, 0)
-    assert isinstance(j, Jet)
+    j = Jet(_algebra(1, 0), np.array([0.25]))
+    assert j.order == 0
     assert sqrt(j).value == 0.5
 
 
 def _random_jet(rng, shape, order=3, nvars=2):
-    j = lift_constant(0.0, order, nvars)
-    return Jet(j.alg, rng.uniform(-1, 1, tuple(shape) + j.coeffs.shape))
+    alg = _algebra(nvars, order)
+    return Jet(alg, rng.uniform(-1, 1, tuple(shape) + (alg.size,)))
 
 
 def test_array_product_equals_elementwise_scalar_products():
@@ -254,8 +254,7 @@ def test_einsum_matches_explicit_loops():
     assert contracted.shape == floats.shape == (2, 3)
     for b in range(2):
         for i in range(3):
-            total = lift_constant(0.0, 3, 2)
-            float_total = lift_constant(0.0, 3, 2)
+            total = float_total = 0.0
             for j in range(3):
                 total = total + g[i][j] * w[b][j]
                 float_total = float_total + c[i, j] * w[b][j]
@@ -341,8 +340,6 @@ def test_array_stacks_jets_and_numbers_at_lowest_order():
 # ---- stack against the plain form it replaces -------------------------------
 # The reference broadcasts every leaf (a number lifted to a full jet) and
 # stacks the results; stack fills one array and must give the same bits.
-
-from prodgeo.jets import _algebra, _constant, stack  # noqa: E402
 
 
 def _ref_stack(shape, leaves):

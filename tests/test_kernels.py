@@ -18,16 +18,11 @@ import pytest
 
 from prodgeo import calculus, jets
 from prodgeo.ambient import levi_civita, product_of
-from prodgeo.catalog import (
-    catalog_get,
-    catalog_list,
-    corrupted_lemma_case,
-    flat_product,
-    random_trig_immersion,
-)
+from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.subgeom import Immersion, _JetGeometry
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 
+from controls import corrupted_lemma_case
 from grids import seed_one_grids
 from mean_curvature import mean_curvature_field
 

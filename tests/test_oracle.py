@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from prodgeo.oracle import FDConfig, fd_derivative, fd_directional, fd_second, fd_third
+from oracle import FDConfig, fd_derivative, fd_directional, fd_second, fd_third
 
 
 def test_sine_slope_at_origin():

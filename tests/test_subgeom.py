@@ -11,13 +11,7 @@ from prodgeo import expr as ex
 from prodgeo import jets
 from prodgeo.ambient import product_of
 from prodgeo.calculus import lemma_tensors
-from prodgeo.catalog import (
-    catalog_get,
-    catalog_list,
-    corrupted_lemma_case,
-    flat_product,
-    random_trig_immersion,
-)
+from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.subgeom import (
     DegenerateImmersion,
     Immersion,
@@ -30,6 +24,7 @@ from prodgeo.subgeom import (
 )
 from prodgeo.verify import verify
 
+from controls import corrupted_lemma_case
 from grids import seed_one_grids
 
 FLAT11 = product_of("flat", 1, "flat", 1)

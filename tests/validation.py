@@ -9,7 +9,7 @@ build does along an immersion.
 import numpy as np
 
 from prodgeo import ambient
-from prodgeo.ambient import positive_definite
+from prodgeo.ambient import leading_minors, positive_definite
 
 
 def validate_at(space, samples):
@@ -18,10 +18,13 @@ def validate_at(space, samples):
     # overflow and NaN are what the report measures, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         g, f, dg = space.tables(("metric", "structure", "metric_diff"), x)
-        # on the identity where the metric is not positive definite; through
-        # the module, so that a test may count the connections computed
+        # one minors sweep, thresholded at 0 here and by the report at its
+        # own tolerance; the connection on the identity where the metric is
+        # not positive definite, through the module, so that a test may
+        # count the connections computed
+        minors = leading_minors(g)
         gamma = None
         if dg.any():
-            definite = positive_definite(g, tol=0.0)[..., None, None]
+            definite = positive_definite(minors, tol=0.0)[..., None, None]
             gamma = ambient.levi_civita(np.linalg.inv(np.where(definite, g, np.eye(space.dim))), dg)
-    return ambient.validate_ambient(space, x, g, f, gamma)
+    return ambient.validate_ambient(space, x, g, f, gamma, minors)
