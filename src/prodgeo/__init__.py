@@ -44,10 +44,7 @@ from .subgeom import (
     Immersion,
     PointGeometry,
     classify,
-    is_minimal,
-    is_pseudo_umbilical,
     point_geometry,
-    pseudo_umbilical_gap,
 )
 from .theorems import TheoremVerdict
 from .verify import Tolerances, VerificationOutcome, verify

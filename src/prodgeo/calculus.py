@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subgeom import PointRecords, _JetGeometry
+from .subgeom import _JetGeometry
 
 __all__ = ["LemmaReport", "lemma_tensors"]
 
@@ -58,7 +58,7 @@ def _nabla_C(geo: _JetGeometry, xi_field) -> np.ndarray:
 class LemmaReport:
     lemma: str
     max_residual: float
-    per_point: PointRecords  # columns "u" and "residual"; records (u, residual)
+    per_point: dict  # the columns "u" and "residual"
     passed: bool
     tol: float
 

@@ -20,9 +20,8 @@ Reports are byte-identical for identical inputs and seeds.  JSON reports
 are indented by two spaces per level and write floats with ``%.17g``.  The
 outcome keeps each per-point quantity as a column over the points, and
 :func:`render_json` writes the ``points`` array from those columns through
-one ``%`` template per document, one fill per point, without building a
-record or a dict per point; :func:`dump_json` writes the rest.  The
-argument parser is built once per process.
+one ``%`` template per document, one fill per point; :func:`dump_json`
+writes the rest.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
@@ -60,14 +59,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _point_fields(outcome: VerificationOutcome) -> dict:
     """The keys of a point entry in report order, each with its column over the points."""
-    cls = outcome.classification.points.columns
+    cls = outcome.classification.points
     residuals = {}
     if outcome.lemma1 is not None:
-        residuals["lemma1"] = outcome.lemma1.per_point.columns["residual"]
-        residuals["lemma2"] = outcome.lemma2.per_point.columns["residual"]
+        residuals["lemma1"] = outcome.lemma1.per_point["residual"]
+        residuals["lemma2"] = outcome.lemma2.per_point["residual"]
     if outcome.theorems is not None:
         for key in THEOREMS:
-            columns = outcome.theorems[key].points.columns
+            columns = outcome.theorems[key].points
             residuals[key] = {"identity": columns["identity_residual"],
                               "obstruction": columns["obstruction"],
                               "proof": columns["proof_residual"], "branches": columns["branches"]}
@@ -110,8 +109,8 @@ def _document(outcome: VerificationOutcome) -> dict:
         "classification": cls.classification,
         "dim_d": cls.dim_d,
         "dim_d_perp": cls.dim_d_perp,
-        "minimal": all(cls.points.columns["minimal"]),
-        "pseudo_umbilical": all(cls.points.columns["pseudo_umbilical"]),
+        "minimal": all(cls.points["minimal"]),
+        "pseudo_umbilical": all(cls.points["pseudo_umbilical"]),
         "insufficient_samples": cls.insufficient_samples,
     }
     if outcome.lemma1 is not None:
@@ -244,11 +243,12 @@ def render_text(outcome: VerificationOutcome) -> str:
         lines.append("note: fewer than 2 sample points; verdict is weakly supported")
     lines.append(f"{'u':<24}{'|phi|':>12}{'|omega|':>12}{'|omega.phi|':>14}"
                  f"{'rank':>6}{'minimal':>9}{'pseudo-umb':>12}")
-    for p in cls.points:
+    names = ("u", "phi_norm", "omega_norm", "omega_phi_norm", "rank_phi", "minimal",
+             "pseudo_umbilical")
+    for u, phi, omega, omega_phi, rank, minimal, pu in zip(*map(cls.points.get, names)):
         lines.append(
-            f"{_fmt_point(p.u):<24}{p.phi_norm:>12.6g}{p.omega_norm:>12.6g}"
-            f"{p.omega_phi_norm:>14.6g}{p.rank_phi:>6d}"
-            f"{'yes' if p.minimal else 'no':>9}{'yes' if p.pseudo_umbilical else 'no':>12}"
+            f"{_fmt_point(u):<24}{phi:>12.6g}{omega:>12.6g}{omega_phi:>14.6g}{rank:>6d}"
+            f"{'yes' if minimal else 'no':>9}{'yes' if pu else 'no':>12}"
         )
     if outcome.lemma1 is not None:
         for report in (outcome.lemma1, outcome.lemma2):
@@ -274,14 +274,13 @@ def render_text(outcome: VerificationOutcome) -> str:
                 )
             lines.append(f"  {'u':<22}{'identity':>12}{'obstruction':>13}"
                          f"{'proof':>12}  branches")
-            for p in verdict.points:
-                flags = " ".join(
-                    f"{name}={'y' if value else 'n'}" for name, value in p.branches.items()
-                )
-                lines.append(
-                    f"  {_fmt_point(p.u):<22}{p.identity_residual:>12.6g}"
-                    f"{p.obstruction:>13.6g}{_fmt(p.proof_residual):>12}  {flags}"
-                )
+            names = ("u", "identity_residual", "obstruction", "proof_residual")
+            branches = verdict.points["branches"]
+            rows = zip(*map(verdict.points.get, names), *branches.values())
+            for u, identity, obstruction, proof, *values in rows:
+                flags = " ".join(f"{name}={'y' if v else 'n'}" for name, v in zip(branches, values))
+                lines.append(f"  {_fmt_point(u):<22}{identity:>12.6g}{obstruction:>13.6g}"
+                             f"{_fmt(proof):>12}  {flags}")
     lines.append(f"overall: {'CONSISTENT' if outcome.consistent else 'FAILED'}")
     return "\n".join(lines) + "\n"
 

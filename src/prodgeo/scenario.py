@@ -28,6 +28,8 @@ A scenario file is an INI-style document with four sections::
     classify_tol = 1e-8
 
 Numbers are written in ASCII without digit-group underscores, as in expressions.
+A key that its section does not read (the ambient section's in its mode), or a
+key in a section other than these four, is an error, not ignored.
 
 Loading parses: it checks the sections and dimensions and parses every
 expression, but evaluates none.  Whether the space is locally product at the
@@ -304,6 +306,17 @@ def _load_samples(cfg, n: int, seed_override: int | None) -> tuple[tuple[float, 
     return samples
 
 
+# the keys each section reads, the ambient section's by mode; [tolerances] also
+# takes fail_threshold, which files of earlier versions set, and ignores it
+_KEYS = {
+    ("ambient", "product"): ("mode", "dim", "p", "q", "blockA_metric", "blockB_metric"),
+    ("ambient", "explicit"): ("mode", "dim", "metric", "structure"),
+    ("immersion", None): ("n", "map", "label"),
+    ("samples", None): ("points", "grid", "random"),
+    ("tolerances", None): ("identity_tol", "classify_tol", "fail_threshold"),
+}
+
+
 def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenario:
     cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     cfg.optionxform = str
@@ -320,6 +333,13 @@ def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenari
         tolerances = Tolerances(identity_tol, classify_tol)
     except ValueError as err:
         raise ScenarioError(str(err), "tolerances") from None
+    mode = cfg.get("ambient", "mode").strip()
+    for section in cfg.sections():
+        read = _KEYS.get((section, mode if section == "ambient" else None), ())
+        unread = [key for key in cfg.options(section) if key not in read]
+        if unread:
+            where = f" in {mode} mode" if section == "ambient" else ""
+            raise ScenarioError(f"key {unread[0]!r} is not read{where}", section)
     return LoadedScenario(
         label=immersion.label,
         space=space,

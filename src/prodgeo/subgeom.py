@@ -22,7 +22,7 @@ one call for all points and rows.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -43,15 +43,9 @@ __all__ = [
     "DegenerateImmersion",
     "Immersion",
     "PointGeometry",
-    "PointRecords",
-    "PointClassification",
-    "ClassificationPoints",
     "ClassificationResult",
     "param_vars",
     "point_geometry",
-    "is_minimal",
-    "is_pseudo_umbilical",
-    "pseudo_umbilical_gap",
     "classify",
     "classify_point",
     "aggregate_classification",
@@ -212,11 +206,12 @@ class _JetGeometry:
     ``None`` and no Christoffel term is contracted; a constant identity
     metric sets ``unit_metric``, and :meth:`lower0` returns its argument.
     Decisions that differ between points (the Jacobian rank, positive
-    definiteness, the normal frame completion) are masks over the points; a
-    failing check names the first failing point.  Before any can raise,
-    :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the tables'
-    values, the Christoffel symbols and the metric's leading minors into
-    ``ambient_report``; with ``strict`` a failed report raises.
+    definiteness, a finite induced metric, the normal frame completion) are
+    masks over the points; a failing check names the first failing point.
+    Before any can raise, :func:`~prodgeo.ambient.validate_ambient` reads
+    ``x0``, the tables' values, the Christoffel symbols and the metric's
+    leading minors into ``ambient_report``; with ``strict`` a failed report
+    raises.
     """
 
     def __init__(self, immersion: Immersion, space: AmbientSpace, u, strict: bool = False):
@@ -275,7 +270,12 @@ class _JetGeometry:
         chol = np.linalg.cholesky(safe_g0)
         jac = np.where(immersed[..., None, None], self.J0, 0.0)
         smallest = np.linalg.svd(_t(chol) @ jac, compute_uv=False).min(axis=-1)
-        bad = ~immersed | ~definite | (smallest <= 1e-8)
+        self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
+        # induced metric G_ab = g(T_a, T_b), which overflows for a finite but huge J
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.G0 = T0 @ _t(self.lower0(T0))
+        induced = np.isfinite(self.G0).all(axis=(-2, -1))
+        bad = ~immersed | ~definite | ~induced | (smallest <= 1e-8)
         if bad.any():
             p = np.argmax(bad)
             if not immersed[p]:
@@ -289,6 +289,10 @@ class _JetGeometry:
                 raise SingularMetric(
                     "ambient metric is not positive definite along the immersion"
                 )
+            if not induced[p]:
+                raise DegenerateImmersion(
+                    f"induced metric is not finite at u = {tuple(self.u[p].tolist())}"
+                )
             raise DegenerateImmersion(
                 f"Jacobian rank < {n} at u = {tuple(self.u[p].tolist())} "
                 f"(smallest singular value {smallest[p]:.3e})"
@@ -300,7 +304,6 @@ class _JetGeometry:
         if not self.flat:
             gamma0 = np.moveaxis(gamma0, -3, -1).reshape(npts, N, N * N)  # [j, k, i]
             self.GammaT0 = (T0 @ gamma0).reshape(npts, n, N, N)
-        self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
 
         # orthonormal frames under the ambient metric by modified Gram-Schmidt
         # on the base-point floats: the tangent columns, then in each normal
@@ -336,8 +339,6 @@ class _JetGeometry:
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
         self.P_tan0 = _t(self.E0) @ GE0[..., :n, :]
 
-        # induced metric G_ab = g(T_a, T_b) and its inverse
-        self.G0 = T0 @ _t(self.lower0(T0))
         self.G0inv = np.linalg.inv(self.G0)
 
         # coordinate-frame second fundamental form hc0[..., a, b, :]: the normal
@@ -545,76 +546,13 @@ def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]
     )
 
 
-def is_minimal(pg: PointGeometry, tol: float = 1e-8) -> bool:
-    return pg.H_norm <= tol
-
-
-def pseudo_umbilical_gap(pg: PointGeometry) -> float:
-    """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |."""
-    return pg.pu_gap
-
-
-def is_pseudo_umbilical(pg: PointGeometry, tol: float = 1e-8) -> bool:
-    return pg.pu_gap <= tol
-
-
 # ---- classification -------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class PointRecords(Sequence):
-    """A per-point result kept as ``columns``, which map each field (``"u"``
-    first) to its values over the points, and read as a tuple of records,
-    built on first read: ``(u, value, ...)`` tuples here, a record type in
-    subclasses.  A list or tuple of the same records compares equal."""
-
-    columns: dict
-
-    def rows(self) -> tuple:
-        return tuple(zip(*self.columns.values()))
-
-    @cached_property
-    def _rows(self) -> tuple:
-        return self.rows()
-
-    def __getitem__(self, index):
-        return self._rows[index]
-
-    def __len__(self) -> int:
-        return len(self.columns["u"])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (PointRecords, tuple, list)):
-            return self._rows == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
-
-@dataclass(frozen=True)
-class PointClassification:
-    u: tuple[float, ...]
-    phi_norm: float
-    omega_norm: float
-    omega_phi_norm: float
-    rank_phi: int
-    minimal: bool
-    pseudo_umbilical: bool
-    mean_curvature_sq: float
-
-
-class ClassificationPoints(PointRecords):
-    """Columns named and ordered like the fields of :class:`PointClassification`."""
-
-    def rows(self) -> tuple:
-        return tuple(map(PointClassification, *self.columns.values()))
 
 
 @dataclass(frozen=True)
 class ClassificationResult:
     classification: str
-    points: ClassificationPoints
+    points: dict  # the columns of :func:`classify_point`
     dim_d: int | None
     dim_d_perp: int | None
     insufficient_samples: bool
@@ -631,21 +569,20 @@ def _semi_invariant(omega_phi_vanishes: bool, ranks) -> bool:
     return omega_phi_vanishes and len(set(ranks)) == 1
 
 
-def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> ClassificationPoints:
-    """The geometry's class measures at every point, thresholded at ``tol``."""
+def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
+    """The geometry's class measures at every point, thresholded at ``tol``:
+    a column over the points per name, ``"u"`` first."""
+    names = ("phi_norm", "omega_norm", "omega_phi_norm", "rank_phi", "minimal",
+             "pseudo_umbilical", "mean_curvature_sq")
     columns = (geo.phi_norm, geo.omega_norm, geo.omega_phi_norm, _rank(geo.phi_singular, tol),
                geo.H_norm <= tol, geo.pu_gap <= tol, geo.Hsq)
-    names = [f.name for f in fields(PointClassification)]
-    return ClassificationPoints(dict(zip(names, [geo.points, *(c.tolist() for c in columns)])))
+    return {"u": geo.points, **{name: c.tolist() for name, c in zip(names, columns)}}
 
 
-def aggregate_classification(
-    points: ClassificationPoints, n: int, tol: float
-) -> ClassificationResult:
-    """Fold per-point data into the four-way verdict."""
-    if not points:
+def aggregate_classification(columns: dict, n: int, tol: float) -> ClassificationResult:
+    """Fold the columns of :func:`classify_point` into the four-way verdict."""
+    if not columns["u"]:
         raise ValueError("classification needs at least one sample point")
-    columns = points.columns
     invariant = max(columns["omega_norm"]) <= tol
     anti = max(columns["phi_norm"]) <= tol
     omega_phi = max(columns["omega_phi_norm"]) <= tol
@@ -662,10 +599,10 @@ def aggregate_classification(
     dim_d = ranks[0] if verdict != "generic" else None
     return ClassificationResult(
         classification=verdict,
-        points=points,
+        points=columns,
         dim_d=dim_d,
         dim_d_perp=n - dim_d if dim_d is not None else None,
-        insufficient_samples=len(points) < 2,
+        insufficient_samples=len(columns["u"]) < 2,
         tol=tol,
     )
 

@@ -33,41 +33,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping
 
 import numpy as np
 
-from .subgeom import PointRecords, _JetGeometry, _rank, _semi_invariant
+from .subgeom import _JetGeometry, _rank, _semi_invariant
 
-__all__ = ["TheoremPointRecord", "TheoremPoints", "TheoremVerdict"]
-
-
-@dataclass(frozen=True)
-class TheoremPointRecord:
-    u: tuple[float, ...]
-    pseudo_umbilical: bool
-    identity_residual: float
-    obstruction: float
-    proof_residual: float | None
-    branches: Mapping[str, bool]
-    identity_holds: bool
-    disjunction_pointwise: bool
-
-
-class TheoremPoints(PointRecords):
-    """Columns named and ordered like the fields of :class:`TheoremPointRecord`;
-    ``"branches"`` maps each branch of the disjunction to its column."""
-
-    def rows(self) -> tuple:
-        flags = self.columns["branches"]
-        branches = [dict(zip(flags, values)) for values in zip(*flags.values())]
-        return tuple(map(TheoremPointRecord, *dict(self.columns, branches=branches).values()))
+__all__ = ["TheoremVerdict"]
 
 
 @dataclass(frozen=True)
 class TheoremVerdict:
     theorem: str
-    points: TheoremPoints
+    points: dict  # the columns of the statement, ``"u"`` first
     identity_holds_everywhere: bool
     disjunction_global: bool
     disjunction_pointwise_everywhere: bool
@@ -100,12 +77,12 @@ class _PointData:
         return x @ self.nabla_c_h, x @ self.h_bh
 
 
-def _columns(data: _PointData, tol: float, identity, obstruction, proof, branches) -> TheoremPoints:
-    """The statement's columns from its per-point arrays; the branches are
-    the statement's disjunction, and the proof residual is kept only where
-    the point is pseudo-umbilical."""
+def _columns(data: _PointData, tol: float, identity, obstruction, proof, branches) -> dict:
+    """The statement's columns from its per-point arrays; ``"branches"`` maps
+    each branch of the statement's disjunction to its column, and the proof
+    residual is kept only where the point is pseudo-umbilical."""
     pu = data.pseudo_umbilical.tolist()
-    return TheoremPoints({
+    return {
         "u": data.geo.points,
         "pseudo_umbilical": pu,
         "identity_residual": identity.tolist(),
@@ -114,10 +91,10 @@ def _columns(data: _PointData, tol: float, identity, obstruction, proof, branche
         "branches": {name: flags.tolist() for name, flags in branches.items()},
         "identity_holds": (identity <= tol).tolist(),
         "disjunction_pointwise": reduce(np.logical_or, branches.values()).tolist(),
-    })
+    }
 
 
-def _t2_point(data: _PointData, tol: float) -> TheoremPoints:
+def _t2_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     d_ch, h_term = data.along(geo.P.swapaxes(-1, -2))  # row a: X = e_a
     omega_x = geo.f_normal_part(geo.E0)
@@ -129,7 +106,7 @@ def _t2_point(data: _PointData, tol: float) -> TheoremPoints:
     return _columns(data, tol, identity, obstruction, proof, branches)
 
 
-def _t3_point(data: _PointData, tol: float) -> TheoremPoints:
+def _t3_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     # g((nabla_{e_a} omega) e_b, H) = P[c, a] P[d, b] g((nabla_{d_c} omega) T_d, H)
     p = geo.P
@@ -143,7 +120,7 @@ def _t3_point(data: _PointData, tol: float) -> TheoremPoints:
     return _columns(data, tol, identity, obstruction, proof, branches)
 
 
-def _t4_point(data: _PointData, tol: float) -> TheoremPoints:
+def _t4_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     phi_x = geo.f_tangent_part(geo.E0)  # row a: X = phi e_a
     d_ch, h_x = data.along(geo.param_components(phi_x))
@@ -162,8 +139,7 @@ def _t4_point(data: _PointData, tol: float) -> TheoremPoints:
     return _columns(data, tol, identity, obstruction, proof, branches)
 
 
-def _verdict(theorem: str, points: TheoremPoints, ranks, tol: float) -> TheoremVerdict:
-    columns = points.columns
+def _verdict(theorem: str, columns: dict, ranks, tol: float) -> TheoremVerdict:
     identity_everywhere = all(columns["identity_holds"])
     global_branches = {name: all(flags) for name, flags in columns["branches"].items()}
     if theorem == "t4":
@@ -172,7 +148,7 @@ def _verdict(theorem: str, points: TheoremPoints, ranks, tol: float) -> TheoremV
     disjunction_global = any(global_branches.values())
     return TheoremVerdict(
         theorem=theorem,
-        points=points,
+        points=columns,
         identity_holds_everywhere=identity_everywhere,
         disjunction_global=disjunction_global,
         disjunction_pointwise_everywhere=all(columns["disjunction_pointwise"]),

@@ -19,7 +19,6 @@ from .calculus import LemmaReport, _lemma1_point, _lemma2_point, lemma_tensors
 from .subgeom import (
     ClassificationResult,
     Immersion,
-    PointRecords,
     _JetGeometry,
     _points,
     aggregate_classification,
@@ -69,10 +68,11 @@ class VerificationOutcome:
 
 
 def _lemma_report(lemma: str, geo: _JetGeometry, residuals, tol: float) -> LemmaReport:
+    """Passes if every residual is at most ``tol``; the worst is the largest that is not NaN."""
     residuals = residuals.tolist()
-    worst = max(residuals)
-    per_point = PointRecords({"u": geo.points, "residual": residuals})
-    return LemmaReport(lemma, worst, per_point, worst <= tol, tol)
+    worst = max((r for r in residuals if not math.isnan(r)), default=math.nan)
+    per_point = {"u": geo.points, "residual": residuals}
+    return LemmaReport(lemma, worst, per_point, all(r <= tol for r in residuals), tol)
 
 
 def verify(

@@ -12,7 +12,7 @@ from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig
 from prodgeo.cli import main, render_json
 from prodgeo.jets import seed_point
 from prodgeo.scenario import export_scenario, load_scenario
-from prodgeo.subgeom import _JetGeometry, classify, point_geometry, pseudo_umbilical_gap
+from prodgeo.subgeom import _JetGeometry, classify, point_geometry
 from prodgeo.verify import verify
 
 from controls import corrupted_lemma_case, position_reflection_space, rotation_structure_space
@@ -176,14 +176,18 @@ def test_criterion_5_proof_residuals_and_obstructions():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
-            for p in verdict.points:
-                if not p.pseudo_umbilical:
+            points = verdict.points
+            for u, pu, proof, identity, obstruction in zip(
+                points["u"], points["pseudo_umbilical"], points["proof_residual"],
+                points["identity_residual"], points["obstruction"],
+            ):
+                if not pu:
                     continue
                 pu_points += 1
-                assert p.proof_residual <= 1e-8, (label, key, p.u)
-                assert abs(p.identity_residual - p.obstruction) <= 1e-6, (label, key, p.u)
-                worst_proof = max(worst_proof, p.proof_residual)
-                worst_gap = max(worst_gap, abs(p.identity_residual - p.obstruction))
+                assert proof <= 1e-8, (label, key, u)
+                assert abs(identity - obstruction) <= 1e-6, (label, key, u)
+                worst_proof = max(worst_proof, proof)
+                worst_gap = max(worst_gap, abs(identity - obstruction))
     assert pu_points > 0
     _report(5, f"{pu_points} pseudo-umbilical (point, theorem) pairs: worst "
                f"proof residual {worst_proof:.2e}, worst identity-vs-"
@@ -196,14 +200,15 @@ def test_criterion_5_proof_residuals_and_obstructions():
 def test_criterion_6_quantitative_spot_values():
     circle = catalog_get("circle")
     verdicts = verify(circle.space, circle.immersion, lemmas=False).theorems
-    t3 = verdicts["t3"].points[1].obstruction
-    t4 = verdicts["t4"].points[1].obstruction
+    t3 = verdicts["t3"].points["obstruction"][1]
+    t4 = verdicts["t4"].points["obstruction"][1]
     assert abs(t3 - 0.7071067811865476) <= 1e-6
     assert abs(t4 - 0.35355339059327373) <= 1e-6
 
     sphere = catalog_get("sphere")
-    named = verify(sphere.space, sphere.immersion, lemmas=False).theorems["t2"].points[0]
-    assert abs(named.identity_residual - 1.0) <= 1e-6
+    t2 = verify(sphere.space, sphere.immersion, lemmas=False).theorems["t2"]
+    named = t2.points["identity_residual"][0]
+    assert abs(named - 1.0) <= 1e-6
 
     torus = catalog_get("square-torus-aligned")
     for u in torus.samples:
@@ -212,9 +217,9 @@ def test_criterion_6_quantitative_spot_values():
 
     rect = catalog_get("rect-torus")
     pg = point_geometry(rect.immersion, rect.space, rect.samples[0])
-    assert abs(pseudo_umbilical_gap(pg) - 0.1875) <= 1e-9
+    assert abs(pg.pu_gap - 0.1875) <= 1e-9
     _report(6, f"circle obstructions {t3:.6f} / {t4:.6f}, sphere residual "
-               f"{named.identity_residual:.6f}, torus |H|^2 = 0.5, "
+               f"{named:.6f}, torus |H|^2 = 0.5, "
                f"rect-torus gap = 0.1875")
 
 
@@ -226,13 +231,10 @@ def test_criterion_7_classification_regression():
         scn = catalog_get(label)
         result = classify(scn.immersion, scn.space)
         assert result.classification == scn.expected.classification, label
-        assert all(p.minimal for p in result.points) == scn.expected.minimal, label
-        assert (
-            all(p.pseudo_umbilical for p in result.points)
-            == scn.expected.pseudo_umbilical
-        ), label
+        assert all(result.points["minimal"]) == scn.expected.minimal, label
+        assert all(result.points["pseudo_umbilical"]) == scn.expected.pseudo_umbilical, label
     circle = classify(catalog_get("circle").immersion, catalog_get("circle").space)
-    assert [p.rank_phi for p in circle.points] == [1, 1, 0]
+    assert circle.points["rank_phi"] == [1, 1, 0]
     _report(7, "all 10 scenarios report their expected verdicts and flags; "
                "circle rank(phi) drops 1 -> 0 across its samples")
 

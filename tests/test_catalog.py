@@ -53,10 +53,10 @@ def test_scenario_regression(label):
         assert result.dim_d == expected.dim_d
         assert result.dim_d_perp == expected.dim_d_perp
     if expected.rank_phi_per_point is not None:
-        assert tuple(p.rank_phi for p in result.points) == expected.rank_phi_per_point
+        assert tuple(result.points["rank_phi"]) == expected.rank_phi_per_point
 
-    assert all(p.minimal for p in result.points) == expected.minimal
-    assert all(p.pseudo_umbilical for p in result.points) == expected.pseudo_umbilical
+    assert all(result.points["minimal"]) == expected.minimal
+    assert all(result.points["pseudo_umbilical"]) == expected.pseudo_umbilical
 
     if expected.mean_curvature_sq is not None:
         for u in scn.samples:
@@ -83,14 +83,12 @@ def test_scenario_spot_values(label):
     verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
     for spot in scn.spots:
         if spot.quantity == "pu_gap":
-            from prodgeo.subgeom import pseudo_umbilical_gap
-
             pg = point_geometry(scn.immersion, scn.space, scn.samples[spot.point_index])
-            actual = pseudo_umbilical_gap(pg)
+            actual = pg.pu_gap
         else:
             key, field = spot.quantity.split("_", 1)
-            record = verdicts[key].points[spot.point_index]
-            actual = getattr(record, f"{field}_residual" if field == "identity" else field)
+            column = verdicts[key].points[f"{field}_residual" if field == "identity" else field]
+            actual = column[spot.point_index]
         assert abs(actual - spot.value) <= spot.tol, (label, spot.quantity)
 
 

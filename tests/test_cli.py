@@ -1,7 +1,6 @@
 """Scenario files and the command-line driver."""
 
 import collections
-import dataclasses
 import importlib
 import itertools
 import json
@@ -22,8 +21,7 @@ from prodgeo.scenario import (
     loads_scenario,
     scenario_text,
 )
-from prodgeo.subgeom import Immersion, PointClassification, classify
-from prodgeo.theorems import TheoremPointRecord
+from prodgeo.subgeom import Immersion, classify
 from prodgeo.verify import THEOREMS, Tolerances, verify
 
 from controls import corrupted_lemma_case
@@ -155,6 +153,13 @@ MALFORMED = {
     "arabic-indic-box-bound": ("samples", "random = count=3 seed=1 box=(0,\u0661)"),
     "underscored-tolerance": ("tolerances", "identity_tol = 1_0e-8"),
     "arabic-indic-tolerance": ("tolerances", "identity_tol = \u0661e-8"),
+    # a key that its section does not read is an error, not ignored
+    "misspelt-tolerance-key": ("tolerances", "identity_to1 = 1e-3"),
+    "structure-in-product-mode": ("ambient", PRODUCT + "\nstructure = 0, -1; 1, 0"),
+    "product-key-in-explicit-mode": ("ambient", REFLECTION_CIRCLE["ambient"] + "\np = 1"),
+    "unread-immersion-key": ("immersion", REFLECTION_CIRCLE["immersion"] + "\nlable = x"),
+    "unread-samples-key": ("samples", "points = (0.5,)\nseed = 3"),
+    "unknown-section": ("notes", "author = someone"),
 }
 
 
@@ -552,14 +557,19 @@ def test_entry_points_agree_with_verify(capsys, tmp_path):
         assert out == render_text(classified)
 
 
-def _assert_same_record(batched, alone, where):
-    """Flags, ranks and branches equal; numbers within rtol 1e-9, atol 1e-12."""
-    for field in dataclasses.fields(batched):
-        a, b = getattr(batched, field.name), getattr(alone, field.name)
+def _assert_same_point(batched, index, alone, where):
+    """Point ``index`` of the columns ``batched`` against the one point of
+    ``alone``: flags, ranks and branches equal; numbers within rtol 1e-9,
+    atol 1e-12."""
+    for name, column in batched.items():
+        if isinstance(column, dict):  # the branches, a column each
+            _assert_same_point(column, index, alone[name], where)
+            continue
+        a, b = column[index], alone[name][0]
         if isinstance(a, float) and isinstance(b, float):
-            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), (where, field.name, a, b)
+            assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12), (where, name, a, b)
         else:
-            assert a == b, (where, field.name, a, b)
+            assert a == b, (where, name, a, b)
 
 
 def test_batch_size_does_not_change_point_records():
@@ -575,16 +585,15 @@ def test_batch_size_does_not_change_point_records():
         for index, u in enumerate(imm.samples):
             alone = verify(space, imm, [u])
             where = (imm.label, u)
-            _assert_same_record(
-                batched.classification.points[index], alone.classification.points[0], where
+            _assert_same_point(
+                batched.classification.points, index, alone.classification.points, where
             )
             for lemma in ("lemma1", "lemma2"):
-                (u_b, r_b), (u_a, r_a) = (getattr(o, lemma).per_point[i]
-                                          for o, i in ((batched, index), (alone, 0)))
-                assert u_b == u_a and math.isclose(r_b, r_a, rel_tol=1e-9, abs_tol=1e-12), where
+                _assert_same_point(getattr(batched, lemma).per_point, index,
+                                   getattr(alone, lemma).per_point, where)
             for key in ("t2", "t3", "t4"):
-                _assert_same_record(
-                    batched.theorems[key].points[index], alone.theorems[key].points[0], where
+                _assert_same_point(
+                    batched.theorems[key].points, index, alone.theorems[key].points, where
                 )
 
 
@@ -685,6 +694,17 @@ def test_cli_overflowing_image_names_the_sample_point(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("command", [["classify"], ["check", "--all"]])
+def test_cli_overflowing_induced_metric_names_the_sample_point(command, capsys, tmp_path):
+    # the circle's Jacobian is finite, but g(T, T) ~ 1e310 is not
+    path = tmp_path / "huge.ini"
+    circle = Immersion(1, ("1e155*cos(u1)", "1e155*sin(u1)"), samples=((0.3,), (1.0,)))
+    path.write_text(scenario_text(flat_product(1, 1), circle, circle.samples))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: induced metric is not finite at u = (0.3,)\n"
+
+
 def test_cli_calls_back_to_back_match_fresh_runs(capsys, tmp_path):
     # the argument parser is built once per process; no call may see another's options
     path = str(tmp_path / "c.ini")
@@ -762,12 +782,8 @@ def test_render_json_matches_the_reference_serializer():
     cases.append((space, imm, imm.samples))
     for space, imm, samples in cases:
         outcome = verify(space, imm, samples)
+        assert outcome.classification.points["u"] == [tuple(u) for u in samples], imm.label
         assert render_json(outcome) == _reference_json(build_document(outcome)) + "\n", imm.label
-
-
-def _grid_8x8():
-    return list(itertools.product([-0.9 + 0.8 * i for i in range(8)],
-                                  [-0.4 + 0.8 * j for j in range(8)]))
 
 
 def test_render_json_matches_the_reference_serializer_on_every_part():
@@ -791,23 +807,27 @@ def test_render_json_matches_the_reference_serializer_on_every_part():
     assert [p["residuals"]["t2"]["proof"] for p in points] == [0.0, None, None]
 
 
-def _entry_from_records(outcome, index):
-    """A report's point entry, read from the API records."""
-    cls = outcome.classification.points[index]
+def _entry_from_columns(outcome, index):
+    """A report's point entry, read from the outcome's named columns."""
+    cls = {name: column[index] for name, column in outcome.classification.points.items()}
     residuals = {}
     if outcome.lemma1 is not None:
-        residuals = {"lemma1": outcome.lemma1.per_point[index][1],
-                     "lemma2": outcome.lemma2.per_point[index][1]}
+        residuals = {"lemma1": outcome.lemma1.per_point["residual"][index],
+                     "lemma2": outcome.lemma2.per_point["residual"][index]}
     for key in THEOREMS if outcome.theorems is not None else ():
-        record = outcome.theorems[key].points[index]
-        residuals[key] = {"identity": record.identity_residual, "obstruction": record.obstruction,
-                          "proof": record.proof_residual, "branches": dict(record.branches)}
+        points = outcome.theorems[key].points
+        residuals[key] = {
+            "identity": points["identity_residual"][index],
+            "obstruction": points["obstruction"][index],
+            "proof": points["proof_residual"][index],
+            "branches": {name: flags[index] for name, flags in points["branches"].items()},
+        }
     return {
-        "u": list(cls.u),
-        "norms": {"mean_curvature_sq": cls.mean_curvature_sq, "phi": cls.phi_norm,
-                  "omega": cls.omega_norm, "omega_phi": cls.omega_phi_norm},
-        "rank_phi": cls.rank_phi,
-        "flags": {"minimal": cls.minimal, "pseudo_umbilical": cls.pseudo_umbilical},
+        "u": list(cls["u"]),
+        "norms": {"mean_curvature_sq": cls["mean_curvature_sq"], "phi": cls["phi_norm"],
+                  "omega": cls["omega_norm"], "omega_phi": cls["omega_phi_norm"]},
+        "rank_phi": cls["rank_phi"],
+        "flags": {"minimal": cls["minimal"], "pseudo_umbilical": cls["pseudo_umbilical"]},
         "residuals": residuals,
     }
 
@@ -821,45 +841,30 @@ def test_report_points_are_the_records_in_key_order():
             outcome = verify(space, imm, samples, lemmas=lemmas, theorems=theorems)
             rendered = render_json(outcome)
             doc = json.loads(rendered)
-            doc["points"] = [_entry_from_records(outcome, i) for i in range(len(samples))]
+            doc["points"] = [_entry_from_columns(outcome, i) for i in range(len(samples))]
             assert _reference_json(doc) + "\n" == rendered, imm.label
 
 
-def test_render_json_builds_no_point_records(monkeypatch):
-    made = collections.Counter()
-    for record in (PointClassification, TheoremPointRecord):
-        def counting_init(self, *args, _init=record.__init__, _name=record.__name__, **kwargs):
-            made[_name] += 1
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(record, "__init__", counting_init)
-    scn = catalog_get("curved-block")
-    grid = _grid_8x8()
-    outcome = verify(scn.space, scn.immersion, grid)
-    render_json(outcome)
-    assert len(outcome.classification.points) == 64 and made == {}
-    # the records are built on first read, once
-    for _ in range(2):
-        assert [p.u for p in outcome.classification.points] == grid
-        assert all(len(outcome.theorems[key].points[:]) == 64 for key in THEOREMS)
-    assert made == {"PointClassification": 64, "TheoremPointRecord": 192}
-
-
-def test_non_finite_residual_column_is_not_rendered(monkeypatch, capsys, tmp_path):
+@pytest.mark.parametrize("position", [0, 1])
+def test_non_finite_residual_column_is_not_rendered(position, monkeypatch, capsys, tmp_path):
     pipeline = importlib.import_module("prodgeo.verify")
     lemma1 = pipeline._lemma1_point
 
-    def nan_at_second_point(geo, nabla_omega_t):
+    def nan_at(geo, nabla_omega_t):
         residuals = lemma1(geo, nabla_omega_t).copy()
-        residuals[1] = math.nan
+        residuals[position] = math.nan
         return residuals
 
-    monkeypatch.setattr(pipeline, "_lemma1_point", nan_at_second_point)
+    monkeypatch.setattr(pipeline, "_lemma1_point", nan_at)
     scn = catalog_get("circle")
     outcome = verify(scn.space, scn.immersion)
-    # only the column holds the NaN: the worst residual skips it
-    assert math.isnan(outcome.lemma1.per_point[1][1])
+    # only the column holds the NaN: the worst residual is the largest other
+    # one, wherever the NaN sits, and the lemma fails
+    column = outcome.lemma1.per_point["residual"]
+    assert math.isnan(column[position])
+    assert outcome.lemma1.max_residual == max(r for r in column if not math.isnan(r))
     assert math.isfinite(outcome.lemma1.max_residual)
+    assert outcome.lemma1.passed is False and outcome.consistent is False
     with pytest.raises(ValueError, match="report numbers must be finite"):
         render_json(outcome)
     path = tmp_path / "c.ini"

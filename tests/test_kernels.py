@@ -232,7 +232,7 @@ def test_kernels_match_the_einsum_references(label, space, imm):
     data = _PointData(geo, TOL, nabla_omega_t, nabla_c_xi)
     references = _reference_theorems(geo, ref_omega, ref_c)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
-        columns = statement(data, TOL).columns
+        columns = statement(data, TOL)
         identity, obstruction, proof = references[key]
         scale = terms * max(geo.Hsq.max(), 1.0)
         _close(columns["identity_residual"], identity, scale, (label, key, "identity"))

@@ -59,6 +59,9 @@ NOT_SHIPPED = {
                 "constant_reflection_space", "corrupted_lemma_case"],
     "cli": ["build_document", "_entry", "run_loaded", "run_catalog_scenario"],
     "jets": ["lift_constant", "seed_variable", "as_jet"],
+    "subgeom": ["PointRecords", "PointClassification", "ClassificationPoints",
+                "is_minimal", "is_pseudo_umbilical", "pseudo_umbilical_gap"],
+    "theorems": ["TheoremPoints", "TheoremPointRecord"],
 }
 ORACLE = ["FDConfig", "fd_derivative", "fd_second", "fd_third", "fd_directional"]
 
@@ -90,4 +93,6 @@ def test_readme_python_example_runs(capsys):
     section = (ROOT / "README.md").read_text().split("## Python API", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
-    assert "generic" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "generic" in out
+    assert "[1, 1, 0]" in out.splitlines()  # the rank line, as its comment says

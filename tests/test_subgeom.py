@@ -17,10 +17,7 @@ from prodgeo.subgeom import (
     Immersion,
     _JetGeometry,
     classify,
-    is_minimal,
-    is_pseudo_umbilical,
     point_geometry,
-    pseudo_umbilical_gap,
 )
 from prodgeo.verify import verify
 
@@ -117,24 +114,24 @@ def test_sff_square_torus_closed_forms():
 
 def test_minimality_examples():
     plane = Immersion(2, ("u1", "u2", "0"))
-    assert is_minimal(point_geometry(plane, FLAT21, (0.1, 0.2)))
+    assert point_geometry(plane, FLAT21, (0.1, 0.2)).H_norm <= 1e-8
     circle = Immersion(1, ("cos(u1)", "sin(u1)"))
-    assert not is_minimal(point_geometry(circle, FLAT11, (0.3,)))
+    assert not point_geometry(circle, FLAT11, (0.3,)).H_norm <= 1e-8
     diag = Immersion(1, ("u1", "u1"))
-    assert is_minimal(point_geometry(diag, FLAT11, (0.7,)))
+    assert point_geometry(diag, FLAT11, (0.7,)).H_norm <= 1e-8
 
 
 def test_pseudo_umbilical_examples():
     plane = Immersion(2, ("u1", "u2", "0"))
-    assert is_pseudo_umbilical(point_geometry(plane, FLAT21, (0.1, 0.2)))
+    assert point_geometry(plane, FLAT21, (0.1, 0.2)).pu_gap <= 1e-8
     torus = Immersion(2, ("cos(u1)", "sin(u1)", "cos(u2)", "sin(u2)"))
-    assert is_pseudo_umbilical(point_geometry(torus, FLAT22, (0.5, 1.1)))
+    assert point_geometry(torus, FLAT22, (0.5, 1.1)).pu_gap <= 1e-8
     rect = Immersion(2, ("cos(u1)", "sin(u1)", "2*cos(u2)", "2*sin(u2)"))
     pg = point_geometry(rect, FLAT22, (0.5, 1.1))
-    assert not is_pseudo_umbilical(pg)
-    assert abs(pseudo_umbilical_gap(pg) - 0.1875) <= 1e-9
+    assert not pg.pu_gap <= 1e-8
+    assert abs(pg.pu_gap - 0.1875) <= 1e-9
     sphere = Immersion(2, ("sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"))
-    assert is_pseudo_umbilical(point_geometry(sphere, FLAT21, (0.8, 0.3)))
+    assert point_geometry(sphere, FLAT21, (0.8, 0.3)).pu_gap <= 1e-8
 
 
 def test_decompose_circle():
@@ -193,7 +190,7 @@ def test_classify_reports_distribution_dimensions():
     circle = catalog_get("circle")
     result = classify(circle.immersion, circle.space)
     assert result.dim_d is None
-    assert [p.rank_phi for p in result.points] == [1, 1, 0]
+    assert result.points["rank_phi"] == [1, 1, 0]
 
 
 def test_classify_flags_single_sample():
@@ -257,12 +254,30 @@ def test_frame_choice_independence():
         fwd = classify(scn.immersion, scn.space)
         rev = classify(_parameters_reversed(scn.immersion), scn.space)
         assert fwd.classification == rev.classification
-        for a, b in zip(fwd.points, rev.points):
-            assert abs(a.phi_norm - b.phi_norm) <= 1e-9
-            assert abs(a.omega_norm - b.omega_norm) <= 1e-9
-            assert abs(a.mean_curvature_sq - b.mean_curvature_sq) <= 1e-9
-            assert a.rank_phi == b.rank_phi
-            assert a.pseudo_umbilical == b.pseudo_umbilical
+        for name in ("phi_norm", "omega_norm", "mean_curvature_sq"):
+            for a, b in zip(fwd.points[name], rev.points[name]):
+                assert abs(a - b) <= 1e-9, (label, name)
+        assert fwd.points["rank_phi"] == rev.points["rank_phi"], label
+        assert fwd.points["pseudo_umbilical"] == rev.points["pseudo_umbilical"], label
+
+
+def test_overflowing_induced_metric_is_a_degenerate_immersion():
+    # a finite Jacobian of size 1e155 gives g(T, T) ~ 1e310: no frame is built
+    # from it, and the first such point is named (1e150 is a circle like any)
+    def circle(radius):
+        return Immersion(1, (f"{radius}*cos(u1)", f"{radius}*sin(u1)"),
+                         samples=((0.3,), (1.0,), (2.0,)))
+
+    huge = circle("1e155")
+    message = r"^induced metric is not finite at u = \(0\.3,\)$"
+    for call in (lambda: classify(huge, FLAT11), lambda: verify(FLAT11, huge),
+                 lambda: point_geometry(huge, FLAT11, (0.3,))):
+        with pytest.raises(DegenerateImmersion, match=message):
+            call()
+    large = circle("1e150")
+    assert classify(large, FLAT11).classification == "generic"
+    pg = point_geometry(large, FLAT11, (0.3,))
+    assert np.allclose(pg.tangent_on, [[-math.sin(0.3), math.cos(0.3)]], atol=1e-12)
 
 
 def test_dimension_mismatch_between_immersion_and_space():
@@ -404,11 +419,11 @@ def test_point_predicates_read_the_classification_measures():
         scn = catalog_get(label)
         for tol in (1e-8, 1e-3):
             result = classify(scn.immersion, scn.space, tol=tol)
-            for u, record in zip(scn.samples, result.points):
+            points = result.points
+            for u, minimal, pu in zip(scn.samples, points["minimal"], points["pseudo_umbilical"]):
                 pg = point_geometry(scn.immersion, scn.space, u)
-                assert is_minimal(pg, tol) == record.minimal, (label, u, tol)
-                assert is_pseudo_umbilical(pg, tol) == record.pseudo_umbilical, (label, u, tol)
-                assert (pseudo_umbilical_gap(pg) <= tol) == record.pseudo_umbilical, (label, u)
+                assert (pg.H_norm <= tol) == minimal, (label, u, tol)
+                assert (pg.pu_gap <= tol) == pu, (label, u, tol)
 
 
 # ---- frames: closed-form jets against the Gram-Schmidt loop in jets ----------

@@ -17,18 +17,18 @@ def test_t2_aligned_torus_invariant_branch():
     scn = catalog_get("square-torus-aligned")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     assert verdict.identity_holds_everywhere
-    assert all(p.identity_residual <= 1e-8 for p in verdict.points)
-    assert all(p.branches["invariant"] for p in verdict.points)
+    assert all(r <= 1e-8 for r in verdict.points["identity_residual"])
+    assert all(verdict.points["branches"]["invariant"])
     assert verdict.biconditional_consistent
 
 
 def test_t2_sphere_named_point():
     scn = catalog_get("sphere")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
-    named = verdict.points[0]  # u = (pi/4, 0) maps to (sqrt2/2, 0, sqrt2/2)
-    assert abs(named.identity_residual - 1.0) <= 1e-6
-    assert abs(named.obstruction - 1.0) <= 1e-6
-    assert named.proof_residual <= 1e-8
+    named = verdict.points  # point 0: u = (pi/4, 0) maps to (sqrt2/2, 0, sqrt2/2)
+    assert abs(named["identity_residual"][0] - 1.0) <= 1e-6
+    assert abs(named["obstruction"][0] - 1.0) <= 1e-6
+    assert named["proof_residual"][0] <= 1e-8
     assert not verdict.identity_holds_everywhere
     assert verdict.biconditional_consistent
 
@@ -37,25 +37,25 @@ def test_t2_minimal_scenarios_hold():
     for label in ("plane-invariant", "diagonal-line", "semi-invariant-plane"):
         scn = catalog_get(label)
         verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
-        assert all(p.identity_residual <= 1e-8 for p in verdict.points), label
-        assert all(p.branches["minimal"] for p in verdict.points), label
+        assert all(r <= 1e-8 for r in verdict.points["identity_residual"]), label
+        assert all(verdict.points["branches"]["minimal"]), label
 
 
 def test_t3_anti_invariant_curve_holds():
     scn = catalog_get("anti-invariant-curve")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t3"]
     assert verdict.identity_holds_everywhere
-    assert all(p.branches["anti_invariant"] for p in verdict.points)
+    assert all(verdict.points["branches"]["anti_invariant"])
     assert verdict.biconditional_consistent
 
 
 def test_t3_circle_spot_value():
     scn = catalog_get("circle")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t3"]
-    at_pi8 = verdict.points[1]
-    assert abs(at_pi8.obstruction - COS_PI_4) <= 1e-6
-    assert abs(at_pi8.identity_residual - at_pi8.obstruction) <= 1e-6
-    assert at_pi8.proof_residual <= 1e-8
+    obstruction = verdict.points["obstruction"][1]  # at u = pi/8
+    assert abs(obstruction - COS_PI_4) <= 1e-6
+    assert abs(verdict.points["identity_residual"][1] - obstruction) <= 1e-6
+    assert verdict.points["proof_residual"][1] <= 1e-8
     assert not verdict.identity_holds_everywhere
     assert verdict.biconditional_consistent
 
@@ -63,21 +63,22 @@ def test_t3_circle_spot_value():
 def test_t4_circle_spot_value_and_pointwise_branch():
     scn = catalog_get("circle")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
-    at_zero, at_pi8, at_pi4 = verdict.points
-    assert abs(at_pi8.obstruction - COS_PI_4 ** 2 * math.sin(math.pi / 4)) <= 1e-6
-    assert abs(at_pi8.identity_residual - at_pi8.obstruction) <= 1e-6
+    points = verdict.points  # at u = 0, pi/8 and pi/4
+    obstruction = points["obstruction"][1]
+    assert abs(obstruction - COS_PI_4 ** 2 * math.sin(math.pi / 4)) <= 1e-6
+    assert abs(points["identity_residual"][1] - obstruction) <= 1e-6
     # identity holds pointwise at u = 0 and u = pi/4 through perpendicularity
-    assert at_zero.identity_holds and at_zero.branches["perpendicular"]
-    assert at_pi4.identity_holds and at_pi4.branches["perpendicular"]
-    assert not at_pi8.identity_holds
+    assert points["identity_holds"] == [True, False, True]
+    assert points["branches"]["perpendicular"][0] and points["branches"]["perpendicular"][2]
     assert verdict.biconditional_consistent
 
 
 def test_t4_semi_invariant_plane_two_branches():
     scn = catalog_get("semi-invariant-plane")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
-    assert all(p.identity_residual <= 1e-10 for p in verdict.points)
-    assert all(p.branches["minimal"] and p.branches["semi_invariant"] for p in verdict.points)
+    assert all(r <= 1e-10 for r in verdict.points["identity_residual"])
+    branches = verdict.points["branches"]
+    assert all(branches["minimal"]) and all(branches["semi_invariant"])
 
 
 def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
@@ -85,12 +86,14 @@ def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
-            for p in verdict.points:
-                if p.pseudo_umbilical:
-                    assert p.proof_residual is not None
-                    assert p.proof_residual <= 1e-8, (label, key, p.u)
+            points = verdict.points
+            for u, pu, proof in zip(points["u"], points["pseudo_umbilical"],
+                                    points["proof_residual"]):
+                if pu:
+                    assert proof is not None
+                    assert proof <= 1e-8, (label, key, u)
                 else:
-                    assert p.proof_residual is None
+                    assert proof is None
 
 
 def test_identity_residual_equals_obstruction_at_pu_points():
@@ -98,13 +101,13 @@ def test_identity_residual_equals_obstruction_at_pu_points():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
-            for p in verdict.points:
-                if p.pseudo_umbilical:
-                    assert abs(p.identity_residual - p.obstruction) <= 1e-6, (
-                        label,
-                        key,
-                        p.u,
-                    )
+            points = verdict.points
+            for u, pu, identity, obstruction in zip(
+                points["u"], points["pseudo_umbilical"], points["identity_residual"],
+                points["obstruction"],
+            ):
+                if pu:
+                    assert abs(identity - obstruction) <= 1e-6, (label, key, u)
 
 
 def test_branch_soundness():
@@ -113,9 +116,12 @@ def test_branch_soundness():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
-            for p in verdict.points:
-                if p.disjunction_pointwise:
-                    assert p.identity_residual <= 1e-6, (label, key, p.u)
+            points = verdict.points
+            for u, disjunction, identity in zip(
+                points["u"], points["disjunction_pointwise"], points["identity_residual"]
+            ):
+                if disjunction:
+                    assert identity <= 1e-6, (label, key, u)
 
 
 def test_biconditional_consistency_all_catalog():
@@ -135,7 +141,7 @@ def test_rect_torus_skips_proof():
     scn = catalog_get("rect-torus")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     assert verdict.proof_points_skipped == len(scn.samples)
-    assert all(p.proof_residual is None for p in verdict.points)
+    assert all(p is None for p in verdict.points["proof_residual"])
     assert verdict.biconditional_consistent
 
 
@@ -148,8 +154,8 @@ def test_scaling_covariance_on_circle():
     v1 = verify(flat, unit, samples, lemmas=False).theorems
     v2 = verify(flat, doubled, samples, lemmas=False).theorems
     for i in range(len(samples)):
-        t2_ratio = v1["t2"].points[i].obstruction / v2["t2"].points[i].obstruction
-        t4_ratio = v1["t4"].points[i].obstruction / v2["t4"].points[i].obstruction
+        t2_ratio = v1["t2"].points["obstruction"][i] / v2["t2"].points["obstruction"][i]
+        t4_ratio = v1["t4"].points["obstruction"][i] / v2["t4"].points["obstruction"][i]
         assert abs(t2_ratio - 4.0) <= 1e-6 * 4.0
         assert abs(t4_ratio - 8.0) <= 1e-6 * 8.0
 
@@ -157,9 +163,10 @@ def test_scaling_covariance_on_circle():
 def test_rotated_torus_obstruction_is_large():
     scn = catalog_get("square-torus-rotated")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
-    for p in verdict.points:
-        assert p.identity_residual > 0.1
-        assert abs(p.identity_residual - p.obstruction) <= 1e-6
+    for identity, obstruction in zip(verdict.points["identity_residual"],
+                                     verdict.points["obstruction"]):
+        assert identity > 0.1
+        assert abs(identity - obstruction) <= 1e-6
     assert verdict.biconditional_consistent
 
 
@@ -167,8 +174,13 @@ def test_verdict_shape():
     scn = catalog_get("circle")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
     assert verdict.theorem == "t4"
-    assert len(verdict.points) == 3
-    assert set(verdict.points[0].branches) == {"minimal", "semi_invariant", "perpendicular"}
+    assert list(verdict.points) == [
+        "u", "pseudo_umbilical", "identity_residual", "obstruction", "proof_residual",
+        "branches", "identity_holds", "disjunction_pointwise",
+    ]
+    assert len(verdict.points["u"]) == 3
+    assert set(verdict.points["branches"]) == {"minimal", "semi_invariant", "perpendicular"}
+    assert all(len(column) == 3 for column in verdict.points["branches"].values())
 
 
 def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
@@ -185,4 +197,4 @@ def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
     monkeypatch.setattr(jets.Jet, "value", property(no_jets))
     data = _PointData(geo, 1e-8, *tensors)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
-        assert statement(data, 1e-8) == list(expected[key].points), key
+        assert statement(data, 1e-8) == expected[key].points, key
