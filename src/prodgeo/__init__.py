@@ -13,9 +13,12 @@ runs all of it with one geometry build for all sample points, and its
 outcome holds the classification, the lemma reports and the T2-T4 verdicts.
 :func:`point_geometry` reads the frames and invariants at one point.
 
-All derivatives are exact (truncated Taylor jets).  The package ships the
-pipeline only: the finite-difference oracle that cross-checks the jets and
-the negative controls live in the test-suite.
+All derivatives are exact: the immersion is a truncated Taylor jet, the
+one jet of a build, and the derivatives of the tangent projector and the
+structure are closed-form float algebra on its coefficients and the
+ambient tables.  The package ships the pipeline only: the
+finite-difference oracle that cross-checks them and the negative controls
+live in the test-suite.
 """
 
 from .ambient import (

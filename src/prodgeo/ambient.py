@@ -295,25 +295,25 @@ class AmbientValidationFailure(ValueError):
         )
 
 
-def validate_ambient(space: AmbientSpace, x, g, f, gamma, minors) -> AmbientValidationReport:
+def validate_ambient(space: AmbientSpace, x, g, f, df, gamma, minors) -> AmbientValidationReport:
     """Measure the locally-product defects at the points ``x``, shape ``(P, N)``.
 
-    ``g`` and ``f`` are the metric and structure tables' values there, a
-    constant one without the point axis, ``gamma`` the Christoffel symbols
-    of :func:`levi_civita` at every point, or ``None`` where the metric
-    derivatives vanish, and ``minors`` the :func:`leading_minors` of ``g``,
-    which the report thresholds at 1e-10.  Reports the largest residuals of
-    ``F^2 - I``, metric compatibility and ``(nabla_X F) Y`` over the points
-    and the coordinate directions X, Y; for constant tables they are
-    computed once.  Only the structure derivative is evaluated here, where
-    the metric is positive definite and the structure varies.  All of it is
-    float algebra on the tables' values.  Without a connection and with a
-    zero structure-derivative table (a flat product, or any constant
-    structure over a constant metric), nabla F vanishes and the parallelism
-    residual is 0.0.  Failures are reported, not thrown.  A non-finite
-    metric is not positive definite; a point whose residuals are not finite
-    (from a non-finite metric, structure or derivative, or an overflow)
-    fails the report and stays out of its residuals.
+    ``g``, ``f`` and ``df`` are the metric, structure and structure
+    derivative tables' values there, a constant one without the point axis,
+    ``gamma`` the Christoffel symbols of :func:`levi_civita` at every point,
+    or ``None`` where the metric derivatives vanish, and ``minors`` the
+    :func:`leading_minors` of ``g``, which the report thresholds at 1e-10.
+    Reports the largest residuals of ``F^2 - I``, metric compatibility and
+    ``(nabla_X F) Y`` over the points and the coordinate directions X, Y;
+    for constant tables they are computed once, and ``(nabla_X F) Y`` only
+    where the metric is positive definite.  All of it is float algebra on
+    the tables' values.  Without a connection and with a zero
+    structure-derivative table (a flat product, or any constant structure
+    over a constant metric), nabla F vanishes and the parallelism residual
+    is 0.0.  Failures are reported, not thrown.  A non-finite metric is not
+    positive definite; a point whose residuals are not finite (from a
+    non-finite metric, structure or derivative, or an overflow) fails the
+    report and stays out of its residuals.
     """
     if len(x) == 0:
         raise ValueError("ambient validation needs at least one sample point")
@@ -325,29 +325,23 @@ def validate_ambient(space: AmbientSpace, x, g, f, gamma, minors) -> AmbientVali
         at = x[:1] if g.ndim == f.ndim == 2 else x
         shape = (len(at), space.dim, space.dim)
         g, f = np.broadcast_to(g, shape), np.broadcast_to(f, shape)
+        df = np.broadcast_to(df, (len(at), space.dim) + shape[1:])
         residuals = np.zeros((len(at), 3))  # F^2 - I, compatibility, (nabla_X F) Y
         definite = np.broadcast_to(positive_definite(minors, 1e-10), (len(at),))
         ft = f.swapaxes(-2, -1)
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))
-        if definite.any():
-            # the structure derivative only where the metric is positive definite
-            xd, gd, fd = at[definite], g[definite], f[definite][:, None]
-            try:
-                (df,) = space.tables(("structure_diff",), xd)
-            except jets.DomainError as err:
-                raise err.at("x", xd) from None
-            # without a connection and with d F zero, nabla F vanishes: its
-            # residual stays 0.0
-            if gamma is not None or df.any():
-                # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
-                nabla_f = df
-                if gamma is not None:
-                    gl = gamma[definite].swapaxes(-3, -2)
-                    nabla_f = df + gl @ fd - fd @ gl
-                # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
-                sq = (nabla_f * (gd[:, None] @ nabla_f)).sum(axis=-2)
-                residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
+        # without a connection and with d F zero, nabla F vanishes: its
+        # residual stays 0.0
+        if definite.any() and (gamma is not None or df.any()):
+            # gl[p, l, i, k] = Gamma^i_lk; nabla_l F = d_l F + Gamma_l F - F Gamma_l
+            gd, fd, nabla_f = g[definite], f[definite][:, None], df[definite]
+            if gamma is not None:
+                gl = gamma[definite].swapaxes(-3, -2)
+                nabla_f = nabla_f + gl @ fd - fd @ gl
+            # |(nabla_X F) Y|_g^2 for coordinate X = e_l and Y = e_k
+            sq = (nabla_f * (gd[:, None] @ nabla_f)).sum(axis=-2)
+            residuals[definite, 2] = np.sqrt(np.maximum(np.max(sq, axis=(-2, -1)), 0.0))
         finite = np.isfinite(residuals).all(axis=1)
         f_finite = f[finite]
         worst = residuals[finite].max(axis=0, initial=0.0)

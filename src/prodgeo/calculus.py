@@ -1,29 +1,37 @@
 """The derived connection calculus and the two lemma identities.
 
-The tangential connection is the tangent part of the ambient covariant
-derivative, the normal connection its normal part (Gauss and Weingarten
-splits of ``_JetGeometry.nabla``, which differentiates along every
-coordinate direction at once).  On top of those sit the covariant
-derivatives of the product-structure projections,
+The product structure F splits along the tangent projector
+P_T = J G^-1 J^T g and the normal projector P_N = I - P_T into
+phi = P_T F P_T, omega = P_N F P_T, B = P_T F P_N and C = P_N F P_N.  The
+covariant derivatives of omega and C follow from those of P_T and F,
 
-    (nabla_X omega) Y = nabla^perp_X (omega Y) - omega (nabla_X Y)
-    (nabla_X C) xi    = nabla^perp_X (C xi)    - C (nabla^perp_X xi)
+    (nabla_X omega) Y = P_N [(D_X F) Y - (D_X P_T) F Y + F (D_X P_T) Y]
+    (nabla_X C) xi    = P_N [(D_X F) xi - (D_X P_T) F xi - F (D_X P_T) xi]
 
-and the two identities every submanifold of a locally product Riemannian
-space satisfies:
+for tangent Y and normal xi, where D_a M = d_a M + [Gamma_a, M] is the
+ambient covariant derivative of an operator field along the immersion and
+(Gamma_a)^i_k = Gamma^i_jk T_a^j.  The derivative of the projector is
+closed form in the Jacobian, the coordinate Hessian and d_a g (Absil,
+Mahony and Trumpf, "An extrinsic look at the Riemannian Hessian", GSI 2013),
+
+    d_a P_T = P_N (d_a J) Q + J G^-1 ((d_a J)^T g + J^T d_a g) P_N,
+
+with Q = G^-1 J^T g, and the tables' derivatives along the immersion are
+d_a M = (d_l M) J^l_a.  Every array is float algebra on the geometry
+build's values.  Every submanifold of a locally product Riemannian space
+satisfies the two identities
 
     (nabla_X omega) Y + h(X, phi Y) = C h(X, Y)
     (nabla_X C) xi = - omega A_xi X - h(X, B xi)
 
-:func:`lemma_tensors` differentiates the first-order jets of the coordinate
-tangent fields and the normal frame once per document, for both tensors
-along all coordinate directions together, and takes (nabla C) H as the
-contraction of the normal frame columns with the components of H; the
-lemma residuals and the T2-T4 statements of :mod:`prodgeo.theorems` read
-its arrays, and :func:`prodgeo.verify.verify` reports the worst residual
-of each identity over samples and coordinate directions.  A corrupted
-ambient space (one with nabla F != 0) breaks them by an O(1) margin, which
-is the engine's negative control.
+:func:`lemma_tensors` evaluates both tensors once per document, along all
+coordinate directions together, and takes (nabla C) H as the contraction
+of the normal frame columns with the components of H; the lemma residuals
+and the T2-T4 statements of :mod:`prodgeo.theorems` read its arrays, and
+:func:`prodgeo.verify.verify` reports the worst residual of each identity
+over samples and coordinate directions.  A corrupted ambient space (one
+with nabla F != 0) breaks them by an O(1) margin, which is the engine's
+negative control.
 """
 
 from __future__ import annotations
@@ -37,23 +45,6 @@ from .subgeom import _JetGeometry
 __all__ = ["LemmaReport", "lemma_tensors"]
 
 
-# Both derivatives below take a batch of fields (batch axes between the point
-# axes and the ambient component) and return them along every coordinate
-# direction, (points..., n, batch..., N); each field is differentiated once.
-
-
-def _nabla_omega(geo: _JetGeometry, y_field) -> np.ndarray:
-    omega_y = geo.normal_part_field(geo.apply_F_field(y_field))
-    nabla_tan_y = geo.project_tangent(geo.nabla(y_field))
-    return geo.project_normal(geo.nabla(omega_y)) - geo.f_normal_part(nabla_tan_y)
-
-
-def _nabla_C(geo: _JetGeometry, xi_field) -> np.ndarray:
-    c_xi = geo.normal_part_field(geo.apply_F_field(xi_field))
-    nabla_perp_xi = geo.project_normal(geo.nabla(xi_field))
-    return geo.project_normal(geo.nabla(c_xi)) - geo.f_normal_part(nabla_perp_xi)
-
-
 @dataclass(frozen=True)
 class LemmaReport:
     lemma: str
@@ -63,18 +54,58 @@ class LemmaReport:
     tol: float
 
 
+def _along(geo: _JetGeometry, table: np.ndarray) -> np.ndarray:
+    """d_a M = (d_l M) J^l_a for every coordinate direction, ``(P, n, N, N)``,
+    from a derivative table ``[..., l, i, j]`` at the images (a constant one
+    without the point axis)."""
+    npts, n, N = len(geo.u), geo.n, geo.N
+    rows = np.broadcast_to(table, (npts, N, N, N)).reshape(npts, N, N * N)
+    return (geo.J0.swapaxes(-1, -2) @ rows).reshape(npts, n, N, N)
+
+
+def _lift(m: np.ndarray) -> np.ndarray:
+    """A per-point matrix with a unit direction axis; a constant one as it is."""
+    return m if m.ndim == 2 else m[:, None]
+
+
+def _operator_derivatives(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """``D_a P_T`` and ``D_a F`` at every point along every coordinate
+    direction a, ``(P, n, N, N)`` each."""
+    J, g, f = geo.J0, _lift(geo.g0), _lift(geo.F0)
+    p_tan = geo.P_tan0[:, None]
+    p_nor = np.eye(geo.N) - p_tan
+    d_j = geo.hessian.swapaxes(-1, -2)  # [a]: d_a J
+    lowered = d_j.swapaxes(-1, -2) @ g + J.swapaxes(-1, -2)[:, None] @ _along(geo, geo.dg0)
+    d_tan = p_nor @ d_j @ geo.to_params[:, None] + (J @ geo.G0inv)[:, None] @ lowered @ p_nor
+    d_f = _along(geo, geo.dF0)
+    if not geo.flat:
+        gamma = geo.GammaT0.swapaxes(-1, -2)  # [a]: Gamma_a
+        d_tan = d_tan + gamma @ p_tan - p_tan @ gamma
+        d_f = d_f + gamma @ f - f @ gamma
+    return d_tan, d_f
+
+
 def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
     """The two derived tensors at every point, along the coordinate directions.
 
     ``(nabla_{d_a} omega) T_b`` has shape ``(..., n, n, N)``; ``(nabla_{d_a} C) xi``,
-    with xi over the normal frame fields and then H, ``(..., n, m + 1, N)``.  Both
-    are tensorial, so a frame direction or field is a contraction of these: the
+    with xi over the normal frame vectors and then H, ``(..., n, m + 1, N)``.  Both
+    are tensorial, so a frame direction or vector is a contraction of these: the
     H column is ``sum_s g(xi_s, H) (nabla C) xi_s`` at each point.
     """
-    nabla_c_xi = _nabla_C(geo, geo.xi_field)
+    d_tan, d_f = _operator_derivatives(geo)
+    f = _lift(geo.F0)
+    # the tangent columns T_b, then the normal frame columns xi_s: the two
+    # formulas differ in the sign of their last term
+    cols = np.concatenate([geo.J0, geo.Xi0.swapaxes(-1, -2)], axis=-1)[:, None]
+    sign = np.where(np.arange(geo.N) < geo.n, 1.0, -1.0)
+    p_nor = np.eye(geo.N) - geo.P_tan0[:, None]
+    moved = d_f @ cols - d_tan @ (f @ cols) + (f @ (d_tan @ cols)) * sign
+    rows = (p_nor @ moved).swapaxes(-1, -2)
+    nabla_omega_t, nabla_c_xi = rows[..., : geo.n, :], rows[..., geo.n :, :]
     h_components = geo.lowered_frame0[..., None, geo.n :, :] @ geo.H0[..., None, :, None]
     nabla_c_h = h_components.swapaxes(-1, -2) @ nabla_c_xi
-    return _nabla_omega(geo, geo.T), np.concatenate([nabla_c_xi, nabla_c_h], axis=-2)
+    return nabla_omega_t, np.concatenate([nabla_c_xi, nabla_c_h], axis=-2)
 
 
 def _lemma1_point(geo: _JetGeometry, nabla_omega_t: np.ndarray) -> np.ndarray:

@@ -7,23 +7,22 @@ B, C matrices), and the invariant / anti-invariant / semi-invariant /
 generic classifier.
 
 The immersion is a jet of order 2 seeded in the n submanifold parameters
-only, at every entry point.  The base-point values are float algebra on its
-Taylor coefficients; the fields the connection calculus of
-:mod:`prodgeo.calculus` differentiates are first-order jets, germs carrying
-their own parameter derivatives, built on first read, so a classification
-never builds them.
-Vector, matrix and frame fields are array jets whose leading axis runs over
-the sample points, so one build makes the same numpy calls for a whole
-document as for one point; :func:`point_geometry` reads row 0 of a one-point
-batch.  Contractions of float arrays are stacked matrix products (``@``),
-one call for all points and rows.
+only, at every entry point, and the one jet of the build: every other value,
+the ambient tables and their derivatives included, is float algebra on its
+Taylor coefficients at the sample points.  The derivatives the connection
+calculus of :mod:`prodgeo.calculus` needs are read off the build's arrays
+(the Jacobian, the coordinate Hessian, the tables' derivatives), so a
+classification and a verification build the same geometry.
+Every array carries a leading axis over the sample points, so one build
+makes the same numpy calls for a whole document as for one point;
+:func:`point_geometry` reads row 0 of a one-point batch.  Contractions are
+stacked matrix products (``@``), one call for all points and rows.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -129,11 +128,6 @@ class PointGeometry:
     pu_gap: float
 
 
-def _values(field) -> np.ndarray:
-    """Values of a jet field; a constant field is already a float array."""
-    return field.value if isinstance(field, jets.Jet) else field
-
-
 def _t(a: np.ndarray) -> np.ndarray:
     """Transpose the last two axes (one matrix per point)."""
     return a.swapaxes(-1, -2)
@@ -155,13 +149,6 @@ def _umbilicity_gap(h, normal_on, g0, H):
     return np.max(np.abs(h_dot_h - hsq[..., None, None] * np.eye(h.shape[-1])), axis=(-2, -1))
 
 
-@lru_cache(maxsize=None)
-def _half_lower(size: int) -> np.ndarray:
-    """Phi of the frame jets as a mask: the strictly lower triangle and half
-    the diagonal of a ``(size, size)`` matrix, with a unit seed axis."""
-    return (np.tril(np.ones((size, size)), -1) + 0.5 * np.eye(size))[..., None]
-
-
 def _points(samples, n: int) -> np.ndarray:
     """Sample points as a ``(P, n)`` array; at least one is needed, and all finite."""
     if len(samples) == 0:
@@ -174,44 +161,42 @@ def _points(samples, n: int) -> np.ndarray:
 
 
 class _JetGeometry:
-    """All pointwise data of an immersion at its sample points: values as
-    floats, derivatives as jets built on first read.
+    """All pointwise data of an immersion at its sample points, as floats.
 
-    ``u`` is a batch of points, shape ``(P, n)``, and every field carries
+    ``u`` is a batch of points, shape ``(P, n)``, and every array carries
     that leading point axis; the tangent columns are in parameter order.
     Seed layout: one seed direction per submanifold parameter ``u1..un`` and
-    no other.  The immersion ``f`` is a jet of order 2; the metric ``gf``
-    and structure ``Ff`` along it are the space's tables, evaluated on ``f``
-    at order 1 by one plan with the metric derivatives.  A table that is
-    constant along the immersion is a float array without a point axis.
+    no other.  The immersion ``f`` is a jet of order 2 and the only jet: the
+    metric ``g0``, the structure ``F0`` and their derivative tables ``dg0``
+    and ``dF0`` (``[..., l, i, j]`` along ``x(l+1)``) are evaluated at the
+    images ``x0`` by one plan.  A table that is constant along the
+    immersion is a float array without a point axis, and so is a table whose
+    entries are all constants, such as the derivatives of a linear entry.
 
-    The rule: every base-point value is float algebra, and every derivative
-    jet is built on first read.  The construction computes the values only,
-    from the Taylor coefficients of ``f`` and the tables' values: the
-    Jacobian ``J0`` and the coordinate Hessian (a mixed second derivative
-    is its coefficient, ``d_a d_a f`` twice it), Gamma(T_a, .) as
-    ``GammaT0``, the frames ``E0``/``Xi0`` by modified Gram-Schmidt with
-    column pivoting, the induced metric ``G0`` and its inverse, ``hc0``
-    (the normal part of the Hessian plus Gamma(T_a, T_b)), ``H0``, and
-    everything the classifier, the lemmas and T2-T4 read at the base
-    points.  A classification stops there.  The jets are cached properties
-    of order 1, all that their reader,
-    :func:`~prodgeo.calculus.lemma_tensors`, differentiates: ``T``
-    (``(P, n, N)``), and the frames ``e_field`` and ``xi_field`` with the
-    lowered tangent frame ``gE``, solved in closed form from ``E g E^T = I``
-    and the lower triangular change of basis.
+    From the Taylor coefficients of ``f`` and the tables the construction
+    computes the Jacobian ``J0``, the coordinate Hessian ``hessian`` (a
+    mixed second derivative is its coefficient, ``d_a d_a f`` twice it),
+    Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by modified
+    Gram-Schmidt with column pivoting, the tangent projector ``P_tan0``,
+    the induced metric ``G0`` and its inverse, ``hc0`` (the normal part of
+    the Hessian plus Gamma(T_a, T_b)), ``H0``, and everything the
+    classifier, the lemmas and T2-T4 read at the base points.
+    :func:`~prodgeo.calculus.lemma_tensors` takes the derivatives of the
+    projectors from the same arrays.
 
     Two cases are read off the evaluated tables: a metric-derivative table
     that is a constant zero array sets ``flat``, and then ``GammaT0`` is
     ``None`` and no Christoffel term is contracted; a constant identity
     metric sets ``unit_metric``, and :meth:`lower0` returns its argument.
-    Decisions that differ between points (the Jacobian rank, positive
-    definiteness, a finite induced metric, the normal frame completion) are
-    masks over the points; a failing check names the first failing point.
-    Before any can raise, :func:`~prodgeo.ambient.validate_ambient` reads
-    ``x0``, the tables' values, the Christoffel symbols and the metric's
-    leading minors into ``ambient_report``; with ``strict`` a failed report
-    raises.
+    Decisions that differ between points (a finite immersion and finite
+    tables, the Jacobian rank, positive definiteness, a finite induced
+    metric, the normal frame completion) are masks over the points; a
+    failing check names the first failing point.  Before any can raise,
+    :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the tables'
+    values, the Christoffel symbols and the metric's leading minors into
+    ``ambient_report``; with ``strict`` a failed report raises, and where
+    the structure or its derivative is not finite it raises without
+    ``strict`` too, since there is nothing to verify.
     """
 
     def __init__(self, immersion: Immersion, space: AmbientSpace, u, strict: bool = False):
@@ -228,24 +213,22 @@ class _JetGeometry:
         npts = len(self.u)
         self.points = [tuple(row) for row in self.u.tolist()]
 
-        self.uenv = dict(zip(param_vars(n), jets.seed_point(self.u, 2)))
+        uenv = dict(zip(param_vars(n), jets.seed_point(self.u, 2)))
         # overflow and NaN are found by the masks below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                self.f = immersion._plan(self.uenv)[0]
+                self.f = immersion._plan(uenv)[0]
             except jets.DomainError as err:
                 raise err.at("u", self.u) from None
             if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
-                self.f = jets.array([0.0 * self.uenv["u1"] + c for c in self.f])
+                self.f = jets.array([0.0 * uenv["u1"] + c for c in self.f])
             self.x0 = self.f.value
             try:
-                # ambient metric, structure and metric derivatives along the immersion
-                self.gf, self.Ff, dg = space.tables(
-                    ("metric", "structure", "metric_diff"), self.f.truncate(1)
+                self.g0, self.F0, self.dg0, self.dF0 = space.tables(
+                    ("metric", "structure", "metric_diff", "structure_diff"), self.x0
                 )
             except jets.DomainError as err:
                 raise err.at("x", self.x0) from None
-            self.g0, self.F0 = _values(self.gf), _values(self.Ff)
             # the metric, the identity where it is not positive definite, so that
             # no inverse or factorization meets a singular matrix; and the
             # Christoffel symbols at the images unless the connection vanishes;
@@ -253,9 +236,11 @@ class _JetGeometry:
             minors = leading_minors(self.g0)
             definite = np.broadcast_to(positive_definite(minors, tol=0.0), (npts,))
             safe_g0 = np.where(definite[..., None, None], self.g0, np.eye(N))
-            self.flat = isinstance(dg, np.ndarray) and not dg.any()
-            gamma0 = None if self.flat else levi_civita(np.linalg.inv(safe_g0), _values(dg))
-        self.ambient_report = validate_ambient(space, self.x0, self.g0, self.F0, gamma0, minors)
+            self.flat = self.dg0.ndim == 3 and not self.dg0.any()
+            gamma0 = None if self.flat else levi_civita(np.linalg.inv(safe_g0), self.dg0)
+        self.ambient_report = validate_ambient(
+            space, self.x0, self.g0, self.F0, self.dF0, gamma0, minors
+        )
         if strict and not self.ambient_report.passed:
             raise AmbientValidationFailure(self.ambient_report)
 
@@ -264,38 +249,46 @@ class _JetGeometry:
         self.J0 = self.f.gradient()
         T0 = _t(self.J0)
 
-        # the image, J and the higher derivatives of the immersion
+        # the image, J and the higher derivatives of the immersion, and each
+        # table with its derivatives, finite at every point
         immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
-        finite = np.broadcast_to(np.isfinite(self.g0).all(axis=(-2, -1)), (npts,))
+        finite = {
+            name: np.broadcast_to(np.isfinite(table).all(axis=tuple(range(-axes, 0))), (npts,))
+            for name, table, axes in (("metric", self.g0, 2), ("metric derivative", self.dg0, 3),
+                                      ("structure", self.F0, 2), ("structure derivative", self.dF0, 3))
+        }
         chol = np.linalg.cholesky(safe_g0)
         jac = np.where(immersed[..., None, None], self.J0, 0.0)
         smallest = np.linalg.svd(_t(chol) @ jac, compute_uv=False).min(axis=-1)
-        self.unit_metric = isinstance(self.gf, np.ndarray) and np.array_equal(self.gf, np.eye(N))
+        self.unit_metric = self.g0.ndim == 2 and np.array_equal(self.g0, np.eye(N))
         # induced metric G_ab = g(T_a, T_b), which overflows for a finite but huge J
         with np.errstate(over="ignore", invalid="ignore"):
             self.G0 = T0 @ _t(self.lower0(T0))
         induced = np.isfinite(self.G0).all(axis=(-2, -1))
         bad = ~immersed | ~definite | ~induced | (smallest <= 1e-8)
+        for ok in finite.values():
+            bad |= ~ok
         if bad.any():
             p = np.argmax(bad)
+            at = f"u = {tuple(self.u[p].tolist())}"
+            image = f"{at}, x = {tuple(self.x0[p].tolist())}"
             if not immersed[p]:
                 raise DegenerateImmersion(
-                    f"immersion is not finite at u = {tuple(self.u[p].tolist())} "
-                    "(its value or a derivative overflows)"
+                    f"immersion is not finite at {at} (its value or a derivative overflows)"
                 )
-            if not finite[p]:
-                raise SingularMetric("ambient metric is not finite along the immersion")
+            for name in ("metric", "metric derivative"):
+                if not finite[name][p]:
+                    raise SingularMetric(f"ambient {name} is not finite along the immersion at {image}")
+            if not (finite["structure"][p] and finite["structure derivative"][p]):
+                raise AmbientValidationFailure(self.ambient_report)
             if not definite[p]:
                 raise SingularMetric(
-                    "ambient metric is not positive definite along the immersion"
+                    f"ambient metric is not positive definite along the immersion at {image}"
                 )
             if not induced[p]:
-                raise DegenerateImmersion(
-                    f"induced metric is not finite at u = {tuple(self.u[p].tolist())}"
-                )
+                raise DegenerateImmersion(f"induced metric is not finite at {at}")
             raise DegenerateImmersion(
-                f"Jacobian rank < {n} at u = {tuple(self.u[p].tolist())} "
-                f"(smallest singular value {smallest[p]:.3e})"
+                f"Jacobian rank < {n} at {at} (smallest singular value {smallest[p]:.3e})"
             )
 
         # unless the connection vanishes, Gamma(T_a, .) at the base points with
@@ -312,11 +305,9 @@ class _JetGeometry:
         # candidate's residual, orthogonalized against each slot as it fills;
         # a slot's candidates are orthogonalized once more against all filled
         # slots.  Slot s of ``E0`` holds the s-th frame vector once filled and
-        # zero before, ``GE0`` g(e_s, .) beside it and ``V0`` its candidate.
-        axes = np.eye(N)
-        E0, GE0, self.V0 = (np.zeros((npts, N, N)) for _ in range(3))
-        self.V0[:, :n] = T0
-        W = np.concatenate([T0, np.broadcast_to(axes, (npts, N, N))], axis=-2)
+        # zero before, and ``GE0`` g(e_s, .) beside it.
+        E0, GE0 = np.zeros((npts, N, N)), np.zeros((npts, N, N))
+        W = np.concatenate([T0, np.broadcast_to(np.eye(N), (npts, N, N))], axis=-2)
         each = np.arange(npts)
         for slot in range(N):
             w = W[:, slot : slot + 1] if slot < n else W[:, n:]
@@ -331,19 +322,18 @@ class _JetGeometry:
                 raise DegenerateImmersion("could not complete the normal frame")
             picked = np.stack([w, w_lowered])[:, each, best]
             E0[:, slot], GE0[:, slot] = picked * (1.0 / np.sqrt(nrm2))[:, None]
-            if slot >= n:
-                self.V0[:, slot] = axes[best]
             W = W - (W @ GE0[:, slot, :, None]) * E0[:, slot, None, :]
-        self.frame0, self.lowered_frame0 = E0, GE0
+        self.lowered_frame0 = GE0
         self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
         self.P_tan0 = _t(self.E0) @ GE0[..., :n, :]
 
         self.G0inv = np.linalg.inv(self.G0)
 
+        # the coordinate Hessian hessian[..., a, b, :] = d_a d_b f, and the
         # coordinate-frame second fundamental form hc0[..., a, b, :]: the normal
         # part of d_a d_b f + Gamma(T_a, T_b)
-        second = np.moveaxis(self.f.hessian(), 1, -1)  # (P, n, n, N)
+        self.hessian = second = np.moveaxis(self.f.hessian(), 1, -1)  # (P, n, n, N)
         if not self.flat:
             second = second + T0[..., None, :, :] @ self.GammaT0
         self.hc0 = self.project_normal(second)
@@ -373,110 +363,13 @@ class _JetGeometry:
         )
         self.phi_singular = np.linalg.svd(self.phi0, compute_uv=False)
 
-    # ---- derivative jets, built on first read ---------------------------
-
-    @cached_property
-    def T(self):
-        """The coordinate tangent fields ``T[..., a, :] = df/du^a``, ``(P, n, N)``."""
-        jacobian = jets.array([jets.partial(self.f, a) for a in range(self.n)])
-        return jacobian.swapaxes(-1, -2)
-
-    @cached_property
-    def _frame_jets(self):
-        """The frames, tangent rows first, and g(e_a, .) of the tangent ones,
-        as first-order jets around the base-point frames.
-
-        E = K V with K lower triangular and E g E^T = I give dE = A - Phi(X) E0,
-        where A = L0^-1 dV, L0 = V0 (g0 E0)^T, X = Y + Y^T + E0 dg E0^T with
-        Y = A (g0 E0)^T, and Phi keeps the strictly lower triangle and half the
-        diagonal.  Only the tangent rows of V vary; the axes are constant.
-        Each contraction is a stacked matmul: [..., r, s, z] holds entry
-        (r, s) of the derivative along seed z.
-        """
-        n, N, npts = self.n, self.N, len(self.u)
-        E0, GE0 = self.frame0, self.lowered_frame0
-        tangents = self.T
-        dV = np.zeros((npts, N, N, n))
-        dV[:, :n] = tangents.coeffs[..., 1:]
-        A = np.linalg.solve(self.V0 @ _t(GE0), dV.reshape(npts, N, N * n))
-        A = A.reshape(npts, N, N, n)
-        Y = GE0[..., None, :, :] @ A
-        X = Y + Y.swapaxes(-3, -2)
-        dg = self.gf.coeffs[..., 1:] if isinstance(self.gf, jets.Jet) else None
-        if dg is not None:
-            dg_e = (E0[..., None, :, :] @ dg).reshape(npts, N, N * n)  # [i, s, z]
-            X = X + (E0 @ dg_e).reshape(npts, N, N, n)
-        dE = A - _t(E0)[..., None, :, :] @ (X * _half_lower(N))
-        dGE = dE[..., :n, :, :]
-        if not self.unit_metric:
-            dGE = _t(self.g0)[..., None, :, :] @ dGE
-        if dg is not None:
-            dg_rows = dg.reshape(npts, N, N * n)
-            dGE = dGE + (E0[..., :n, :] @ dg_rows).reshape(npts, n, N, n)
-        frames = jets.Jet(tangents.alg, np.concatenate([E0[..., None], dE], axis=-1))
-        lowered = jets.Jet(tangents.alg, np.concatenate([GE0[..., :n, :, None], dGE], axis=-1))
-        return frames, lowered
-
-    @cached_property
-    def e_field(self):
-        """The orthonormal tangent frame, ``(P, n, N)``."""
-        return self._frame_jets[0][..., : self.n, :]
-
-    @cached_property
-    def xi_field(self):
-        """The orthonormal normal frame, ``(P, m, N)``."""
-        return self._frame_jets[0][..., self.n :, :]
-
-    @cached_property
-    def gE(self):
-        """g(e_a, .) of the tangent frame, ``(P, n, N)``."""
-        return self._frame_jets[1]
-
-    # ---- jet-field helpers ----------------------------------------------
-    # Fields are jets (or float arrays) shaped (P, batch..., N): the point
-    # axis of the geometry, then any axes that batch several fields (one row
-    # per field), then the ambient component.  Geometry fields get unit axes
-    # for the batch axes (_fit); constant fields broadcast as they are, and
-    # a constant matrix against a jet field is one matmul.
-
-    def _fit(self, field, axes: int, vec):
-        """``field`` (``axes`` trailing non-point axes) broadcastable against
-        the point and batch axes of ``vec``, a vector or vector field."""
-        extra = len(vec.shape) - 2
-        if extra <= 0 or len(field.shape) == axes:
-            return field
-        return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]
-
-    def apply_F_field(self, vec):
-        return jets.einsum("...ij,...j->...i", self._fit(self.Ff, 2, vec), vec)
-
-    def tangent_part_field(self, vec):
-        coefficients = jets.einsum("...i,...ai->...a", vec, self._fit(self.gE, 2, vec))
-        return jets.einsum("...a,...ai->...i", coefficients, self._fit(self.e_field, 2, vec))
-
-    def normal_part_field(self, vec):
-        return vec - self.tangent_part_field(vec)
-
-    def nabla(self, vec) -> np.ndarray:
-        """Ambient covariant derivative of a jet field along every coordinate
-        direction: ``(P, n, batch..., N)``, row a along d_a.  That is the jet
-        gradient, with the direction axis moved next to the points, plus
-        Gamma(T_a, vec) for all a in one matmul."""
-        grad = vec.coeffs[..., 1 : 1 + self.n]
-        grad = grad.transpose((0, grad.ndim - 1) + tuple(range(1, grad.ndim - 1)))
-        if self.flat:
-            return grad
-        value = vec.coeffs[..., 0]
-        rows = value.reshape(len(value), 1, -1, self.N)
-        return grad + (rows @ self.GammaT0).reshape(grad.shape)
-
     # ---- base-point tensor algebra ---------------------------------------
     # Vectors are (P, batch..., N) arrays, parameter-space vectors
-    # (P, batch..., n); a batch axis may be the direction axis of
-    # :meth:`nabla`.  A per-point matrix acts on the rows of every point in
-    # one stacked matmul, a constant one (no point axis) on all rows at once.
-    # h_params and shape_operator take one batch axis and return it behind
-    # the direction axis, (P, n, batch, N).
+    # (P, batch..., n); a batch axis may be a coordinate direction axis.  A
+    # per-point matrix acts on the rows of every point in one stacked matmul,
+    # a constant one (no point axis) on all rows at once.  h_params and
+    # shape_operator take one batch axis and return it behind the direction
+    # axis, (P, n, batch, N).
 
     def _apply(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``m v`` for every vector ``v`` of ``(P, batch..., K)``, with ``m``

@@ -91,7 +91,7 @@ def verify(
     ambient validation at their images raises
     :class:`~prodgeo.ambient.AmbientValidationFailure`, ahead of any error of
     the geometry build.  The geometry is the same with or without the
-    identities, which build its first-order jets on first read.
+    identities, which take the derivatives of its projectors once.
     """
     if samples is None:
         samples = immersion.samples

@@ -8,6 +8,7 @@ import numpy as np
 
 from prodgeo import expr as ex
 from prodgeo.ambient import product_of
+from prodgeo.calculus import _operator_derivatives
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.cli import main, render_json
 from prodgeo.jets import seed_point
@@ -118,11 +119,12 @@ def test_criterion_3_structural_identities():
             hcomp = geo.hcomp0[0]
             g0 = geo.g0 if geo.g0.ndim == 2 else geo.g0[0]  # constant: no point axis
             gaps = [np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1))))]
+            # A_xi X = P_T (D_X P_T) xi, along the frame directions e_a
+            d_tan, _ = _operator_derivatives(geo)
+            d_e = np.tensordot(geo.P[0], d_tan[0], axes=(0, 0))
             for alpha in range(m):
                 for a in range(n):
-                    along_e = geo.P[:, None, :, a] @ geo.nabla(geo.xi_field[:, alpha])
-                    weingarten = -geo.project_tangent(along_e)[0, 0]
-                    comps = geo.E0[0] @ g0 @ weingarten
+                    comps = geo.E0[0] @ g0 @ d_e[a] @ geo.Xi0[0, alpha]
                     gaps.append(np.max(np.abs(comps - hcomp[alpha, a])))
             phi, om, bm, cm = geo.phi0[0], geo.omega0[0], geo.B0[0], geo.C0[0]
             gaps.append(np.max(np.abs(phi - phi.T)))

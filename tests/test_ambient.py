@@ -1,8 +1,10 @@
 """Ambient spaces: construction, Christoffels, covariant derivative, validation.
 
 The Christoffel symbols are those of :func:`levi_civita` on the space's
-metric tables, and the covariant derivative along a curve is
-``_JetGeometry.nabla`` of the curve as a one-dimensional immersion.
+metric tables, and the covariant derivative of an operator field along a
+curve, D M = d M + [Gamma, M], is that of
+``calculus._operator_derivatives`` on the curve as a one-dimensional
+immersion.
 """
 
 import math
@@ -10,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from prodgeo import ambient, jets
+from prodgeo import ambient, calculus, jets
 from prodgeo.ambient import (
     AmbientSpace,
     AmbientValidationReport,
@@ -40,11 +42,6 @@ def _metric(sp, x):
 def _christoffel(sp, x):
     g, dg = sp.tables(("metric", "metric_diff"), np.asarray(x, dtype=float))
     return levi_civita(np.linalg.inv(g), dg)
-
-
-def _constant_field(geo, components):
-    """The constant vector field ``components`` along a one-point geometry."""
-    return jets.array([0.0 * geo.uenv["u1"] + c for c in components])
 
 
 def test_product_of_r1_r1():
@@ -125,30 +122,34 @@ def test_singular_metric_raises():
 
 def test_cov_derivative_constant_field_flat():
     sp = product_of("flat", 1, "flat", 1)
-    # the curve through (0.3, 0.4) with velocity (1, 0)
+    # the line through (0.3, 0.4) with velocity (1, 0): its tangent projector
+    # and F are constant fields along it, of zero derivative
     geo = _JetGeometry(Immersion(1, ("0.3 + u1", "0.4")), sp, [[0.0]])
-    v = _constant_field(geo, [2.0, -1.0])
-    assert np.array_equal(geo.nabla(v)[0, 0], [0.0, 0.0])
+    for derivative in calculus._operator_derivatives(geo):
+        assert np.array_equal(derivative, np.zeros((1, 1, 2, 2)))
 
 
 def test_cov_derivative_position_field_along_circle():
     sp = product_of("flat", 1, "flat", 1)
-    # the unit circle through (1, 0) with velocity (0, 1)
+    # the unit circle through (1, 0) with velocity (0, 1): its normal
+    # projector is x x^T, whose derivative takes the position x to the
+    # velocity, (D P_N) x = -(D P_T) x
     geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]])
-    t = geo.uenv["u1"]
-    v = jets.array([jets.cos(t), jets.sin(t)])  # position along the unit circle
-    assert np.allclose(geo.nabla(v)[0, 0], [0.0, 1.0], atol=1e-15)
+    d_tan, _ = calculus._operator_derivatives(geo)
+    assert np.allclose(-d_tan[0, 0] @ geo.x0[0], [0.0, 1.0], atol=1e-15)
 
 
 def test_cov_derivative_rotating_frame():
     sp = product_of("flat", 1, "flat", 1)
+    # the unit tangent e = (-sin u, cos u) turns at unit rate: (D P_T) e is
+    # its derivative, -x, at u = 0
     geo = _JetGeometry(Immersion(1, ("cos(u1)", "sin(u1)")), sp, [[0.0]])
-    t = geo.uenv["u1"]
-    e = jets.array([-jets.sin(t), jets.cos(t)])
-    assert np.allclose(geo.nabla(e)[0, 0], [-1.0, 0.0], atol=1e-15)
+    d_tan, _ = calculus._operator_derivatives(geo)
+    assert np.allclose(d_tan[0, 0] @ geo.E0[0, 0], [-1.0, 0.0], atol=1e-15)
 
 
 def test_metric_compatibility_along_random_curves():
+    # d_d g = g Gamma_d + Gamma_d^T g, with Gamma_d = Gamma(d, .) of the build
     sp = sphere_block_space()
     rng = np.random.default_rng(17)
     for _ in range(10):
@@ -164,13 +165,12 @@ def test_metric_compatibility_along_random_curves():
                 term = gj[i][j] * (vv[i] * ww[j])
                 g_vw = term if g_vw is None else g_vw + term
         lhs = g_vw.gradient()[0]
-        # the same curve as an immersion, differentiated along d/du1 = d
+        # the same curve as an immersion, with the direction d/du1 = d
         line = Immersion(1, tuple(f"{float(x0[j])!r} + {float(d[j])!r} * u1" for j in range(3)))
         geo = _JetGeometry(line, sp, [[0.0]])
-        dv = geo.nabla(_constant_field(geo, vv))[0, 0]
-        dw = geo.nabla(_constant_field(geo, ww))[0, 0]
+        gamma_d = geo.GammaT0[0, 0].T  # [i, k] = Gamma^i_jk d^j
         g0 = _metric(sp, x0)
-        rhs = dv @ g0 @ ww + vv @ g0 @ dw
+        rhs = vv @ (g0 @ gamma_d + gamma_d.T @ g0) @ ww
         assert abs(lhs - rhs) <= 1e-8
 
 

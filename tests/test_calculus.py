@@ -1,14 +1,14 @@
 """Induced connections, nabla-omega / nabla-C, and the lemma suites.
 
-The directional derivatives are read off the geometry of a one-point
-batch: the ambient covariant derivative along every coordinate
-direction (``_JetGeometry.nabla``), whose tangent and normal parts are the
-induced connections, and nabla omega / nabla C through the batched
-``calculus._nabla_omega`` / ``_nabla_C`` that ``verify`` runs.  Each returns
-one row per coordinate direction behind the point axis; a test contracts the
-rows with its direction and keeps the point axis.  The fields are built here
-from the geometry's frames, and the mean curvature field by the reference
-of the ``mean_curvature`` test module.
+The derivatives are read off the geometry of a one-point batch: the
+tangential connection from the build's coordinate Hessian, the covariant
+derivatives D_a P_T and D_a F of the tangent projector and of F from
+``calculus._operator_derivatives``, and nabla omega / nabla C from
+``calculus.lemma_tensors``, which ``verify`` runs.  Each returns one row per
+coordinate direction behind the point axis; a test contracts the rows with
+its direction and keeps the point axis.  The mean curvature field the
+oracle tests differentiate is the reference of the ``mean_curvature`` test
+module, paired by the metric table along the immersion.
 """
 
 import collections
@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from prodgeo import calculus, jets
+from prodgeo import calculus
 from prodgeo.ambient import product_of
 from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion, flat_product
 from prodgeo.subgeom import Immersion, _JetGeometry, point_geometry
@@ -32,16 +32,6 @@ FLAT21 = product_of("flat", 2, "flat", 1)
 FLAT22 = product_of("flat", 2, "flat", 2)
 
 
-def _coordinate_field(geo, coefficients):
-    """The tangent field sum_b c_b T_b with constant coefficients."""
-    return jets.einsum("b,...bi->...i", np.asarray(coefficients, float), geo.T)
-
-
-def _normal_field(geo, coefficients):
-    """The normal field sum_a c_a xi_a with constant coefficients."""
-    return jets.einsum("a,...ai->...i", np.asarray(coefficients, float), geo.xi_field)
-
-
 def _geometry(immersion, space, u):
     """The geometry of the one-point batch ``[u]``."""
     return _JetGeometry(immersion, space, [u])
@@ -52,17 +42,26 @@ def _along(derivatives, direction):
     return np.tensordot(np.asarray(direction, float), derivatives, axes=(0, 1))
 
 
-def _cov(geo, field, direction):
-    """The ambient covariant derivative of ``field`` along ``direction``."""
-    return _along(geo.nabla(field), direction)
+def _nabla_tan(geo, b, direction):
+    """nabla_X T_b: the tangent part of d_X T_b + Gamma(X, T_b), from the Hessian."""
+    second = geo.hessian[:, :, b]  # row a: d_a T_b
+    if not geo.flat:
+        second = second + (geo.J0[:, None, None, :, b] @ geo.GammaT0)[:, :, 0]
+    return geo.project_tangent(_along(second, direction))
 
 
-def _nabla_tan(geo, field, direction):
-    return geo.project_tangent(_cov(geo, field, direction))
+def _apply(rows, v):
+    """Each row operator of ``rows`` (``(1, n, N, N)``) applied to the vectors ``v``."""
+    return (rows @ np.asarray(v)[..., None])[..., 0]
 
 
-def _nabla_perp(geo, field, direction):
-    return geo.project_normal(_cov(geo, field, direction))
+def _nabla_c(geo, xi):
+    """(nabla_{d_a} C) xi for one normal vector xi, by the operator formula
+    applied to xi itself: P_N [(D F) xi - (D P_T) F xi - F (D P_T) xi]."""
+    d_tan, d_f = calculus._operator_derivatives(geo)
+    f = geo.F0 if geo.F0.ndim == 2 else geo.F0[:, None]
+    moved = _apply(d_f, xi) - _apply(d_tan, _apply(f, xi)) - _apply(f, _apply(d_tan, xi))
+    return geo.project_normal(moved)
 
 
 def _h(geo, x, y_params):
@@ -74,12 +73,14 @@ def _shape_operator(geo, x, xi):
     return _along(geo.shape_operator(np.reshape(xi, (1, 1, -1))), x)[:, 0]
 
 
-def _pairing(geo, a, b):
-    """g(a, b) for two jet vector fields, as a jet of shape ``(1,)``."""
+def _pairing(space, geo, a, b):
+    """g(a, b) for two jet vector fields, by the metric table along the
+    immersion, as a jet of shape ``(1,)``."""
+    (metric,) = space.tables(("metric",), geo.f.truncate(1))
     pairing = None
     for i in range(geo.N):
         for j in range(geo.N):
-            term = geo.gf[..., i, j] * a[..., i] * b[..., j]
+            term = metric[..., i, j] * a[..., i] * b[..., j]
             pairing = term if pairing is None else pairing + term
     return pairing
 
@@ -87,13 +88,13 @@ def _pairing(geo, a, b):
 def test_tangential_connection_plane_vanishes():
     imm = Immersion(2, ("u1", "u2", "0"))
     geo = _geometry(imm, FLAT21, (0.2, -0.3))
-    assert np.max(np.abs(_nabla_tan(geo, geo.T[..., 0, :], (1.0, 0.0)))) <= 1e-14
+    assert np.max(np.abs(_nabla_tan(geo, 0, (1.0, 0.0)))) <= 1e-14
 
 
 def test_tangential_connection_circle_purely_normal():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     geo = _geometry(imm, FLAT11, (0.8,))
-    assert np.max(np.abs(_nabla_tan(geo, geo.T[..., 0, :], (1.0,)))) <= 1e-13
+    assert np.max(np.abs(_nabla_tan(geo, 0, (1.0,)))) <= 1e-13
 
 
 def test_tangential_connection_sphere_matches_christoffels():
@@ -101,46 +102,39 @@ def test_tangential_connection_sphere_matches_christoffels():
     imm = Immersion(2, ("sin(u1)*cos(u2)", "sin(u1)*sin(u2)", "cos(u1)"))
     u = (math.pi / 4, 0.9)
     geo = _geometry(imm, FLAT21, u)
-    out = _nabla_tan(geo, geo.T[..., 1, :], (0.0, 1.0))
+    out = _nabla_tan(geo, 1, (0.0, 1.0))
     expected = -math.sin(u[0]) * math.cos(u[0]) * geo.J0[:, :, 0]
     assert np.max(np.abs(out - expected)) <= 1e-8
 
 
-def test_normal_connection_plane_and_circle():
-    plane = Immersion(2, ("u1", "u2", "0"))
-    geo = _geometry(plane, FLAT21, (0.1, 0.4))
-    assert np.max(np.abs(_nabla_perp(geo, geo.xi_field[..., 0, :], (1.0, -2.0)))) <= 1e-14
-    circle = Immersion(1, ("cos(u1)", "sin(u1)"))
-    geo = _geometry(circle, FLAT11, (0.5,))
-    assert np.max(np.abs(_nabla_perp(geo, geo.xi_field[..., 0, :], (1.0,)))) <= 1e-13
-
-
 def test_weingarten_cross_check_on_circle():
-    # A_xi e = -tangential part of nabla-bar_e xi; with h(e,e) = -nu the
-    # shape operator along the outward normal is -identity
+    # A_xi e = P_T (D_e P_T) xi, the tangent part of -nabla-bar_e xi; with
+    # h(e,e) = -nu the shape operator along the outward normal is -identity
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     u = (0.5,)
     geo = _geometry(imm, FLAT11, u)
-    full = _cov(geo, geo.xi_field[:, 0], [1.0])
-    a_e = -geo.project_tangent(full)
+    d_tan, _ = calculus._operator_derivatives(geo)
+    moved = _along(_apply(d_tan, geo.Xi0[:, None, 0]), [1.0])
+    a_e = geo.project_tangent(moved)
     h_ee_dot_xi = float(geo.hcomp0[0, 0, 0, 0])  # = -1 for the outward frame
     expected = h_ee_dot_xi * geo.E0[:, 0]
     assert abs(abs(h_ee_dot_xi) - 1.0) <= 1e-12
     assert np.max(np.abs(a_e - expected)) <= 1e-12
-    assert np.max(np.abs(geo.project_normal(full))) <= 1e-12
+    assert np.max(np.abs(geo.project_normal(moved))) <= 1e-12
 
 
 def test_nabla_omega_invariant_and_anti_invariant_vanish():
     torus = catalog_get("square-torus-aligned")
     geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
+    nabla_omega_t, _ = calculus.lemma_tensors(geo)
     for a in range(2):
         for b in range(2):
             direction = [1.0 if i == a else 0.0 for i in range(2)]
-            out = _along(calculus._nabla_omega(geo, geo.T[..., b, :]), direction)
+            out = _along(nabla_omega_t[:, :, b], direction)
             assert np.max(np.abs(out)) <= 1e-12
     diag = Immersion(1, ("u1", "u1"))
     geo = _geometry(diag, FLAT11, (0.4,))
-    out = _along(calculus._nabla_omega(geo, geo.T[..., 0, :]), (1.0,))
+    out = _along(calculus.lemma_tensors(geo)[0][:, :, 0], (1.0,))
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -149,7 +143,7 @@ def test_nabla_omega_circle_closed_form():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     for u in (0.0, math.pi / 8, 0.9):
         geo = _geometry(imm, FLAT11, (u,))
-        out = _along(calculus._nabla_omega(geo, geo.T[..., 0, :]), (1.0,))
+        out = _along(calculus.lemma_tensors(geo)[0][:, :, 0], (1.0,))
         sign = math.copysign(1.0, geo.Xi0[0, 0] @ [math.cos(u), math.sin(u)])
         expected = -2.0 * math.cos(2 * u) * sign * geo.Xi0[:, 0]
         assert np.max(np.abs(out - expected)) <= 1e-9
@@ -160,10 +154,12 @@ def test_nabla_omega_circle_closed_form():
 
 
 def test_nabla_C_flat_plane_vanishes():
+    # the normal frame column and the H column
     plane = Immersion(2, ("u1", "u2", "0"))
     geo = _geometry(plane, FLAT21, (0.3, 0.1))
-    for xi in (geo.xi_field[..., 0, :], mean_curvature_field(plane, FLAT21, [(0.3, 0.1)])):
-        assert np.max(np.abs(_along(calculus._nabla_C(geo, xi), (1.0, 1.0)))) <= 1e-13
+    nabla_c_xi = calculus.lemma_tensors(geo)[1]
+    for xi in (0, -1):
+        assert np.max(np.abs(_along(nabla_c_xi[:, :, xi], (1.0, 1.0)))) <= 1e-13
 
 
 def test_nabla_C_circle_matches_oracle():
@@ -176,7 +172,7 @@ def test_nabla_C_circle_matches_oracle():
         return float(pg.Cm[0, 0])
 
     geo = _geometry(imm, FLAT11, (u0,))
-    out = _along(calculus._nabla_C(geo, geo.xi_field[..., 0, :]), (1.0,))
+    out = _along(calculus.lemma_tensors(geo)[1][:, :, 0], (1.0,))
     # (nabla C) xi dotted with xi equals d/dt C - C * d... both normal bundles
     # are rank one, so compare the xi component against the derivative of the
     # scalar C(u) (the connection of a rank-one bundle has no extra term).
@@ -188,10 +184,10 @@ def test_nabla_C_circle_matches_oracle():
 def test_nabla_C_torus_mean_curvature_field():
     torus = catalog_get("square-torus-aligned")
     geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
-    h_field = mean_curvature_field(torus.immersion, torus.space, [(0.5, 1.1)])
+    nabla_c_h = calculus.lemma_tensors(geo)[1][:, :, -1]
     for a in range(2):
         direction = [1.0 if i == a else 0.0 for i in range(2)]
-        out = _along(calculus._nabla_C(geo, h_field), direction)
+        out = _along(nabla_c_h, direction)
         # rhs of the second identity with xi = H: -omega A_H X - h(X, BH)
         x = np.asarray(direction, float)
         rhs = -geo.f_normal_part(_shape_operator(geo, x, geo.H0))
@@ -227,22 +223,20 @@ def test_lemma_checks_pass_on_random_immersions():
 
 
 def test_nabla_omega_is_tensorial_in_y():
+    # (nabla_X omega) Y = P_N [(D F) Y - (D P_T) F Y + F (D P_T) Y] applied to
+    # Y itself is the contraction of the coordinate rows with Y's components
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
-
-    def nabla_omega(y_field):
-        return _along(calculus._nabla_omega(geo, y_field), (1.0, 0.5))
-
-    # scaling Y by the scalar field f(u) = u1 multiplies the value by f(u0)
-    plain = nabla_omega(_coordinate_field(geo, (0.0, 1.0)))
-    scaled = nabla_omega(geo.T[..., 1, :] * geo.uenv["u1"][:, None])
-    assert np.max(np.abs(scaled - u0[0] * plain)) <= 1e-8
-    # additivity in Y
-    y0 = nabla_omega(_coordinate_field(geo, (1.0, 0.0)))
-    y1 = nabla_omega(_coordinate_field(geo, (0.0, 1.0)))
-    both = nabla_omega(_coordinate_field(geo, (1.0, 1.0)))
-    assert np.max(np.abs(both - (y0 + y1))) <= 1e-9
+    d_tan, d_f = calculus._operator_derivatives(geo)
+    f = geo.F0 if geo.F0.ndim == 2 else geo.F0[:, None]
+    rows = calculus.lemma_tensors(geo)[0]
+    for coefficients in ((0.0, 1.0), (1.0, 1.0), (u0[0], -2.0)):
+        y = (geo.J0 @ np.asarray(coefficients))[:, None]  # (1, 1, N)
+        direct = geo.project_normal(
+            _apply(d_f, y) - _apply(d_tan, _apply(f, y)) + _apply(f, _apply(d_tan, y)))
+        contracted = np.tensordot(rows, np.asarray(coefficients), axes=(2, 0))
+        assert np.max(np.abs(direct - contracted)) <= 1e-9
 
 
 def test_nabla_omega_is_linear_in_x():
@@ -250,7 +244,7 @@ def test_nabla_omega_is_linear_in_x():
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
-    rows = calculus._nabla_omega(geo, geo.T[..., 1, :])
+    rows = calculus.lemma_tensors(geo)[0][:, :, 1]
     xa, xb, xc = (_along(rows, d) for d in directions)
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
@@ -261,83 +255,60 @@ def test_nabla_C_is_linear_in_x(xi):
     scn = catalog_get("sphere")
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
-    if xi == "H":
-        field = mean_curvature_field(scn.immersion, scn.space, [u0])
-    else:
-        field = geo.xi_field[..., xi, :]
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
-    rows = calculus._nabla_C(geo, field)
+    rows = calculus.lemma_tensors(geo)[1][:, :, -1 if xi == "H" else xi]
     xa, xb, xc = (_along(rows, d) for d in directions)
     assert np.max(np.abs(xa)) > 1e-3
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
 
 def test_nabla_C_is_additive_in_xi():
+    # the operator formula applied to a combination of the normal frame
+    # vectors, and to H, is the same combination of the library's rows
     scn = catalog_get("square-torus-rotated")
     geo = _geometry(scn.immersion, scn.space, scn.samples[0])
-
-    def nabla_C(xi_field):
-        return _along(calculus._nabla_C(geo, xi_field), (1.0, 0.5))
-
-    xi0, xi1 = (nabla_C(geo.xi_field[..., a, :]) for a in range(2))
+    rows = calculus.lemma_tensors(geo)[1]
+    xi0, xi1 = rows[:, :, 0], rows[:, :, 1]
     assert np.max(np.abs(xi0)) > 1e-3
-    assert np.max(np.abs(nabla_C(_normal_field(geo, (1.0, 0.0))) - xi0)) <= 1e-12
-    both = nabla_C(_normal_field(geo, (2.0, -1.0)))
+    assert np.max(np.abs(_nabla_c(geo, geo.Xi0[:, None, 0]) - xi0)) <= 1e-12
+    both = _nabla_c(geo, 2.0 * geo.Xi0[:, None, 0] - geo.Xi0[:, None, 1])
     assert np.max(np.abs(both - (2.0 * xi0 - xi1))) <= 1e-9
+    assert np.max(np.abs(_nabla_c(geo, geo.H0[:, None]) - rows[:, :, -1])) <= 1e-9
 
 
 @pytest.mark.parametrize("lemmas, theorems", [(True, True), (True, False), (False, True)])
 def test_verify_derives_each_tensor_once(lemmas, theorems, monkeypatch):
     calls = collections.Counter()
-    for name in ("_nabla_omega", "_nabla_C"):
-        original = getattr(calculus, name)
+    original = calculus._operator_derivatives
 
-        def counted(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
+    def counted(*args):
+        calls["derivatives"] += 1
+        return original(*args)
 
-        monkeypatch.setattr(calculus, name, counted)
+    monkeypatch.setattr(calculus, "_operator_derivatives", counted)
     scn = catalog_get("square-torus-rotated")
     verify(scn.space, scn.immersion, lemmas=lemmas, theorems=theorems)
-    assert calls == {"_nabla_omega": 1, "_nabla_C": 1}
+    assert calls == {"derivatives": 1}
     verify(scn.space, scn.immersion, lemmas=False, theorems=False)
-    assert calls == {"_nabla_omega": 1, "_nabla_C": 1}
+    assert calls == {"derivatives": 1}
 
 
 def test_gauss_and_weingarten_reassembly():
-    for label in ("sphere", "square-torus-rotated", "curved-block"):
+    # in operator form on every catalog sample: (D_a P_T) T_b = h(T_a, T_b)
+    # (Gauss), and P_T (D_a P_T) xi = A_xi d_a (Weingarten)
+    for label in catalog_list():
         scn = catalog_get(label)
         for u in scn.samples:
             geo = _geometry(scn.immersion, scn.space, u)
-            for a in range(geo.n):
-                x = np.eye(geo.n)[a]
-                for b in range(geo.n):
-                    full = _cov(geo, geo.T[:, b], x)
-                    split = _nabla_tan(geo, geo.T[:, b], x) + _h(geo, x, np.eye(geo.n)[b])
-                    assert np.max(np.abs(full - split)) <= 1e-10
-                for alpha in range(geo.m):
-                    xi0 = geo.Xi0[:, alpha]
-                    full = _cov(geo, geo.xi_field[:, alpha], x)
-                    split = -_shape_operator(geo, x, xi0) + _nabla_perp(geo, 
-                        geo.xi_field[:, alpha], x
-                    )
-                    assert np.max(np.abs(full - split)) <= 1e-10
-
-
-def test_normal_connection_is_metric_compatible():
-    scn = catalog_get("square-torus-rotated")
-    rng = np.random.default_rng(2)
-    for u in scn.samples:
-        geo = _geometry(scn.immersion, scn.space, u)
-        h_field = mean_curvature_field(scn.immersion, scn.space, [u])
-        x = rng.uniform(-1, 1, geo.n)
-        # d/dt g(H, xi_alpha) = g(nabla-perp H, xi) + g(H, nabla-perp xi)
-        for alpha in range(geo.m):
-            pairing = _pairing(geo, h_field, geo.xi_field[:, alpha])
-            lhs = float(pairing.gradient()[0, : geo.n] @ x)
-            rhs = _nabla_perp(geo, h_field, x)[0] @ geo.g0 @ geo.Xi0[0, alpha]
-            rhs += geo.H0[0] @ geo.g0 @ _nabla_perp(geo, geo.xi_field[:, alpha], x)[0]
-            assert abs(lhs - rhs) <= 1e-8
+            d_tan, _ = calculus._operator_derivatives(geo)
+            gauss = (d_tan @ geo.J0[:, None]).swapaxes(-1, -2)  # [a, b]
+            assert np.max(np.abs(gauss - geo.hc0)) <= 1e-10, label
+            for alpha in range(geo.m):
+                xi0 = geo.Xi0[:, alpha]
+                for a in range(geo.n):
+                    x = np.eye(geo.n)[a]
+                    weingarten = geo.project_tangent(_along(_apply(d_tan, xi0[:, None]), x))
+                    assert np.max(np.abs(weingarten - _shape_operator(geo, x, xi0))) <= 1e-10, label
 
 
 def test_directional_derivative_matches_oracle_on_rect_torus():
@@ -351,7 +322,7 @@ def test_directional_derivative_matches_oracle_on_rect_torus():
 
     geo = _geometry(scn.immersion, scn.space, u0)
     h_field = mean_curvature_field(scn.immersion, scn.space, [u0])
-    pairing = _pairing(geo, h_field, h_field)
+    pairing = _pairing(scn.space, geo, h_field, h_field)
     jet_value = float(pairing.gradient()[0, : geo.n] @ x)
     oracle = fd_derivative(h_sq, 0.0)
     assert abs(jet_value - oracle) <= 1e-5
@@ -373,6 +344,6 @@ def test_jet_directional_derivatives_match_oracle_on_all_scenarios():
 
         geo = _geometry(scn.immersion, scn.space, u0)
         h_field = mean_curvature_field(scn.immersion, scn.space, [u0])
-        pairing = _pairing(geo, h_field, h_field)
+        pairing = _pairing(scn.space, geo, h_field, h_field)
         jet_value = float(pairing.gradient()[0, : geo.n] @ x)
         assert abs(jet_value - fd_derivative(h_sq, 0.0)) <= 1e-5, label

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +43,29 @@ label = corrupted
 [samples]
 points = (0.5,); (1.2,); (2.0,)
 """
+
+# F is NaN (0 * inf) at the image of 1.0: nothing there to verify
+NONFINITE_STRUCTURE = """
+[ambient]
+mode = explicit
+dim = 2
+metric = 1, 0; 0, 1
+structure = 1, 0*exp(1000*x1); 0, -1
+
+[immersion]
+n = 1
+map = u1, 0.5*u1
+label = nonfinite-structure
+
+[samples]
+points = (0.1,); (1.0,)
+"""
+
+# a finite metric whose derivative overflows at the image of 1.01
+NONFINITE_METRIC_DERIVATIVE = NONFINITE_STRUCTURE.replace(
+    "metric = 1, 0; 0, 1", "metric = 1 + 1e-10*exp(700*x1), 0; 0, 1"
+).replace("structure = 1, 0*exp(1000*x1); 0, -1", "structure = 1, 0; 0, -1").replace(
+    "(1.0,)", "(1.01,)")
 
 ROTATION = """
 [ambient]
@@ -456,7 +480,34 @@ def test_cli_failed_validation_wins_over_a_singular_metric(command, capsys, tmp_
     ), err
     code, out, err = run_cli(capsys, *command, "--force", str(path))
     assert (code, out) == (2, "")
-    assert err == "error: ambient metric is not positive definite along the immersion\n"
+    assert err == (
+        "error: ambient metric is not positive definite along the immersion "
+        "at u = (2.0,), x = (-0.4161468365471424, 0.9092974268256817)\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["classify"], ["check", "--all"]], ids=" ".join)
+def test_cli_non_finite_tables_are_errors_under_force(command, capsys, tmp_path):
+    # a non-finite structure fails the validation even with --force, and a
+    # non-finite metric derivative is a singular metric naming the point;
+    # neither warns nor reaches the verdicts
+    path = tmp_path / "tables.ini"
+    path.write_text(NONFINITE_STRUCTURE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *command, "--force", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ambient validation: ambient validation failed (non-finite residuals)"), err
+    assert "SVD" not in err
+    path.write_text(NONFINITE_METRIC_DERIVATIVE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *command, "--force", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: ambient metric derivative is not finite along the immersion "
+        "at u = (1.01,), x = (1.01, 0.505)\n"
+    )
 
 
 @pytest.mark.parametrize("force", [[], ["--force"]], ids=["strict", "force"])

@@ -1,16 +1,19 @@
 """The connection calculus and the T2-T4 columns against einsum references.
 
-The library evaluates nabla omega, nabla C, the two lemma residuals and the
-T2-T4 columns as stacked matrix products, with every coordinate direction
-at once.  The references below are the same quantities written as
-``np.einsum`` contractions, one coordinate direction per pass, the way the
-library computed them before; both read the same geometry.  The reference
-differentiates the mean curvature field of the ``mean_curvature`` test
-module, where the library contracts the normal frame columns.  Each library
-array must lie within 1e-12 of the reference array's largest entry, or of
-the size of the terms it is summed from where that is larger (at least 1):
-a residual of a true identity, or a tensor that vanishes, is roundoff in
-those terms.
+The library evaluates nabla omega and nabla C from the derivatives of the
+tangent projector and of F as operator arrays, and the two lemma residuals
+and the T2-T4 columns as stacked matrix products, with every coordinate
+direction at once.  The references below differentiate fields instead, one
+coordinate direction per pass, as ``np.einsum`` contractions of first-order
+jets they build themselves: the tangent fields by ``jets.partial`` of an
+order-2 seed, the metric and F from the space's tables along the immersion,
+the normal fields xi_s = P_N(u) Xi0[s] with P_N = I - T G^-1 T^T g, and the
+mean curvature field of the ``mean_curvature`` test module, where the
+library contracts the normal frame columns.  Both read the same base-point
+geometry.  Each library array must lie within 1e-12 of the reference
+array's largest entry, or of the size of the terms it is summed from where
+that is larger (at least 1): a residual of a true identity, or a tensor
+that vanishes, is roundoff in those terms.
 """
 
 import numpy as np
@@ -19,12 +22,13 @@ import pytest
 from prodgeo import calculus, jets
 from prodgeo.ambient import levi_civita, product_of
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
-from prodgeo.subgeom import Immersion, _JetGeometry
+from prodgeo.subgeom import Immersion, _JetGeometry, param_vars
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 
 from controls import corrupted_lemma_case
 from grids import seed_one_grids
-from mean_curvature import mean_curvature_field
+from mean_curvature import inverse, mean_curvature_field
+from oracle import fd_derivative
 
 TOL = 1e-8
 
@@ -124,20 +128,44 @@ def _nabla_perp(geo, gamma, vec, direction):
     return _project_normal(geo, _cov_deriv(geo, gamma, vec, direction))
 
 
-def _reference_tensors(geo, space, h_field):
+def _reference_fields(geo, space, imm):
+    """The tangent fields T, the normal fields xi_s = P_N Xi0[s], and the
+    normal part and F of a field, all as order-1 jets of this module's own."""
+    f = imm._plan(dict(zip(param_vars(imm.n), jets.seed_point(geo.u, 2))))[0]
+    tangents = jets.array([jets.partial(f, a) for a in range(imm.n)]).swapaxes(-1, -2)
+    g, structure = space.tables(("metric", "structure"), f.truncate(1))
+    lowered = jets.einsum("...ij,...aj->...ai", g, tangents)  # g(T_a, .)
+    ginv = inverse(jets.einsum("...ai,...bi->...ab", tangents, lowered))
+
+    def normal_part(v):
+        along = jets.einsum("...sa,...ab->...sb", jets.einsum("...ai,...si->...sa", lowered, v), ginv)
+        return v - jets.einsum("...sb,...bi->...si", along, tangents)
+
+    def apply_f(v):
+        return jets.einsum("...ij,...sj->...si", structure, v)
+
+    frame = jets.Jet(tangents.alg, geo.Xi0[..., None] * (np.arange(tangents.alg.size) == 0))
+    return tangents, normal_part(frame), normal_part, apply_f
+
+
+def _reference_tensors(geo, space, imm, h_field):
+    """nabla omega, nabla C and the covariant derivatives of the tangent fields."""
     gamma = _christoffel(geo, space)
+    tangents, frame, normal_part, apply_f = _reference_fields(geo, space, imm)
     xi_fields = jets.array(
-        [geo.xi_field[..., a, :] for a in range(geo.m)] + [h_field]
+        [frame[..., a, :] for a in range(geo.m)] + [h_field]
     ).swapaxes(-1, -2)
-    omega_y = geo.normal_part_field(geo.apply_F_field(geo.T))
-    c_xi = geo.normal_part_field(geo.apply_F_field(xi_fields))
-    nabla_omega, nabla_c = [], []
+    omega_y = normal_part(apply_f(tangents))
+    c_xi = normal_part(apply_f(xi_fields))
+    nabla_omega, nabla_c, nabla_t = [], [], []
     for d in np.eye(geo.n):
         nabla_omega.append(_nabla_perp(geo, gamma, omega_y, d)
-                           - _f_normal_part(geo, _nabla_tan(geo, gamma, geo.T, d)))
+                           - _f_normal_part(geo, _nabla_tan(geo, gamma, tangents, d)))
         nabla_c.append(_nabla_perp(geo, gamma, c_xi, d)
                        - _f_normal_part(geo, _nabla_perp(geo, gamma, xi_fields, d)))
-    return np.stack(nabla_omega, axis=-3), np.stack(nabla_c, axis=-3)
+        nabla_t.append(_cov_deriv(geo, gamma, tangents, d))
+    return (np.stack(nabla_omega, axis=-3), np.stack(nabla_c, axis=-3),
+            np.stack(nabla_t, axis=-3))
 
 
 def _reference_lemma1(geo, nabla_omega_t):
@@ -218,11 +246,11 @@ def _close(got, want, scale, where):
 def test_kernels_match_the_einsum_references(label, space, imm):
     geo = _JetGeometry(imm, space, np.array(imm.samples))
     nabla_omega_t, nabla_c_xi = calculus.lemma_tensors(geo)
-    ref_omega, ref_c = _reference_tensors(
-        geo, space, mean_curvature_field(imm, space, np.array(imm.samples)))
+    ref_omega, ref_c, ref_t = _reference_tensors(
+        geo, space, imm, mean_curvature_field(imm, space, np.array(imm.samples)))
     # every array here is a sum of terms of this size, and some of them
     # (the tensors of an invariant surface, the lemma residuals) are roundoff
-    terms = max(np.abs(geo.nabla(geo.T)).max(), np.abs(geo.hc0).max(), geo.Hsq.max(), 1.0)
+    terms = max(np.abs(ref_t).max(), np.abs(geo.hc0).max(), geo.Hsq.max(), 1.0)
     _close(nabla_omega_t, ref_omega, terms, (label, "nabla omega"))
     _close(nabla_c_xi, ref_c, terms, (label, "nabla C"))
     _close(calculus._lemma1_point(geo, nabla_omega_t), _reference_lemma1(geo, ref_omega),
@@ -242,18 +270,30 @@ def test_kernels_match_the_einsum_references(label, space, imm):
                np.reshape(proof, -1)[kept], scale, (label, key, "proof"))
 
 
-def test_all_directions_derivative_is_the_per_direction_one():
-    # nabla(field)[..., a, :] is the derivative along d_a, and a direction
-    # that differs between points is a contraction of those rows
-    for label, space, imm in CASES:
-        geo = _JetGeometry(imm, space, np.array(imm.samples))
-        gamma = _christoffel(geo, space)
-        directions = geo.P[..., :, 0]  # e_1 in coordinate components, per point
-        h_field = mean_curvature_field(imm, space, np.array(imm.samples))
-        for field in (geo.T, geo.xi_field, h_field):
-            rows = geo.nabla(field)
-            scale = np.abs(rows).max()
-            for a, d in enumerate(np.eye(geo.n)):
-                _close(rows[:, a], _cov_deriv(geo, gamma, field, d), scale, (label, a))
-            _close(np.einsum("pa,pa...->p...", directions, rows),
-                   _cov_deriv(geo, gamma, field, directions), scale, (label, "e_1"))
+def _operators(space, imm, u):
+    """The build's P_tan0, g0 and F0 at the one point ``u``, stacked."""
+    geo = _JetGeometry(imm, space, [u])
+    shape = (geo.N, geo.N)
+    return np.stack([np.broadcast_to(m, (1,) + shape)[0] for m in (geo.P_tan0, geo.g0, geo.F0)])
+
+
+FD_CASES = [case for case in CASES if not case[0].startswith(("grid-", "fuzz-"))]
+
+
+@pytest.mark.parametrize("label, space, imm", FD_CASES, ids=[case[0] for case in FD_CASES])
+def test_operator_derivatives_match_the_oracle(label, space, imm):
+    # d_a P_T = D_a P_T - [Gamma_a, P_T], d_a g by the chain rule and
+    # d_a F = D_a F - [Gamma_a, F] against central differences of the
+    # build's own values at u +- h e_a
+    geo = _JetGeometry(imm, space, np.array(imm.samples))
+    d_tan, d_f = calculus._operator_derivatives(geo)
+    if not geo.flat:
+        gamma, p_tan, f = geo.GammaT0.swapaxes(-1, -2), geo.P_tan0[:, None], calculus._lift(geo.F0)
+        d_tan = d_tan - (gamma @ p_tan - p_tan @ gamma)
+        d_f = d_f - (gamma @ f - f @ gamma)
+    got = np.stack([d_tan, calculus._along(geo, geo.dg0), d_f], axis=2)  # [p, a, operator]
+    for p, u in enumerate(np.array(imm.samples)):
+        for a, step in enumerate(np.eye(imm.n)):
+            want = fd_derivative(lambda t: _operators(space, imm, u + t * step), 0.0)
+            scale = max(np.abs(want).max(), 1.0)
+            assert np.abs(got[p, a] - want).max() <= 1e-7 * scale, (label, p, a)

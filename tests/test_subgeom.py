@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 
 from prodgeo import expr as ex
 from prodgeo import jets
-from prodgeo.ambient import product_of
-from prodgeo.calculus import lemma_tensors
+from prodgeo.ambient import AmbientSpace, AmbientValidationFailure, product_of
+from prodgeo import calculus
+from prodgeo.calculus import _operator_derivatives
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.subgeom import (
     DegenerateImmersion,
@@ -214,11 +216,12 @@ def test_structural_identities_every_catalog_sample():
             # h symmetry
             assert np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1)))) <= 1e-10
             # duality g(A_xi e_a, e_b) = h components, via the Weingarten route
+            # in operator form, A_xi X = P_T (D_X P_T) xi
+            d_tan, _ = _operator_derivatives(geo)
+            d_e = np.tensordot(geo.P[0], d_tan[0], axes=(0, 0))  # [a]: D_{e_a} P_T
             for alpha in range(m):
                 for a in range(n):
-                    along_e = geo.P[:, None, :, a] @ geo.nabla(geo.xi_field[:, alpha])
-                    weingarten = -geo.project_tangent(along_e)[0, 0]
-                    comps = E0 @ _row(geo.g0) @ weingarten
+                    comps = E0 @ _row(geo.g0) @ d_e[a] @ Xi0[alpha]
                     assert np.max(np.abs(comps - hcomp[alpha, a])) <= 1e-10, label
             # adjointness
             phi, om, bm, cm = geo.phi0[0], geo.omega0[0], geo.B0[0], geo.C0[0]
@@ -292,10 +295,9 @@ def test_geometry_jets_seed_only_the_parameters():
         scn = catalog_get(label)
         n = scn.immersion.n
         geo = _JetGeometry(scn.immersion, scn.space, [scn.samples[0]])
-        fields = (geo.f, geo.T, geo.e_field, geo.xi_field, geo.gE)
-        assert all(field.nvars == n for field in fields), label
+        assert geo.f.nvars == n, label
         assert geo.f.coeffs.shape[-1] == math.comb(n + 2, 2), label
-        assert geo.T.shape == (1, n, geo.N) and geo.xi_field.shape == (1, geo.m, geo.N), label
+        assert geo.f.shape == (1, geo.N), label
 
 
 def test_non_finite_sample_is_a_value_error_naming_it():
@@ -331,6 +333,54 @@ def test_metric_not_finite_at_one_sample_is_singular():
             classify(imm, space)
 
 
+def test_singular_metric_names_the_first_failing_point():
+    from prodgeo.ambient import SingularMetric
+
+    imm = Immersion(2, ("u1", "u2", "0"), samples=((0.1, 0.2), (1.01, 0.3), (-0.5, 0.1)))
+    at = r"at u = \(1\.01, 0\.3\), x = \(1\.01, 0\.3, 0\.0\)$"
+    cases = [
+        ("exp(1000 * x1)", r"^ambient metric is not finite along the immersion " + at),
+        ("1 + 1e-10 * exp(700 * x1)", r"^ambient metric derivative is not finite along the immersion " + at),
+    ]
+    for entry, message in cases:
+        space = product_of([[entry, "0"], ["0", "1"]], 2, "flat", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMetric, match=message):
+                classify(imm, space)
+    space = product_of([["x1", "0"], ["0", "1"]], 2, "flat", 1)
+    with pytest.raises(SingularMetric, match=r"^ambient metric is not positive definite along "
+                       r"the immersion at u = \(-0\.5, 0\.1\), x = \(-0\.5, 0\.1, 0\.0\)$"):
+        classify(imm, space, samples=[(0.5, 0.2), (-0.5, 0.1)])
+
+
+@pytest.mark.parametrize("entry", ["0 * exp(1000 * x1)", "1e-10 * exp(700 * x1)"])
+def test_non_finite_structure_fails_validation_without_strict(entry):
+    # a structure (NaN at x1 = 1.01) or a structure derivative (infinite
+    # there) that is not finite leaves nothing to verify: the failed report
+    # is raised even without strict, and no warning is given
+    space = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1", entry], ["0", "-1"]])
+    imm = Immersion(1, ("u1", "0.5 * u1"), samples=((0.1,), (1.01,)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AmbientValidationFailure) as err:
+            _JetGeometry(imm, space, np.array(imm.samples))
+    assert not err.value.report.passed and not err.value.report.residuals_finite
+
+
+def test_constant_metric_derivative_table_keeps_the_connection():
+    # every entry of the derivative of 1 + x1 is a constant, so the table is
+    # one array without a point axis, and not zero: the space is curved
+    space = product_of([["1 + x1", "0"], ["0", "1"]], 2, "flat", 1)
+    imm = Immersion(2, ("u1", "0.3 * u1 + sin(u2)", "u2 + 0.2 * u1 * u2"),
+                    samples=((0.1, 0.2), (0.7, -0.4)))
+    geo = _JetGeometry(imm, space, np.array(imm.samples))
+    assert geo.dg0.shape == (3, 3, 3) and not geo.flat
+    assert np.abs(geo.GammaT0).max() > 0.1
+    outcome = verify(space, imm)
+    assert outcome.lemma1.max_residual <= 1e-12 and outcome.lemma2.max_residual <= 1e-12
+
+
 def _record_builds(monkeypatch) -> list:
     """The geometries built from now on, in the order of their builds."""
     built = []
@@ -356,33 +406,22 @@ def test_immersion_jet_has_order_two_at_every_entry_point(monkeypatch):
     assert [geo.f.order for geo in built] == [2, 2, 2, 2]
 
 
-# the derivative jets of a geometry, built on first read
-LAZY = ("T", "e_field", "xi_field", "gE")
-
-
 def test_classification_builds_no_derivative_jet(monkeypatch):
-    built = _record_builds(monkeypatch)
+    # the derivatives of the projectors are taken for the identities only
+    calls = []
+    original = calculus._operator_derivatives
+    monkeypatch.setattr(calculus, "_operator_derivatives",
+                        lambda geo: calls.append(geo) or original(geo))
     # a connection that does not vanish, and a flat product
     cases = [(catalog_get("curved-block").space, catalog_get("curved-block").immersion),
              (FLAT22, random_trig_immersion(4, 6))]
     for space, imm in cases:
         classify(imm, space)
         verify(space, imm, lemmas=False, theorems=False)
-    assert len(built) >= 4
-    for geo in built:
-        assert not set(LAZY) & set(vars(geo)), sorted(set(LAZY) & set(vars(geo)))
-
-
-def test_lemma_tensors_build_the_derivative_jets_around_the_float_values():
-    scn = catalog_get("curved-block")
-    geo = _JetGeometry(scn.immersion, scn.space, scn.samples)
-    assert not set(LAZY) & set(vars(geo))
-    lemma_tensors(geo)
-    assert set(LAZY) <= set(vars(geo))
-    # each jet's value is the float value of the build, to roundoff
-    for jet, value in ((geo.T, geo.J0.swapaxes(-1, -2)), (geo.e_field, geo.E0),
-                       (geo.xi_field, geo.Xi0), (geo.gE, geo.lowered_frame0[..., : geo.n, :])):
-        assert np.allclose(jet.value, value, rtol=1e-12, atol=1e-12)
+    assert calls == []
+    for space, imm in cases:
+        verify(space, imm, theorems=False)
+    assert len(calls) == len(cases)
 
 
 @pytest.mark.parametrize("u", [(0.3, 0.4), [(0.3, 0.4, 0.5)]])
@@ -426,7 +465,7 @@ def test_point_predicates_read_the_classification_measures():
                 assert (pg.pu_gap <= tol) == pu, (label, u, tol)
 
 
-# ---- frames: closed-form jets against the Gram-Schmidt loop in jets ----------
+# ---- frames: the build against the Gram-Schmidt loop in jets ------------------
 
 
 @lru_cache(maxsize=None)
@@ -449,70 +488,70 @@ def _frame_geometries():
     for label, space, imm in _frame_cases():
         for parameters, source in (("forward", imm), ("reversed", _parameters_reversed(imm))):
             geo = _JetGeometry(source, space, np.array(source.samples))
-            yield (label, parameters), geo
+            yield (label, parameters), space, geo
 
 
-def _reference_frames(geo):
-    """The frames by masked modified Gram-Schmidt carried out in jets, and the
-    smallest accepted residual norm at each point.  The candidates are the
-    tangent columns in parameter order and then, per point, the axes in the
-    order ``geo.V0`` records for the normal slots.
-
-    Slot s of ``frames`` holds the s-th frame vector once filled and zero
-    before; ``filled`` counts the slots of each point and ``lowered`` holds
-    g(e_s, .) beside each slot.
+def _reference_frames(geo, space):
+    """The frames by modified Gram-Schmidt carried out in jets, one frame
+    vector at a time, g(e_a, .) of the tangent ones, and the smallest
+    accepted residual norm at each point.  The candidates are the tangent
+    columns in parameter order; each normal slot then takes, at each point,
+    the coordinate axis whose residual has the largest component along the
+    build's frame vector: the build's choice (the longest residual, whose
+    component is its length) read off its frame, so that a tie between
+    equally long residuals resolves the same way.  The
+    tangent columns and the metric are this function's own jets, from the
+    immersion's jet and the metric table along it.
     """
-    n, N, shape = geo.n, geo.N, geo.u.shape[:-1]
-    tangents = geo.T
-    frames = lowered = jets.Jet(tangents.alg, np.zeros(shape + (N, N, tangents.alg.size)))
-    filled = np.zeros(shape, dtype=int)
-    smallest = np.full(shape, np.inf)
-    axes = [geo.V0[..., s, :] for s in range(n, N)]
-    for k, vec in enumerate([tangents[..., c, :] for c in range(n)] + axes):
-        if k >= n and (filled == N).all():
-            break
-        w = vec
-        for slot in range(int(filled.max())):
-            ip = jets.einsum("...i,...i->...", w, lowered[..., slot, :])
-            w = w - ip[..., None] * frames[..., slot, :]
-        w_lowered = jets.einsum("...ij,...j->...i", geo.gf, w)
+    n, N, npts = geo.n, geo.N, len(geo.u)
+    tangents = jets.array([jets.partial(geo.f, a) for a in range(n)]).swapaxes(-1, -2)
+    (metric,) = space.tables(("metric",), geo.f.truncate(1))
+    size = tangents.alg.size
+    axes = jets.Jet(tangents.alg, np.eye(N)[..., None] * (np.arange(size) == 0) + np.zeros((npts, 1, 1, 1)))
+    frames, lowered = [], []  # (P, 1, N) each
+    smallest = np.full(npts, np.inf)
+    for slot in range(N):
+        w = tangents[..., slot : slot + 1, :] if slot < n else axes  # (P, candidates, N)
+        for e, ge in zip(frames, lowered):
+            w = w - jets.einsum("...i,...i->...", w, ge)[..., None] * e
+        w_lowered = jets.einsum("...ij,...kj->...ki", metric, w)
         nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
-        value = nrm2.coeffs[..., 0]
-        accept = np.ones(shape, dtype=bool) if k < n else (value >= 1e-8 ** 2) & (filled < N)
-        smallest = np.where(accept, np.minimum(smallest, np.sqrt(np.abs(value))), smallest)
-        # a rejected candidate gets a unit norm, then a zero weight
-        scale = ((nrm2 + np.where(accept, 0.0, 1.0)) ** -0.5)[..., None]
-        weight = ((np.arange(N) == filled[..., None]) & accept[..., None])[..., None]
-        frames = frames + (w * scale)[..., None, :] * weight
-        lowered = lowered + (w_lowered * scale)[..., None, :] * weight
-        filled = filled + accept
-    assert (filled == N).all()
-    return (frames[..., :n, :], frames[..., n:, :], lowered[..., :n, :]), smallest
+        if slot >= n:  # the axis whose residual reaches furthest along the build's e_s
+            along = (w.value @ geo.lowered_frame0[:, slot, :, None])[..., 0]
+            weight = np.eye(N)[along.argmax(axis=-1)][:, None]
+            w, w_lowered = (jets.einsum("...jk,...ki->...ji", weight, v) for v in (w, w_lowered))
+            nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
+        smallest = np.minimum(smallest, np.sqrt(np.abs(nrm2.value[:, 0])))
+        scale = (nrm2 ** -0.5)[..., None]
+        frames.append(w * scale)
+        lowered.append(w_lowered * scale)
+    stacked = [jets.array([v[:, 0] for v in vectors]).swapaxes(-1, -2) for vectors in (frames, lowered)]
+    return (stacked[0][..., :n, :], stacked[0][..., n:, :], stacked[1][..., :n, :]), smallest
 
 
 def test_frames_match_the_gram_schmidt_loop_in_jets():
+    # the build's frames are the loop's values, and the derivative of the
+    # build's tangent projector is that of sum_a e_a g(e_a, .) over the loop's
     ill_conditioned = set()
-    for key, geo in _frame_geometries():
-        fields, smallest = _reference_frames(geo)
+    for key, space, geo in _frame_geometries():
+        fields, smallest = _reference_frames(geo, space)
         good = smallest >= 1e-3
         ill_conditioned |= {(key[0], int(p)) for p in np.flatnonzero(~good)}
-        for got, want in zip((geo.e_field, geo.xi_field, geo.gE), fields):
-            assert got.shape == want.shape and got.order == want.order == 1, key
-            scale = np.abs(want.coeffs[good]).max(axis=(-3, -2, -1))
-            diff = np.abs(got.coeffs - want.coeffs)[good]
-            assert (diff[..., 0].max(axis=(-2, -1)) <= 1e-12 * scale).all(), key
-            assert (diff[..., 1:].max(axis=(-3, -2, -1)) <= 1e-9 * scale).all(), key
+        for got, want in zip((geo.E0, geo.Xi0, geo.lowered_frame0[..., : geo.n, :]), fields):
+            scale = np.abs(want.value[good]).max(axis=(-2, -1))
+            diff = np.abs(got - want.value)[good].max(axis=(-2, -1))
+            assert (diff <= 1e-12 * scale).all(), key
+        projector = jets.einsum("...ai,...aj->...ij", fields[0], fields[2])
+        want = np.moveaxis(projector.gradient(), -1, 1)  # [a]: d_a P_T
+        d_tan, _ = _operator_derivatives(geo)
+        if not geo.flat:  # d_a P_T = D_a P_T - [Gamma_a, P_T]
+            gamma, p_tan = geo.GammaT0.swapaxes(-1, -2), geo.P_tan0[:, None]
+            d_tan = d_tan - gamma @ p_tan + p_tan @ gamma
+        scale = np.abs(want[good]).max(axis=(-3, -2, -1))
+        diff = np.abs(d_tan - want)[good].max(axis=(-3, -2, -1))
+        assert (diff <= 1e-9 * np.maximum(scale, 1.0)).all(), key
     # the pivoted completion leaves no ill-conditioned point
     assert ill_conditioned == set()
-
-
-def test_frames_are_orthonormal_to_first_order():
-    for key, geo in _frame_geometries():
-        frames = jets.Jet(geo.e_field.alg,
-                          np.concatenate([geo.e_field.coeffs, geo.xi_field.coeffs], axis=-3))
-        lowered = jets.einsum("...ij,...sj->...si", geo.gf, frames)
-        gram = jets.einsum("...ri,...si->...rs", frames, lowered)
-        assert np.abs(gram.coeffs[..., 1:]).max() <= 1e-9, key
 
 
 def test_frame_completion_failure_keeps_its_message():
@@ -527,7 +566,7 @@ def test_pivoted_completion_takes_the_longest_residual():
     # under the identity metric the squared residuals of the N axes against
     # the filled slots sum to the number of slots left to fill, so the axis
     # taken for a normal slot has a residual of at least 1/sqrt(N); that
-    # residual is g(e_s, V0[s]), the candidate's length along its frame vector
+    # residual is the coordinate of the frame vector along its axis
     cases = [(catalog_get(label).space, catalog_get(label).immersion) for label in catalog_list()]
     cases += [(flat_product(2, 2), random_trig_immersion(seed, 16)) for seed in range(30)]
     checked = 0
@@ -535,7 +574,7 @@ def test_pivoted_completion_takes_the_longest_residual():
         geo = _JetGeometry(imm, space, np.array(imm.samples))
         if not geo.unit_metric:
             continue
-        residual = (geo.Xi0 * geo.V0[..., geo.n :, :]).sum(axis=-1)
+        residual = np.abs(geo.Xi0).max(axis=-1)
         assert residual.min() >= (1.0 - 1e-12) / math.sqrt(geo.N), imm.label
         checked += 1
     assert checked >= 30 + len(catalog_list()) - 1

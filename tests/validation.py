@@ -17,7 +17,7 @@ def validate_at(space, samples):
     x = np.reshape(np.asarray(samples, dtype=float), (len(samples), space.dim))
     # overflow and NaN are what the report measures, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        g, f, dg = space.tables(("metric", "structure", "metric_diff"), x)
+        g, f, dg, df = space.tables(("metric", "structure", "metric_diff", "structure_diff"), x)
         # one minors sweep, thresholded at 0 here and by the report at its
         # own tolerance; the connection on the identity where the metric is
         # not positive definite, through the module, so that a test may
@@ -27,4 +27,4 @@ def validate_at(space, samples):
         if dg.any():
             definite = positive_definite(minors, tol=0.0)[..., None, None]
             gamma = ambient.levi_civita(np.linalg.inv(np.where(definite, g, np.eye(space.dim))), dg)
-    return ambient.validate_ambient(space, x, g, f, gamma, minors)
+    return ambient.validate_ambient(space, x, g, f, df, gamma, minors)
