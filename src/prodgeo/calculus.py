@@ -25,8 +25,8 @@ satisfies the two identities
     (nabla_X C) xi = - omega A_xi X - h(X, B xi)
 
 :func:`lemma_tensors` evaluates both tensors once per document, along all
-coordinate directions together, and takes (nabla C) H as the contraction
-of the normal frame columns with the components of H; the lemma residuals
+coordinate directions together, with H one more normal column of the
+product for (nabla C) H, since nabla C is tensorial; the lemma residuals
 and the T2-T4 statements of :mod:`prodgeo.theorems` read its arrays, and
 :func:`prodgeo.verify.verify` reports the worst residual of each identity
 over samples and coordinate directions.  A corrupted ambient space (one
@@ -90,22 +90,18 @@ def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
 
     ``(nabla_{d_a} omega) T_b`` has shape ``(..., n, n, N)``; ``(nabla_{d_a} C) xi``,
     with xi over the normal frame vectors and then H, ``(..., n, m + 1, N)``.  Both
-    are tensorial, so a frame direction or vector is a contraction of these: the
-    H column is ``sum_s g(xi_s, H) (nabla C) xi_s`` at each point.
+    are tensorial, so a frame direction is a contraction of these.
     """
     d_tan, d_f = _operator_derivatives(geo)
     f = _lift(geo.F0)
-    # the tangent columns T_b, then the normal frame columns xi_s: the two
-    # formulas differ in the sign of their last term
-    cols = np.concatenate([geo.J0, geo.Xi0.swapaxes(-1, -2)], axis=-1)[:, None]
-    sign = np.where(np.arange(geo.N) < geo.n, 1.0, -1.0)
+    # the tangent columns T_b, then the normal frame columns xi_s and H: the
+    # two formulas differ in the sign of their last term
+    cols = np.concatenate([geo.J0, geo.Xi0.swapaxes(-1, -2), geo.H0[..., None]], axis=-1)[:, None]
+    sign = np.where(np.arange(geo.N + 1) < geo.n, 1.0, -1.0)
     p_nor = np.eye(geo.N) - geo.P_tan0[:, None]
     moved = d_f @ cols - d_tan @ (f @ cols) + (f @ (d_tan @ cols)) * sign
     rows = (p_nor @ moved).swapaxes(-1, -2)
-    nabla_omega_t, nabla_c_xi = rows[..., : geo.n, :], rows[..., geo.n :, :]
-    h_components = geo.lowered_frame0[..., None, geo.n :, :] @ geo.H0[..., None, :, None]
-    nabla_c_h = h_components.swapaxes(-1, -2) @ nabla_c_xi
-    return nabla_omega_t, np.concatenate([nabla_c_xi, nabla_c_h], axis=-2)
+    return rows[..., : geo.n, :], rows[..., geo.n :, :]
 
 
 def _lemma1_point(geo: _JetGeometry, nabla_omega_t: np.ndarray) -> np.ndarray:

@@ -364,7 +364,12 @@ def scenario_text(
     tolerances: Tolerances = Tolerances(),
     label: str | None = None,
 ) -> str:
-    """Render a scenario in the file format; load/export round-trips exactly."""
+    """Render a scenario in the file format; load/export round-trips exactly,
+    so a label holding ``#`` (a comment) or a line break, or with outer
+    whitespace (stripped on load), is a ``ValueError``."""
+    label = immersion.label if label is None else label
+    if "#" in label or "\n" in label or "\r" in label or label != label.strip():
+        raise ValueError(f"label {label!r} does not round-trip through a scenario file")
     out = io.StringIO()
     out.write("[ambient]\n")
     if space.product_split is not None:
@@ -384,7 +389,7 @@ def scenario_text(
     out.write("\n[immersion]\n")
     out.write(f"n = {immersion.n}\n")
     out.write(f"map = {', '.join(ex.pretty(c) for c in immersion.components)}\n")
-    out.write(f"label = {label if label is not None else immersion.label}\n")
+    out.write(f"label = {label}\n")
     out.write("\n[samples]\n")
     formatted = "; ".join(
         "(" + ", ".join(repr(float(v)) for v in u) + ("," if len(u) == 1 else "") + ")"

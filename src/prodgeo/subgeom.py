@@ -1,6 +1,7 @@
 """Pointwise geometry of an immersed submanifold, for all sample points at once.
 
-Builds orthonormal tangent/normal frames, the induced metric, the second
+Builds orthonormal tangent/normal frames (one complete QR of the Jacobian
+whitened by the metric's Cholesky factor), the induced metric, the second
 fundamental form and shape operators, the mean curvature vector, the
 tangential/normal split of the ambient product structure (the phi, omega,
 B, C matrices), and the invariant / anti-invariant / semi-invariant /
@@ -52,7 +53,7 @@ __all__ = [
 
 
 class DegenerateImmersion(ValueError):
-    """The immersion is rank-deficient (or frame completion failed) at a point."""
+    """The immersion is not finite or rank-deficient, or its induced metric not finite, at a point."""
 
 
 def param_vars(n: int) -> tuple[str, ...]:
@@ -133,22 +134,6 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _split_structure(f0, g0, frame, n: int):
-    """phi/omega (F on the tangent frame) and B/C (F on the normal frame): the
-    blocks of g(F e_s, e_r) over the ``frame`` rows, tangent rows first."""
-    m = _t(frame @ _t(f0) @ g0 @ _t(frame))
-    return m[..., :n, :n], m[..., n:, :n], m[..., :n, n:], m[..., n:, n:]
-
-
-def _umbilicity_gap(h, normal_on, g0, H):
-    """max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |, h in frame components."""
-    g_h = (g0 @ H[..., None])[..., 0]
-    h_xi = (normal_on @ g_h[..., None])[..., None]
-    h_dot_h = (h * h_xi).sum(axis=-3)
-    hsq = (H * g_h).sum(axis=-1)
-    return np.max(np.abs(h_dot_h - hsq[..., None, None] * np.eye(h.shape[-1])), axis=(-2, -1))
-
-
 def _points(samples, n: int) -> np.ndarray:
     """Sample points as a ``(P, n)`` array; at least one is needed, and all finite."""
     if len(samples) == 0:
@@ -176,8 +161,8 @@ class _JetGeometry:
     From the Taylor coefficients of ``f`` and the tables the construction
     computes the Jacobian ``J0``, the coordinate Hessian ``hessian`` (a
     mixed second derivative is its coefficient, ``d_a d_a f`` twice it),
-    Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by modified
-    Gram-Schmidt with column pivoting, the tangent projector ``P_tan0``,
+    Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by one complete
+    QR of the whitened Jacobian, the tangent projector ``P_tan0``,
     the induced metric ``G0`` and its inverse, ``hc0`` (the normal part of
     the Hessian plus Gamma(T_a, T_b)), ``H0``, and everything the
     classifier, the lemmas and T2-T4 read at the base points.
@@ -190,8 +175,8 @@ class _JetGeometry:
     metric sets ``unit_metric``, and :meth:`lower0` returns its argument.
     Decisions that differ between points (a finite immersion and finite
     tables, the Jacobian rank, positive definiteness, a finite induced
-    metric, the normal frame completion) are masks over the points; a
-    failing check names the first failing point.  Before any can raise,
+    metric) are masks over the points; a failing check names the first
+    failing point.  Before any can raise,
     :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the tables'
     values, the Christoffel symbols and the metric's leading minors into
     ``ambient_report``; with ``strict`` a failed report raises, and where
@@ -258,8 +243,9 @@ class _JetGeometry:
                                       ("structure", self.F0, 2), ("structure derivative", self.dF0, 3))
         }
         chol = np.linalg.cholesky(safe_g0)
-        jac = np.where(immersed[..., None, None], self.J0, 0.0)
-        smallest = np.linalg.svd(_t(chol) @ jac, compute_uv=False).min(axis=-1)
+        # the Jacobian whitened by the metric's Cholesky factor, g = chol chol^T
+        white = _t(chol) @ np.where(immersed[..., None, None], self.J0, 0.0)
+        smallest = np.linalg.svd(white, compute_uv=False).min(axis=-1)
         self.unit_metric = self.g0.ndim == 2 and np.array_equal(self.g0, np.eye(N))
         # induced metric G_ab = g(T_a, T_b), which overflows for a finite but huge J
         with np.errstate(over="ignore", invalid="ignore"):
@@ -298,32 +284,14 @@ class _JetGeometry:
             gamma0 = np.moveaxis(gamma0, -3, -1).reshape(npts, N, N * N)  # [j, k, i]
             self.GammaT0 = (T0 @ gamma0).reshape(npts, n, N, N)
 
-        # orthonormal frames under the ambient metric by modified Gram-Schmidt
-        # on the base-point floats: the tangent columns, then in each normal
-        # slot the coordinate axis whose residual is longest (column pivoting;
-        # under a unit metric it is at least 1/sqrt(N)).  ``W`` holds every
-        # candidate's residual, orthogonalized against each slot as it fills;
-        # a slot's candidates are orthogonalized once more against all filled
-        # slots.  Slot s of ``E0`` holds the s-th frame vector once filled and
-        # zero before, and ``GE0`` g(e_s, .) beside it.
-        E0, GE0 = np.zeros((npts, N, N)), np.zeros((npts, N, N))
-        W = np.concatenate([T0, np.broadcast_to(np.eye(N), (npts, N, N))], axis=-2)
-        each = np.arange(npts)
-        for slot in range(N):
-            w = W[:, slot : slot + 1] if slot < n else W[:, n:]
-            w = w - (w @ _t(GE0)) @ E0
-            w_lowered = self.lower0(w)
-            nrm2 = (w * w_lowered).sum(axis=-1)
-            best = nrm2.argmax(axis=-1)
-            nrm2 = nrm2[each, best]
-            if slot < n and (nrm2 <= 0.0).any():
-                raise DegenerateImmersion("tangent frame collapsed during orthonormalization")
-            if slot >= n and (nrm2 < 1e-8 ** 2).any():
-                raise DegenerateImmersion("could not complete the normal frame")
-            picked = np.stack([w, w_lowered])[:, each, best]
-            E0[:, slot], GE0[:, slot] = picked * (1.0 / np.sqrt(nrm2))[:, None]
-            W = W - (W @ GE0[:, slot, :, None]) * E0[:, slot, None, :]
-        self.lowered_frame0 = GE0
+        # orthonormal frames under the ambient metric from one complete QR,
+        # white = q r: the first n columns of q, signed so that diag(r) > 0, are
+        # the Gram-Schmidt frame of the tangent columns in parameter order, the
+        # rest complete it; e_s = chol^-T q_s and g(e_s, .) = chol q_s
+        q, r = np.linalg.qr(white, mode="complete")
+        q[..., :n] *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+        E0 = _t(np.linalg.solve(_t(chol), q))
+        GE0 = _t(chol @ q)
         self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
         self.P_tan0 = _t(self.E0) @ GE0[..., :n, :]
@@ -353,8 +321,14 @@ class _JetGeometry:
         self.h_on0 = h_on0.reshape(npts, n, n, N)
         self.hcomp0 = (GE0[..., n:, :] @ _t(h_on0)).reshape(npts, self.m, n, n)
 
-        self.phi0, self.omega0, self.B0, self.C0 = _split_structure(self.F0, self.g0, E0, n)
-        self.pu_gap = _umbilicity_gap(self.hcomp0, self.Xi0, self.g0, self.H0)
+        # phi/omega (F on the tangent frame) and B/C (F on the normal frame):
+        # the blocks of g(F e_s, e_r), tangent rows and columns first
+        m = GE0 @ self.F0 @ _t(E0)
+        self.phi0, self.omega0 = m[..., :n, :n], m[..., n:, :n]
+        self.B0, self.C0 = m[..., :n, n:], m[..., n:, n:]
+        # max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |
+        h_dot_h = (self.h_on0 @ self.lower0(self.H0)[:, None, :, None])[..., 0]
+        self.pu_gap = np.abs(h_dot_h - self.Hsq[:, None, None] * np.eye(n)).max(axis=(-2, -1))
         # what the classes are defined by; each caller thresholds them with its tolerance
         self.H_norm = np.sqrt(np.maximum(self.Hsq, 0.0))
         self.phi_norm, self.omega_norm, self.omega_phi_norm = (

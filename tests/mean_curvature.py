@@ -1,11 +1,11 @@
 """The mean curvature field with its first derivatives (imported as ``mean_curvature``).
 
-The library reads (nabla C) H off the normal frame columns and builds no H
-jet; the tests that differentiate H itself build it here, independently of
-the geometry's frames.  The immersion is seeded at order 3, so that its
-second derivatives carry order 1; h_ab is the normal part of
-d_b T_a + Gamma(T_a, T_b), the tangent part of a vector v being
-T_a G^ab g(T_b, v), and H = (1/n) G^ab h_ab.  The inverses are written out
+The library takes (nabla C) H as one more normal column of its operator
+product and builds no H jet; the tests that differentiate H itself build
+it here, independently of the geometry's frames.  The immersion is seeded
+at order 3, so that its second derivatives carry order 1; h_ab is the
+normal part of d_b T_a + Gamma(T_a, T_b), the tangent part of a vector v
+being T_a G^ab g(T_b, v), and H = (1/n) G^ab h_ab.  The inverses are written out
 at order 1: M^-1 = M0^-1 - M0^-1 dM M0^-1.
 """
 

@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -371,6 +372,21 @@ def test_scenario_text_is_reparseable():
     assert loaded.space.metric == scn.space.metric
 
 
+@pytest.mark.parametrize("label, carried", [
+    ("torus #2", False), (" padded ", False), ("multi\nline", False), ("torus-2 (v1)", True),
+])
+def test_scenario_text_refuses_labels_that_do_not_round_trip(label, carried):
+    # an inline comment, stripped whitespace and a line break would each load
+    # back as another label or not at all; any other label round-trips
+    scn = catalog_get("circle")
+    if carried:
+        text = scenario_text(scn.space, scn.immersion, scn.samples, label=label)
+        assert loads_scenario(text).label == label
+    else:
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            scenario_text(scn.space, scn.immersion, scn.samples, label=label)
+
+
 # ---- command level ----------------------------------------------------------
 
 
@@ -626,7 +642,7 @@ def _assert_same_point(batched, index, alone, where):
 def test_batch_size_does_not_change_point_records():
     cases = [(scn.space, scn.immersion) for scn in map(catalog_get, catalog_list())]
     cases += [corrupted_lemma_case(), (flat_product(2, 2), random_trig_immersion(5, 6))]
-    # the normal frame is completed by e1 at 0.3 and by e2 at pi/2 and 1.0
+    # a circle whose unit normal (cos u1, sin u1) turns from near e1 to e2
     circle = Immersion(1, ("cos(u1)", "sin(u1)"), samples=((0.3,), (math.pi / 2,), (1.0,)))
     cases.append((flat_product(1, 1), circle))
     # 64 points, where a stacked matmul may take another kernel than at 3

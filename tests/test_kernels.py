@@ -9,11 +9,11 @@ jets they build themselves: the tangent fields by ``jets.partial`` of an
 order-2 seed, the metric and F from the space's tables along the immersion,
 the normal fields xi_s = P_N(u) Xi0[s] with P_N = I - T G^-1 T^T g, and the
 mean curvature field of the ``mean_curvature`` test module, where the
-library contracts the normal frame columns.  Both read the same base-point
-geometry.  Each library array must lie within 1e-12 of the reference
-array's largest entry, or of the size of the terms it is summed from where
-that is larger (at least 1): a residual of a true identity, or a tensor
-that vanishes, is roundoff in those terms.
+library applies the operator product to H0 as one more normal column.
+Both read the same base-point geometry.  Each library array must lie
+within 1e-12 of the reference array's largest entry, or of the size of the
+terms it is summed from where that is larger (at least 1): a residual of a
+true identity, or a tensor that vanishes, is roundoff in those terms.
 """
 
 import numpy as np

@@ -471,8 +471,8 @@ def test_point_predicates_read_the_classification_measures():
 @lru_cache(maxsize=None)
 def _frame_cases():
     """(label, space, immersion): the catalog, the corrupted ambient, 30
-    random surfaces and a circle whose normal frame is completed by e1 at
-    0.3 and by e2 at pi/2 and 1.0."""
+    random surfaces and a circle sampled at 0.3, pi/2 and 1.0, whose unit
+    normal (cos u1, sin u1) turns from near e1 to e2 across them."""
     cases = [(label, catalog_get(label).space, catalog_get(label).immersion)
              for label in catalog_list()]
     cases.append(("corrupted",) + corrupted_lemma_case())
@@ -491,57 +491,49 @@ def _frame_geometries():
             yield (label, parameters), space, geo
 
 
-def _reference_frames(geo, space):
-    """The frames by modified Gram-Schmidt carried out in jets, one frame
-    vector at a time, g(e_a, .) of the tangent ones, and the smallest
-    accepted residual norm at each point.  The candidates are the tangent
-    columns in parameter order; each normal slot then takes, at each point,
-    the coordinate axis whose residual has the largest component along the
-    build's frame vector: the build's choice (the longest residual, whose
-    component is its length) read off its frame, so that a tie between
-    equally long residuals resolves the same way.  The
-    tangent columns and the metric are this function's own jets, from the
-    immersion's jet and the metric table along it.
+def _reference_tangent_frame(geo, space):
+    """The tangent frame by modified Gram-Schmidt carried out in jets, one
+    tangent column at a time in parameter order, g(e_a, .) beside it, and the
+    smallest residual norm at each point.  The tangent columns and the metric
+    are this function's own jets, from the immersion's jet and the metric
+    table along it.
     """
-    n, N, npts = geo.n, geo.N, len(geo.u)
+    n, npts = geo.n, len(geo.u)
     tangents = jets.array([jets.partial(geo.f, a) for a in range(n)]).swapaxes(-1, -2)
     (metric,) = space.tables(("metric",), geo.f.truncate(1))
-    size = tangents.alg.size
-    axes = jets.Jet(tangents.alg, np.eye(N)[..., None] * (np.arange(size) == 0) + np.zeros((npts, 1, 1, 1)))
     frames, lowered = [], []  # (P, 1, N) each
     smallest = np.full(npts, np.inf)
-    for slot in range(N):
-        w = tangents[..., slot : slot + 1, :] if slot < n else axes  # (P, candidates, N)
+    for a in range(n):
+        w = tangents[..., a : a + 1, :]
         for e, ge in zip(frames, lowered):
             w = w - jets.einsum("...i,...i->...", w, ge)[..., None] * e
         w_lowered = jets.einsum("...ij,...kj->...ki", metric, w)
         nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
-        if slot >= n:  # the axis whose residual reaches furthest along the build's e_s
-            along = (w.value @ geo.lowered_frame0[:, slot, :, None])[..., 0]
-            weight = np.eye(N)[along.argmax(axis=-1)][:, None]
-            w, w_lowered = (jets.einsum("...jk,...ki->...ji", weight, v) for v in (w, w_lowered))
-            nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
         smallest = np.minimum(smallest, np.sqrt(np.abs(nrm2.value[:, 0])))
         scale = (nrm2 ** -0.5)[..., None]
         frames.append(w * scale)
         lowered.append(w_lowered * scale)
     stacked = [jets.array([v[:, 0] for v in vectors]).swapaxes(-1, -2) for vectors in (frames, lowered)]
-    return (stacked[0][..., :n, :], stacked[0][..., n:, :], stacked[1][..., :n, :]), smallest
+    return stacked, smallest
 
 
 def test_frames_match_the_gram_schmidt_loop_in_jets():
-    # the build's frames are the loop's values, and the derivative of the
+    # the build's tangent frame is the loop's values, its normal frame
+    # completes it to a g-orthonormal basis, and the derivative of the
     # build's tangent projector is that of sum_a e_a g(e_a, .) over the loop's
     ill_conditioned = set()
     for key, space, geo in _frame_geometries():
-        fields, smallest = _reference_frames(geo, space)
+        (frame, lowered), smallest = _reference_tangent_frame(geo, space)
         good = smallest >= 1e-3
         ill_conditioned |= {(key[0], int(p)) for p in np.flatnonzero(~good)}
-        for got, want in zip((geo.E0, geo.Xi0, geo.lowered_frame0[..., : geo.n, :]), fields):
+        for got, want in zip((geo.E0, geo.lower0(geo.E0)), (frame, lowered)):
             scale = np.abs(want.value[good]).max(axis=(-2, -1))
             diff = np.abs(got - want.value)[good].max(axis=(-2, -1))
             assert (diff <= 1e-12 * scale).all(), key
-        projector = jets.einsum("...ai,...aj->...ij", fields[0], fields[2])
+        basis = np.concatenate([geo.E0, geo.Xi0], axis=-2)
+        gram = basis @ geo.lower0(basis).swapaxes(-1, -2)
+        assert np.abs(gram - np.eye(geo.N)).max() <= 1e-12, key
+        projector = jets.einsum("...ai,...aj->...ij", frame, lowered)
         want = np.moveaxis(projector.gradient(), -1, 1)  # [a]: d_a P_T
         d_tan, _ = _operator_derivatives(geo)
         if not geo.flat:  # d_a P_T = D_a P_T - [Gamma_a, P_T]
@@ -550,31 +542,23 @@ def test_frames_match_the_gram_schmidt_loop_in_jets():
         scale = np.abs(want[good]).max(axis=(-3, -2, -1))
         diff = np.abs(d_tan - want)[good].max(axis=(-3, -2, -1))
         assert (diff <= 1e-9 * np.maximum(scale, 1.0)).all(), key
-    # the pivoted completion leaves no ill-conditioned point
+    # no case has nearly dependent tangent columns
     assert ill_conditioned == set()
 
 
-def test_frame_completion_failure_keeps_its_message():
-    # under a metric of scale 1e-20 no coordinate axis has the accepted length
+def test_tiny_metric_builds_the_frames_of_flat_space():
+    # a metric of scale 1e-20 and a circle of radius 1e6 have the lengths of
+    # the unit circle in flat R x R: the frames are built, and the classes
+    # and lemmas read the same as there.  The pseudo-umbilical flags and
+    # T2-T4 threshold |H| absolutely, so they are not compared
     tiny = product_of([["1e-20"]], 1, [["1e-20"]], 1)
     circle = Immersion(1, ("1e6 * cos(u1)", "1e6 * sin(u1)"))
-    with pytest.raises(DegenerateImmersion, match="^could not complete the normal frame$"):
-        _JetGeometry(circle, tiny, [(0.3,), (1.0,)])
-
-
-def test_pivoted_completion_takes_the_longest_residual():
-    # under the identity metric the squared residuals of the N axes against
-    # the filled slots sum to the number of slots left to fill, so the axis
-    # taken for a normal slot has a residual of at least 1/sqrt(N); that
-    # residual is the coordinate of the frame vector along its axis
-    cases = [(catalog_get(label).space, catalog_get(label).immersion) for label in catalog_list()]
-    cases += [(flat_product(2, 2), random_trig_immersion(seed, 16)) for seed in range(30)]
-    checked = 0
-    for space, imm in cases:
-        geo = _JetGeometry(imm, space, np.array(imm.samples))
-        if not geo.unit_metric:
-            continue
-        residual = np.abs(geo.Xi0).max(axis=-1)
-        assert residual.min() >= (1.0 - 1e-12) / math.sqrt(geo.N), imm.label
-        checked += 1
-    assert checked >= 30 + len(catalog_list()) - 1
+    unit = Immersion(1, ("cos(u1)", "sin(u1)"))
+    samples = [(0.3,), (1.0,)]
+    got, want = verify(tiny, circle, samples), verify(FLAT11, unit, samples)
+    assert got.classification.classification == "generic"
+    for name in ("phi_norm", "omega_norm"):
+        for a, b in zip(got.classification.points[name], want.classification.points[name]):
+            assert abs(a - b) <= 1e-12, name
+    assert got.classification.points["rank_phi"] == want.classification.points["rank_phi"]
+    assert got.lemma1.passed and got.lemma2.passed
