@@ -26,8 +26,11 @@ satisfies the two identities
 
 :func:`lemma_tensors` evaluates both tensors once per document, along all
 coordinate directions together, with H one more normal column of the
-product for (nabla C) H, since nabla C is tensorial; the lemma residuals
-and the T2-T4 statements of :mod:`prodgeo.theorems` read its arrays, and
+product for (nabla C) H, since nabla C is tensorial.  It returns their
+components in the orthonormal normal frame, g([...], xi_s), which need no
+P_N: g(P_N v, xi_s) = g(v, xi_s).  The lemma residuals and the T2-T4
+statements of :mod:`prodgeo.theorems` read its arrays with the build's
+frame components of h, H, phi, omega, B and C, where g is the identity, and
 :func:`prodgeo.verify.verify` reports the worst residual of each identity
 over samples and coordinate directions.  A corrupted ambient space (one
 with nabla F != 0) breaks them by an O(1) margin, which is the engine's
@@ -86,10 +89,11 @@ def _operator_derivatives(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The two derived tensors at every point, along the coordinate directions.
+    """The two derived tensors at every point, along the coordinate directions,
+    in the components of the normal frame.
 
-    ``(nabla_{d_a} omega) T_b`` has shape ``(..., n, n, N)``; ``(nabla_{d_a} C) xi``,
-    with xi over the normal frame vectors and then H, ``(..., n, m + 1, N)``.  Both
+    ``(nabla_{d_a} omega) T_b`` has shape ``(..., n, n, m)``; ``(nabla_{d_a} C) xi``,
+    with xi over the normal frame vectors and then H, ``(..., n, m + 1, m)``.  Both
     are tensorial, so a frame direction is a contraction of these.
     """
     d_tan, d_f = _operator_derivatives(geo)
@@ -98,24 +102,24 @@ def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
     # two formulas differ in the sign of their last term
     cols = np.concatenate([geo.J0, geo.Xi0.swapaxes(-1, -2), geo.H0[..., None]], axis=-1)[:, None]
     sign = np.where(np.arange(geo.N + 1) < geo.n, 1.0, -1.0)
-    p_nor = np.eye(geo.N) - geo.P_tan0[:, None]
     moved = d_f @ cols - d_tan @ (f @ cols) + (f @ (d_tan @ cols)) * sign
-    rows = (p_nor @ moved).swapaxes(-1, -2)
+    rows = (geo.GE0[:, None, geo.n :] @ moved).swapaxes(-1, -2)
     return rows[..., : geo.n, :], rows[..., geo.n :, :]
 
 
 def _lemma1_point(geo: _JetGeometry, nabla_omega_t: np.ndarray) -> np.ndarray:
     """Worst residual at every point over coordinate directions X and coordinate fields Y."""
-    phi_y = geo.param_components(geo.f_tangent_part(geo.J0.swapaxes(-1, -2)))  # row b: phi T_b
-    h_x_phi_y = geo.h_params(phi_y)  # [a, b]: h(T_a, phi T_b)
-    residual = nabla_omega_t + h_x_phi_y - geo.f_normal_part(geo.hc0)
-    return geo.norm_g(residual).max(axis=(-2, -1))
+    phi_y = (geo.P @ geo.phi0 @ geo.R).swapaxes(-1, -2)  # row b: phi T_b in parameter components
+    h_x_phi_y = phi_y[:, None] @ geo.hn0  # [a, b]: h(T_a, phi T_b)
+    residual = nabla_omega_t + h_x_phi_y - geo.hn0 @ geo.C0.swapaxes(-1, -2)[:, None]
+    return np.linalg.norm(residual, axis=-1).max(axis=(-2, -1))
 
 
 def _lemma2_point(geo: _JetGeometry, nabla_c_xi: np.ndarray) -> np.ndarray:
     """Worst residual at every point over coordinate directions and every
     normal frame field plus H."""
-    xi0s = np.concatenate([geo.Xi0, geo.H0[..., None, :]], axis=-2)
-    b_xi = geo.param_components(geo.f_tangent_part(xi0s))
-    rhs = -geo.f_normal_part(geo.shape_operator(xi0s)) - geo.h_params(b_xi)
-    return geo.norm_g(nabla_c_xi - rhs).max(axis=(-2, -1))
+    xis = np.concatenate([np.broadcast_to(np.eye(geo.m), geo.C0.shape), geo.Hn0[:, None]], axis=-2)
+    b_xi = xis @ (geo.P @ geo.B0).swapaxes(-1, -2)  # row: B xi in parameter components
+    a_xi = xis[:, None] @ geo.h_ce0.swapaxes(-1, -2)  # [a, row]: A_xi T_a on the tangent frame
+    rhs = -a_xi @ geo.omega0.swapaxes(-1, -2)[:, None] - b_xi[:, None] @ geo.hn0
+    return np.linalg.norm(nabla_c_xi - rhs, axis=-1).max(axis=(-2, -1))

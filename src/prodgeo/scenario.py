@@ -28,6 +28,8 @@ A scenario file is an INI-style document with four sections::
     classify_tol = 1e-8
 
 Numbers are written in ASCII without digit-group underscores, as in expressions.
+An empty entry of a list (a matrix row or entry, a map component, a point or a
+grid axis), a trailing one included, is an error, not skipped.
 A key that its section does not read (the ambient section's in its mode), or a
 key in a section other than these four, is an error, not ignored.
 
@@ -87,8 +89,9 @@ class LoadedScenario:
     tolerances: Tolerances
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    """Split at separators that are not nested inside parentheses."""
+def _split_top(text: str, sep: str, section: str) -> list[str]:
+    """Split at separators that are not nested inside parentheses; an empty
+    entry, a trailing one included, is an error of ``section``."""
     parts, current = [], None
     for piece in text.split(sep):
         current = piece if current is None else current + sep + piece
@@ -98,13 +101,14 @@ def _split_top(text: str, sep: str) -> list[str]:
             current = None
     if current is not None:
         parts.append(current.strip())
-    return [p for p in parts if p]
+    if not all(parts):
+        raise ScenarioError(f"empty entry in {text!r}", section)
+    return parts
 
 
 def _parse_matrix(text: str, section: str) -> list[list[str]]:
-    rows = _split_top(text, ";")
-    matrix = [_split_top(row, ",") for row in rows]
-    if not matrix or any(len(r) != len(matrix) for r in matrix):
+    matrix = [_split_top(row, ",", section) for row in _split_top(text, ";", section)]
+    if any(len(r) != len(matrix) for r in matrix):
         raise ScenarioError("matrix must be square (rows separated by ';')", section)
     return matrix
 
@@ -179,7 +183,7 @@ def _load_immersion(cfg: configparser.ConfigParser, space: AmbientSpace) -> Imme
     section = "immersion"
     n = _get_int(cfg, section, "n")
     label = cfg.get(section, "label", fallback="").strip()
-    components = _split_top(_get(cfg, section, "map"), ",")
+    components = _split_top(_get(cfg, section, "map"), ",", section)
     if len(components) != space.dim:
         raise DimensionMismatch(
             f"map has {len(components)} components but the ambient dimension is {space.dim}",
@@ -194,8 +198,7 @@ def _load_immersion(cfg: configparser.ConfigParser, space: AmbientSpace) -> Imme
 def _parse_points(text: str, n: int) -> tuple[tuple[float, ...], ...]:
     section = "samples"
     points = []
-    for chunk in _split_top(text, ";"):
-        chunk = chunk.strip()
+    for chunk in _split_top(text, ";", section):
         if not (chunk.startswith("(") and chunk.endswith(")")):
             raise ScenarioError(f"point {chunk!r} must be parenthesized", section)
         entries = [e.strip() for e in chunk[1:-1].split(",")]
@@ -210,15 +213,13 @@ def _parse_points(text: str, n: int) -> tuple[tuple[float, ...], ...]:
                 f"sample {chunk} has {len(point)} coordinates, expected {n}", section
             )
         points.append(point)
-    if not points:
-        raise ScenarioError("points list is empty", section)
     return tuple(points)
 
 
 def _parse_grid(text: str, n: int) -> tuple[tuple[float, ...], ...]:
     section = "samples"
     axes: dict[str, list[float]] = {}
-    for chunk in _split_top(text, ";"):
+    for chunk in _split_top(text, ";", section):
         pieces = [p.strip() for p in chunk.split(":")]
         if len(pieces) != 4:
             raise ScenarioError(

@@ -14,10 +14,13 @@ Taylor coefficients at the sample points.  The derivatives the connection
 calculus of :mod:`prodgeo.calculus` needs are read off the build's arrays
 (the Jacobian, the coordinate Hessian, the tables' derivatives), so a
 classification and a verification build the same geometry.
-Every array carries a leading axis over the sample points, so one build
-makes the same numpy calls for a whole document as for one point;
-:func:`point_geometry` reads row 0 of a one-point batch.  Contractions are
-stacked matrix products (``@``), one call for all points and rows.
+After the frames, the orthonormal frame is the one basis of the base-point
+vectors: h, H, phi/omega/B/C and the lemma tensors are frame components, so
+g is the identity on them and a norm is Euclidean.  Every array carries a
+leading axis over the sample points, so one build makes the same numpy calls
+for a whole document as for one point; :func:`point_geometry` reads row 0 of
+a one-point batch.  Contractions are stacked matrix products (``@``), one
+call for all points and rows.
 """
 
 from __future__ import annotations
@@ -88,13 +91,9 @@ class Immersion:
         used = frozenset().union(*(ex.variables(c) for c in components))
         if not used <= allowed:
             raise ex.UnknownVariable(sorted(used - allowed)[0])
-        samples = tuple(tuple(float(v) for v in s) for s in self.samples)
+        # as float tuples, each checked to be n finite coordinates
+        samples = tuple(map(tuple, _points(self.samples, self.n).tolist())) if len(self.samples) else ()
         object.__setattr__(self, "samples", samples)
-        for s in samples:
-            if len(s) != self.n:
-                raise ValueError(f"sample {s} does not have {self.n} coordinates")
-        if samples:
-            _points(samples, self.n)  # rejects a non-finite sample
         object.__setattr__(self, "_plan", ex.Plan([components]))
 
     @property
@@ -135,10 +134,18 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 
 def _points(samples, n: int) -> np.ndarray:
-    """Sample points as a ``(P, n)`` array; at least one is needed, and all finite."""
+    """Sample points as a ``(P, n)`` array; at least one is needed, each a
+    sequence of n coordinates, and all finite."""
     if len(samples) == 0:
         raise ValueError("classification needs at least one sample point")
-    u = np.reshape(np.asarray(samples, dtype=float), (len(samples), n))
+    for s in samples:
+        try:
+            shape = np.shape(s)
+        except ValueError:  # ragged below the sample, such as ((0.1,), 0.2)
+            shape = None
+        if shape != (n,):
+            raise ValueError(f"sample {s} does not have {n} coordinates")
+    u = np.asarray(samples, dtype=float)
     finite = np.isfinite(u).all(axis=1)
     if not finite.all():
         raise ValueError(f"sample point {tuple(u[np.argmin(finite)].tolist())} is not finite")
@@ -162,25 +169,27 @@ class _JetGeometry:
     computes the Jacobian ``J0``, the coordinate Hessian ``hessian`` (a
     mixed second derivative is its coefficient, ``d_a d_a f`` twice it),
     Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by one complete
-    QR of the whitened Jacobian, the tangent projector ``P_tan0``,
-    the induced metric ``G0`` and its inverse, ``hc0`` (the normal part of
-    the Hessian plus Gamma(T_a, T_b)), ``H0``, and everything the
-    classifier, the lemmas and T2-T4 read at the base points.
-    :func:`~prodgeo.calculus.lemma_tensors` takes the derivatives of the
-    projectors from the same arrays.
+    QR of the whitened Jacobian with their lowered rows ``GE0`` (g(e_s, .),
+    tangent rows first), the tangent projector ``P_tan0``, the induced
+    metric ``G0`` and its inverse, and the changes of basis ``P``
+    (e_a = P[c, a] T_c) and ``R`` (T_b = R[a, b] e_a).  Everything the
+    classifier, the lemmas and T2-T4 read at the base points is in frame
+    components: ``hn0`` (g(d_a d_b f + Gamma(T_a, T_b), xi_s) at [a, b, s]),
+    ``h_ce0`` and ``h_on0`` (h(d_c, e_b) and h(e_a, e_b) the same way),
+    ``Hn0`` and the blocks ``phi0``, ``omega0``, ``B0``, ``C0`` of F;
+    ``H0`` is H as a vector.  :func:`~prodgeo.calculus.lemma_tensors` takes
+    the derivatives of the projectors from the same arrays.
 
-    Two cases are read off the evaluated tables: a metric-derivative table
+    One case is read off the evaluated tables: a metric-derivative table
     that is a constant zero array sets ``flat``, and then ``GammaT0`` is
-    ``None`` and no Christoffel term is contracted; a constant identity
-    metric sets ``unit_metric``, and :meth:`lower0` returns its argument.
-    Decisions that differ between points (a finite immersion and finite
-    tables, the Jacobian rank, positive definiteness, a finite induced
-    metric) are masks over the points; a failing check names the first
-    failing point.  Before any can raise,
-    :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the tables'
-    values, the Christoffel symbols and the metric's leading minors into
-    ``ambient_report``; with ``strict`` a failed report raises, and where
-    the structure or its derivative is not finite it raises without
+    ``None`` and no Christoffel term is contracted.  Decisions that differ
+    between points (a finite immersion and finite tables, the Jacobian
+    rank, positive definiteness, a finite induced metric) are masks over
+    the points; a failing check names the first failing point.  Before any
+    can raise, :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the
+    tables' values, the Christoffel symbols and the metric's leading minors
+    into ``ambient_report``; with ``strict`` a failed report raises, and
+    where the structure or its derivative is not finite it raises without
     ``strict`` too, since there is nothing to verify.
     """
 
@@ -246,10 +255,9 @@ class _JetGeometry:
         # the Jacobian whitened by the metric's Cholesky factor, g = chol chol^T
         white = _t(chol) @ np.where(immersed[..., None, None], self.J0, 0.0)
         smallest = np.linalg.svd(white, compute_uv=False).min(axis=-1)
-        self.unit_metric = self.g0.ndim == 2 and np.array_equal(self.g0, np.eye(N))
         # induced metric G_ab = g(T_a, T_b), which overflows for a finite but huge J
         with np.errstate(over="ignore", invalid="ignore"):
-            self.G0 = T0 @ _t(self.lower0(T0))
+            self.G0 = _t(white) @ white
         induced = np.isfinite(self.G0).all(axis=(-2, -1))
         bad = ~immersed | ~definite | ~induced | (smallest <= 1e-8)
         for ok in finite.values():
@@ -291,101 +299,53 @@ class _JetGeometry:
         q, r = np.linalg.qr(white, mode="complete")
         q[..., :n] *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
         E0 = _t(np.linalg.solve(_t(chol), q))
-        GE0 = _t(chol @ q)
+        self.GE0 = _t(chol @ q)
         self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
-        self.P_tan0 = _t(self.E0) @ GE0[..., :n, :]
+        self.P_tan0 = _t(self.E0) @ self.GE0[..., :n, :]
 
         self.G0inv = np.linalg.inv(self.G0)
 
         # the coordinate Hessian hessian[..., a, b, :] = d_a d_b f, and the
-        # coordinate-frame second fundamental form hc0[..., a, b, :]: the normal
-        # part of d_a d_b f + Gamma(T_a, T_b)
+        # second fundamental form of the coordinate directions in normal
+        # components, hn0[..., a, b, s] = g(d_a d_b f + Gamma(T_a, T_b), xi_s)
         self.hessian = second = np.moveaxis(self.f.hessian(), 1, -1)  # (P, n, n, N)
         if not self.flat:
             second = second + T0[..., None, :, :] @ self.GammaT0
-        self.hc0 = self.project_normal(second)
+        self.hn0 = second @ _t(self.GE0[..., n:, :])[:, None]
 
-        # mean curvature H = (1/n) G^{ab} h_ab
-        hc_rows = self.hc0.reshape(npts, n * n, N)
-        self.H0 = (self.G0inv.reshape(npts, 1, n * n) @ hc_rows)[:, 0] * (1.0 / n)
-        self.Hsq = (self.H0 * self.lower0(self.H0)).sum(axis=-1)
+        # mean curvature H = (1/n) G^{ab} h_ab, in normal components and as a vector
+        hn_rows = self.hn0.reshape(npts, n * n, self.m)
+        self.Hn0 = (self.G0inv.reshape(npts, 1, n * n) @ hn_rows)[:, 0] * (1.0 / n)
+        self.Hsq = (self.Hn0 * self.Hn0).sum(axis=-1)
+        self.H0 = (self.Hn0[:, None] @ self.Xi0)[:, 0]
 
         # coordinate components of tangent vectors, v^a = G^ab g(T_b, v), and
-        # the frame decomposition of the tangent frame in them
+        # the two changes of basis between the coordinate and the tangent frame
         self.to_params = self.G0inv @ _t(self.J0) @ self.g0
         self.P = self.to_params @ _t(self.E0)  # e_a = P[..., :, a]^c T_c
-        # h(d_c, e_b) at [c, b], h(e_a, e_b) at [a, b] and its normal components
-        self.h_ce0 = _t(self.P)[..., None, :, :] @ self.hc0
-        h_on0 = (_t(self.P) @ self.h_ce0.reshape(npts, n, n * N)).reshape(npts, n * n, N)
-        self.h_on0 = h_on0.reshape(npts, n, n, N)
-        self.hcomp0 = (GE0[..., n:, :] @ _t(h_on0)).reshape(npts, self.m, n, n)
+        self.R = self.GE0[..., :n, :] @ self.J0  # T_b = R[..., :, b]^a e_a
+        # h(d_c, e_b) at [c, b], h(e_a, e_b) at [a, b], in normal components
+        self.h_ce0 = _t(self.P)[..., None, :, :] @ self.hn0
+        h_on0 = (_t(self.P) @ self.h_ce0.reshape(npts, n, n * self.m)).reshape(npts, n * n, self.m)
+        self.h_on0 = h_on0.reshape(npts, n, n, self.m)
+        self.hcomp0 = _t(h_on0).reshape(npts, self.m, n, n)
 
         # phi/omega (F on the tangent frame) and B/C (F on the normal frame):
         # the blocks of g(F e_s, e_r), tangent rows and columns first
-        m = GE0 @ self.F0 @ _t(E0)
+        m = self.GE0 @ self.F0 @ _t(E0)
         self.phi0, self.omega0 = m[..., :n, :n], m[..., n:, :n]
         self.B0, self.C0 = m[..., :n, n:], m[..., n:, n:]
         # max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |
-        h_dot_h = (self.h_on0 @ self.lower0(self.H0)[:, None, :, None])[..., 0]
+        h_dot_h = (self.h_on0 @ self.Hn0[:, None, :, None])[..., 0]
         self.pu_gap = np.abs(h_dot_h - self.Hsq[:, None, None] * np.eye(n)).max(axis=(-2, -1))
         # what the classes are defined by; each caller thresholds them with its tolerance
-        self.H_norm = np.sqrt(np.maximum(self.Hsq, 0.0))
+        self.H_norm = np.sqrt(self.Hsq)
         self.phi_norm, self.omega_norm, self.omega_phi_norm = (
             np.linalg.norm(m, axis=(-2, -1))
             for m in (self.phi0, self.omega0, self.omega0 @ self.phi0)
         )
         self.phi_singular = np.linalg.svd(self.phi0, compute_uv=False)
-
-    # ---- base-point tensor algebra ---------------------------------------
-    # Vectors are (P, batch..., N) arrays, parameter-space vectors
-    # (P, batch..., n); a batch axis may be a coordinate direction axis.  A
-    # per-point matrix acts on the rows of every point in one stacked matmul,
-    # a constant one (no point axis) on all rows at once.  h_params and
-    # shape_operator take one batch axis and return it behind the direction
-    # axis, (P, n, batch, N).
-
-    def _apply(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """``m v`` for every vector ``v`` of ``(P, batch..., K)``, with ``m``
-        ``(P, J, K)`` or a constant ``(J, K)``."""
-        if m.ndim == 2:
-            return v @ _t(m)
-        rows = v.reshape(len(v), -1, v.shape[-1])
-        return (rows @ _t(m)).reshape(v.shape[:-1] + m.shape[-2:-1])
-
-    def lower0(self, v: np.ndarray) -> np.ndarray:
-        """g(v, .) at the base points (``v`` itself for a unit metric)."""
-        return v if self.unit_metric else self._apply(self.g0, v)
-
-    def project_tangent(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.P_tan0, v)
-
-    def project_normal(self, v: np.ndarray) -> np.ndarray:
-        return v - self.project_tangent(v)
-
-    def norm_g(self, v: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.maximum((v * self.lower0(v)).sum(axis=-1), 0.0))
-
-    def f_tangent_part(self, v: np.ndarray) -> np.ndarray:
-        """phi on tangent vectors, B on normal vectors."""
-        return self.project_tangent(self._apply(self.F0, v))
-
-    def f_normal_part(self, v: np.ndarray) -> np.ndarray:
-        """omega on tangent vectors, C on normal vectors."""
-        return self.project_normal(self._apply(self.F0, v))
-
-    def param_components(self, v: np.ndarray) -> np.ndarray:
-        return self._apply(self.to_params, v)
-
-    def h_params(self, y_params: np.ndarray) -> np.ndarray:
-        """h(d_a, Y) for every coordinate direction a and row Y of ``y_params``."""
-        return y_params[..., None, :, :] @ self.hc0
-
-    def shape_operator(self, xi: np.ndarray) -> np.ndarray:
-        """A_xi d_a for every coordinate direction a and normal vector xi, a
-        row of ``xi``, via g(A_xi X, e_b) = g(h(X, e_b), xi)."""
-        coefficients = self.lower0(xi)[..., None, :, :] @ _t(self.h_ce0)
-        return coefficients @ self.E0[..., None, :, :]
 
 
 # ---- public per-point operations ----------------------------------------

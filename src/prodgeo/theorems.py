@@ -13,7 +13,8 @@ For every statement the residual of the identity equals a closed
 (T2: |H|^2 |omega X|; T3: |H|^2 |g(X, phi Y)|; T4: |H|^2 |g(omega phi X,
 CH)|), and the chain that produces the obstruction is itself checked as the
 "proof residual".  Each is float algebra on the coordinate-direction
-tensors of :func:`prodgeo.calculus.lemma_tensors`.  Directions range over
+tensors of :func:`prodgeo.calculus.lemma_tensors` and the build's h, H,
+phi, omega, B and C, all in orthonormal-frame components.  Directions range over
 the orthonormal tangent frame that the geometry completes from the
 coordinate tangents in parameter order, and each reported column is a
 maximum over that frame: of g-norms over the vectors e_a for T2, of
@@ -67,13 +68,14 @@ class _PointData:
         self.anti_invariant = geo.phi_norm <= tol
         self.omega_phi_zero = geo.omega_phi_norm <= tol
         self.rank_phi = _rank(geo.phi_singular, tol)
-        self.CH0 = geo.f_normal_part(geo.H0)
-        self.g_h, self.g_ch = geo.lower0(geo.H0), geo.lower0(self.CH0)
-        bh_params = geo.param_components(geo.f_tangent_part(geo.H0))
-        self.h_bh = geo.h_params(bh_params[..., None, :])[..., 0, :]  # row c: h(d_c, BH)
+        # H and CH in normal components, and BH in parameter components
+        self.h, self.ch = geo.Hn0, (geo.Hn0[:, None] @ geo.C0.swapaxes(-1, -2))[:, 0]
+        bh = geo.Hn0[:, None] @ (geo.P @ geo.B0).swapaxes(-1, -2)
+        self.h_bh = (bh[:, None] @ geo.hn0)[..., 0, :]  # row c: h(d_c, BH)
 
     def along(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(nabla_X C) H and h(X, BH) for every row X of ``x``, in parameter components."""
+        """(nabla_X C) H and h(X, BH) in normal components for every row X of
+        ``x``, in parameter components."""
         return x @ self.nabla_c_h, x @ self.h_bh
 
 
@@ -97,11 +99,11 @@ def _columns(data: _PointData, tol: float, identity, obstruction, proof, branche
 def _t2_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     d_ch, h_term = data.along(geo.P.swapaxes(-1, -2))  # row a: X = e_a
-    omega_x = geo.f_normal_part(geo.E0)
+    omega_x = geo.omega0.swapaxes(-1, -2)  # row a: omega e_a
     hsq = geo.Hsq[..., None]
-    identity = geo.norm_g(d_ch + h_term).max(axis=-1)
-    obstruction = (hsq * geo.norm_g(omega_x)).max(axis=-1)
-    proof = geo.norm_g(d_ch + hsq[..., None] * omega_x + h_term).max(axis=-1)
+    identity = np.linalg.norm(d_ch + h_term, axis=-1).max(axis=-1)
+    obstruction = (hsq * np.linalg.norm(omega_x, axis=-1)).max(axis=-1)
+    proof = np.linalg.norm(d_ch + hsq[..., None] * omega_x + h_term, axis=-1).max(axis=-1)
     branches = {"minimal": data.minimal, "invariant": data.invariant}
     return _columns(data, tol, identity, obstruction, proof, branches)
 
@@ -110,8 +112,8 @@ def _t3_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     # g((nabla_{e_a} omega) e_b, H) = P[c, a] P[d, b] g((nabla_{d_c} omega) T_d, H)
     p = geo.P
-    lhs = p.swapaxes(-1, -2) @ (data.nabla_omega_t @ data.g_h[..., None, :, None])[..., 0] @ p
-    rhs = (geo.h_on0 @ data.g_ch[..., None, :, None])[..., 0]
+    lhs = p.swapaxes(-1, -2) @ (data.nabla_omega_t @ data.h[..., None, :, None])[..., 0] @ p
+    rhs = (geo.h_on0 @ data.ch[..., None, :, None])[..., 0]
     hsq = geo.Hsq[..., None, None]
     identity = np.abs(lhs - rhs).max(axis=(-2, -1))
     obstruction = (hsq * np.abs(geo.phi0)).max(axis=(-2, -1))
@@ -122,11 +124,9 @@ def _t3_point(data: _PointData, tol: float) -> dict:
 
 def _t4_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
-    phi_x = geo.f_tangent_part(geo.E0)  # row a: X = phi e_a
-    d_ch, h_x = data.along(geo.param_components(phi_x))
-    lhs, h_term, o_term = (
-        (v @ data.g_ch[..., :, None])[..., 0] for v in (d_ch, h_x, geo.f_normal_part(phi_x))
-    )
+    d_ch, h_x = data.along((geo.P @ geo.phi0).swapaxes(-1, -2))  # row a: X = phi e_a
+    omega_phi_x = (geo.omega0 @ geo.phi0).swapaxes(-1, -2)
+    lhs, h_term, o_term = ((v @ data.ch[..., :, None])[..., 0] for v in (d_ch, h_x, omega_phi_x))
     hsq = geo.Hsq[..., None]
     identity = np.abs(lhs + h_term).max(axis=-1)
     obstruction = (hsq * np.abs(o_term)).max(axis=-1)

@@ -6,7 +6,10 @@ derivatives D_a P_T and D_a F of the tangent projector and of F from
 ``calculus._operator_derivatives``, and nabla omega / nabla C from
 ``calculus.lemma_tensors``, which ``verify`` runs.  Each returns one row per
 coordinate direction behind the point axis; a test contracts the rows with
-its direction and keeps the point axis.  The mean curvature field the
+its direction and keeps the point axis.  The library's tensors and h are
+normal-frame components; the tests read them as vectors through ``Xi0``
+and build their references on coordinate vectors from the build's
+``P_tan0``, ``F0``, ``to_params`` and ``h_ce0``.  The mean curvature field the
 oracle tests differentiate is the reference of the ``mean_curvature`` test
 module, paired by the metric table along the immersion.
 """
@@ -42,12 +45,46 @@ def _along(derivatives, direction):
     return np.tensordot(np.asarray(direction, float), derivatives, axes=(0, 1))
 
 
+def _per_point(geo, table):
+    """A table at the base points with its point axis, whether constant or not."""
+    return np.broadcast_to(table, (len(geo.u), geo.N, geo.N))
+
+
+def _tangent(geo, v):
+    """The tangent part of the vectors ``v``, by the build's projector ``P_tan0``."""
+    return np.einsum("pij,p...j->p...i", geo.P_tan0, v)
+
+
+def _normal(geo, v):
+    return v - _tangent(geo, v)
+
+
+def _f(geo, v):
+    return np.einsum("pij,p...j->p...i", _per_point(geo, geo.F0), v)
+
+
+def _params(geo, v):
+    """Parameter components of the tangent vectors ``v``, by ``to_params``."""
+    return np.einsum("pai,p...i->p...a", geo.to_params, v)
+
+
+def _hc(geo):
+    """h(d_a, d_b) as vectors at [a, b], from the normal-frame components ``hn0``."""
+    return geo.hn0 @ geo.Xi0[:, None]
+
+
+def _lemma_tensors(geo):
+    """The tensors of ``calculus.lemma_tensors`` as vectors, from their
+    normal-frame components."""
+    return tuple(t @ geo.Xi0[:, None] for t in calculus.lemma_tensors(geo))
+
+
 def _nabla_tan(geo, b, direction):
     """nabla_X T_b: the tangent part of d_X T_b + Gamma(X, T_b), from the Hessian."""
     second = geo.hessian[:, :, b]  # row a: d_a T_b
     if not geo.flat:
         second = second + (geo.J0[:, None, None, :, b] @ geo.GammaT0)[:, :, 0]
-    return geo.project_tangent(_along(second, direction))
+    return _tangent(geo, _along(second, direction))
 
 
 def _apply(rows, v):
@@ -61,16 +98,19 @@ def _nabla_c(geo, xi):
     d_tan, d_f = calculus._operator_derivatives(geo)
     f = geo.F0 if geo.F0.ndim == 2 else geo.F0[:, None]
     moved = _apply(d_f, xi) - _apply(d_tan, _apply(f, xi)) - _apply(f, _apply(d_tan, xi))
-    return geo.project_normal(moved)
+    return _normal(geo, moved)
 
 
 def _h(geo, x, y_params):
     """h(X, Y) for X and Y in parameter components."""
-    return _along(geo.h_params(np.reshape(y_params, (1, 1, -1))), x)[:, 0]
+    return np.einsum("a,b,pabi->pi", np.asarray(x, float), np.reshape(y_params, -1), _hc(geo))
 
 
 def _shape_operator(geo, x, xi):
-    return _along(geo.shape_operator(np.reshape(xi, (1, 1, -1))), x)[:, 0]
+    """A_xi X = sum_b g(h(X, e_b), xi) e_b, with h(d_c, e_b) from ``h_ce0``."""
+    h_xb = np.einsum("c,pcbs,psi->pbi", np.asarray(x, float), geo.h_ce0, geo.Xi0)
+    coefficients = np.einsum("pbi,pij,pj->pb", h_xb, _per_point(geo, geo.g0), xi)
+    return np.einsum("pb,pbi->pi", coefficients, geo.E0)
 
 
 def _pairing(space, geo, a, b):
@@ -115,18 +155,18 @@ def test_weingarten_cross_check_on_circle():
     geo = _geometry(imm, FLAT11, u)
     d_tan, _ = calculus._operator_derivatives(geo)
     moved = _along(_apply(d_tan, geo.Xi0[:, None, 0]), [1.0])
-    a_e = geo.project_tangent(moved)
+    a_e = _tangent(geo, moved)
     h_ee_dot_xi = float(geo.hcomp0[0, 0, 0, 0])  # = -1 for the outward frame
     expected = h_ee_dot_xi * geo.E0[:, 0]
     assert abs(abs(h_ee_dot_xi) - 1.0) <= 1e-12
     assert np.max(np.abs(a_e - expected)) <= 1e-12
-    assert np.max(np.abs(geo.project_normal(moved))) <= 1e-12
+    assert np.max(np.abs(_normal(geo, moved))) <= 1e-12
 
 
 def test_nabla_omega_invariant_and_anti_invariant_vanish():
     torus = catalog_get("square-torus-aligned")
     geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
-    nabla_omega_t, _ = calculus.lemma_tensors(geo)
+    nabla_omega_t, _ = _lemma_tensors(geo)
     for a in range(2):
         for b in range(2):
             direction = [1.0 if i == a else 0.0 for i in range(2)]
@@ -134,7 +174,7 @@ def test_nabla_omega_invariant_and_anti_invariant_vanish():
             assert np.max(np.abs(out)) <= 1e-12
     diag = Immersion(1, ("u1", "u1"))
     geo = _geometry(diag, FLAT11, (0.4,))
-    out = _along(calculus.lemma_tensors(geo)[0][:, :, 0], (1.0,))
+    out = _along(_lemma_tensors(geo)[0][:, :, 0], (1.0,))
     assert np.max(np.abs(out)) <= 1e-14
 
 
@@ -143,12 +183,12 @@ def test_nabla_omega_circle_closed_form():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     for u in (0.0, math.pi / 8, 0.9):
         geo = _geometry(imm, FLAT11, (u,))
-        out = _along(calculus.lemma_tensors(geo)[0][:, :, 0], (1.0,))
+        out = _along(_lemma_tensors(geo)[0][:, :, 0], (1.0,))
         sign = math.copysign(1.0, geo.Xi0[0, 0] @ [math.cos(u), math.sin(u)])
         expected = -2.0 * math.cos(2 * u) * sign * geo.Xi0[:, 0]
         assert np.max(np.abs(out - expected)) <= 1e-9
-        rhs = geo.f_normal_part(_h(geo, np.array([1.0]), np.array([1.0])))
-        phi_t = geo.param_components(geo.f_tangent_part(geo.J0[:, :, 0]))
+        rhs = _normal(geo, _f(geo, _h(geo, np.array([1.0]), np.array([1.0]))))
+        phi_t = _params(geo, _tangent(geo, _f(geo, geo.J0[:, :, 0])))
         rhs = rhs - _h(geo, np.array([1.0]), phi_t)
         assert np.max(np.abs(out - rhs)) <= 1e-9
 
@@ -157,7 +197,7 @@ def test_nabla_C_flat_plane_vanishes():
     # the normal frame column and the H column
     plane = Immersion(2, ("u1", "u2", "0"))
     geo = _geometry(plane, FLAT21, (0.3, 0.1))
-    nabla_c_xi = calculus.lemma_tensors(geo)[1]
+    nabla_c_xi = _lemma_tensors(geo)[1]
     for xi in (0, -1):
         assert np.max(np.abs(_along(nabla_c_xi[:, :, xi], (1.0, 1.0)))) <= 1e-13
 
@@ -172,7 +212,7 @@ def test_nabla_C_circle_matches_oracle():
         return float(pg.Cm[0, 0])
 
     geo = _geometry(imm, FLAT11, (u0,))
-    out = _along(calculus.lemma_tensors(geo)[1][:, :, 0], (1.0,))
+    out = _along(_lemma_tensors(geo)[1][:, :, 0], (1.0,))
     # (nabla C) xi dotted with xi equals d/dt C - C * d... both normal bundles
     # are rank one, so compare the xi component against the derivative of the
     # scalar C(u) (the connection of a rank-one bundle has no extra term).
@@ -184,14 +224,14 @@ def test_nabla_C_circle_matches_oracle():
 def test_nabla_C_torus_mean_curvature_field():
     torus = catalog_get("square-torus-aligned")
     geo = _geometry(torus.immersion, torus.space, (0.5, 1.1))
-    nabla_c_h = calculus.lemma_tensors(geo)[1][:, :, -1]
+    nabla_c_h = _lemma_tensors(geo)[1][:, :, -1]
     for a in range(2):
         direction = [1.0 if i == a else 0.0 for i in range(2)]
         out = _along(nabla_c_h, direction)
         # rhs of the second identity with xi = H: -omega A_H X - h(X, BH)
         x = np.asarray(direction, float)
-        rhs = -geo.f_normal_part(_shape_operator(geo, x, geo.H0))
-        rhs = rhs - _h(geo, x, geo.param_components(geo.f_tangent_part(geo.H0)))
+        rhs = -_normal(geo, _f(geo, _shape_operator(geo, x, geo.H0)))
+        rhs = rhs - _h(geo, x, _params(geo, _tangent(geo, _f(geo, geo.H0))))
         assert np.max(np.abs(out)) <= 1e-9
         assert np.max(np.abs(out - rhs)) <= 1e-9
 
@@ -230,11 +270,11 @@ def test_nabla_omega_is_tensorial_in_y():
     geo = _geometry(scn.immersion, scn.space, u0)
     d_tan, d_f = calculus._operator_derivatives(geo)
     f = geo.F0 if geo.F0.ndim == 2 else geo.F0[:, None]
-    rows = calculus.lemma_tensors(geo)[0]
+    rows = _lemma_tensors(geo)[0]
     for coefficients in ((0.0, 1.0), (1.0, 1.0), (u0[0], -2.0)):
         y = (geo.J0 @ np.asarray(coefficients))[:, None]  # (1, 1, N)
-        direct = geo.project_normal(
-            _apply(d_f, y) - _apply(d_tan, _apply(f, y)) + _apply(f, _apply(d_tan, y)))
+        direct = _normal(
+            geo, _apply(d_f, y) - _apply(d_tan, _apply(f, y)) + _apply(f, _apply(d_tan, y)))
         contracted = np.tensordot(rows, np.asarray(coefficients), axes=(2, 0))
         assert np.max(np.abs(direct - contracted)) <= 1e-9
 
@@ -244,7 +284,7 @@ def test_nabla_omega_is_linear_in_x():
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
-    rows = calculus.lemma_tensors(geo)[0][:, :, 1]
+    rows = _lemma_tensors(geo)[0][:, :, 1]
     xa, xb, xc = (_along(rows, d) for d in directions)
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
 
@@ -256,7 +296,7 @@ def test_nabla_C_is_linear_in_x(xi):
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
     directions = [(1.0, 0.0), (0.0, 1.0), (2.0, -3.0)]
-    rows = calculus.lemma_tensors(geo)[1][:, :, -1 if xi == "H" else xi]
+    rows = _lemma_tensors(geo)[1][:, :, -1 if xi == "H" else xi]
     xa, xb, xc = (_along(rows, d) for d in directions)
     assert np.max(np.abs(xa)) > 1e-3
     assert np.max(np.abs(xc - (2.0 * xa - 3.0 * xb))) <= 1e-9
@@ -267,7 +307,7 @@ def test_nabla_C_is_additive_in_xi():
     # vectors, and to H, is the same combination of the library's rows
     scn = catalog_get("square-torus-rotated")
     geo = _geometry(scn.immersion, scn.space, scn.samples[0])
-    rows = calculus.lemma_tensors(geo)[1]
+    rows = _lemma_tensors(geo)[1]
     xi0, xi1 = rows[:, :, 0], rows[:, :, 1]
     assert np.max(np.abs(xi0)) > 1e-3
     assert np.max(np.abs(_nabla_c(geo, geo.Xi0[:, None, 0]) - xi0)) <= 1e-12
@@ -302,12 +342,12 @@ def test_gauss_and_weingarten_reassembly():
             geo = _geometry(scn.immersion, scn.space, u)
             d_tan, _ = calculus._operator_derivatives(geo)
             gauss = (d_tan @ geo.J0[:, None]).swapaxes(-1, -2)  # [a, b]
-            assert np.max(np.abs(gauss - geo.hc0)) <= 1e-10, label
+            assert np.max(np.abs(gauss - _hc(geo))) <= 1e-10, label
             for alpha in range(geo.m):
                 xi0 = geo.Xi0[:, alpha]
                 for a in range(geo.n):
                     x = np.eye(geo.n)[a]
-                    weingarten = geo.project_tangent(_along(_apply(d_tan, xi0[:, None]), x))
+                    weingarten = _tangent(geo, _along(_apply(d_tan, xi0[:, None]), x))
                     assert np.max(np.abs(weingarten - _shape_operator(geo, x, xi0))) <= 1e-10, label
 
 

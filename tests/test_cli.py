@@ -185,6 +185,11 @@ MALFORMED = {
     "unread-immersion-key": ("immersion", REFLECTION_CIRCLE["immersion"] + "\nlable = x"),
     "unread-samples-key": ("samples", "points = (0.5,)\nseed = 3"),
     "unknown-section": ("notes", "author = someone"),
+    # an empty list entry, a trailing one included, is an error, not skipped
+    "empty-matrix-entry": ("ambient", REFLECTION_CIRCLE["ambient"].replace("= 1, 0; 0, 1", "= 1,, 0; 0, 1")),
+    "empty-map-component": ("immersion", "n = 1\nmap = cos(u1),, sin(u1)"),
+    "empty-point": ("samples", "points = (0.5,);; (1.0,)"),
+    "trailing-point-separator": ("samples", "points = (0.5,); (1.0,);"),
 }
 
 

@@ -10,7 +10,11 @@ order-2 seed, the metric and F from the space's tables along the immersion,
 the normal fields xi_s = P_N(u) Xi0[s] with P_N = I - T G^-1 T^T g, and the
 mean curvature field of the ``mean_curvature`` test module, where the
 library applies the operator product to H0 as one more normal column.
-Both read the same base-point geometry.  Each library array must lie
+The library's tensors, h and H are components in the orthonormal normal
+frame; the tensors are compared as vectors through ``Xi0``, and the
+references read h(d_a, d_b) as ``hn0 @ Xi0`` and otherwise work on
+coordinate vectors with the metric.  Both read the same base-point
+geometry.  Each library array must lie
 within 1e-12 of the reference array's largest entry, or of the size of the
 terms it is summed from where that is larger (at least 1): a residual of a
 true identity, or a tensor that vanishes, is roundoff in those terms.
@@ -87,15 +91,20 @@ def _param_components(geo, v):
     return np.einsum("...ai,...i->...a", _fit(geo, geo.to_params, 2, v), v)
 
 
+def _hc(geo):
+    """The coordinate-frame second fundamental form as vectors, h(d_a, d_b) at [a, b]."""
+    return np.einsum("...abs,...si->...abi", geo.hn0, geo.Xi0)
+
+
 def _h_params(geo, x_params, y_params):
     x_params = _fit(geo, np.asarray(x_params, dtype=float), 1, y_params)
     return np.einsum(
-        "...a,...b,...abi->...i", x_params, y_params, _fit(geo, geo.hc0, 3, y_params)
+        "...a,...b,...abi->...i", x_params, y_params, _fit(geo, _hc(geo), 3, y_params)
     )
 
 
 def _shape_operator(geo, x_params, xi):
-    h_xb = np.einsum("...a,...cb,...aci->...bi", x_params, geo.P, geo.hc0)
+    h_xb = np.einsum("...a,...cb,...aci->...bi", x_params, geo.P, _hc(geo))
     h_xb_lowered = np.einsum("...bi,...ij->...bj", h_xb, geo.g0)
     coefficients = np.einsum("...bj,...j->...b", _fit(geo, h_xb_lowered, 2, xi), xi)
     return np.einsum("...b,...bi->...i", coefficients, _fit(geo, geo.E0, 2, xi))
@@ -170,8 +179,8 @@ def _reference_tensors(geo, space, imm, h_field):
 
 def _reference_lemma1(geo, nabla_omega_t):
     phi_y = _param_components(geo, _f_tangent_part(geo, geo.J0.swapaxes(-1, -2)))
-    h_x_phi_y = np.einsum("...bd,...adi->...abi", phi_y, geo.hc0)
-    residual = nabla_omega_t + h_x_phi_y - _f_normal_part(geo, geo.hc0)
+    h_x_phi_y = np.einsum("...bd,...adi->...abi", phi_y, _hc(geo))
+    residual = nabla_omega_t + h_x_phi_y - _f_normal_part(geo, _hc(geo))
     return _norm_g(geo, residual).max(axis=(-2, -1))
 
 
@@ -194,7 +203,7 @@ def _reference_theorems(geo, nabla_omega_t, nabla_c_xi):
 
     def along(x):
         d_ch = np.einsum("...ac,...ci->...ai", x, nabla_c_h)
-        h_term = np.einsum("...ac,...d,...cdi->...ai", x, bh_params, geo.hc0)
+        h_term = np.einsum("...ac,...d,...cdi->...ai", x, bh_params, _hc(geo))
         return d_ch, h_term
 
     out = {}
@@ -208,7 +217,8 @@ def _reference_theorems(geo, nabla_omega_t, nabla_c_xi):
     )
     nabla_omega_e = np.einsum("...ca,...db,...cdi->...abi", geo.P, geo.P, nabla_omega_t)
     lhs = np.einsum("...abi,...ij,...j->...ab", nabla_omega_e, geo.g0, geo.H0)
-    rhs = np.einsum("...abi,...ij,...j->...ab", geo.h_on0, geo.g0, ch0)
+    h_on = np.einsum("...abs,...si->...abi", geo.h_on0, geo.Xi0)
+    rhs = np.einsum("...abi,...ij,...j->...ab", h_on, geo.g0, ch0)
     hsq = geo.Hsq[..., None, None]
     out["t3"] = (
         np.abs(lhs - rhs).max(axis=(-2, -1)),
@@ -250,9 +260,12 @@ def test_kernels_match_the_einsum_references(label, space, imm):
         geo, space, imm, mean_curvature_field(imm, space, np.array(imm.samples)))
     # every array here is a sum of terms of this size, and some of them
     # (the tensors of an invariant surface, the lemma residuals) are roundoff
-    terms = max(np.abs(ref_t).max(), np.abs(geo.hc0).max(), geo.Hsq.max(), 1.0)
-    _close(nabla_omega_t, ref_omega, terms, (label, "nabla omega"))
-    _close(nabla_c_xi, ref_c, terms, (label, "nabla C"))
+    terms = max(np.abs(ref_t).max(), np.abs(_hc(geo)).max(), geo.Hsq.max(), 1.0)
+    # the library's tensors are normal-frame components: vectors through Xi0
+    assert nabla_omega_t.shape[-1] == nabla_c_xi.shape[-1] == geo.m, label
+    xi0 = geo.Xi0[:, None]
+    _close(nabla_omega_t @ xi0, ref_omega, terms, (label, "nabla omega"))
+    _close(nabla_c_xi @ xi0, ref_c, terms, (label, "nabla C"))
     _close(calculus._lemma1_point(geo, nabla_omega_t), _reference_lemma1(geo, ref_omega),
            terms, (label, "lemma1"))
     _close(calculus._lemma2_point(geo, nabla_c_xi), _reference_lemma2(geo, ref_c),

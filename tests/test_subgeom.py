@@ -313,6 +313,24 @@ def test_non_finite_sample_is_a_value_error_naming_it():
         assert not isinstance(err.value, DegenerateImmersion)
 
 
+@pytest.mark.parametrize("samples", [
+    [(0.1, 0.2)],  # one point with two coordinates
+    [[[0.1]], [[0.2]]],  # points nested one level too deep
+    [(0.1,), (0.2, 0.3)],  # ragged
+    [0.1, 0.2],  # flat: numbers, not points
+    [((0.1,), 0.2)],  # a coordinate that is a sequence
+], ids=["two-coordinates", "nested", "ragged", "flat", "nested-coordinate"])
+def test_every_sample_is_a_sequence_of_n_coordinates(samples):
+    imm = Immersion(1, ("cos(u1)", "sin(u1)"))
+    for call in (
+        lambda: classify(imm, FLAT11, samples),
+        lambda: verify(FLAT11, imm, samples),
+        lambda: Immersion(1, imm.components, samples=samples),
+    ):
+        with pytest.raises(ValueError, match=r"^sample .* does not have 1 coordinates$"):
+            call()
+
+
 def test_non_finite_metric_is_rejected_by_the_geometry():
     from prodgeo.ambient import SingularMetric
 
@@ -526,12 +544,12 @@ def test_frames_match_the_gram_schmidt_loop_in_jets():
         (frame, lowered), smallest = _reference_tangent_frame(geo, space)
         good = smallest >= 1e-3
         ill_conditioned |= {(key[0], int(p)) for p in np.flatnonzero(~good)}
-        for got, want in zip((geo.E0, geo.lower0(geo.E0)), (frame, lowered)):
+        for got, want in zip((geo.E0, geo.E0 @ geo.g0), (frame, lowered)):
             scale = np.abs(want.value[good]).max(axis=(-2, -1))
             diff = np.abs(got - want.value)[good].max(axis=(-2, -1))
             assert (diff <= 1e-12 * scale).all(), key
         basis = np.concatenate([geo.E0, geo.Xi0], axis=-2)
-        gram = basis @ geo.lower0(basis).swapaxes(-1, -2)
+        gram = basis @ (basis @ geo.g0).swapaxes(-1, -2)
         assert np.abs(gram - np.eye(geo.N)).max() <= 1e-12, key
         projector = jets.einsum("...ai,...aj->...ij", frame, lowered)
         want = np.moveaxis(projector.gradient(), -1, 1)  # [a]: d_a P_T
