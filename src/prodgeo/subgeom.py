@@ -92,8 +92,8 @@ class Immersion:
         if not used <= allowed:
             raise ex.UnknownVariable(sorted(used - allowed)[0])
         # as float tuples, each checked to be n finite coordinates
-        samples = tuple(map(tuple, _points(self.samples, self.n).tolist())) if len(self.samples) else ()
-        object.__setattr__(self, "samples", samples)
+        samples = _points(self.samples, self.n).tolist() if len(self.samples) else ()
+        object.__setattr__(self, "samples", tuple(map(tuple, samples)))
         object.__setattr__(self, "_plan", ex.Plan([components]))
 
     @property

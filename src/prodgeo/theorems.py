@@ -14,9 +14,9 @@ For every statement the residual of the identity equals a closed
 CH)|), and the chain that produces the obstruction is itself checked as the
 "proof residual".  Each is float algebra on the coordinate-direction
 tensors of :func:`prodgeo.calculus.lemma_tensors` and the build's h, H,
-phi, omega, B and C, all in orthonormal-frame components.  Directions range over
-the orthonormal tangent frame that the geometry completes from the
-coordinate tangents in parameter order, and each reported column is a
+phi, omega, B and C, all in orthonormal-frame components.  Directions
+range over the orthonormal tangent frame that the geometry completes from
+the coordinate tangents in parameter order, and each reported column is a
 maximum over that frame: of g-norms over the vectors e_a for T2, of
 absolute values over the pairs (e_a, e_b) for T3 and over the vectors
 phi e_a for T4.  A column is so a number of that frame, not of the
@@ -68,8 +68,8 @@ class _PointData:
         self.anti_invariant = geo.phi_norm <= tol
         self.omega_phi_zero = geo.omega_phi_norm <= tol
         self.rank_phi = _rank(geo.phi_singular, tol)
-        # H and CH in normal components, and BH in parameter components
-        self.h, self.ch = geo.Hn0, (geo.Hn0[:, None] @ geo.C0.swapaxes(-1, -2))[:, 0]
+        # CH in normal components, and BH in parameter components
+        self.ch = (geo.Hn0[:, None] @ geo.C0.swapaxes(-1, -2))[:, 0]
         bh = geo.Hn0[:, None] @ (geo.P @ geo.B0).swapaxes(-1, -2)
         self.h_bh = (bh[:, None] @ geo.hn0)[..., 0, :]  # row c: h(d_c, BH)
 
@@ -112,7 +112,7 @@ def _t3_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     # g((nabla_{e_a} omega) e_b, H) = P[c, a] P[d, b] g((nabla_{d_c} omega) T_d, H)
     p = geo.P
-    lhs = p.swapaxes(-1, -2) @ (data.nabla_omega_t @ data.h[..., None, :, None])[..., 0] @ p
+    lhs = p.swapaxes(-1, -2) @ (data.nabla_omega_t @ geo.Hn0[..., None, :, None])[..., 0] @ p
     rhs = (geo.h_on0 @ data.ch[..., None, :, None])[..., 0]
     hsq = geo.Hsq[..., None, None]
     identity = np.abs(lhs - rhs).max(axis=(-2, -1))
@@ -125,7 +125,7 @@ def _t3_point(data: _PointData, tol: float) -> dict:
 def _t4_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
     d_ch, h_x = data.along((geo.P @ geo.phi0).swapaxes(-1, -2))  # row a: X = phi e_a
-    omega_phi_x = (geo.omega0 @ geo.phi0).swapaxes(-1, -2)
+    omega_phi_x = (geo.omega0 @ geo.phi0).swapaxes(-1, -2)  # row a: omega phi e_a
     lhs, h_term, o_term = ((v @ data.ch[..., :, None])[..., 0] for v in (d_ch, h_x, omega_phi_x))
     hsq = geo.Hsq[..., None]
     identity = np.abs(lhs + h_term).max(axis=-1)
