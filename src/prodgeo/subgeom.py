@@ -12,11 +12,12 @@ only, at every entry point, and the one jet of the build: every other value,
 the ambient tables and their derivatives included, is float algebra on its
 Taylor coefficients at the sample points.  The derivatives the connection
 calculus of :mod:`prodgeo.calculus` needs are read off the build's arrays
-(the Jacobian, the coordinate Hessian, the tables' derivatives), so a
-classification and a verification build the same geometry.
+(the frame Hessian, the tables' derivatives), so a classification and a
+verification build the same geometry.
 After the frames, the orthonormal frame is the one basis of the base-point
-vectors: h, H, phi/omega/B/C and the lemma tensors are frame components, so
-g is the identity on them and a norm is Euclidean.  Every array carries a
+vectors and of the directions: h, H, phi/omega/B/C and the lemma tensors are
+frame components along frame vectors, so g is the identity on them and a
+norm is Euclidean.  Every array carries a
 leading axis over the sample points, so one build makes the same numpy calls
 for a whole document as for one point; :func:`point_geometry` reads row 0 of
 a one-point batch.  Contractions are stacked matrix products (``@``), one
@@ -25,6 +26,7 @@ call for all points and rows.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -135,16 +137,19 @@ def _t(a: np.ndarray) -> np.ndarray:
 
 def _points(samples, n: int) -> np.ndarray:
     """Sample points as a ``(P, n)`` array; at least one is needed, each a
-    sequence of n coordinates, and all finite."""
+    sequence of n real numbers, and all finite."""
     if len(samples) == 0:
         raise ValueError("classification needs at least one sample point")
     for s in samples:
         try:
-            shape = np.shape(s)
+            coords = np.asarray(s)
         except ValueError:  # ragged below the sample, such as ((0.1,), 0.2)
-            shape = None
-        if shape != (n,):
+            coords = None
+        if coords is None or coords.shape != (n,):
             raise ValueError(f"sample {s} does not have {n} coordinates")
+        # None, a string or a complex number is not a coordinate; a Fraction is
+        if coords.dtype.kind not in "biuf" and not all(isinstance(c, numbers.Real) for c in s):
+            raise ValueError(f"sample {s} has a coordinate that is not a real number")
     u = np.asarray(samples, dtype=float)
     finite = np.isfinite(u).all(axis=1)
     if not finite.all():
@@ -166,22 +171,22 @@ class _JetGeometry:
     entries are all constants, such as the derivatives of a linear entry.
 
     From the Taylor coefficients of ``f`` and the tables the construction
-    computes the Jacobian ``J0``, the coordinate Hessian ``hessian`` (a
-    mixed second derivative is its coefficient, ``d_a d_a f`` twice it),
-    Gamma(T_a, .) as ``GammaT0``, the frames ``E0``/``Xi0`` by one complete
-    QR of the whitened Jacobian with their lowered rows ``GE0`` (g(e_s, .),
-    tangent rows first), the tangent projector ``P_tan0``, the induced
-    metric ``G0`` and its inverse, and the changes of basis ``P``
-    (e_a = P[c, a] T_c) and ``R`` (T_b = R[a, b] e_a).  Everything the
-    classifier, the lemmas and T2-T4 read at the base points is in frame
-    components: ``hn0`` (g(d_a d_b f + Gamma(T_a, T_b), xi_s) at [a, b, s]),
-    ``h_ce0`` and ``h_on0`` (h(d_c, e_b) and h(e_a, e_b) the same way),
-    ``Hn0`` and the blocks ``phi0``, ``omega0``, ``B0``, ``C0`` of F;
-    ``H0`` is H as a vector.  :func:`~prodgeo.calculus.lemma_tensors` takes
-    the derivatives of the projectors from the same arrays.
+    computes the Jacobian ``J0``, the induced metric ``G0``, the frames
+    ``E0``/``Xi0`` by one complete QR of the whitened Jacobian with their
+    lowered rows ``GE0`` (g(e_s, .), tangent rows first), the tangent
+    projector ``P_tan0`` and, from the QR's triangle, the change of basis
+    ``R`` (T_b = R[a, b] e_a).  The chart enters only there: every direction
+    after it is a tangent frame vector, so the frame Hessian ``S0`` (the
+    second derivatives of ``f`` along e_a and e_b), Gamma(e_a, .) as
+    ``GammaE0``, ``h_on0`` (g(h(e_a, e_b), xi_s) at [a, b, s]), ``Hn0`` and the
+    blocks ``phi0``, ``omega0``, ``B0``, ``C0`` of F are frame components,
+    and g is the identity on them; ``H0`` is H as a vector.
+    :func:`~prodgeo.calculus.lemma_tensors` takes the derivatives of the
+    projectors from the same arrays, and only the two lemma residuals read
+    ``R``, to report coordinate directions.
 
     One case is read off the evaluated tables: a metric-derivative table
-    that is a constant zero array sets ``flat``, and then ``GammaT0`` is
+    that is a constant zero array sets ``flat``, and then ``GammaE0`` is
     ``None`` and no Christoffel term is contracted.  Decisions that differ
     between points (a finite immersion and finite tables, the Jacobian
     rank, positive definiteness, a finite induced metric) are masks over
@@ -241,7 +246,6 @@ class _JetGeometry:
         # the Jacobian J0[..., i, a] = d f^i / d u^a, read off the immersion's
         # Taylor coefficients; the tangent vectors T_a are its columns
         self.J0 = self.f.gradient()
-        T0 = _t(self.J0)
 
         # the image, J and the higher derivatives of the immersion, and each
         # table with its derivatives, finite at every point
@@ -285,51 +289,43 @@ class _JetGeometry:
                 f"Jacobian rank < {n} at {at} (smallest singular value {smallest[p]:.3e})"
             )
 
-        # unless the connection vanishes, Gamma(T_a, .) at the base points with
-        # the direction first: GammaT0[..., a, k, i] = Gamma^i_jk T_a^j
-        self.GammaT0 = None
-        if not self.flat:
-            gamma0 = np.moveaxis(gamma0, -3, -1).reshape(npts, N, N * N)  # [j, k, i]
-            self.GammaT0 = (T0 @ gamma0).reshape(npts, n, N, N)
-
         # orthonormal frames under the ambient metric from one complete QR,
         # white = q r: the first n columns of q, signed so that diag(r) > 0, are
         # the Gram-Schmidt frame of the tangent columns in parameter order, the
-        # rest complete it; e_s = chol^-T q_s and g(e_s, .) = chol q_s
+        # rest complete it; e_s = chol^-T q_s and g(e_s, .) = chol q_s.  The
+        # signed upper triangle of r is R (T_b = R[..., :, b]^a e_a, as J = E R)
+        # and its inverse P the tangent frame in the chart (e_a = P[..., :, a]^c T_c)
         q, r = np.linalg.qr(white, mode="complete")
-        q[..., :n] *= np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+        sign = np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)
+        q[..., :n] *= sign[..., None, :]
+        self.R = r[..., :n, :] * sign[..., :, None]
+        P = np.linalg.inv(self.R)
         E0 = _t(np.linalg.solve(_t(chol), q))
         self.GE0 = _t(chol @ q)
         self.E0, self.Xi0 = E0[..., :n, :], E0[..., n:, :]
         # tangent projector at the base points: P^i_j v^j = sum_a g(v, e_a) e_a^i
         self.P_tan0 = _t(self.E0) @ self.GE0[..., :n, :]
 
-        self.G0inv = np.linalg.inv(self.G0)
-
-        # the coordinate Hessian hessian[..., a, b, :] = d_a d_b f, and the
-        # second fundamental form of the coordinate directions in normal
-        # components, hn0[..., a, b, s] = g(d_a d_b f + Gamma(T_a, T_b), xi_s)
-        self.hessian = second = np.moveaxis(self.f.hessian(), 1, -1)  # (P, n, n, N)
+        # unless the connection vanishes, Gamma(e_a, .) at the base points with
+        # the direction first: GammaE0[..., a, k, i] = Gamma^i_jk e_a^j
+        self.GammaE0 = None
         if not self.flat:
-            second = second + T0[..., None, :, :] @ self.GammaT0
-        self.hn0 = second @ _t(self.GE0[..., n:, :])[:, None]
+            gamma0 = np.moveaxis(gamma0, -3, -1).reshape(npts, N, N * N)  # [j, k, i]
+            self.GammaE0 = (self.E0 @ gamma0).reshape(npts, n, N, N)
 
-        # mean curvature H = (1/n) G^{ab} h_ab, in normal components and as a vector
-        hn_rows = self.hn0.reshape(npts, n * n, self.m)
-        self.Hn0 = (self.G0inv.reshape(npts, 1, n * n) @ hn_rows)[:, 0] * (1.0 / n)
+        # the frame Hessian S0[..., a, b, :] = P^c_a P^d_b d_c d_d f, the second
+        # derivative along the frame vectors, and the second fundamental form in
+        # normal components, h_on0[..., a, b, s] = g(S0[a, b] + Gamma(e_a, e_b), xi_s)
+        self.S0 = second = np.moveaxis(_t(P)[:, None] @ self.f.hessian() @ P[:, None], 1, -1)
+        if not self.flat:
+            second = second + self.E0[..., None, :, :] @ self.GammaE0
+        self.h_on0 = second @ _t(self.GE0[..., n:, :])[:, None]
+        self.hcomp0 = np.moveaxis(self.h_on0, -1, 1)
+
+        # mean curvature H = (1/n) sum_a h(e_a, e_a), in normal components and as a vector
+        self.Hn0 = np.diagonal(self.h_on0, axis1=1, axis2=2).mean(axis=-1)
         self.Hsq = (self.Hn0 * self.Hn0).sum(axis=-1)
         self.H0 = (self.Hn0[:, None] @ self.Xi0)[:, 0]
-
-        # coordinate components of tangent vectors, v^a = G^ab g(T_b, v), and
-        # the two changes of basis between the coordinate and the tangent frame
-        self.to_params = self.G0inv @ _t(self.J0) @ self.g0
-        self.P = self.to_params @ _t(self.E0)  # e_a = P[..., :, a]^c T_c
-        self.R = self.GE0[..., :n, :] @ self.J0  # T_b = R[..., :, b]^a e_a
-        # h(d_c, e_b) at [c, b], h(e_a, e_b) at [a, b], in normal components
-        self.h_ce0 = _t(self.P)[..., None, :, :] @ self.hn0
-        h_on0 = (_t(self.P) @ self.h_ce0.reshape(npts, n, n * self.m)).reshape(npts, n * n, self.m)
-        self.h_on0 = h_on0.reshape(npts, n, n, self.m)
-        self.hcomp0 = _t(h_on0).reshape(npts, self.m, n, n)
 
         # phi/omega (F on the tangent frame) and B/C (F on the normal frame):
         # the blocks of g(F e_s, e_r), tangent rows and columns first

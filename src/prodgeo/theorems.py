@@ -12,11 +12,11 @@ For every statement the residual of the identity equals a closed
 "obstruction" built from the mean curvature and the structure projections
 (T2: |H|^2 |omega X|; T3: |H|^2 |g(X, phi Y)|; T4: |H|^2 |g(omega phi X,
 CH)|), and the chain that produces the obstruction is itself checked as the
-"proof residual".  Each is float algebra on the coordinate-direction
-tensors of :func:`prodgeo.calculus.lemma_tensors` and the build's h, H,
-phi, omega, B and C, all in orthonormal-frame components.  Directions
-range over the orthonormal tangent frame that the geometry completes from
-the coordinate tangents in parameter order, and each reported column is a
+"proof residual".  Each is float algebra on the tensors of
+:func:`prodgeo.calculus.lemma_tensors` and the build's h, H, phi, omega, B
+and C, all orthonormal-frame components along the tangent frame vectors,
+which the geometry completes from the coordinate tangents in parameter
+order; no statement reads the chart.  Each reported column is a
 maximum over that frame: of g-norms over the vectors e_a for T2, of
 absolute values over the pairs (e_a, e_b) for T3 and over the vectors
 phi e_a for T4.  A column is so a number of that frame, not of the
@@ -58,25 +58,20 @@ class _PointData:
     """Quantities the three statements share, at every sample point; the
     tensors are those of :func:`prodgeo.calculus.lemma_tensors`."""
 
-    def __init__(self, geo: _JetGeometry, tol: float, nabla_omega_t, nabla_c_xi):
+    def __init__(self, geo: _JetGeometry, tol: float, nabla_omega, nabla_c_xi):
         self.geo = geo
-        self.nabla_omega_t = nabla_omega_t
-        self.nabla_c_h = nabla_c_xi[..., :, -1, :]  # row c: (nabla_{d_c} C) H
+        self.nabla_omega = nabla_omega
+        self.nabla_c_h = nabla_c_xi[..., :, -1, :]  # row a: (nabla_{e_a} C) H
         self.pseudo_umbilical = geo.pu_gap <= tol
         self.minimal = geo.H_norm <= tol
         self.invariant = geo.omega_norm <= tol
         self.anti_invariant = geo.phi_norm <= tol
         self.omega_phi_zero = geo.omega_phi_norm <= tol
         self.rank_phi = _rank(geo.phi_singular, tol)
-        # CH in normal components, and BH in parameter components
+        # CH in normal components, and BH on the tangent frame
         self.ch = (geo.Hn0[:, None] @ geo.C0.swapaxes(-1, -2))[:, 0]
-        bh = geo.Hn0[:, None] @ (geo.P @ geo.B0).swapaxes(-1, -2)
-        self.h_bh = (bh[:, None] @ geo.hn0)[..., 0, :]  # row c: h(d_c, BH)
-
-    def along(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(nabla_X C) H and h(X, BH) in normal components for every row X of
-        ``x``, in parameter components."""
-        return x @ self.nabla_c_h, x @ self.h_bh
+        bh = geo.Hn0[:, None] @ geo.B0.swapaxes(-1, -2)
+        self.h_bh = (bh[:, None] @ geo.h_on0)[..., 0, :]  # row a: h(e_a, BH)
 
 
 def _columns(data: _PointData, tol: float, identity, obstruction, proof, branches) -> dict:
@@ -98,7 +93,7 @@ def _columns(data: _PointData, tol: float, identity, obstruction, proof, branche
 
 def _t2_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
-    d_ch, h_term = data.along(geo.P.swapaxes(-1, -2))  # row a: X = e_a
+    d_ch, h_term = data.nabla_c_h, data.h_bh  # row a: X = e_a
     omega_x = geo.omega0.swapaxes(-1, -2)  # row a: omega e_a
     hsq = geo.Hsq[..., None]
     identity = np.linalg.norm(d_ch + h_term, axis=-1).max(axis=-1)
@@ -110,9 +105,7 @@ def _t2_point(data: _PointData, tol: float) -> dict:
 
 def _t3_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
-    # g((nabla_{e_a} omega) e_b, H) = P[c, a] P[d, b] g((nabla_{d_c} omega) T_d, H)
-    p = geo.P
-    lhs = p.swapaxes(-1, -2) @ (data.nabla_omega_t @ geo.Hn0[..., None, :, None])[..., 0] @ p
+    lhs = (data.nabla_omega @ geo.Hn0[..., None, :, None])[..., 0]  # g((nabla_{e_a} omega) e_b, H)
     rhs = (geo.h_on0 @ data.ch[..., None, :, None])[..., 0]
     hsq = geo.Hsq[..., None, None]
     identity = np.abs(lhs - rhs).max(axis=(-2, -1))
@@ -124,7 +117,8 @@ def _t3_point(data: _PointData, tol: float) -> dict:
 
 def _t4_point(data: _PointData, tol: float) -> dict:
     geo = data.geo
-    d_ch, h_x = data.along((geo.P @ geo.phi0).swapaxes(-1, -2))  # row a: X = phi e_a
+    phi_x = geo.phi0.swapaxes(-1, -2)  # row a: X = phi e_a
+    d_ch, h_x = phi_x @ data.nabla_c_h, phi_x @ data.h_bh
     omega_phi_x = (geo.omega0 @ geo.phi0).swapaxes(-1, -2)  # row a: omega phi e_a
     lhs, h_term, o_term = ((v @ data.ch[..., :, None])[..., 0] for v in (d_ch, h_x, omega_phi_x))
     hsq = geo.Hsq[..., None]

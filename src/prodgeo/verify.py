@@ -102,12 +102,12 @@ def verify(
     )
     lemma1 = lemma2 = verdicts = None
     if lemmas or theorems:
-        nabla_omega_t, nabla_c_xi = lemma_tensors(geo)
+        nabla_omega, nabla_c_xi = lemma_tensors(geo)
     if lemmas:
-        lemma1 = _lemma_report("lemma1", geo, _lemma1_point(geo, nabla_omega_t), tol)
+        lemma1 = _lemma_report("lemma1", geo, _lemma1_point(geo, nabla_omega), tol)
         lemma2 = _lemma_report("lemma2", geo, _lemma2_point(geo, nabla_c_xi), tol)
     if theorems:
-        data = _PointData(geo, tol, nabla_omega_t, nabla_c_xi)
+        data = _PointData(geo, tol, nabla_omega, nabla_c_xi)
         ranks = data.rank_phi.tolist()
         points = {
             "t2": _t2_point(data, tol), "t3": _t3_point(data, tol), "t4": _t4_point(data, tol)

@@ -120,8 +120,7 @@ def test_criterion_3_structural_identities():
             g0 = geo.g0 if geo.g0.ndim == 2 else geo.g0[0]  # constant: no point axis
             gaps = [np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1))))]
             # A_xi X = P_T (D_X P_T) xi, along the frame directions e_a
-            d_tan, _ = _operator_derivatives(geo)
-            d_e = np.tensordot(geo.P[0], d_tan[0], axes=(0, 0))
+            d_e = _operator_derivatives(geo)[0][0]  # [a]: D_{e_a} P_T
             for alpha in range(m):
                 for a in range(n):
                     comps = geo.E0[0] @ g0 @ d_e[a] @ geo.Xi0[0, alpha]

@@ -168,7 +168,8 @@ def test_metric_compatibility_along_random_curves():
         # the same curve as an immersion, with the direction d/du1 = d
         line = Immersion(1, tuple(f"{float(x0[j])!r} + {float(d[j])!r} * u1" for j in range(3)))
         geo = _JetGeometry(line, sp, [[0.0]])
-        gamma_d = geo.GammaT0[0, 0].T  # [i, k] = Gamma^i_jk d^j
+        # [i, k] = Gamma^i_jk d^j, from Gamma(e_1, .) and d = T_1 = R[0, 0] e_1
+        gamma_d = geo.R[0, 0, 0] * geo.GammaE0[0, 0].T
         g0 = _metric(sp, x0)
         rhs = vv @ (g0 @ gamma_d + gamma_d.T @ g0) @ ww
         assert abs(lhs - rhs) <= 1e-8

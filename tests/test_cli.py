@@ -45,6 +45,24 @@ label = corrupted
 points = (0.5,); (1.2,); (2.0,)
 """
 
+# a surface of codimension 2 where the first block's reflection turns with
+# x1: not locally product, with O(1) residuals of both lemmas at every sample
+ROTATING_STRUCTURE = """
+[ambient]
+mode = explicit
+dim = 4
+metric = 1, 0, 0, 0; 0, 1, 0, 0; 0, 0, 1, 0; 0, 0, 0, 1
+structure = cos(x1), sin(x1), 0, 0; sin(x1), -cos(x1), 0, 0; 0, 0, 1, 0; 0, 0, 0, -1
+
+[immersion]
+n = 2
+map = cos(u1) + 0.2 * u2, sin(u1), 0.5 * u1 + u2, 0.3 * sin(2 * u1) * u2
+label = rotating-structure
+
+[samples]
+points = (0.5, 0.1); (1.2, -0.3); (2.0, 0.7)
+"""
+
 # F is NaN (0 * inf) at the image of 1.0: nothing there to verify
 NONFINITE_STRUCTURE = """
 [ambient]
@@ -452,6 +470,22 @@ def test_cli_corrupted_exit_codes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "check", "--all", "--force", str(path))
     assert code == 3
     assert "FAILED" in out
+
+
+def test_cli_rotating_structure_exit_codes(capsys, tmp_path):
+    path = tmp_path / "rotating.ini"
+    path.write_text(ROTATING_STRUCTURE)
+    code, _, err = run_cli(capsys, "classify", str(path))
+    assert code == 2
+    assert "ambient validation" in err
+    code, out, _ = run_cli(capsys, "check", "--all", "--force", str(path))
+    assert code == 3
+    assert "FAILED" in out
+    code, out, _ = run_cli(capsys, "report", "--format", "json", "--force", str(path))
+    assert code == 3
+    doc = json.loads(out)
+    for p in doc["points"]:
+        assert p["residuals"]["lemma1"] > 0.1 and p["residuals"]["lemma2"] > 0.1
 
 
 def test_check_all_evaluates_the_curved_tables_once(capsys, tmp_path, monkeypatch):

@@ -2,18 +2,21 @@
 
 The library evaluates nabla omega and nabla C from the derivatives of the
 tangent projector and of F as operator arrays, and the two lemma residuals
-and the T2-T4 columns as stacked matrix products, with every coordinate
-direction at once.  The references below differentiate fields instead, one
-coordinate direction per pass, as ``np.einsum`` contractions of first-order
+and the T2-T4 columns as stacked matrix products, along every tangent
+frame vector at once.  The references below differentiate fields instead,
+one coordinate direction per pass, as ``np.einsum`` contractions of first-order
 jets they build themselves: the tangent fields by ``jets.partial`` of an
 order-2 seed, the metric and F from the space's tables along the immersion,
 the normal fields xi_s = P_N(u) Xi0[s] with P_N = I - T G^-1 T^T g, and the
 mean curvature field of the ``mean_curvature`` test module, where the
 library applies the operator product to H0 as one more normal column.
 The library's tensors, h and H are components in the orthonormal normal
-frame; the tensors are compared as vectors through ``Xi0``, and the
-references read h(d_a, d_b) as ``hn0 @ Xi0`` and otherwise work on
-coordinate vectors with the metric.  Both read the same base-point
+frame along the tangent frame vectors e_a; the tensors are compared as
+vectors through ``Xi0`` after the build's ``R`` (T_c = R[a, c] e_a) takes
+their directions and fields to coordinate ones.  The references read
+h(d_a, d_b) from ``h_on0`` the same way, take the frame vectors as
+e_a = P[c, a] T_c with P = R^-1, and otherwise work on coordinate vectors
+with the metric.  Both read the same base-point
 geometry.  Each library array must lie
 within 1e-12 of the reference array's largest entry, or of the size of the
 terms it is summed from where that is larger (at least 1): a residual of a
@@ -24,7 +27,7 @@ import numpy as np
 import pytest
 
 from prodgeo import calculus, jets
-from prodgeo.ambient import levi_civita, product_of
+from prodgeo.ambient import AmbientSpace, levi_civita, product_of
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.subgeom import Immersion, _JetGeometry, param_vars
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
@@ -50,6 +53,17 @@ def _cases():
     surface = Immersion(2, ("u1", "0.3 * u1 + sin(u2)", "u2 + 0.2 * u1 * u2"),
                         samples=((0.1, 0.2), (0.7, -0.4), (-0.5, 1.1), (1.2, 0.6)))
     cases.append(("tilted-metric", tilted, surface))
+    # codimension 2 in a space that is not locally product: the lemma
+    # residuals are O(1) there, so a transposed or missing change of basis
+    # between frame and coordinate directions shows
+    rotating = AmbientSpace(4, [["1", "0", "0", "0"], ["0", "1", "0", "0"],
+                                ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+                            [["cos(x1)", "sin(x1)", "0", "0"], ["sin(x1)", "-cos(x1)", "0", "0"],
+                             ["0", "0", "1", "0"], ["0", "0", "0", "-1"]])
+    sheet = Immersion(2, ("cos(u1) + 0.2 * u2", "sin(u1)", "0.5 * u1 + u2",
+                          "0.3 * sin(2 * u1) * u2"),
+                      samples=((0.5, 0.1), (1.2, -0.3), (2.0, 0.7)))
+    cases.append(("rotating-structure", rotating, sheet))
     return cases
 
 
@@ -87,13 +101,29 @@ def _f_normal_part(geo, v):
     return _project_normal(geo, np.einsum("...ij,...j->...i", _fit(geo, geo.F0, 2, v), v))
 
 
+def _to_params(geo):
+    """G^-1 J^T g, the parameter components of a tangent vector."""
+    return np.linalg.solve(geo.G0, geo.J0.swapaxes(-1, -2) @ geo.g0)
+
+
 def _param_components(geo, v):
-    return np.einsum("...ai,...i->...a", _fit(geo, geo.to_params, 2, v), v)
+    return np.einsum("...ai,...i->...a", _fit(geo, _to_params(geo), 2, v), v)
+
+
+def _frame_in_params(geo):
+    """P = R^-1: e_a = P[c, a] T_c."""
+    return np.linalg.inv(geo.R)
+
+
+def _coordinate(geo, rows):
+    """The library's rows along the tangent frame vectors as rows along the
+    coordinate directions, by T_c = R[a, c] e_a."""
+    return np.einsum("pac,pa...->pc...", geo.R, rows)
 
 
 def _hc(geo):
     """The coordinate-frame second fundamental form as vectors, h(d_a, d_b) at [a, b]."""
-    return np.einsum("...abs,...si->...abi", geo.hn0, geo.Xi0)
+    return np.einsum("...ac,...bd,...abs,...si->...cdi", geo.R, geo.R, geo.h_on0, geo.Xi0)
 
 
 def _h_params(geo, x_params, y_params):
@@ -104,7 +134,7 @@ def _h_params(geo, x_params, y_params):
 
 
 def _shape_operator(geo, x_params, xi):
-    h_xb = np.einsum("...a,...cb,...aci->...bi", x_params, geo.P, _hc(geo))
+    h_xb = np.einsum("...a,...cb,...aci->...bi", x_params, _frame_in_params(geo), _hc(geo))
     h_xb_lowered = np.einsum("...bi,...ij->...bj", h_xb, geo.g0)
     coefficients = np.einsum("...bj,...j->...b", _fit(geo, h_xb_lowered, 2, xi), xi)
     return np.einsum("...b,...bi->...i", coefficients, _fit(geo, geo.E0, 2, xi))
@@ -207,7 +237,8 @@ def _reference_theorems(geo, nabla_omega_t, nabla_c_xi):
         return d_ch, h_term
 
     out = {}
-    d_ch, h_term = along(geo.P.swapaxes(-1, -2))
+    p = _frame_in_params(geo)
+    d_ch, h_term = along(p.swapaxes(-1, -2))
     omega_x = _f_normal_part(geo, geo.E0)
     hsq = geo.Hsq[..., None]
     out["t2"] = (
@@ -215,7 +246,7 @@ def _reference_theorems(geo, nabla_omega_t, nabla_c_xi):
         (hsq * _norm_g(geo, omega_x)).max(axis=-1),
         _norm_g(geo, d_ch + hsq[..., None] * omega_x + h_term).max(axis=-1),
     )
-    nabla_omega_e = np.einsum("...ca,...db,...cdi->...abi", geo.P, geo.P, nabla_omega_t)
+    nabla_omega_e = np.einsum("...ca,...db,...cdi->...abi", p, p, nabla_omega_t)
     lhs = np.einsum("...abi,...ij,...j->...ab", nabla_omega_e, geo.g0, geo.H0)
     h_on = np.einsum("...abs,...si->...abi", geo.h_on0, geo.Xi0)
     rhs = np.einsum("...abi,...ij,...j->...ab", h_on, geo.g0, ch0)
@@ -255,22 +286,24 @@ def _close(got, want, scale, where):
 @pytest.mark.parametrize("label, space, imm", CASES, ids=[case[0] for case in CASES])
 def test_kernels_match_the_einsum_references(label, space, imm):
     geo = _JetGeometry(imm, space, np.array(imm.samples))
-    nabla_omega_t, nabla_c_xi = calculus.lemma_tensors(geo)
+    nabla_omega, nabla_c_xi = calculus.lemma_tensors(geo)
     ref_omega, ref_c, ref_t = _reference_tensors(
         geo, space, imm, mean_curvature_field(imm, space, np.array(imm.samples)))
     # every array here is a sum of terms of this size, and some of them
     # (the tensors of an invariant surface, the lemma residuals) are roundoff
     terms = max(np.abs(ref_t).max(), np.abs(_hc(geo)).max(), geo.Hsq.max(), 1.0)
-    # the library's tensors are normal-frame components: vectors through Xi0
-    assert nabla_omega_t.shape[-1] == nabla_c_xi.shape[-1] == geo.m, label
+    # the library's tensors are normal-frame components along frame vectors:
+    # vectors through Xi0, on coordinate directions and fields through R
+    assert nabla_omega.shape[-1] == nabla_c_xi.shape[-1] == geo.m, label
     xi0 = geo.Xi0[:, None]
+    nabla_omega_t = _coordinate(geo, _coordinate(geo, nabla_omega).swapaxes(1, 2)).swapaxes(1, 2)
     _close(nabla_omega_t @ xi0, ref_omega, terms, (label, "nabla omega"))
-    _close(nabla_c_xi @ xi0, ref_c, terms, (label, "nabla C"))
-    _close(calculus._lemma1_point(geo, nabla_omega_t), _reference_lemma1(geo, ref_omega),
+    _close(_coordinate(geo, nabla_c_xi) @ xi0, ref_c, terms, (label, "nabla C"))
+    _close(calculus._lemma1_point(geo, nabla_omega), _reference_lemma1(geo, ref_omega),
            terms, (label, "lemma1"))
     _close(calculus._lemma2_point(geo, nabla_c_xi), _reference_lemma2(geo, ref_c),
            terms, (label, "lemma2"))
-    data = _PointData(geo, TOL, nabla_omega_t, nabla_c_xi)
+    data = _PointData(geo, TOL, nabla_omega, nabla_c_xi)
     references = _reference_theorems(geo, ref_omega, ref_c)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
         columns = statement(data, TOL)
@@ -296,15 +329,17 @@ FD_CASES = [case for case in CASES if not case[0].startswith(("grid-", "fuzz-"))
 @pytest.mark.parametrize("label, space, imm", FD_CASES, ids=[case[0] for case in FD_CASES])
 def test_operator_derivatives_match_the_oracle(label, space, imm):
     # d_a P_T = D_a P_T - [Gamma_a, P_T], d_a g by the chain rule and
-    # d_a F = D_a F - [Gamma_a, F] against central differences of the
+    # d_a F = D_a F - [Gamma_a, F] along the frame vectors, taken to the
+    # coordinate directions by R, against central differences of the
     # build's own values at u +- h e_a
     geo = _JetGeometry(imm, space, np.array(imm.samples))
     d_tan, d_f = calculus._operator_derivatives(geo)
     if not geo.flat:
-        gamma, p_tan, f = geo.GammaT0.swapaxes(-1, -2), geo.P_tan0[:, None], calculus._lift(geo.F0)
+        gamma, p_tan, f = geo.GammaE0.swapaxes(-1, -2), geo.P_tan0[:, None], calculus._lift(geo.F0)
         d_tan = d_tan - (gamma @ p_tan - p_tan @ gamma)
         d_f = d_f - (gamma @ f - f @ gamma)
-    got = np.stack([d_tan, calculus._along(geo, geo.dg0), d_f], axis=2)  # [p, a, operator]
+    frame_rows = np.stack([d_tan, calculus._along(geo, geo.dg0), d_f], axis=2)  # [p, a, operator]
+    got = _coordinate(geo, frame_rows)
     for p, u in enumerate(np.array(imm.samples)):
         for a, step in enumerate(np.eye(imm.n)):
             want = fd_derivative(lambda t: _operators(space, imm, u + t * step), 0.0)

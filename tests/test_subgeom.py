@@ -217,8 +217,7 @@ def test_structural_identities_every_catalog_sample():
             assert np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1)))) <= 1e-10
             # duality g(A_xi e_a, e_b) = h components, via the Weingarten route
             # in operator form, A_xi X = P_T (D_X P_T) xi
-            d_tan, _ = _operator_derivatives(geo)
-            d_e = np.tensordot(geo.P[0], d_tan[0], axes=(0, 0))  # [a]: D_{e_a} P_T
+            d_e = _operator_derivatives(geo)[0][0]  # [a]: D_{e_a} P_T
             for alpha in range(m):
                 for a in range(n):
                     comps = E0 @ _row(geo.g0) @ d_e[a] @ Xi0[alpha]
@@ -331,6 +330,19 @@ def test_every_sample_is_a_sequence_of_n_coordinates(samples):
             call()
 
 
+@pytest.mark.parametrize("coordinate", [None, "0.2", 1 + 2j], ids=["none", "string", "complex"])
+def test_a_coordinate_that_is_not_a_real_number_is_a_value_error_naming_the_sample(coordinate):
+    imm = Immersion(2, ("u1", "u2", "u1*u2", "0"))
+    samples = [(0.3, 0.4), (0.1, coordinate)]
+    for call in (
+        lambda: classify(imm, FLAT22, samples),
+        lambda: Immersion(2, imm.components, samples=samples),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"sample {(0.1, coordinate)} has a coordinate that is not a real number"
+
+
 def test_non_finite_metric_is_rejected_by_the_geometry():
     from prodgeo.ambient import SingularMetric
 
@@ -394,7 +406,7 @@ def test_constant_metric_derivative_table_keeps_the_connection():
                     samples=((0.1, 0.2), (0.7, -0.4)))
     geo = _JetGeometry(imm, space, np.array(imm.samples))
     assert geo.dg0.shape == (3, 3, 3) and not geo.flat
-    assert np.abs(geo.GammaT0).max() > 0.1
+    assert np.abs(geo.GammaE0).max() > 0.1
     outcome = verify(space, imm)
     assert outcome.lemma1.max_residual <= 1e-12 and outcome.lemma2.max_residual <= 1e-12
 
@@ -555,8 +567,10 @@ def test_frames_match_the_gram_schmidt_loop_in_jets():
         want = np.moveaxis(projector.gradient(), -1, 1)  # [a]: d_a P_T
         d_tan, _ = _operator_derivatives(geo)
         if not geo.flat:  # d_a P_T = D_a P_T - [Gamma_a, P_T]
-            gamma, p_tan = geo.GammaT0.swapaxes(-1, -2), geo.P_tan0[:, None]
+            gamma, p_tan = geo.GammaE0.swapaxes(-1, -2), geo.P_tan0[:, None]
             d_tan = d_tan - gamma @ p_tan + p_tan @ gamma
+        # from the tangent frame vectors to the coordinate directions, T_c = R[a, c] e_a
+        d_tan = np.einsum("pac,pa...->pc...", geo.R, d_tan)
         scale = np.abs(want[good]).max(axis=(-3, -2, -1))
         diff = np.abs(d_tan - want)[good].max(axis=(-3, -2, -1))
         assert (diff <= 1e-9 * np.maximum(scale, 1.0)).all(), key
