@@ -81,14 +81,16 @@ class AmbientSpace:
     ``metric_diff[l][i][j]`` and ``structure_diff[l][i][j]`` hold the
     partial derivatives of ``g_ij`` and ``F^i_j`` along ``x(l+1)``, zero
     folded, so a flat block contributes plain ``Num(0)`` entries; an entry
-    is only differentiated along the variables it contains.
+    is only differentiated along the variables it contains.  The space is
+    ``flat`` when every entry of ``metric_diff`` folds to a constant zero; a
+    derivative that does not fold, such as that of ``x1 - x1``, counts as
+    curved, and its Christoffel symbols are computed (and vanish).
 
     Evaluated once per space: a metric or structure table without variables
     becomes a float array on first use, and its derivative table a zero
-    array without evaluating it; every later call copies them.  The other
-    tables are evaluated per call, by one :class:`~prodgeo.expr.Plan` for
-    the tables requested together, compiled on first request, so the
-    subtrees they share are computed once.
+    array without evaluating it.  The other tables are evaluated per call,
+    by one :class:`~prodgeo.expr.Plan` for the tables requested together,
+    compiled on first request, so the subtrees they share are computed once.
     """
 
     dim: int
@@ -97,6 +99,7 @@ class AmbientSpace:
     product_split: tuple[int, int] | None = field(default=None)
     metric_diff: tuple = field(init=False, repr=False, compare=False)
     structure_diff: tuple = field(init=False, repr=False, compare=False)
+    flat: bool = field(init=False, repr=False, compare=False)
     _fixed: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
@@ -122,6 +125,7 @@ class AmbientSpace:
             )
             object.__setattr__(self, f"{name}_diff", d)
         object.__setattr__(self, "_fixed", tuple(fixed))
+        object.__setattr__(self, "flat", all(e == zero for d in self.metric_diff for row in d for e in row))
         for i in range(self.dim):
             for j in range(i):
                 a, b = self.metric[i][j], self.metric[j][i]
@@ -142,23 +146,27 @@ class AmbientSpace:
         """The named expression tables at the points ``x``.
 
         ``x`` is a float array or a jet of shape ``(..., dim)``.  Each result
-        is a jet or float array with the points' leading shape; a constant
-        table is a float array of the table's own shape, which broadcasts
-        over any points.  The tables that depend on ``x`` are evaluated by
-        one plan.
+        is a jet or float array with the points' leading shape, ``(..., dim,
+        dim)`` or, for a derivative table, ``(..., dim, dim, dim)``; one that
+        is constant along ``x`` is a read-only float view broadcast over the
+        points.  The tables that depend on ``x`` are evaluated by one plan.
         """
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
-        constants = self._constants
-        varying = tuple(name for name in names if name not in constants)
-        values = {}
+        values = dict(self._constants)
+        varying = tuple(name for name in names if name not in values)
         if varying:
             plan = self._plans.get(varying)
             if plan is None:
                 plan = self._plans[varying] = ex.Plan([getattr(self, name) for name in varying])
             env = {v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))}
-            values = dict(zip(varying, plan(env)))
-        return [constants[name].copy() if name in constants else values[name] for name in names]
+            values.update(zip(varying, plan(env)))
+        tables = []
+        for name in names:
+            shape = x.shape[:-1] + (self.dim,) * (3 if name.endswith("_diff") else 2)
+            value = values[name]  # without the point axes where constant
+            tables.append(value if value.shape == shape else np.broadcast_to(value, shape))
+        return tables
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:
@@ -295,39 +303,33 @@ class AmbientValidationFailure(ValueError):
         )
 
 
-def validate_ambient(space: AmbientSpace, x, g, f, df, gamma, minors) -> AmbientValidationReport:
-    """Measure the locally-product defects at the points ``x``, shape ``(P, N)``.
+def validate_ambient(g, f, df, gamma, minors) -> AmbientValidationReport:
+    """Measure the locally-product defects at a batch of points.
 
     ``g``, ``f`` and ``df`` are the metric, structure and structure
-    derivative tables' values there, a constant one without the point axis,
-    ``gamma`` the Christoffel symbols of :func:`levi_civita` at every point,
-    or ``None`` where the metric derivatives vanish, and ``minors`` the
+    derivative tables' values at the points, shapes ``(P, N, N)`` and
+    ``(P, N, N, N)`` as :meth:`AmbientSpace.tables` returns them, ``gamma``
+    the Christoffel symbols of :func:`levi_civita` at every point, or
+    ``None`` where the space is flat, and ``minors`` the
     :func:`leading_minors` of ``g``, which the report thresholds at 1e-10.
     Reports the largest residuals of ``F^2 - I``, metric compatibility and
-    ``(nabla_X F) Y`` over the points and the coordinate directions X, Y;
-    for constant tables they are computed once, and ``(nabla_X F) Y`` only
-    where the metric is positive definite.  All of it is float algebra on
-    the tables' values.  Without a connection and with a zero
-    structure-derivative table (a flat product, or any constant structure
-    over a constant metric), nabla F vanishes and the parallelism residual
-    is 0.0.  Failures are reported, not thrown.  A non-finite metric is not
-    positive definite; a point whose residuals are not finite (from a
-    non-finite metric, structure or derivative, or an overflow) fails the
-    report and stays out of its residuals.
+    ``(nabla_X F) Y`` over the points and the coordinate directions X, Y,
+    the last only where the metric is positive definite.  All of it is
+    float algebra on the tables' values.  Without a connection and with a
+    zero structure-derivative table (a flat product, or any constant
+    structure over a constant metric), nabla F vanishes and the parallelism
+    residual is 0.0.  Failures are reported, not thrown.  A non-finite
+    metric is not positive definite; a point whose residuals are not finite
+    (from a non-finite metric, structure or derivative, or an overflow)
+    fails the report and stays out of its residuals.
     """
-    if len(x) == 0:
+    if len(g) == 0:
         raise ValueError("ambient validation needs at least one sample point")
-    identity = np.eye(space.dim)
+    identity = np.eye(g.shape[-1])
     # overflow and NaN are detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        # constant tables (whose derivative tables are then zero) are checked
-        # once, at one point standing for all of them
-        at = x[:1] if g.ndim == f.ndim == 2 else x
-        shape = (len(at), space.dim, space.dim)
-        g, f = np.broadcast_to(g, shape), np.broadcast_to(f, shape)
-        df = np.broadcast_to(df, (len(at), space.dim) + shape[1:])
-        residuals = np.zeros((len(at), 3))  # F^2 - I, compatibility, (nabla_X F) Y
-        definite = np.broadcast_to(positive_definite(minors, 1e-10), (len(at),))
+        residuals = np.zeros((len(g), 3))  # F^2 - I, compatibility, (nabla_X F) Y
+        definite = positive_definite(minors, 1e-10)
         ft = f.swapaxes(-2, -1)
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))

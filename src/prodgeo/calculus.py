@@ -34,7 +34,8 @@ statements of :mod:`prodgeo.theorems` read its arrays with the build's
 frame components of h, H, phi, omega, B and C, where g is the identity.
 The lemma residuals are contracted once with R (T_b = R[a, b] e_a), and
 :func:`prodgeo.verify.verify` reports the worst residual of each identity
-over samples, coordinate directions and coordinate fields.  A corrupted
+over samples and coordinate directions, and over the coordinate fields Y
+for lemma 1 and the normal frame fields and H for lemma 2.  A corrupted
 ambient space (one with nabla F != 0) breaks them by an O(1) margin, which
 is the engine's negative control.
 """
@@ -61,22 +62,15 @@ class LemmaReport:
 
 def _along(geo: _JetGeometry, table: np.ndarray) -> np.ndarray:
     """D_{e_a} M = (d_l M) e_a^l for every tangent frame vector, ``(P, n, N, N)``,
-    from a derivative table ``[..., l, i, j]`` at the images (a constant one
-    without the point axis)."""
+    from a derivative table ``[p, l, i, j]`` at the images."""
     npts, n, N = len(geo.u), geo.n, geo.N
-    rows = np.broadcast_to(table, (npts, N, N, N)).reshape(npts, N, N * N)
-    return (geo.E0 @ rows).reshape(npts, n, N, N)
-
-
-def _lift(m: np.ndarray) -> np.ndarray:
-    """A per-point matrix with a unit direction axis; a constant one as it is."""
-    return m if m.ndim == 2 else m[:, None]
+    return (geo.E0 @ table.reshape(npts, N, N * N)).reshape(npts, n, N, N)
 
 
 def _operator_derivatives(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
     """``D_{e_a} P_T`` and ``D_{e_a} F`` at every point along every tangent
     frame vector e_a, ``(P, n, N, N)`` each."""
-    g, f = _lift(geo.g0), _lift(geo.F0)
+    g, f = geo.g0[:, None], geo.F0[:, None]
     p_tan = geo.P_tan0[:, None]
     p_nor = np.eye(geo.N) - p_tan
     lowered = geo.S0 @ g + geo.E0[:, None] @ _along(geo, geo.dg0)  # [a]: S_a^T g + E^T d_a g
@@ -99,7 +93,7 @@ def lemma_tensors(geo: _JetGeometry) -> tuple[np.ndarray, np.ndarray]:
     then H, ``(..., n, m + 1, m)``.
     """
     d_tan, d_f = _operator_derivatives(geo)
-    f = _lift(geo.F0)
+    f = geo.F0[:, None]
     # the tangent frame columns e_b, then the normal frame columns xi_s and H:
     # the two formulas differ in the sign of their last term
     cols = np.concatenate([geo.E0, geo.Xi0, geo.H0[:, None]], axis=-2).swapaxes(-1, -2)[:, None]

@@ -8,7 +8,8 @@ Commands::
                   [--seed S] [--format text|json] <file>
     prodgeo report [--tol T] [--force] [--seed S] [--format text|json] <file>
                                                        same as check --all
-    prodgeo catalog [list | run <label> | export <label> <path>]
+    prodgeo catalog [list | run <label> [--format text|json]
+                     | export <label> <path>]
 
 Exit codes: 0 success, 1 usage error (including a non-positive or
 non-finite ``--tol``), 2 parse/validation error, 3 verification failure (a

@@ -30,8 +30,9 @@ A scenario file is an INI-style document with four sections::
 Numbers are written in ASCII without digit-group underscores, as in expressions.
 An empty entry of a list (a matrix row or entry, a map component, a point or a
 grid axis), a trailing one included, is an error, not skipped.
-A key that its section does not read (the ambient section's in its mode), or a
-key in a section other than these four, is an error, not ignored.
+A key that its section does not read (the ambient section's in its mode), a
+key in a section other than these four, or a random spec key other than count,
+seed and box or given twice, is an error, not ignored.
 
 Loading parses: it checks the sections and dimensions and parses every
 expression, but evaluates none.  Whether the space is locally product at the
@@ -255,7 +256,10 @@ def _parse_random(text: str, n: int, seed_override: int | None) -> tuple[tuple[f
         if "=" not in token:
             raise ScenarioError(f"random spec token {token!r} is not key=value", section)
         key, value = token.split("=", 1)
-        fields[key.strip()] = value.strip()
+        if key in fields or key not in ("count", "seed", "box"):
+            reason = "repeated" if key in fields else "not read"
+            raise ScenarioError(f"random spec key {key!r} is {reason}", section)
+        fields[key] = value.strip()
     for required in ("count", "seed", "box"):
         if required not in fields:
             raise ScenarioError(f"random spec needs {required}=...", section)

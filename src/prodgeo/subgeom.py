@@ -166,9 +166,7 @@ class _JetGeometry:
     no other.  The immersion ``f`` is a jet of order 2 and the only jet: the
     metric ``g0``, the structure ``F0`` and their derivative tables ``dg0``
     and ``dF0`` (``[..., l, i, j]`` along ``x(l+1)``) are evaluated at the
-    images ``x0`` by one plan.  A table that is constant along the
-    immersion is a float array without a point axis, and so is a table whose
-    entries are all constants, such as the derivatives of a linear entry.
+    images ``x0`` by one plan, with the point axis like every other array.
 
     From the Taylor coefficients of ``f`` and the tables the construction
     computes the Jacobian ``J0``, the induced metric ``G0``, the frames
@@ -185,15 +183,15 @@ class _JetGeometry:
     projectors from the same arrays, and only the two lemma residuals read
     ``R``, to report coordinate directions.
 
-    One case is read off the evaluated tables: a metric-derivative table
-    that is a constant zero array sets ``flat``, and then ``GammaE0`` is
-    ``None`` and no Christoffel term is contracted.  Decisions that differ
-    between points (a finite immersion and finite tables, the Jacobian
-    rank, positive definiteness, a finite induced metric) are masks over
-    the points; a failing check names the first failing point.  Before any
-    can raise, :func:`~prodgeo.ambient.validate_ambient` reads ``x0``, the
-    tables' values, the Christoffel symbols and the metric's leading minors
-    into ``ambient_report``; with ``strict`` a failed report raises, and
+    ``flat`` is the space's: where its metric derivatives fold to zeros,
+    ``GammaE0`` is ``None`` and no Christoffel term is contracted.
+    Decisions that differ between points (a finite immersion and finite
+    tables, the Jacobian rank, positive definiteness, a finite induced
+    metric) are masks over the points; a failing check names the first
+    failing point.  Before any can raise,
+    :func:`~prodgeo.ambient.validate_ambient` reads the tables' values, the
+    Christoffel symbols and the metric's leading minors into
+    ``ambient_report``; with ``strict`` a failed report raises, and
     where the structure or its derivative is not finite it raises without
     ``strict`` too, since there is nothing to verify.
     """
@@ -233,13 +231,11 @@ class _JetGeometry:
             # Christoffel symbols at the images unless the connection vanishes;
             # the validation thresholds the same minors at its own tolerance
             minors = leading_minors(self.g0)
-            definite = np.broadcast_to(positive_definite(minors, tol=0.0), (npts,))
+            definite = positive_definite(minors, tol=0.0)
             safe_g0 = np.where(definite[..., None, None], self.g0, np.eye(N))
-            self.flat = self.dg0.ndim == 3 and not self.dg0.any()
+            self.flat = space.flat
             gamma0 = None if self.flat else levi_civita(np.linalg.inv(safe_g0), self.dg0)
-        self.ambient_report = validate_ambient(
-            space, self.x0, self.g0, self.F0, self.dF0, gamma0, minors
-        )
+        self.ambient_report = validate_ambient(self.g0, self.F0, self.dF0, gamma0, minors)
         if strict and not self.ambient_report.passed:
             raise AmbientValidationFailure(self.ambient_report)
 
@@ -251,7 +247,7 @@ class _JetGeometry:
         # table with its derivatives, finite at every point
         immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
         finite = {
-            name: np.broadcast_to(np.isfinite(table).all(axis=tuple(range(-axes, 0))), (npts,))
+            name: np.isfinite(table).all(axis=tuple(range(-axes, 0)))
             for name, table, axes in (("metric", self.g0, 2), ("metric derivative", self.dg0, 3),
                                       ("structure", self.F0, 2), ("structure derivative", self.dF0, 3))
         }
@@ -357,7 +353,7 @@ def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]
         tangent_on=geo.E0[0],
         normal_on=geo.Xi0[0],
         induced_metric=geo.G0[0],
-        ambient_metric=geo.g0 if geo.g0.ndim == 2 else geo.g0[0],  # constant: no point axis
+        ambient_metric=geo.g0[0].copy(),  # a constant metric is a read-only view
         h=geo.hcomp0[0],
         H=geo.H0[0],
         phi=geo.phi0[0],

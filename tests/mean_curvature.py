@@ -33,7 +33,7 @@ def mean_curvature_field(immersion, space, u):
     dT = jets.array([jets.partial(T, b) for b in range(n)]).swapaxes(-1, -2)  # [a, b]: d_b T_a
     T = T.truncate(1)
     g, dg = space.tables(("metric", "metric_diff"), f.truncate(1))
-    if isinstance(dg, jets.Jet) or dg.any():
+    if not space.flat:
         gamma = levi_civita(inverse(g), dg)
         gamma_t = jets.einsum("...ijk,...bk->...bij", gamma, T)
         dT = dT + jets.einsum("...aj,...bij->...abi", T, gamma_t)

@@ -117,13 +117,12 @@ def test_criterion_3_structural_identities():
             geo = _JetGeometry(scn.immersion, scn.space, [u])
             n, m = geo.n, geo.m
             hcomp = geo.hcomp0[0]
-            g0 = geo.g0 if geo.g0.ndim == 2 else geo.g0[0]  # constant: no point axis
             gaps = [np.max(np.abs(hcomp - np.transpose(hcomp, (0, 2, 1))))]
             # A_xi X = P_T (D_X P_T) xi, along the frame directions e_a
             d_e = _operator_derivatives(geo)[0][0]  # [a]: D_{e_a} P_T
             for alpha in range(m):
                 for a in range(n):
-                    comps = geo.E0[0] @ g0 @ d_e[a] @ geo.Xi0[0, alpha]
+                    comps = geo.E0[0] @ geo.g0[0] @ d_e[a] @ geo.Xi0[0, alpha]
                     gaps.append(np.max(np.abs(comps - hcomp[alpha, a])))
             phi, om, bm, cm = geo.phi0[0], geo.omega0[0], geo.B0[0], geo.C0[0]
             gaps.append(np.max(np.abs(phi - phi.T)))

@@ -380,9 +380,10 @@ def test_constant_tables_are_not_shared_with_callers():
     sp = constant_reflection_space()
     x = np.array([[0.3, -0.7]])
     g, f = sp.tables(("metric", "structure"), x)
-    g[...] = 5.0
-    f[...] = 5.0
-    assert np.array_equal(_metric(sp, x), np.eye(2))
+    for table in (g, f):
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 5.0
+    assert np.array_equal(_metric(sp, x), np.eye(2)[None])
     assert np.array_equal(sp.tables(("structure",), x)[0],
                           constant_reflection_space().tables(("structure",), x)[0])
 

@@ -58,11 +58,6 @@ def _derivatives(geo):
     return tuple(_coordinate(geo, d) for d in calculus._operator_derivatives(geo))
 
 
-def _per_point(geo, table):
-    """A table at the base points with its point axis, whether constant or not."""
-    return np.broadcast_to(table, (len(geo.u), geo.N, geo.N))
-
-
 def _tangent(geo, v):
     """The tangent part of the vectors ``v``, by the build's projector ``P_tan0``."""
     return np.einsum("pij,p...j->p...i", geo.P_tan0, v)
@@ -73,12 +68,12 @@ def _normal(geo, v):
 
 
 def _f(geo, v):
-    return np.einsum("pij,p...j->p...i", _per_point(geo, geo.F0), v)
+    return np.einsum("pij,p...j->p...i", geo.F0, v)
 
 
 def _params(geo, v):
     """Parameter components of the tangent vectors ``v``, G^-1 J^T g v."""
-    to_params = np.linalg.solve(geo.G0, geo.J0.swapaxes(-1, -2) @ _per_point(geo, geo.g0))
+    to_params = np.linalg.solve(geo.G0, geo.J0.swapaxes(-1, -2) @ geo.g0)
     return np.einsum("pai,p...i->p...a", to_params, v)
 
 
@@ -114,7 +109,7 @@ def _nabla_c(geo, xi):
     """(nabla_{d_a} C) xi for one normal vector xi, by the operator formula
     applied to xi itself: P_N [(D F) xi - (D P_T) F xi - F (D P_T) xi]."""
     d_tan, d_f = _derivatives(geo)
-    f = geo.F0 if geo.F0.ndim == 2 else geo.F0[:, None]
+    f = geo.F0[:, None]
     moved = _apply(d_f, xi) - _apply(d_tan, _apply(f, xi)) - _apply(f, _apply(d_tan, xi))
     return _normal(geo, moved)
 
@@ -128,7 +123,7 @@ def _shape_operator(geo, x, xi):
     """A_xi X = sum_b g(h(X, e_b), xi) e_b, with h(d_c, e_b) from ``h_on0``."""
     h_ce = _coordinate(geo, geo.h_on0)
     h_xb = np.einsum("c,pcbs,psi->pbi", np.asarray(x, float), h_ce, geo.Xi0)
-    coefficients = np.einsum("pbi,pij,pj->pb", h_xb, _per_point(geo, geo.g0), xi)
+    coefficients = np.einsum("pbi,pij,pj->pb", h_xb, geo.g0, xi)
     return np.einsum("pb,pbi->pi", coefficients, geo.E0)
 
 
@@ -235,7 +230,7 @@ def test_nabla_C_circle_matches_oracle():
     # (nabla C) xi dotted with xi equals d/dt C - C * d... both normal bundles
     # are rank one, so compare the xi component against the derivative of the
     # scalar C(u) (the connection of a rank-one bundle has no extra term).
-    jet_value = float(out[0] @ geo.g0 @ geo.Xi0[0, 0])
+    jet_value = float(out[0] @ geo.g0[0] @ geo.Xi0[0, 0])
     oracle = fd_derivative(c_of_nu, 0.0)
     assert abs(jet_value - oracle) <= 1e-6
 
@@ -293,7 +288,7 @@ def test_nabla_omega_is_tensorial_in_y():
     u0 = (0.7, 0.3)
     geo = _geometry(scn.immersion, scn.space, u0)
     d_tan, d_f = _derivatives(geo)
-    f = geo.F0 if geo.F0.ndim == 2 else geo.F0[:, None]
+    f = geo.F0[:, None]
     rows = _lemma_tensors(geo)[0]
     for coefficients in ((0.0, 1.0), (1.0, 1.0), (u0[0], -2.0)):
         y = (geo.J0 @ np.asarray(coefficients))[:, None]  # (1, 1, N)

@@ -170,6 +170,9 @@ MALFORMED = {
     "grid-axis-twice": ("samples", "grid = u1: 0 : 1 : 2; u1: 5 : 6 : 3"),
     "random-token": ("samples", "random = count=3 seed=1 box=(0,1) wide"),
     "random-missing-key": ("samples", "random = count=3 box=(0,1)"),
+    # each spec key once, and no other key
+    "random-unknown-key": ("samples", "random = count=2 seed=1 box=(0,1) cuont=3"),
+    "random-repeated-key": ("samples", "random = count=2 seed=1 seed=2 box=(0,1)"),
     "random-count-not-integer": ("samples", "random = count=three seed=1 box=(0,1)"),
     "random-count-zero": ("samples", "random = count=0 seed=1 box=(0,1)"),
     "random-count-negative": ("samples", "random = count=-2 seed=1 box=(0,1)"),
@@ -221,6 +224,13 @@ def test_malformed_scenario_names_its_section(section, body, capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: [{section}] "), err
+
+
+@pytest.mark.parametrize("case, message", [("random-unknown-key", "'cuont' is not read"),
+                                           ("random-repeated-key", "'seed' is repeated")])
+def test_random_spec_key_error_names_the_key(case, message):
+    with pytest.raises(ScenarioError, match=f"^\\[samples\\] random spec key {message}$"):
+        loads_scenario(_malformed(*MALFORMED[case]))
 
 
 @pytest.mark.parametrize("key, digit", [("arabic-indic-digit", "\u0663"), ("fullwidth-digit", "\uff11")])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from prodgeo import expr as ex
-from prodgeo.ambient import AmbientSpace
+from prodgeo.ambient import AmbientSpace, product_of
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.subgeom import Immersion, _JetGeometry, _points
 from prodgeo.verify import verify
@@ -81,3 +81,27 @@ def test_fast_paths_match_the_general_path(label, space, immersion, samples):
         fast = verify(space, immersion, samples, lemmas=full, theorems=full)
         general = verify(general_space, general_immersion, samples, lemmas=full, theorems=full)
         _assert_same(fast, general, label)
+
+
+TABLES = ("metric", "structure", "metric_diff", "structure_diff")
+CONTRACT_SPACES = {
+    "flat-product": (flat_product(2, 2), True),
+    "curved-block": (catalog_get("curved-block").space, False),
+    # the derivative table of 1 + x1 has only constant entries
+    "linear-entry": (product_of([["1 + x1", "0"], ["0", "1"]], 2, "flat", 1), False),
+}
+
+
+@pytest.mark.parametrize("space, flat", CONTRACT_SPACES.values(), ids=CONTRACT_SPACES.keys())
+def test_every_table_carries_the_point_axis(space, flat):
+    # whatever is constant, a table has the points' leading shape, and
+    # flatness is the space's, not read off an evaluated table
+    npts, N = 3, space.dim
+    shapes = [(npts, N, N), (npts, N, N), (npts, N, N, N), (npts, N, N, N)]
+    x = np.linspace(0.1, 0.9, npts * N).reshape(npts, N)
+    assert [t.shape for t in space.tables(TABLES, x)] == shapes
+    imm = Immersion(2, ("u1", "u2") + tuple(f"0.3 * u1 * u2 + {i}" for i in range(N - 2)))
+    geo = _JetGeometry(imm, space, np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.4]]))
+    assert [t.shape for t in (geo.g0, geo.F0, geo.dg0, geo.dF0)] == shapes
+    assert space.flat == geo.flat == flat
+    assert not _general_space(space).flat

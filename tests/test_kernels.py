@@ -75,7 +75,7 @@ CASES = _cases()
 
 def _fit(geo, field, axes, vec):
     extra = len(vec.shape) - 2  # behind the point axis and the component
-    if extra <= 0 or len(field.shape) == axes:
+    if extra <= 0:
         return field
     return field[(Ellipsis,) + (None,) * extra + (slice(None),) * axes]
 
@@ -319,8 +319,7 @@ def test_kernels_match_the_einsum_references(label, space, imm):
 def _operators(space, imm, u):
     """The build's P_tan0, g0 and F0 at the one point ``u``, stacked."""
     geo = _JetGeometry(imm, space, [u])
-    shape = (geo.N, geo.N)
-    return np.stack([np.broadcast_to(m, (1,) + shape)[0] for m in (geo.P_tan0, geo.g0, geo.F0)])
+    return np.stack([m[0] for m in (geo.P_tan0, geo.g0, geo.F0)])
 
 
 FD_CASES = [case for case in CASES if not case[0].startswith(("grid-", "fuzz-"))]
@@ -335,7 +334,7 @@ def test_operator_derivatives_match_the_oracle(label, space, imm):
     geo = _JetGeometry(imm, space, np.array(imm.samples))
     d_tan, d_f = calculus._operator_derivatives(geo)
     if not geo.flat:
-        gamma, p_tan, f = geo.GammaE0.swapaxes(-1, -2), geo.P_tan0[:, None], calculus._lift(geo.F0)
+        gamma, p_tan, f = geo.GammaE0.swapaxes(-1, -2), geo.P_tan0[:, None], geo.F0[:, None]
         d_tan = d_tan - (gamma @ p_tan - p_tan @ gamma)
         d_f = d_f - (gamma @ f - f @ gamma)
     frame_rows = np.stack([d_tan, calculus._along(geo, geo.dg0), d_f], axis=2)  # [p, a, operator]

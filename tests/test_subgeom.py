@@ -201,11 +201,6 @@ def test_classify_flags_single_sample():
     assert result.insufficient_samples
 
 
-def _row(m, index=0):
-    """Row ``index`` of a per-point matrix; a constant one (no point axis) as it is."""
-    return m if m.ndim == 2 else m[index]
-
-
 def test_structural_identities_every_catalog_sample():
     for label in catalog_list():
         scn = catalog_get(label)
@@ -220,7 +215,7 @@ def test_structural_identities_every_catalog_sample():
             d_e = _operator_derivatives(geo)[0][0]  # [a]: D_{e_a} P_T
             for alpha in range(m):
                 for a in range(n):
-                    comps = E0 @ _row(geo.g0) @ d_e[a] @ Xi0[alpha]
+                    comps = E0 @ geo.g0[0] @ d_e[a] @ Xi0[alpha]
                     assert np.max(np.abs(comps - hcomp[alpha, a])) <= 1e-10, label
             # adjointness
             phi, om, bm, cm = geo.phi0[0], geo.omega0[0], geo.B0[0], geo.C0[0]
@@ -234,7 +229,7 @@ def test_structural_identities_every_catalog_sample():
             assert np.max(np.abs(om @ bm + cm @ cm - np.eye(m))) <= 1e-10
             # completeness: F e_a reassembles from the frame components
             for a in range(n):
-                fe = _row(geo.F0) @ E0[a]
+                fe = geo.F0[0] @ E0[a]
                 rebuilt = phi[:, a] @ E0 + om[:, a] @ Xi0
                 assert np.max(np.abs(fe - rebuilt)) <= 1e-12
 
@@ -399,13 +394,13 @@ def test_non_finite_structure_fails_validation_without_strict(entry):
 
 
 def test_constant_metric_derivative_table_keeps_the_connection():
-    # every entry of the derivative of 1 + x1 is a constant, so the table is
-    # one array without a point axis, and not zero: the space is curved
+    # every entry of the derivative of 1 + x1 is a constant, and not zero:
+    # the table has the point axis like any other, and the space is curved
     space = product_of([["1 + x1", "0"], ["0", "1"]], 2, "flat", 1)
     imm = Immersion(2, ("u1", "0.3 * u1 + sin(u2)", "u2 + 0.2 * u1 * u2"),
                     samples=((0.1, 0.2), (0.7, -0.4)))
     geo = _JetGeometry(imm, space, np.array(imm.samples))
-    assert geo.dg0.shape == (3, 3, 3) and not geo.flat
+    assert geo.dg0.shape == (2, 3, 3, 3) and not geo.flat
     assert np.abs(geo.GammaE0).max() > 0.1
     outcome = verify(space, imm)
     assert outcome.lemma1.max_residual <= 1e-12 and outcome.lemma2.max_residual <= 1e-12
@@ -475,7 +470,7 @@ def test_point_geometry_is_a_row_of_the_batch():
             pg = point_geometry(imm, space, u)
             row = {"u": geo.points[index], "x": geo.x0[index], "tangent_on": geo.E0[index],
                    "normal_on": geo.Xi0[index], "induced_metric": geo.G0[index],
-                   "ambient_metric": _row(geo.g0, index), "h": geo.hcomp0[index],
+                   "ambient_metric": geo.g0[index], "h": geo.hcomp0[index],
                    "H": geo.H0[index], "phi": geo.phi0[index], "omega": geo.omega0[index],
                    "Bm": geo.B0[index], "Cm": geo.C0[index], "H_norm": geo.H_norm[index],
                    "pu_gap": geo.pu_gap[index]}

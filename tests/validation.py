@@ -24,7 +24,7 @@ def validate_at(space, samples):
         # count the connections computed
         minors = leading_minors(g)
         gamma = None
-        if dg.any():
+        if not space.flat:
             definite = positive_definite(minors, tol=0.0)[..., None, None]
             gamma = ambient.levi_civita(np.linalg.inv(np.where(definite, g, np.eye(space.dim))), dg)
-    return ambient.validate_ambient(space, x, g, f, df, gamma, minors)
+    return ambient.validate_ambient(g, f, df, gamma, minors)
