@@ -81,10 +81,11 @@ class AmbientSpace:
     ``metric_diff[l][i][j]`` and ``structure_diff[l][i][j]`` hold the
     partial derivatives of ``g_ij`` and ``F^i_j`` along ``x(l+1)``, zero
     folded, so a flat block contributes plain ``Num(0)`` entries; an entry
-    is only differentiated along the variables it contains.  The space is
-    ``flat`` when every entry of ``metric_diff`` folds to a constant zero; a
-    derivative that does not fold, such as that of ``x1 - x1``, counts as
-    curved, and its Christoffel symbols are computed (and vanish).
+    is only differentiated along the variables it contains (a matrix without
+    any gets rows of one shared ``Num(0)``).  The space is ``flat`` when
+    every entry of ``metric_diff`` folds to a constant zero; a derivative
+    that does not fold, such as that of ``x1 - x1``, counts as curved, and
+    its Christoffel symbols are computed (and vanish).
 
     Evaluated once per space: a metric or structure table without variables
     becomes a float array on first use, and its derivative table a zero
@@ -114,18 +115,20 @@ class AmbientSpace:
             free = frozenset().union(*(v for row in used for v in row))
             if not free <= allowed:
                 raise ex.UnknownVariable(sorted(free - allowed)[0])
-            if not free:
-                fixed.append(name)
-            d = tuple(
-                tuple(
-                    tuple(ex.diff(e, x) if x in v else zero for e, v in zip(row, vrow))
-                    for row, vrow in zip(matrix, used)
+            if free:
+                d = tuple(
+                    tuple(
+                        tuple(ex.diff(e, x) if x in v else zero for e, v in zip(row, vrow))
+                        for row, vrow in zip(matrix, used)
+                    )
+                    for x in ambient_vars(self.dim)
                 )
-                for x in ambient_vars(self.dim)
-            )
+            else:
+                fixed.append(name)
+                d = (((zero,) * self.dim,) * self.dim,) * self.dim
             object.__setattr__(self, f"{name}_diff", d)
         object.__setattr__(self, "_fixed", tuple(fixed))
-        object.__setattr__(self, "flat", all(e == zero for d in self.metric_diff for row in d for e in row))
+        object.__setattr__(self, "flat", all(e is zero or e == zero for d in self.metric_diff for row in d for e in row))
         for i in range(self.dim):
             for j in range(i):
                 a, b = self.metric[i][j], self.metric[j][i]

@@ -16,13 +16,17 @@ expression is evaluated against an environment.  A numeric literal must be
 finite: one that overflows a float is a :class:`ParseError`, and so is an
 expression nested deeper than :data:`MAX_DEPTH` levels.
 
-One regular expression scans the source, and one precedence-climbing loop
-builds every left-associative operator.  A :class:`Plan` compiles several
-tables of expressions (nested tuples of nodes) into one straight-line program
-with a step per structurally distinct subtree, so a ``sin(u1)`` repeated
-across entries and tables is computed once per environment; a table is kept
-as its shape and the flat list of its step numbers.  :func:`evaluate`
-evaluates a single tree.
+One scan of one regular expression gives the token texts and no offsets;
+a token's offset is found by scanning again, only to raise a
+:class:`ParseError`, and a character that starts no token raises before
+any other error.  One precedence-climbing loop builds every
+left-associative operator, and one operand rule reads the leading minus
+signs, then a number, name, call or group, then its exponent chain.  A
+:class:`Plan` compiles several tables of expressions (nested tuples of
+nodes) into one straight-line program with a step per structurally
+distinct subtree, so a ``sin(u1)`` repeated across entries and tables is
+computed once per environment; a table is kept as its shape and the flat
+list of its step numbers.  :func:`evaluate` evaluates a single tree.
 """
 
 from __future__ import annotations
@@ -108,135 +112,144 @@ ExprAst = Union[Num, Var, Neg, BinOp, Call]
 MAX_DEPTH = 100
 _TOO_DEEP = f"expression nested deeper than {MAX_DEPTH} levels"
 
+# a token after whitespace: number, name, operator or parenthesis, or a bad character
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()])"
-    r"|(?P<eof>\Z)|(?P<bad>.))",
-    re.DOTALL,
+    r"\s*((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+    r"|[A-Za-z_][A-Za-z0-9_]*"
+    r"|[-+*/^()]|\S)"
 )
+# a character that starts no token; the only other bad token is a lone "."
+_BAD = re.compile(r"[^\s0-9A-Za-z_.+\-*/^()]")
+_NUMERIC = frozenset("0123456789.")  # the first characters of a number
 
 _BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}  # how tightly each left-associative operator binds
 
 
-def _tokenize(src: str) -> list[tuple[str, str, int]]:
-    """``(kind, text, offset)`` of each token, ending with an ``eof`` token."""
-    tokens = []
-    for match in _TOKEN.finditer(src):
-        kind = match.lastgroup
-        token = (kind, match.group(kind), match.start(kind))
-        if kind == "bad":
-            raise ParseError(f"unexpected character {token[1]!r}", token[2])
-        tokens.append(token)
-        if kind == "eof":
-            return tokens
+class _Reader:
+    """Precedence climbing over the token texts, which end with ``""``.
 
+    A rule returns its subtree and the subtree's depth; ``nest`` counts the
+    levels the cursor is in.  Token offsets are only found to raise.
+    """
 
-class _Parser:
-    """Precedence climbing over the token list.  A rule returns its subtree
-    and the subtree's depth; ``nest`` counts the levels the cursor is in."""
+    __slots__ = ("src", "tokens", "pos", "nest")
 
     def __init__(self, src: str):
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.nest = 0
+        self.src = src
+        self.tokens = tokens = _TOKEN.findall(src)
+        if "." in tokens or _BAD.search(src):
+            for match in _TOKEN.finditer(src):
+                text = match.group(1)
+                if text == "." or _BAD.match(text):
+                    raise ParseError(f"unexpected character {text!r}", match.start(1))
+        tokens.append("")
+        self.pos = self.nest = 0
 
-    def _take(self, symbol: str) -> bool:
-        """Whether the next token is ``symbol``; if so, it is consumed."""
-        taken = self.tokens[self.pos][1] == symbol
-        self.pos += taken
-        return taken
-
-    def _inner(self, rule, offset: int):
-        """``rule()`` one level further in, for the token at ``offset``."""
-        if self.nest == MAX_DEPTH:
-            raise ParseError(_TOO_DEEP, offset)
-        self.nest += 1
-        result = rule()
-        self.nest -= 1
-        return result
+    def error(self, message: str, index: int) -> ParseError:
+        """A :class:`ParseError` at token ``index``; the end is at ``len(src)``."""
+        offsets = [match.start(1) for match in _TOKEN.finditer(self.src)] + [len(self.src)]
+        return ParseError(message, offsets[index])
 
     def parse(self) -> ExprAst:
-        node, _ = self.binary()
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "eof":
-            raise ParseError(f"unexpected token {text!r}", offset)
+        node, _ = self.binary(1)
+        if self.tokens[self.pos]:
+            raise self.error(f"unexpected token {self.tokens[self.pos]!r}", self.pos)
         return node
 
-    def binary(self, floor: int = 1) -> tuple[ExprAst, int]:
+    def binary(self, floor: int) -> tuple[ExprAst, int]:
         """Operands joined by the operators binding at least ``floor``, left to right."""
-        node, depth = self.unary()
-        while (strength := _BINDING.get(op := self.tokens[self.pos][1], 0)) >= floor:
+        node, depth = self.operand()
+        tokens = self.tokens
+        while (strength := _BINDING.get(op := tokens[self.pos], 0)) >= floor:
             self.pos += 1
             rhs, rhs_depth = self.binary(strength + 1)
             node, depth = BinOp(op, node, rhs), max(depth, rhs_depth) + 1
         if depth > MAX_DEPTH:  # reported at the last token read
-            raise ParseError(_TOO_DEEP, self.tokens[self.pos - 1][2])
+            raise self.error(_TOO_DEEP, self.pos - 1)
         return node, depth
 
-    def unary(self) -> tuple[ExprAst, int]:
-        if self._take("-"):
-            node, depth = self._inner(self.unary, self.tokens[self.pos - 1][2])
-            return Neg(node), depth + 1
-        return self.power()
+    def operand(self) -> tuple[ExprAst, int]:
+        """Minus signs, then a number, name, call or group, then an exponent chain."""
+        tokens, outer = self.tokens, self.nest
+        pos = start = self.pos
+        while tokens[pos] == "-":
+            pos += 1
+        signs = pos - start
+        nest = outer + signs  # each minus sign is a level
+        if nest > MAX_DEPTH:
+            raise self.error(_TOO_DEEP, start + MAX_DEPTH - outer)
+        text = tokens[pos]
+        pos += 1
+        if text[:1] in _NUMERIC:
+            node, depth = Num(self.number(pos - 1)), 1
+        elif text.isidentifier() and tokens[pos] != "(":
+            node, depth = Var(text), 1
+        else:
+            call = text.isidentifier()
+            if call and text not in FUNCTIONS:
+                raise self.error(f"unknown function {text!r}", pos - 1)
+            if not call and text != "(":
+                raise self.error(f"expected a value, found {text!r}" if text else "unexpected end of input", pos - 1)
+            if nest == MAX_DEPTH:
+                raise self.error(_TOO_DEEP, pos - 1)
+            self.pos, self.nest = pos + call, nest + 1
+            node, depth = self.binary(1)
+            pos = self.pos
+            if tokens[pos] != ")":
+                raise self.error("expected ')'", pos)
+            pos += 1
+            node, depth = (Call(text, node) if call else node), depth + 1
+        if tokens[pos] == "^":
+            node, depth = BinOp("^", node, Num(self.exponent(pos + 1, nest))), depth + 1
+        else:
+            self.pos = pos
+        self.nest = outer
+        for _ in range(signs):
+            node = Neg(node)
+        return node, depth + signs
 
-    def power(self) -> tuple[ExprAst, int]:
-        base, depth = self.atom()
-        if self._take("^"):
-            return BinOp("^", base, Num(self.exponent())), depth + 1
-        return base, depth
-
-    def exponent(self) -> float:
-        """Exponents are (possibly signed) numeric literals; chains fold right."""
-        negate = self._take("-")
-        kind, _, offset = self.tokens[self.pos]
-        if kind != "num":
-            raise ParseError("exponent must be a numeric literal", offset)
-        value = self._number()
-        if self._take("^"):
+    def exponent(self, pos: int, nest: int) -> float:
+        """The exponent chain from token ``pos``, folded right: a literal with an
+        optional minus sign, then ``^`` and the next link, one level further in."""
+        tokens = self.tokens
+        negate = tokens[pos] == "-"
+        pos += negate
+        if tokens[pos][:1] not in _NUMERIC:
+            raise self.error("exponent must be a numeric literal", pos)
+        value = self.number(pos)
+        self.pos = pos + 1
+        if tokens[pos + 1] == "^":
+            if nest == MAX_DEPTH:
+                raise self.error(_TOO_DEEP, pos)
             try:
-                value = value ** self._inner(self.exponent, offset)
+                value = value ** self.exponent(pos + 2, nest + 1)
             except (OverflowError, ZeroDivisionError):
-                raise ParseError("exponent is not a finite number", offset) from None
+                raise self.error("exponent is not a finite number", pos) from None
         return -value if negate else value
 
-    def _number(self) -> float:
-        """The numeric literal at the cursor, which must be a finite float."""
-        _, text, offset = self.tokens[self.pos]
-        self.pos += 1
+    def number(self, index: int) -> float:
+        """The numeric literal at token ``index``, which must be a finite float."""
+        text = self.tokens[index]
         value = float(text)
-        if math.isinf(value):
-            raise ParseError(f"numeric literal {text!r} overflows", offset)
+        if value == math.inf:
+            raise self.error(f"numeric literal {text!r} overflows", index)
         return value
-
-    def atom(self) -> tuple[ExprAst, int]:
-        kind, text, offset = self.tokens[self.pos]
-        if kind == "num":
-            return Num(self._number()), 1
-        self.pos += 1
-        call = kind == "name" and self._take("(")
-        if kind == "name" and not call:
-            return Var(text), 1
-        if call and text not in FUNCTIONS:
-            raise ParseError(f"unknown function {text!r}", offset)
-        if not call and text != "(":
-            raise ParseError(f"expected a value, found {text!r}" if text else "unexpected end of input", offset)
-        node, depth = self._inner(self.binary, offset)
-        if not self._take(")"):
-            raise ParseError("expected ')'", self.tokens[self.pos][2])
-        return (Call(text, node) if call else node), depth + 1
 
 
 def parse(src: str) -> ExprAst:
     """The expression tree of ``src``."""
-    return _Parser(src).parse()
+    return _Reader(src).parse()
+
+
+_NO_VARIABLES: frozenset[str] = frozenset()
 
 
 def variables(node: ExprAst) -> frozenset[str]:
+    """The names of the variables in ``node``; one shared empty set for a number."""
     if isinstance(node, Var):
         return frozenset((node.name,))
     if isinstance(node, Num):
-        return frozenset()
+        return _NO_VARIABLES
     if isinstance(node, Neg):
         return variables(node.arg)
     if isinstance(node, Call):

@@ -71,7 +71,8 @@ class Immersion:
 
     The components are compiled into one :class:`~prodgeo.expr.Plan` at
     construction, so a subexpression repeated across them (``sin(u1)`` in
-    several components) is evaluated once per environment.
+    several components) is evaluated once per environment; its variable
+    steps, one per distinct name, are checked against u1..un.
     """
 
     n: int
@@ -89,14 +90,15 @@ class Immersion:
             raise ValueError(
                 "a proper submanifold needs more ambient than parametric dimensions"
             )
+        plan = ex.Plan([components])
         allowed = set(param_vars(self.n))
-        used = frozenset().union(*(ex.variables(c) for c in components))
-        if not used <= allowed:
-            raise ex.UnknownVariable(sorted(used - allowed)[0])
+        unknown = [step[1] for step in plan.steps if step[0] == "var" and step[1] not in allowed]
+        if unknown:
+            raise ex.UnknownVariable(min(unknown))
         # as float tuples, each checked to be n finite coordinates
         samples = _points(self.samples, self.n).tolist() if len(self.samples) else ()
         object.__setattr__(self, "samples", tuple(map(tuple, samples)))
-        object.__setattr__(self, "_plan", ex.Plan([components]))
+        object.__setattr__(self, "_plan", plan)
 
     @property
     def ambient_dim(self) -> int:

@@ -13,17 +13,19 @@ import numpy as np
 import pytest
 
 from prodgeo import ambient, calculus, jets
+from prodgeo import expr as ex
 from prodgeo.ambient import (
     AmbientSpace,
     AmbientValidationReport,
     BlockVariableLeak,
     SingularMetric,
+    ambient_vars,
     leading_minors,
     levi_civita,
     positive_definite,
     product_of,
 )
-from prodgeo.catalog import catalog_get
+from prodgeo.catalog import catalog_get, flat_product
 from prodgeo.subgeom import Immersion, _JetGeometry
 
 from controls import constant_reflection_space, position_reflection_space, rotation_structure_space
@@ -393,3 +395,18 @@ def test_validation_needs_a_sample(space):
     # with no samples there is nothing to measure F^2 - I or nabla F at
     with pytest.raises(ValueError, match="needs at least one sample point"):
         validate_at(space(), [])
+
+
+def test_derivative_tables_of_a_flat_and_a_curved_space():
+    flat = flat_product(2, 2)
+    for table in (flat.metric_diff, flat.structure_diff):
+        entries = [e for matrix in table for row in matrix for e in row]
+        assert len(entries) == 64 and all(e == ex.Num(0) for e in entries)
+    assert flat.flat
+    # entrywise symbolic derivatives, zero folded where an entry lacks the variable
+    curved = catalog_get("curved-block").space
+    for matrix, table in ((curved.metric, curved.metric_diff), (curved.structure, curved.structure_diff)):
+        assert table == tuple(
+            tuple(tuple(ex.diff(e, x) for e in row) for row in matrix) for x in ambient_vars(curved.dim)
+        )
+    assert not curved.flat

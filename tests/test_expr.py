@@ -1,5 +1,6 @@
 """Expression parsing, printing and evaluation."""
 
+import hashlib
 import math
 import re
 
@@ -382,3 +383,79 @@ def test_plan_matches_evaluating_each_entry(tables):
                             value = _constant(entry.alg, value)
                         entry, value = entry.coeffs, value.coeffs
                     assert _bits(entry) == _bits(np.broadcast_to(value, entry.shape))
+
+
+# ---- pinned front-end behaviour ----------------------------------------------
+
+# every message and offset, as the parser reports them
+PARSE_ERRORS = [
+    ("(u1 .", "unexpected character '.'", 4),
+    ("u1 .", "unexpected character '.'", 3),
+    (".", "unexpected character '.'", 0),
+    ("..5", "unexpected character '.'", 0),
+    (" \t.5.", "unexpected character '.'", 4),
+    ("u1 + $", "unexpected character '$'", 5),
+    ("(u1 + tan) $ .", "unexpected character '$'", 11),
+    ("tan(u1)", "unknown function 'tan'", 0),
+    ("u1 +", "unexpected end of input", 4),
+    ("u1 +  ", "unexpected end of input", 6),
+    ("", "unexpected end of input", 0),
+    ("* u1", "expected a value, found '*'", 0),
+    ("(u1", "expected ')'", 3),
+    ("sin(u1", "expected ')'", 6),
+    ("u1^u2", "exponent must be a numeric literal", 3),
+    ("u1^", "exponent must be a numeric literal", 3),
+    ("u1^-", "exponent must be a numeric literal", 4),
+    ("1e999", "numeric literal '1e999' overflows", 0),
+    ("u1^1e309", "numeric literal '1e309' overflows", 3),
+    ("u1^10^400", "exponent is not a finite number", 3),
+    ("u1^2^10^400", "exponent is not a finite number", 5),
+    ("u1^0^-1", "exponent is not a finite number", 3),
+    ("u1 u2", "unexpected token 'u2'", 3),
+    ("2u1", "unexpected token 'u1'", 1),
+    ("1.2.3", "unexpected token '.3'", 3),
+    ("u1)", "unexpected token ')'", 2),
+    ("sin u1", "unexpected token 'u1'", 4),
+    ("-" * 101 + "u1", "expression nested deeper than 100 levels", 100),
+    ("(" * 101 + "u1" + ")" * 101, "expression nested deeper than 100 levels", 100),
+    ("-(" * 51 + "u1" + ")" * 51, "expression nested deeper than 100 levels", 100),
+    ("u1" + "^2" * 102, "expression nested deeper than 100 levels", 203),
+    ("u1" + "^2" * 100, "exponent is not a finite number", 193),
+    ("u1" + "+u1" * 100, "expression nested deeper than 100 levels", 300),
+    ("(" * 100 + "u1" + ")" * 100 + " + 1", "expression nested deeper than 100 levels", 205),
+]
+
+
+@pytest.mark.parametrize("src, message, offset", PARSE_ERRORS)
+def test_parse_error_messages_and_offsets(src, message, offset):
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse(src)
+    assert (str(err.value), err.value.offset) == (f"{message} (offset {offset})", offset)
+
+
+def _corpus() -> list[str]:
+    """Sources as documents hold them: every catalog scenario's map, metric
+    and structure entries, random trig surfaces, and the README's examples."""
+    sources = []
+    for label in catalog_list():
+        scn = catalog_get(label)
+        sources += [ex.pretty(c) for c in scn.immersion.components]
+        for matrix in (scn.space.metric, scn.space.structure):
+            sources += [ex.pretty(e) for row in matrix for e in row]
+    for seed in range(50):
+        sources += [ex.pretty(c) for c in random_trig_immersion(seed, 0).components]
+    sources += ["1", "0", "sin(x1)^2", "0.7853981633974483", "u1", "u2", "cos(u1)", "sin(u1)",
+                "0.5", "1/2", "x1*x2", "x2*x1", "1e155*cos(u1)", "1e-20", "1 + x1"]
+    return sources
+
+
+CORPUS_SIZE = 478
+CORPUS_DIGEST = "0bc9bb00ff4e351ad4d12c140f6ff686c4d59f0dfeb166693ed2659688c33dc7"
+
+
+def test_trees_are_unchanged_on_a_fixed_corpus():
+    # identical trees compile to identical plans, so reports stay byte-identical
+    sources = _corpus()
+    assert len(sources) == CORPUS_SIZE
+    digest = hashlib.sha256("\n".join(repr(ex.parse(src)) for src in sources).encode()).hexdigest()
+    assert digest == CORPUS_DIGEST

@@ -589,3 +589,14 @@ def test_tiny_metric_builds_the_frames_of_flat_space():
             assert abs(a - b) <= 1e-12, name
     assert got.classification.points["rank_phi"] == want.classification.points["rank_phi"]
     assert got.lemma1.passed and got.lemma2.passed
+
+
+def test_immersion_names_the_first_unknown_variable():
+    # x1 and u3 are both foreign to u1; the first in sorted order is named
+    with pytest.raises(ex.UnknownVariable) as err:
+        Immersion(1, ("x1 + u1", "u3"))
+    assert err.value.name == "u3"
+    # a constant component uses no variable and builds
+    imm = Immersion(1, ("u1", "2.5", "-(1)"), samples=((0.4,),))
+    assert imm.components[1:] == (ex.Num(2.5), ex.Neg(ex.Num(1.0)))
+    assert np.array_equal(imm._plan({"u1": np.array([0.4])})[0], [[0.4, 2.5, -1.0]])
