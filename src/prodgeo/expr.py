@@ -363,16 +363,21 @@ class Plan:
 def _compile(entry, index: dict, steps: list):
     """The step number of a node (a nested tuple of them for a table),
     adding the steps it needs to ``steps`` and their keys to ``index``."""
-    if isinstance(entry, tuple):
-        return tuple(_compile(e, index, steps) for e in entry)
-    if isinstance(entry, Num):
-        key = ("num", entry.value, math.copysign(1.0, entry.value))
-    elif isinstance(entry, Var):
-        key = ("var", entry.name)
-    elif isinstance(entry, (Neg, Call)):
-        key = (entry.fn if isinstance(entry, Call) else "neg", _compile(entry.arg, index, steps))
-    else:
+    kind = type(entry)  # by frequency in long sums of products
+    if kind is BinOp:
         key = (entry.op, _compile(entry.lhs, index, steps), _compile(entry.rhs, index, steps))
+    elif kind is Num:
+        key = ("num", entry.value, math.copysign(1.0, entry.value))
+    elif kind is Var:
+        key = ("var", entry.name)
+    elif kind is Call:
+        key = (entry.fn, _compile(entry.arg, index, steps))
+    elif kind is Neg:
+        key = ("neg", _compile(entry.arg, index, steps))
+    elif kind is tuple:
+        return tuple(_compile(e, index, steps) for e in entry)
+    else:
+        raise TypeError(f"{entry!r} is not an expression or a table of them")
     step = index.get(key)
     if step is None:
         step = index[key] = len(steps)

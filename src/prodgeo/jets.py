@@ -18,7 +18,10 @@ multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  A product gathers the
 coefficient pairs whose degrees fit the carried order and scatters their
 products with one matrix multiplication through the cached table of
 :meth:`_Algebra.mul_table`.  :func:`einsum` contracts field axes the same
-way, so a metric contraction over all components is one numpy call.
+way, so a metric contraction over all components is one numpy call, and the
+Hessian's index table sits on the algebra too.  An elementary function is
+Horner's scheme in the derivative part, whose innermost step is a scalar
+multiple; a float operand scales or shifts the coefficients directly.
 
 Gathers and contractions keep the coefficient axis innermost and C-ordered.
 A gather is ``ndarray.take`` along the last axis, which returns a C-ordered
@@ -97,7 +100,7 @@ class _Algebra:
     variables; truncation is a slice.
     """
 
-    __slots__ = ("nvars", "order", "exps", "index", "size", "_mul", "_diff")
+    __slots__ = ("nvars", "order", "exps", "index", "size", "_mul", "_diff", "_hess")
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
@@ -109,6 +112,7 @@ class _Algebra:
         self.size = len(self.exps)
         self._mul = None
         self._diff: dict[int, tuple] = {}
+        self._hess = None
 
     def mul_table(self):
         """``(ia, ib, scatter)``: the coefficient pairs of a product whose
@@ -131,6 +135,14 @@ class _Algebra:
             src = np.array([self.index[tuple(e)] for e in lifted])
             self._diff[var] = (src, lifted[:, var].astype(float))
         return self._diff[var]
+
+    def hessian_table(self):
+        """``(index, scale)``: each pair's coefficient and its factor (2 if pure)."""
+        if self._hess is None:
+            unit = np.eye(self.nvars, dtype=int)
+            index = np.array([[self.index[tuple(a + b)] for b in unit] for a in unit])
+            self._hess = (index, 1.0 + np.eye(self.nvars))
+        return self._hess
 
 
 @lru_cache(maxsize=None)
@@ -193,9 +205,8 @@ class Jet:
         two axes): a mixed one is its coefficient, a pure one twice it."""
         if self.order < 2:
             raise InsufficientJetOrder("a jet below order 2 has no second derivatives")
-        unit = np.eye(self.nvars, dtype=int)
-        index = [[self.alg.index[tuple(a + b)] for b in unit] for a in unit]
-        return self.coeffs.take(index, axis=-1) * (1.0 + np.eye(self.nvars))
+        index, scale = self.alg.hessian_table()
+        return self.coeffs.take(index, axis=-1) * scale
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -235,6 +246,8 @@ class Jet:
     def _coerce(self, other):
         """(algebra, own coefficients, the other's coefficients), or None."""
         if isinstance(other, Jet):
+            if other.alg is self.alg:
+                return self.alg, self.coeffs, other.coeffs
             a, b = _align(self, other)
             return a.alg, a.coeffs, b.coeffs
         if isinstance(other, _CONST):
@@ -242,6 +255,10 @@ class Jet:
         return None
 
     def __add__(self, other):
+        if isinstance(other, float):  # what adding a constant jet computes
+            out = self.coeffs + 0.0
+            out[..., 0] = self.coeffs[..., 0] + other
+            return Jet(self.alg, out)
         c = self._coerce(other)
         return NotImplemented if c is None else Jet(c[0], c[1] + c[2])
 
@@ -256,6 +273,8 @@ class Jet:
         return NotImplemented if c is None else Jet(c[0], c[2] - c[1])
 
     def __mul__(self, other):
+        if isinstance(other, float):
+            return Jet(self.alg, self.coeffs * other)
         if isinstance(other, Jet):
             a, b = _align(self, other)
             ia, ib, scatter = a.alg.mul_table()
@@ -334,12 +353,18 @@ def _analytic(j: Jet, derivatives: Sequence) -> Jet:
     """Compose a scalar analytic function with a jet, element by element.
 
     ``derivatives[k]`` is the k-th derivative of the function at the values
-    of ``j``.  Uses a Horner scheme in the derivative part of ``j``.
+    of ``j``.  Uses a Horner scheme in the derivative part ``z`` of ``j``
+    (coefficient 0 is ``v - v``: zero, or NaN where ``v`` is not finite):
+    the innermost step ``z * c_K`` is a scalar multiple, each later one a product.
     """
-    zero_part = j - j.coeffs[..., 0]
-    ck = [d / math.factorial(k) for k, d in enumerate(derivatives)]
-    result = _constant(j.alg, ck[-1])
-    for k in range(j.order - 1, -1, -1):
+    if j.order == 0:
+        return _constant(j.alg, derivatives[0])
+    zero_part = Jet(j.alg, j.coeffs.copy())
+    zero_part.coeffs[..., 0] -= j.coeffs[..., 0]
+    ck = [d / math.factorial(k) if k > 1 else d for k, d in enumerate(derivatives)]
+    result = Jet(j.alg, zero_part.coeffs * np.asarray(ck[-1])[..., None])
+    result.coeffs[..., 0] += ck[-2]
+    for k in range(j.order - 2, -1, -1):
         result = result * zero_part
         result.coeffs[..., 0] += ck[k]
     return result
@@ -467,7 +492,8 @@ def einsum(spec: str, a, b):
 def _trig(x: Jet, shift: int) -> Jet:
     """sin (shift 0) or cos (shift 1): the derivatives cycle through four values."""
     v = x.coeffs[..., 0]
-    cycle = (np.sin(v), np.cos(v), -np.sin(v), -np.cos(v))
+    s, c = np.sin(v), np.cos(v)
+    cycle = (s, c, -s, -c)
     return _analytic(x, [cycle[(k + shift) % 4] for k in range(x.order + 1)])
 
 

@@ -185,15 +185,17 @@ def _load_immersion(cfg: configparser.ConfigParser, space: AmbientSpace) -> Imme
     n = _get_int(cfg, section, "n")
     label = cfg.get(section, "label", fallback="").strip()
     components = _split_top(_get(cfg, section, "map"), ",", section)
-    if len(components) != space.dim:
-        raise DimensionMismatch(
-            f"map has {len(components)} components but the ambient dimension is {space.dim}",
-            section,
-        )
     try:
-        return Immersion(n, tuple(components), label=label)
+        trees = tuple(map(ex.parse, components))  # a syntax error before the count
+        if len(trees) == space.dim:
+            return Immersion(n, trees, label=label)
     except (ex.ParseError, ex.UnknownVariable, ValueError) as err:
         raise ScenarioError(str(err), section) from err
+    raise DimensionMismatch(
+        f"map has {len(trees)} component{'s' * (len(trees) != 1)} but the ambient dimension"
+        f" is {space.dim}",
+        section,
+    )
 
 
 def _parse_points(text: str, n: int) -> tuple[tuple[float, ...], ...]:

@@ -142,6 +142,12 @@ def _points(samples, n: int) -> np.ndarray:
     sequence of n real numbers, and all finite."""
     if len(samples) == 0:
         raise ValueError("classification needs at least one sample point")
+    try:
+        u = np.asarray(samples)
+    except ValueError:  # ragged; the loop below names the sample
+        u = None
+    if u is not None and u.dtype == float and u.shape == (len(samples), n) and np.isfinite(u).all():
+        return u
     for s in samples:
         try:
             coords = np.asarray(s)

@@ -211,6 +211,9 @@ MALFORMED = {
     "empty-map-component": ("immersion", "n = 1\nmap = cos(u1),, sin(u1)"),
     "empty-point": ("samples", "points = (0.5,);; (1.0,)"),
     "trailing-point-separator": ("samples", "points = (0.5,); (1.0,);"),
+    # a component's syntax error is found before the component count
+    "syntax-error-in-one-component": ("immersion", "n = 1\nmap = cos(u1) . sin(u1)"),
+    "one-component": ("immersion", "n = 1\nmap = cos(u1)"),
 }
 
 
@@ -231,6 +234,17 @@ def test_malformed_scenario_names_its_section(section, body, capsys, tmp_path):
 def test_random_spec_key_error_names_the_key(case, message):
     with pytest.raises(ScenarioError, match=f"^\\[samples\\] random spec key {message}$"):
         loads_scenario(_malformed(*MALFORMED[case]))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("syntax-error-in-one-component", "unexpected character '.' (offset 8)"),
+    ("one-component", "map has 1 component but the ambient dimension is 2"),
+])
+def test_map_error_names_the_first_fault(case, message, capsys, tmp_path):
+    path = tmp_path / "map.ini"
+    path.write_text(_malformed(*MALFORMED[case]))
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out, err) == (2, "", f"error: [immersion] {message}\n")
 
 
 @pytest.mark.parametrize("key, digit", [("arabic-indic-digit", "\u0663"), ("fullwidth-digit", "\uff11")])

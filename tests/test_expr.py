@@ -459,3 +459,25 @@ def test_trees_are_unchanged_on_a_fixed_corpus():
     assert len(sources) == CORPUS_SIZE
     digest = hashlib.sha256("\n".join(repr(ex.parse(src)) for src in sources).encode()).hexdigest()
     assert digest == CORPUS_DIGEST
+
+
+PLAN_DIGEST = "061578c6094a89d42fa72f91ca102910f9dcbc9a0722908f0cfa61f9aa0b379f"
+
+
+def test_plans_are_unchanged_on_a_fixed_corpus():
+    # the steps and layouts of every corpus source and every catalog space's
+    # tables, as one plan per space the way the space compiles them
+    digest = hashlib.sha256()
+    plans = [ex.Plan([ex.parse(src)]) for src in _corpus()]
+    for label in catalog_list():
+        space = catalog_get(label).space
+        plans.append(ex.Plan([space.metric, space.metric_diff, space.structure, space.structure_diff]))
+    for plan in plans:
+        digest.update(repr((plan.steps, plan.layouts)).encode())
+    assert len(plans) == CORPUS_SIZE + len(catalog_list())
+    assert digest.hexdigest() == PLAN_DIGEST
+
+
+def test_plan_refuses_what_is_not_an_expression():
+    with pytest.raises(TypeError, match="is not an expression"):
+        ex.Plan([[ex.Var("u1")]])

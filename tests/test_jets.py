@@ -1,5 +1,6 @@
 """Jet arithmetic: spec examples, ring axioms, oracle cross-checks."""
 
+import itertools
 import math
 
 import numpy as np
@@ -392,3 +393,155 @@ def test_stack_matches_broadcast_then_stack(order):
     ]
     for shape, leaves in cases:
         _same(stack(shape, leaves), _ref_stack(shape, leaves))
+
+
+# ---- kernels against the plain forms they replace ----------------------------
+# The references are the earlier kernels: Horner's scheme from a constant jet
+# through full jet products, and a number lifted to a constant jet before it
+# is added or multiplied.  The kernels must give the same floats.
+
+EXTREMES = (0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300)
+SHAPES = ((), (3,), (3, 2))
+
+
+def _ref_constant(alg, value):
+    v = np.asarray(value, dtype=float)
+    c = np.zeros(v.shape + (alg.size,))
+    c[..., 0] = v
+    return c
+
+
+def _ref_product(alg, a, b):
+    ia, ib, scatter = alg.mul_table()
+    return (a.take(ia, axis=-1) * b.take(ib, axis=-1)) @ scatter
+
+
+def _ref_analytic(j, derivatives):
+    zero_part = j.coeffs - _ref_constant(j.alg, j.coeffs[..., 0])
+    ck = [d / math.factorial(k) for k, d in enumerate(derivatives)]
+    result = _ref_constant(j.alg, ck[-1])
+    for k in range(j.order - 1, -1, -1):
+        result = _ref_product(j.alg, result, zero_part)
+        result[..., 0] += ck[k]
+    return result
+
+
+def _ref_trig(j, shift):
+    v = j.coeffs[..., 0]
+    cycle = (np.sin(v), np.cos(v), -np.sin(v), -np.cos(v))
+    return _ref_analytic(j, [cycle[(k + shift) % 4] for k in range(j.order + 1)])
+
+
+def _ref_power(j, q):
+    v = j.coeffs[..., 0]
+    ders, c = [], 1.0
+    for k in range(j.order + 1):
+        ders.append(c * v ** (q - k))
+        c *= q - k
+    return _ref_analytic(j, ders)
+
+
+def _ref_reciprocal(j):
+    v = j.coeffs[..., 0]
+    return _ref_analytic(j, [(-1.0) ** k * math.factorial(k) / v ** (k + 1) for k in range(j.order + 1)])
+
+
+KERNELS = {  # name: (the kernel, its reference, whether its value must be positive)
+    "sin": (sin, lambda j: _ref_trig(j, 0), False),
+    "cos": (cos, lambda j: _ref_trig(j, 1), False),
+    "exp": (exp, lambda j: _ref_analytic(j, [np.exp(j.coeffs[..., 0])] * (j.order + 1)), False),
+    "sqrt": (sqrt, lambda j: _ref_power(j, 0.5), True),
+    "reciprocal": (lambda j: 1.0 / j, _ref_reciprocal, False),
+    **{f"power{q}": ((lambda j, q=q: j ** q), (lambda j, q=q: _ref_power(j, q)), True)
+       for q in (-1.5, -0.5, 1.5, 2.5)},
+}
+
+
+def _kernel_input(rng, nvars, order, shape, positive):
+    """A random jet, a third of its coefficients drawn from EXTREMES; with
+    ``positive`` its values are positive, else non-zero."""
+    alg = _algebra(nvars, order)
+    c = rng.normal(size=shape + (alg.size,))
+    hit = rng.random(c.shape) < 1 / 3
+    c[hit] = rng.choice(EXTREMES, size=c.shape)[hit]
+    v = c[..., 0]
+    v[v == 0.0] = 1e-300
+    if positive:
+        c[..., 0] = np.abs(v)
+    return Jet(alg, c)
+
+
+def _jet_cases():
+    return [(nvars, order, shape) for nvars in (1, 2, 3) for order in (0, 1, 2, 3) for shape in SHAPES]
+
+
+def _finite_entries(c):
+    return np.isfinite(c).all(axis=-1)
+
+
+def _same_floats(got, ref):
+    """Non-finite at the same entries, and equal (NaNs included) at every
+    entry where the reference is finite.
+
+    Only at an entry where the reference overflowed may the two differ
+    beyond that: the reference's constant jet adds 0 * inf terms there."""
+    assert got.shape == ref.shape
+    finite = _finite_entries(ref)
+    assert np.array_equal(_finite_entries(got), finite)
+    assert np.array_equal(got[finite], ref[finite])
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernels_give_the_floats_of_the_reference(name):
+    kernel, reference, positive = KERNELS[name]
+    rng = np.random.default_rng(sorted(KERNELS).index(name))
+    with np.errstate(all="ignore"):
+        for nvars, order, shape in _jet_cases():
+            for _ in range(4):
+                j = _kernel_input(rng, nvars, order, shape, positive)
+                _same_floats(kernel(j).coeffs, reference(j))
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_kernels_are_non_finite_where_the_reference_is(name):
+    kernel, reference, positive = KERNELS[name]
+    rng = np.random.default_rng(100 + sorted(KERNELS).index(name))
+    bad = (np.nan, np.inf) if positive else (np.nan, np.inf, -np.inf)
+    with np.errstate(all="ignore"):
+        for nvars, order, shape in _jet_cases():
+            if not shape:
+                continue
+            for value in bad:
+                j = _kernel_input(rng, nvars, order, shape, positive)
+                point = tuple(rng.integers(n) for n in shape)
+                j.coeffs[point + (rng.integers(j.alg.size),)] = value
+                got, ref = kernel(j).coeffs, reference(j)
+                # at order 0 only the value is computed, and exp(-inf) is 0
+                assert order == 0 or not _finite_entries(ref)[point]
+                assert np.array_equal(_finite_entries(got), _finite_entries(ref))
+
+
+def test_float_arithmetic_gives_the_floats_of_a_constant_jet():
+    rng = np.random.default_rng(7)
+    numbers = EXTREMES + (1.5, -2.25, np.float64(0.25), np.inf, np.nan)
+    for nvars, order, shape in _jet_cases():
+        j = _kernel_input(rng, nvars, order, shape, False)
+        j.coeffs[rng.random(j.coeffs.shape) < 0.1] = np.nan
+        for x in numbers:
+            with np.errstate(all="ignore"):
+                total, scaled = j.coeffs + _ref_constant(j.alg, x), j.coeffs * np.asarray(x)[..., None]
+                cases = ((j + x, total), (x + j, total), (j * x, scaled), (x * j, scaled))
+            for got, ref in cases:
+                assert np.array_equal(got.coeffs, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(got.coeffs), np.signbit(ref))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_hessian_is_the_derivative_of_every_pair(order):
+    rng = np.random.default_rng(order)
+    for nvars in (1, 2, 3):
+        j = _random_jet(rng, (3, 2), order=order, nvars=nvars)
+        hessian = j.hessian()
+        for a, b in itertools.product(range(nvars), repeat=2):
+            exponents = np.eye(nvars, dtype=int)[a] + np.eye(nvars, dtype=int)[b]
+            assert np.array_equal(hessian[..., a, b], j.derivative(exponents))

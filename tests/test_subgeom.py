@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 import warnings
 from functools import lru_cache
 
@@ -18,6 +19,7 @@ from prodgeo.subgeom import (
     DegenerateImmersion,
     Immersion,
     _JetGeometry,
+    _points,
     classify,
     point_geometry,
 )
@@ -323,6 +325,21 @@ def test_every_sample_is_a_sequence_of_n_coordinates(samples):
     ):
         with pytest.raises(ValueError, match=r"^sample .* does not have 1 coordinates$"):
             call()
+
+
+@pytest.mark.parametrize("samples", [
+    ((0.3, -0.0), (1e-300, 2.5)),
+    np.array([[0.3, -0.1], [1.0, 2.5]], dtype=np.float32),
+    [(1, 2), (-3, 0)],
+    [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(5), Fraction(1, 10))],
+], ids=["float-tuples", "float32-array", "int-tuples", "fraction-tuples"])
+def test_samples_become_the_float_array_of_their_coordinates(samples):
+    u = _points(samples, 2)
+    assert u.dtype == np.float64 and u.shape == (2, 2)
+    expected = np.array([[float(c) for c in s] for s in samples])
+    assert np.array_equal(u, expected) and np.array_equal(np.signbit(u), np.signbit(expected))
+    imm = Immersion(2, ("u1", "u2", "u1*u2", "0"), samples=samples)
+    assert imm.samples == tuple(map(tuple, expected.tolist()))
 
 
 @pytest.mark.parametrize("coordinate", [None, "0.2", 1 + 2j], ids=["none", "string", "complex"])
