@@ -313,8 +313,9 @@ class Jet:
             while k:
                 if k & 1:
                     result = result * base
-                base = base * base
                 k >>= 1
+                if k:
+                    base = base * base
             return result
         if (2.0 * q).is_integer():
             v = self.coeffs[..., 0]

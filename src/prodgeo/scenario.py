@@ -27,6 +27,30 @@ A scenario file is an INI-style document with four sections::
     identity_tol = 1e-8       # a positive finite number
     classify_tol = 1e-8
 
+Files are read and written as UTF-8.  The text is split into lines at ``\\n``
+and read in one pass, with the grammar of Python's ``configparser`` (no
+interpolation, ``#`` as the inline comment prefix, case-sensitive keys):
+
+* a ``#`` at the start of a line or right after a whitespace character starts
+  a comment that runs to the end of the line, and a line whose text starts
+  with ``#`` or ``;`` is a comment line;
+* ``[name]`` opens a section; the name is the text between the brackets, not
+  stripped;
+* a key line is split at its first ``=`` or ``:``; the key is right-stripped
+  and the value stripped;
+* a line indented deeper than the line that started the current key continues
+  that key's value; blank lines inside a continued value are kept as empty
+  lines unless they held a comment, and the parts are joined with ``\\n`` and
+  right-stripped.
+
+Unlike ``configparser``, text after a header's ``]`` is an error and
+``[DEFAULT]`` is an ordinary section.  A structural error is one line that
+names its section (the section open at that line, or the repeated one) and its
+line number, as in ``[immersion] line 11: 'foo' is not 'key = value'``; text
+before the first header has no section to name (``line 1: text before the
+first section header 'foo'``).  The other forms are ``section is repeated``,
+``key 'points' is repeated`` and ``text after the section header '[a] b'``.
+
 Numbers are written in ASCII without digit-group underscores, as in expressions.
 An empty entry of a list (a matrix row or entry, a map component, a point or a
 grid axis), a trailing one included, is an error, not skipped.
@@ -42,10 +66,10 @@ images of the samples is measured by the geometry build, inside
 
 from __future__ import annotations
 
-import configparser
 import io
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -122,47 +146,94 @@ def _number(text: str, kind=float):
     return kind(text)
 
 
-def _get(cfg: configparser.ConfigParser, section: str, key: str) -> str:
-    if not cfg.has_section(section):
-        raise ScenarioError(f"missing section [{section}]", section)
-    if not cfg.has_option(section, key):
-        raise ScenarioError(f"missing key {key!r}", section)
-    return cfg.get(section, key).strip()
+_KEY_LINE = re.compile(r"([^=:]*)[=:](.*)")
 
-def _get_int(cfg, section, key) -> int:
-    raw = _get(cfg, section, key)
+
+def _read_sections(text: str) -> dict[str, dict[str, str]]:
+    """Section -> key -> value of a scenario file's text (see the module
+    docstring for the grammar); a structural error names its line."""
+    doc: dict[str, dict[str, str]] = {}
+    name = keys = key = None  # the open section, its keys, the key being continued
+    indent = 0  # of the line that opened ``key``
+    for number, line in enumerate(text.split("\n"), 1):
+        hash_at = line.find("#")  # an inline comment starts at a '#' after whitespace
+        while hash_at > 0 and not line[hash_at - 1].isspace():
+            hash_at = line.find("#", hash_at + 1)
+        value = (line if hash_at < 0 else line[:hash_at]).strip()
+        if not value or value[0] == ";":
+            if key is not None and hash_at < 0 and not value:
+                keys[key] += "\n"  # a blank line inside a continued value
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            keys[key] += "\n" + value
+            continue
+        indent = depth
+        if value[0] == "[" and value.find("]", 2) > 0:  # a header, as configparser matches one
+            if value[-1] != "]":
+                raise ScenarioError(f"line {number}: text after the section header {value!r}", name)
+            name, key = value[1:-1], None
+            if name in doc:
+                raise ScenarioError(f"line {number}: section is repeated", name)
+            keys = doc[name] = {}
+            continue
+        if name is None:
+            raise ScenarioError(f"line {number}: text before the first section header {value!r}")
+        match = _KEY_LINE.match(value)
+        if match is None or not match[1]:
+            raise ScenarioError(f"line {number}: {value!r} is not 'key = value'", name)
+        key = match[1].rstrip()
+        if key in keys:
+            raise ScenarioError(f"line {number}: key {key!r} is repeated", name)
+        keys[key] = match[2].strip()
+    for keys in doc.values():  # drop the blank lines a value ended on
+        for key, value in keys.items():
+            keys[key] = value.rstrip()
+    return doc
+
+
+def _get(doc: dict[str, dict[str, str]], section: str, key: str) -> str:
+    if section not in doc:
+        raise ScenarioError(f"missing section [{section}]", section)
+    if key not in doc[section]:
+        raise ScenarioError(f"missing key {key!r}", section)
+    return doc[section][key].strip()
+
+def _get_int(doc, section, key) -> int:
+    raw = _get(doc, section, key)
     try:
         return _number(raw, int)
     except ValueError:
         raise ScenarioError(f"{key} must be an integer, got {raw!r}", section) from None
 
 
-def _get_float(cfg, section, key, default) -> float:
-    if not cfg.has_section(section) or not cfg.has_option(section, key):
+def _get_float(doc, section, key, default) -> float:
+    raw = doc.get(section, {}).get(key)
+    if raw is None:
         return default
-    raw = cfg.get(section, key).strip()
+    raw = raw.strip()
     try:
         return _number(raw)
     except ValueError:
         raise ScenarioError(f"{key} must be a number, got {raw!r}", section) from None
 
 
-def _load_ambient(cfg: configparser.ConfigParser) -> AmbientSpace:
+def _load_ambient(doc: dict[str, dict[str, str]]) -> AmbientSpace:
     section = "ambient"
-    mode = _get(cfg, section, "mode")
+    mode = _get(doc, section, "mode")
     try:
         if mode == "product":
-            p = _get_int(cfg, section, "p")
-            q = _get_int(cfg, section, "q")
-            block_a = _get(cfg, section, "blockA_metric")
-            block_b = _get(cfg, section, "blockB_metric")
+            p = _get_int(doc, section, "p")
+            q = _get_int(doc, section, "q")
+            block_a = _get(doc, section, "blockA_metric")
+            block_b = _get(doc, section, "blockB_metric")
             a_rows = "flat" if block_a == "flat" else _parse_matrix(block_a, section)
             b_rows = "flat" if block_b == "flat" else _parse_matrix(block_b, section)
             space = product_of(a_rows, p, b_rows, q)
         elif mode == "explicit":
-            dim = _get_int(cfg, section, "dim")
-            metric = _parse_matrix(_get(cfg, section, "metric"), section)
-            structure = _parse_matrix(_get(cfg, section, "structure"), section)
+            dim = _get_int(doc, section, "dim")
+            metric = _parse_matrix(_get(doc, section, "metric"), section)
+            structure = _parse_matrix(_get(doc, section, "structure"), section)
             space = AmbientSpace(dim, metric, structure)
         else:
             raise ScenarioError(f"mode must be 'product' or 'explicit', got {mode!r}", section)
@@ -170,8 +241,8 @@ def _load_ambient(cfg: configparser.ConfigParser) -> AmbientSpace:
         if isinstance(err, ScenarioError):
             raise
         raise ScenarioError(str(err), section) from err
-    if cfg.has_option(section, "dim"):
-        declared = _get_int(cfg, section, "dim")
+    if "dim" in doc[section]:
+        declared = _get_int(doc, section, "dim")
         if declared != space.dim:
             raise DimensionMismatch(
                 f"declared dim {declared} but the metric has dimension {space.dim}",
@@ -180,11 +251,11 @@ def _load_ambient(cfg: configparser.ConfigParser) -> AmbientSpace:
     return space
 
 
-def _load_immersion(cfg: configparser.ConfigParser, space: AmbientSpace) -> Immersion:
+def _load_immersion(doc: dict[str, dict[str, str]], space: AmbientSpace) -> Immersion:
     section = "immersion"
-    n = _get_int(cfg, section, "n")
-    label = cfg.get(section, "label", fallback="").strip()
-    components = _split_top(_get(cfg, section, "map"), ",", section)
+    n = _get_int(doc, section, "n")
+    label = doc[section].get("label", "").strip()
+    components = _split_top(_get(doc, section, "map"), ",", section)
     try:
         trees = tuple(map(ex.parse, components))  # a syntax error before the count
         if len(trees) == space.dim:
@@ -293,14 +364,14 @@ def _parse_random(text: str, n: int, seed_override: int | None) -> tuple[tuple[f
     )
 
 
-def _load_samples(cfg, n: int, seed_override: int | None) -> tuple[tuple[float, ...], ...]:
+def _load_samples(doc, n: int, seed_override: int | None) -> tuple[tuple[float, ...], ...]:
     section = "samples"
-    if not cfg.has_section(section):
+    if section not in doc:
         raise ScenarioError("missing section [samples]", section)
-    keys = [k for k in ("points", "grid", "random") if cfg.has_option(section, k)]
+    keys = [k for k in ("points", "grid", "random") if k in doc[section]]
     if len(keys) != 1:
         raise ScenarioError("need exactly one of points/grid/random", section)
-    text = cfg.get(section, keys[0]).strip()
+    text = doc[section][keys[0]].strip()
     if keys[0] == "points":
         samples = _parse_points(text, n)
     elif keys[0] == "grid":
@@ -325,25 +396,20 @@ _KEYS = {
 
 
 def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenario:
-    cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
-    cfg.optionxform = str
-    try:
-        cfg.read_string(text)
-    except configparser.Error as err:
-        raise ScenarioError(str(err), getattr(err, "section", None)) from err
-    space = _load_ambient(cfg)
-    immersion = _load_immersion(cfg, space)
-    samples = _load_samples(cfg, immersion.n, seed_override)
-    identity_tol = _get_float(cfg, "tolerances", "identity_tol", 1e-8)
-    classify_tol = _get_float(cfg, "tolerances", "classify_tol", 1e-8)
+    doc = _read_sections(text)
+    space = _load_ambient(doc)
+    immersion = _load_immersion(doc, space)
+    samples = _load_samples(doc, immersion.n, seed_override)
+    identity_tol = _get_float(doc, "tolerances", "identity_tol", 1e-8)
+    classify_tol = _get_float(doc, "tolerances", "classify_tol", 1e-8)
     try:
         tolerances = Tolerances(identity_tol, classify_tol)
     except ValueError as err:
         raise ScenarioError(str(err), "tolerances") from None
-    mode = cfg.get("ambient", "mode").strip()
-    for section in cfg.sections():
+    mode = doc["ambient"]["mode"].strip()
+    for section, keys in doc.items():
         read = _KEYS.get((section, mode if section == "ambient" else None), ())
-        unread = [key for key in cfg.options(section) if key not in read]
+        unread = [key for key in keys if key not in read]
         if unread:
             where = f" in {mode} mode" if section == "ambient" else ""
             raise ScenarioError(f"key {unread[0]!r} is not read{where}", section)
@@ -357,7 +423,7 @@ def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenari
 
 
 def load_scenario(path: str | Path, seed_override: int | None = None) -> LoadedScenario:
-    return loads_scenario(Path(path).read_text(), seed_override=seed_override)
+    return loads_scenario(Path(path).read_text(encoding="utf-8"), seed_override=seed_override)
 
 
 def _matrix_text(matrix) -> str:
@@ -419,5 +485,6 @@ def export_scenario(
     Path(path).write_text(
         scenario_text(
             source.space, source.immersion, source.samples, tolerances, label=source.label
-        )
+        ),
+        encoding="utf-8",
     )

@@ -5,12 +5,17 @@ import importlib
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prodgeo
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo import cli
 from prodgeo.cli import dump_json, main, render_json, render_text
@@ -214,6 +219,11 @@ MALFORMED = {
     # a component's syntax error is found before the component count
     "syntax-error-in-one-component": ("immersion", "n = 1\nmap = cos(u1) . sin(u1)"),
     "one-component": ("immersion", "n = 1\nmap = cos(u1)"),
+    # structural errors name the section open at their line
+    "line-without-delimiter": ("immersion", REFLECTION_CIRCLE["immersion"] + "\nfoo"),
+    "repeated-section": ("samples", "points = (0.5,)\n\n[samples]\nlabel = again"),
+    # [DEFAULT] is an ordinary section, whose keys are not read
+    "default-section": ("DEFAULT", "identity_tol = 1e-3"),
 }
 
 
@@ -227,6 +237,41 @@ def test_malformed_scenario_names_its_section(section, body, capsys, tmp_path):
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: [{section}] "), err
+
+
+STRUCTURAL_ERRORS = {  # a scenario text and the one line of its error
+    "line-without-delimiter": (_malformed(*MALFORMED["line-without-delimiter"]),
+                               "[immersion] line 11: 'foo' is not 'key = value'"),
+    "text-before-the-first-header": ("foo # a note\n" + _malformed("samples", "points = (0.5,)"),
+                                     "line 1: text before the first section header 'foo'"),
+    "repeated-section": (_malformed(*MALFORMED["repeated-section"]),
+                         "[samples] line 15: section is repeated"),
+    "repeated-key": (_malformed(*MALFORMED["duplicate-key"]),
+                     "[samples] line 14: key 'points' is repeated"),
+    "empty-key": (_malformed("samples", "points = (0.5,)\n= 1"),
+                  "[samples] line 14: '= 1' is not 'key = value'"),
+    "text-after-a-header": (_malformed("samples", "points = (0.5,)").replace("[samples]", "[samples] x"),
+                            "[immersion] line 12: text after the section header '[samples] x'"),
+}
+
+
+@pytest.mark.parametrize("text, message", STRUCTURAL_ERRORS.values(), ids=STRUCTURAL_ERRORS.keys())
+def test_structural_error_is_one_line_naming_its_line(text, message, capsys, tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_scenario_files_are_utf8_whatever_the_locale(tmp_path):
+    """Export and load name their encoding: under -X warn_default_encoding
+    an implicit locale encoding is an EncodingWarning, here an error."""
+    env = dict(os.environ, PYTHONPATH=str(Path(prodgeo.__file__).resolve().parent.parent))
+    python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+              "-m", "prodgeo.cli"]
+    for argv in (["catalog", "export", "circle", "x.ini"], ["classify", "x.ini"]):
+        done = subprocess.run(python + argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("case, message", [("random-unknown-key", "'cuont' is not read"),

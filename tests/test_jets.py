@@ -545,3 +545,37 @@ def test_hessian_is_the_derivative_of_every_pair(order):
         for a, b in itertools.product(range(nvars), repeat=2):
             exponents = np.eye(nvars, dtype=int)[a] + np.eye(nvars, dtype=int)[b]
             assert np.array_equal(hessian[..., a, b], j.derivative(exponents))
+
+
+def _ref_integer_power(j, k):
+    """The earlier loop, which also squared the base after the last bit."""
+    result, base = _constant(j.alg, 1.0), j
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 1), (2, 2), (3, 3), (4, 3), (5, 4)])
+def test_integer_power_squares_only_while_bits_remain(k, products, monkeypatch):
+    calls = []
+    real = Jet.__mul__
+
+    def counted(a, b):
+        calls.append(isinstance(b, Jet))
+        return real(a, b)
+
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    rng = np.random.default_rng(k)
+    for nvars, order, shape in _jet_cases():
+        j = _kernel_input(rng, nvars, order, shape, False)
+        j.coeffs[rng.random(j.coeffs.shape) < 0.1] = np.nan
+        with np.errstate(all="ignore"):
+            ref = _ref_integer_power(j, k).coeffs
+            calls.clear()
+            got = (j ** k).coeffs
+        assert sum(calls) == products  # jet-by-jet products
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))

@@ -1,0 +1,153 @@
+"""The scenario reader against Python's configparser, its reference grammar."""
+
+import configparser
+import gc
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
+from prodgeo.scenario import ScenarioError, _read_sections, loads_scenario, scenario_text
+
+
+def _configparser_sections(text):
+    cfg = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    cfg.optionxform = str
+    cfg.read_string(text)
+    return {s: dict(cfg[s]) for s in cfg.sections()}
+
+
+def _same_as_configparser(text):
+    """The reader returns what configparser reads, in its order, and raises
+    ScenarioError where configparser raises."""
+    try:
+        expected = _configparser_sections(text)
+    except configparser.Error:
+        with pytest.raises(ScenarioError):
+            _read_sections(text)
+        return False
+    got = _read_sections(text)
+    assert [(s, list(keys.items())) for s, keys in got.items()] == \
+           [(s, list(keys.items())) for s, keys in expected.items()]
+    return True
+
+
+# Scenario-like lines.  No header is [DEFAULT] and none has text after its ']'
+# (configparser ignores that text, the reader rejects it), so no line that is
+# not a header starts with '['.
+_NAMES = st.sampled_from(("", "ambient", "samples", "A", "a", "x y", " s ", "a]b", "[a", "k=v",
+                          "a#b", "a;b"))
+_KEYS = st.builds("{}{}".format, st.sampled_from(("map", "Map", "n", "n n", "k", "1", "a#b")),
+                  st.sampled_from(("", "2", "3", "_x")))
+_TEXT = st.text(alphabet="ab1 ,;=:()#]\t\xa0", max_size=10)
+_INDENT = st.text(alphabet=" \t\xa0\x0b\u2003", max_size=3)
+_SEPARATORS = st.sampled_from(("=", " = ", ":", " : ", "= ", " =", "\t:"))
+_COMMENTS = st.sampled_from(("", " # note", "\t#", " #", "#tight"))  # '#tight' is text
+_KEY_LINES = st.builds("{}{}{}{}{}".format, _INDENT, _KEYS, _SEPARATORS, _TEXT, _COMMENTS)
+_LINES = st.one_of(
+    st.builds("{}[{}]{}".format, _INDENT, _NAMES, _COMMENTS.filter(lambda c: c != "#tight")),
+    _KEY_LINES,
+    _KEY_LINES,  # twice, so that most sections hold keys
+    st.builds("{}{}{}".format, _INDENT, st.sampled_from("#;"), _TEXT),
+    _INDENT,  # a blank line
+    # a continuation if deeper than its key, else a line without a delimiter
+    st.builds("{} {}{}".format, _INDENT, _TEXT, _COMMENTS),
+)
+_ENDINGS = st.sampled_from(("\n", "\r\n"))
+
+
+@st.composite
+def _scenario_like_texts(draw):
+    lines = draw(st.lists(_LINES, max_size=14))
+    if draw(st.sampled_from((True, True, True, False))):  # mostly a section first
+        lines.insert(0, f"[{draw(_NAMES)}]")
+    text = "".join(line + draw(_ENDINGS) for line in lines)
+    return text.rstrip("\r\n") if draw(st.booleans()) else text
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_scenario_like_texts())
+def test_reader_matches_configparser(text):
+    _same_as_configparser(text)
+
+
+CONTINUED = (
+    "[immersion]\n"
+    "map = cos(u1),  # the first component\n"
+    "    sin(u1)\n"
+    "\n"
+    "  # a comment line inside the value\n"
+    "\n"
+    "    , 0\n"
+    "n = 1 # note\n"
+    "; comment\n"
+    "label:\n"
+    "\n"
+)
+
+
+def test_continued_value_keeps_its_blank_lines():
+    assert _read_sections(CONTINUED) == {
+        "immersion": {"map": "cos(u1),\nsin(u1)\n\n\n, 0", "n": "1", "label": ""}}
+    assert _same_as_configparser(CONTINUED)
+
+
+@pytest.mark.parametrize("text, read, message", [
+    ("[a] b\nk = 1\n", {"a": {"k": "1"}}, "line 1: text after the section header '[a] b'"),
+    ("[a]\n[b] c\n", {"a": {}, "b": {}}, "[a] line 2: text after the section header '[b] c'"),
+])
+def test_text_after_a_header_is_an_error(text, read, message):
+    assert _configparser_sections(text) == read  # which ignores it
+    with pytest.raises(ScenarioError) as err:
+        _read_sections(text)
+    assert str(err.value) == message
+
+
+def test_default_is_an_ordinary_section():
+    text = "[DEFAULT]\nk = 1\n[a]\n"
+    assert _configparser_sections(text) == {"a": {"k": "1"}}
+    assert _read_sections(text) == {"DEFAULT": {"k": "1"}, "a": {}}
+
+
+def _catalog_exports():
+    for label in catalog_list():
+        scn = catalog_get(label)
+        yield scenario_text(scn.space, scn.immersion, scn.samples, label=label)
+
+
+def _workload_documents(seed):
+    """The scenario texts of the benchmark's three workloads at ``seed``:
+    8x8 grids of rect-torus and curved-block at two seeded offsets each, the
+    catalog exports, and six 16-point random trig surfaces in R^2 x R^2."""
+    rng = random.Random(seed)
+    for label in ("rect-torus", "curved-block"):
+        scn = catalog_get(label)
+        starts = [rng.uniform(-1.0, 1.0) for _ in range(2)]
+        samples = list(itertools.product(*([s + 0.8 * i for i in range(8)] for s in starts)))
+        yield scenario_text(scn.space, scn.immersion, samples, label=label)
+    yield from _catalog_exports()
+    rng = random.Random(seed)
+    for _ in range(6):
+        imm = random_trig_immersion(rng.randrange(1 << 20), 16)
+        yield scenario_text(flat_product(2, 2), imm, imm.samples)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_workload_documents_read_as_configparser_reads_them(seed):
+    for text in _workload_documents(seed):
+        assert _same_as_configparser(text)
+
+
+def test_loading_leaves_no_cyclic_garbage():
+    texts = list(_catalog_exports())
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            loads_scenario(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
