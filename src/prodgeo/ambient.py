@@ -148,9 +148,9 @@ class AmbientSpace:
     def tables(self, names: Sequence[str], x) -> list:
         """The named expression tables at the points ``x``.
 
-        ``x`` is a float array or a jet of shape ``(..., dim)``.  Each result
-        is a jet or float array with the points' leading shape, ``(..., dim,
-        dim)`` or, for a derivative table, ``(..., dim, dim, dim)``; one that
+        ``x`` is a float array of shape ``(..., dim)``.  Each result is a
+        float array with the points' leading shape, ``(..., dim, dim)`` or,
+        for a derivative table, ``(..., dim, dim, dim)``; one that
         is constant along ``x`` is a read-only float view broadcast over the
         points.  The tables that depend on ``x`` are evaluated by one plan.
         """
@@ -265,7 +265,9 @@ def levi_civita(ginv, dg):
     """
     swapped = dg.swapaxes(-3, -2)  # d_j g_lk at [l, j, k]
     lowered = swapped + swapped.swapaxes(-2, -1) - dg
-    return 0.5 * jets.einsum("...il,...ljk->...ijk", ginv, lowered)
+    n = lowered.shape[-1]
+    product = ginv @ lowered.reshape(lowered.shape[:-3] + (n, n * n))
+    return 0.5 * product.reshape(product.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)

@@ -4,32 +4,27 @@ A :class:`Jet` carries the value and all partial derivatives, up to a fixed
 total order, of a scalar or of an array of scalars with respect to a fixed
 set of seed directions.  The coefficients sit on the last axis of
 ``coeffs``; any leading shape is allowed, so a vector field along a
-submanifold is one jet of shape ``(N,)`` and a metric one of shape
-``(N, N)``; the fields of P sample points at once carry one more leading
-axis, ``(P, N)`` and ``(P, N, N)``.  Jets index and iterate over their
-leading axes like the nested lists they stand for (``g[i][j]`` is a scalar
-jet, ``g[..., i, j]`` the same entry at every point), and arithmetic
-broadcasts over those axes the way numpy does.  Every derivative downstream
-code reads off is exact up to machine roundoff rather than a difference
-approximation.
+submanifold is one jet of shape ``(N,)``; the fields of P sample points at
+once carry one more leading axis, ``(P, N)``.  Arithmetic broadcasts over
+those axes the way numpy does.  Every derivative downstream code reads off
+(:attr:`Jet.value`, :meth:`Jet.gradient`, :meth:`Jet.hessian`) is exact up
+to machine roundoff rather than a difference approximation.
 
 Coefficients use the Taylor normalization: the entry stored for the
 multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  A product gathers the
 coefficient pairs whose degrees fit the carried order and scatters their
 products with one matrix multiplication through the cached table of
-:meth:`_Algebra.mul_table`.  :func:`einsum` contracts field axes the same
-way, so a metric contraction over all components is one numpy call, and the
-Hessian's index table sits on the algebra too.  An elementary function is
-Horner's scheme in the derivative part, whose innermost step is a scalar
-multiple; a float operand scales or shifts the coefficients directly.
+:meth:`_Algebra.mul_table`, and the Hessian's index table sits on the
+algebra too.  An elementary function is Horner's scheme in the derivative
+part, whose innermost step is a scalar multiple; a float operand scales or
+shifts the coefficients directly.
 
-Gathers and contractions keep the coefficient axis innermost and C-ordered.
-A gather is ``ndarray.take`` along the last axis, which returns a C-ordered
-array; indexing ``c[..., idx]`` would put the gathered axis outermost in
-memory, and the contraction after it would then run its inner loop across
-a stride of the whole array.  Products, contractions and derivatives also
-return C-ordered coefficient arrays, so the next gather reads contiguous
-rows.
+Gathers keep the coefficient axis innermost and C-ordered.  A gather is
+``ndarray.take`` along the last axis, which returns a C-ordered array;
+indexing ``c[..., idx]`` would put the gathered axis outermost in memory,
+and the product after it would then run its inner loop across a stride of
+the whole array.  Products also return C-ordered coefficient arrays, so the
+next gather reads contiguous rows.
 """
 
 from __future__ import annotations
@@ -43,12 +38,11 @@ import numpy as np
 
 __all__ = [
     "Jet", "InsufficientJetOrder", "DomainError", "DivisionByZero", "check_domain",
-    "seed_point", "array", "stack", "partial", "einsum", "sin", "cos", "exp", "sqrt",
+    "seed_point", "stack", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)
 _CONST = (int, float, np.integer, np.floating, np.ndarray)
-_COEFF_AXIS = "Z"  # einsum letter of the coefficient axis; specs may not use it
 
 
 class InsufficientJetOrder(ValueError):
@@ -69,10 +63,10 @@ class DomainError(ValueError):
 
     def at(self, name: str, points) -> "DomainError":
         """This error naming ``name = points[index]`` for ``points`` of shape
-        ``(..., k)``; unchanged if it did not occur at one of those points."""
+        ``(..., k)``, or every ``name`` if its operand did not vary with them."""
         points = np.asarray(points)
         if len(self.index) != points.ndim - 1:
-            return self
+            return type(self)(f"{self} at every {name}", self.index)
         where = tuple(float(v) for v in points[self.index])
         return type(self)(f"{self} at {name} = {where}", self.index)
 
@@ -93,14 +87,14 @@ def check_domain(bad, values, message: str, error=DomainError) -> None:
 
 
 class _Algebra:
-    """Multiplication and derivative tables for one (nvars, order) pair.
+    """Multiplication and Hessian tables for one (nvars, order) pair.
 
     Exponent tuples are enumerated by total degree, so the coefficient
     layout of a lower order is a prefix of every higher order over the same
     variables; truncation is a slice.
     """
 
-    __slots__ = ("nvars", "order", "exps", "index", "size", "_mul", "_diff", "_hess")
+    __slots__ = ("nvars", "order", "exps", "index", "size", "_mul", "_hess")
 
     def __init__(self, nvars: int, order: int):
         self.nvars = nvars
@@ -111,7 +105,6 @@ class _Algebra:
         self.index = {e: i for i, e in enumerate(self.exps)}
         self.size = len(self.exps)
         self._mul = None
-        self._diff: dict[int, tuple] = {}
         self._hess = None
 
     def mul_table(self):
@@ -126,15 +119,6 @@ class _Algebra:
             scatter[np.arange(len(ia)), [self.index[tuple(e)] for e in exps[ia] + exps[ib]]] = 1.0
             self._mul = (ia, ib, scatter)
         return self._mul
-
-    def diff_table(self, var: int):
-        """``(src, fac)``: coefficient k of the derivative is ``c[src[k]] * fac[k]``."""
-        if var not in self._diff:
-            small = np.array(_algebra(self.nvars, self.order - 1).exps)
-            lifted = small + np.eye(self.nvars, dtype=int)[var]
-            src = np.array([self.index[tuple(e)] for e in lifted])
-            self._diff[var] = (src, lifted[:, var].astype(float))
-        return self._diff[var]
 
     def hessian_table(self):
         """``(index, scale)``: each pair's coefficient and its factor (2 if pure)."""
@@ -184,16 +168,6 @@ class Jet:
         v = self.coeffs[..., 0]
         return float(v) if v.ndim == 0 else v.copy()
 
-    def coefficient(self, exponents: Sequence[int]):
-        key = tuple(exponents)
-        if key not in self.alg.index:
-            raise InsufficientJetOrder(f"multi-index {key} is not carried at order {self.order}")
-        c = self.coeffs[..., self.alg.index[key]]
-        return float(c) if c.ndim == 0 else c.copy()
-
-    def derivative(self, exponents: Sequence[int]):
-        return self.coefficient(exponents) * math.prod(math.factorial(e) for e in exponents)
-
     def gradient(self) -> np.ndarray:
         """First partial derivatives along every seed direction (last axis)."""
         if self.order < 1:
@@ -215,28 +189,6 @@ class Jet:
             return self
         alg = _algebra(self.nvars, order)
         return Jet(alg, self.coeffs[..., : alg.size].copy())
-
-    def swapaxes(self, a: int, b: int) -> "Jet":
-        """Swap two leading axes; negative axes count from the last leading axis."""
-        a, b = (x - 1 if x < 0 else x for x in (a, b))
-        return Jet(self.alg, self.coeffs.swapaxes(a, b))
-
-    def __getitem__(self, index) -> "Jet":
-        """Index the leading axes; with an ``...`` the index ends at the last one."""
-        index = index if isinstance(index, tuple) else (index,)
-        if any(i is Ellipsis for i in index):
-            index += (slice(None),)
-        elif not self.shape:
-            raise TypeError("a scalar jet cannot be indexed")
-        return Jet(self.alg, self.coeffs[index])
-
-    def __len__(self) -> int:
-        if not self.shape:
-            raise TypeError("a scalar jet has no length")
-        return self.shape[0]
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def __repr__(self) -> str:
         return f"Jet(order={self.order}, nvars={self.nvars}, shape={self.shape})"
@@ -392,22 +344,6 @@ def seed_point(values, order: int) -> list[Jet]:
     return seeds
 
 
-def _nesting(entries) -> tuple[tuple[int, ...], list]:
-    """The shape of a regular nested list and its leaves in row-major order."""
-    if not isinstance(entries, (list, tuple)):
-        return (), [entries]
-    parts = [_nesting(e) for e in entries]
-    if len({shape for shape, _ in parts}) > 1:
-        raise ValueError("nested entries are not regular")
-    inner = parts[0][0] if parts else ()
-    return (len(parts),) + inner, [leaf for _, leaves in parts for leaf in leaves]
-
-
-def array(entries):
-    """The leaves of a nested list, stacked by :func:`stack` to its shape."""
-    return stack(*_nesting(entries))
-
-
 def stack(shape: tuple[int, ...], leaves: list):
     """The flat ``leaves`` (jets, numbers and float arrays, row-major) as one
     table of trailing ``shape``.
@@ -436,55 +372,6 @@ def stack(shape: tuple[int, ...], leaves: list):
         else:
             out[..., i, 0] = e
     return Jet(alg, out.reshape(outer + shape + (alg.size,)))
-
-
-def partial(j: Jet, var: int) -> Jet:
-    """Partial derivative along one seed direction; drops one order."""
-    if j.order < 1:
-        raise InsufficientJetOrder("cannot differentiate an order-0 jet")
-    if not 0 <= var < j.nvars:
-        raise ValueError(f"direction {var} invalid for {j.nvars} seed directions")
-    src, fac = j.alg.diff_table(var)
-    return Jet(_algebra(j.nvars, j.order - 1), j.coeffs.take(src, axis=-1) * fac)
-
-
-def einsum(spec: str, a, b):
-    """``np.einsum(spec, a, b)`` over the field axes, for jets or float arrays.
-
-    ``spec`` names the leading axes only and must give the output explicitly
-    (``"ij,j->i"``).  Two jets contract through the multiplication table in
-    one call.  A float array against a jet (or a float array) is one matmul
-    over one axis ``c``: with the other operand's axes ``P c S`` the output
-    must be ``P A S``, ``A`` the float's other axes; ``S`` empty is ``a @ coeffs``.
-    """
-    ins, out = spec.split("->")
-    sa, sb = ins.split(",")
-    if isinstance(a, Jet) and isinstance(b, Jet):
-        z = _COEFF_AXIS
-        a, b = _align(a, b)
-        ia, ib, scatter = a.alg.mul_table()
-        pa, pb = a.coeffs.take(ia, axis=-1), b.coeffs.take(ib, axis=-1)
-        pairs = np.einsum(f"{sa}{z},{sb}{z}->{out}{z}", pa, pb)
-        return Jet(a.alg, pairs @ scatter)
-    if isinstance(a, Jet):  # the float operand first
-        (a, sa), (b, sb) = (b, sb), (a, sa)
-    sa, sb, out = (x.replace("...", "") for x in (sa, sb, out))
-    shared = set(sa) & set(sb)
-    k = sb.index(shared.pop()) if len(shared) == 1 else -1  # the contracted axis in b
-    if k < 0 or out != sb[:k] + sa.replace(sb[k], "") + sb[k + 1 :]:
-        raise ValueError(f"{spec!r} is not a single-axis matrix product")
-    a = np.asarray(a, dtype=float)
-    if sa[-1] != sb[k]:  # the contracted axis last
-        a = np.moveaxis(a, sa.index(sb[k]) - len(sa), -1)
-    inner = a.shape[a.ndim - len(sa) : -1]
-    a = a.reshape(a.shape[: a.ndim - len(sa)] + (1,) * k + (math.prod(inner), a.shape[-1]))
-    coeffs = b.coeffs if isinstance(b, Jet) else np.asarray(b, dtype=float)[..., None]
-    cut = coeffs.ndim - len(sb) + k  # the axes up to the contracted one
-    tail = coeffs.shape[cut:]
-    # in C order: a permuted operand would otherwise lay the product out like itself
-    product = np.matmul(a, coeffs.reshape(coeffs.shape[:cut] + (math.prod(tail),)), order="C")
-    product = product.reshape(product.shape[:-2] + inner + tail)
-    return Jet(b.alg, product) if isinstance(b, Jet) else product[..., 0]
 
 
 # ---- elementary functions (work on floats, float arrays and jets) --------

@@ -26,6 +26,7 @@ call for all points and rows.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -137,6 +138,12 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _check_tolerance(name: str, value) -> None:
+    """Reject a tolerance that is not a positive finite number."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 def _points(samples, n: int) -> np.ndarray:
     """Sample points as a ``(P, n)`` array; at least one is needed, each a
     sequence of n real numbers, and all finite."""
@@ -226,7 +233,7 @@ class _JetGeometry:
             except jets.DomainError as err:
                 raise err.at("u", self.u) from None
             if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
-                self.f = jets.array([0.0 * uenv["u1"] + c for c in self.f])
+                self.f = jets.stack((N,), [0.0 * uenv["u1"] + c for c in self.f])
             self.x0 = self.f.value
             try:
                 self.g0, self.F0, self.dg0, self.dF0 = space.tables(
@@ -444,8 +451,9 @@ def classify(
 
     invariant: omega vanishes everywhere; anti-invariant: phi vanishes;
     semi-invariant: omega.phi vanishes and rank(phi) is constant across the
-    samples; generic otherwise.
+    samples; generic otherwise.  ``tol`` is a positive finite number.
     """
+    _check_tolerance("tol", tol)
     if samples is None:
         samples = immersion.samples
     geo = _JetGeometry(immersion, space, _points(samples, immersion.n))

@@ -20,6 +20,7 @@ from .subgeom import (
     ClassificationResult,
     Immersion,
     _JetGeometry,
+    _check_tolerance,
     _points,
     aggregate_classification,
     classify_point,
@@ -40,9 +41,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("identity_tol", "classify_tol"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+            _check_tolerance(name, getattr(self, name))
 
 
 @dataclass

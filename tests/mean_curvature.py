@@ -12,8 +12,9 @@ at order 1: M^-1 = M0^-1 - M0^-1 dM M0^-1.
 import numpy as np
 
 from prodgeo import jets
-from prodgeo.ambient import levi_civita
 from prodgeo.subgeom import param_vars
+
+import taylor
 
 
 def inverse(m):
@@ -29,16 +30,19 @@ def mean_curvature_field(immersion, space, u):
     """H at the points ``u``, shape ``(P, n)``, as an order-1 jet of shape ``(P, N)``."""
     n = immersion.n
     f = immersion._plan(dict(zip(param_vars(n), jets.seed_point(u, 3))))[0]
-    T = jets.array([jets.partial(f, a) for a in range(n)]).swapaxes(-1, -2)  # (P, n, N)
-    dT = jets.array([jets.partial(T, b) for b in range(n)]).swapaxes(-1, -2)  # [a, b]: d_b T_a
+    T = taylor.swapaxes(taylor.array([taylor.partial(f, a) for a in range(n)]), -1, -2)  # (P, n, N)
+    dT = taylor.swapaxes(taylor.array([taylor.partial(T, b) for b in range(n)]), -1, -2)  # [a, b]: d_b T_a
     T = T.truncate(1)
-    g, dg = space.tables(("metric", "metric_diff"), f.truncate(1))
+    g, dg = taylor.tables_at(space, ("metric", "metric_diff"), f.truncate(1))
     if not space.flat:
-        gamma = levi_civita(inverse(g), dg)
-        gamma_t = jets.einsum("...ijk,...bk->...bij", gamma, T)
-        dT = dT + jets.einsum("...aj,...bij->...abi", T, gamma_t)
-    lowered = jets.einsum("...ij,...aj->...ai", g, T)  # g(T_a, .)
-    Ginv = inverse(jets.einsum("...ai,...bi->...ab", T, lowered))
-    along = jets.einsum("...abi,...ci->...abc", dT, lowered)
-    tangent = jets.einsum("...abd,...di->...abi", jets.einsum("...abc,...cd->...abd", along, Ginv), T)
-    return jets.einsum("...ab,...abi->...i", Ginv, dT - tangent) * (1.0 / n)
+        # Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk)
+        swapped = taylor.swapaxes(dg, -3, -2)  # d_j g_lk at [l, j, k]
+        gamma = taylor.einsum("...il,...ljk->...ijk", inverse(g),
+                              swapped + taylor.swapaxes(swapped, -2, -1) - dg) * 0.5
+        gamma_t = taylor.einsum("...ijk,...bk->...bij", gamma, T)
+        dT = dT + taylor.einsum("...aj,...bij->...abi", T, gamma_t)
+    lowered = taylor.einsum("...ij,...aj->...ai", g, T)  # g(T_a, .)
+    Ginv = inverse(taylor.einsum("...ai,...bi->...ab", T, lowered))
+    along = taylor.einsum("...abi,...ci->...abc", dT, lowered)
+    tangent = taylor.einsum("...abd,...di->...abi", taylor.einsum("...abc,...cd->...abd", along, Ginv), T)
+    return taylor.einsum("...ab,...abi->...i", Ginv, dT - tangent) * (1.0 / n)

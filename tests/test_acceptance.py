@@ -18,6 +18,7 @@ from prodgeo.verify import verify
 
 from controls import corrupted_lemma_case, position_reflection_space, rotation_structure_space
 from oracle import fd_derivative, fd_second, fd_third
+from taylor import derivative
 from validation import validate_at
 
 
@@ -67,9 +68,9 @@ def test_criterion_1_jet_derivatives_match_oracle():
             return ex.evaluate(ast, {"u1": base[0] + direction[0] * s,
                                      "u2": base[1] + direction[1] * s})
 
-        worst[0] = max(worst[0], abs(jet.derivative((1,)) - fd_derivative(f, 0.0)))
-        worst[1] = max(worst[1], abs(jet.derivative((2,)) - fd_second(f, 0.0)))
-        worst[2] = max(worst[2], abs(jet.derivative((3,)) - fd_third(f, 0.0)))
+        worst[0] = max(worst[0], abs(derivative(jet, (1,)) - fd_derivative(f, 0.0)))
+        worst[1] = max(worst[1], abs(derivative(jet, (2,)) - fd_second(f, 0.0)))
+        worst[2] = max(worst[2], abs(derivative(jet, (3,)) - fd_third(f, 0.0)))
     assert worst[0] <= 1e-6
     assert worst[1] <= 1e-5
     assert worst[2] <= 1e-4
@@ -275,7 +276,8 @@ label = seeded-torus
 
 [samples]
 random = count=4 seed=99 box=(0,6)x(0,6)
-"""
+""",
+        encoding="utf-8",
     )
     code1 = main(["check", "--all", "--format", "json", str(path)])
     out1 = capsys.readouterr().out

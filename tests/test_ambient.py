@@ -31,6 +31,7 @@ from prodgeo.subgeom import Immersion, _JetGeometry
 from controls import constant_reflection_space, position_reflection_space, rotation_structure_space
 from oracle import fd_directional
 from validation import validate_at
+import taylor
 
 
 def sphere_block_space():
@@ -91,6 +92,19 @@ def test_christoffel_symmetry_random_metric():
         x = rng.uniform(-0.8, 0.8, 2)
         gamma = _christoffel(sp, x)
         assert np.max(np.abs(gamma - np.transpose(gamma, (0, 2, 1)))) <= 1e-14
+
+
+@pytest.mark.parametrize("ginv_points", [(64,), ()])
+def test_levi_civita_is_the_einsum_over_the_lowered_symbols(ginv_points):
+    # one matmul over the contracted axis, on a batch of points or one inverse
+    # metric shared by all of them, in C order
+    rng = np.random.default_rng(43)
+    ginv, dg = rng.uniform(-1, 1, ginv_points + (3, 3)), rng.uniform(-1, 1, (64, 3, 3, 3))
+    swapped = dg.swapaxes(-3, -2)  # d_j g_lk at [l, j, k]
+    lowered = swapped + swapped.swapaxes(-2, -1) - dg
+    gamma = levi_civita(ginv, dg)
+    assert gamma.shape == (64, 3, 3, 3) and gamma.flags.c_contiguous
+    assert np.max(np.abs(gamma - 0.5 * np.einsum("...il,...ljk->...ijk", ginv, lowered))) <= 1e-14
 
 
 def test_christoffel_matches_finite_differences():
@@ -160,11 +174,11 @@ def test_metric_compatibility_along_random_curves():
         vv = rng.uniform(-1, 1, 3)
         ww = rng.uniform(-1, 1, 3)
         (t,) = jets.seed_point([0.0], 1)
-        (gj,) = sp.tables(("metric",), jets.array([x0[j] + d[j] * t for j in range(3)]))
+        (gj,) = taylor.tables_at(sp, ("metric",), taylor.array([x0[j] + d[j] * t for j in range(3)]))
         g_vw = None
         for i in range(3):
             for j in range(3):
-                term = gj[i][j] * (vv[i] * ww[j])
+                term = taylor.entry(gj, i, j) * (vv[i] * ww[j])
                 g_vw = term if g_vw is None else g_vw + term
         lhs = g_vw.gradient()[0]
         # the same curve as an immersion, with the direction d/du1 = d

@@ -31,6 +31,7 @@ from prodgeo.verify import verify
 from controls import corrupted_lemma_case
 from mean_curvature import mean_curvature_field
 from oracle import fd_derivative
+import taylor
 
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)
@@ -130,11 +131,11 @@ def _shape_operator(geo, x, xi):
 def _pairing(space, geo, a, b):
     """g(a, b) for two jet vector fields, by the metric table along the
     immersion, as a jet of shape ``(1,)``."""
-    (metric,) = space.tables(("metric",), geo.f.truncate(1))
+    (metric,) = taylor.tables_at(space, ("metric",), geo.f.truncate(1))
     pairing = None
     for i in range(geo.N):
         for j in range(geo.N):
-            term = metric[..., i, j] * a[..., i] * b[..., j]
+            term = taylor.entry(metric, ..., i, j) * taylor.entry(a, ..., i) * taylor.entry(b, ..., j)
             pairing = term if pairing is None else pairing + term
     return pairing
 

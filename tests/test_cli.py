@@ -233,7 +233,7 @@ def test_malformed_scenario_names_its_section(section, body, capsys, tmp_path):
     with pytest.raises(ScenarioError, match=rf"^\[{section}\] "):
         loads_scenario(text)
     path = tmp_path / "bad.ini"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "check", str(path))
     assert code == 2 and out == ""
     assert err.startswith(f"error: [{section}] "), err
@@ -270,7 +270,8 @@ def test_scenario_files_are_utf8_whatever_the_locale(tmp_path):
     python = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
               "-m", "prodgeo.cli"]
     for argv in (["catalog", "export", "circle", "x.ini"], ["classify", "x.ini"]):
-        done = subprocess.run(python + argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        done = subprocess.run(python + argv, cwd=tmp_path, env=env, capture_output=True,
+                              encoding="utf-8")
         assert done.returncode == 0, done.stderr
 
 
@@ -287,7 +288,7 @@ def test_random_spec_key_error_names_the_key(case, message):
 ])
 def test_map_error_names_the_first_fault(case, message, capsys, tmp_path):
     path = tmp_path / "map.ini"
-    path.write_text(_malformed(*MALFORMED[case]))
+    path.write_text(_malformed(*MALFORMED[case]), encoding="utf-8")
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out, err) == (2, "", f"error: [immersion] {message}\n")
 
@@ -295,7 +296,7 @@ def test_map_error_names_the_first_fault(case, message, capsys, tmp_path):
 @pytest.mark.parametrize("key, digit", [("arabic-indic-digit", "\u0663"), ("fullwidth-digit", "\uff11")])
 def test_cli_non_ascii_digit_is_an_unexpected_character(key, digit, capsys, tmp_path):
     path = tmp_path / "digit.ini"
-    path.write_text(_malformed(*MALFORMED[key]))
+    path.write_text(_malformed(*MALFORMED[key]), encoding="utf-8")
     code, out, err = run_cli(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: [immersion] unexpected character {digit!r} (offset 0)\n"
@@ -451,7 +452,7 @@ def test_bad_file_tolerance_is_rejected(key, value, capsys, tmp_path):
     with pytest.raises(ScenarioError, match=r"^\[tolerances\] " + key):
         loads_scenario(text)
     path = tmp_path / "c.ini"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "check", "--all", str(path))
     assert code == 2 and out == ""
     assert "[tolerances]" in err
@@ -532,7 +533,7 @@ def test_cli_check_json_deterministic(capsys, tmp_path):
 
 def test_cli_corrupted_exit_codes(capsys, tmp_path):
     path = tmp_path / "corrupt.ini"
-    path.write_text(CORRUPTED)
+    path.write_text(CORRUPTED, encoding="utf-8")
     code, _, err = run_cli(capsys, "check", "--all", str(path))
     assert code == 2
     assert "ambient validation" in err
@@ -543,7 +544,7 @@ def test_cli_corrupted_exit_codes(capsys, tmp_path):
 
 def test_cli_rotating_structure_exit_codes(capsys, tmp_path):
     path = tmp_path / "rotating.ini"
-    path.write_text(ROTATING_STRUCTURE)
+    path.write_text(ROTATING_STRUCTURE, encoding="utf-8")
     code, _, err = run_cli(capsys, "classify", str(path))
     assert code == 2
     assert "ambient validation" in err
@@ -596,7 +597,7 @@ COMMANDS = (["classify"], ["check", "--all"], ["report", "--format", "json"])
 def test_cli_failed_validation_wins_over_a_singular_metric(command, capsys, tmp_path):
     # 2 + 1/x1 is negative at the image of 2.0, where x1 = cos(2.0) < 0
     path = tmp_path / "singular.ini"
-    path.write_text(CURVED_CIRCLE.format("2 + 1/x1"))
+    path.write_text(CURVED_CIRCLE.format("2 + 1/x1"), encoding="utf-8")
     code, out, err = run_cli(capsys, *command, str(path))
     assert (code, out) == (2, "")
     assert err.startswith(
@@ -616,14 +617,14 @@ def test_cli_non_finite_tables_are_errors_under_force(command, capsys, tmp_path)
     # non-finite metric derivative is a singular metric naming the point;
     # neither warns nor reaches the verdicts
     path = tmp_path / "tables.ini"
-    path.write_text(NONFINITE_STRUCTURE)
+    path.write_text(NONFINITE_STRUCTURE, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *command, "--force", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("ambient validation: ambient validation failed (non-finite residuals)"), err
     assert "SVD" not in err
-    path.write_text(NONFINITE_METRIC_DERIVATIVE)
+    path.write_text(NONFINITE_METRIC_DERIVATIVE, encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, *command, "--force", str(path))
@@ -638,7 +639,7 @@ def test_cli_non_finite_tables_are_errors_under_force(command, capsys, tmp_path)
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 def test_cli_domain_error_in_a_table_names_the_image_point(command, force, capsys, tmp_path):
     path = tmp_path / "sqrt.ini"
-    path.write_text(CURVED_CIRCLE.format("1 + sqrt(x1)"))
+    path.write_text(CURVED_CIRCLE.format("1 + sqrt(x1)"), encoding="utf-8")
     code, out, err = run_cli(capsys, *command, *force, str(path))
     assert (code, out) == (2, "")
     assert err == (
@@ -705,7 +706,8 @@ label = c
 
 [samples]
 random = count=2 seed=7 box=(0,6)
-"""
+""",
+        encoding="utf-8",
     )
     _, out1, _ = run_cli(capsys, "report", "--format", "json", str(path))
     _, out2, _ = run_cli(capsys, "report", "--format", "json", str(path))
@@ -724,7 +726,7 @@ def test_entry_points_agree_with_verify(capsys, tmp_path):
         outcome = verify(space, imm)
         assert classify(imm, space) == outcome.classification, imm.label
         path = tmp_path / "s.ini"
-        path.write_text(scenario_text(space, imm, imm.samples))
+        path.write_text(scenario_text(space, imm, imm.samples), encoding="utf-8")
         code, out, _ = run_cli(capsys, "classify", "--force", str(path))
         classified = verify(space, imm, lemmas=False, theorems=False)
         assert classified.classification == outcome.classification, imm.label
@@ -804,15 +806,39 @@ points = (1.0, 0.5); (0.0, 0.3); (2.0, 1.0)
 ])
 def test_cli_domain_error_names_the_sample_point(component, message, capsys, tmp_path):
     path = tmp_path / "domain.ini"
-    path.write_text(DOMAIN.format(f"{component}, u2, u1, u2"))
+    path.write_text(DOMAIN.format(f"{component}, u2, u1, u2"), encoding="utf-8")
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: {message} at u = (0.0, 0.3)\n"
 
 
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_domain_error_in_a_map_without_variables_names_every_u(command, capsys, tmp_path):
+    path = tmp_path / "constant-map.ini"
+    path.write_text(DOMAIN.format("1/0, sin(u1), u1, u2"), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: division by zero at every u\n"
+
+
+@pytest.mark.parametrize("metric, message", [
+    ("1/0", "division by zero"),
+    ("sqrt(0-1)", "sqrt needs a non-negative value, got -1.0"),
+])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_domain_error_in_a_block_metric_without_variables_names_every_x(
+    command, metric, message, capsys, tmp_path
+):
+    path = tmp_path / "constant-metric.ini"
+    path.write_text(CURVED_CIRCLE.format(metric), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} at every x\n"
+
+
 def test_cli_one_degenerate_point_among_good_ones(capsys, tmp_path):
     path = tmp_path / "cusp.ini"
-    path.write_text(DOMAIN.format("u1^3, u1^2, u2, u2"))
+    path.write_text(DOMAIN.format("u1^3, u1^2, u2, u2"), encoding="utf-8")
     code, out, err = run_cli(capsys, "check", "--all", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: Jacobian rank < 2 at u = (0.0, 0.3) (smallest singular value")
@@ -861,7 +887,7 @@ def test_cli_overflowing_image_names_the_sample_point(capsys, tmp_path):
     path = tmp_path / "overflow.ini"
     text = DOMAIN.format("exp(800 * u1), u2, u1, u2")
     samples = "(0.1, 0.5); (1.0, 0.3); (0.2, 1.0)"  # exp(800) overflows at the second
-    path.write_text(text.replace("(1.0, 0.5); (0.0, 0.3); (2.0, 1.0)", samples))
+    path.write_text(text.replace("(1.0, 0.5); (0.0, 0.3); (2.0, 1.0)", samples), encoding="utf-8")
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert err == (
@@ -874,7 +900,7 @@ def test_cli_overflowing_induced_metric_names_the_sample_point(command, capsys, 
     # the circle's Jacobian is finite, but g(T, T) ~ 1e310 is not
     path = tmp_path / "huge.ini"
     circle = Immersion(1, ("1e155*cos(u1)", "1e155*sin(u1)"), samples=((0.3,), (1.0,)))
-    path.write_text(scenario_text(flat_product(1, 1), circle, circle.samples))
+    path.write_text(scenario_text(flat_product(1, 1), circle, circle.samples), encoding="utf-8")
     code, out, err = run_cli(capsys, *command, str(path))
     assert (code, out) == (2, "")
     assert err == "error: induced metric is not finite at u = (0.3,)\n"
@@ -1091,7 +1117,7 @@ def test_non_finite_sample_point_is_a_scenario_error(body, capsys, tmp_path):
     with pytest.raises(ScenarioError, match=r"^\[samples\] sample point \(nan,\) is not finite"):
         loads_scenario(text)
     path = tmp_path / "bad.ini"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert err == "error: [samples] sample point (nan,) is not finite\n"
@@ -1099,7 +1125,7 @@ def test_non_finite_sample_point_is_a_scenario_error(body, capsys, tmp_path):
 
 def test_constant_map_is_a_degenerate_immersion(capsys, tmp_path):
     path = tmp_path / "constant.ini"
-    path.write_text(_malformed("immersion", "n = 1\nmap = 1, 2"))
+    path.write_text(_malformed("immersion", "n = 1\nmap = 1, 2"), encoding="utf-8")
     code, out, err = run_cli(capsys, "check", "--all", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("error: Jacobian rank < 1 at u = (0.5,)"), err

@@ -14,6 +14,7 @@ from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion
 from prodgeo.jets import Jet, _constant, seed_point
 
 from oracle import fd_derivative
+import taylor
 
 
 def test_precedence_example():
@@ -110,15 +111,15 @@ def test_bilinear_mixed_partials():
     out = ex.evaluate(ex.parse("u1*u2"), {"u1": u1, "u2": u2})
     assert out.value == 6.0
     assert out.gradient().tolist() == [3.0, 2.0]
-    assert out.derivative((1, 1)) == 1.0
+    assert taylor.derivative(out, (1, 1)) == 1.0
 
 
 def test_sqrt_jet_matches_oracle():
     out = ex.evaluate(ex.parse("sqrt(u1)"), {"u1": seed_point([4.0], 2)[0]})
     assert out.value == 2.0
     oracle = fd_derivative(math.sqrt, 4.0)
-    assert abs(out.derivative((1,)) - 0.25) <= 1e-14
-    assert abs(out.derivative((1,)) - oracle) <= 1e-8
+    assert abs(taylor.derivative(out, (1,)) - 0.25) <= 1e-14
+    assert abs(taylor.derivative(out, (1,)) - oracle) <= 1e-8
 
 
 def test_real_env_equals_order_zero_jets():
@@ -205,7 +206,7 @@ def test_diff_matches_jet_derivatives(src):
                 exps = [0, 0]
                 exps[a] += 1
                 exps[b] += 1
-                expected = j.derivative(exps) if hasattr(j, "derivative") else 0.0
+                expected = taylor.derivative(j, exps) if isinstance(j, Jet) else 0.0
                 got = ex.evaluate(ex.diff(d, other), floats)
                 assert abs(got - expected) <= 1e-11 * max(1.0, abs(expected))
 
@@ -377,7 +378,7 @@ def test_plan_matches_evaluating_each_entry(tables):
         for values, rows in zip(got, expected):
             for i, row in enumerate(rows):
                 for j, value in enumerate(row):
-                    entry = values[..., i, j]
+                    entry = taylor.entry(values, ..., i, j)
                     if isinstance(entry, Jet):  # a constant entry of a jet table is a constant jet
                         if not isinstance(value, Jet):
                             value = _constant(entry.alg, value)

@@ -5,7 +5,7 @@ tangent projector and of F as operator arrays, and the two lemma residuals
 and the T2-T4 columns as stacked matrix products, along every tangent
 frame vector at once.  The references below differentiate fields instead,
 one coordinate direction per pass, as ``np.einsum`` contractions of first-order
-jets they build themselves: the tangent fields by ``jets.partial`` of an
+jets they build themselves: the tangent fields by ``taylor.partial`` of an
 order-2 seed, the metric and F from the space's tables along the immersion,
 the normal fields xi_s = P_N(u) Xi0[s] with P_N = I - T G^-1 T^T g, and the
 mean curvature field of the ``mean_curvature`` test module, where the
@@ -36,6 +36,7 @@ from controls import corrupted_lemma_case
 from grids import seed_one_grids
 from mean_curvature import inverse, mean_curvature_field
 from oracle import fd_derivative
+import taylor
 
 TOL = 1e-8
 
@@ -171,17 +172,17 @@ def _reference_fields(geo, space, imm):
     """The tangent fields T, the normal fields xi_s = P_N Xi0[s], and the
     normal part and F of a field, all as order-1 jets of this module's own."""
     f = imm._plan(dict(zip(param_vars(imm.n), jets.seed_point(geo.u, 2))))[0]
-    tangents = jets.array([jets.partial(f, a) for a in range(imm.n)]).swapaxes(-1, -2)
-    g, structure = space.tables(("metric", "structure"), f.truncate(1))
-    lowered = jets.einsum("...ij,...aj->...ai", g, tangents)  # g(T_a, .)
-    ginv = inverse(jets.einsum("...ai,...bi->...ab", tangents, lowered))
+    tangents = taylor.swapaxes(taylor.array([taylor.partial(f, a) for a in range(imm.n)]), -1, -2)
+    g, structure = taylor.tables_at(space, ("metric", "structure"), f.truncate(1))
+    lowered = taylor.einsum("...ij,...aj->...ai", g, tangents)  # g(T_a, .)
+    ginv = inverse(taylor.einsum("...ai,...bi->...ab", tangents, lowered))
 
     def normal_part(v):
-        along = jets.einsum("...sa,...ab->...sb", jets.einsum("...ai,...si->...sa", lowered, v), ginv)
-        return v - jets.einsum("...sb,...bi->...si", along, tangents)
+        along = taylor.einsum("...sa,...ab->...sb", taylor.einsum("...ai,...si->...sa", lowered, v), ginv)
+        return v - taylor.einsum("...sb,...bi->...si", along, tangents)
 
     def apply_f(v):
-        return jets.einsum("...ij,...sj->...si", structure, v)
+        return taylor.einsum("...ij,...sj->...si", structure, v)
 
     frame = jets.Jet(tangents.alg, geo.Xi0[..., None] * (np.arange(tangents.alg.size) == 0))
     return tangents, normal_part(frame), normal_part, apply_f
@@ -191,9 +192,9 @@ def _reference_tensors(geo, space, imm, h_field):
     """nabla omega, nabla C and the covariant derivatives of the tangent fields."""
     gamma = _christoffel(geo, space)
     tangents, frame, normal_part, apply_f = _reference_fields(geo, space, imm)
-    xi_fields = jets.array(
-        [frame[..., a, :] for a in range(geo.m)] + [h_field]
-    ).swapaxes(-1, -2)
+    xi_fields = taylor.swapaxes(taylor.array(
+        [taylor.entry(frame, ..., a, slice(None)) for a in range(geo.m)] + [h_field]
+    ), -1, -2)
     omega_y = normal_part(apply_f(tangents))
     c_xi = normal_part(apply_f(xi_fields))
     nabla_omega, nabla_c, nabla_t = [], [], []

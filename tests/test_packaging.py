@@ -27,7 +27,7 @@ def _modules_with_all():
 def test_console_script_target_is_callable():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     pyproject = ROOT / "pyproject.toml"
-    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["prodgeo"]
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["prodgeo"]
     module, _, attribute = target.partition(":")
     obj = importlib.import_module(module)
     for name in attribute.split("."):
@@ -58,7 +58,7 @@ NOT_SHIPPED = {
     "catalog": ["rotation_structure_space", "position_reflection_space",
                 "constant_reflection_space", "corrupted_lemma_case"],
     "cli": ["build_document", "_entry", "run_loaded", "run_catalog_scenario"],
-    "jets": ["lift_constant", "seed_variable", "as_jet"],
+    "jets": ["lift_constant", "seed_variable", "as_jet", "einsum", "partial", "array"],
     "subgeom": ["PointRecords", "PointClassification", "ClassificationPoints",
                 "is_minimal", "is_pseudo_umbilical", "pseudo_umbilical_gap"],
     "theorems": ["TheoremPoints", "TheoremPointRecord"],
@@ -75,8 +75,19 @@ def test_package_ships_only_the_pipeline():
     assert [name for name in gone if hasattr(prodgeo, name)] == []
 
 
+def test_jets_carry_only_what_the_build_reads():
+    # the test references index, contract and differentiate through tests/taylor.py
+    from prodgeo.jets import Jet, _Algebra
+
+    gone = ["swapaxes", "__getitem__", "__iter__", "__len__", "coefficient", "derivative"]
+    assert [name for name in gone if hasattr(Jet, name)] == []
+    # bench/layers.py counts jet products and truncations through these
+    for owner, name in ((Jet, "truncate"), (Jet, "__mul__"), (Jet, "__rmul__"), (_Algebra, "mul_table")):
+        assert callable(getattr(owner, name, None)), name
+
+
 def test_package_imports_name_existing_objects():
-    tree = ast.parse(Path(prodgeo.__file__).read_text())
+    tree = ast.parse(Path(prodgeo.__file__).read_text(encoding="utf-8"))
     imported = [
         (node.module, alias.name)
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
@@ -90,7 +101,7 @@ def test_package_imports_name_existing_objects():
 
 
 def test_readme_python_example_runs(capsys):
-    section = (ROOT / "README.md").read_text().split("## Python API", 1)[1]
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Python API", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from prodgeo import expr as ex
-from prodgeo import jets
 from prodgeo.ambient import AmbientSpace, AmbientValidationFailure, product_of
 from prodgeo import calculus
 from prodgeo.calculus import _operator_derivatives
@@ -23,10 +22,11 @@ from prodgeo.subgeom import (
     classify,
     point_geometry,
 )
-from prodgeo.verify import verify
+from prodgeo.verify import Tolerances, verify
 
 from controls import corrupted_lemma_case
 from grids import seed_one_grids
+import taylor
 
 FLAT11 = product_of("flat", 1, "flat", 1)
 FLAT21 = product_of("flat", 2, "flat", 1)
@@ -507,6 +507,17 @@ def test_point_predicates_read_the_classification_measures():
                 assert (pg.pu_gap <= tol) == pu, (label, u, tol)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_classify_rejects_a_tolerance_verify_rejects(tol):
+    # a NaN threshold passed nothing and an infinite one everything, so the
+    # invariant torus read generic, or invariant with every point minimal
+    scn = catalog_get("square-torus-aligned")
+    with pytest.raises(ValueError, match=re.escape(f"tol must be a positive finite number, got {tol!r}")):
+        classify(scn.immersion, scn.space, tol=tol)
+    with pytest.raises(ValueError, match=re.escape(f"classify_tol must be a positive finite number, got {tol!r}")):
+        Tolerances(classify_tol=tol)
+
+
 # ---- frames: the build against the Gram-Schmidt loop in jets ------------------
 
 
@@ -541,21 +552,22 @@ def _reference_tangent_frame(geo, space):
     table along it.
     """
     n, npts = geo.n, len(geo.u)
-    tangents = jets.array([jets.partial(geo.f, a) for a in range(n)]).swapaxes(-1, -2)
-    (metric,) = space.tables(("metric",), geo.f.truncate(1))
+    tangents = taylor.swapaxes(taylor.array([taylor.partial(geo.f, a) for a in range(n)]), -1, -2)
+    (metric,) = taylor.tables_at(space, ("metric",), geo.f.truncate(1))
     frames, lowered = [], []  # (P, 1, N) each
     smallest = np.full(npts, np.inf)
     for a in range(n):
-        w = tangents[..., a : a + 1, :]
+        w = taylor.entry(tangents, ..., slice(a, a + 1), slice(None))
         for e, ge in zip(frames, lowered):
-            w = w - jets.einsum("...i,...i->...", w, ge)[..., None] * e
-        w_lowered = jets.einsum("...ij,...kj->...ki", metric, w)
-        nrm2 = jets.einsum("...i,...i->...", w, w_lowered)
+            w = w - taylor.entry(taylor.einsum("...i,...i->...", w, ge), ..., None) * e
+        w_lowered = taylor.einsum("...ij,...kj->...ki", metric, w)
+        nrm2 = taylor.einsum("...i,...i->...", w, w_lowered)
         smallest = np.minimum(smallest, np.sqrt(np.abs(nrm2.value[:, 0])))
-        scale = (nrm2 ** -0.5)[..., None]
+        scale = taylor.entry(nrm2 ** -0.5, ..., None)
         frames.append(w * scale)
         lowered.append(w_lowered * scale)
-    stacked = [jets.array([v[:, 0] for v in vectors]).swapaxes(-1, -2) for vectors in (frames, lowered)]
+    stacked = [taylor.swapaxes(taylor.array([taylor.entry(v, slice(None), 0) for v in vectors]), -1, -2)
+               for vectors in (frames, lowered)]
     return stacked, smallest
 
 
@@ -575,7 +587,7 @@ def test_frames_match_the_gram_schmidt_loop_in_jets():
         basis = np.concatenate([geo.E0, geo.Xi0], axis=-2)
         gram = basis @ (basis @ geo.g0).swapaxes(-1, -2)
         assert np.abs(gram - np.eye(geo.N)).max() <= 1e-12, key
-        projector = jets.einsum("...ai,...aj->...ij", frame, lowered)
+        projector = taylor.einsum("...ai,...aj->...ij", frame, lowered)
         want = np.moveaxis(projector.gradient(), -1, 1)  # [a]: d_a P_T
         d_tan, _ = _operator_derivatives(geo)
         if not geo.flat:  # d_a P_T = D_a P_T - [Gamma_a, P_T]

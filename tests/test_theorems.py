@@ -192,7 +192,7 @@ def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
     def no_jets(*args, **kwargs):
         raise AssertionError("jet work in a statement")
 
-    for name in ("__init__", "gradient", "truncate", "coefficient"):
+    for name in ("__init__", "gradient", "truncate"):
         monkeypatch.setattr(jets.Jet, name, no_jets)
     monkeypatch.setattr(jets.Jet, "value", property(no_jets))
     data = _PointData(geo, 1e-8, *tensors)
