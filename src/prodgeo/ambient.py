@@ -14,7 +14,7 @@ the validator measures ``F^2 - I``, the metric compatibility defect, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -62,11 +62,12 @@ def _differ(a: ex.ExprAst, b: ex.ExprAst, dim: int) -> bool:
     """Whether two expressions differ in value, relative to 1e-12, at one of a
     few fixed probe points of the chart (points where either is undefined or
     not finite are skipped)."""
+    plan = ex.Plan([(a, b)])
     for probe in ((0.37, 0.11), (0.61, 0.07)):
         env = {x: probe[0] + probe[1] * i for i, x in enumerate(ambient_vars(dim))}
         try:
             with np.errstate(all="ignore"):
-                va, vb = float(ex.evaluate(a, env)), float(ex.evaluate(b, env))
+                va, vb = plan(env)[0].tolist()
         except jets.DomainError:
             continue
         if np.isfinite(va) and np.isfinite(vb) and abs(va - vb) > 1e-12 * max(abs(va), abs(vb)):
@@ -87,11 +88,9 @@ class AmbientSpace:
     that does not fold, such as that of ``x1 - x1``, counts as curved, and
     its Christoffel symbols are computed (and vanish).
 
-    Evaluated once per space: a metric or structure table without variables
-    becomes a float array on first use, and its derivative table a zero
-    array without evaluating it.  The other tables are evaluated per call,
-    by one :class:`~prodgeo.expr.Plan` for the tables requested together,
-    compiled on first request, so the subtrees they share are computed once.
+    The tables requested together are evaluated by one
+    :class:`~prodgeo.expr.Plan`, compiled on first request, which computes
+    their shared subtrees once per call and folds their literal entries once.
     """
 
     dim: int
@@ -101,7 +100,6 @@ class AmbientSpace:
     metric_diff: tuple = field(init=False, repr=False, compare=False)
     structure_diff: tuple = field(init=False, repr=False, compare=False)
     flat: bool = field(init=False, repr=False, compare=False)
-    _fixed: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
@@ -109,7 +107,7 @@ class AmbientSpace:
         object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric"))
         object.__setattr__(self, "structure", _as_matrix(self.structure, self.dim, "structure"))
         allowed = set(ambient_vars(self.dim))
-        fixed = []  # the tables without variables
+        zeros = (((zero,) * self.dim,) * self.dim,) * self.dim  # one row object, laid out once
         for name, matrix in (("metric", self.metric), ("structure", self.structure)):
             used = tuple(tuple(ex.variables(e) for e in row) for row in matrix)
             free = frozenset().union(*(v for row in used for v in row))
@@ -124,10 +122,8 @@ class AmbientSpace:
                     for x in ambient_vars(self.dim)
                 )
             else:
-                fixed.append(name)
-                d = (((zero,) * self.dim,) * self.dim,) * self.dim
+                d = zeros
             object.__setattr__(self, f"{name}_diff", d)
-        object.__setattr__(self, "_fixed", tuple(fixed))
         object.__setattr__(self, "flat", all(e is zero or e == zero for d in self.metric_diff for row in d for e in row))
         for i in range(self.dim):
             for j in range(i):
@@ -135,41 +131,22 @@ class AmbientSpace:
                 if a != b and _differ(a, b, self.dim):
                     raise ValueError("metric component matrix must be symmetric")
 
-    @cached_property
-    def _constants(self) -> dict[str, np.ndarray]:
-        """The constant tables and their zero derivative tables, evaluated once."""
-        constants = {}
-        for name in self._fixed:
-            rows = getattr(self, name)
-            constants[name] = np.array([[ex.evaluate(e, {}) for e in row] for row in rows], dtype=float)
-            constants[f"{name}_diff"] = np.zeros((self.dim,) * 3)
-        return constants
-
     def tables(self, names: Sequence[str], x) -> list:
         """The named expression tables at the points ``x``.
 
-        ``x`` is a float array of shape ``(..., dim)``.  Each result is a
-        float array with the points' leading shape, ``(..., dim, dim)`` or,
-        for a derivative table, ``(..., dim, dim, dim)``; one that
-        is constant along ``x`` is a read-only float view broadcast over the
-        points.  The tables that depend on ``x`` are evaluated by one plan.
+        ``x`` is converted to a float array of shape ``(..., dim)``.  Each
+        table comes with the points' leading shape, ``(..., dim, dim)`` or,
+        for a derivative table, ``(..., dim, dim, dim)``: a float array, or a
+        read-only view broadcast over the points where it is constant.
         """
+        x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
-        values = dict(self._constants)
-        varying = tuple(name for name in names if name not in values)
-        if varying:
-            plan = self._plans.get(varying)
-            if plan is None:
-                plan = self._plans[varying] = ex.Plan([getattr(self, name) for name in varying])
-            env = {v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))}
-            values.update(zip(varying, plan(env)))
-        tables = []
-        for name in names:
-            shape = x.shape[:-1] + (self.dim,) * (3 if name.endswith("_diff") else 2)
-            value = values[name]  # without the point axes where constant
-            tables.append(value if value.shape == shape else np.broadcast_to(value, shape))
-        return tables
+        key = tuple(names)
+        plan = self._plans.get(key) or self._plans.setdefault(key, ex.Plan([getattr(self, n) for n in key]))
+        tables = plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
+        shapes = [x.shape[:-1] + shape for shape, _ in plan.layouts]
+        return [t if t.shape == shape else np.broadcast_to(t, shape) for t, shape in zip(tables, shapes)]
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:

@@ -344,25 +344,77 @@ class Plan:
 
     Each structurally distinct subtree is one step, keyed by its operation,
     its literal (a zero keeps its sign) and its operand step numbers, so it
-    is computed once per call.  A table is kept as its shape and the flat
-    list of its entries' step numbers; ``plan(env)`` stacks its values into a
-    fresh float array or jet (:func:`prodgeo.jets.stack`), points' axes first.
+    is computed once per call.  A table is kept as its shape, the flat list
+    of its entries' step numbers and, folded, its literal entries (a number
+    or a negated one): a read-only float array, all a table of literals
+    alone returns.  ``plan(env)`` writes the other entries' values into a
+    copy of it with one store, points' axes first, as a jet of the lowest
+    order among them if one is a jet.
     """
 
     def __init__(self, tables):
         self.steps: list[tuple] = []
-        index: dict = {}  # step key -> step number
-        layouts = [np.array(_compile(table, index, self.steps), dtype=int) for table in tables]
-        self.layouts = [(layout.shape, layout.ravel().tolist()) for layout in layouts]
+        index, rows = {}, {}  # step key -> step number; id of a tuple -> it and its layout
+        self.layouts = [_layout(table, index, self.steps, rows) for table in tables]
+        literals = {}  # entry step -> value, for a number or a negated one
+        for step in {step for _, flat in self.layouts for step in flat}:
+            op, arg = self.steps[step][:2]
+            if op == "num" or op == "neg" and self.steps[arg][0] == "num":
+                literals[step] = arg if op == "num" else -self.steps[arg][1]
+        self._tables = []  # (the literals in the table's shape, positions computed, their steps)
+        for shape, flat in self.layouts:
+            where = [i for i, step in enumerate(flat) if step not in literals]
+            constant = np.array([literals.get(step, 0.0) for step in flat]).reshape(shape)
+            constant.flags.writeable = False
+            self._tables.append((constant, where, [flat[i] for i in where]))
 
     def __call__(self, env: Mapping[str, object]) -> list:
         values = _fill(self.steps, env)
-        return [jets.stack(shape, [values[step] for step in flat]) for shape, flat in self.layouts]
+        return [_assemble(constant, where, [values[s] for s in computed]) for constant, where, computed in self._tables]
 
 
-def _compile(entry, index: dict, steps: list):
-    """The step number of a node (a nested tuple of them for a table),
-    adding the steps it needs to ``steps`` and their keys to ``index``."""
+def _assemble(constant: np.ndarray, where: list, leaves: list):
+    """A table from its literals and the values of its computed entries."""
+    if not leaves:
+        return constant
+    found = [e for e in leaves if isinstance(e, jets.Jet)]
+    if found:
+        alg = min((j.alg for j in found), key=lambda a: a.order)
+        if any(j.nvars != alg.nvars for j in found):
+            raise ValueError("jets carry different seed sets")
+        leaves = [e.coeffs[..., : alg.size] if isinstance(e, jets.Jet) else jets._constant(alg, e).coeffs
+                  for e in leaves]
+    if len({np.shape(e) for e in leaves}) > 1:
+        leaves = np.broadcast_arrays(*leaves)
+    # entries first, coefficients last (a float is its value) for the one store
+    computed = np.array(leaves) if found else np.array(leaves)[..., None]
+    out, lead = np.zeros((constant.size,) + computed.shape[1:]), computed.ndim - 2
+    out[..., 0], out[where] = constant.reshape((-1,) + (1,) * lead), computed
+    out = np.ascontiguousarray(out.transpose(*range(1, lead + 1), 0, lead + 1))
+    out = out.reshape(computed.shape[1:-1] + constant.shape + computed.shape[-1:])
+    return jets.Jet(alg, out) if found else out[..., 0]
+
+
+def _layout(table, index: dict, steps: list, rows: dict) -> tuple:
+    """The shape of a table (a node, or nested tuples of them) and the flat
+    list of its entries' step numbers; a tuple a table repeats is done once."""
+    if type(table) is not tuple:
+        return (), [_compile(table, index, steps)]
+    if id(table) not in rows:  # kept alive with its layout, so its id stays its own
+        if table and type(table[0]) is tuple:
+            parts = [_layout(row, index, steps, rows) for row in table]
+            if len({shape for shape, _ in parts}) > 1:
+                raise ValueError("the rows of a table differ in shape")
+            layout = (len(parts),) + parts[0][0], [step for _, flat in parts for step in flat]
+        else:
+            layout = (len(table),), [_compile(node, index, steps) for node in table]
+        rows[id(table)] = table, layout
+    return rows[id(table)][1]
+
+
+def _compile(entry, index: dict, steps: list) -> int:
+    """The step number of a node, adding the steps it needs to ``steps`` and
+    their keys to ``index``."""
     kind = type(entry)  # by frequency in long sums of products
     if kind is BinOp:
         key = (entry.op, _compile(entry.lhs, index, steps), _compile(entry.rhs, index, steps))
@@ -374,8 +426,6 @@ def _compile(entry, index: dict, steps: list):
         key = (entry.fn, _compile(entry.arg, index, steps))
     elif kind is Neg:
         key = ("neg", _compile(entry.arg, index, steps))
-    elif kind is tuple:
-        return tuple(_compile(e, index, steps) for e in entry)
     else:
         raise TypeError(f"{entry!r} is not an expression or a table of them")
     step = index.get(key)

@@ -4,11 +4,11 @@ A :class:`Jet` carries the value and all partial derivatives, up to a fixed
 total order, of a scalar or of an array of scalars with respect to a fixed
 set of seed directions.  The coefficients sit on the last axis of
 ``coeffs``; any leading shape is allowed, so a vector field along a
-submanifold is one jet of shape ``(N,)``; the fields of P sample points at
-once carry one more leading axis, ``(P, N)``.  Arithmetic broadcasts over
-those axes the way numpy does.  Every derivative downstream code reads off
-(:attr:`Jet.value`, :meth:`Jet.gradient`, :meth:`Jet.hessian`) is exact up
-to machine roundoff rather than a difference approximation.
+submanifold is one jet of shape ``(N,)``, assembled from a table of
+expressions by :class:`prodgeo.expr.Plan`, and the fields of P points carry
+one more leading axis, ``(P, N)``.  Arithmetic broadcasts the way numpy
+does.  Every derivative read off (:attr:`Jet.value`, :meth:`Jet.gradient`,
+:meth:`Jet.hessian`) is exact to roundoff, not a difference approximation.
 
 Coefficients use the Taylor normalization: the entry stored for the
 multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  A product gathers the
@@ -38,7 +38,7 @@ import numpy as np
 
 __all__ = [
     "Jet", "InsufficientJetOrder", "DomainError", "DivisionByZero", "check_domain",
-    "seed_point", "stack", "sin", "cos", "exp", "sqrt",
+    "seed_point", "sin", "cos", "exp", "sqrt",
 ]
 
 _Number = (int, float, np.integer, np.floating)
@@ -342,36 +342,6 @@ def seed_point(values, order: int) -> list[Jet]:
         j.coeffs[..., 1 + i] = 1.0
         seeds.append(j)
     return seeds
-
-
-def stack(shape: tuple[int, ...], leaves: list):
-    """The flat ``leaves`` (jets, numbers and float arrays, row-major) as one
-    table of trailing ``shape``.
-
-    The leaves broadcast to their common shape, which leads.  A table of
-    scalar expressions evaluated at a batch of points is so one field of
-    leading shape ``(P, ...)``, whatever entries are constant.  The result
-    carries the lowest order among the jets; without any jet it is a float
-    array.
-    """
-    outer = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
-    found = [e for e in leaves if isinstance(e, Jet)]
-    if not found:
-        out = np.empty(outer + (len(leaves),))
-        for i, e in enumerate(leaves):
-            out[..., i] = e
-        return out.reshape(outer + shape)
-    if len({j.nvars for j in found}) > 1:
-        raise ValueError("jets carry different seed sets")
-    alg = _algebra(found[0].nvars, min(j.order for j in found))
-    # a number fills coefficient 0 of its zero row
-    out = np.zeros(outer + (len(leaves), alg.size))
-    for i, e in enumerate(leaves):
-        if isinstance(e, Jet):
-            out[..., i, :] = e.coeffs[..., : alg.size]
-        else:
-            out[..., i, 0] = e
-    return Jet(alg, out.reshape(outer + shape + (alg.size,)))
 
 
 # ---- elementary functions (work on floats, float arrays and jets) --------

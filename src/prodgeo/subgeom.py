@@ -232,8 +232,8 @@ class _JetGeometry:
                 self.f = immersion._plan(uenv)[0]
             except jets.DomainError as err:
                 raise err.at("u", self.u) from None
-            if not isinstance(self.f, jets.Jet):  # a constant map, lifted at every point
-                self.f = jets.stack((N,), [0.0 * uenv["u1"] + c for c in self.f])
+            if not isinstance(self.f, jets.Jet):  # a constant map: its value at every point
+                self.f = jets._constant(uenv["u1"].alg, np.broadcast_to(self.f, (npts, N)))
             self.x0 = self.f.value
             try:
                 self.g0, self.F0, self.dg0, self.dF0 = space.tables(
@@ -406,6 +406,7 @@ def _semi_invariant(omega_phi_vanishes: bool, ranks) -> bool:
 def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
     """The geometry's class measures at every point, thresholded at ``tol``:
     a column over the points per name, ``"u"`` first."""
+    _check_tolerance("tol", tol)
     names = ("phi_norm", "omega_norm", "omega_phi_norm", "rank_phi", "minimal",
              "pseudo_umbilical", "mean_curvature_sq")
     columns = (geo.phi_norm, geo.omega_norm, geo.omega_phi_norm, _rank(geo.phi_singular, tol),
@@ -415,6 +416,7 @@ def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
 
 def aggregate_classification(columns: dict, n: int, tol: float) -> ClassificationResult:
     """Fold the columns of :func:`classify_point` into the four-way verdict."""
+    _check_tolerance("tol", tol)
     if not columns["u"]:
         raise ValueError("classification needs at least one sample point")
     invariant = max(columns["omega_norm"]) <= tol

@@ -1,8 +1,9 @@
 """Jet operations the test references need (imported as ``taylor``).
 
 The library's jets carry only what its geometry build reads: products,
-powers, elementary functions, ``stack``, value, gradient and Hessian.  The
-references differentiate, index and contract jet fields as well; each
+powers, elementary functions, value, gradient and Hessian.  The references
+differentiate, index, stack and contract jet fields as well, and evaluate
+expression tables entry by entry, not through the plans they check; each
 operation here acts on a :class:`prodgeo.jets.Jet`'s algebra ``alg`` and its
 coefficient array ``coeffs``, whose last axis holds the Taylor coefficients
 (the entry for the multi-index ``alpha`` is ``(d^alpha f) / alpha!``).
@@ -14,7 +15,7 @@ import numpy as np
 
 from prodgeo import expr as ex
 from prodgeo.ambient import ambient_vars
-from prodgeo.jets import InsufficientJetOrder, Jet, _algebra, _align, stack
+from prodgeo.jets import InsufficientJetOrder, Jet, _algebra, _align, _constant
 
 
 def partial(j, var):
@@ -93,15 +94,44 @@ def _nesting(entries):
     return (len(parts),) + inner, [leaf for _, leaves in parts for leaf in leaves]
 
 
+def stack(shape, leaves):
+    """The flat ``leaves`` (jets, numbers and float arrays, row-major) as one
+    table of trailing ``shape``, broadcast to their common leading shape:
+    every leaf is broadcast (a number lifted to a constant jet) and the
+    results stacked.  The table carries the lowest order among the jets;
+    without any jet it is a float array."""
+    lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
+    found = [e for e in leaves if isinstance(e, Jet)]
+    if not found:
+        stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
+        return np.stack(stacked, axis=-1).reshape(lead + shape)
+    alg = _algebra(found[0].nvars, min(j.order for j in found))
+    stacked = [
+        np.broadcast_to(
+            e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, e).coeffs,
+            lead + (alg.size,),
+        )
+        for e in leaves
+    ]
+    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + shape + (alg.size,)))
+
+
 def array(entries):
-    """The leaves of a nested list, stacked by ``jets.stack`` to its shape."""
+    """The leaves of a nested list, stacked to its shape."""
     return stack(*_nesting(entries))
+
+
+def _evaluated(table, env):
+    """A nested tuple of nodes as the nested list of their values."""
+    if isinstance(table, tuple):
+        return [_evaluated(e, env) for e in table]
+    return ex.evaluate(table, env)
 
 
 def tables_at(space, names, x):
     """The named tables of ``space`` at the jet points ``x`` of shape
-    ``(..., dim)``, through one plan; a table constant along ``x`` is a
-    read-only float view broadcast over the points."""
+    ``(..., dim)``, each entry evaluated on its own; a table constant along
+    ``x`` is a read-only float view broadcast over the points."""
     env = {v: entry(x, ..., i) for i, v in enumerate(ambient_vars(space.dim))}
-    tables = ex.Plan([getattr(space, name) for name in names])(env)
+    tables = [array(_evaluated(getattr(space, name), env)) for name in names]
     return [t if isinstance(t, Jet) else np.broadcast_to(t, x.shape[:-1] + t.shape) for t in tables]

@@ -424,3 +424,14 @@ def test_derivative_tables_of_a_flat_and_a_curved_space():
             tuple(tuple(ex.diff(e, x) for e in row) for row in matrix) for x in ambient_vars(curved.dim)
         )
     assert not curved.flat
+
+
+@pytest.mark.parametrize("label", ["flat-product", "curved-block"])
+def test_tables_take_float_points_on_every_space(label):
+    # a flat product's tables are all literals, and still a jet is refused
+    # as it is where an entry depends on the point
+    space = flat_product(2, 1) if label == "flat-product" else catalog_get(label).space
+    point = taylor.array(jets.seed_point(np.array([0.3, 0.2, 0.1]), 1))
+    with pytest.raises(TypeError, match="not 'Jet'"):
+        space.tables(("metric",), point)
+    assert space.tables(("metric",), [[0.3, 0.2, 0.1]])[0].shape == (1, 3, 3)

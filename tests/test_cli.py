@@ -31,7 +31,7 @@ from prodgeo.scenario import (
 from prodgeo.subgeom import Immersion, classify
 from prodgeo.verify import THEOREMS, Tolerances, verify
 
-from controls import corrupted_lemma_case
+from controls import BLOCK_MIXING_CHART, BLOCK_MIXING_STANDARD, corrupted_lemma_case
 from grids import seed_one_grids
 
 CORRUPTED = """
@@ -571,7 +571,28 @@ def test_check_all_evaluates_the_curved_tables_once(capsys, tmp_path, monkeypatc
     export_scenario(path, catalog_get("curved-block"))
     code, _, _ = run_cli(capsys, "check", "--all", str(path))
     assert code == 0
-    assert set(loaded[0].space._plans) == {("metric", "metric_diff")}
+    assert set(loaded[0].space._plans) == {("metric", "structure", "metric_diff", "structure_diff")}
+
+
+def test_block_mixing_chart_gives_the_verdicts_of_the_standard_chart(capsys, tmp_path):
+    # the same surface in flat R^2 x R^2, written in a chart where F varies
+    # and in the standard chart where it is constant
+    docs = []
+    for name, text in (("chart", BLOCK_MIXING_CHART), ("standard", BLOCK_MIXING_STANDARD)):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "report", "--format", "json", str(path))
+        assert code == 0, name
+        docs.append(json.loads(out))
+    chart, standard = docs
+    assert chart["ambient_validation"]["passed"]
+    assert not chart["ambient_validation"]["f_is_identity"]
+    for lemma in ("lemma1", "lemma2"):
+        assert chart["verdicts"][lemma]["max_residual"] <= 1e-12, lemma
+        del chart["verdicts"][lemma]["max_residual"], standard["verdicts"][lemma]["max_residual"]
+    assert chart["verdicts"] == standard["verdicts"]
+    for key in ("rank_phi", "flags"):
+        assert [p[key] for p in chart["points"]] == [p[key] for p in standard["points"]], key
 
 
 CURVED_CIRCLE = """

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from prodgeo import expr as ex
 from prodgeo.jets import (
     InsufficientJetOrder,
     Jet,
@@ -17,11 +18,11 @@ from prodgeo.jets import (
     seed_point,
     sin,
     sqrt,
-    stack,
 )
 
 from oracle import FDConfig, fd_derivative, fd_second, fd_third
 from taylor import array, derivative, einsum, entry, partial, swapaxes
+from taylor import stack as _ref_stack
 
 
 def _var(value, order):
@@ -308,26 +309,33 @@ def test_array_stacks_jets_and_numbers_at_lowest_order():
     assert isinstance(array([[1.0, 0.0]]), np.ndarray)
 
 
-# ---- stack against the plain form it replaces -------------------------------
-# The reference broadcasts every leaf (a number lifted to a full jet) and
-# stacks the results; stack fills one array and must give the same bits.
+# ---- a plan's table assembly against the plain form it replaces -------------
+# The reference (tests/taylor.py) broadcasts every leaf (a number lifted to a
+# full jet) and stacks the results; a plan folds the literal leaves into one
+# array and writes the others into a copy of it with one store, and must give
+# the same bits.
 
 
-def _ref_stack(shape, leaves):
-    lead = np.broadcast_shapes(*(e.shape if isinstance(e, Jet) else np.shape(e) for e in leaves))
-    found = [e for e in leaves if isinstance(e, Jet)]
-    if not found:
-        stacked = [np.broadcast_to(np.asarray(e, dtype=float), lead) for e in leaves]
-        return np.stack(stacked, axis=-1).reshape(lead + shape)
-    alg = _algebra(found[0].nvars, min(j.order for j in found))
-    stacked = [
-        np.broadcast_to(
-            e.coeffs[..., : alg.size] if isinstance(e, Jet) else _constant(alg, e).coeffs,
-            lead + (alg.size,),
-        )
-        for e in leaves
-    ]
-    return Jet(alg, np.stack(stacked, axis=-2).reshape(lead + shape + (alg.size,)))
+def _nest(flat, shape):
+    """A flat list as nested tuples of ``shape``, row-major."""
+    if not shape:
+        return flat[0]
+    size = len(flat) // shape[0]
+    return tuple(_nest(flat[i * size : (i + 1) * size], shape[1:]) for i in range(shape[0]))
+
+
+def _planned(shape, leaves, literal):
+    """One plan's table of ``shape`` whose entries are the ``leaves``: with
+    ``literal`` a Python number is a literal entry (-0.0 a negated zero),
+    and any other leaf is a variable bound to it."""
+    nodes, env = [], {}
+    for i, e in enumerate(leaves):
+        if literal and type(e) in (int, float):
+            nodes.append(ex.Neg(ex.Num(0.0)) if math.copysign(1.0, e) < 0 and e == 0 else ex.Num(float(e)))
+        else:
+            env[f"v{i}"] = e
+            nodes.append(ex.Var(f"v{i}"))
+    return ex.Plan([_nest(nodes, shape)])(env)[0]
 
 
 def _same(a, b):
@@ -360,9 +368,11 @@ def test_stack_matches_broadcast_then_stack(order):
         ((1,), [high]),
         ((2,), [low, -0.0]),
         ((3,), [-0.0, 0.0, np.array([0.0, -0.0, 1.0])]),
+        ((2,), [-0.0, 1]),
     ]
     for shape, leaves in cases:
-        _same(stack(shape, leaves), _ref_stack(shape, leaves))
+        for literal in (True, False):
+            _same(_planned(shape, leaves, literal), _ref_stack(shape, leaves))
 
 
 # ---- kernels against the plain forms they replace ----------------------------

@@ -32,7 +32,7 @@ from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig
 from prodgeo.subgeom import Immersion, _JetGeometry, param_vars
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 
-from controls import corrupted_lemma_case
+from controls import block_mixing_case, corrupted_lemma_case
 from grids import seed_one_grids
 from mean_curvature import inverse, mean_curvature_field
 from oracle import fd_derivative
@@ -65,6 +65,9 @@ def _cases():
                           "0.3 * sin(2 * u1) * u2"),
                       samples=((0.5, 0.1), (1.2, -0.3), (2.0, 0.7)))
     cases.append(("rotating-structure", rotating, sheet))
+    # a flat product in a chart that mixes its blocks: F varies, so the
+    # [Gamma_a, F] term of D_{e_a} F is not zero
+    cases.append(("block-mixing-chart",) + block_mixing_case())
     return cases
 
 

@@ -58,7 +58,7 @@ NOT_SHIPPED = {
     "catalog": ["rotation_structure_space", "position_reflection_space",
                 "constant_reflection_space", "corrupted_lemma_case"],
     "cli": ["build_document", "_entry", "run_loaded", "run_catalog_scenario"],
-    "jets": ["lift_constant", "seed_variable", "as_jet", "einsum", "partial", "array"],
+    "jets": ["lift_constant", "seed_variable", "as_jet", "einsum", "partial", "array", "stack"],
     "subgeom": ["PointRecords", "PointClassification", "ClassificationPoints",
                 "is_minimal", "is_pseudo_umbilical", "pseudo_umbilical_gap"],
     "theorems": ["TheoremPoints", "TheoremPointRecord"],

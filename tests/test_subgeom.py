@@ -19,7 +19,9 @@ from prodgeo.subgeom import (
     Immersion,
     _JetGeometry,
     _points,
+    aggregate_classification,
     classify,
+    classify_point,
     point_geometry,
 )
 from prodgeo.verify import Tolerances, verify
@@ -516,6 +518,19 @@ def test_classify_rejects_a_tolerance_verify_rejects(tol):
         classify(scn.immersion, scn.space, tol=tol)
     with pytest.raises(ValueError, match=re.escape(f"classify_tol must be a positive finite number, got {tol!r}")):
         Tolerances(classify_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_class_helpers_reject_a_tolerance_classify_rejects(tol):
+    # the public helpers that classify folds together: with a NaN
+    # tolerance the invariant torus read generic with every rank 0
+    scn = catalog_get("square-torus-aligned")
+    geo = _JetGeometry(scn.immersion, scn.space, np.array(scn.samples))
+    message = re.escape(f"tol must be a positive finite number, got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        classify_point(geo, tol)
+    with pytest.raises(ValueError, match=message):
+        aggregate_classification(classify_point(geo), scn.immersion.n, tol)
 
 
 # ---- frames: the build against the Gram-Schmidt loop in jets ------------------
