@@ -135,18 +135,17 @@ class AmbientSpace:
         """The named expression tables at the points ``x``.
 
         ``x`` is converted to a float array of shape ``(..., dim)``.  Each
-        table comes with the points' leading shape, ``(..., dim, dim)`` or,
-        for a derivative table, ``(..., dim, dim, dim)``: a float array, or a
-        read-only view broadcast over the points where it is constant.
+        table comes from the plan with the points' leading shape, ``(...,
+        dim, dim)`` or, for a derivative table, ``(..., dim, dim, dim)``: a
+        float array, or, for a table of literals alone, a read-only view of
+        its folded literals broadcast over the points.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
         key = tuple(names)
         plan = self._plans.get(key) or self._plans.setdefault(key, ex.Plan([getattr(self, n) for n in key]))
-        tables = plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
-        shapes = [x.shape[:-1] + shape for shape, _ in plan.layouts]
-        return [t if t.shape == shape else np.broadcast_to(t, shape) for t, shape in zip(tables, shapes)]
+        return plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:
@@ -160,9 +159,10 @@ def product_of(block_a, p: int, block_b, q: int) -> AmbientSpace:
     """Canonical locally product space: block metric, constant F = diag(+1*p, -1*q).
 
     ``block_a``/``block_b`` are metric expression matrices, or the string
-    ``"flat"``.  Block A may reference only ``x1..xp``, block B only
-    ``x(p+1)..x(p+q)``; the constant structure tensor is then parallel by
-    construction.
+    ``"flat"``.  Block A may not reference the coordinates of block B,
+    ``x(p+1)..x(p+q)``, nor block B those of block A, ``x1..xp``; the
+    constant structure tensor is then parallel by construction.  Any other
+    name is left to :class:`AmbientSpace`, where it is an unbound variable.
     """
     if p < 1 or q < 1:
         raise ValueError("both product blocks need positive dimension")
@@ -172,11 +172,10 @@ def product_of(block_a, p: int, block_b, q: int) -> AmbientSpace:
 
     a_vars = set(ambient_vars(dim)[:p])
     b_vars = set(ambient_vars(dim)[p:])
-    for rows, allowed, name in ((a_rows, a_vars, "block A"), (b_rows, b_vars, "block B")):
-        used = frozenset().union(*(ex.variables(e) for row in rows for e in row))
-        if not used <= allowed:
-            leak = sorted(used - allowed)[0]
-            raise BlockVariableLeak(f"{name} references coordinate {leak!r}")
+    for rows, other, name in ((a_rows, b_vars, "block A"), (b_rows, a_vars, "block B")):
+        leaks = other & frozenset().union(*(ex.variables(e) for row in rows for e in row))
+        if leaks:
+            raise BlockVariableLeak(f"{name} references coordinate {sorted(leaks)[0]!r}")
 
     zero = ex.Num(0.0)
     metric = tuple(

@@ -346,10 +346,11 @@ class Plan:
     its literal (a zero keeps its sign) and its operand step numbers, so it
     is computed once per call.  A table is kept as its shape, the flat list
     of its entries' step numbers and, folded, its literal entries (a number
-    or a negated one): a read-only float array, all a table of literals
-    alone returns.  ``plan(env)`` writes the other entries' values into a
-    copy of it with one store, points' axes first, as a jet of the lowest
-    order among them if one is a jet.
+    or a negated one): a read-only float array.  ``plan(env)`` returns each
+    table with the variables' leading shape (the points' axes) first and, if
+    they are jets, as a jet of their one algebra: the folded array broadcast
+    if it is all literals, else a copy of it with the other entries written
+    in by one store.  Jets of two algebras are a ``ValueError``.
     """
 
     def __init__(self, tables):
@@ -369,30 +370,34 @@ class Plan:
             self._tables.append((constant, where, [flat[i] for i in where]))
 
     def __call__(self, env: Mapping[str, object]) -> list:
+        algebras = {v.alg for v in env.values() if isinstance(v, jets.Jet)}
+        if len(algebras) > 1:
+            raise ValueError("jets of different seed sets or orders")
+        alg = algebras.pop() if algebras else None
+        shapes = {v.coeffs.shape[:-1] if isinstance(v, jets.Jet) else np.shape(v) for v in env.values()}
+        lead = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         values = _fill(self.steps, env)
-        return [_assemble(constant, where, [values[s] for s in computed]) for constant, where, computed in self._tables]
+        return [_assemble(constant, where, [values[s] for s in computed], lead, alg)
+                for constant, where, computed in self._tables]
 
 
-def _assemble(constant: np.ndarray, where: list, leaves: list):
-    """A table from its literals and the values of its computed entries."""
+def _assemble(constant: np.ndarray, where: list, leaves: list, lead: tuple, alg):
+    """A table of leading shape ``lead`` from its literals and the values of
+    its computed entries: a jet in the algebra ``alg``, or floats if it is None."""
     if not leaves:
-        return constant
-    found = [e for e in leaves if isinstance(e, jets.Jet)]
-    if found:
-        alg = min((j.alg for j in found), key=lambda a: a.order)
-        if any(j.nvars != alg.nvars for j in found):
-            raise ValueError("jets carry different seed sets")
-        leaves = [e.coeffs[..., : alg.size] if isinstance(e, jets.Jet) else jets._constant(alg, e).coeffs
-                  for e in leaves]
-    if len({np.shape(e) for e in leaves}) > 1:
-        leaves = np.broadcast_arrays(*leaves)
+        table = np.broadcast_to(constant, lead + constant.shape)
+        return table if alg is None else jets._constant(alg, table)
+    if alg is not None:
+        leaves = [e.coeffs if isinstance(e, jets.Jet) else jets._constant(alg, e).coeffs for e in leaves]
+    full = lead if alg is None else lead + (alg.size,)
+    leaves = [e if np.shape(e) == full else np.broadcast_to(e, full) for e in leaves]
     # entries first, coefficients last (a float is its value) for the one store
-    computed = np.array(leaves) if found else np.array(leaves)[..., None]
-    out, lead = np.zeros((constant.size,) + computed.shape[1:]), computed.ndim - 2
-    out[..., 0], out[where] = constant.reshape((-1,) + (1,) * lead), computed
-    out = np.ascontiguousarray(out.transpose(*range(1, lead + 1), 0, lead + 1))
-    out = out.reshape(computed.shape[1:-1] + constant.shape + computed.shape[-1:])
-    return jets.Jet(alg, out) if found else out[..., 0]
+    computed = np.array(leaves)[..., None] if alg is None else np.array(leaves)
+    out, k = np.zeros((constant.size,) + computed.shape[1:]), len(lead)
+    out[..., 0], out[where] = constant.reshape((-1,) + (1,) * k), computed
+    out = np.ascontiguousarray(out.transpose(*range(1, k + 1), 0, k + 1))
+    out = out.reshape(lead + constant.shape + computed.shape[-1:])
+    return out[..., 0] if alg is None else jets.Jet(alg, out)
 
 
 def _layout(table, index: dict, steps: list, rows: dict) -> tuple:

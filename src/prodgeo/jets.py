@@ -7,8 +7,10 @@ set of seed directions.  The coefficients sit on the last axis of
 submanifold is one jet of shape ``(N,)``, assembled from a table of
 expressions by :class:`prodgeo.expr.Plan`, and the fields of P points carry
 one more leading axis, ``(P, N)``.  Arithmetic broadcasts the way numpy
-does.  Every derivative read off (:attr:`Jet.value`, :meth:`Jet.gradient`,
-:meth:`Jet.hessian`) is exact to roundoff, not a difference approximation.
+does, and two jets meet only in one algebra, the same seed directions and
+order (else a ``ValueError``).  Every derivative read off (:attr:`Jet.value`,
+:meth:`Jet.gradient`, :meth:`Jet.hessian`) is exact to roundoff, not a
+difference approximation.
 
 Coefficients use the Taylor normalization: the entry stored for the
 multi-index ``alpha`` is ``(d^alpha f) / alpha!``.  A product gathers the
@@ -198,10 +200,9 @@ class Jet:
     def _coerce(self, other):
         """(algebra, own coefficients, the other's coefficients), or None."""
         if isinstance(other, Jet):
-            if other.alg is self.alg:
-                return self.alg, self.coeffs, other.coeffs
-            a, b = _align(self, other)
-            return a.alg, a.coeffs, b.coeffs
+            if other.alg is not self.alg:
+                raise ValueError("jets of different seed sets or orders")
+            return self.alg, self.coeffs, other.coeffs
         if isinstance(other, _CONST):
             return self.alg, self.coeffs, _constant(self.alg, other).coeffs
         return None
@@ -228,9 +229,10 @@ class Jet:
         if isinstance(other, float):
             return Jet(self.alg, self.coeffs * other)
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            ia, ib, scatter = a.alg.mul_table()
-            return Jet(a.alg, (a.coeffs.take(ia, axis=-1) * b.coeffs.take(ib, axis=-1)) @ scatter)
+            if other.alg is not self.alg:
+                raise ValueError("jets of different seed sets or orders")
+            ia, ib, scatter = self.alg.mul_table()
+            return Jet(self.alg, (self.coeffs.take(ia, axis=-1) * other.coeffs.take(ib, axis=-1)) @ scatter)
         if isinstance(other, _CONST):
             return Jet(self.alg, self.coeffs * np.asarray(other, dtype=float)[..., None])
         return NotImplemented
@@ -249,9 +251,6 @@ class Jet:
 
     def __neg__(self):
         return Jet(self.alg, -self.coeffs)
-
-    def __pos__(self):
-        return self
 
     def __pow__(self, power):
         if not isinstance(power, _Number):
@@ -291,15 +290,6 @@ def _constant(alg: _Algebra, value) -> Jet:
     c = np.zeros(v.shape + (alg.size,))
     c[..., 0] = v
     return Jet(alg, c)
-
-
-def _align(a: Jet, b: Jet) -> tuple[Jet, Jet]:
-    if a.alg is b.alg:
-        return a, b
-    if a.alg.nvars != b.alg.nvars:
-        raise ValueError("jets carry different seed sets")
-    m = min(a.order, b.order)
-    return a.truncate(m), b.truncate(m)
 
 
 def _analytic(j: Jet, derivatives: Sequence) -> Jet:

@@ -197,7 +197,7 @@ def _get(doc: dict[str, dict[str, str]], section: str, key: str) -> str:
         raise ScenarioError(f"missing section [{section}]", section)
     if key not in doc[section]:
         raise ScenarioError(f"missing key {key!r}", section)
-    return doc[section][key].strip()
+    return doc[section].pop(key).strip()
 
 def _get_int(doc, section, key) -> int:
     raw = _get(doc, section, key)
@@ -208,7 +208,7 @@ def _get_int(doc, section, key) -> int:
 
 
 def _get_float(doc, section, key, default) -> float:
-    raw = doc.get(section, {}).get(key)
+    raw = doc.get(section, {}).pop(key, None)
     if raw is None:
         return default
     raw = raw.strip()
@@ -254,7 +254,7 @@ def _load_ambient(doc: dict[str, dict[str, str]]) -> AmbientSpace:
 def _load_immersion(doc: dict[str, dict[str, str]], space: AmbientSpace) -> Immersion:
     section = "immersion"
     n = _get_int(doc, section, "n")
-    label = doc[section].get("label", "").strip()
+    label = doc[section].pop("label", "").strip()
     components = _split_top(_get(doc, section, "map"), ",", section)
     try:
         trees = tuple(map(ex.parse, components))  # a syntax error before the count
@@ -371,7 +371,7 @@ def _load_samples(doc, n: int, seed_override: int | None) -> tuple[tuple[float, 
     keys = [k for k in ("points", "grid", "random") if k in doc[section]]
     if len(keys) != 1:
         raise ScenarioError("need exactly one of points/grid/random", section)
-    text = doc[section][keys[0]].strip()
+    text = doc[section].pop(keys[0]).strip()
     if keys[0] == "points":
         samples = _parse_points(text, n)
     elif keys[0] == "grid":
@@ -382,17 +382,6 @@ def _load_samples(doc, n: int, seed_override: int | None) -> tuple[tuple[float, 
         if not all(math.isfinite(v) for v in point):
             raise ScenarioError(f"sample point {point} is not finite", section)
     return samples
-
-
-# the keys each section reads, the ambient section's by mode; [tolerances] also
-# takes fail_threshold, which files of earlier versions set, and ignores it
-_KEYS = {
-    ("ambient", "product"): ("mode", "dim", "p", "q", "blockA_metric", "blockB_metric"),
-    ("ambient", "explicit"): ("mode", "dim", "metric", "structure"),
-    ("immersion", None): ("n", "map", "label"),
-    ("samples", None): ("points", "grid", "random"),
-    ("tolerances", None): ("identity_tol", "classify_tol", "fail_threshold"),
-}
 
 
 def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenario:
@@ -406,13 +395,13 @@ def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenari
         tolerances = Tolerances(identity_tol, classify_tol)
     except ValueError as err:
         raise ScenarioError(str(err), "tolerances") from None
-    mode = doc["ambient"]["mode"].strip()
-    for section, keys in doc.items():
-        read = _KEYS.get((section, mode if section == "ambient" else None), ())
-        unread = [key for key in keys if key not in read]
+    # files of earlier versions set fail_threshold, which is taken and ignored
+    doc.get("tolerances", {}).pop("fail_threshold", None)
+    for section, unread in doc.items():  # each loader took the keys it read
         if unread:
+            mode = "explicit" if space.product_split is None else "product"
             where = f" in {mode} mode" if section == "ambient" else ""
-            raise ScenarioError(f"key {unread[0]!r} is not read{where}", section)
+            raise ScenarioError(f"key {next(iter(unread))!r} is not read{where}", section)
     return LoadedScenario(
         label=immersion.label,
         space=space,

@@ -232,8 +232,6 @@ class _JetGeometry:
                 self.f = immersion._plan(uenv)[0]
             except jets.DomainError as err:
                 raise err.at("u", self.u) from None
-            if not isinstance(self.f, jets.Jet):  # a constant map: its value at every point
-                self.f = jets._constant(uenv["u1"].alg, np.broadcast_to(self.f, (npts, N)))
             self.x0 = self.f.value
             try:
                 self.g0, self.F0, self.dg0, self.dF0 = space.tables(

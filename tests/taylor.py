@@ -15,7 +15,7 @@ import numpy as np
 
 from prodgeo import expr as ex
 from prodgeo.ambient import ambient_vars
-from prodgeo.jets import InsufficientJetOrder, Jet, _algebra, _align, _constant
+from prodgeo.jets import InsufficientJetOrder, Jet, _algebra, _constant
 
 
 def partial(j, var):
@@ -28,6 +28,17 @@ def partial(j, var):
     lifted = np.array(low.exps) + np.eye(j.nvars, dtype=int)[var]
     src = np.array([j.alg.index[tuple(e)] for e in lifted])
     return Jet(low, j.coeffs.take(src, axis=-1) * lifted[:, var].astype(float))
+
+
+def _align(a, b):
+    """Two jets over the same seed directions in one algebra: the one of
+    higher order truncated to the lower."""
+    if a.alg is b.alg:
+        return a, b
+    if a.nvars != b.nvars:
+        raise ValueError("jets carry different seed sets")
+    m = min(a.order, b.order)
+    return a.truncate(m), b.truncate(m)
 
 
 def einsum(spec, a, b):

@@ -181,6 +181,8 @@ MALFORMED = {
     "random-count-not-integer": ("samples", "random = count=three seed=1 box=(0,1)"),
     "random-count-zero": ("samples", "random = count=0 seed=1 box=(0,1)"),
     "random-count-negative": ("samples", "random = count=-2 seed=1 box=(0,1)"),
+    "box-ranges": ("samples", "random = count=2 seed=1 box=(0,1)x(0,1)"),
+    "grid-axis-names": ("samples", "grid = u2: 0 : 1 : 3"),
     "box-brackets": ("samples", "random = count=3 seed=1 box=[0,1]"),
     "box-three-bounds": ("samples", "random = count=3 seed=1 box=(0,1,2)"),
     "box-non-numeric": ("samples", "random = count=3 seed=1 box=(a,b)"),
@@ -219,6 +221,14 @@ MALFORMED = {
     # a component's syntax error is found before the component count
     "syntax-error-in-one-component": ("immersion", "n = 1\nmap = cos(u1) . sin(u1)"),
     "one-component": ("immersion", "n = 1\nmap = cos(u1)"),
+    "unbalanced-parentheses": ("immersion", "n = 1\nmap = cos(u1, sin(u1)"),
+    # dimensions and names the loaders check
+    "no-parameters": ("immersion", "n = 0\nmap = cos(u1), sin(u1)"),
+    "empty-block": ("ambient", PRODUCT.replace("p = 1", "p = 0")),
+    "metric-smaller-than-dim": ("ambient", REFLECTION_CIRCLE["ambient"].replace("dim = 2", "dim = 3")),
+    "unbound-metric-variable": ("ambient", REFLECTION_CIRCLE["ambient"].replace("metric = 1,", "metric = 1 + y1^2,")),
+    "unbound-block-variable": ("ambient", PRODUCT.replace("A_metric = flat", "A_metric = 1 + y1^2")),
+    "parameter-in-a-block": ("ambient", PRODUCT.replace("A_metric = flat", "A_metric = 1 + u1^2")),
     # structural errors name the section open at their line
     "line-without-delimiter": ("immersion", REFLECTION_CIRCLE["immersion"] + "\nfoo"),
     "repeated-section": ("samples", "points = (0.5,)\n\n[samples]\nlabel = again"),
@@ -285,12 +295,34 @@ def test_random_spec_key_error_names_the_key(case, message):
 @pytest.mark.parametrize("case, message", [
     ("syntax-error-in-one-component", "unexpected character '.' (offset 8)"),
     ("one-component", "map has 1 component but the ambient dimension is 2"),
+    ("unbalanced-parentheses", "unexpected character ',' (offset 6)"),
 ])
 def test_map_error_names_the_first_fault(case, message, capsys, tmp_path):
     path = tmp_path / "map.ini"
     path.write_text(_malformed(*MALFORMED[case]), encoding="utf-8")
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out, err) == (2, "", f"error: [immersion] {message}\n")
+
+
+# each loader's own check, in its own words; a name that is not a coordinate of
+# the chart is unbound in either mode, and only the other block's coordinates
+# leak out of a product block
+@pytest.mark.parametrize("case, message", [
+    ("grid-axis-names", "grid axes ['u2'] do not match parameters ['u1']"),
+    ("box-ranges", "box has 2 ranges, expected 1"),
+    ("no-parameters", "parametric dimension must be at least 1"),
+    ("empty-block", "both product blocks need positive dimension"),
+    ("metric-smaller-than-dim", "metric must be a 3x3 matrix of expressions"),
+    ("unbound-metric-variable", "unbound variable 'y1'"),
+    ("unbound-block-variable", "unbound variable 'y1'"),
+    ("parameter-in-a-block", "unbound variable 'u1'"),
+])
+def test_scenario_error_states_its_fault(case, message, capsys, tmp_path):
+    section, body = MALFORMED[case]
+    path = tmp_path / "bad.ini"
+    path.write_text(_malformed(section, body), encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert (code, out, err) == (2, "", f"error: [{section}] {message}\n")
 
 
 @pytest.mark.parametrize("key, digit", [("arabic-indic-digit", "\u0663"), ("fullwidth-digit", "\uff11")])
@@ -678,6 +710,8 @@ def test_cli_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "catalog", "run", "not-a-scenario")
     assert code == 2
+    code, out, err = run_cli(capsys, "catalog", "run")
+    assert (code, out, err) == (1, "", "usage error: catalog run needs a scenario label\n")
 
 
 def test_cli_catalog_list_rejects_a_label(capsys):
@@ -1142,6 +1176,24 @@ def test_non_finite_sample_point_is_a_scenario_error(body, capsys, tmp_path):
     code, out, err = run_cli(capsys, "classify", str(path))
     assert (code, out) == (2, "")
     assert err == "error: [samples] sample point (nan,) is not finite\n"
+
+
+def test_a_map_divided_by_a_number_reports_as_its_product(capsys, tmp_path):
+    reports = []
+    for component in ("u1/2", "0.5*u1"):
+        path = tmp_path / "half.ini"
+        path.write_text(_malformed("immersion", f"n = 1\nmap = {component}, sin(u1)"), encoding="utf-8")
+        reports.append(run_cli(capsys, "report", "--format", "json", str(path)))
+    assert reports[0] == reports[1] and reports[0][0] == 0
+
+
+def test_a_report_of_one_sample_notes_its_weak_support(capsys, tmp_path):
+    path = tmp_path / "one.ini"
+    path.write_text(_malformed("samples", "grid = u1: 0 : 1 : 1"), encoding="utf-8")
+    assert loads_scenario(path.read_text(encoding="utf-8")).samples == ((0.0,),)
+    code, out, _ = run_cli(capsys, "report", str(path))
+    assert code == 0
+    assert "note: fewer than 2 sample points; verdict is weakly supported" in out.splitlines()
 
 
 def test_constant_map_is_a_degenerate_immersion(capsys, tmp_path):

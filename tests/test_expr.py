@@ -243,6 +243,14 @@ def test_plan_has_one_step_per_distinct_subtree():
     assert ex.parse("sin(u1)") == a.lhs.rhs  # trees compare by structure
 
 
+def test_constant_map_comes_back_as_a_jet_on_the_points():
+    seeds = seed_point(np.array([[0.1], [0.2], [0.3]]), 2)
+    (f,) = ex.Plan([(ex.parse("0.5"), ex.parse("-0"))])({"u1": seeds[0]})
+    assert isinstance(f, Jet) and f.alg is seeds[0].alg and f.shape == (3, 2)
+    assert f.value.tolist() == [[0.5, 0.0]] * 3 and np.signbit(f.value[:, 1]).all()
+    assert not f.gradient().any() and not f.hessian().any()
+
+
 def test_plan_computes_a_shared_step_once(monkeypatch):
     calls = []
 

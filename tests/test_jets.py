@@ -174,10 +174,12 @@ def test_truncate_cannot_invent_orders():
     assert j.truncate(1) is j
 
 
-def test_mixed_order_arithmetic_truncates():
+def test_mixed_order_arithmetic_rejected():
     a = sin(_var(0.5, 3))
     b = cos(_var(0.5, 2))
-    assert (a * b).order == 2
+    for combine in (lambda: a * b, lambda: b * a, lambda: a + b, lambda: b - a, lambda: a / b):
+        with pytest.raises(ValueError):
+            combine()
 
 
 def test_different_seed_sets_rejected():
@@ -313,7 +315,7 @@ def test_array_stacks_jets_and_numbers_at_lowest_order():
 # The reference (tests/taylor.py) broadcasts every leaf (a number lifted to a
 # full jet) and stacks the results; a plan folds the literal leaves into one
 # array and writes the others into a copy of it with one store, and must give
-# the same bits.
+# the same bits.  The jets of one table share one algebra.
 
 
 def _nest(flat, shape):
@@ -360,8 +362,11 @@ def test_stack_matches_broadcast_then_stack(order):
     rng = np.random.default_rng(400 + order)
     high = _signed_zeros(rng, _random_jet(rng, (5, 1), order=order + 1))
     low = _signed_zeros(rng, _random_jet(rng, (3,), order=order))
+    high_row = _signed_zeros(rng, _random_jet(rng, (3,), order=order + 1))
+    low_column = _signed_zeros(rng, _random_jet(rng, (5, 1), order=order))
     cases = [
-        ((2, 2), [high, 2.0, low, rng.normal(size=(5, 3))]),
+        ((2, 2), [high, 2.0, high_row, rng.normal(size=(5, 3))]),
+        ((2, 2), [low_column, 2.0, low, rng.normal(size=(5, 3))]),
         ((3,), [low, -1, np.float64(0.25)]),
         ((2,), [rng.normal(size=(4, 1)), 3.0]),
         ((2, 2), [1.0, 0, rng.normal(size=(3,)), np.arange(3)]),
@@ -373,6 +378,9 @@ def test_stack_matches_broadcast_then_stack(order):
     for shape, leaves in cases:
         for literal in (True, False):
             _same(_planned(shape, leaves, literal), _ref_stack(shape, leaves))
+    for literal in (True, False):  # jets of two orders do not meet in one table
+        with pytest.raises(ValueError):
+            _planned((2,), [high, low], literal)
 
 
 # ---- kernels against the plain forms they replace ----------------------------

@@ -58,7 +58,7 @@ NOT_SHIPPED = {
     "catalog": ["rotation_structure_space", "position_reflection_space",
                 "constant_reflection_space", "corrupted_lemma_case"],
     "cli": ["build_document", "_entry", "run_loaded", "run_catalog_scenario"],
-    "jets": ["lift_constant", "seed_variable", "as_jet", "einsum", "partial", "array", "stack"],
+    "jets": ["lift_constant", "seed_variable", "as_jet", "einsum", "partial", "array", "stack", "_align"],
     "subgeom": ["PointRecords", "PointClassification", "ClassificationPoints",
                 "is_minimal", "is_pseudo_umbilical", "pseudo_umbilical_gap"],
     "theorems": ["TheoremPoints", "TheoremPointRecord"],
@@ -79,7 +79,7 @@ def test_jets_carry_only_what_the_build_reads():
     # the test references index, contract and differentiate through tests/taylor.py
     from prodgeo.jets import Jet, _Algebra
 
-    gone = ["swapaxes", "__getitem__", "__iter__", "__len__", "coefficient", "derivative"]
+    gone = ["swapaxes", "__getitem__", "__iter__", "__len__", "coefficient", "derivative", "__pos__"]
     assert [name for name in gone if hasattr(Jet, name)] == []
     # bench/layers.py counts jet products and truncations through these
     for owner, name in ((Jet, "truncate"), (Jet, "__mul__"), (Jet, "__rmul__"), (_Algebra, "mul_table")):
