@@ -36,11 +36,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import expr as ex
 from .catalog import UnknownScenario, catalog_get, catalog_list
 from .ambient import AmbientValidationFailure
-from .scenario import ScenarioError, _number, export_scenario, load_scenario
-from .subgeom import DegenerateImmersion
+from .scenario import _number, export_scenario, load_scenario
 from .verify import THEOREMS, Tolerances, VerificationOutcome, verify
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_FAILED = 0, 1, 2, 3
@@ -396,8 +394,7 @@ def main(argv=None) -> int:
     except AmbientValidationFailure as err:
         sys.stderr.write(f"ambient validation: {err}\n")
         return EXIT_INVALID
-    except (ScenarioError, UnknownScenario, ex.ParseError, ex.UnknownVariable,
-            DegenerateImmersion, OSError, ValueError) as err:
+    except (UnknownScenario, OSError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_INVALID
 

@@ -268,15 +268,13 @@ class Jet:
                 if k:
                     base = base * base
             return result
-        if (2.0 * q).is_integer():
-            v = self.coeffs[..., 0]
-            check_domain(v <= 0.0, v, "half-integer power needs a positive base value, got {}")
-            ders, c = [], 1.0
-            for k in range(self.order + 1):
-                ders.append(c * v ** (q - k))
-                c *= q - k
-            return _analytic(self, ders)
-        raise ValueError("only integer and half-integer exponents are supported")
+        v = self.coeffs[..., 0]
+        check_domain(v <= 0.0, v, "fractional power needs a positive base value, got {}")
+        ders, c = [], 1.0
+        for k in range(self.order + 1):
+            ders.append(c * v ** (q - k))
+            c *= q - k
+        return _analytic(self, ders)
 
     def _reciprocal(self) -> "Jet":
         v = self.coeffs[..., 0]

@@ -237,7 +237,7 @@ def _load_ambient(doc: dict[str, dict[str, str]]) -> AmbientSpace:
             space = AmbientSpace(dim, metric, structure)
         else:
             raise ScenarioError(f"mode must be 'product' or 'explicit', got {mode!r}", section)
-    except (ex.ParseError, ex.UnknownVariable, ValueError) as err:
+    except ValueError as err:
         if isinstance(err, ScenarioError):
             raise
         raise ScenarioError(str(err), section) from err
@@ -260,7 +260,7 @@ def _load_immersion(doc: dict[str, dict[str, str]], space: AmbientSpace) -> Imme
         trees = tuple(map(ex.parse, components))  # a syntax error before the count
         if len(trees) == space.dim:
             return Immersion(n, trees, label=label)
-    except (ex.ParseError, ex.UnknownVariable, ValueError) as err:
+    except ValueError as err:
         raise ScenarioError(str(err), section) from err
     raise DimensionMismatch(
         f"map has {len(trees)} component{'s' * (len(trees) != 1)} but the ambient dimension"

@@ -172,6 +172,11 @@ def _points(samples, n: int) -> np.ndarray:
     return u
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """Whether every entry of each point's row of ``a`` is finite."""
+    return np.isfinite(a).reshape(len(a), -1).all(axis=-1)
+
+
 class _JetGeometry:
     """All pointwise data of an immersion at its sample points, as floats.
 
@@ -200,14 +205,15 @@ class _JetGeometry:
 
     ``flat`` is the space's: where its metric derivatives fold to zeros,
     ``GammaE0`` is ``None`` and no Christoffel term is contracted.
-    Decisions that differ between points (a finite immersion and finite
-    tables, the Jacobian rank, positive definiteness, a finite induced
-    metric) are masks over the points; a failing check names the first
-    failing point.  Before any can raise,
-    :func:`~prodgeo.ambient.validate_ambient` reads the tables' values, the
-    Christoffel symbols and the metric's leading minors into
-    ``ambient_report``; with ``strict`` a failed report raises, and
-    where the structure or its derivative is not finite it raises without
+    The build checks its samples itself (:func:`_points`).  The checks that
+    differ between points (a finite immersion and finite tables, positive
+    definiteness, a finite induced metric, the Jacobian rank) are one
+    ordered list of masks over the points, each with its error: the first
+    point that fails any raises the first check it fails.  Before any can
+    raise, :func:`~prodgeo.ambient.validate_ambient` reads the tables'
+    values, the Christoffel symbols and the metric's leading minors into
+    ``ambient_report``; with ``strict`` a failed report raises, and where
+    the structure or its derivative is not finite it raises without
     ``strict`` too, since there is nothing to verify.
     """
 
@@ -219,14 +225,12 @@ class _JetGeometry:
             )
         n, N = immersion.n, space.dim
         self.n, self.N, self.m = n, N, N - n
-        self.u = np.array(u, dtype=float)
-        if self.u.ndim != 2 or self.u.shape[1] != n:
-            raise ValueError(f"sample points must have shape (P, {n}), not {self.u.shape}")
+        self.u = _points(u, n)
         npts = len(self.u)
         self.points = [tuple(row) for row in self.u.tolist()]
 
         uenv = dict(zip(param_vars(n), jets.seed_point(self.u, 2)))
-        # overflow and NaN are found by the masks below, not warned about
+        # overflow and NaN are found by the checks below, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 self.f = immersion._plan(uenv)[0]
@@ -255,15 +259,7 @@ class _JetGeometry:
         # the Jacobian J0[..., i, a] = d f^i / d u^a, read off the immersion's
         # Taylor coefficients; the tangent vectors T_a are its columns
         self.J0 = self.f.gradient()
-
-        # the image, J and the higher derivatives of the immersion, and each
-        # table with its derivatives, finite at every point
-        immersed = np.isfinite(self.f.coeffs).all(axis=(-2, -1))
-        finite = {
-            name: np.isfinite(table).all(axis=tuple(range(-axes, 0)))
-            for name, table, axes in (("metric", self.g0, 2), ("metric derivative", self.dg0, 3),
-                                      ("structure", self.F0, 2), ("structure derivative", self.dF0, 3))
-        }
+        immersed = _finite(self.f.coeffs)
         chol = np.linalg.cholesky(safe_g0)
         # the Jacobian whitened by the metric's Cholesky factor, g = chol chol^T
         white = _t(chol) @ np.where(immersed[..., None, None], self.J0, 0.0)
@@ -271,32 +267,31 @@ class _JetGeometry:
         # induced metric G_ab = g(T_a, T_b), which overflows for a finite but huge J
         with np.errstate(over="ignore", invalid="ignore"):
             self.G0 = _t(white) @ white
-        induced = np.isfinite(self.G0).all(axis=(-2, -1))
-        bad = ~immersed | ~definite | ~induced | (smallest <= 1e-8)
-        for ok in finite.values():
-            bad |= ~ok
-        if bad.any():
-            p = np.argmax(bad)
-            at = f"u = {tuple(self.u[p].tolist())}"
-            image = f"{at}, x = {tuple(self.x0[p].tolist())}"
-            if not immersed[p]:
-                raise DegenerateImmersion(
-                    f"immersion is not finite at {at} (its value or a derivative overflows)"
-                )
-            for name in ("metric", "metric derivative"):
-                if not finite[name][p]:
-                    raise SingularMetric(f"ambient {name} is not finite along the immersion at {image}")
-            if not (finite["structure"][p] and finite["structure derivative"][p]):
-                raise AmbientValidationFailure(self.ambient_report)
-            if not definite[p]:
-                raise SingularMetric(
-                    f"ambient metric is not positive definite along the immersion at {image}"
-                )
-            if not induced[p]:
-                raise DegenerateImmersion(f"induced metric is not finite at {at}")
-            raise DegenerateImmersion(
-                f"Jacobian rank < {n} at {at} (smallest singular value {smallest[p]:.3e})"
-            )
+
+        # the per-point checks in reporting order, (passes, error, message):
+        # the first point that fails any raises the first row it fails
+        checks = (
+            (immersed, DegenerateImmersion,
+             "immersion is not finite at u = {u} (its value or a derivative overflows)"),
+            (_finite(self.g0), SingularMetric,
+             "ambient metric is not finite along the immersion at u = {u}, x = {x}"),
+            (_finite(self.dg0), SingularMetric,
+             "ambient metric derivative is not finite along the immersion at u = {u}, x = {x}"),
+            (_finite(self.F0) & _finite(self.dF0), AmbientValidationFailure, self.ambient_report),
+            (definite, SingularMetric,
+             "ambient metric is not positive definite along the immersion at u = {u}, x = {x}"),
+            (_finite(self.G0), DegenerateImmersion, "induced metric is not finite at u = {u}"),
+            (~(smallest <= 1e-8), DegenerateImmersion,
+             "Jacobian rank < {n} at u = {u} (smallest singular value {smallest:.3e})"),
+        )
+        passed = np.logical_and.reduce([row[0] for row in checks])
+        if not passed.all():
+            p = np.argmin(passed)
+            _, error, message = next(row for row in checks if not row[0][p])
+            if isinstance(message, str):
+                message = message.format(u=tuple(self.u[p].tolist()), x=tuple(self.x0[p].tolist()),
+                                         n=n, smallest=smallest[p])
+            raise error(message)
 
         # orthonormal frames under the ambient metric from one complete QR,
         # white = q r: the first n columns of q, signed so that diag(r) > 0, are
@@ -456,5 +451,5 @@ def classify(
     _check_tolerance("tol", tol)
     if samples is None:
         samples = immersion.samples
-    geo = _JetGeometry(immersion, space, _points(samples, immersion.n))
+    geo = _JetGeometry(immersion, space, samples)
     return aggregate_classification(classify_point(geo, tol), immersion.n, tol)

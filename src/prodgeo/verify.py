@@ -21,7 +21,6 @@ from .subgeom import (
     Immersion,
     _JetGeometry,
     _check_tolerance,
-    _points,
     aggregate_classification,
     classify_point,
 )
@@ -95,7 +94,7 @@ def verify(
     if samples is None:
         samples = immersion.samples
     tol = tolerances.identity_tol
-    geo = _JetGeometry(immersion, space, _points(samples, immersion.n), strict=strict)
+    geo = _JetGeometry(immersion, space, samples, strict=strict)
     classification = aggregate_classification(
         classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
     )

@@ -701,6 +701,43 @@ def test_cli_domain_error_in_a_table_names_the_image_point(command, force, capsy
     )
 
 
+# a metric that overflows where x1 > 0.71 and a Jacobian of rank 1 where u2 = 0
+OVERFLOW_AND_RANK = """
+[ambient]
+mode = product
+p = 2
+q = 1
+blockA_metric = exp(1000 * x1), 0; 0, 1
+blockB_metric = flat
+
+[immersion]
+n = 2
+map = u1, u2^3, 0
+
+[samples]
+points = {}
+"""
+
+
+@pytest.mark.parametrize("points, message", [
+    # both checks fail at one point: the metric is reported
+    ("(1.01, 0.0)",
+     "ambient metric is not finite along the immersion at u = (1.01, 0.0), x = (1.01, 0.0, 0.0)"),
+    # each fails at its own point: the first failing point is reported
+    ("(0.5, 0.0); (1.01, 0.3)",
+     "Jacobian rank < 2 at u = (0.5, 0.0) (smallest singular value 0.000e+00)"),
+    ("(1.01, 0.3); (0.5, 0.0)",
+     "ambient metric is not finite along the immersion at u = (1.01, 0.3), x = (1.01, 0.027, 0.0)"),
+], ids=["one-point", "rank-first", "metric-first"])
+@pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
+def test_cli_reports_the_first_failing_point_and_its_first_failed_check(
+        command, points, message, capsys, tmp_path):
+    path = tmp_path / "overflow-and-rank.ini"
+    path.write_text(OVERFLOW_AND_RANK.format(points), encoding="utf-8")
+    code, out, err = run_cli(capsys, *command, "--force", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_usage_errors(capsys):
     code, _, err = run_cli(capsys, "bogus")
     assert code == 1
@@ -856,7 +893,7 @@ points = (1.0, 0.5); (0.0, 0.3); (2.0, 1.0)
 
 @pytest.mark.parametrize("component, message", [
     ("sqrt(u1)", "sqrt needs a positive jet value, got 0.0"),
-    ("u1^0.5", "half-integer power needs a positive base value, got 0.0"),
+    ("u1^0.5", "fractional power needs a positive base value, got 0.0"),
     ("1 / u1", "division by zero"),
 ])
 def test_cli_domain_error_names_the_sample_point(component, message, capsys, tmp_path):
