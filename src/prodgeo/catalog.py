@@ -35,7 +35,7 @@ class UnknownScenario(KeyError):
         self.label = label
 
     def __str__(self):
-        return f"unknown scenario {self.label!r}; see catalog_list()"
+        return f"unknown scenario {self.label!r}; known: {', '.join(catalog_list())}"
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ are indented by two spaces per level and write floats with ``%.17g``.  The
 outcome keeps each per-point quantity as a column over the points, and
 :func:`render_json` writes the ``points`` array from those columns through
 one ``%`` template per document, one fill per point; :func:`dump_json`
-writes the rest.  The argument parser is built once per process.
+writes the rest.  The argument parser is built once per process, and so is
+the space of each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`);
+each document parses and compiles its own immersion.
 """
 
 from __future__ import annotations

@@ -299,7 +299,8 @@ def _value(x):
 
 def _power(base, exponent: float):
     value = _value(base)
-    if not float(exponent).is_integer():
+    # Jet.__pow__ checks a jet's base; a float base may be zero, as in 0^0.5
+    if not (float(exponent).is_integer() or isinstance(base, jets.Jet)):
         jets.check_domain(np.less(value, 0.0), value, "fractional power of a negative base {}")
     if exponent < 0.0:
         jets.check_domain(np.equal(value, 0.0), value, "zero base with negative exponent",

@@ -61,7 +61,14 @@ seed and box or given twice, is an error, not ignored.
 Loading parses: it checks the sections and dimensions and parses every
 expression, but evaluates none.  Whether the space is locally product at the
 images of the samples is measured by the geometry build, inside
-:func:`prodgeo.verify.verify`.
+:func:`prodgeo.verify.verify`, for every document.
+
+Each distinct ``[ambient]`` text is built once per process: documents whose
+sections hold the same keys and values in the same order share one
+:class:`~prodgeo.ambient.AmbientSpace`, with its derivative tables and
+compiled table plans (the last 64 distinct sections are kept).  A section
+that fails raises again on every load.  Immersions are not shared: each
+document parses and compiles its own map.
 """
 
 from __future__ import annotations
@@ -71,6 +78,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -219,7 +227,22 @@ def _get_float(doc, section, key, default) -> float:
 
 
 def _load_ambient(doc: dict[str, dict[str, str]]) -> AmbientSpace:
+    """The space of the ``[ambient]`` section, which is left holding the keys
+    it does not read; see :func:`_ambient_space`."""
+    keys = doc.get("ambient")
+    space, unread = _ambient_space(None if keys is None else tuple(keys.items()))
+    doc["ambient"] = dict(unread)
+    return space
+
+
+@lru_cache(maxsize=64)
+def _ambient_space(pairs: tuple[tuple[str, str], ...] | None) -> tuple[AmbientSpace, tuple]:
+    """The space of an ``[ambient]`` section given as its ``(key, value)``
+    pairs in file order (``None`` if there is none), and the pairs it does not
+    read.  Cached by content: documents with the same section share one space,
+    with its derivative tables and compiled plans; an error is not cached."""
     section = "ambient"
+    doc = {} if pairs is None else {section: dict(pairs)}
     mode = _get(doc, section, "mode")
     try:
         if mode == "product":
@@ -248,7 +271,7 @@ def _load_ambient(doc: dict[str, dict[str, str]]) -> AmbientSpace:
                 f"declared dim {declared} but the metric has dimension {space.dim}",
                 section,
             )
-    return space
+    return space, tuple(doc[section].items())
 
 
 def _load_immersion(doc: dict[str, dict[str, str]], space: AmbientSpace) -> Immersion:

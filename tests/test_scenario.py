@@ -1,4 +1,5 @@
-"""The scenario reader against Python's configparser, its reference grammar."""
+"""The scenario reader against Python's configparser, its reference grammar,
+and the one space per distinct ``[ambient]`` section."""
 
 import configparser
 import gc
@@ -9,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prodgeo import expr as ex
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
-from prodgeo.scenario import ScenarioError, _read_sections, loads_scenario, scenario_text
+from prodgeo.cli import render_json
+from prodgeo.scenario import (
+    ScenarioError,
+    _ambient_space,
+    _read_sections,
+    loads_scenario,
+    scenario_text,
+)
+from prodgeo.verify import verify
 
 
 def _configparser_sections(text):
@@ -112,8 +122,8 @@ def test_default_is_an_ordinary_section():
     assert _read_sections(text) == {"DEFAULT": {"k": "1"}, "a": {}}
 
 
-def _catalog_exports():
-    for label in catalog_list():
+def _catalog_exports(labels=None):
+    for label in catalog_list() if labels is None else labels:
         scn = catalog_get(label)
         yield scenario_text(scn.space, scn.immersion, scn.samples, label=label)
 
@@ -151,3 +161,124 @@ def test_loading_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# ---- one space per distinct [ambient] section -------------------------------
+
+_MAPS = {2: "cos(u1), sin(u1)", 3: "cos(u1), sin(u1), u1", 4: "cos(u1), sin(u1), u1, 0"}
+
+
+def _document(section, components):
+    """A circle document whose map has ``components`` components."""
+    return (f"[ambient]\n{section}\n\n[immersion]\nn = 1\nmap = {_MAPS[components]}\n\n"
+            "[samples]\npoints = (0.3,); (1.1,)\n")
+
+
+_FLAT = "mode = product\np = 2\nq = 2\nblockA_metric = flat\nblockB_metric = flat"
+
+# (ambient section, map components): valid ones first, then documents that fail
+_POOL = (
+    ("mode = product\ndim = 4\np = 2\nq = 2\nblockA_metric = 1, 0; 0, 1\n"
+     "blockB_metric = 1, 0; 0, 1", 4),
+    (_FLAT, 4),
+    ("mode = product\np = 2\nq = 1\nblockA_metric = 1, 0; 0, sin(x1)^2\nblockB_metric = 1", 3),
+    ("mode = explicit\ndim = 2\nmetric = 1, 0; 0, 1\nstructure = 0, 1; 1, 0", 2),
+    (_FLAT + "\nfoo = 1", 4),  # a key the section does not read
+    (_FLAT, 3),  # a map that does not fit the space
+    ("mode = product\np = 2\nq = 2\nblockA_metric = 1, 0; 0\nblockB_metric = flat", 4),
+    ("mode = product\ndim = 5\np = 2\nq = 2\nblockA_metric = flat\nblockB_metric = flat", 4),
+    ("mode = mixed\np = 1", 2),
+    ("mode = product\np = 1\nblockA_metric = flat\nblockB_metric = flat", 2),
+    ("mode = product\np = 1\nq = 1\nblockA_metric = 1 + x2^2\nblockB_metric = flat", 2),
+    ("mode = explicit\ndim = 2\nmetric = 1, x1; 0, 1\nstructure = 1, 0; 0, -1", 2),
+)
+
+
+def _load(text):
+    """The space a document loads to, with its derivative tables, or its error text."""
+    try:
+        space = loads_scenario(text).space
+    except ScenarioError as err:
+        return type(err).__name__, str(err)
+    return space, space.metric_diff, space.structure_diff, space.flat
+
+
+def test_equal_ambient_sections_share_one_space_and_its_table_plan(monkeypatch):
+    _ambient_space.cache_clear()
+    compiled = []
+    compile_plan = ex.Plan.__init__
+
+    def counting(plan, tables):
+        compiled.append(tables)
+        compile_plan(plan, tables)
+
+    monkeypatch.setattr(ex.Plan, "__init__", counting)
+    # the two exports hold the same flat R^2 x R^2 section
+    first, second = map(loads_scenario, _catalog_exports(("rect-torus", "square-torus-aligned")))
+    assert second.space is first.space
+    for scn in (first, second):
+        verify(scn.space, scn.immersion, scn.samples)
+    maps = [scn.immersion.components for scn in (first, second)]
+    # each document compiles its own map; the two verifications, one table plan
+    assert [next((i for i, m in enumerate(maps) if tables[0] is m), "space")
+            for tables in compiled] == [0, 1, "space"]
+
+
+def test_an_unread_ambient_key_fails_on_every_load():
+    _ambient_space.cache_clear()
+    clean = _document(_FLAT, 4)
+    space = loads_scenario(clean).space
+    for _ in range(2):
+        with pytest.raises(ScenarioError) as err:
+            loads_scenario(_document(_FLAT + "\nfoo = 1", 4))
+        assert str(err.value) == "[ambient] key 'foo' is not read in product mode"
+    assert loads_scenario(clean).space is space
+
+
+@pytest.mark.parametrize("section, message", [
+    ("mode = product\np = 2\nq = 2\nblockA_metric = 1, 0; 0\nblockB_metric = flat",
+     "[ambient] matrix must be square (rows separated by ';')"),
+    ("mode = product\ndim = 5\np = 2\nq = 2\nblockA_metric = flat\nblockB_metric = flat",
+     "[ambient] declared dim 5 but the metric has dimension 4"),
+])
+def test_a_failing_ambient_section_fails_on_every_load(section, message):
+    _ambient_space.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ScenarioError) as err:
+            loads_scenario(_document(section, 4))
+        assert str(err.value) == message
+    assert _ambient_space.cache_info().currsize == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(range(len(_POOL))), max_size=12))
+def test_a_sequence_of_documents_loads_as_each_does_alone(picks):
+    texts = [_document(*entry) for entry in _POOL]
+    alone = []
+    for text in texts:
+        _ambient_space.cache_clear()
+        alone.append(_load(text))
+    _ambient_space.cache_clear()
+    shared = {}  # ambient section -> the space it loaded to
+    for pick in picks:
+        loaded = _load(texts[pick])
+        assert loaded == alone[pick]
+        if not isinstance(loaded[0], str):  # a valid section gives one space
+            assert shared.setdefault(_POOL[pick][0], loaded[0]) is loaded[0]
+
+
+def _report(text):
+    scn = loads_scenario(text)
+    return render_json(verify(scn.space, scn.immersion, scn.samples, scn.tolerances))
+
+
+def test_a_document_reports_the_same_bytes_after_any_other():
+    texts = list(_catalog_exports())
+    alone = []
+    for text in texts:
+        _ambient_space.cache_clear()
+        alone.append(_report(text))
+    for (i, before), (j, text) in itertools.product(enumerate(texts), repeat=2):
+        _ambient_space.cache_clear()
+        assert _report(before) == alone[i]
+        assert _report(text) == alone[j], (catalog_list()[i], catalog_list()[j])
