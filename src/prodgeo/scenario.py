@@ -66,7 +66,7 @@ images of the samples is measured by the geometry build, inside
 Each distinct ``[ambient]`` text is built once per process: documents whose
 sections hold the same keys and values in the same order share one
 :class:`~prodgeo.ambient.AmbientSpace`, with its derivative tables and
-compiled table plans (the last 64 distinct sections are kept).  A section
+compiled table plans (the 64 most recently used sections are kept).  A section
 that fails raises again on every load.  Immersions are not shared: each
 document parses and compiles its own map.
 """
