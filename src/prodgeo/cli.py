@@ -3,10 +3,10 @@
 
 Commands::
 
-    prodgeo classify [--force] [--seed S] <file>       four-way verdict
+    prodgeo classify [--force] [--seed S] <file>...    four-way verdict
     prodgeo check [--lemmas|--theorems|--all] [--tol T] [--force]
-                  [--seed S] [--format text|json] <file>
-    prodgeo report [--tol T] [--force] [--seed S] [--format text|json] <file>
+                  [--seed S] [--format text|json] <file>...
+    prodgeo report [--tol T] [--force] [--seed S] [--format text|json] <file>...
                                                        same as check --all
     prodgeo catalog [list | run <label> [--format text|json]
                      | export <label> <path>]
@@ -17,14 +17,22 @@ lemma residual above tolerance or an inconsistent biconditional; a skipped
 proof-residual section is not a failure).  A space that is not locally
 product at the samples is a validation error, unless ``--force`` is given.
 
+``classify``, ``check`` and ``report`` take one file or several, and run
+them in order in one process.  Each file's report is the bytes a run of it
+alone prints; with several files an error line names its file after the
+kind of error (``error: b.ini: ...``), and a file that fails does not stop
+the rest.  The exit code is then 2 if any file was invalid, else 3 if any
+failed verification, else 0.
+
 Reports are byte-identical for identical inputs and seeds.  JSON reports
 are indented by two spaces per level and write floats with ``%.17g``.  The
 outcome keeps each per-point quantity as a column over the points, and
 :func:`render_json` writes the ``points`` array from those columns through
 one ``%`` template per document, one fill per point; :func:`dump_json`
 writes the rest.  The argument parser is built once per process, and so is
-the space of each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`);
-each document parses and compiles its own immersion.
+the space of each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`),
+so files of a run that share that text share one space; each document parses
+and compiles its own immersion.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -295,8 +303,17 @@ def _emit(outcome: VerificationOutcome, fmt: str) -> int:
 
 
 def _cmd_scenario(ns) -> int:
-    """classify, check and report: load, verify, render."""
-    loaded = load_scenario(ns.scenario, seed_override=ns.seed)
+    """classify, check and report: each file in turn, as if alone; the exit
+    code is the worst file's, invalid over failed over ok."""
+    several = len(ns.scenarios) > 1
+    codes = [_reported(partial(_scenario_file, ns, path), f"{path}: " if several else "")
+             for path in ns.scenarios]
+    return max(codes, key=(EXIT_OK, EXIT_FAILED, EXIT_INVALID).index)
+
+
+def _scenario_file(ns, path: str) -> int:
+    """Load, verify and render one file."""
+    loaded = load_scenario(path, seed_override=ns.seed)
     tolerances = loaded.tolerances
     if ns.tol is not None:
         tolerances = replace(tolerances, identity_tol=ns.tol)
@@ -347,7 +364,7 @@ def _parser() -> _ArgumentParser:
                        help="report a failed ambient validation and verify anyway")
         p.add_argument("--seed", type=_seed, default=None,
                        help="override the seed of a random sample section")
-        p.add_argument("scenario")
+        p.add_argument("scenarios", nargs="+", metavar="file")
         return p
 
     scenario_command("classify", "four-way classification of a scenario").set_defaults(
@@ -372,33 +389,43 @@ def _parser() -> _ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _reported(run, where: str = "") -> int:
+    """``run()``, or the exit code of its error, which goes to stderr;
+    ``where`` names the file the error is in."""
     try:
-        ns = _parser().parse_args(argv)
-        if ns.command is None:
-            raise _UsageError("a command is required (classify/check/catalog/report)")
-        if ns.command == "catalog":
-            if ns.action in ("list", None) and ns.label:
-                raise _UsageError("catalog list takes no scenario label")
-            if ns.action == "run" and ns.path:
-                raise _UsageError("catalog run takes no destination path")
-            if ns.action in ("run", "export") and not ns.label:
-                raise _UsageError(f"catalog {ns.action} needs a scenario label")
-            if ns.action == "export" and not ns.path:
-                raise _UsageError("catalog export needs a destination path")
-            return _cmd_catalog(ns)
-        if ns.command == "check" and (ns.all or not (ns.lemmas or ns.theorems)):
-            ns.lemmas = ns.theorems = True
-        return _cmd_scenario(ns)
+        return run()
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         return EXIT_USAGE
     except AmbientValidationFailure as err:
-        sys.stderr.write(f"ambient validation: {err}\n")
+        sys.stderr.write(f"ambient validation: {where}{err}\n")
         return EXIT_INVALID
     except (UnknownScenario, OSError, ValueError) as err:
-        sys.stderr.write(f"error: {err}\n")
+        sys.stderr.write(f"error: {where}{err}\n")
         return EXIT_INVALID
+
+
+def _command(argv) -> int:
+    ns = _parser().parse_args(argv)
+    if ns.command is None:
+        raise _UsageError("a command is required (classify/check/catalog/report)")
+    if ns.command == "catalog":
+        if ns.action in ("list", None) and ns.label:
+            raise _UsageError("catalog list takes no scenario label")
+        if ns.action == "run" and ns.path:
+            raise _UsageError("catalog run takes no destination path")
+        if ns.action in ("run", "export") and not ns.label:
+            raise _UsageError(f"catalog {ns.action} needs a scenario label")
+        if ns.action == "export" and not ns.path:
+            raise _UsageError("catalog export needs a destination path")
+        return _cmd_catalog(ns)
+    if ns.command == "check" and (ns.all or not (ns.lemmas or ns.theorems)):
+        ns.lemmas = ns.theorems = True
+    return _cmd_scenario(ns)
+
+
+def main(argv=None) -> int:
+    return _reported(partial(_command, argv))
 
 
 if __name__ == "__main__":

@@ -68,7 +68,9 @@ sections hold the same keys and values in the same order share one
 :class:`~prodgeo.ambient.AmbientSpace`, with its derivative tables and
 compiled table plans (the 64 most recently used sections are kept).  A section
 that fails raises again on every load.  Immersions are not shared: each
-document parses and compiles its own map.
+document parses and compiles its own map.  Only documents loaded in one
+process share a space, as in a ``prodgeo`` run of several files or a library
+caller that loads several documents; a run of one file gains nothing.
 """
 
 from __future__ import annotations

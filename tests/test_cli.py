@@ -22,6 +22,7 @@ from prodgeo.cli import dump_json, main, render_json, render_text
 from prodgeo.ambient import AmbientValidationFailure
 from prodgeo.scenario import (
     DimensionMismatch,
+    _ambient_space,
     ScenarioError,
     export_scenario,
     load_scenario,
@@ -1033,6 +1034,67 @@ def test_cli_calls_back_to_back_match_fresh_runs(capsys, tmp_path):
     assert [code for code, _ in fresh] == [0] * 5
     assert json.loads(fresh[0][1])["tolerances"]["identity_tol"] == 1e-6
     assert "tol 1.0e-08" in fresh[1][1]
+
+
+def _several_files(tmp_path) -> dict:
+    """rect-torus and square-torus-aligned (one [ambient] text), curved-block,
+    a file that fails to load, and the corrupted space that fails its
+    lemmas under --force."""
+    paths = {}
+    for label in ("rect-torus", "square-torus-aligned", "curved-block"):
+        paths[label] = str(tmp_path / f"{label}.ini")
+        export_scenario(paths[label], catalog_get(label))
+    paths["unread"] = str(tmp_path / "unread.ini")
+    Path(paths["unread"]).write_text(
+        Path(paths["rect-torus"]).read_text(encoding="utf-8").replace("q = 2\n", "q = 2\nfoo = 1\n"),
+        encoding="utf-8")
+    paths["corrupt"] = str(tmp_path / "corrupt.ini")
+    Path(paths["corrupt"]).write_text(CORRUPTED, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command", [("classify",), ("check", "--all", "--force"),
+                                     ("report", "--format", "json", "--seed", "3")],
+                         ids=lambda c: c[0])
+def test_cli_several_files_print_what_each_prints_alone(command, capsys, tmp_path):
+    paths = _several_files(tmp_path)
+    order = ["rect-torus", "unread", "square-torus-aligned", "curved-block", "rect-torus"]
+    alone = []
+    for label in order:
+        _ambient_space.cache_clear()
+        alone.append(run_cli(capsys, *command, paths[label]))
+    assert [code for code, _, _ in alone] == [0, 2, 0, 0, 0]
+    code, out, err = run_cli(capsys, *command, *map(paths.get, order))
+    assert out == "".join(out for _, out, _ in alone)
+    assert code == 2
+    assert err == f"error: {paths['unread']}: [ambient] key 'foo' is not read in product mode\n"
+    assert alone[1][2] == "error: [ambient] key 'foo' is not read in product mode\n"
+
+
+def test_cli_several_files_exit_with_the_worst_code(capsys, tmp_path):
+    paths = _several_files(tmp_path)
+    runs = {("rect-torus", "curved-block"): 0, ("rect-torus", "corrupt"): 3,
+            ("corrupt", "unread"): 2, ("unread", "corrupt", "rect-torus"): 2}
+    for labels, expected in runs.items():
+        code, out, err = run_cli(capsys, "check", "--all", "--force", *map(paths.get, labels))
+        assert code == expected, labels
+        assert out.count("overall: ") == len(labels) - ("unread" in labels)
+    code, out, err = run_cli(capsys, "classify", paths["corrupt"], str(tmp_path / "none.ini"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ambient validation: {paths['corrupt']}: ")
+    assert err.splitlines()[1].startswith(f"error: {tmp_path / 'none.ini'}: [Errno 2] ")
+
+
+def test_cli_several_files_build_each_space_once(capsys, tmp_path):
+    paths = _several_files(tmp_path)
+    _ambient_space.cache_clear()
+    labels = ["rect-torus", "square-torus-aligned", "curved-block", "rect-torus"]
+    code, out, _ = run_cli(capsys, "report", "--format", "json", *map(paths.get, labels))
+    assert code == 0
+    docs = [json.loads(doc + "\n}") for doc in out.split("\n}\n")[:-1]]
+    assert [doc["scenario"]["label"] for doc in docs] == labels
+    info = _ambient_space.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 # ---- JSON rendering -----------------------------------------------------------
