@@ -91,6 +91,8 @@ class AmbientSpace:
     The tables requested together are evaluated by one
     :class:`~prodgeo.expr.Plan`, compiled on first request, which computes
     their shared subtrees once per call and folds their literal entries once.
+    It is ``constant`` when no metric or structure entry holds a variable (a
+    zero derivative is not enough: ``sqrt(x1) * 0`` fails where ``x1 < 0``).
     """
 
     dim: int
@@ -100,7 +102,9 @@ class AmbientSpace:
     metric_diff: tuple = field(init=False, repr=False, compare=False)
     structure_diff: tuple = field(init=False, repr=False, compare=False)
     flat: bool = field(init=False, repr=False, compare=False)
+    constant: bool = field(init=False, repr=False, compare=False)
     _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _at: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         zero = ex.Num(0.0)
@@ -125,6 +129,7 @@ class AmbientSpace:
                 d = zeros
             object.__setattr__(self, f"{name}_diff", d)
         object.__setattr__(self, "flat", all(e is zero or e == zero for d in self.metric_diff for row in d for e in row))
+        object.__setattr__(self, "constant", self.metric_diff is zeros and self.structure_diff is zeros)
         for i in range(self.dim):
             for j in range(i):
                 a, b = self.metric[i][j], self.metric[j][i]
@@ -146,6 +151,24 @@ class AmbientSpace:
         key = tuple(names)
         plan = self._plans.get(key) or self._plans.setdefault(key, ex.Plan([getattr(self, n) for n in key]))
         return plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
+
+    def at(self, x, strict: bool = False) -> tuple:
+        """At the points ``x`` (P, dim): tables g, F, dg, dF; masks where g is
+        positive definite (tolerance 0), g is finite, dg is, and F and dF are;
+        Christoffel symbols (``None`` if flat); the Cholesky factor of g (of I
+        where g is not positive definite); the :func:`validate_ambient` report,
+        which with ``strict`` raises if it failed.  A ``constant`` space computes
+        them once, at one point, and returns read-only views broadcast over the
+        points (a space used once gains nothing); errors are never kept."""
+        x = np.asarray(x, dtype=float)
+        if not (self.constant and x.size and x.shape[1:] == (self.dim,)):  # else as if varying
+            return _evaluate_at(self, x, strict)
+        if not self._at:
+            self._at.append(_evaluate_at(self, np.zeros((1, self.dim)), strict))
+        if strict and not self._at[0][-1].passed:
+            raise AmbientValidationFailure(self._at[0][-1])
+        return tuple(np.broadcast_to(v, x.shape[:-1] + v.shape[1:]) if isinstance(v, np.ndarray)
+                     else v for v in self._at[0])
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:
@@ -244,6 +267,26 @@ def levi_civita(ginv, dg):
     n = lowered.shape[-1]
     product = ginv @ lowered.reshape(lowered.shape[:-3] + (n, n * n))
     return 0.5 * product.reshape(product.shape[:-1] + (n, n))
+
+
+def _finite(a: np.ndarray) -> np.ndarray:
+    """Whether every entry of each point's row of ``a`` is finite."""
+    return np.isfinite(a).reshape(len(a), -1).all(axis=-1)
+
+
+def _evaluate_at(space: AmbientSpace, x: np.ndarray, strict: bool) -> tuple:
+    """:meth:`AmbientSpace.at` at every point; the masks find overflow and NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, f, dg, df = space.tables(("metric", "structure", "metric_diff", "structure_diff"), x)
+        minors = leading_minors(g)
+        definite = positive_definite(minors, tol=0.0)
+        safe_g = np.where(definite[..., None, None], g, np.eye(space.dim))
+        gamma = None if space.flat else levi_civita(np.linalg.inv(safe_g), dg)
+    report = validate_ambient(g, f, df, gamma, minors)
+    if strict and not report.passed:  # before a factorization that may fail on such a metric
+        raise AmbientValidationFailure(report)
+    return (g, f, dg, df, definite, _finite(g), _finite(dg), _finite(f) & _finite(df), gamma,
+            np.linalg.cholesky(safe_g), report)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ outcome keeps each per-point quantity as a column over the points, and
 one ``%`` template per document, one fill per point; :func:`dump_json`
 writes the rest.  The argument parser is built once per process, and so is
 the space of each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`),
-so files of a run that share that text share one space; each document parses
-and compiles its own immersion.
+so files of a run that share that text share one space, and a constant one's
+validation; a run of one file gains nothing.  A closed stdout ends the run.
 """
 
 from __future__ import annotations
@@ -401,6 +401,8 @@ def _reported(run, where: str = "") -> int:
         sys.stderr.write(f"ambient validation: {where}{err}\n")
         return EXIT_INVALID
     except (UnknownScenario, OSError, ValueError) as err:
+        if where and isinstance(err, BrokenPipeError):
+            raise  # a closed stdout ends a run of several files; main reports it once
         sys.stderr.write(f"error: {where}{err}\n")
         return EXIT_INVALID
 

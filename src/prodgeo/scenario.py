@@ -61,16 +61,16 @@ seed and box or given twice, is an error, not ignored.
 Loading parses: it checks the sections and dimensions and parses every
 expression, but evaluates none.  Whether the space is locally product at the
 images of the samples is measured by the geometry build, inside
-:func:`prodgeo.verify.verify`, for every document.
+:func:`prodgeo.verify.verify`.
 
 Each distinct ``[ambient]`` text is built once per process: documents whose
 sections hold the same keys and values in the same order share one
 :class:`~prodgeo.ambient.AmbientSpace`, with its derivative tables and
-compiled table plans (the 64 most recently used sections are kept).  A section
-that fails raises again on every load.  Immersions are not shared: each
-document parses and compiles its own map.  Only documents loaded in one
-process share a space, as in a ``prodgeo`` run of several files or a library
-caller that loads several documents; a run of one file gains nothing.
+compiled table plans (the 64 most recently used sections are kept), and if it
+is ``constant`` its one evaluation and validation.  A section that fails
+raises again on every load, and a failed validation in every document.
+Immersions are not shared.  Only documents in one process share a space (a
+``prodgeo`` run of several files, a library caller); one file gains nothing.
 """
 
 from __future__ import annotations

@@ -35,15 +35,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jets
-from .ambient import (
-    AmbientSpace,
-    AmbientValidationFailure,
-    SingularMetric,
-    leading_minors,
-    levi_civita,
-    positive_definite,
-    validate_ambient,
-)
+from .ambient import AmbientSpace, AmbientValidationFailure, SingularMetric, _finite
 
 __all__ = [
     "DegenerateImmersion",
@@ -172,11 +164,6 @@ def _points(samples, n: int) -> np.ndarray:
     return u
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
-    """Whether every entry of each point's row of ``a`` is finite."""
-    return np.isfinite(a).reshape(len(a), -1).all(axis=-1)
-
-
 class _JetGeometry:
     """All pointwise data of an immersion at its sample points, as floats.
 
@@ -185,8 +172,9 @@ class _JetGeometry:
     Seed layout: one seed direction per submanifold parameter ``u1..un`` and
     no other.  The immersion ``f`` is a jet of order 2 and the only jet: the
     metric ``g0``, the structure ``F0`` and their derivative tables ``dg0``
-    and ``dF0`` (``[..., l, i, j]`` along ``x(l+1)``) are evaluated at the
-    images ``x0`` by one plan, with the point axis like every other array.
+    and ``dF0`` (``[..., l, i, j]`` along ``x(l+1)``), with the point axis
+    like every other array, come from :meth:`~prodgeo.ambient.AmbientSpace.at`
+    at the images ``x0``, with the table masks of the checks below.
 
     From the Taylor coefficients of ``f`` and the tables the construction
     computes the Jacobian ``J0``, the induced metric ``G0``, the frames
@@ -210,11 +198,11 @@ class _JetGeometry:
     definiteness, a finite induced metric, the Jacobian rank) are one
     ordered list of masks over the points, each with its error: the first
     point that fails any raises the first check it fails.  Before any can
-    raise, :func:`~prodgeo.ambient.validate_ambient` reads the tables'
-    values, the Christoffel symbols and the metric's leading minors into
-    ``ambient_report``; with ``strict`` a failed report raises, and where
-    the structure or its derivative is not finite it raises without
-    ``strict`` too, since there is nothing to verify.
+    raise, ``AmbientSpace.at`` gives the tables' validation report as
+    ``ambient_report`` (once per constant space, for all its documents);
+    with ``strict`` a failed report raises, and where the structure or its
+    derivative is not finite it raises without ``strict`` too, since there
+    is nothing to verify.  Every error names this document's own point.
     """
 
     def __init__(self, immersion: Immersion, space: AmbientSpace, u, strict: bool = False):
@@ -236,31 +224,18 @@ class _JetGeometry:
                 self.f = immersion._plan(uenv)[0]
             except jets.DomainError as err:
                 raise err.at("u", self.u) from None
-            self.x0 = self.f.value
-            try:
-                self.g0, self.F0, self.dg0, self.dF0 = space.tables(
-                    ("metric", "structure", "metric_diff", "structure_diff"), self.x0
-                )
-            except jets.DomainError as err:
-                raise err.at("x", self.x0) from None
-            # the metric, the identity where it is not positive definite, so that
-            # no inverse or factorization meets a singular matrix; and the
-            # Christoffel symbols at the images unless the connection vanishes;
-            # the validation thresholds the same minors at its own tolerance
-            minors = leading_minors(self.g0)
-            definite = positive_definite(minors, tol=0.0)
-            safe_g0 = np.where(definite[..., None, None], self.g0, np.eye(N))
-            self.flat = space.flat
-            gamma0 = None if self.flat else levi_civita(np.linalg.inv(safe_g0), self.dg0)
-        self.ambient_report = validate_ambient(self.g0, self.F0, self.dF0, gamma0, minors)
-        if strict and not self.ambient_report.passed:
-            raise AmbientValidationFailure(self.ambient_report)
+        self.x0 = self.f.value
+        try:
+            (self.g0, self.F0, self.dg0, self.dF0, definite, g_finite, dg_finite, f_finite,
+             gamma0, chol, self.ambient_report) = space.at(self.x0, strict)
+        except jets.DomainError as err:
+            raise err.at("x", self.x0) from None
+        self.flat = space.flat
 
         # the Jacobian J0[..., i, a] = d f^i / d u^a, read off the immersion's
         # Taylor coefficients; the tangent vectors T_a are its columns
         self.J0 = self.f.gradient()
         immersed = _finite(self.f.coeffs)
-        chol = np.linalg.cholesky(safe_g0)
         # the Jacobian whitened by the metric's Cholesky factor, g = chol chol^T
         white = _t(chol) @ np.where(immersed[..., None, None], self.J0, 0.0)
         smallest = np.linalg.svd(white, compute_uv=False).min(axis=-1)
@@ -273,11 +248,11 @@ class _JetGeometry:
         checks = (
             (immersed, DegenerateImmersion,
              "immersion is not finite at u = {u} (its value or a derivative overflows)"),
-            (_finite(self.g0), SingularMetric,
+            (g_finite, SingularMetric,
              "ambient metric is not finite along the immersion at u = {u}, x = {x}"),
-            (_finite(self.dg0), SingularMetric,
+            (dg_finite, SingularMetric,
              "ambient metric derivative is not finite along the immersion at u = {u}, x = {x}"),
-            (_finite(self.F0) & _finite(self.dF0), AmbientValidationFailure, self.ambient_report),
+            (f_finite, AmbientValidationFailure, self.ambient_report),
             (definite, SingularMetric,
              "ambient metric is not positive definite along the immersion at u = {u}, x = {x}"),
             (_finite(self.G0), DegenerateImmersion, "induced metric is not finite at u = {u}"),

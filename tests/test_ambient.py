@@ -8,6 +8,7 @@ immersion.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,12 @@ from prodgeo.ambient import (
 from prodgeo.catalog import catalog_get, flat_product
 from prodgeo.subgeom import Immersion, _JetGeometry
 
-from controls import constant_reflection_space, position_reflection_space, rotation_structure_space
+from controls import (
+    block_mixing_case,
+    constant_reflection_space,
+    position_reflection_space,
+    rotation_structure_space,
+)
 from oracle import fd_directional
 from validation import validate_at
 import taylor
@@ -248,10 +254,9 @@ def test_constant_reflection_passes_position_dependent_fails(monkeypatch):
 @pytest.mark.parametrize("label, connections_computed", [("curved-block", 1), ("rect-torus", 0)])
 @pytest.mark.parametrize("full", [True, False])
 def test_verification_computes_the_connection_once(label, connections_computed, full, monkeypatch):
-    # the geometry build computes the Christoffel symbols and the ambient
-    # validation reads them; the identities take no connection jet, and a
-    # flat product computes none
-    from prodgeo import subgeom
+    # the geometry build computes the Christoffel symbols (in
+    # AmbientSpace.at) and the ambient validation reads them; the identities
+    # take no connection jet, and a flat product computes none
     from prodgeo.verify import verify
 
     connections = []
@@ -260,8 +265,7 @@ def test_verification_computes_the_connection_once(label, connections_computed, 
         connections.append(dg)
         return levi_civita(ginv, dg)
 
-    for module in (ambient, subgeom):
-        monkeypatch.setattr(module, "levi_civita", counted)
+    monkeypatch.setattr(ambient, "levi_civita", counted)
     scn = catalog_get(label)
     outcome = verify(scn.space, scn.immersion, lemmas=full, theorems=full)
     assert outcome.ambient_report.passed
@@ -273,7 +277,8 @@ def test_verification_computes_the_connection_once(label, connections_computed, 
 def test_verification_takes_one_positive_definiteness_sweep(label, full, monkeypatch):
     # one determinant call over the stacked leading blocks is one sweep: the
     # geometry build takes it, and its mask and the ambient report threshold
-    # the same minors
+    # the same minors; a curved block takes one per document, and a constant
+    # space (rect-torus's flat R^2 x R^2), freshly built, one for both
     from prodgeo.verify import verify
 
     sweeps = []
@@ -285,9 +290,68 @@ def test_verification_takes_one_positive_definiteness_sweep(label, full, monkeyp
 
     monkeypatch.setattr(np.linalg, "det", counted)
     scn = catalog_get(label)
-    outcome = verify(scn.space, scn.immersion, lemmas=full, theorems=full)
-    assert outcome.ambient_report.passed and outcome.ambient_report.positive_definite
-    assert len(sweeps) == 1
+    space = replace(scn.space)  # nothing evaluated yet
+    for _ in range(2):
+        outcome = verify(space, scn.immersion, lemmas=full, theorems=full)
+        assert outcome.ambient_report.passed and outcome.ambient_report.positive_definite
+    assert space.constant == (label == "rect-torus")
+    assert len(sweeps) == (1 if space.constant else 2)
+
+
+def _counted_evaluations(monkeypatch) -> dict:
+    """Counts of the ambient validations and Cholesky factorizations made
+    from here on."""
+    calls = {"validate": 0, "cholesky": 0}
+    validate, cholesky = ambient.validate_ambient, np.linalg.cholesky
+
+    def counted_validate(*args):
+        calls["validate"] += 1
+        return validate(*args)
+
+    def counted_cholesky(g):
+        calls["cholesky"] += 1
+        return cholesky(g)
+
+    monkeypatch.setattr(ambient, "validate_ambient", counted_validate)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    return calls
+
+
+@pytest.mark.parametrize("label, evaluations", [
+    ("rect-torus", 1), ("curved-block", 2), ("block-mixing-chart", 2),
+])
+def test_a_constant_space_is_evaluated_once_for_every_document(label, evaluations, monkeypatch):
+    from prodgeo.verify import verify
+
+    if label == "block-mixing-chart":
+        space, imm = block_mixing_case()
+    else:
+        scn = catalog_get(label)
+        space, imm = replace(scn.space), scn.immersion
+    calls = _counted_evaluations(monkeypatch)
+    reports = [verify(space, imm, lemmas=True, theorems=True).ambient_report for _ in range(2)]
+    assert reports[0] == reports[1] and reports[0].passed
+    assert calls == {"validate": evaluations, "cholesky": evaluations}
+
+
+def test_a_constant_space_gives_read_only_arrays():
+    space = flat_product(2, 2)
+    for points in (np.zeros((3, 4)), np.full((2, 4), 0.5)):
+        at = space.at(points)
+        arrays = [a for a in at if isinstance(a, np.ndarray)]
+        assert [a.shape[0] for a in arrays] == [len(points)] * len(arrays)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+    scn = catalog_get("rect-torus")
+    geo = _JetGeometry(scn.immersion, replace(scn.space), scn.samples)
+    with pytest.raises(ValueError, match="read-only"):
+        geo.g0[0, 0, 0] = 2.0
+    # no points, or points of another size, fail as on a varying space
+    with pytest.raises(ValueError, match="needs at least one sample point"):
+        space.at(np.zeros((0, 4)))
+    with pytest.raises(ValueError, match="expected a point with 4 coordinates"):
+        space.at(np.zeros((2, 3)))
 
 
 def test_identity_structure_is_flagged():

@@ -944,6 +944,16 @@ def test_cli_domain_error_in_a_block_metric_without_variables_names_every_x(
     assert err == f"error: {message} at every x\n"
 
 
+def test_cli_domain_error_in_a_constant_space_is_raised_on_every_load(capsys, tmp_path):
+    # the space is shared by the second load, and its error is not kept
+    path = tmp_path / "constant-metric.ini"
+    path.write_text(CURVED_CIRCLE.format("1/0"), encoding="utf-8")
+    _ambient_space.cache_clear()
+    runs = [run_cli(capsys, "classify", str(path)) for _ in range(2)]
+    assert runs == [(2, "", "error: division by zero at every x\n")] * 2
+    assert _ambient_space.cache_info().hits == 1
+
+
 def test_cli_one_degenerate_point_among_good_ones(capsys, tmp_path):
     path = tmp_path / "cusp.ini"
     path.write_text(DOMAIN.format("u1^3, u1^2, u2, u2"), encoding="utf-8")
@@ -1095,6 +1105,80 @@ def test_cli_several_files_build_each_space_once(capsys, tmp_path):
     assert [doc["scenario"]["label"] for doc in docs] == labels
     info = _ambient_space.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def test_cli_constant_metric_that_is_not_positive_definite_fails_every_file(capsys, tmp_path):
+    # one shared constant space, validated once: each file still fails it, and
+    # under --force names its own first sample and image
+    paths = [tmp_path / "a.ini", tmp_path / "b.ini"]
+    paths[0].write_text(CURVED_CIRCLE.format("-1"), encoding="utf-8")
+    paths[1].write_text(CURVED_CIRCLE.format("-1").replace("(0.5,); (2.0,)", "(1.0,); (2.0,)"),
+                        encoding="utf-8")
+    _ambient_space.cache_clear()
+    code, out, err = run_cli(capsys, "classify", *map(str, paths))
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert [line.split(": ambient validation failed (metric not positive definite)")[0]
+            for line in lines] == [f"ambient validation: {path}" for path in paths]
+    code, out, err = run_cli(capsys, "classify", "--force", *map(str, paths))
+    assert (code, out) == (2, "")
+    assert err == "".join(
+        f"error: {path}: ambient metric is not positive definite along the immersion "
+        f"at u = ({u!r},), x = ({math.cos(u)!r}, {math.sin(u)!r})\n"
+        for path, u in zip(paths, (0.5, 1.0))
+    )
+    assert _ambient_space.cache_info().misses == 1
+
+
+# leading minors 6.19 and 6.9e-16: positive, so the build's own mask passes
+# the metric, but its Cholesky factorization fails
+NEAR_SINGULAR = """
+[ambient]
+mode = product
+p = 2
+q = 1
+blockA_metric = 6.192312603664413, -2.326448914762331; -2.326448914762331, 0.8740457563133945
+blockB_metric = flat
+
+[immersion]
+n = 1
+map = cos(u1), sin(u1), u1
+
+[samples]
+points = (0.5,); (2.0,)
+"""
+
+
+def test_cli_failed_validation_comes_before_the_metric_factorization(capsys, tmp_path):
+    path = tmp_path / "near-singular.ini"
+    path.write_text(NEAR_SINGULAR, encoding="utf-8")
+    code, out, err = run_cli(capsys, "classify", str(path), str(path))
+    assert (code, out) == (2, "")
+    assert [line.split(": ambient validation failed (metric not positive definite)")[0]
+            for line in err.splitlines()] == [f"ambient validation: {path}"] * 2
+    code, out, err = run_cli(capsys, "classify", "--force", str(path))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+
+
+def test_cli_several_files_stop_at_a_broken_pipe(capsys, tmp_path, monkeypatch):
+    paths = _several_files(tmp_path)
+    loaded = []
+    load = cli.load_scenario
+
+    def counted(path, **kwargs):
+        loaded.append(path)
+        return load(path, **kwargs)
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "load_scenario", counted)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    labels = ["rect-torus", "square-torus-aligned", "curved-block"]
+    code = main(["classify", *map(paths.get, labels)])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+    assert loaded == [paths["rect-torus"]]
 
 
 # ---- JSON rendering -----------------------------------------------------------

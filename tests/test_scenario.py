@@ -272,6 +272,31 @@ def _report(text):
     return render_json(verify(scn.space, scn.immersion, scn.samples, scn.tolerances))
 
 
+def _shared_flat_documents():
+    """The catalog exports and three fuzz documents, which share one flat
+    R^2 x R^2 space with five of the exports."""
+    yield from _catalog_exports()
+    for seed in (3, 14, 159):
+        imm = random_trig_immersion(seed, 16)
+        yield scenario_text(flat_product(2, 2), imm, imm.samples)
+
+
+_SHARED = list(_shared_flat_documents())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.sampled_from(range(len(_SHARED))), min_size=2, max_size=8))
+def test_a_sequence_of_documents_reports_what_each_reports_alone(picks):
+    # a constant space is evaluated and validated once and then serves every
+    # document that shares it; the bytes are those of a space built afresh
+    alone = {}
+    for pick in set(picks):
+        _ambient_space.cache_clear()
+        alone[pick] = _report(_SHARED[pick])
+    _ambient_space.cache_clear()
+    assert [_report(_SHARED[pick]) for pick in picks] == [alone[pick] for pick in picks]
+
+
 def test_a_document_reports_the_same_bytes_after_any_other():
     texts = list(_catalog_exports())
     alone = []
