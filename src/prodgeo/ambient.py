@@ -14,7 +14,6 @@ the validator measures ``F^2 - I``, the metric compatibility defect, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -32,8 +31,6 @@ __all__ = [
     "flat_block",
     "product_of",
     "levi_civita",
-    "leading_minors",
-    "positive_definite",
     "validate_ambient",
 ]
 
@@ -152,21 +149,20 @@ class AmbientSpace:
         plan = self._plans.get(key) or self._plans.setdefault(key, ex.Plan([getattr(self, n) for n in key]))
         return plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
 
-    def at(self, x, strict: bool = False) -> tuple:
+    def at(self, x) -> tuple:
         """At the points ``x`` (P, dim): tables g, F, dg, dF; masks where g is
-        positive definite (tolerance 0), g is finite, dg is, and F and dF are;
-        Christoffel symbols (``None`` if flat); the Cholesky factor of g (of I
-        where g is not positive definite); the :func:`validate_ambient` report,
-        which with ``strict`` raises if it failed.  A ``constant`` space computes
-        them once, at one point, and returns read-only views broadcast over the
-        points (a space used once gains nothing); errors are never kept."""
+        positive definite (every pivot of its Cholesky factorization above 0),
+        g is finite, dg is, and F and dF are; Christoffel symbols (``None`` if
+        flat); the Cholesky factor of g (of I where g is not positive
+        definite); the :func:`validate_ambient` report of the same pivots,
+        which never raises here.  A ``constant`` space computes them once, at
+        one point, and returns read-only views broadcast over the points (a
+        space used once gains nothing); errors are never kept."""
         x = np.asarray(x, dtype=float)
         if not (self.constant and x.size and x.shape[1:] == (self.dim,)):  # else as if varying
-            return _evaluate_at(self, x, strict)
+            return _evaluate_at(self, x)
         if not self._at:
-            self._at.append(_evaluate_at(self, np.zeros((1, self.dim)), strict))
-        if strict and not self._at[0][-1].passed:
-            raise AmbientValidationFailure(self._at[0][-1])
+            self._at.append(_evaluate_at(self, np.zeros((1, self.dim))))
         return tuple(np.broadcast_to(v, x.shape[:-1] + v.shape[1:]) if isinstance(v, np.ndarray)
                      else v for v in self._at[0])
 
@@ -222,39 +218,6 @@ def product_of(block_a, p: int, block_b, q: int) -> AmbientSpace:
     return AmbientSpace(dim, metric, structure, product_split=(p, q))
 
 
-@lru_cache(maxsize=None)
-def _leading_blocks(dim: int) -> np.ndarray:
-    """Masks of the leading principal submatrices, stacked: (dim, dim, dim)."""
-    k = np.arange(dim)
-    inside = k[None, :] <= k[:, None]  # row j: the first j + 1 indices
-    return inside[:, :, None] & inside[:, None, :]
-
-
-def leading_minors(g: np.ndarray) -> np.ndarray:
-    """The leading principal minors of ``g`` (shape ``(..., N, N)``) in one
-    determinant sweep, shape ``(..., N)``; NaN where ``g`` is not finite or
-    not symmetric to 1e-12 relative to its largest entry."""
-    ok = np.isfinite(g).all(axis=(-2, -1))
-    identity = np.eye(g.shape[-1])
-    g = np.where(ok[..., None, None], g, identity)
-    scale = np.max(np.abs(g), axis=(-2, -1))
-    symmetric = np.max(np.abs(g - g.swapaxes(-2, -1)), axis=(-2, -1)) <= 1e-12 * scale
-    minors = np.linalg.det(np.where(_leading_blocks(g.shape[-1]), g[..., None, :, :], identity))
-    return np.where((ok & symmetric)[..., None], minors, np.nan)
-
-
-def positive_definite(minors: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Mask over the leading axes of :func:`leading_minors`: every LDL^T
-    pivot of the metric is above ``tol``, and no minor is NaN.
-
-    The k-th pivot is the ratio of the k-th to the (k-1)-th leading principal
-    minor, so the test needs no factorization that could fail part way
-    through a batch; with ``tol >= 0`` every pivot above it keeps the next
-    divisor positive.
-    """
-    return (minors[..., 0] > tol) & np.all(minors[..., 1:] > tol * minors[..., :-1], axis=-1)
-
-
 def levi_civita(ginv, dg):
     """Gamma^i_jk = 1/2 g^il (d_j g_lk + d_k g_lj - d_l g_jk) of float arrays.
 
@@ -274,19 +237,45 @@ def _finite(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a).reshape(len(a), -1).all(axis=-1)
 
 
-def _evaluate_at(space: AmbientSpace, x: np.ndarray, strict: bool) -> tuple:
+def _cholesky(g: np.ndarray) -> tuple:
+    """The Cholesky factor ``L`` (g = L L^T) of the metrics ``g``, shape
+    ``(..., N, N)``, and their LDL^T pivots ``d_k = L_kk^2``, shape ``(..., N)``,
+    by N column steps over every point at once.
+
+    The pivots are NaN where ``g`` is not finite or not symmetric to 1e-12
+    relative to its largest entry.  A pivot that is not positive stops that
+    point's updates: its later pivots are NaN and its factor is the identity.
+    So a mask such as ``(d > 0).all(-1)`` is true exactly where ``L`` is the
+    factor of ``g``.
+    """
+    n = g.shape[-1]
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    a = np.where(finite[..., None, None], g, 0.0)  # the Schur complement, updated in place
+    scale = np.max(np.abs(a), axis=(-2, -1))
+    alive = finite & (np.max(np.abs(a - a.swapaxes(-2, -1)), axis=(-2, -1)) <= 1e-12 * scale)
+    factor, pivots = np.zeros_like(a), np.empty(g.shape[:-1])
+    for k in range(n):
+        pivots[..., k] = np.where(alive, a[..., k, k], np.nan)
+        alive = alive & (pivots[..., k] > 0.0)
+        root = np.sqrt(np.where(alive, pivots[..., k], 1.0))
+        column = np.where(alive[..., None], a[..., k + 1:, k] / root[..., None], 0.0)
+        factor[..., k, k], factor[..., k + 1:, k] = root, column
+        a[..., k + 1:, k + 1:] -= column[..., :, None] * column[..., None, :]
+    return np.where(alive[..., None, None], factor, np.eye(n)), pivots
+
+
+def _evaluate_at(space: AmbientSpace, x: np.ndarray) -> tuple:
     """:meth:`AmbientSpace.at` at every point; the masks find overflow and NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         g, f, dg, df = space.tables(("metric", "structure", "metric_diff", "structure_diff"), x)
-        minors = leading_minors(g)
-        definite = positive_definite(minors, tol=0.0)
-        safe_g = np.where(definite[..., None, None], g, np.eye(space.dim))
-        gamma = None if space.flat else levi_civita(np.linalg.inv(safe_g), dg)
-    report = validate_ambient(g, f, df, gamma, minors)
-    if strict and not report.passed:  # before a factorization that may fail on such a metric
-        raise AmbientValidationFailure(report)
-    return (g, f, dg, df, definite, _finite(g), _finite(dg), _finite(f) & _finite(df), gamma,
-            np.linalg.cholesky(safe_g), report)
+        chol, pivots = _cholesky(g)
+        definite = (pivots > 0.0).all(axis=-1)
+        gamma = None
+        if not space.flat:
+            gamma = levi_civita(np.linalg.inv(np.where(definite[..., None, None], g, np.eye(space.dim))), dg)
+    report = validate_ambient(g, f, df, gamma, pivots)  # first: it rejects an empty batch
+    return (g, f, dg, df, definite, _finite(g), _finite(dg), _finite(f) & _finite(df), gamma, chol,
+            report)
 
 
 @dataclass(frozen=True)
@@ -327,15 +316,16 @@ class AmbientValidationFailure(ValueError):
         )
 
 
-def validate_ambient(g, f, df, gamma, minors) -> AmbientValidationReport:
+def validate_ambient(g, f, df, gamma, pivots) -> AmbientValidationReport:
     """Measure the locally-product defects at a batch of points.
 
     ``g``, ``f`` and ``df`` are the metric, structure and structure
     derivative tables' values at the points, shapes ``(P, N, N)`` and
     ``(P, N, N, N)`` as :meth:`AmbientSpace.tables` returns them, ``gamma``
     the Christoffel symbols of :func:`levi_civita` at every point, or
-    ``None`` where the space is flat, and ``minors`` the
-    :func:`leading_minors` of ``g``, which the report thresholds at 1e-10.
+    ``None`` where the space is flat, and ``pivots`` the LDL^T pivots of
+    ``g``'s Cholesky factorization, shape ``(P, N)``, which the report
+    thresholds at 1e-10 (NaN where ``g`` is not finite or not symmetric).
     Reports the largest residuals of ``F^2 - I``, metric compatibility and
     ``(nabla_X F) Y`` over the points and the coordinate directions X, Y,
     the last only where the metric is positive definite.  All of it is
@@ -353,7 +343,7 @@ def validate_ambient(g, f, df, gamma, minors) -> AmbientValidationReport:
     # overflow and NaN are detected below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = np.zeros((len(g), 3))  # F^2 - I, compatibility, (nabla_X F) Y
-        definite = positive_definite(minors, 1e-10)
+        definite = (pivots > 1e-10).all(axis=-1)
         ft = f.swapaxes(-2, -1)
         residuals[:, 0] = np.max(np.abs(f @ f - identity), axis=(-2, -1))
         residuals[:, 1] = np.max(np.abs(ft @ g @ f - g), axis=(-2, -1))

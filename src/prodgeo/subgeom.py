@@ -200,9 +200,12 @@ class _JetGeometry:
     point that fails any raises the first check it fails.  Before any can
     raise, ``AmbientSpace.at`` gives the tables' validation report as
     ``ambient_report`` (once per constant space, for all its documents);
-    with ``strict`` a failed report raises, and where the structure or its
-    derivative is not finite it raises without ``strict`` too, since there
-    is nothing to verify.  Every error names this document's own point.
+    with ``strict`` a failed report raises as soon as ``at`` returns, and
+    where the structure or its derivative is not finite it raises without
+    ``strict`` too, since there is nothing to verify.  The positive
+    definiteness check and the Cholesky factor that whitens the Jacobian
+    come from the same pivots, so a metric the check passes is factored.
+    Every error names this document's own point.
     """
 
     def __init__(self, immersion: Immersion, space: AmbientSpace, u, strict: bool = False):
@@ -227,9 +230,11 @@ class _JetGeometry:
         self.x0 = self.f.value
         try:
             (self.g0, self.F0, self.dg0, self.dF0, definite, g_finite, dg_finite, f_finite,
-             gamma0, chol, self.ambient_report) = space.at(self.x0, strict)
+             gamma0, chol, self.ambient_report) = space.at(self.x0)
         except jets.DomainError as err:
             raise err.at("x", self.x0) from None
+        if strict and not self.ambient_report.passed:
+            raise AmbientValidationFailure(self.ambient_report)
         self.flat = space.flat
 
         # the Jacobian J0[..., i, a] = d f^i / d u^a, read off the immersion's

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prodgeo import ambient, calculus, jets
 from prodgeo import expr as ex
@@ -21,9 +23,7 @@ from prodgeo.ambient import (
     BlockVariableLeak,
     SingularMetric,
     ambient_vars,
-    leading_minors,
     levi_civita,
-    positive_definite,
     product_of,
 )
 from prodgeo.catalog import catalog_get, flat_product
@@ -275,20 +275,21 @@ def test_verification_computes_the_connection_once(label, connections_computed, 
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("label", ["rect-torus", "curved-block"])
 def test_verification_takes_one_positive_definiteness_sweep(label, full, monkeypatch):
-    # one determinant call over the stacked leading blocks is one sweep: the
-    # geometry build takes it, and its mask and the ambient report threshold
-    # the same minors; a curved block takes one per document, and a constant
-    # space (rect-torus's flat R^2 x R^2), freshly built, one for both
+    # one batched Cholesky factorization over every point is one sweep: the
+    # geometry build takes it, and its mask, its factor and the ambient
+    # report read the same pivots; a curved block takes one per document,
+    # and a constant space (rect-torus's flat R^2 x R^2), freshly built, one
+    # for both
     from prodgeo.verify import verify
 
     sweeps = []
-    det = np.linalg.det
+    cholesky = ambient._cholesky
 
-    def counted(blocks):
-        sweeps.append(blocks.shape)
-        return det(blocks)
+    def counted(g):
+        sweeps.append(g.shape)
+        return cholesky(g)
 
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(ambient, "_cholesky", counted)
     scn = catalog_get(label)
     space = replace(scn.space)  # nothing evaluated yet
     for _ in range(2):
@@ -302,7 +303,7 @@ def _counted_evaluations(monkeypatch) -> dict:
     """Counts of the ambient validations and Cholesky factorizations made
     from here on."""
     calls = {"validate": 0, "cholesky": 0}
-    validate, cholesky = ambient.validate_ambient, np.linalg.cholesky
+    validate, cholesky = ambient.validate_ambient, ambient._cholesky
 
     def counted_validate(*args):
         calls["validate"] += 1
@@ -313,7 +314,7 @@ def _counted_evaluations(monkeypatch) -> dict:
         return cholesky(g)
 
     monkeypatch.setattr(ambient, "validate_ambient", counted_validate)
-    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(ambient, "_cholesky", counted_cholesky)
     return calls
 
 
@@ -376,7 +377,69 @@ def test_structure_is_self_adjoint_on_valid_spaces():
 
 @pytest.mark.parametrize("g", [[[math.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]])
 def test_non_finite_metric_is_singular(g):
-    assert not positive_definite(leading_minors(np.array(g)))
+    chol, pivots = ambient._cholesky(np.array(g))
+    assert np.isnan(pivots).all()
+    assert np.array_equal(chol, np.eye(2))
+
+
+@pytest.mark.parametrize("skew, symmetric", [(1e-12, True), (4e-12, False)])
+def test_metric_symmetry_is_relative_to_the_largest_entry(skew, symmetric):
+    # the mirrored entries may differ by 1e-12 times the largest, here 2
+    _, pivots = ambient._cholesky(np.array([[2.0, 0.1], [0.1 + skew, 2.0]]))
+    assert np.isnan(pivots).any() != symmetric
+
+
+def _symmetric(m):
+    return (m + m.swapaxes(-2, -1)) / 2
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(-6, 6))
+def test_cholesky_at_the_edge_of_singularity(n, seed, exponent):
+    # a batch of A D A^T, D = diag(1, .., 1, 0 or -1 or 1), plus symmetric
+    # noise of size 1e-15: singular, indefinite or positive definite metrics
+    # whose smallest pivot may sit within rounding of 0
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, n, n))
+    d = np.ones((8, n))
+    d[:, -1] = rng.choice([0.0, -1.0, 1.0], size=8)
+    noise = 1e-15 * rng.standard_normal((8, n, n))
+    g = 10.0 ** exponent * (_symmetric((a * d[:, None, :]) @ a.swapaxes(-2, -1)) + 2 * _symmetric(noise))
+    chol, pivots = ambient._cholesky(g)
+    definite = (pivots > 0).all(axis=-1)
+    scale = np.abs(g).max(axis=(-2, -1))
+    for p in range(8):
+        if definite[p]:
+            assert np.abs(chol[p] @ chol[p].T - g[p]).max() <= 1e-14 * scale[p]
+        else:
+            assert np.array_equal(chol[p], np.eye(n))
+        # away from rounding the mask is numpy's verdict; near it either may
+        # be right, so nothing is asserted there
+        if np.nanmin(np.abs(pivots[p])) > 1e-8 * scale[p]:
+            try:
+                np.linalg.cholesky(g[p])
+                factored = True
+            except np.linalg.LinAlgError:
+                factored = False
+            assert definite[p] == factored
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 2**32 - 1), st.integers(-6, 6))
+def test_cholesky_of_well_conditioned_metrics(n, seed, exponent):
+    # the factor is numpy's, and the pivots are the ratios of consecutive
+    # leading principal minors
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((8, n, n))
+    g = 10.0 ** exponent * _symmetric(a @ a.swapaxes(-2, -1) + n * np.eye(n))
+    chol, pivots = ambient._cholesky(g)
+    cond = np.linalg.cond(g)
+    assert (pivots > 0).all()
+    error = np.abs(chol - np.linalg.cholesky(g)).max(axis=(-2, -1))
+    assert (error <= 1e-12 * cond * np.abs(chol).max(axis=(-2, -1))).all()
+    minors = np.stack([np.ones(8)] + [np.linalg.det(g[:, :k, :k]) for k in range(1, n + 1)], axis=-1)
+    ratios = minors[:, 1:] / minors[:, :-1]
+    assert (np.abs(pivots - ratios) <= 1e-12 * cond[:, None] * ratios).all()
 
 
 def _assert_finite_report(report):
@@ -418,15 +481,14 @@ def test_non_finite_metric_derivative_fails_validation():
 def test_ambient_validation_checks_each_sample_once(monkeypatch):
     import prodgeo.ambient as ambient
 
-    checked = []  # the size of every mask returned: the samples checked
-    check = ambient.positive_definite
+    checked = []  # the points of every factorization: the samples checked
+    check = ambient._cholesky
 
-    def counting(g, tol=1e-10):
-        mask = check(g, tol)
-        checked.append(mask.size)
-        return mask
+    def counting(g):
+        checked.append(len(g))
+        return check(g)
 
-    monkeypatch.setattr(ambient, "positive_definite", counting)
+    monkeypatch.setattr(ambient, "_cholesky", counting)
     validate_at(sphere_block_space(), [[0.5, 0.1, 0.2], [1.0, 0.3, -0.4]])
     assert sum(checked) == 2
 
@@ -443,8 +505,8 @@ def test_metric_symmetry_is_decided_on_values(upper, lower):
 def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
     from prodgeo.subgeom import Immersion, _JetGeometry
 
-    assert not positive_definite(leading_minors(np.array([[2.0, 0.1], [0.2, 2.0]])))
-    assert positive_definite(leading_minors(np.array([[2.0, 0.1], [0.1, 2.0]])))
+    assert np.isnan(ambient._cholesky(np.array([[2.0, 0.1], [0.2, 2.0]]))[1]).all()
+    assert (ambient._cholesky(np.array([[2.0, 0.1], [0.1, 2.0]]))[1] > 1e-10).all()
     # the mirrored entries agree for x1 >= 0 only
     sp = AmbientSpace(2, [["2", "0.1*x1"], ["0.1*sqrt(x1^2)", "2"]], [["1", "0"], ["0", "1"]])
     assert validate_at(sp, [[0.5, 0.2]]).passed

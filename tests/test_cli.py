@@ -1130,8 +1130,9 @@ def test_cli_constant_metric_that_is_not_positive_definite_fails_every_file(caps
     assert _ambient_space.cache_info().misses == 1
 
 
-# leading minors 6.19 and 6.9e-16: positive, so the build's own mask passes
-# the metric, but its Cholesky factorization fails
+# leading minors 6.19 and 6.9e-16, but a second Cholesky pivot of -1.1e-16:
+# positive definite only within rounding, so the validation rejects it, and
+# under --force the build's own factorization does, at the first sample
 NEAR_SINGULAR = """
 [ambient]
 mode = product
@@ -1157,7 +1158,9 @@ def test_cli_failed_validation_comes_before_the_metric_factorization(capsys, tmp
     assert [line.split(": ambient validation failed (metric not positive definite)")[0]
             for line in err.splitlines()] == [f"ambient validation: {path}"] * 2
     code, out, err = run_cli(capsys, "classify", "--force", str(path))
-    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert (code, out) == (2, "")
+    assert err == ("error: ambient metric is not positive definite along the immersion "
+                   f"at u = (0.5,), x = ({math.cos(0.5)!r}, {math.sin(0.5)!r}, 0.5)\n")
 
 
 def test_cli_several_files_stop_at_a_broken_pipe(capsys, tmp_path, monkeypatch):

@@ -55,6 +55,7 @@ PIPELINE = ["ambient", "calculus", "catalog", "cli", "expr", "jets", "rng", "sce
 # names the test-suite holds or that are gone, by the module that held them;
 # the finite-difference oracle was a module of its own
 NOT_SHIPPED = {
+    "ambient": ["leading_minors", "positive_definite"],
     "catalog": ["rotation_structure_space", "position_reflection_space",
                 "constant_reflection_space", "corrupted_lemma_case"],
     "cli": ["build_document", "_entry", "run_loaded", "run_catalog_scenario"],

@@ -199,6 +199,17 @@ def test_classify_reports_distribution_dimensions():
     assert result.points["rank_phi"] == [1, 1, 0]
 
 
+def test_semi_invariance_needs_a_constant_rank():
+    # omega.phi vanishes at u = 0 and pi/4 on the circle, where phi has rank
+    # 1 and then 0: the rank is not constant, so the circle is not
+    # semi-invariant at these samples
+    circle = catalog_get("circle")
+    result = classify(circle.immersion, circle.space, samples=[(0.0,), (math.pi / 4,)])
+    assert max(result.points["omega_phi_norm"]) <= 1e-8
+    assert result.points["rank_phi"] == [1, 0]
+    assert (result.classification, result.dim_d) == ("generic", None)
+
+
 def test_classify_flags_single_sample():
     imm = Immersion(1, ("cos(u1)", "sin(u1)"))
     result = classify(imm, FLAT11, samples=[(0.3,)])
