@@ -32,12 +32,12 @@ components in the orthonormal normal frame, g([...], xi_s), which need no
 P_N: g(P_N v, xi_s) = g(v, xi_s).  The lemma residuals and the T2-T4
 statements of :mod:`prodgeo.theorems` read its arrays with the build's
 frame components of h, H, phi, omega, B and C, where g is the identity.
-The lemma residuals are contracted once with R (T_b = R[a, b] e_a), and
-:func:`prodgeo.verify.verify` reports the worst residual of each identity
-over samples and coordinate directions, and over the coordinate fields Y
-for lemma 1 and the normal frame fields and H for lemma 2.  A corrupted
-ambient space (one with nabla F != 0) breaks them by an O(1) margin, which
-is the engine's negative control.
+The lemma residuals are contracted once with R (T_b = R[a, b] e_a); a
+point's residual is the worst over coordinate directions, and over the
+coordinate fields Y for lemma 1 and the normal frame fields and H for
+lemma 2.  ``LemmaReport.residuals`` keeps them, and ``max_residual`` the
+worst.  A corrupted ambient space (one with nabla F != 0) breaks them by
+an O(1) margin, which is the engine's negative control.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ __all__ = ["LemmaReport", "lemma_tensors"]
 class LemmaReport:
     lemma: str
     max_residual: float
-    per_point: dict  # the columns "u" and "residual"
+    residuals: list  # the lemma's column: its residual at every point
     passed: bool
-    tol: float
 
 
 def _along(geo: _JetGeometry, table: np.ndarray) -> np.ndarray:

@@ -26,11 +26,13 @@ failed verification, else 0.
 
 Reports are byte-identical for identical inputs and seeds.  JSON reports
 are indented by two spaces per level and write floats with ``%.17g``.  The
-outcome keeps each per-point quantity as a column over the points, and
-:func:`render_json` writes the ``points`` array from those columns through
-one ``%`` template per document, one fill per point; :func:`dump_json`
-writes the rest.  The argument parser is built once per process, and so is
-the space of each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`),
+outcome's per-point columns carry the names of a report's point entry, so
+:func:`_point_fields` puts them in one tree without renaming any, and
+:func:`render_json` writes the ``points`` array from it through one ``%``
+template per document, one fill per point; :func:`dump_json` writes the
+rest.  Text reports take each point's ``u`` from the outcome's samples.
+The argument parser is built once per process, and so is the space of
+each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`),
 so files of a run that share that text share one space, and a constant one's
 validation; a run of one file gains nothing.  A closed stdout ends the run.
 """
@@ -67,26 +69,14 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _point_fields(outcome: VerificationOutcome) -> dict:
-    """The keys of a point entry in report order, each with its column over the points."""
-    cls = outcome.classification.points
+    """The column tree of a point entry: the classification's columns, then
+    ``"residuals"``, each lemma's column and each statement's columns."""
     residuals = {}
     if outcome.lemma1 is not None:
-        residuals["lemma1"] = outcome.lemma1.per_point["residual"]
-        residuals["lemma2"] = outcome.lemma2.per_point["residual"]
+        residuals = {report.lemma: report.residuals for report in (outcome.lemma1, outcome.lemma2)}
     if outcome.theorems is not None:
-        for key in THEOREMS:
-            columns = outcome.theorems[key].points
-            residuals[key] = {"identity": columns["identity_residual"],
-                              "obstruction": columns["obstruction"],
-                              "proof": columns["proof_residual"], "branches": columns["branches"]}
-    return {
-        "u": cls["u"],
-        "norms": {"mean_curvature_sq": cls["mean_curvature_sq"], "phi": cls["phi_norm"],
-                  "omega": cls["omega_norm"], "omega_phi": cls["omega_phi_norm"]},
-        "rank_phi": cls["rank_phi"],
-        "flags": {"minimal": cls["minimal"], "pseudo_umbilical": cls["pseudo_umbilical"]},
-        "residuals": residuals,
-    }
+        residuals.update((key, outcome.theorems[key].points) for key in THEOREMS)
+    return {**outcome.classification.points, "residuals": residuals}
 
 
 def _document(outcome: VerificationOutcome) -> dict:
@@ -118,8 +108,8 @@ def _document(outcome: VerificationOutcome) -> dict:
         "classification": cls.classification,
         "dim_d": cls.dim_d,
         "dim_d_perp": cls.dim_d_perp,
-        "minimal": all(cls.points["minimal"]),
-        "pseudo_umbilical": all(cls.points["pseudo_umbilical"]),
+        "minimal": all(cls.points["flags"]["minimal"]),
+        "pseudo_umbilical": all(cls.points["flags"]["pseudo_umbilical"]),
         "insufficient_samples": cls.insufficient_samples,
     }
     if outcome.lemma1 is not None:
@@ -252,9 +242,10 @@ def render_text(outcome: VerificationOutcome) -> str:
         lines.append("note: fewer than 2 sample points; verdict is weakly supported")
     lines.append(f"{'u':<24}{'|phi|':>12}{'|omega|':>12}{'|omega.phi|':>14}"
                  f"{'rank':>6}{'minimal':>9}{'pseudo-umb':>12}")
-    names = ("u", "phi_norm", "omega_norm", "omega_phi_norm", "rank_phi", "minimal",
-             "pseudo_umbilical")
-    for u, phi, omega, omega_phi, rank, minimal, pu in zip(*map(cls.points.get, names)):
+    norms, flags = cls.points["norms"], cls.points["flags"]
+    rows = zip(outcome.samples, norms["phi"], norms["omega"], norms["omega_phi"],
+               cls.points["rank_phi"], flags["minimal"], flags["pseudo_umbilical"])
+    for u, phi, omega, omega_phi, rank, minimal, pu in rows:
         lines.append(
             f"{_fmt_point(u):<24}{phi:>12.6g}{omega:>12.6g}{omega_phi:>14.6g}{rank:>6d}"
             f"{'yes' if minimal else 'no':>9}{'yes' if pu else 'no':>12}"
@@ -263,7 +254,8 @@ def render_text(outcome: VerificationOutcome) -> str:
         for report in (outcome.lemma1, outcome.lemma2):
             lines.append(
                 f"{report.lemma}: max residual {_fmt(report.max_residual)} "
-                f"-> {'PASS' if report.passed else 'FAIL'} (tol {report.tol:.1e})"
+                f"-> {'PASS' if report.passed else 'FAIL'} "
+                f"(tol {outcome.tolerances.identity_tol:.1e})"
             )
     if outcome.theorems is not None:
         for key in THEOREMS:
@@ -283,9 +275,10 @@ def render_text(outcome: VerificationOutcome) -> str:
                 )
             lines.append(f"  {'u':<22}{'identity':>12}{'obstruction':>13}"
                          f"{'proof':>12}  branches")
-            names = ("u", "identity_residual", "obstruction", "proof_residual")
-            branches = verdict.points["branches"]
-            rows = zip(*map(verdict.points.get, names), *branches.values())
+            columns = verdict.points
+            branches = columns["branches"]
+            rows = zip(outcome.samples, columns["identity"], columns["obstruction"],
+                       columns["proof"], *branches.values())
             for u, identity, obstruction, proof, *values in rows:
                 flags = " ".join(f"{name}={'y' if v else 'n'}" for name, v in zip(branches, values))
                 lines.append(f"  {_fmt_point(u):<22}{identity:>12.6g}{obstruction:>13.6g}"

@@ -130,10 +130,13 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def _check_tolerance(name: str, value) -> None:
-    """Reject a tolerance that is not a positive finite number."""
-    if not (value > 0 and math.isfinite(value)):
+def _check_tolerance(name: str, value) -> float:
+    """``value`` as a float; a tolerance that is not a positive finite real
+    number, a bool included, is a ``ValueError``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and value > 0 and math.isfinite(value)):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def _points(samples, n: int) -> np.ndarray:
@@ -363,7 +366,6 @@ class ClassificationResult:
     dim_d: int | None
     dim_d_perp: int | None
     insufficient_samples: bool
-    tol: float
 
 
 def _rank(singular: np.ndarray, tol: float):
@@ -378,25 +380,28 @@ def _semi_invariant(omega_phi_vanishes: bool, ranks) -> bool:
 
 def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
     """The geometry's class measures at every point, thresholded at ``tol``:
-    a column over the points per name, ``"u"`` first."""
-    _check_tolerance("tol", tol)
-    names = ("phi_norm", "omega_norm", "omega_phi_norm", "rank_phi", "minimal",
-             "pseudo_umbilical", "mean_curvature_sq")
-    columns = (geo.phi_norm, geo.omega_norm, geo.omega_phi_norm, _rank(geo.phi_singular, tol),
-               geo.H_norm <= tol, geo.pu_gap <= tol, geo.Hsq)
-    return {"u": geo.points, **{name: c.tolist() for name, c in zip(names, columns)}}
+    the report's column tree of a point, ``"u"``, ``"norms"``, ``"rank_phi"``
+    and ``"flags"``, with a column over the points at each leaf."""
+    tol = _check_tolerance("tol", tol)
+    return {
+        "u": geo.points,
+        "norms": {"mean_curvature_sq": geo.Hsq.tolist(), "phi": geo.phi_norm.tolist(),
+                  "omega": geo.omega_norm.tolist(), "omega_phi": geo.omega_phi_norm.tolist()},
+        "rank_phi": _rank(geo.phi_singular, tol).tolist(),
+        "flags": {"minimal": (geo.H_norm <= tol).tolist(),
+                  "pseudo_umbilical": (geo.pu_gap <= tol).tolist()},
+    }
 
 
 def aggregate_classification(columns: dict, n: int, tol: float) -> ClassificationResult:
     """Fold the columns of :func:`classify_point` into the four-way verdict."""
-    _check_tolerance("tol", tol)
+    tol = _check_tolerance("tol", tol)
     if not columns["u"]:
         raise ValueError("classification needs at least one sample point")
-    invariant = max(columns["omega_norm"]) <= tol
-    anti = max(columns["phi_norm"]) <= tol
-    omega_phi = max(columns["omega_phi_norm"]) <= tol
-    ranks = columns["rank_phi"]
-    semi = _semi_invariant(omega_phi, ranks)
+    norms, ranks = columns["norms"], columns["rank_phi"]
+    invariant = max(norms["omega"]) <= tol
+    anti = max(norms["phi"]) <= tol
+    semi = _semi_invariant(max(norms["omega_phi"]) <= tol, ranks)
     if invariant:
         verdict = "invariant"
     elif anti:
@@ -412,7 +417,6 @@ def aggregate_classification(columns: dict, n: int, tol: float) -> Classificatio
         dim_d=dim_d,
         dim_d_perp=n - dim_d if dim_d is not None else None,
         insufficient_samples=len(columns["u"]) < 2,
-        tol=tol,
     )
 
 
@@ -428,7 +432,6 @@ def classify(
     semi-invariant: omega.phi vanishes and rank(phi) is constant across the
     samples; generic otherwise.  ``tol`` is a positive finite number.
     """
-    _check_tolerance("tol", tol)
     if samples is None:
         samples = immersion.samples
     geo = _JetGeometry(immersion, space, samples)

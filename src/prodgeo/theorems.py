@@ -25,15 +25,16 @@ u1 <-> u2 gives another frame, and moves T3's obstruction on random trig
 surfaces by up to 76% of the smaller value.  Only whether a column is
 zero is the same in every frame.
 
-At points that are not pseudo-umbilical the identity is still evaluated (a
-useful negative control) but the proof residual is skipped and flagged.
-:func:`prodgeo.verify.verify` returns the verdicts as ``outcome.theorems``.
+At points that are not pseudo-umbilical at the identity tolerance the
+identity is still evaluated (a useful negative control) but the proof
+residual is skipped: its entry in the ``proof`` column is ``None``.  The
+verdicts are read off the columns, and :func:`prodgeo.verify.verify`
+returns them as ``outcome.theorems``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -45,13 +46,12 @@ __all__ = ["TheoremVerdict"]
 @dataclass(frozen=True)
 class TheoremVerdict:
     theorem: str
-    points: dict  # the columns of the statement, ``"u"`` first
+    points: dict  # the columns "identity", "obstruction", "proof" and "branches"
     identity_holds_everywhere: bool
     disjunction_global: bool
     disjunction_pointwise_everywhere: bool
     biconditional_consistent: bool
     proof_points_skipped: int
-    tol: float
 
 
 class _PointData:
@@ -60,6 +60,7 @@ class _PointData:
 
     def __init__(self, geo: _JetGeometry, tol: float, nabla_omega, nabla_c_xi):
         self.geo = geo
+        self.tol = tol
         self.nabla_omega = nabla_omega
         self.nabla_c_h = nabla_c_xi[..., :, -1, :]  # row a: (nabla_{e_a} C) H
         self.pseudo_umbilical = geo.pu_gap <= tol
@@ -74,24 +75,20 @@ class _PointData:
         self.h_bh = (bh[:, None] @ geo.h_on0)[..., 0, :]  # row a: h(e_a, BH)
 
 
-def _columns(data: _PointData, tol: float, identity, obstruction, proof, branches) -> dict:
+def _columns(data: _PointData, identity, obstruction, proof, branches) -> dict:
     """The statement's columns from its per-point arrays; ``"branches"`` maps
     each branch of the statement's disjunction to its column, and the proof
-    residual is kept only where the point is pseudo-umbilical."""
-    pu = data.pseudo_umbilical.tolist()
+    residual is ``None`` where the point is not pseudo-umbilical."""
+    proof = [p if ok else None for p, ok in zip(proof.tolist(), data.pseudo_umbilical.tolist())]
     return {
-        "u": data.geo.points,
-        "pseudo_umbilical": pu,
-        "identity_residual": identity.tolist(),
+        "identity": identity.tolist(),
         "obstruction": obstruction.tolist(),
-        "proof_residual": [p if ok else None for p, ok in zip(proof.tolist(), pu)],
+        "proof": proof,
         "branches": {name: flags.tolist() for name, flags in branches.items()},
-        "identity_holds": (identity <= tol).tolist(),
-        "disjunction_pointwise": reduce(np.logical_or, branches.values()).tolist(),
     }
 
 
-def _t2_point(data: _PointData, tol: float) -> dict:
+def _t2_point(data: _PointData) -> dict:
     geo = data.geo
     d_ch, h_term = data.nabla_c_h, data.h_bh  # row a: X = e_a
     omega_x = geo.omega0.swapaxes(-1, -2)  # row a: omega e_a
@@ -100,10 +97,10 @@ def _t2_point(data: _PointData, tol: float) -> dict:
     obstruction = (hsq * np.linalg.norm(omega_x, axis=-1)).max(axis=-1)
     proof = np.linalg.norm(d_ch + hsq[..., None] * omega_x + h_term, axis=-1).max(axis=-1)
     branches = {"minimal": data.minimal, "invariant": data.invariant}
-    return _columns(data, tol, identity, obstruction, proof, branches)
+    return _columns(data, identity, obstruction, proof, branches)
 
 
-def _t3_point(data: _PointData, tol: float) -> dict:
+def _t3_point(data: _PointData) -> dict:
     geo = data.geo
     lhs = (data.nabla_omega @ geo.Hn0[..., None, :, None])[..., 0]  # g((nabla_{e_a} omega) e_b, H)
     rhs = (geo.h_on0 @ data.ch[..., None, :, None])[..., 0]
@@ -112,10 +109,10 @@ def _t3_point(data: _PointData, tol: float) -> dict:
     obstruction = (hsq * np.abs(geo.phi0)).max(axis=(-2, -1))
     proof = np.abs(lhs + hsq * geo.phi0 - rhs).max(axis=(-2, -1))
     branches = {"minimal": data.minimal, "anti_invariant": data.anti_invariant}
-    return _columns(data, tol, identity, obstruction, proof, branches)
+    return _columns(data, identity, obstruction, proof, branches)
 
 
-def _t4_point(data: _PointData, tol: float) -> dict:
+def _t4_point(data: _PointData) -> dict:
     geo = data.geo
     phi_x = geo.phi0.swapaxes(-1, -2)  # row a: X = phi e_a
     d_ch, h_x = phi_x @ data.nabla_c_h, phi_x @ data.h_bh
@@ -128,14 +125,18 @@ def _t4_point(data: _PointData, tol: float) -> dict:
     branches = {
         "minimal": data.minimal,
         "semi_invariant": data.omega_phi_zero,
-        "perpendicular": (np.abs(o_term) <= tol).all(axis=-1),
+        "perpendicular": (np.abs(o_term) <= data.tol).all(axis=-1),
     }
-    return _columns(data, tol, identity, obstruction, proof, branches)
+    return _columns(data, identity, obstruction, proof, branches)
 
 
 def _verdict(theorem: str, columns: dict, ranks, tol: float) -> TheoremVerdict:
-    identity_everywhere = all(columns["identity_holds"])
-    global_branches = {name: all(flags) for name, flags in columns["branches"].items()}
+    """The statement's verdicts, read off its columns: the identity holds
+    where its residual is at most ``tol``, and the disjunction where some
+    branch holds."""
+    identity_everywhere = all(r <= tol for r in columns["identity"])
+    branches = columns["branches"]
+    global_branches = {name: all(flags) for name, flags in branches.items()}
     if theorem == "t4":
         semi = global_branches["semi_invariant"]
         global_branches["semi_invariant"] = _semi_invariant(semi, ranks)
@@ -145,8 +146,7 @@ def _verdict(theorem: str, columns: dict, ranks, tol: float) -> TheoremVerdict:
         points=columns,
         identity_holds_everywhere=identity_everywhere,
         disjunction_global=disjunction_global,
-        disjunction_pointwise_everywhere=all(columns["disjunction_pointwise"]),
+        disjunction_pointwise_everywhere=all(map(any, zip(*branches.values()))),
         biconditional_consistent=identity_everywhere == disjunction_global,
-        proof_points_skipped=columns["proof_residual"].count(None),
-        tol=tol,
+        proof_points_skipped=columns["proof"].count(None),
     )

@@ -6,6 +6,9 @@ two lemma identities and the T2-T4 statements, which share one evaluation
 of nabla omega and nabla C, and validates the ambient space at the images.
 The catalog runner and every CLI command are calls to it that keep their
 part of the outcome; ``lemmas=False`` or ``theorems=False`` skips a part.
+The outcome holds each per-point quantity once, as a column over the
+points named as in a report's point entry, and the tolerances once, as
+``outcome.tolerances``.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("identity_tol", "classify_tol"):
-            _check_tolerance(name, getattr(self, name))
+            object.__setattr__(self, name, _check_tolerance(name, getattr(self, name)))
 
 
 @dataclass
@@ -65,12 +68,11 @@ class VerificationOutcome:
         return ok
 
 
-def _lemma_report(lemma: str, geo: _JetGeometry, residuals, tol: float) -> LemmaReport:
+def _lemma_report(lemma: str, residuals, tol: float) -> LemmaReport:
     """Passes if every residual is at most ``tol``; the worst is the largest that is not NaN."""
     residuals = residuals.tolist()
     worst = max((r for r in residuals if not math.isnan(r)), default=math.nan)
-    per_point = {"u": geo.points, "residual": residuals}
-    return LemmaReport(lemma, worst, per_point, all(r <= tol for r in residuals), tol)
+    return LemmaReport(lemma, worst, residuals, all(r <= tol for r in residuals))
 
 
 def verify(
@@ -102,14 +104,12 @@ def verify(
     if lemmas or theorems:
         nabla_omega, nabla_c_xi = lemma_tensors(geo)
     if lemmas:
-        lemma1 = _lemma_report("lemma1", geo, _lemma1_point(geo, nabla_omega), tol)
-        lemma2 = _lemma_report("lemma2", geo, _lemma2_point(geo, nabla_c_xi), tol)
+        lemma1 = _lemma_report("lemma1", _lemma1_point(geo, nabla_omega), tol)
+        lemma2 = _lemma_report("lemma2", _lemma2_point(geo, nabla_c_xi), tol)
     if theorems:
         data = _PointData(geo, tol, nabla_omega, nabla_c_xi)
         ranks = data.rank_phi.tolist()
-        points = {
-            "t2": _t2_point(data, tol), "t3": _t3_point(data, tol), "t4": _t4_point(data, tol)
-        }
+        points = {"t2": _t2_point(data), "t3": _t3_point(data), "t4": _t4_point(data)}
         verdicts = {key: _verdict(key, points[key], ranks, tol) for key in THEOREMS}
     return VerificationOutcome(
         space=space,

@@ -176,11 +176,13 @@ def test_criterion_5_proof_residuals_and_obstructions():
     for label in catalog_list():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
+        # pseudo-umbilical at the identity tolerance, as the statements read it
+        pseudo_umbilical = _JetGeometry(scn.immersion, scn.space, scn.samples).pu_gap <= 1e-8
         for key, verdict in verdicts.items():
             points = verdict.points
             for u, pu, proof, identity, obstruction in zip(
-                points["u"], points["pseudo_umbilical"], points["proof_residual"],
-                points["identity_residual"], points["obstruction"],
+                scn.samples, pseudo_umbilical, points["proof"], points["identity"],
+                points["obstruction"],
             ):
                 if not pu:
                     continue
@@ -208,7 +210,7 @@ def test_criterion_6_quantitative_spot_values():
 
     sphere = catalog_get("sphere")
     t2 = verify(sphere.space, sphere.immersion, lemmas=False).theorems["t2"]
-    named = t2.points["identity_residual"][0]
+    named = t2.points["identity"][0]
     assert abs(named - 1.0) <= 1e-6
 
     torus = catalog_get("square-torus-aligned")
@@ -232,8 +234,9 @@ def test_criterion_7_classification_regression():
         scn = catalog_get(label)
         result = classify(scn.immersion, scn.space)
         assert result.classification == scn.expected.classification, label
-        assert all(result.points["minimal"]) == scn.expected.minimal, label
-        assert all(result.points["pseudo_umbilical"]) == scn.expected.pseudo_umbilical, label
+        flags = result.points["flags"]
+        assert all(flags["minimal"]) == scn.expected.minimal, label
+        assert all(flags["pseudo_umbilical"]) == scn.expected.pseudo_umbilical, label
     circle = classify(catalog_get("circle").immersion, catalog_get("circle").space)
     assert circle.points["rank_phi"] == [1, 1, 0]
     _report(7, "all 10 scenarios report their expected verdicts and flags; "

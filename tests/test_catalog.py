@@ -55,8 +55,8 @@ def test_scenario_regression(label):
     if expected.rank_phi_per_point is not None:
         assert tuple(result.points["rank_phi"]) == expected.rank_phi_per_point
 
-    assert all(result.points["minimal"]) == expected.minimal
-    assert all(result.points["pseudo_umbilical"]) == expected.pseudo_umbilical
+    assert all(result.points["flags"]["minimal"]) == expected.minimal
+    assert all(result.points["flags"]["pseudo_umbilical"]) == expected.pseudo_umbilical
 
     if expected.mean_curvature_sq is not None:
         for u in scn.samples:
@@ -87,8 +87,7 @@ def test_scenario_spot_values(label):
             actual = pg.pu_gap
         else:
             key, field = spot.quantity.split("_", 1)
-            column = verdicts[key].points[f"{field}_residual" if field == "identity" else field]
-            actual = column[spot.point_index]
+            actual = verdicts[key].points[field][spot.point_index]
         assert abs(actual - spot.value) <= spot.tol, (label, spot.quantity)
 
 

@@ -870,8 +870,8 @@ def test_batch_size_does_not_change_point_records():
                 batched.classification.points, index, alone.classification.points, where
             )
             for lemma in ("lemma1", "lemma2"):
-                _assert_same_point(getattr(batched, lemma).per_point, index,
-                                   getattr(alone, lemma).per_point, where)
+                _assert_same_point({lemma: getattr(batched, lemma).residuals}, index,
+                                   {lemma: getattr(alone, lemma).residuals}, where)
             for key in ("t2", "t3", "t4"):
                 _assert_same_point(
                     batched.theorems[key].points, index, alone.theorems[key].points, where
@@ -1265,28 +1265,24 @@ def test_render_json_matches_the_reference_serializer_on_every_part():
 
 
 def _entry_from_columns(outcome, index):
-    """A report's point entry, read from the outcome's named columns."""
-    cls = {name: column[index] for name, column in outcome.classification.points.items()}
+    """A report's point entry in the report's key order, read from the
+    outcome's columns by name."""
+    cls = outcome.classification.points
     residuals = {}
     if outcome.lemma1 is not None:
-        residuals = {"lemma1": outcome.lemma1.per_point["residual"][index],
-                     "lemma2": outcome.lemma2.per_point["residual"][index]}
+        residuals = {"lemma1": outcome.lemma1.residuals, "lemma2": outcome.lemma2.residuals}
     for key in THEOREMS if outcome.theorems is not None else ():
         points = outcome.theorems[key].points
-        residuals[key] = {
-            "identity": points["identity_residual"][index],
-            "obstruction": points["obstruction"][index],
-            "proof": points["proof_residual"][index],
-            "branches": {name: flags[index] for name, flags in points["branches"].items()},
-        }
-    return {
-        "u": list(cls["u"]),
-        "norms": {"mean_curvature_sq": cls["mean_curvature_sq"], "phi": cls["phi_norm"],
-                  "omega": cls["omega_norm"], "omega_phi": cls["omega_phi_norm"]},
+        names = ("identity", "obstruction", "proof", "branches")
+        residuals[key] = {name: points[name] for name in names}
+    norms, flags = cls["norms"], cls["flags"]
+    return _entry({
+        "u": cls["u"],
+        "norms": {name: norms[name] for name in ("mean_curvature_sq", "phi", "omega", "omega_phi")},
         "rank_phi": cls["rank_phi"],
-        "flags": {"minimal": cls["minimal"], "pseudo_umbilical": cls["pseudo_umbilical"]},
+        "flags": {name: flags[name] for name in ("minimal", "pseudo_umbilical")},
         "residuals": residuals,
-    }
+    }, index)
 
 
 def test_report_points_are_the_records_in_key_order():
@@ -1317,7 +1313,7 @@ def test_non_finite_residual_column_is_not_rendered(position, monkeypatch, capsy
     outcome = verify(scn.space, scn.immersion)
     # only the column holds the NaN: the worst residual is the largest other
     # one, wherever the NaN sits, and the lemma fails
-    column = outcome.lemma1.per_point["residual"]
+    column = outcome.lemma1.residuals
     assert math.isnan(column[position])
     assert outcome.lemma1.max_residual == max(r for r in column if not math.isnan(r))
     assert math.isfinite(outcome.lemma1.max_residual)

@@ -310,13 +310,13 @@ def test_kernels_match_the_einsum_references(label, space, imm):
     data = _PointData(geo, TOL, nabla_omega, nabla_c_xi)
     references = _reference_theorems(geo, ref_omega, ref_c)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
-        columns = statement(data, TOL)
+        columns = statement(data)
         identity, obstruction, proof = references[key]
         scale = terms * max(geo.Hsq.max(), 1.0)
-        _close(columns["identity_residual"], identity, scale, (label, key, "identity"))
+        _close(columns["identity"], identity, scale, (label, key, "identity"))
         _close(columns["obstruction"], obstruction, scale, (label, key, "obstruction"))
-        kept = [p is not None for p in columns["proof_residual"]]
-        _close([p for p in columns["proof_residual"] if p is not None],
+        kept = [p is not None for p in columns["proof"]]
+        _close([p for p in columns["proof"] if p is not None],
                np.reshape(proof, -1)[kept], scale, (label, key, "proof"))
 
 

@@ -205,7 +205,7 @@ def test_semi_invariance_needs_a_constant_rank():
     # semi-invariant at these samples
     circle = catalog_get("circle")
     result = classify(circle.immersion, circle.space, samples=[(0.0,), (math.pi / 4,)])
-    assert max(result.points["omega_phi_norm"]) <= 1e-8
+    assert max(result.points["norms"]["omega_phi"]) <= 1e-8
     assert result.points["rank_phi"] == [1, 0]
     assert (result.classification, result.dim_d) == ("generic", None)
 
@@ -266,11 +266,12 @@ def test_frame_choice_independence():
         fwd = classify(scn.immersion, scn.space)
         rev = classify(_parameters_reversed(scn.immersion), scn.space)
         assert fwd.classification == rev.classification
-        for name in ("phi_norm", "omega_norm", "mean_curvature_sq"):
-            for a, b in zip(fwd.points[name], rev.points[name]):
+        for name in ("phi", "omega", "mean_curvature_sq"):
+            for a, b in zip(fwd.points["norms"][name], rev.points["norms"][name]):
                 assert abs(a - b) <= 1e-9, (label, name)
         assert fwd.points["rank_phi"] == rev.points["rank_phi"], label
-        assert fwd.points["pseudo_umbilical"] == rev.points["pseudo_umbilical"], label
+        fwd_pu, rev_pu = (r.points["flags"]["pseudo_umbilical"] for r in (fwd, rev))
+        assert fwd_pu == rev_pu, label
 
 
 def test_overflowing_induced_metric_is_a_degenerate_immersion():
@@ -515,8 +516,8 @@ def test_point_predicates_read_the_classification_measures():
         scn = catalog_get(label)
         for tol in (1e-8, 1e-3):
             result = classify(scn.immersion, scn.space, tol=tol)
-            points = result.points
-            for u, minimal, pu in zip(scn.samples, points["minimal"], points["pseudo_umbilical"]):
+            flags = result.points["flags"]
+            for u, minimal, pu in zip(scn.samples, flags["minimal"], flags["pseudo_umbilical"]):
                 pg = point_geometry(scn.immersion, scn.space, u)
                 assert (pg.H_norm <= tol) == minimal, (label, u, tol)
                 assert (pg.pu_gap <= tol) == pu, (label, u, tol)
@@ -531,6 +532,33 @@ def test_classify_rejects_a_tolerance_verify_rejects(tol):
         classify(scn.immersion, scn.space, tol=tol)
     with pytest.raises(ValueError, match=re.escape(f"classify_tol must be a positive finite number, got {tol!r}")):
         Tolerances(classify_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [True, np.True_, "1e-8", 1e-8 + 0j, None])
+def test_a_tolerance_that_is_a_bool_or_not_a_real_number_is_rejected(tol):
+    # True passed as 1 and was reported as "identity_tol": true; the others
+    # failed in a comparison with a TypeError
+    scn = catalog_get("square-torus-aligned")
+    for name in ("identity_tol", "classify_tol"):
+        message = re.escape(f"{name} must be a positive finite number, got {tol!r}")
+        with pytest.raises(ValueError, match=message):
+            Tolerances(**{name: tol})
+    message = re.escape(f"tol must be a positive finite number, got {tol!r}")
+    with pytest.raises(ValueError, match=message):
+        classify(scn.immersion, scn.space, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [Fraction(1, 10**8), np.float32(1e-8), 1, np.int64(1)])
+def test_a_real_tolerance_is_used_as_a_float(tol):
+    # a Fraction passed the check and then failed in numpy's square root of the rank threshold
+    tolerances = Tolerances(identity_tol=tol, classify_tol=tol)
+    assert (type(tolerances.identity_tol), type(tolerances.classify_tol)) == (float, float)
+    assert tolerances == Tolerances(float(tol), float(tol))
+    scn = catalog_get("circle")
+    outcome = verify(scn.space, scn.immersion, tolerances=tolerances)
+    assert outcome.classification == classify(scn.immersion, scn.space, tol=tol)
+    floats = Tolerances(float(tol), float(tol))
+    assert outcome == verify(scn.space, scn.immersion, tolerances=floats)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
@@ -641,8 +669,9 @@ def test_tiny_metric_builds_the_frames_of_flat_space():
     samples = [(0.3,), (1.0,)]
     got, want = verify(tiny, circle, samples), verify(FLAT11, unit, samples)
     assert got.classification.classification == "generic"
-    for name in ("phi_norm", "omega_norm"):
-        for a, b in zip(got.classification.points[name], want.classification.points[name]):
+    for name in ("phi", "omega"):
+        got_norms, want_norms = (o.classification.points["norms"] for o in (got, want))
+        for a, b in zip(got_norms[name], want_norms[name]):
             assert abs(a - b) <= 1e-12, name
     assert got.classification.points["rank_phi"] == want.classification.points["rank_phi"]
     assert got.lemma1.passed and got.lemma2.passed

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
+
 from prodgeo import jets
 from prodgeo.ambient import product_of
 from prodgeo.calculus import lemma_tensors
-from prodgeo.catalog import catalog_get, catalog_list
+from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
 from prodgeo.subgeom import Immersion, _JetGeometry
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 from prodgeo.verify import verify
@@ -17,7 +19,7 @@ def test_t2_aligned_torus_invariant_branch():
     scn = catalog_get("square-torus-aligned")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     assert verdict.identity_holds_everywhere
-    assert all(r <= 1e-8 for r in verdict.points["identity_residual"])
+    assert all(r <= 1e-8 for r in verdict.points["identity"])
     assert all(verdict.points["branches"]["invariant"])
     assert verdict.biconditional_consistent
 
@@ -26,9 +28,9 @@ def test_t2_sphere_named_point():
     scn = catalog_get("sphere")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     named = verdict.points  # point 0: u = (pi/4, 0) maps to (sqrt2/2, 0, sqrt2/2)
-    assert abs(named["identity_residual"][0] - 1.0) <= 1e-6
+    assert abs(named["identity"][0] - 1.0) <= 1e-6
     assert abs(named["obstruction"][0] - 1.0) <= 1e-6
-    assert named["proof_residual"][0] <= 1e-8
+    assert named["proof"][0] <= 1e-8
     assert not verdict.identity_holds_everywhere
     assert verdict.biconditional_consistent
 
@@ -37,7 +39,7 @@ def test_t2_minimal_scenarios_hold():
     for label in ("plane-invariant", "diagonal-line", "semi-invariant-plane"):
         scn = catalog_get(label)
         verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
-        assert all(r <= 1e-8 for r in verdict.points["identity_residual"]), label
+        assert all(r <= 1e-8 for r in verdict.points["identity"]), label
         assert all(verdict.points["branches"]["minimal"]), label
 
 
@@ -54,8 +56,8 @@ def test_t3_circle_spot_value():
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t3"]
     obstruction = verdict.points["obstruction"][1]  # at u = pi/8
     assert abs(obstruction - COS_PI_4) <= 1e-6
-    assert abs(verdict.points["identity_residual"][1] - obstruction) <= 1e-6
-    assert verdict.points["proof_residual"][1] <= 1e-8
+    assert abs(verdict.points["identity"][1] - obstruction) <= 1e-6
+    assert verdict.points["proof"][1] <= 1e-8
     assert not verdict.identity_holds_everywhere
     assert verdict.biconditional_consistent
 
@@ -66,9 +68,9 @@ def test_t4_circle_spot_value_and_pointwise_branch():
     points = verdict.points  # at u = 0, pi/8 and pi/4
     obstruction = points["obstruction"][1]
     assert abs(obstruction - COS_PI_4 ** 2 * math.sin(math.pi / 4)) <= 1e-6
-    assert abs(points["identity_residual"][1] - obstruction) <= 1e-6
+    assert abs(points["identity"][1] - obstruction) <= 1e-6
     # identity holds pointwise at u = 0 and u = pi/4 through perpendicularity
-    assert points["identity_holds"] == [True, False, True]
+    assert [r <= 1e-8 for r in points["identity"]] == [True, False, True]
     assert points["branches"]["perpendicular"][0] and points["branches"]["perpendicular"][2]
     assert verdict.biconditional_consistent
 
@@ -76,9 +78,14 @@ def test_t4_circle_spot_value_and_pointwise_branch():
 def test_t4_semi_invariant_plane_two_branches():
     scn = catalog_get("semi-invariant-plane")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
-    assert all(r <= 1e-10 for r in verdict.points["identity_residual"])
+    assert all(r <= 1e-10 for r in verdict.points["identity"])
     branches = verdict.points["branches"]
     assert all(branches["minimal"]) and all(branches["semi_invariant"])
+
+
+def _pseudo_umbilical(scn, tol: float = 1e-8) -> list:
+    """Where the build's pseudo-umbilical gap is at most the identity tolerance."""
+    return (_JetGeometry(scn.immersion, scn.space, scn.samples).pu_gap <= tol).tolist()
 
 
 def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
@@ -87,8 +94,7 @@ def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             points = verdict.points
-            for u, pu, proof in zip(points["u"], points["pseudo_umbilical"],
-                                    points["proof_residual"]):
+            for u, pu, proof in zip(scn.samples, _pseudo_umbilical(scn), points["proof"]):
                 if pu:
                     assert proof is not None
                     assert proof <= 1e-8, (label, key, u)
@@ -103,8 +109,7 @@ def test_identity_residual_equals_obstruction_at_pu_points():
         for key, verdict in verdicts.items():
             points = verdict.points
             for u, pu, identity, obstruction in zip(
-                points["u"], points["pseudo_umbilical"], points["identity_residual"],
-                points["obstruction"],
+                scn.samples, _pseudo_umbilical(scn), points["identity"], points["obstruction"],
             ):
                 if pu:
                     assert abs(identity - obstruction) <= 1e-6, (label, key, u)
@@ -117,10 +122,9 @@ def test_branch_soundness():
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
         for key, verdict in verdicts.items():
             points = verdict.points
-            for u, disjunction, identity in zip(
-                points["u"], points["disjunction_pointwise"], points["identity_residual"]
-            ):
-                if disjunction:
+            branches = zip(*points["branches"].values())
+            for u, flags, identity in zip(scn.samples, branches, points["identity"]):
+                if any(flags):
                     assert identity <= 1e-6, (label, key, u)
 
 
@@ -137,11 +141,40 @@ def test_biconditional_consistency_all_catalog():
             )
 
 
+def test_verdicts_are_their_pointwise_definitions():
+    # the verdicts read off the kept columns: the identity at most its
+    # tolerance at every point, some branch at every point, and a proof
+    # residual skipped where the build's pseudo-umbilical gap exceeds the
+    # identity tolerance
+    tol = 1e-8
+    cases = [(scn.space, scn.immersion) for scn in map(catalog_get, catalog_list())]
+    cases += [(flat_product(2, 2), random_trig_immersion(seed, 8)) for seed in (*range(20), 440307)]
+    # pseudo-umbilical at its vertex only: the proof residual is skipped at 2 of 3 points
+    paraboloid = Immersion(2, ("u1", "u2", "u1^2 + u2^2", "0"),
+                           samples=((0.0, 0.0), (0.5, 0.2), (-0.3, 0.4)), label="paraboloid")
+    cases.append((flat_product(2, 2), paraboloid))
+    seen = {"identity": set(), "disjunction": set(), "skipped": set()}
+    for space, imm in cases:
+        outcome = verify(space, imm, lemmas=False)
+        skipped = int(np.count_nonzero(_JetGeometry(imm, space, imm.samples).pu_gap > tol))
+        for key, verdict in outcome.theorems.items():
+            columns, where = verdict.points, (imm.label, key)
+            identity = bool(np.all(np.array(columns["identity"]) <= tol))
+            disjunction = bool(np.any(list(columns["branches"].values()), axis=0).all())
+            assert verdict.identity_holds_everywhere == identity, where
+            assert verdict.disjunction_pointwise_everywhere == disjunction, where
+            assert verdict.proof_points_skipped == skipped, where
+            seen["identity"].add(identity)
+            seen["disjunction"].add(disjunction)
+            seen["skipped"].add(0 < skipped < len(imm.samples))
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
 def test_rect_torus_skips_proof():
     scn = catalog_get("rect-torus")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
     assert verdict.proof_points_skipped == len(scn.samples)
-    assert all(p is None for p in verdict.points["proof_residual"])
+    assert all(p is None for p in verdict.points["proof"])
     assert verdict.biconditional_consistent
 
 
@@ -163,7 +196,7 @@ def test_scaling_covariance_on_circle():
 def test_rotated_torus_obstruction_is_large():
     scn = catalog_get("square-torus-rotated")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
-    for identity, obstruction in zip(verdict.points["identity_residual"],
+    for identity, obstruction in zip(verdict.points["identity"],
                                      verdict.points["obstruction"]):
         assert identity > 0.1
         assert abs(identity - obstruction) <= 1e-6
@@ -174,11 +207,8 @@ def test_verdict_shape():
     scn = catalog_get("circle")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
     assert verdict.theorem == "t4"
-    assert list(verdict.points) == [
-        "u", "pseudo_umbilical", "identity_residual", "obstruction", "proof_residual",
-        "branches", "identity_holds", "disjunction_pointwise",
-    ]
-    assert len(verdict.points["u"]) == 3
+    assert list(verdict.points) == ["identity", "obstruction", "proof", "branches"]
+    assert all(len(verdict.points[name]) == 3 for name in ("identity", "obstruction", "proof"))
     assert set(verdict.points["branches"]) == {"minimal", "semi_invariant", "perpendicular"}
     assert all(len(column) == 3 for column in verdict.points["branches"].values())
 
@@ -197,4 +227,4 @@ def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
     monkeypatch.setattr(jets.Jet, "value", property(no_jets))
     data = _PointData(geo, 1e-8, *tensors)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
-        assert statement(data, 1e-8) == expected[key].points, key
+        assert statement(data) == expected[key].points, key
