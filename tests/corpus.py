@@ -18,9 +18,10 @@ stderr with each number replaced by ``#`` (its numbers are a float field,
   differ between builds; anything else in the field is compared exactly.
   Integers are compared the same way, which is exact below 10^12.
 
-Record the reference again, and print what changed, with::
+Record the reference again from the prodgeo that Python imports, and print
+what changed, with::
 
-    python tests/corpus.py --write
+    PYTHONPATH=src python tests/corpus.py --write
 """
 
 from __future__ import annotations
@@ -135,8 +136,7 @@ def _agree(a, b) -> bool:
     if isinstance(a, list) and isinstance(b, list):
         return len(a) == len(b) and all(map(_agree, a, b))
     if _is_number(a) and _is_number(b):
-        return (a == b or abs(a - b) <= 1e-12 * max(abs(a), abs(b))
-                or max(abs(a), abs(b)) < 1e-9) and not (math.isnan(a) or math.isnan(b))
+        return math.isclose(a, b, rel_tol=1e-12) or (abs(a) < 1e-9 and abs(b) < 1e-9)
     return a == b
 
 

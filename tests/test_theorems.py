@@ -92,9 +92,10 @@ def test_proof_residuals_hold_at_every_pseudo_umbilical_point():
     for label in catalog_list():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
+        pseudo_umbilical = _pseudo_umbilical(scn)
         for key, verdict in verdicts.items():
             points = verdict.points
-            for u, pu, proof in zip(scn.samples, _pseudo_umbilical(scn), points["proof"]):
+            for u, pu, proof in zip(scn.samples, pseudo_umbilical, points["proof"]):
                 if pu:
                     assert proof is not None
                     assert proof <= 1e-8, (label, key, u)
@@ -106,10 +107,11 @@ def test_identity_residual_equals_obstruction_at_pu_points():
     for label in catalog_list():
         scn = catalog_get(label)
         verdicts = verify(scn.space, scn.immersion, lemmas=False).theorems
+        pseudo_umbilical = _pseudo_umbilical(scn)
         for key, verdict in verdicts.items():
             points = verdict.points
             for u, pu, identity, obstruction in zip(
-                scn.samples, _pseudo_umbilical(scn), points["identity"], points["obstruction"],
+                scn.samples, pseudo_umbilical, points["identity"], points["obstruction"],
             ):
                 if pu:
                     assert abs(identity - obstruction) <= 1e-6, (label, key, u)
