@@ -42,6 +42,10 @@ REFERENCE = CORPUS / "reference.json"
 COMMANDS = {
     "classify": ["classify"],
     "check-json": ["check", "--all", "--format", "json"],
+    "check-lemmas": ["check", "--lemmas"],
+    "check-lemmas-json": ["check", "--lemmas", "--format", "json"],
+    "check-theorems": ["check", "--theorems"],
+    "check-theorems-json": ["check", "--theorems", "--format", "json"],
     "report": ["report"],
     "report-force-json": ["report", "--force", "--format", "json"],
 }
