@@ -36,8 +36,10 @@ The lemma residuals are contracted once with R (T_b = R[a, b] e_a); a
 point's residual is the worst over coordinate directions, and over the
 coordinate fields Y for lemma 1 and the normal frame fields and H for
 lemma 2.  ``LemmaReport.residuals`` keeps them, and ``max_residual`` the
-worst.  A corrupted ambient space (one with nabla F != 0) breaks them by
-an O(1) margin, which is the engine's negative control.
+worst; :func:`prodgeo.verify.verify` returns the two reports as
+``outcome.lemmas``, keyed ``"lemma1"`` and ``"lemma2"``.  A corrupted
+ambient space (one with nabla F != 0) breaks them by an O(1) margin, which
+is the engine's negative control.
 """
 
 from __future__ import annotations
@@ -53,10 +55,11 @@ __all__ = ["LemmaReport", "lemma_tensors"]
 
 @dataclass(frozen=True)
 class LemmaReport:
-    lemma: str
+    """A lemma's verdicts under their report names, then its column."""
+
     max_residual: float
-    residuals: list  # the lemma's column: its residual at every point
     passed: bool
+    residuals: list  # the lemma's column: its residual at every point
 
 
 def _along(geo: _JetGeometry, table: np.ndarray) -> np.ndarray:

@@ -27,11 +27,12 @@ failed verification, else 0.
 Reports are byte-identical for identical inputs and seeds.  JSON reports
 are indented by two spaces per level and write floats with ``%.17g``.  The
 outcome's per-point columns carry the names of a report's point entry, so
-:func:`_point_fields` puts them in one tree without renaming any, and
-:func:`render_json` writes the ``points`` array from it through one ``%``
-template per document, one fill per point; :func:`dump_json` writes the
-rest.  Text reports take each point's ``u`` from the outcome's samples.
-The argument parser is built once per process, and so is the space of
+:func:`_point_fields` puts them in one tree without renaming any; the
+other fields of its results are the report's verdicts, which
+:func:`_document` copies as they are named.  :func:`render_json` writes the
+``points`` array through one ``%`` template per document, one fill per
+point; :func:`dump_json` writes the rest.  Text reports take each point's
+``u`` from the outcome's samples.  The argument parser is built once per process, and so is the space of
 each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`),
 so files of a run that share that text share one space, and a constant one's
 validation; a run of one file gains nothing.  A closed stdout ends the run.
@@ -51,7 +52,7 @@ import numpy as np
 from .catalog import UnknownScenario, catalog_get, catalog_list
 from .ambient import AmbientValidationFailure
 from .scenario import _number, export_scenario, load_scenario
-from .verify import THEOREMS, Tolerances, VerificationOutcome, verify
+from .verify import Tolerances, VerificationOutcome, verify
 
 EXIT_OK, EXIT_USAGE, EXIT_INVALID, EXIT_FAILED = 0, 1, 2, 3
 
@@ -71,18 +72,20 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _point_fields(outcome: VerificationOutcome) -> dict:
     """The column tree of a point entry: the classification's columns, then
     ``"residuals"``, each lemma's column and each statement's columns."""
-    residuals = {}
-    if outcome.lemma1 is not None:
-        residuals = {report.lemma: report.residuals for report in (outcome.lemma1, outcome.lemma2)}
-    if outcome.theorems is not None:
-        residuals.update((key, outcome.theorems[key].points) for key in THEOREMS)
+    residuals = {key: report.residuals for key, report in (outcome.lemmas or {}).items()}
+    residuals.update((key, verdict.points) for key, verdict in (outcome.theorems or {}).items())
     return {**outcome.classification.points, "residuals": residuals}
 
 
+def _verdicts(result) -> dict:
+    """A result's verdicts: every field but its per-point column."""
+    return {key: value for key, value in vars(result).items() if key not in ("points", "residuals")}
+
+
 def _document(outcome: VerificationOutcome) -> dict:
-    """The report, with ``points`` as the column tree of :func:`_point_fields`."""
+    """The report, with ``points`` as the column tree of :func:`_point_fields`
+    and ``verdicts`` as the outcome's results under their own names."""
     rep = outcome.ambient_report
-    cls = outcome.classification
     doc = {
         "scenario": {
             "label": outcome.immersion.label,
@@ -104,29 +107,10 @@ def _document(outcome: VerificationOutcome) -> dict:
         },
         "points": _point_fields(outcome),
     }
-    verdicts = {
-        "classification": cls.classification,
-        "dim_d": cls.dim_d,
-        "dim_d_perp": cls.dim_d_perp,
-        "minimal": all(cls.points["flags"]["minimal"]),
-        "pseudo_umbilical": all(cls.points["flags"]["pseudo_umbilical"]),
-        "insufficient_samples": cls.insufficient_samples,
-    }
-    if outcome.lemma1 is not None:
-        for report in (outcome.lemma1, outcome.lemma2):
-            verdicts[report.lemma] = {"max_residual": report.max_residual, "passed": report.passed}
-    if outcome.theorems is not None:
-        for key in THEOREMS:
-            verdict = outcome.theorems[key]
-            verdicts[key] = {
-                "identity_holds_everywhere": verdict.identity_holds_everywhere,
-                "disjunction_global": verdict.disjunction_global,
-                "disjunction_pointwise": verdict.disjunction_pointwise_everywhere,
-                "biconditional_consistent": verdict.biconditional_consistent,
-                "proof_points_skipped": verdict.proof_points_skipped,
-            }
-    verdicts["consistent"] = outcome.consistent
-    doc["verdicts"] = verdicts
+    verdicts = _verdicts(outcome.classification)
+    for results in (outcome.lemmas, outcome.theorems):
+        verdicts.update((key, _verdicts(result)) for key, result in (results or {}).items())
+    doc["verdicts"] = {**verdicts, "consistent": outcome.consistent}
     return doc
 
 
@@ -250,39 +234,36 @@ def render_text(outcome: VerificationOutcome) -> str:
             f"{_fmt_point(u):<24}{phi:>12.6g}{omega:>12.6g}{omega_phi:>14.6g}{rank:>6d}"
             f"{'yes' if minimal else 'no':>9}{'yes' if pu else 'no':>12}"
         )
-    if outcome.lemma1 is not None:
-        for report in (outcome.lemma1, outcome.lemma2):
+    for key, report in (outcome.lemmas or {}).items():
+        lines.append(
+            f"{key}: max residual {_fmt(report.max_residual)} "
+            f"-> {'PASS' if report.passed else 'FAIL'} "
+            f"(tol {outcome.tolerances.identity_tol:.1e})"
+        )
+    for key, verdict in (outcome.theorems or {}).items():
+        lines.append(
+            f"{key.upper()}: identity everywhere: "
+            f"{'yes' if verdict.identity_holds_everywhere else 'no'}; "
+            f"branch disjunction (global): "
+            f"{'yes' if verdict.disjunction_global else 'no'}; "
+            f"pointwise: {'yes' if verdict.disjunction_pointwise else 'no'}; "
+            f"biconditional {'CONSISTENT' if verdict.biconditional_consistent else 'INCONSISTENT'}"
+        )
+        if verdict.proof_points_skipped:
             lines.append(
-                f"{report.lemma}: max residual {_fmt(report.max_residual)} "
-                f"-> {'PASS' if report.passed else 'FAIL'} "
-                f"(tol {outcome.tolerances.identity_tol:.1e})"
+                f"  proof residuals skipped at {verdict.proof_points_skipped} "
+                f"non-pseudo-umbilical point(s)"
             )
-    if outcome.theorems is not None:
-        for key in THEOREMS:
-            verdict = outcome.theorems[key]
-            lines.append(
-                f"{key.upper()}: identity everywhere: "
-                f"{'yes' if verdict.identity_holds_everywhere else 'no'}; "
-                f"branch disjunction (global): "
-                f"{'yes' if verdict.disjunction_global else 'no'}; "
-                f"pointwise: {'yes' if verdict.disjunction_pointwise_everywhere else 'no'}; "
-                f"biconditional {'CONSISTENT' if verdict.biconditional_consistent else 'INCONSISTENT'}"
-            )
-            if verdict.proof_points_skipped:
-                lines.append(
-                    f"  proof residuals skipped at {verdict.proof_points_skipped} "
-                    f"non-pseudo-umbilical point(s)"
-                )
-            lines.append(f"  {'u':<22}{'identity':>12}{'obstruction':>13}"
-                         f"{'proof':>12}  branches")
-            columns = verdict.points
-            branches = columns["branches"]
-            rows = zip(outcome.samples, columns["identity"], columns["obstruction"],
-                       columns["proof"], *branches.values())
-            for u, identity, obstruction, proof, *values in rows:
-                flags = " ".join(f"{name}={'y' if v else 'n'}" for name, v in zip(branches, values))
-                lines.append(f"  {_fmt_point(u):<22}{identity:>12.6g}{obstruction:>13.6g}"
-                             f"{_fmt(proof):>12}  {flags}")
+        lines.append(f"  {'u':<22}{'identity':>12}{'obstruction':>13}"
+                     f"{'proof':>12}  branches")
+        columns = verdict.points
+        branches = columns["branches"]
+        rows = zip(outcome.samples, columns["identity"], columns["obstruction"],
+                   columns["proof"], *branches.values())
+        for u, identity, obstruction, proof, *values in rows:
+            flags = " ".join(f"{name}={'y' if v else 'n'}" for name, v in zip(branches, values))
+            lines.append(f"  {_fmt_point(u):<22}{identity:>12.6g}{obstruction:>13.6g}"
+                         f"{_fmt(proof):>12}  {flags}")
     lines.append(f"overall: {'CONSISTENT' if outcome.consistent else 'FAILED'}")
     return "\n".join(lines) + "\n"
 

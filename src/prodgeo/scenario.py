@@ -489,13 +489,8 @@ def scenario_text(
     return out.getvalue()
 
 
-def export_scenario(
-    path: str | Path,
-    source: Scenario | LoadedScenario,
-    tolerances: Tolerances | None = None,
-) -> None:
-    if tolerances is None:
-        tolerances = getattr(source, "tolerances", Tolerances())
+def export_scenario(path: str | Path, source: Scenario | LoadedScenario) -> None:
+    tolerances = getattr(source, "tolerances", Tolerances())
     Path(path).write_text(
         scenario_text(
             source.space, source.immersion, source.samples, tolerances, label=source.label

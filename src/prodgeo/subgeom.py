@@ -361,11 +361,15 @@ def point_geometry(immersion: Immersion, space: AmbientSpace, u: Sequence[float]
 
 @dataclass(frozen=True)
 class ClassificationResult:
+    """The four-way verdicts under their report names, then the columns."""
+
     classification: str
-    points: dict  # the columns of :func:`classify_point`
     dim_d: int | None
     dim_d_perp: int | None
+    minimal: bool
+    pseudo_umbilical: bool
     insufficient_samples: bool
+    points: dict  # the columns of :func:`classify_point`
 
 
 def _rank(singular: np.ndarray, tol: float):
@@ -394,11 +398,12 @@ def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
 
 
 def aggregate_classification(columns: dict, n: int, tol: float) -> ClassificationResult:
-    """Fold the columns of :func:`classify_point` into the four-way verdict."""
+    """Fold the columns of :func:`classify_point` into the four-way verdict;
+    the submanifold is minimal, or pseudo-umbilical, where every point is."""
     tol = _check_tolerance("tol", tol)
     if not columns["u"]:
         raise ValueError("classification needs at least one sample point")
-    norms, ranks = columns["norms"], columns["rank_phi"]
+    norms, ranks, flags = columns["norms"], columns["rank_phi"], columns["flags"]
     invariant = max(norms["omega"]) <= tol
     anti = max(norms["phi"]) <= tol
     semi = _semi_invariant(max(norms["omega_phi"]) <= tol, ranks)
@@ -413,10 +418,12 @@ def aggregate_classification(columns: dict, n: int, tol: float) -> Classificatio
     dim_d = ranks[0] if verdict != "generic" else None
     return ClassificationResult(
         classification=verdict,
-        points=columns,
         dim_d=dim_d,
         dim_d_perp=n - dim_d if dim_d is not None else None,
+        minimal=all(flags["minimal"]),
+        pseudo_umbilical=all(flags["pseudo_umbilical"]),
         insufficient_samples=len(columns["u"]) < 2,
+        points=columns,
     )
 
 

@@ -29,7 +29,7 @@ At points that are not pseudo-umbilical at the identity tolerance the
 identity is still evaluated (a useful negative control) but the proof
 residual is skipped: its entry in the ``proof`` column is ``None``.  The
 verdicts are read off the columns, and :func:`prodgeo.verify.verify`
-returns them as ``outcome.theorems``.
+returns them as ``outcome.theorems``, keyed ``"t2"`` to ``"t4"``.
 """
 
 from __future__ import annotations
@@ -45,13 +45,14 @@ __all__ = ["TheoremVerdict"]
 
 @dataclass(frozen=True)
 class TheoremVerdict:
-    theorem: str
-    points: dict  # the columns "identity", "obstruction", "proof" and "branches"
+    """A statement's verdicts under their report names, then its columns."""
+
     identity_holds_everywhere: bool
     disjunction_global: bool
-    disjunction_pointwise_everywhere: bool
+    disjunction_pointwise: bool
     biconditional_consistent: bool
     proof_points_skipped: int
+    points: dict  # the columns "identity", "obstruction", "proof" and "branches"
 
 
 class _PointData:
@@ -142,11 +143,10 @@ def _verdict(theorem: str, columns: dict, ranks, tol: float) -> TheoremVerdict:
         global_branches["semi_invariant"] = _semi_invariant(semi, ranks)
     disjunction_global = any(global_branches.values())
     return TheoremVerdict(
-        theorem=theorem,
-        points=columns,
         identity_holds_everywhere=identity_everywhere,
         disjunction_global=disjunction_global,
-        disjunction_pointwise_everywhere=all(map(any, zip(*branches.values()))),
+        disjunction_pointwise=all(map(any, zip(*branches.values()))),
         biconditional_consistent=identity_everywhere == disjunction_global,
         proof_points_skipped=columns["proof"].count(None),
+        points=columns,
     )

@@ -8,7 +8,12 @@ The catalog runner and every CLI command are calls to it that keep their
 part of the outcome; ``lemmas=False`` or ``theorems=False`` skips a part.
 The outcome holds each per-point quantity once, as a column over the
 points named as in a report's point entry, and the tolerances once, as
-``outcome.tolerances``.
+``outcome.tolerances``.  Its results are the report's verdicts:
+``outcome.classification``, ``outcome.lemmas`` keyed ``"lemma1"`` and
+``"lemma2"``, and ``outcome.theorems`` keyed ``"t2"`` to ``"t4"``, each a
+dataclass whose fields are its verdicts under their report names, in report
+order, and then its per-point column (``points`` or ``residuals``).  A
+skipped part is ``None``.
 """
 
 from __future__ import annotations
@@ -54,25 +59,20 @@ class VerificationOutcome:
     tolerances: Tolerances
     ambient_report: AmbientValidationReport
     classification: ClassificationResult
-    lemma1: LemmaReport | None
-    lemma2: LemmaReport | None
+    lemmas: dict[str, LemmaReport] | None
     theorems: dict[str, TheoremVerdict] | None
 
     @property
     def consistent(self) -> bool:
-        ok = True
-        if self.lemma1 is not None:
-            ok = ok and self.lemma1.passed and self.lemma2.passed
-        if self.theorems is not None:
-            ok = ok and all(v.biconditional_consistent for v in self.theorems.values())
-        return ok
+        return (all(report.passed for report in (self.lemmas or {}).values())
+                and all(v.biconditional_consistent for v in (self.theorems or {}).values()))
 
 
-def _lemma_report(lemma: str, residuals, tol: float) -> LemmaReport:
+def _lemma_report(residuals, tol: float) -> LemmaReport:
     """Passes if every residual is at most ``tol``; the worst is the largest that is not NaN."""
     residuals = residuals.tolist()
     worst = max((r for r in residuals if not math.isnan(r)), default=math.nan)
-    return LemmaReport(lemma, worst, residuals, all(r <= tol for r in residuals))
+    return LemmaReport(worst, all(r <= tol for r in residuals), residuals)
 
 
 def verify(
@@ -100,12 +100,12 @@ def verify(
     classification = aggregate_classification(
         classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
     )
-    lemma1 = lemma2 = verdicts = None
+    reports = verdicts = None
     if lemmas or theorems:
         nabla_omega, nabla_c_xi = lemma_tensors(geo)
     if lemmas:
-        lemma1 = _lemma_report("lemma1", _lemma1_point(geo, nabla_omega), tol)
-        lemma2 = _lemma_report("lemma2", _lemma2_point(geo, nabla_c_xi), tol)
+        reports = {"lemma1": _lemma_report(_lemma1_point(geo, nabla_omega), tol),
+                   "lemma2": _lemma_report(_lemma2_point(geo, nabla_c_xi), tol)}
     if theorems:
         data = _PointData(geo, tol, nabla_omega, nabla_c_xi)
         ranks = data.rank_phi.tolist()
@@ -118,7 +118,6 @@ def verify(
         tolerances=tolerances,
         ambient_report=geo.ambient_report,
         classification=classification,
-        lemma1=lemma1,
-        lemma2=lemma2,
+        lemmas=reports,
         theorems=verdicts,
     )

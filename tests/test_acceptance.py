@@ -147,7 +147,7 @@ def test_criterion_4_lemma_suite():
     for label in catalog_list():
         scn = catalog_get(label)
         outcome = verify(scn.space, scn.immersion, theorems=False)
-        r1, r2 = outcome.lemma1, outcome.lemma2
+        r1, r2 = outcome.lemmas.values()
         assert r1.max_residual <= 1e-8, label
         assert r2.max_residual <= 1e-8, label
         worst = max(worst, r1.max_residual, r2.max_residual)
@@ -155,13 +155,13 @@ def test_criterion_4_lemma_suite():
     for seed in range(20):
         imm = random_trig_immersion(seed)
         outcome = verify(flat, imm, theorems=False)
-        r1, r2 = outcome.lemma1, outcome.lemma2
+        r1, r2 = outcome.lemmas.values()
         assert r1.max_residual <= 1e-8, seed
         assert r2.max_residual <= 1e-8, seed
         worst = max(worst, r1.max_residual, r2.max_residual)
     space, imm = corrupted_lemma_case()
     outcome = verify(space, imm, theorems=False)
-    b1, b2 = outcome.lemma1, outcome.lemma2
+    b1, b2 = outcome.lemmas.values()
     assert max(b1.max_residual, b2.max_residual) > 1e-3
     _report(4, f"both identities hold on 10 scenarios + 20 fuzz immersions "
                f"(worst {worst:.2e}); corrupted ambient fails at "

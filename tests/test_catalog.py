@@ -73,7 +73,7 @@ def test_scenario_regression(label):
         ), (label, key)
         assert verdicts[key].biconditional_consistent, (label, key)
 
-    lemma1, lemma2 = outcome.lemma1, outcome.lemma2
+    lemma1, lemma2 = outcome.lemmas.values()
     assert lemma1.passed and lemma2.passed
 
 

@@ -29,7 +29,7 @@ from prodgeo.scenario import (
     loads_scenario,
     scenario_text,
 )
-from prodgeo.subgeom import Immersion, classify
+from prodgeo.subgeom import Immersion, classify, point_geometry
 from prodgeo.verify import THEOREMS, Tolerances, verify
 
 from controls import BLOCK_MIXING_CHART, BLOCK_MIXING_STANDARD, corrupted_lemma_case
@@ -870,8 +870,8 @@ def test_batch_size_does_not_change_point_records():
                 batched.classification.points, index, alone.classification.points, where
             )
             for lemma in ("lemma1", "lemma2"):
-                _assert_same_point({lemma: getattr(batched, lemma).residuals}, index,
-                                   {lemma: getattr(alone, lemma).residuals}, where)
+                _assert_same_point({lemma: batched.lemmas[lemma].residuals}, index,
+                                   {lemma: alone.lemmas[lemma].residuals}, where)
             for key in ("t2", "t3", "t4"):
                 _assert_same_point(
                     batched.theorems[key].points, index, alone.theorems[key].points, where
@@ -991,6 +991,26 @@ def test_cli_tol_override(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["tolerances"]["identity_tol"] == 1e-6
+
+
+def test_cli_tol_moves_the_proof_skip_but_not_the_class_flags(capsys, tmp_path):
+    # near the vertex of a paraboloid the pseudo-umbilical gap, 7.2e-5, lies
+    # between classify_tol and --tol: the flag stays false at classify_tol,
+    # while the proof residuals are evaluated at --tol
+    paraboloid = Immersion(2, ("u1", "u2", "u1^2 + u2^2", "0"), label="paraboloid")
+    space, samples = flat_product(2, 2), [(0.003, 0.0)]
+    assert 1e-8 < point_geometry(paraboloid, space, samples[0]).pu_gap <= 1e-3
+    path = tmp_path / "p.ini"
+    path.write_text(scenario_text(space, paraboloid, samples), encoding="utf-8")
+    for tol, skipped in ((["--tol", "1e-3"], 0), ([], 1)):
+        code, out, _ = run_cli(capsys, "report", *tol, "--format", "json", str(path))
+        doc = json.loads(out)
+        assert code == 0, tol
+        assert [p["flags"]["pseudo_umbilical"] for p in doc["points"]] == [False], tol
+        for key in THEOREMS:
+            proof = doc["points"][0]["residuals"][key]["proof"]
+            assert (proof is not None) == (skipped == 0), (tol, key)
+            assert doc["verdicts"][key]["proof_points_skipped"] == skipped, (tol, key)
 
 
 def test_cli_catalog_export_then_check(capsys, tmp_path):
@@ -1269,8 +1289,8 @@ def _entry_from_columns(outcome, index):
     outcome's columns by name."""
     cls = outcome.classification.points
     residuals = {}
-    if outcome.lemma1 is not None:
-        residuals = {"lemma1": outcome.lemma1.residuals, "lemma2": outcome.lemma2.residuals}
+    if outcome.lemmas is not None:
+        residuals = {key: outcome.lemmas[key].residuals for key in ("lemma1", "lemma2")}
     for key in THEOREMS if outcome.theorems is not None else ():
         points = outcome.theorems[key].points
         names = ("identity", "obstruction", "proof", "branches")
@@ -1313,11 +1333,12 @@ def test_non_finite_residual_column_is_not_rendered(position, monkeypatch, capsy
     outcome = verify(scn.space, scn.immersion)
     # only the column holds the NaN: the worst residual is the largest other
     # one, wherever the NaN sits, and the lemma fails
-    column = outcome.lemma1.residuals
+    report = outcome.lemmas["lemma1"]
+    column = report.residuals
     assert math.isnan(column[position])
-    assert outcome.lemma1.max_residual == max(r for r in column if not math.isnan(r))
-    assert math.isfinite(outcome.lemma1.max_residual)
-    assert outcome.lemma1.passed is False and outcome.consistent is False
+    assert report.max_residual == max(r for r in column if not math.isnan(r))
+    assert math.isfinite(report.max_residual)
+    assert report.passed is False and outcome.consistent is False
     with pytest.raises(ValueError, match="report numbers must be finite"):
         render_json(outcome)
     path = tmp_path / "c.ini"

@@ -1,6 +1,7 @@
 """The three characterization statements: residuals, branches, consistency."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def test_biconditional_consistency_all_catalog():
         for key, verdict in verdicts.items():
             assert verdict.biconditional_consistent, (label, key)
             # the pointwise disjunction is equivalent to pointwise identity
-            assert verdict.disjunction_pointwise_everywhere == verdict.identity_holds_everywhere, (
+            assert verdict.disjunction_pointwise == verdict.identity_holds_everywhere, (
                 label,
                 key,
             )
@@ -147,7 +148,9 @@ def test_verdicts_are_their_pointwise_definitions():
     # the verdicts read off the kept columns: the identity at most its
     # tolerance at every point, some branch at every point, and a proof
     # residual skipped where the build's pseudo-umbilical gap exceeds the
-    # identity tolerance
+    # identity tolerance; the classification's minimal and pseudo-umbilical
+    # verdicts hold where their flag does at every point, and a part that
+    # verify skips is None
     tol = 1e-8
     cases = [(scn.space, scn.immersion) for scn in map(catalog_get, catalog_list())]
     cases += [(flat_product(2, 2), random_trig_immersion(seed, 8)) for seed in (*range(20), 440307)]
@@ -155,16 +158,26 @@ def test_verdicts_are_their_pointwise_definitions():
     paraboloid = Immersion(2, ("u1", "u2", "u1^2 + u2^2", "0"),
                            samples=((0.0, 0.0), (0.5, 0.2), (-0.3, 0.4)), label="paraboloid")
     cases.append((flat_product(2, 2), paraboloid))
-    seen = {"identity": set(), "disjunction": set(), "skipped": set()}
+    seen = {"identity": set(), "disjunction": set(), "skipped": set(),
+            "minimal": set(), "pseudo_umbilical": set()}
     for space, imm in cases:
         outcome = verify(space, imm, lemmas=False)
+        assert outcome.lemmas is None and list(outcome.theorems) == ["t2", "t3", "t4"], imm.label
+        lemmas_only = verify(space, imm, theorems=False)
+        assert lemmas_only.theorems is None and list(lemmas_only.lemmas) == ["lemma1", "lemma2"]
+        classified = verify(space, imm, lemmas=False, theorems=False)
+        assert classified.lemmas is None and classified.theorems is None, imm.label
+        cls = outcome.classification
+        for name in ("minimal", "pseudo_umbilical"):
+            assert getattr(cls, name) == all(cls.points["flags"][name]), (imm.label, name)
+            seen[name].add(getattr(cls, name))
         skipped = int(np.count_nonzero(_JetGeometry(imm, space, imm.samples).pu_gap > tol))
         for key, verdict in outcome.theorems.items():
             columns, where = verdict.points, (imm.label, key)
             identity = bool(np.all(np.array(columns["identity"]) <= tol))
             disjunction = bool(np.any(list(columns["branches"].values()), axis=0).all())
             assert verdict.identity_holds_everywhere == identity, where
-            assert verdict.disjunction_pointwise_everywhere == disjunction, where
+            assert verdict.disjunction_pointwise == disjunction, where
             assert verdict.proof_points_skipped == skipped, where
             seen["identity"].add(identity)
             seen["disjunction"].add(disjunction)
@@ -207,8 +220,12 @@ def test_rotated_torus_obstruction_is_large():
 
 def test_verdict_shape():
     scn = catalog_get("circle")
-    verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
-    assert verdict.theorem == "t4"
+    theorems = verify(scn.space, scn.immersion, lemmas=False).theorems
+    assert list(theorems) == ["t2", "t3", "t4"]
+    verdict = theorems["t4"]
+    assert [field.name for field in fields(verdict)] == [
+        "identity_holds_everywhere", "disjunction_global", "disjunction_pointwise",
+        "biconditional_consistent", "proof_points_skipped", "points"]
     assert list(verdict.points) == ["identity", "obstruction", "proof", "branches"]
     assert all(len(verdict.points[name]) == 3 for name in ("identity", "obstruction", "proof"))
     assert set(verdict.points["branches"]) == {"minimal", "semi_invariant", "perpendicular"}
