@@ -14,7 +14,7 @@ the validator measures ``F^2 - I``, the metric compatibility defect, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 
@@ -85,11 +85,11 @@ class AmbientSpace:
     that does not fold, such as that of ``x1 - x1``, counts as curved, and
     its Christoffel symbols are computed (and vanish).
 
-    The tables requested together are evaluated by one
-    :class:`~prodgeo.expr.Plan`, compiled on first request, which computes
-    their shared subtrees once per call and folds their literal entries once.
-    It is ``constant`` when no metric or structure entry holds a variable (a
-    zero derivative is not enough: ``sqrt(x1) * 0`` fails where ``x1 < 0``).
+    The four tables are compiled into one :class:`~prodgeo.expr.Plan` at
+    construction, which computes their shared subtrees once per call and
+    folds their literal entries once.  The space is ``constant`` when no
+    metric or structure entry holds a variable (a zero derivative is not
+    enough: ``sqrt(x1) * 0`` fails where ``x1 < 0``).
     """
 
     dim: int
@@ -100,7 +100,7 @@ class AmbientSpace:
     structure_diff: tuple = field(init=False, repr=False, compare=False)
     flat: bool = field(init=False, repr=False, compare=False)
     constant: bool = field(init=False, repr=False, compare=False)
-    _plans: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _plan: ex.Plan = field(init=False, repr=False, compare=False)
     _at: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
@@ -108,7 +108,7 @@ class AmbientSpace:
         object.__setattr__(self, "metric", _as_matrix(self.metric, self.dim, "metric"))
         object.__setattr__(self, "structure", _as_matrix(self.structure, self.dim, "structure"))
         allowed = set(ambient_vars(self.dim))
-        zeros = (((zero,) * self.dim,) * self.dim,) * self.dim  # one row object, laid out once
+        zeros = (((zero,) * self.dim,) * self.dim,) * self.dim  # one object, so ``constant`` can test for it
         for name, matrix in (("metric", self.metric), ("structure", self.structure)):
             used = tuple(tuple(ex.variables(e) for e in row) for row in matrix)
             free = frozenset().union(*(v for row in used for v in row))
@@ -132,9 +132,11 @@ class AmbientSpace:
                 a, b = self.metric[i][j], self.metric[j][i]
                 if a != b and _differ(a, b, self.dim):
                     raise ValueError("metric component matrix must be symmetric")
+        tables = [self.metric, self.structure, self.metric_diff, self.structure_diff]
+        object.__setattr__(self, "_plan", ex.Plan(tables))
 
-    def tables(self, names: Sequence[str], x) -> list:
-        """The named expression tables at the points ``x``.
+    def tables(self, x) -> list:
+        """The tables g, F, dg and dF at the points ``x``.
 
         ``x`` is converted to a float array of shape ``(..., dim)``.  Each
         table comes from the plan with the points' leading shape, ``(...,
@@ -145,9 +147,7 @@ class AmbientSpace:
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,):
             raise ValueError(f"expected a point with {self.dim} coordinates")
-        key = tuple(names)
-        plan = self._plans.get(key) or self._plans.setdefault(key, ex.Plan([getattr(self, n) for n in key]))
-        return plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
+        return self._plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
 
     def at(self, x) -> tuple:
         """At the points ``x`` (P, dim): tables g, F, dg, dF; masks where g is
@@ -267,7 +267,7 @@ def _cholesky(g: np.ndarray) -> tuple:
 def _evaluate_at(space: AmbientSpace, x: np.ndarray) -> tuple:
     """:meth:`AmbientSpace.at` at every point; the masks find overflow and NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        g, f, dg, df = space.tables(("metric", "structure", "metric_diff", "structure_diff"), x)
+        g, f, dg, df = space.tables(x)
         chol, pivots = _cholesky(g)
         definite = (pivots > 0.0).all(axis=-1)
         gamma = None

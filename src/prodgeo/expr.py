@@ -356,8 +356,8 @@ class Plan:
 
     def __init__(self, tables):
         self.steps: list[tuple] = []
-        index, rows = {}, {}  # step key -> step number; id of a tuple -> it and its layout
-        self.layouts = [_layout(table, index, self.steps, rows) for table in tables]
+        index = {}  # step key -> step number
+        self.layouts = [_layout(table, index, self.steps) for table in tables]
         literals = {}  # entry step -> value, for a number or a negated one
         for step in {step for _, flat in self.layouts for step in flat}:
             op, arg = self.steps[step][:2]
@@ -401,21 +401,17 @@ def _assemble(constant: np.ndarray, where: list, leaves: list, lead: tuple, alg)
     return out[..., 0] if alg is None else jets.Jet(alg, out)
 
 
-def _layout(table, index: dict, steps: list, rows: dict) -> tuple:
+def _layout(table, index: dict, steps: list) -> tuple:
     """The shape of a table (a node, or nested tuples of them) and the flat
-    list of its entries' step numbers; a tuple a table repeats is done once."""
+    list of its entries' step numbers."""
     if type(table) is not tuple:
         return (), [_compile(table, index, steps)]
-    if id(table) not in rows:  # kept alive with its layout, so its id stays its own
-        if table and type(table[0]) is tuple:
-            parts = [_layout(row, index, steps, rows) for row in table]
-            if len({shape for shape, _ in parts}) > 1:
-                raise ValueError("the rows of a table differ in shape")
-            layout = (len(parts),) + parts[0][0], [step for _, flat in parts for step in flat]
-        else:
-            layout = (len(table),), [_compile(node, index, steps) for node in table]
-        rows[id(table)] = table, layout
-    return rows[id(table)][1]
+    if table and type(table[0]) is tuple:
+        parts = [_layout(row, index, steps) for row in table]
+        if len({shape for shape, _ in parts}) > 1:
+            raise ValueError("the rows of a table differ in shape")
+        return (len(parts),) + parts[0][0], [step for _, flat in parts for step in flat]
+    return (len(table),), [_compile(node, index, steps) for node in table]
 
 
 def _compile(entry, index: dict, steps: list) -> int:

@@ -3,8 +3,11 @@
 ``tests/corpus/*.ini`` are the inputs: the ten catalog exports,
 ``random_trig_immersion`` seeds 0-19 and 440307 at 8 points in flat
 R^2 x R^2, the two 8x8 grids of ``grids.seed_one_grids``, the block-mixing
-chart of ``controls`` and its composition with x_old, and the error
-documents of ``test_cli`` (``error-*.ini``).  ``tests/corpus/reference.json``
+chart of ``controls`` and its composition with x_old, edits of the circle
+and curved-block exports (a fractional power and a constant term in the
+map, a metric of scale 1e-20, a block metric ``1 + x1``, continuation and
+comment lines), and error documents (``error-*.ini``), three of which
+``test_cli`` reads as its own inputs.  ``tests/corpus/reference.json``
 holds, per command and file, the run's exit code, the first line of its
 stderr with each number replaced by ``#`` (its numbers are a float field,
 ``stderr numbers``), and its report split into fields:

@@ -45,11 +45,11 @@ def sphere_block_space():
 
 
 def _metric(sp, x):
-    return sp.tables(("metric",), np.asarray(x, dtype=float))[0]
+    return sp.tables(np.asarray(x, dtype=float))[0]
 
 
 def _christoffel(sp, x):
-    g, dg = sp.tables(("metric", "metric_diff"), np.asarray(x, dtype=float))
+    g, _, dg, _ = sp.tables(np.asarray(x, dtype=float))
     return levi_civita(np.linalg.inv(g), dg)
 
 
@@ -57,13 +57,13 @@ def test_product_of_r1_r1():
     sp = product_of("flat", 1, "flat", 1)
     x = np.array([0.3, -0.7])
     assert np.array_equal(_metric(sp, x), np.eye(2))
-    assert np.array_equal(sp.tables(("structure",), x)[0], np.diag([1.0, -1.0]))
+    assert np.array_equal(sp.tables(x)[1], np.diag([1.0, -1.0]))
     assert sp.product_split == (1, 1)
 
 
 def test_product_of_r2_r2_flat_christoffels():
     sp = product_of("flat", 2, "flat", 2)
-    assert np.array_equal(sp.tables(("structure",), np.zeros(4))[0], np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.array_equal(sp.tables(np.zeros(4))[1], np.diag([1.0, 1.0, -1.0, -1.0]))
     assert np.max(np.abs(_christoffel(sp, [0.2, 0.4, -1.0, 2.0]))) == 0.0
 
 
@@ -371,7 +371,7 @@ def test_structure_is_self_adjoint_on_valid_spaces():
     ]:
         for _ in range(10):
             x = np.array([rng.uniform(lo, hi) for lo, hi in box])
-            g0, f0 = sp.tables(("metric", "structure"), x)
+            g0, f0 = sp.tables(x)[:2]
             assert np.max(np.abs(f0.T @ g0 - g0 @ f0)) <= 1e-10
 
 
@@ -521,13 +521,12 @@ def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
 def test_constant_tables_are_not_shared_with_callers():
     sp = constant_reflection_space()
     x = np.array([[0.3, -0.7]])
-    g, f = sp.tables(("metric", "structure"), x)
+    g, f = sp.tables(x)[:2]
     for table in (g, f):
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 5.0
     assert np.array_equal(_metric(sp, x), np.eye(2)[None])
-    assert np.array_equal(sp.tables(("structure",), x)[0],
-                          constant_reflection_space().tables(("structure",), x)[0])
+    assert np.array_equal(sp.tables(x)[1], constant_reflection_space().tables(x)[1])
 
 
 @pytest.mark.parametrize("space", [rotation_structure_space, position_reflection_space])
@@ -559,5 +558,5 @@ def test_tables_take_float_points_on_every_space(label):
     space = flat_product(2, 1) if label == "flat-product" else catalog_get(label).space
     point = taylor.array(jets.seed_point(np.array([0.3, 0.2, 0.1]), 1))
     with pytest.raises(TypeError, match="not 'Jet'"):
-        space.tables(("metric",), point)
-    assert space.tables(("metric",), [[0.3, 0.2, 0.1]])[0].shape == (1, 3, 3)
+        space.tables(point)
+    assert space.tables([[0.3, 0.2, 0.1]])[0].shape == (1, 3, 3)

@@ -20,6 +20,7 @@ from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig
 from prodgeo import cli
 from prodgeo.cli import dump_json, main, render_json, render_text
 from prodgeo.ambient import AmbientValidationFailure
+from prodgeo.expr import Plan
 from prodgeo.scenario import (
     DimensionMismatch,
     _ambient_space,
@@ -32,42 +33,19 @@ from prodgeo.scenario import (
 from prodgeo.subgeom import Immersion, classify, point_geometry
 from prodgeo.verify import THEOREMS, Tolerances, verify
 
+from corpus import CORPUS
 from controls import BLOCK_MIXING_CHART, BLOCK_MIXING_STANDARD, corrupted_lemma_case
 from grids import seed_one_grids
 
-CORRUPTED = """
-[ambient]
-mode = explicit
-dim = 2
-metric = 1, 0; 0, 1
-structure = cos(x1), sin(x1); sin(x1), -cos(x1)
-
-[immersion]
-n = 1
-map = cos(u1), sin(u1)
-label = corrupted
-
-[samples]
-points = (0.5,); (1.2,); (2.0,)
-"""
-
+# the documents the reference corpus shares with these tests
+CORRUPTED = (CORPUS / "error-corrupted.ini").read_text(encoding="utf-8")
 # a surface of codimension 2 where the first block's reflection turns with
 # x1: not locally product, with O(1) residuals of both lemmas at every sample
-ROTATING_STRUCTURE = """
-[ambient]
-mode = explicit
-dim = 4
-metric = 1, 0, 0, 0; 0, 1, 0, 0; 0, 0, 1, 0; 0, 0, 0, 1
-structure = cos(x1), sin(x1), 0, 0; sin(x1), -cos(x1), 0, 0; 0, 0, 1, 0; 0, 0, 0, -1
-
-[immersion]
-n = 2
-map = cos(u1) + 0.2 * u2, sin(u1), 0.5 * u1 + u2, 0.3 * sin(2 * u1) * u2
-label = rotating-structure
-
-[samples]
-points = (0.5, 0.1); (1.2, -0.3); (2.0, 0.7)
-"""
+ROTATING_STRUCTURE = (CORPUS / "error-rotating-structure.ini").read_text(encoding="utf-8")
+# leading minors 6.19 and 6.9e-16, but a second Cholesky pivot of -1.1e-16:
+# positive definite only within rounding, so the validation rejects it, and
+# under --force the build's own factorization does, at the first sample
+NEAR_SINGULAR = (CORPUS / "error-near-singular.ini").read_text(encoding="utf-8")
 
 # F is NaN (0 * inf) at the image of 1.0: nothing there to verify
 NONFINITE_STRUCTURE = """
@@ -529,11 +507,18 @@ def test_cli_catalog_list(capsys):
     assert len(out.splitlines()) == 10
 
 
-def test_cli_catalog_run_consistent(capsys):
-    code, out, _ = run_cli(capsys, "catalog", "run", "square-torus-aligned")
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("label", catalog_list())
+def test_cli_catalog_run_consistent(label, fmt, capsys):
+    code, out, _ = run_cli(capsys, "catalog", "run", label, "--format", fmt)
     assert code == 0
-    assert "classification: invariant" in out
-    assert "CONSISTENT" in out
+    expected = catalog_get(label).expected.classification
+    if fmt == "json":
+        verdicts = json.loads(out)["verdicts"]
+        assert (verdicts["classification"], verdicts["consistent"]) == (expected, True)
+    else:
+        assert f"classification: {expected}" in out
+        assert "overall: CONSISTENT" in out.splitlines()
 
 
 def test_cli_check_rect_torus_skip_is_not_failure(capsys, tmp_path):
@@ -592,19 +577,22 @@ def test_cli_rotating_structure_exit_codes(capsys, tmp_path):
 
 
 def test_check_all_evaluates_the_curved_tables_once(capsys, tmp_path, monkeypatch):
-    # the geometry build's one plan serves the ambient validation too
-    loaded = []
+    # the space's one plan, compiled when it is built, serves the geometry
+    # build and the ambient validation in one call
+    loaded, called = [], []
+    call = Plan.__call__
 
     def loading(path, **options):
         loaded.append(load_scenario(path, **options))
         return loaded[-1]
 
     monkeypatch.setattr(cli, "load_scenario", loading)
+    monkeypatch.setattr(Plan, "__call__", lambda plan, env: called.append(plan) or call(plan, env))
     path = tmp_path / "cb.ini"
     export_scenario(path, catalog_get("curved-block"))
     code, _, _ = run_cli(capsys, "check", "--all", str(path))
     assert code == 0
-    assert set(loaded[0].space._plans) == {("metric", "structure", "metric_diff", "structure_diff")}
+    assert called.count(loaded[0].space._plan) == 1
 
 
 def test_block_mixing_chart_gives_the_verdicts_of_the_standard_chart(capsys, tmp_path):
@@ -1148,26 +1136,6 @@ def test_cli_constant_metric_that_is_not_positive_definite_fails_every_file(caps
         for path, u in zip(paths, (0.5, 1.0))
     )
     assert _ambient_space.cache_info().misses == 1
-
-
-# leading minors 6.19 and 6.9e-16, but a second Cholesky pivot of -1.1e-16:
-# positive definite only within rounding, so the validation rejects it, and
-# under --force the build's own factorization does, at the first sample
-NEAR_SINGULAR = """
-[ambient]
-mode = product
-p = 2
-q = 1
-blockA_metric = 6.192312603664413, -2.326448914762331; -2.326448914762331, 0.8740457563133945
-blockB_metric = flat
-
-[immersion]
-n = 1
-map = cos(u1), sin(u1), u1
-
-[samples]
-points = (0.5,); (2.0,)
-"""
 
 
 def test_cli_failed_validation_comes_before_the_metric_factorization(capsys, tmp_path):

@@ -34,6 +34,20 @@ def test_one_run_of_every_file_prints_what_each_prints_alone(command, runs):
     assert code == max(codes, key=(0, 3, 2).index)
 
 
+def test_continuation_and_comment_lines_do_not_change_a_run(runs):
+    for command, files in runs.items():
+        assert files["circle-continued.ini"] == files["circle.ini"], command
+
+
+def test_classify_prints_the_head_of_the_report(runs):
+    # the scenario and validation lines, the class line and the per-point
+    # table; only the overall line follows them
+    for name, (code, out, _) in runs["classify"].items():
+        if code == 0:
+            head, report = out.splitlines()[:-1], runs["report"][name][1].splitlines()
+            assert len(head) >= 5 and report[:len(head)] == head, name
+
+
 def test_differences_name_each_moved_field_by_kind():
     reference = corpus.load_reference()
     current = corpus.load_reference()

@@ -85,7 +85,6 @@ def test_fast_paths_match_the_general_path(label, space, immersion, samples):
         _assert_same(fast, general, label)
 
 
-TABLES = ("metric", "structure", "metric_diff", "structure_diff")
 CONTRACT_SPACES = {
     "flat-product": (flat_product(2, 2), True),
     "curved-block": (catalog_get("curved-block").space, False),
@@ -101,7 +100,7 @@ def test_every_table_carries_the_point_axis(space, flat):
     npts, N = 3, space.dim
     shapes = [(npts, N, N), (npts, N, N), (npts, N, N, N), (npts, N, N, N)]
     x = np.linspace(0.1, 0.9, npts * N).reshape(npts, N)
-    assert [t.shape for t in space.tables(TABLES, x)] == shapes
+    assert [t.shape for t in space.tables(x)] == shapes
     imm = Immersion(2, ("u1", "u2") + tuple(f"0.3 * u1 * u2 + {i}" for i in range(N - 2)))
     geo = _JetGeometry(imm, space, np.array([[0.1, 0.2], [0.5, -0.3], [0.9, 0.4]]))
     assert [t.shape for t in (geo.g0, geo.F0, geo.dg0, geo.dF0)] == shapes

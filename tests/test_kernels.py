@@ -148,7 +148,7 @@ def _christoffel(geo, space):
     """The Christoffel symbols at the images, ``None`` for a flat geometry."""
     if geo.flat:
         return None
-    (dg,) = space.tables(("metric_diff",), geo.x0)
+    dg = space.tables(geo.x0)[2]
     return levi_civita(np.linalg.inv(geo.g0), dg)
 
 

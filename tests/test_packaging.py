@@ -7,15 +7,21 @@ run against an installed package from outside the source tree.
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import corpus
 import prodgeo
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(prodgeo.__file__).resolve().parent
 
 
 def _modules_with_all():
@@ -33,6 +39,30 @@ def test_console_script_target_is_callable():
     for name in attribute.split("."):
         obj = getattr(obj, name)
     assert callable(obj)
+
+
+def _cli_process() -> tuple[list[str], dict]:
+    """The command and environment of a CLI process on the prodgeo imported
+    here: the ``prodgeo`` script on PATH if that is an installation, else
+    this Python running ``prodgeo.cli`` from the directory that holds it."""
+    if {"site-packages", "dist-packages"} & set(PACKAGE.parts):
+        script = shutil.which("prodgeo")
+        assert script, f"prodgeo is installed at {PACKAGE}, but no prodgeo script is on PATH"
+        return [script], dict(os.environ)
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "prodgeo.cli"], dict(os.environ, PYTHONPATH=path)
+
+
+# every corpus file under each corpus command, in one run each
+PROCESS_RUNS = {command: [*argv, *map(str, corpus.inputs())] for command, argv in corpus.COMMANDS.items()}
+PROCESS_RUNS["catalog-list"] = ["catalog", "list"]
+
+
+@pytest.mark.parametrize("argv", PROCESS_RUNS.values(), ids=PROCESS_RUNS.keys())
+def test_a_cli_process_prints_what_the_cli_prints_in_process(argv):
+    command, env = _cli_process()
+    done = subprocess.run([*command, *argv], env=env, capture_output=True, encoding="utf-8")
+    assert (done.returncode, done.stdout, done.stderr) == corpus.run(argv)
 
 
 @pytest.mark.parametrize("module", _modules_with_all(), ids=lambda m: m.__name__)
