@@ -36,7 +36,7 @@ __all__ = [
 
 
 class SingularMetric(ValueError):
-    """Metric is singular or not positive definite at the evaluation point."""
+    """Metric is singular, not symmetric or not positive definite at the evaluation point."""
 
 
 class BlockVariableLeak(ValueError):
@@ -150,9 +150,9 @@ class AmbientSpace:
         return self._plan({v: x[..., i] for i, v in enumerate(ambient_vars(self.dim))})
 
     def at(self, x) -> tuple:
-        """At the points ``x`` (P, dim): tables g, F, dg, dF; masks where g is
-        positive definite (every pivot of its Cholesky factorization above 0),
-        g is finite, dg is, and F and dF are; Christoffel symbols (``None`` if
+        """At the points ``x`` (P, dim): tables g, F, dg, dF; the pivots of the
+        Cholesky factorization of g (see :func:`_cholesky`); masks where g is
+        finite, dg is, and F and dF are; Christoffel symbols (``None`` if
         flat); the Cholesky factor of g (of I where g is not positive
         definite); the :func:`validate_ambient` report of the same pivots,
         which never raises here.  A ``constant`` space computes them once, at
@@ -274,7 +274,7 @@ def _evaluate_at(space: AmbientSpace, x: np.ndarray) -> tuple:
         if not space.flat:
             gamma = levi_civita(np.linalg.inv(np.where(definite[..., None, None], g, np.eye(space.dim))), dg)
     report = validate_ambient(g, f, df, gamma, pivots)  # first: it rejects an empty batch
-    return (g, f, dg, df, definite, _finite(g), _finite(dg), _finite(f) & _finite(df), gamma, chol,
+    return (g, f, dg, df, pivots, _finite(g), _finite(dg), _finite(f) & _finite(df), gamma, chol,
             report)
 
 
@@ -288,6 +288,7 @@ class AmbientValidationReport:
     f_is_identity: bool
     passed: bool
     residuals_finite: bool = True
+    symmetric: bool = True
 
 
 class AmbientValidationFailure(ValueError):
@@ -301,7 +302,9 @@ class AmbientValidationFailure(ValueError):
             report.max_parallel_residual,
         )
         reasons = []
-        if not report.positive_definite:
+        if not report.symmetric:
+            reasons.append("metric not symmetric")
+        elif not report.positive_definite:
             reasons.append("metric not positive definite")
         if not report.residuals_finite:
             reasons.append("non-finite residuals")
@@ -325,7 +328,8 @@ def validate_ambient(g, f, df, gamma, pivots) -> AmbientValidationReport:
     the Christoffel symbols of :func:`levi_civita` at every point, or
     ``None`` where the space is flat, and ``pivots`` the LDL^T pivots of
     ``g``'s Cholesky factorization, shape ``(P, N)``, which the report
-    thresholds at 1e-10 (NaN where ``g`` is not finite or not symmetric).
+    thresholds at 1e-10 (NaN where ``g`` is not finite or not symmetric; a
+    finite ``g`` whose first pivot is NaN is reported as not symmetric).
     Reports the largest residuals of ``F^2 - I``, metric compatibility and
     ``(nabla_X F) Y`` over the points and the coordinate directions X, Y,
     the last only where the metric is positive definite.  All of it is
@@ -374,4 +378,5 @@ def validate_ambient(g, f, df, gamma, pivots) -> AmbientValidationReport:
         f_is_identity=bool(f_flag),
         passed=passed,
         residuals_finite=bool(finite.all()),
+        symmetric=not (_finite(g) & np.isnan(pivots[:, 0])).any(),
     )

@@ -5,7 +5,8 @@ whitened by the metric's Cholesky factor), the induced metric, the second
 fundamental form and shape operators, the mean curvature vector, the
 tangential/normal split of the ambient product structure (the phi, omega,
 B, C matrices), and the invariant / anti-invariant / semi-invariant /
-generic classifier.
+generic classifier; :func:`_predicates` alone thresholds the class measures,
+for it and for the T2-T4 branches, and :func:`_everywhere` alone folds them.
 
 The immersion is a jet of order 2 seeded in the n submanifold parameters
 only, at every entry point, and the one jet of the build: every other value,
@@ -232,7 +233,7 @@ class _JetGeometry:
                 raise err.at("u", self.u) from None
         self.x0 = self.f.value
         try:
-            (self.g0, self.F0, self.dg0, self.dF0, definite, g_finite, dg_finite, f_finite,
+            (self.g0, self.F0, self.dg0, self.dF0, pivots, g_finite, dg_finite, f_finite,
              gamma0, chol, self.ambient_report) = space.at(self.x0)
         except jets.DomainError as err:
             raise err.at("x", self.x0) from None
@@ -261,8 +262,8 @@ class _JetGeometry:
             (dg_finite, SingularMetric,
              "ambient metric derivative is not finite along the immersion at u = {u}, x = {x}"),
             (f_finite, AmbientValidationFailure, self.ambient_report),
-            (definite, SingularMetric,
-             "ambient metric is not positive definite along the immersion at u = {u}, x = {x}"),
+            ((pivots > 0.0).all(axis=-1), SingularMetric,
+             "ambient metric is not {definite} along the immersion at u = {u}, x = {x}"),
             (_finite(self.G0), DegenerateImmersion, "induced metric is not finite at u = {u}"),
             (~(smallest <= 1e-8), DegenerateImmersion,
              "Jacobian rank < {n} at u = {u} (smallest singular value {smallest:.3e})"),
@@ -272,8 +273,10 @@ class _JetGeometry:
             p = np.argmin(passed)
             _, error, message = next(row for row in checks if not row[0][p])
             if isinstance(message, str):
+                # a finite metric's first pivot is NaN where it is not symmetric
+                definite = "symmetric" if np.isnan(pivots[p, 0]) else "positive definite"
                 message = message.format(u=tuple(self.u[p].tolist()), x=tuple(self.x0[p].tolist()),
-                                         n=n, smallest=smallest[p])
+                                         n=n, smallest=smallest[p], definite=definite)
             raise error(message)
 
         # orthonormal frames under the ambient metric from one complete QR,
@@ -322,7 +325,7 @@ class _JetGeometry:
         # max_{a,b} | g(h(e_a, e_b), H) - delta_ab |H|^2 |
         h_dot_h = (self.h_on0 @ self.Hn0[:, None, :, None])[..., 0]
         self.pu_gap = np.abs(h_dot_h - self.Hsq[:, None, None] * np.eye(n)).max(axis=(-2, -1))
-        # what the classes are defined by; each caller thresholds them with its tolerance
+        # what the classes are defined by, thresholded at a tolerance by _predicates
         self.H_norm = np.sqrt(self.Hsq)
         self.phi_norm, self.omega_norm, self.omega_phi_norm = (
             np.linalg.norm(m, axis=(-2, -1))
@@ -369,61 +372,61 @@ class ClassificationResult:
     minimal: bool
     pseudo_umbilical: bool
     insufficient_samples: bool
-    points: dict  # the columns of :func:`classify_point`
+    points: dict  # the report's column tree of a point
 
 
-def _rank(singular: np.ndarray, tol: float):
-    """Numerical rank from singular values, with the documented sqrt(tol) threshold."""
-    return np.sum(singular > np.sqrt(tol), axis=-1)
-
-
-def _semi_invariant(omega_phi_vanishes: bool, ranks) -> bool:
-    """Semi-invariance is global: omega.phi vanishes and rank(phi) is constant."""
-    return omega_phi_vanishes and len(set(ranks)) == 1
-
-
-def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
-    """The geometry's class measures at every point, thresholded at ``tol``:
-    the report's column tree of a point, ``"u"``, ``"norms"``, ``"rank_phi"``
-    and ``"flags"``, with a column over the points at each leaf."""
-    tol = _check_tolerance("tol", tol)
+def _predicates(geo: _JetGeometry, tol: float) -> dict:
+    """The build's class measures at ``tol``, a column over the points each:
+    where the measure is at most ``tol``, ``minimal`` (|H|), ``pseudo_umbilical``
+    (the gap), ``invariant`` (omega), ``anti_invariant`` (phi) and ``semi_invariant``
+    (omega.phi); ``rank_phi``, how many singular values of phi exceed sqrt(tol)."""
     return {
-        "u": geo.points,
-        "norms": {"mean_curvature_sq": geo.Hsq.tolist(), "phi": geo.phi_norm.tolist(),
-                  "omega": geo.omega_norm.tolist(), "omega_phi": geo.omega_phi_norm.tolist()},
-        "rank_phi": _rank(geo.phi_singular, tol).tolist(),
-        "flags": {"minimal": (geo.H_norm <= tol).tolist(),
-                  "pseudo_umbilical": (geo.pu_gap <= tol).tolist()},
+        "minimal": geo.H_norm <= tol,
+        "pseudo_umbilical": geo.pu_gap <= tol,
+        "invariant": geo.omega_norm <= tol,
+        "anti_invariant": geo.phi_norm <= tol,
+        "semi_invariant": geo.omega_phi_norm <= tol,
+        "rank_phi": np.sum(geo.phi_singular > np.sqrt(tol), axis=-1),
     }
 
 
-def aggregate_classification(columns: dict, n: int, tol: float) -> ClassificationResult:
-    """Fold the columns of :func:`classify_point` into the four-way verdict;
-    the submanifold is minimal, or pseudo-umbilical, where every point is."""
-    tol = _check_tolerance("tol", tol)
-    if not columns["u"]:
-        raise ValueError("classification needs at least one sample point")
-    norms, ranks, flags = columns["norms"], columns["rank_phi"], columns["flags"]
-    invariant = max(norms["omega"]) <= tol
-    anti = max(norms["phi"]) <= tol
-    semi = _semi_invariant(max(norms["omega_phi"]) <= tol, ranks)
-    if invariant:
-        verdict = "invariant"
-    elif anti:
-        verdict = "anti-invariant"
-    elif semi:
-        verdict = "proper semi-invariant"
-    else:
-        verdict = "generic"
+def _everywhere(name: str, flags, ranks) -> bool:
+    """Whether the predicate ``name`` of :func:`_predicates` holds of the
+    submanifold: at every point of its column in ``flags``, and for
+    semi-invariance with one rank of phi, ``ranks``, across the points."""
+    return all(flags[name]) and (name != "semi_invariant" or len(set(ranks)) == 1)
+
+
+def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
+    """The ``points`` of :func:`aggregate_classification` at ``tol``."""
+    return aggregate_classification(geo, tol).points
+
+
+def aggregate_classification(geo: _JetGeometry, tol: float = 1e-8) -> ClassificationResult:
+    """The four-way, minimal and pseudo-umbilical verdicts at ``tol``, each
+    folded by :func:`_everywhere` from the :func:`_predicates` of every
+    point, and the report's column tree of a point: ``"u"``, ``"norms"``,
+    ``"rank_phi"`` and ``"flags"``, with a column over the points at each leaf."""
+    flags = {k: v.tolist() for k, v in _predicates(geo, _check_tolerance("tol", tol)).items()}
+    ranks = flags["rank_phi"]
+    classes = (("invariant", "invariant"), ("anti_invariant", "anti-invariant"),
+               ("semi_invariant", "proper semi-invariant"))
+    verdict = next((label for name, label in classes if _everywhere(name, flags, ranks)), "generic")
     dim_d = ranks[0] if verdict != "generic" else None
     return ClassificationResult(
         classification=verdict,
         dim_d=dim_d,
-        dim_d_perp=n - dim_d if dim_d is not None else None,
-        minimal=all(flags["minimal"]),
-        pseudo_umbilical=all(flags["pseudo_umbilical"]),
-        insufficient_samples=len(columns["u"]) < 2,
-        points=columns,
+        dim_d_perp=geo.n - dim_d if dim_d is not None else None,
+        minimal=_everywhere("minimal", flags, ranks),
+        pseudo_umbilical=_everywhere("pseudo_umbilical", flags, ranks),
+        insufficient_samples=len(geo.points) < 2,
+        points={
+            "u": geo.points,
+            "norms": {"mean_curvature_sq": geo.Hsq.tolist(), "phi": geo.phi_norm.tolist(),
+                      "omega": geo.omega_norm.tolist(), "omega_phi": geo.omega_phi_norm.tolist()},
+            "rank_phi": ranks,
+            "flags": {name: flags[name] for name in ("minimal", "pseudo_umbilical")},
+        },
     )
 
 
@@ -441,5 +444,4 @@ def classify(
     """
     if samples is None:
         samples = immersion.samples
-    geo = _JetGeometry(immersion, space, samples)
-    return aggregate_classification(classify_point(geo, tol), immersion.n, tol)
+    return aggregate_classification(_JetGeometry(immersion, space, samples), tol)

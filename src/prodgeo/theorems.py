@@ -12,11 +12,14 @@ For every statement the residual of the identity equals a closed
 "obstruction" built from the mean curvature and the structure projections
 (T2: |H|^2 |omega X|; T3: |H|^2 |g(X, phi Y)|; T4: |H|^2 |g(omega phi X,
 CH)|), and the chain that produces the obstruction is itself checked as the
-"proof residual".  Each is float algebra on the tensors of
-:func:`prodgeo.calculus.lemma_tensors` and the build's h, H, phi, omega, B
-and C, all orthonormal-frame components along the tangent frame vectors,
-which the geometry completes from the coordinate tangents in parameter
-order; no statement reads the chart.  Each reported column is a
+"proof residual".  One kernel, :func:`_statement`, forms the three
+columns of every statement from its terms; the branches are the predicates
+of :func:`prodgeo.subgeom._predicates`, folded to the submanifold by
+:func:`prodgeo.subgeom._everywhere`.  Each column is float algebra on the
+tensors of :func:`prodgeo.calculus.lemma_tensors` and the build's h, H,
+phi, omega, B and C, all orthonormal-frame components along the tangent
+frame vectors, which the geometry completes from the coordinate tangents
+in parameter order; no statement reads the chart.  Each column is a
 maximum over that frame: of g-norms over the vectors e_a for T2, of
 absolute values over the pairs (e_a, e_b) for T3 and over the vectors
 phi e_a for T4.  A column is so a number of that frame, not of the
@@ -35,10 +38,11 @@ returns them as ``outcome.theorems``, keyed ``"t2"`` to ``"t4"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .subgeom import _JetGeometry, _rank, _semi_invariant
+from .subgeom import _everywhere, _JetGeometry, _predicates
 
 __all__ = ["TheoremVerdict"]
 
@@ -57,91 +61,81 @@ class TheoremVerdict:
 
 class _PointData:
     """Quantities the three statements share, at every sample point; the
-    tensors are those of :func:`prodgeo.calculus.lemma_tensors`."""
+    tensors are those of :func:`prodgeo.calculus.lemma_tensors`, and
+    ``flags`` the build's :func:`~prodgeo.subgeom._predicates` at ``tol``."""
 
     def __init__(self, geo: _JetGeometry, tol: float, nabla_omega, nabla_c_xi):
         self.geo = geo
         self.tol = tol
         self.nabla_omega = nabla_omega
         self.nabla_c_h = nabla_c_xi[..., :, -1, :]  # row a: (nabla_{e_a} C) H
-        self.pseudo_umbilical = geo.pu_gap <= tol
-        self.minimal = geo.H_norm <= tol
-        self.invariant = geo.omega_norm <= tol
-        self.anti_invariant = geo.phi_norm <= tol
-        self.omega_phi_zero = geo.omega_phi_norm <= tol
-        self.rank_phi = _rank(geo.phi_singular, tol)
+        self.flags = _predicates(geo, tol)
         # CH in normal components, and BH on the tangent frame
         self.ch = (geo.Hn0[:, None] @ geo.C0.swapaxes(-1, -2))[:, 0]
         bh = geo.Hn0[:, None] @ geo.B0.swapaxes(-1, -2)
         self.h_bh = (bh[:, None] @ geo.h_on0)[..., 0, :]  # row a: h(e_a, BH)
 
 
-def _columns(data: _PointData, identity, obstruction, proof, branches) -> dict:
-    """The statement's columns from its per-point arrays; ``"branches"`` maps
-    each branch of the statement's disjunction to its column, and the proof
-    residual is ``None`` where the point is not pseudo-umbilical."""
-    proof = [p if ok else None for p, ok in zip(proof.tolist(), data.pseudo_umbilical.tolist())]
+def _statement(data: _PointData, lhs, h_term, o_term, size, branches: dict) -> dict:
+    """A statement's columns from its terms over the frame, the identity
+    ``lhs + h_term = 0`` and its obstruction ``o_term``, each measured by
+    ``size``: the identity residual is the worst ``size(lhs + h_term)``, the
+    obstruction the worst |H|^2 ``size(o_term)`` and the proof residual the
+    worst ``size(lhs + |H|^2 o_term + h_term)``, ``None`` where the point is
+    not pseudo-umbilical; ``"branches"`` maps each branch of the statement's
+    disjunction to its column."""
+
+    def worst(values):  # the largest over the frame, at every point
+        return values.reshape(len(values), -1).max(axis=-1).tolist()
+
+    def scaled(values):  # |H|^2 values, point by point
+        return data.geo.Hsq.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+
+    proof = zip(worst(size(lhs + scaled(o_term) + h_term)), data.flags["pseudo_umbilical"])
     return {
-        "identity": identity.tolist(),
-        "obstruction": obstruction.tolist(),
-        "proof": proof,
+        "identity": worst(size(lhs + h_term)),
+        "obstruction": worst(scaled(size(o_term))),
+        "proof": [p if ok else None for p, ok in proof],
         "branches": {name: flags.tolist() for name, flags in branches.items()},
     }
 
 
 def _t2_point(data: _PointData) -> dict:
-    geo = data.geo
-    d_ch, h_term = data.nabla_c_h, data.h_bh  # row a: X = e_a
-    omega_x = geo.omega0.swapaxes(-1, -2)  # row a: omega e_a
-    hsq = geo.Hsq[..., None]
-    identity = np.linalg.norm(d_ch + h_term, axis=-1).max(axis=-1)
-    obstruction = (hsq * np.linalg.norm(omega_x, axis=-1)).max(axis=-1)
-    proof = np.linalg.norm(d_ch + hsq[..., None] * omega_x + h_term, axis=-1).max(axis=-1)
-    branches = {"minimal": data.minimal, "invariant": data.invariant}
-    return _columns(data, identity, obstruction, proof, branches)
+    omega_x = data.geo.omega0.swapaxes(-1, -2)  # row a: omega e_a, with X = e_a
+    branches = {name: data.flags[name] for name in ("minimal", "invariant")}
+    norms = partial(np.linalg.norm, axis=-1)
+    return _statement(data, data.nabla_c_h, data.h_bh, omega_x, norms, branches)
 
 
 def _t3_point(data: _PointData) -> dict:
     geo = data.geo
     lhs = (data.nabla_omega @ geo.Hn0[..., None, :, None])[..., 0]  # g((nabla_{e_a} omega) e_b, H)
     rhs = (geo.h_on0 @ data.ch[..., None, :, None])[..., 0]
-    hsq = geo.Hsq[..., None, None]
-    identity = np.abs(lhs - rhs).max(axis=(-2, -1))
-    obstruction = (hsq * np.abs(geo.phi0)).max(axis=(-2, -1))
-    proof = np.abs(lhs + hsq * geo.phi0 - rhs).max(axis=(-2, -1))
-    branches = {"minimal": data.minimal, "anti_invariant": data.anti_invariant}
-    return _columns(data, identity, obstruction, proof, branches)
+    branches = {name: data.flags[name] for name in ("minimal", "anti_invariant")}
+    return _statement(data, lhs, -rhs, geo.phi0, np.abs, branches)
 
 
 def _t4_point(data: _PointData) -> dict:
-    geo = data.geo
+    geo, flags = data.geo, data.flags
     phi_x = geo.phi0.swapaxes(-1, -2)  # row a: X = phi e_a
     d_ch, h_x = phi_x @ data.nabla_c_h, phi_x @ data.h_bh
     omega_phi_x = (geo.omega0 @ geo.phi0).swapaxes(-1, -2)  # row a: omega phi e_a
     lhs, h_term, o_term = ((v @ data.ch[..., :, None])[..., 0] for v in (d_ch, h_x, omega_phi_x))
-    hsq = geo.Hsq[..., None]
-    identity = np.abs(lhs + h_term).max(axis=-1)
-    obstruction = (hsq * np.abs(o_term)).max(axis=-1)
-    proof = np.abs(lhs + hsq * o_term + h_term).max(axis=-1)
     branches = {
-        "minimal": data.minimal,
-        "semi_invariant": data.omega_phi_zero,
+        "minimal": flags["minimal"],
+        "semi_invariant": flags["semi_invariant"],
         "perpendicular": (np.abs(o_term) <= data.tol).all(axis=-1),
     }
-    return _columns(data, identity, obstruction, proof, branches)
+    return _statement(data, lhs, h_term, o_term, np.abs, branches)
 
 
-def _verdict(theorem: str, columns: dict, ranks, tol: float) -> TheoremVerdict:
+def _verdict(columns: dict, ranks, tol: float) -> TheoremVerdict:
     """The statement's verdicts, read off its columns: the identity holds
     where its residual is at most ``tol``, and the disjunction where some
-    branch holds."""
+    branch holds, globally where :func:`~prodgeo.subgeom._everywhere` does."""
     identity_everywhere = all(r <= tol for r in columns["identity"])
     branches = columns["branches"]
-    global_branches = {name: all(flags) for name, flags in branches.items()}
-    if theorem == "t4":
-        semi = global_branches["semi_invariant"]
-        global_branches["semi_invariant"] = _semi_invariant(semi, ranks)
-    disjunction_global = any(global_branches.values())
+    disjunction_global = any(_everywhere(name, branches, ranks) for name in branches)
     return TheoremVerdict(
         identity_holds_everywhere=identity_everywhere,
         disjunction_global=disjunction_global,

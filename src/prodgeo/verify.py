@@ -30,7 +30,6 @@ from .subgeom import (
     _JetGeometry,
     _check_tolerance,
     aggregate_classification,
-    classify_point,
 )
 from .theorems import TheoremVerdict, _PointData, _t2_point, _t3_point, _t4_point, _verdict
 
@@ -97,9 +96,7 @@ def verify(
         samples = immersion.samples
     tol = tolerances.identity_tol
     geo = _JetGeometry(immersion, space, samples, strict=strict)
-    classification = aggregate_classification(
-        classify_point(geo, tolerances.classify_tol), immersion.n, tolerances.classify_tol
-    )
+    classification = aggregate_classification(geo, tolerances.classify_tol)
     reports = verdicts = None
     if lemmas or theorems:
         nabla_omega, nabla_c_xi = lemma_tensors(geo)
@@ -108,9 +105,9 @@ def verify(
                    "lemma2": _lemma_report(_lemma2_point(geo, nabla_c_xi), tol)}
     if theorems:
         data = _PointData(geo, tol, nabla_omega, nabla_c_xi)
-        ranks = data.rank_phi.tolist()
+        ranks = data.flags["rank_phi"].tolist()
         points = {"t2": _t2_point(data), "t3": _t3_point(data), "t4": _t4_point(data)}
-        verdicts = {key: _verdict(key, points[key], ranks, tol) for key in THEOREMS}
+        verdicts = {key: _verdict(points[key], ranks, tol) for key in THEOREMS}
     return VerificationOutcome(
         space=space,
         immersion=immersion,

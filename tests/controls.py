@@ -8,42 +8,14 @@ from prodgeo.ambient import AmbientSpace
 from prodgeo.scenario import loads_scenario
 from prodgeo.subgeom import Immersion
 
+from corpus import CORPUS
+
 # flat R^2 x R^2 pulled back along the block-mixing chart
 # x_old = (x1, x2 + x3^2, x3, x4 + sin x1): F varies and is parallel, so the
 # commutator [Gamma_a, F] of the connection with F enters both lemmas
-BLOCK_MIXING_CHART = """
-[ambient]
-mode = explicit
-dim = 4
-metric = 1 + cos(x1)^2, 0, 0, cos(x1); 0, 1, 2*x3, 0; 0, 2*x3, 1 + 4*x3^2, 0; cos(x1), 0, 0, 1
-structure = 1, 0, 0, 0; 0, 1, 4*x3, 0; 0, 0, -1, 0; -2*cos(x1), 0, 0, -1
-
-[immersion]
-n = 2
-map = 0.3*cos(u1) + u2, sin(u2) + 0.2*u1, 0.5*cos(u1)*sin(u2), u1 - 0.1*u2^2
-label = block-mixing-chart
-
-[samples]
-points = (0.3, 0.2); (1.1, -0.5); (-0.7, 0.9); (2.0, 1.4)
-"""
-
+BLOCK_MIXING_CHART = (CORPUS / "block-mixing-chart.ini").read_text(encoding="utf-8")
 # the same surface composed with x_old, in the standard chart of R^2 x R^2
-BLOCK_MIXING_STANDARD = """
-[ambient]
-mode = product
-p = 2
-q = 2
-blockA_metric = flat
-blockB_metric = flat
-
-[immersion]
-n = 2
-map = 0.3*cos(u1) + u2, sin(u2) + 0.2*u1 + (0.5*cos(u1)*sin(u2))^2, 0.5*cos(u1)*sin(u2), u1 - 0.1*u2^2 + sin(0.3*cos(u1) + u2)
-label = block-mixing-standard
-
-[samples]
-points = (0.3, 0.2); (1.1, -0.5); (-0.7, 0.9); (2.0, 1.4)
-"""
+BLOCK_MIXING_STANDARD = (CORPUS / "block-mixing-standard.ini").read_text(encoding="utf-8")
 
 
 def rotation_structure_space() -> AmbientSpace:

@@ -2,12 +2,15 @@
 
 ``tests/corpus/*.ini`` are the inputs: the ten catalog exports,
 ``random_trig_immersion`` seeds 0-19 and 440307 at 8 points in flat
-R^2 x R^2, the two 8x8 grids of ``grids.seed_one_grids``, the block-mixing
-chart of ``controls`` and its composition with x_old, edits of the circle
-and curved-block exports (a fractional power and a constant term in the
-map, a metric of scale 1e-20, a block metric ``1 + x1``, continuation and
-comment lines), and error documents (``error-*.ini``), three of which
-``test_cli`` reads as its own inputs.  ``tests/corpus/reference.json``
+R^2 x R^2, the two 8x8 grids of ``grids.seed_one_grids``, a surface in
+flat R^2 x R^2 written in a chart that mixes the blocks
+(``block-mixing-chart.ini``) and its composition with that chart
+(``block-mixing-standard.ini``), which ``controls`` reads as its own
+block-mixing documents, edits of the circle and curved-block exports (a
+fractional power and a constant term in the map, a metric of scale 1e-20, a
+block metric ``1 + x1``, continuation and comment lines), and error
+documents (``error-*.ini``), three of which ``test_cli`` reads as its own
+inputs.  ``tests/corpus/reference.json``
 holds, per command and file, the run's exit code, the first line of its
 stderr with each number replaced by ``#`` (its numbers are a float field,
 ``stderr numbers``), and its report split into fields:

@@ -511,10 +511,11 @@ def test_asymmetric_metric_is_rejected_by_validation_and_geometry():
     sp = AmbientSpace(2, [["2", "0.1*x1"], ["0.1*sqrt(x1^2)", "2"]], [["1", "0"], ["0", "1"]])
     assert validate_at(sp, [[0.5, 0.2]]).passed
     report = validate_at(sp, [[0.5, 0.2], [-0.5, 0.2]])
-    assert not report.positive_definite and not report.passed
+    assert not report.positive_definite and not report.passed and not report.symmetric
+    assert "(metric not symmetric)" in str(ambient.AmbientValidationFailure(report))
     imm = Immersion(1, ("u1", "0.3*u1"))
     _JetGeometry(imm, sp, [[0.5]])
-    with pytest.raises(SingularMetric, match="not positive definite"):
+    with pytest.raises(SingularMetric, match="not symmetric"):
         _JetGeometry(imm, sp, [[0.5], [-0.5]])
 
 

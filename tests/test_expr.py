@@ -99,6 +99,14 @@ def test_unknown_variable_deferred_to_eval():
         ex.evaluate(ast, {"u1": 0.0})
 
 
+def test_a_plan_called_without_one_of_its_variables_names_it():
+    plan = ex.Plan([(ex.parse("u1 + 1"), ex.parse("sin(u2) * u1"))])
+    assert plan({"u1": 1.0, "u2": 0.0})[0].tolist() == [2.0, 0.0]
+    with pytest.raises(ex.UnknownVariable, match="^unbound variable 'u2'$") as err:
+        plan({"u1": 1.0})
+    assert err.value.name == "u2"
+
+
 def test_pythagorean_identity_with_jets():
     (j,) = seed_point([0.3], 3)
     out = ex.evaluate(ex.parse("sin(u1)^2 + cos(u1)^2"), {"u1": j})

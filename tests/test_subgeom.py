@@ -324,6 +324,15 @@ def test_non_finite_sample_is_a_value_error_naming_it():
         assert not isinstance(err.value, DegenerateImmersion)
 
 
+@pytest.mark.parametrize("samples", [None, [], (), np.zeros((0, 1))],
+                         ids=["immersion-default", "list", "tuple", "array"])
+def test_classification_needs_a_sample_point(samples):
+    imm = Immersion(1, ("cos(u1)", "sin(u1)"))
+    for call in (lambda: classify(imm, FLAT11, samples), lambda: verify(FLAT11, imm, samples)):
+        with pytest.raises(ValueError, match="^classification needs at least one sample point$"):
+            call()
+
+
 @pytest.mark.parametrize("samples", [
     [(0.1, 0.2)],  # one point with two coordinates
     [[[0.1]], [[0.2]]],  # points nested one level too deep
@@ -571,7 +580,7 @@ def test_class_helpers_reject_a_tolerance_classify_rejects(tol):
     with pytest.raises(ValueError, match=message):
         classify_point(geo, tol)
     with pytest.raises(ValueError, match=message):
-        aggregate_classification(classify_point(geo), scn.immersion.n, tol)
+        aggregate_classification(geo, tol)
 
 
 # ---- frames: the build against the Gram-Schmidt loop in jets ------------------

@@ -185,6 +185,34 @@ def test_verdicts_are_their_pointwise_definitions():
     assert all(values == {True, False} for values in seen.values()), seen
 
 
+def test_the_class_and_the_theorem_branches_agree():
+    # at equal tolerances (the defaults) the four-way class and the T2-T4
+    # branches threshold the same measures: the class is invariant exactly
+    # where T2's invariant branch holds at every point, anti-invariant where
+    # T3's anti-invariant branch does and the submanifold is not invariant,
+    # and not generic where T4's semi-invariant branch does with one rank of
+    # phi; the circle at u = 0 and pi/4 has rank 1, then 0
+    circle = catalog_get("circle")
+    cases = [(scn.space, scn.immersion, scn.samples) for scn in map(catalog_get, catalog_list())]
+    cases += [(flat_product(2, 2), imm, imm.samples)
+              for imm in (random_trig_immersion(seed, 8) for seed in (*range(20), 440307))]
+    cases.append((circle.space, circle.immersion, ((0.0,), (math.pi / 4,))))
+    seen = {name: set() for name in ("invariant", "anti-invariant", "not generic")}
+    for space, imm, samples in cases:
+        outcome = verify(space, imm, samples, lemmas=False)
+        cls, verdicts = outcome.classification, outcome.theorems
+        branches = {key: verdict.points["branches"] for key, verdict in verdicts.items()}
+        invariant = all(branches["t2"]["invariant"])
+        anti = all(branches["t3"]["anti_invariant"]) and not invariant
+        semi = all(branches["t4"]["semi_invariant"]) and len(set(cls.points["rank_phi"])) == 1
+        for name, holds in (("invariant", invariant), ("anti-invariant", anti)):
+            assert (cls.classification == name) == holds, (imm.label, samples, name)
+            seen[name].add(holds)
+        assert (cls.classification != "generic") == semi, (imm.label, samples)
+        seen["not generic"].add(semi)
+    assert all(values == {True, False} for values in seen.values()), seen
+
+
 def test_rect_torus_skips_proof():
     scn = catalog_get("rect-torus")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t2"]
