@@ -102,6 +102,7 @@ class AmbientSpace:
     constant: bool = field(init=False, repr=False, compare=False)
     _plan: ex.Plan = field(init=False, repr=False, compare=False)
     _at: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _views: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         zero = ex.Num(0.0)
@@ -156,15 +157,22 @@ class AmbientSpace:
         flat); the Cholesky factor of g (of I where g is not positive
         definite); the :func:`validate_ambient` report of the same pivots,
         which never raises here.  A ``constant`` space computes them once, at
-        one point, and returns read-only views broadcast over the points (a
-        space used once gains nothing); errors are never kept."""
+        one point, and returns read-only views of them broadcast over the
+        points (a space used once gains nothing).  It keeps the views of the
+        last point count, one entry, and returns them again while the next
+        call has the same count; errors are never kept."""
         x = np.asarray(x, dtype=float)
         if not (self.constant and x.size and x.shape[1:] == (self.dim,)):  # else as if varying
             return _evaluate_at(self, x)
         if not self._at:
             self._at.append(_evaluate_at(self, np.zeros((1, self.dim))))
-        return tuple(np.broadcast_to(v, x.shape[:-1] + v.shape[1:]) if isinstance(v, np.ndarray)
-                     else v for v in self._at[0])
+        views = self._views.get(len(x))
+        if views is None:
+            views = tuple(np.broadcast_to(v, x.shape[:-1] + v.shape[1:]) if isinstance(v, np.ndarray)
+                          else v for v in self._at[0])
+            self._views.clear()
+            self._views[len(x)] = views
+        return views
 
 
 def flat_block(dim: int) -> tuple[tuple[ex.ExprAst, ...], ...]:

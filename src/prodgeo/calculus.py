@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subgeom import _JetGeometry
+from .subgeom import _JetGeometry, _norm
 
 __all__ = ["LemmaReport", "lemma_tensors"]
 
@@ -112,7 +112,7 @@ def _lemma1_point(geo: _JetGeometry, nabla_omega: np.ndarray) -> np.ndarray:
     # T_c = R[a, c] e_a in both slots; the worst entry needs no slot order
     r_t = geo.R.swapaxes(-1, -2)[:, None]
     residual = r_t @ (r_t @ frame).swapaxes(1, 2)
-    return np.linalg.norm(residual, axis=-1).max(axis=(-2, -1))
+    return _norm(residual).max(axis=(-2, -1))
 
 
 def _lemma2_point(geo: _JetGeometry, nabla_c_xi: np.ndarray) -> np.ndarray:
@@ -123,4 +123,4 @@ def _lemma2_point(geo: _JetGeometry, nabla_c_xi: np.ndarray) -> np.ndarray:
     b_xi = xis @ geo.B0.swapaxes(-1, -2)  # row: B xi on the tangent frame
     frame = nabla_c_xi + a_xi @ geo.omega0.swapaxes(-1, -2)[:, None] + b_xi[:, None] @ geo.h_on0
     residual = geo.R.swapaxes(-1, -2)[:, None] @ frame.swapaxes(1, 2)  # T_c = R[a, c] e_a
-    return np.linalg.norm(residual, axis=-1).max(axis=(-2, -1))
+    return _norm(residual).max(axis=(-2, -1))

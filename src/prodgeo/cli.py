@@ -30,9 +30,11 @@ outcome's per-point columns carry the names of a report's point entry, so
 :func:`_point_fields` puts them in one tree without renaming any; the
 other fields of its results are the report's verdicts, which
 :func:`_document` copies as they are named.  :func:`render_json` writes the
-``points`` array through one ``%`` template per document, one fill per
-point; :func:`dump_json` writes the rest.  Text reports take each point's
-``u`` from the outcome's samples.  The argument parser is built once per process, and so is the space of
+``points`` array through one ``%`` template per document, a point entry's
+repeated once per point, and fills it once; :func:`dump_json` writes the
+rest.  Text reports take each point's ``u`` from the outcome's samples, and
+write each table row by one ``%`` template.  The argument parser is built
+once per process, and so is the space of
 each distinct ``[ambient]`` text (see :mod:`prodgeo.scenario`),
 so files of a run that share that text share one space, and a constant one's
 validation; a run of one file gains nothing.  A closed stdout ends the run.
@@ -46,6 +48,7 @@ import math
 import sys
 from dataclasses import replace
 from functools import lru_cache, partial
+from itertools import chain
 
 import numpy as np
 
@@ -175,15 +178,15 @@ def _slots(fields, pad: str, columns: list) -> str:
 
 def render_json(outcome: VerificationOutcome) -> str:
     """The report as :func:`dump_json` writes it with one dict per point;
-    the points are one template per document, filled from the columns once
-    per point."""
+    the ``points`` array is one template per document, a point entry's
+    repeated once per point, filled by one ``%`` from the columns."""
     pad, inner = "\n  ", "\n    "
     rows = []
     for key, value in _document(outcome).items():
         if key == "points":
             columns = []
-            template = _slots(value, inner, columns)
-            value = "[" + ",".join([inner + template % row for row in zip(*columns)]) + pad + "]"
+            template = ",".join([inner + _slots(value, inner, columns)] * len(outcome.samples))
+            value = "[" + template % tuple(chain.from_iterable(zip(*columns))) + pad + "]"
         else:
             value = dump_json(value, pad)
         rows.append(f'{pad}"{key}": {value}')
@@ -203,7 +206,15 @@ def _fmt_point(u) -> str:
     return "(" + ", ".join(f"{v:.6g}" for v in u) + ")"
 
 
+# a table row each, one ``%`` template: the class table's, and a statement's
+# before its branch flags
+_CLASS_ROW = "%-24s%12.6g%12.6g%14.6g%6d%9s%12s"
+_STATEMENT_ROW = "  %-22s%12.6g%13.6g%12s  "
+_YES_NO, _Y_N = {True: "yes", False: "no"}, {True: "y", False: "n"}
+
+
 def render_text(outcome: VerificationOutcome) -> str:
+    """The text report; each table row is one ``%`` template filled once."""
     lines = []
     rep = outcome.ambient_report
     lines.append(
@@ -230,10 +241,8 @@ def render_text(outcome: VerificationOutcome) -> str:
     rows = zip(outcome.samples, norms["phi"], norms["omega"], norms["omega_phi"],
                cls.points["rank_phi"], flags["minimal"], flags["pseudo_umbilical"])
     for u, phi, omega, omega_phi, rank, minimal, pu in rows:
-        lines.append(
-            f"{_fmt_point(u):<24}{phi:>12.6g}{omega:>12.6g}{omega_phi:>14.6g}{rank:>6d}"
-            f"{'yes' if minimal else 'no':>9}{'yes' if pu else 'no':>12}"
-        )
+        row = (_fmt_point(u), phi, omega, omega_phi, rank, _YES_NO[minimal], _YES_NO[pu])
+        lines.append(_CLASS_ROW % row)
     for key, report in (outcome.lemmas or {}).items():
         lines.append(
             f"{key}: max residual {_fmt(report.max_residual)} "
@@ -260,10 +269,10 @@ def render_text(outcome: VerificationOutcome) -> str:
         branches = columns["branches"]
         rows = zip(outcome.samples, columns["identity"], columns["obstruction"],
                    columns["proof"], *branches.values())
+        template = _STATEMENT_ROW + " ".join(f"{name}=%s" for name in branches)
         for u, identity, obstruction, proof, *values in rows:
-            flags = " ".join(f"{name}={'y' if v else 'n'}" for name, v in zip(branches, values))
-            lines.append(f"  {_fmt_point(u):<22}{identity:>12.6g}{obstruction:>13.6g}"
-                         f"{_fmt(proof):>12}  {flags}")
+            row = (_fmt_point(u), identity, obstruction, _fmt(proof), *map(_Y_N.get, values))
+            lines.append(template % row)
     lines.append(f"overall: {'CONSISTENT' if outcome.consistent else 'FAILED'}")
     return "\n".join(lines) + "\n"
 

@@ -26,7 +26,9 @@ signs, then a number, name, call or group, then its exponent chain.  A
 nodes) into one straight-line program with a step per structurally
 distinct subtree, so a ``sin(u1)`` repeated across entries and tables is
 computed once per environment; a table is kept as its shape and the flat
-list of its step numbers.  :func:`evaluate` evaluates a single tree.
+list of its step numbers.  :func:`evaluate` evaluates a single tree.  The
+tree's nodes, :class:`Num`, :class:`Var`, :class:`Neg`, :class:`BinOp` and
+:class:`Call`, are frozen dataclasses that keep their fields in slots.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Mapping, Union
 
 import numpy as np
@@ -75,33 +77,83 @@ class UnknownVariable(ValueError):
         self.name = name
 
 
-@dataclass(frozen=True)
+# Each node keeps its fields in slots, and its ``__init__`` writes them
+# through the slots' descriptors (bound once below), which costs less than
+# half the frozen dataclass's own ``__init__``.  Repr, equality and hashing
+# are the dataclass's, and assigning or deleting any attribute raises
+# ``FrozenInstanceError`` (:func:`_frozen`).
+
+
+@dataclass(frozen=True, slots=True)
 class Num:
+    """A numeric literal."""
+
     value: float
 
+    def __init__(self, value: float):
+        _set_num_value(self, value)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Var:
+    """A variable, by name."""
+
     name: str
 
+    def __init__(self, name: str):
+        _set_var_name(self, name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Neg:
+    """A minus sign applied to ``arg``."""
+
     arg: "ExprAst"
 
+    def __init__(self, arg: "ExprAst"):
+        _set_neg_arg(self, arg)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class BinOp:
+    """``lhs op rhs`` for ``op`` one of ``+ - * / ^``; the exponent of ``^`` is a :class:`Num`."""
+
     op: str
     lhs: "ExprAst"
     rhs: "ExprAst"
 
+    def __init__(self, op: str, lhs: "ExprAst", rhs: "ExprAst"):
+        _set_binop_op(self, op)
+        _set_binop_lhs(self, lhs)
+        _set_binop_rhs(self, rhs)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Call:
+    """The function ``fn``, one of :data:`FUNCTIONS`, applied to ``arg``."""
+
     fn: str
     arg: "ExprAst"
 
+    def __init__(self, fn: str, arg: "ExprAst"):
+        _set_call_fn(self, fn)
+        _set_call_arg(self, arg)
+
+
+_set_num_value, _set_var_name, _set_neg_arg = Num.value.__set__, Var.name.__set__, Neg.arg.__set__
+_set_binop_op, _set_binop_lhs, _set_binop_rhs = BinOp.op.__set__, BinOp.lhs.__set__, BinOp.rhs.__set__
+_set_call_fn, _set_call_arg = Call.fn.__set__, Call.arg.__set__
+
+
+def _frozen(self, name: str, *value):
+    """Assigning or deleting any attribute of a node fails as on a frozen
+    dataclass; the dataclass's own methods raise ``TypeError`` for a name
+    that is not a field once the class is slotted."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+for _node in (Num, Var, Neg, BinOp, Call):
+    _node.__setattr__ = _node.__delattr__ = _frozen
 
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 

@@ -295,7 +295,11 @@ def _load_immersion(doc: dict[str, dict[str, str]], space: AmbientSpace) -> Imme
 
 
 def _parse_points(text: str, n: int) -> tuple[tuple[float, ...], ...]:
+    """The points of a ``points`` text; each coordinate is read by ``float``
+    when the whole text is plain ASCII without underscores, where it is
+    what :func:`_number` reads, else by :func:`_number`."""
     section = "samples"
+    number = float if text.isascii() and "_" not in text else _number
     points = []
     for chunk in _split_top(text, ";", section):
         if not (chunk.startswith("(") and chunk.endswith(")")):
@@ -304,7 +308,7 @@ def _parse_points(text: str, n: int) -> tuple[tuple[float, ...], ...]:
         if not entries[-1]:  # one trailing comma, or no coordinates
             entries.pop()
         try:
-            point = tuple(map(_number, entries))
+            point = tuple(map(number, entries))
         except ValueError:
             raise ScenarioError(f"non-numeric sample point {chunk!r}", section) from None
         if len(point) != n:

@@ -131,6 +131,13 @@ def _t(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def _norm(a: np.ndarray, axis=-1) -> np.ndarray:
+    """``np.linalg.norm(a, axis=axis)`` of a real array, the vector or the
+    Frobenius norm: the same ufunc calls, so the same bits, without numpy's
+    Python-level checks."""
+    return np.sqrt((a * a).sum(axis=axis))
+
+
 def _check_tolerance(name: str, value) -> float:
     """``value`` as a float; a tolerance that is not a positive finite real
     number, a bool included, is a ``ValueError``."""
@@ -313,7 +320,7 @@ class _JetGeometry:
         self.hcomp0 = np.moveaxis(self.h_on0, -1, 1)
 
         # mean curvature H = (1/n) sum_a h(e_a, e_a), in normal components and as a vector
-        self.Hn0 = np.diagonal(self.h_on0, axis1=1, axis2=2).mean(axis=-1)
+        self.Hn0 = np.diagonal(self.h_on0, axis1=1, axis2=2).sum(axis=-1) / n
         self.Hsq = (self.Hn0 * self.Hn0).sum(axis=-1)
         self.H0 = (self.Hn0[:, None] @ self.Xi0)[:, 0]
 
@@ -328,8 +335,7 @@ class _JetGeometry:
         # what the classes are defined by, thresholded at a tolerance by _predicates
         self.H_norm = np.sqrt(self.Hsq)
         self.phi_norm, self.omega_norm, self.omega_phi_norm = (
-            np.linalg.norm(m, axis=(-2, -1))
-            for m in (self.phi0, self.omega0, self.omega0 @ self.phi0)
+            _norm(m, axis=(-2, -1)) for m in (self.phi0, self.omega0, self.omega0 @ self.phi0)
         )
         self.phi_singular = np.linalg.svd(self.phi0, compute_uv=False)
 
@@ -402,12 +408,17 @@ def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
     return aggregate_classification(geo, tol).points
 
 
-def aggregate_classification(geo: _JetGeometry, tol: float = 1e-8) -> ClassificationResult:
+def aggregate_classification(
+    geo: _JetGeometry, tol: float = 1e-8, flags: dict | None = None
+) -> ClassificationResult:
     """The four-way, minimal and pseudo-umbilical verdicts at ``tol``, each
     folded by :func:`_everywhere` from the :func:`_predicates` of every
     point, and the report's column tree of a point: ``"u"``, ``"norms"``,
-    ``"rank_phi"`` and ``"flags"``, with a column over the points at each leaf."""
-    flags = {k: v.tolist() for k, v in _predicates(geo, _check_tolerance("tol", tol)).items()}
+    ``"rank_phi"`` and ``"flags"``, with a column over the points at each leaf.
+    ``flags`` are those predicates if they are already decided, as
+    :func:`prodgeo.verify.verify` decides them once for the T2-T4 branches too."""
+    tol = _check_tolerance("tol", tol)
+    flags = {k: v.tolist() for k, v in (_predicates(geo, tol) if flags is None else flags).items()}
     ranks = flags["rank_phi"]
     classes = (("invariant", "invariant"), ("anti_invariant", "anti-invariant"),
                ("semi_invariant", "proper semi-invariant"))

@@ -28,9 +28,12 @@ u1 <-> u2 gives another frame, and moves T3's obstruction on random trig
 surfaces by up to 76% of the smaller value.  Only whether a column is
 zero is the same in every frame.
 
-At points that are not pseudo-umbilical at the identity tolerance the
-identity is still evaluated (a useful negative control) but the proof
-residual is skipped: its entry in the ``proof`` column is ``None``.  The
+The branches, and so the points where the proof applies, are decided at
+the classification tolerance, once per document with the class flags; the
+identities are held to the identity tolerance.  At points that are not
+pseudo-umbilical the identity is still evaluated (a useful negative
+control) but the proof residual is skipped: its entry in the ``proof``
+column is ``None``.  The
 verdicts are read off the columns, and :func:`prodgeo.verify.verify`
 returns them as ``outcome.theorems``, keyed ``"t2"`` to ``"t4"``.
 """
@@ -38,11 +41,10 @@ returns them as ``outcome.theorems``, keyed ``"t2"`` to ``"t4"``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .subgeom import _everywhere, _JetGeometry, _predicates
+from .subgeom import _everywhere, _JetGeometry, _norm
 
 __all__ = ["TheoremVerdict"]
 
@@ -62,14 +64,15 @@ class TheoremVerdict:
 class _PointData:
     """Quantities the three statements share, at every sample point; the
     tensors are those of :func:`prodgeo.calculus.lemma_tensors`, and
-    ``flags`` the build's :func:`~prodgeo.subgeom._predicates` at ``tol``."""
+    ``flags`` the build's :func:`~prodgeo.subgeom._predicates` at the
+    classification tolerance ``tol``."""
 
-    def __init__(self, geo: _JetGeometry, tol: float, nabla_omega, nabla_c_xi):
+    def __init__(self, geo: _JetGeometry, tol: float, flags: dict, nabla_omega, nabla_c_xi):
         self.geo = geo
         self.tol = tol
+        self.flags = flags
         self.nabla_omega = nabla_omega
         self.nabla_c_h = nabla_c_xi[..., :, -1, :]  # row a: (nabla_{e_a} C) H
-        self.flags = _predicates(geo, tol)
         # CH in normal components, and BH on the tangent frame
         self.ch = (geo.Hn0[:, None] @ geo.C0.swapaxes(-1, -2))[:, 0]
         bh = geo.Hn0[:, None] @ geo.B0.swapaxes(-1, -2)
@@ -103,8 +106,7 @@ def _statement(data: _PointData, lhs, h_term, o_term, size, branches: dict) -> d
 def _t2_point(data: _PointData) -> dict:
     omega_x = data.geo.omega0.swapaxes(-1, -2)  # row a: omega e_a, with X = e_a
     branches = {name: data.flags[name] for name in ("minimal", "invariant")}
-    norms = partial(np.linalg.norm, axis=-1)
-    return _statement(data, data.nabla_c_h, data.h_bh, omega_x, norms, branches)
+    return _statement(data, data.nabla_c_h, data.h_bh, omega_x, _norm, branches)
 
 
 def _t3_point(data: _PointData) -> dict:

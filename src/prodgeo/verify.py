@@ -4,6 +4,9 @@
 and reads off it, for every point at once, the four-way classification, the
 two lemma identities and the T2-T4 statements, which share one evaluation
 of nabla omega and nabla C, and validates the ambient space at the images.
+The class predicates are decided once, at ``classify_tol``, for the class
+flags and the T2-T4 branches alike, so a point the report flags as not
+pseudo-umbilical is a point whose proof residual is skipped.
 The catalog runner and every CLI command are calls to it that keep their
 part of the outcome; ``lemmas=False`` or ``theorems=False`` skips a part.
 The outcome holds each per-point quantity once, as a column over the
@@ -29,6 +32,7 @@ from .subgeom import (
     Immersion,
     _JetGeometry,
     _check_tolerance,
+    _predicates,
     aggregate_classification,
 )
 from .theorems import TheoremVerdict, _PointData, _t2_point, _t3_point, _t4_point, _verdict
@@ -96,7 +100,8 @@ def verify(
         samples = immersion.samples
     tol = tolerances.identity_tol
     geo = _JetGeometry(immersion, space, samples, strict=strict)
-    classification = aggregate_classification(geo, tolerances.classify_tol)
+    flags = _predicates(geo, tolerances.classify_tol)  # the class flags and the T2-T4 branches
+    classification = aggregate_classification(geo, tolerances.classify_tol, flags)
     reports = verdicts = None
     if lemmas or theorems:
         nabla_omega, nabla_c_xi = lemma_tensors(geo)
@@ -104,8 +109,8 @@ def verify(
         reports = {"lemma1": _lemma_report(_lemma1_point(geo, nabla_omega), tol),
                    "lemma2": _lemma_report(_lemma2_point(geo, nabla_c_xi), tol)}
     if theorems:
-        data = _PointData(geo, tol, nabla_omega, nabla_c_xi)
-        ranks = data.flags["rank_phi"].tolist()
+        data = _PointData(geo, tolerances.classify_tol, flags, nabla_omega, nabla_c_xi)
+        ranks = classification.points["rank_phi"]
         points = {"t2": _t2_point(data), "t3": _t3_point(data), "t4": _t4_point(data)}
         verdicts = {key: _verdict(points[key], ranks, tol) for key in THEOREMS}
     return VerificationOutcome(

@@ -355,6 +355,23 @@ def test_a_constant_space_gives_read_only_arrays():
         space.at(np.zeros((2, 3)))
 
 
+def test_a_constant_space_keeps_the_views_of_the_last_point_count():
+    space = flat_product(2, 2)
+    kept = []
+    for count in (3, 16, 3, 3):
+        at = space.at(np.zeros((count, 4)))
+        arrays = [a for a in at if isinstance(a, np.ndarray)]
+        assert [a.shape[0] for a in arrays] == [count] * len(arrays)
+        assert not any(a.flags.writeable for a in arrays)
+        assert list(space._views) == [count] and space._views[count] is at  # one entry
+        kept.append(at)
+    # a count seen before another gets new views, and the next document of
+    # the same count the kept ones; every view reads the one evaluation
+    assert kept[2] is not kept[0] and kept[3] is kept[2]
+    for views in kept:
+        assert all(np.shares_memory(a, b) for a, b in zip(views, space._at[0]) if isinstance(a, np.ndarray))
+
+
 def test_identity_structure_is_flagged():
     sp = AmbientSpace(2, [["1", "0"], ["0", "1"]], [["1", "0"], ["0", "1"]])
     report = validate_at(sp, [[0.1, 0.2]])

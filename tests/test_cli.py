@@ -981,24 +981,26 @@ def test_cli_tol_override(capsys, tmp_path):
     assert json.loads(out)["tolerances"]["identity_tol"] == 1e-6
 
 
-def test_cli_tol_moves_the_proof_skip_but_not_the_class_flags(capsys, tmp_path):
+def test_cli_tol_moves_neither_the_class_flags_nor_the_proof_skip(capsys, tmp_path):
     # near the vertex of a paraboloid the pseudo-umbilical gap, 7.2e-5, lies
-    # between classify_tol and --tol: the flag stays false at classify_tol,
-    # while the proof residuals are evaluated at --tol
+    # between classify_tol and --tol: the predicates are decided once, at
+    # classify_tol, so the flag is false and every proof residual is skipped
+    # whatever --tol is; --tol only moves the identity threshold
     paraboloid = Immersion(2, ("u1", "u2", "u1^2 + u2^2", "0"), label="paraboloid")
     space, samples = flat_product(2, 2), [(0.003, 0.0)]
     assert 1e-8 < point_geometry(paraboloid, space, samples[0]).pu_gap <= 1e-3
     path = tmp_path / "p.ini"
     path.write_text(scenario_text(space, paraboloid, samples), encoding="utf-8")
-    for tol, skipped in ((["--tol", "1e-3"], 0), ([], 1)):
+    for tol in (["--tol", "1e-3"], []):
         code, out, _ = run_cli(capsys, "report", *tol, "--format", "json", str(path))
         doc = json.loads(out)
         assert code == 0, tol
         assert [p["flags"]["pseudo_umbilical"] for p in doc["points"]] == [False], tol
         for key in THEOREMS:
-            proof = doc["points"][0]["residuals"][key]["proof"]
-            assert (proof is not None) == (skipped == 0), (tol, key)
-            assert doc["verdicts"][key]["proof_points_skipped"] == skipped, (tol, key)
+            assert doc["points"][0]["residuals"][key]["proof"] is None, (tol, key)
+            assert doc["verdicts"][key]["proof_points_skipped"] == 1, (tol, key)
+        code, out, _ = run_cli(capsys, "report", *tol, str(path))
+        assert "pseudo-umb" in out and out.count("proof residuals skipped at 1 ") == len(THEOREMS), tol
 
 
 def test_cli_catalog_export_then_check(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Expression parsing, printing and evaluation."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -493,6 +494,40 @@ def test_plans_are_unchanged_on_a_fixed_corpus():
         digest.update(repr((plan.steps, plan.layouts)).encode())
     assert len(plans) == CORPUS_SIZE + len(catalog_list())
     assert digest.hexdigest() == PLAN_DIGEST
+
+
+NODES = [ex.Num(2.0), ex.Var("u1"), ex.Neg(ex.Var("x1")), ex.BinOp("+", ex.Var("u1"), ex.Num(1.0)),
+         ex.Call("sin", ex.Var("u2"))]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_are_frozen_slotted_dataclasses(node):
+    # the nodes write their slots themselves, and keep the frozen dataclass's
+    # contract: no field can be assigned, and there is no instance dict
+    assert dataclasses.is_dataclass(node) and not hasattr(node, "__dict__")
+    for field in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, field.name, getattr(node, field.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, field.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.extra = 1
+    assert dataclasses.replace(node) == node and dataclasses.replace(node) is not node
+    assert type(node)(**{f.name: getattr(node, f.name) for f in dataclasses.fields(node)}) == node
+
+
+def test_trees_compare_and_hash_by_type_and_fields():
+    src = "sin(u1)^2 - -x1 * 3 / (u2 + 1)"
+    a, b = ex.parse(src), ex.parse(src)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b, ex.parse("sin(u1)^2 - -x1 * 3 / (u2 + 2)")}) == 2
+    assert ex.Num(1.0) == ex.Num(1) and hash(ex.Num(1.0)) == hash(ex.Num(1))
+    assert ex.Var("u1") != ex.Call("u1", ex.Num(0.0)) and ex.Neg(ex.Num(1.0)) != ex.Num(-1.0)
+    assert ex.Var("u1") != ("u1",)  # a node equals only a node of its own type
+    assert ex.BinOp("+", ex.Var("u1"), ex.Num(1.0)) != ex.BinOp("-", ex.Var("u1"), ex.Num(1.0))
+    swapped = dataclasses.replace(a, op="+")
+    assert swapped != a and swapped.lhs is a.lhs and repr(swapped).startswith("BinOp(op='+', lhs=BinOp(")
+    assert repr(ex.Call("sin", ex.Var("u1"))) == "Call(fn='sin', arg=Var(name='u1'))"
 
 
 def test_plan_refuses_what_is_not_an_expression():

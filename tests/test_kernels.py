@@ -29,7 +29,7 @@ import pytest
 from prodgeo import calculus, jets
 from prodgeo.ambient import AmbientSpace, levi_civita, product_of
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
-from prodgeo.subgeom import Immersion, _JetGeometry, param_vars
+from prodgeo.subgeom import Immersion, _JetGeometry, _predicates, param_vars
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 
 from controls import block_mixing_case, corrupted_lemma_case
@@ -307,7 +307,7 @@ def test_kernels_match_the_einsum_references(label, space, imm):
            terms, (label, "lemma1"))
     _close(calculus._lemma2_point(geo, nabla_c_xi), _reference_lemma2(geo, ref_c),
            terms, (label, "lemma2"))
-    data = _PointData(geo, TOL, nabla_omega, nabla_c_xi)
+    data = _PointData(geo, TOL, _predicates(geo, TOL), nabla_omega, nabla_c_xi)
     references = _reference_theorems(geo, ref_omega, ref_c)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
         columns = statement(data)

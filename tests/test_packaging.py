@@ -131,6 +131,24 @@ def test_package_imports_name_existing_objects():
         assert getattr(prodgeo, name) is getattr(source, name)
 
 
+def test_no_module_imports_the_package_by_its_absolute_name():
+    # every import inside the package is relative, so two source trees can be
+    # loaded side by side under two package names and timed against each
+    # other in one process
+    absolute = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            absolute += [(path.name, name) for name in names if name.split(".")[0] == "prodgeo"]
+    assert len(list(PACKAGE.glob("*.py"))) == len(PIPELINE) + 1  # with __init__.py
+    assert absolute == []
+
+
 def test_readme_python_example_runs(capsys):
     section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Python API", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)

@@ -308,3 +308,36 @@ def test_a_document_reports_the_same_bytes_after_any_other():
         _ambient_space.cache_clear()
         assert _report(before) == alone[i]
         assert _report(text) == alone[j], (catalog_list()[i], catalog_list()[j])
+
+
+# ---- sample points ------------------------------------------------------------
+
+_CIRCLE = ("[ambient]\nmode = product\np = 1\nq = 1\nblockA_metric = flat\nblockB_metric = flat\n\n"
+           "[immersion]\nn = 1\nmap = cos(u1), sin(u1)\n\n[samples]\npoints = ")
+
+
+@pytest.mark.parametrize("points, message", [
+    ("(0.5,); (\u0663,)", "[samples] non-numeric sample point '(\u0663,)'"),
+    ("(0.5,); (\uff11.0,)", "[samples] non-numeric sample point '(\uff11.0,)'"),
+    ("(0.5,); (1_0,)", "[samples] non-numeric sample point '(1_0,)'"),
+    ("(0.5,); (1_0,); (\u0663,)", "[samples] non-numeric sample point '(1_0,)'"),
+    ("(0.5,); (,1)", "[samples] non-numeric sample point '(,1)'"),
+    ("(0.5,); (1,,)", "[samples] non-numeric sample point '(1,,)'"),
+    ("(0.5,); (0.7, 0.9,)", "[samples] sample (0.7, 0.9,) has 2 coordinates, expected 1"),
+    ("(0.5,); ()", "[samples] sample () has 0 coordinates, expected 1"),
+    ("(0.5,);", "[samples] empty entry in '(0.5,);'"),
+    ("(0.5,); (nan,)", "[samples] sample point (nan,) is not finite"),
+])
+def test_sample_points_that_are_not_plain_numbers_keep_their_messages(points, message):
+    # a points text is checked for plain ASCII once, but each message names
+    # the first point that fails, as when each coordinate was checked alone
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(_CIRCLE + points + "\n")
+    assert str(err.value) == message
+
+
+def test_sample_coordinates_are_read_through_unicode_whitespace():
+    # the coordinates are stripped before they are read, so a non-ASCII space
+    # around one is no error, as it was not when each was checked alone
+    samples = loads_scenario(_CIRCLE + "(\u00a00.5\u2003,); (+.5e1 ,); (1, )\n").samples
+    assert samples == ((0.5,), (5.0,), (1.0,))

@@ -532,6 +532,32 @@ def test_point_predicates_read_the_classification_measures():
                 assert (pg.pu_gap <= tol) == pu, (label, u, tol)
 
 
+def test_rank_of_phi_counts_singular_values_above_the_square_root_of_tol():
+    # the plane (c u1, c u2, s u1, s u2) with c^2 - s^2 = cos 2t = 1e-6 has
+    # phi = 1e-6 I: above tol in norm, so not anti-invariant, but each singular
+    # value at most sqrt(tol), so rank 0 and the class generic
+    t = math.acos(1e-6) / 2
+    c, s = math.cos(t), math.sin(t)
+    plane = Immersion(2, (f"{c!r} * u1", f"{c!r} * u2", f"{s!r} * u1", f"{s!r} * u2"))
+    samples = [(0.1, 0.2), (0.5, -0.3)]
+    phi = point_geometry(plane, FLAT22, samples[0]).phi
+    assert np.allclose(phi, 1e-6 * np.eye(2), rtol=0, atol=1e-12)
+    result = classify(plane, FLAT22, samples)
+    assert result.classification == "generic"
+    assert result.points["rank_phi"] == [0, 0]
+    assert all(1e-8 < norm <= 1e-4 for norm in result.points["norms"]["phi"])
+
+
+def test_pseudo_umbilical_flag_holds_the_gap_to_tol():
+    # near the vertex of the paraboloid the gap is 5.12e-8, above tol = 1e-8
+    # and below 10 tol, so the point is not pseudo-umbilical
+    paraboloid = Immersion(2, ("u1", "u2", "u1^2 + u2^2", "0"))
+    u = (8e-5, 0.0)
+    assert 1e-8 < point_geometry(paraboloid, FLAT22, u).pu_gap < 1e-7
+    result = classify(paraboloid, FLAT22, [u], tol=1e-8)
+    assert result.points["flags"]["pseudo_umbilical"] == [False] and not result.pseudo_umbilical
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_classify_rejects_a_tolerance_verify_rejects(tol):
     # a NaN threshold passed nothing and an infinite one everything, so the

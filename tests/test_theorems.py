@@ -9,7 +9,7 @@ from prodgeo import jets
 from prodgeo.ambient import product_of
 from prodgeo.calculus import lemma_tensors
 from prodgeo.catalog import catalog_get, catalog_list, flat_product, random_trig_immersion
-from prodgeo.subgeom import Immersion, _JetGeometry
+from prodgeo.subgeom import Immersion, _JetGeometry, _predicates
 from prodgeo.theorems import _PointData, _t2_point, _t3_point, _t4_point
 from prodgeo.verify import verify
 
@@ -272,6 +272,6 @@ def test_statements_read_the_lemma_tensors_without_jet_work(monkeypatch):
     for name in ("__init__", "gradient", "truncate"):
         monkeypatch.setattr(jets.Jet, name, no_jets)
     monkeypatch.setattr(jets.Jet, "value", property(no_jets))
-    data = _PointData(geo, 1e-8, *tensors)
+    data = _PointData(geo, 1e-8, _predicates(geo, 1e-8), *tensors)
     for key, statement in (("t2", _t2_point), ("t3", _t3_point), ("t4", _t4_point)):
         assert statement(data) == expected[key].points, key
