@@ -288,6 +288,8 @@ def _evaluate_at(space: AmbientSpace, x: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class AmbientValidationReport:
+    """A report prints every field but ``residuals_finite`` and ``symmetric``."""
+
     tol: ClassVar[float] = 1e-8  # the largest residual that passes
     max_f_squared_residual: float
     max_compat_residual: float

@@ -29,7 +29,8 @@ are indented by two spaces per level and write floats with ``%.17g``.  The
 outcome's per-point columns carry the names of a report's point entry, so
 :func:`_point_fields` puts them in one tree without renaming any; the
 other fields of its results are the report's verdicts, which
-:func:`_document` copies as they are named.  :func:`render_json` writes the
+:func:`_document` copies as they are named, as it copies the tolerances
+and the ambient validation report.  :func:`render_json` writes the
 ``points`` array through one ``%`` template per document, a point entry's
 repeated once per point, and fills it once; :func:`dump_json` writes the
 rest.  Text reports take each point's ``u`` from the outcome's samples, and
@@ -80,15 +81,19 @@ def _point_fields(outcome: VerificationOutcome) -> dict:
     return {**outcome.classification.points, "residuals": residuals}
 
 
-def _verdicts(result) -> dict:
-    """A result's verdicts: every field but its per-point column."""
-    return {key: value for key, value in vars(result).items() if key not in ("points", "residuals")}
+def _fields(record, hidden=()) -> dict:
+    """A record's fields under their own names, in order, but those in ``hidden``."""
+    return {key: value for key, value in vars(record).items() if key not in hidden}
+
+
+_COLUMNS = ("points", "residuals")  # a result's per-point column, for the points tree
+_UNPRINTED = ("residuals_finite", "symmetric")  # read by AmbientValidationFailure alone
 
 
 def _document(outcome: VerificationOutcome) -> dict:
-    """The report, with ``points`` as the column tree of :func:`_point_fields`
-    and ``verdicts`` as the outcome's results under their own names."""
-    rep = outcome.ambient_report
+    """The report, with the tolerances, the ambient validation and the
+    verdicts copied from their records by field name, and ``points`` as the
+    column tree of :func:`_point_fields`."""
     doc = {
         "scenario": {
             "label": outcome.immersion.label,
@@ -96,23 +101,13 @@ def _document(outcome: VerificationOutcome) -> dict:
             "ambient_dim": outcome.space.dim,
             "num_samples": len(outcome.samples),
         },
-        "tolerances": {
-            "identity_tol": outcome.tolerances.identity_tol,
-            "classify_tol": outcome.tolerances.classify_tol,
-        },
-        "ambient_validation": {
-            "max_f_squared_residual": rep.max_f_squared_residual,
-            "max_compat_residual": rep.max_compat_residual,
-            "max_parallel_residual": rep.max_parallel_residual,
-            "positive_definite": rep.positive_definite,
-            "f_is_identity": rep.f_is_identity,
-            "passed": rep.passed,
-        },
+        "tolerances": _fields(outcome.tolerances),
+        "ambient_validation": _fields(outcome.ambient_report, _UNPRINTED),
         "points": _point_fields(outcome),
     }
-    verdicts = _verdicts(outcome.classification)
+    verdicts = _fields(outcome.classification, _COLUMNS)
     for results in (outcome.lemmas, outcome.theorems):
-        verdicts.update((key, _verdicts(result)) for key, result in (results or {}).items())
+        verdicts.update((key, _fields(result, _COLUMNS)) for key, result in (results or {}).items())
     doc["verdicts"] = {**verdicts, "consistent": outcome.consistent}
     return doc
 

@@ -23,9 +23,9 @@ A scenario file is an INI-style document with four sections::
     # grid = u1: 0 : 1.5 : 4; u2: -1 : 1 : 3        (start : stop : count)
     # random = count=5 seed=42 box=(-1,1)x(-1,1)
 
-    [tolerances]              # optional, defaults shown; each must be
-    identity_tol = 1e-8       # a positive finite number
-    classify_tol = 1e-8
+    [tolerances]              # optional: the fields of verify.Tolerances,
+    identity_tol = 1e-8       # each a positive finite number; an absent
+    classify_tol = 1e-8       # one takes its default, shown
 
 Files are read and written as UTF-8.  The text is split into lines at ``\\n``
 and read in one pass, with the grammar of Python's ``configparser`` (no
@@ -79,7 +79,7 @@ import io
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -217,11 +217,8 @@ def _get_int(doc, section, key) -> int:
         raise ScenarioError(f"{key} must be an integer, got {raw!r}", section) from None
 
 
-def _get_float(doc, section, key, default) -> float:
-    raw = doc.get(section, {}).pop(key, None)
-    if raw is None:
-        return default
-    raw = raw.strip()
+def _get_float(doc, section, key) -> float:
+    raw = _get(doc, section, key)
     try:
         return _number(raw)
     except ValueError:
@@ -418,10 +415,10 @@ def loads_scenario(text: str, seed_override: int | None = None) -> LoadedScenari
     space = _load_ambient(doc)
     immersion = _load_immersion(doc, space)
     samples = _load_samples(doc, immersion.n, seed_override)
-    identity_tol = _get_float(doc, "tolerances", "identity_tol", 1e-8)
-    classify_tol = _get_float(doc, "tolerances", "classify_tol", 1e-8)
+    keys = doc.get("tolerances", {})  # a key it does not hold takes its default
+    given = {f.name: _get_float(doc, "tolerances", f.name) for f in fields(Tolerances) if f.name in keys}
     try:
-        tolerances = Tolerances(identity_tol, classify_tol)
+        tolerances = Tolerances(**given)
     except ValueError as err:
         raise ScenarioError(str(err), "tolerances") from None
     # files of earlier versions set fail_threshold, which is taken and ignored
@@ -488,8 +485,8 @@ def scenario_text(
     )
     out.write(f"points = {formatted}\n")
     out.write("\n[tolerances]\n")
-    out.write(f"identity_tol = {tolerances.identity_tol!r}\n")
-    out.write(f"classify_tol = {tolerances.classify_tol!r}\n")
+    for f in fields(tolerances):
+        out.write(f"{f.name} = {getattr(tolerances, f.name)!r}\n")
     return out.getvalue()
 
 

@@ -138,6 +138,9 @@ def _norm(a: np.ndarray, axis=-1) -> np.ndarray:
     return np.sqrt((a * a).sum(axis=axis))
 
 
+DEFAULT_TOL = 1e-8  # of every tolerance: classify's and both of verify.Tolerances'
+
+
 def _check_tolerance(name: str, value) -> float:
     """``value`` as a float; a tolerance that is not a positive finite real
     number, a bool included, is a ``ValueError``."""
@@ -403,13 +406,13 @@ def _everywhere(name: str, flags, ranks) -> bool:
     return all(flags[name]) and (name != "semi_invariant" or len(set(ranks)) == 1)
 
 
-def classify_point(geo: _JetGeometry, tol: float = 1e-8) -> dict:
+def classify_point(geo: _JetGeometry, tol: float) -> dict:
     """The ``points`` of :func:`aggregate_classification` at ``tol``."""
     return aggregate_classification(geo, tol).points
 
 
 def aggregate_classification(
-    geo: _JetGeometry, tol: float = 1e-8, flags: dict | None = None
+    geo: _JetGeometry, tol: float, flags: dict | None = None
 ) -> ClassificationResult:
     """The four-way, minimal and pseudo-umbilical verdicts at ``tol``, each
     folded by :func:`_everywhere` from the :func:`_predicates` of every
@@ -445,7 +448,7 @@ def classify(
     immersion: Immersion,
     space: AmbientSpace,
     samples: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
 ) -> ClassificationResult:
     """Four-way classification aggregated over the sample points.
 

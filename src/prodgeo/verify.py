@@ -22,12 +22,13 @@ skipped part is ``None``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .ambient import AmbientSpace, AmbientValidationReport
 from .calculus import LemmaReport, _lemma1_point, _lemma2_point, lemma_tensors
 from .subgeom import (
+    DEFAULT_TOL,
     ClassificationResult,
     Immersion,
     _JetGeometry,
@@ -44,14 +45,15 @@ THEOREMS = ("t2", "t3", "t4")
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Identity residual and classification thresholds; positive and finite."""
+    """Identity residual and classification thresholds; positive and finite.
+    The fields are a scenario file's ``[tolerances]`` keys and a report's."""
 
-    identity_tol: float = 1e-8
-    classify_tol: float = 1e-8
+    identity_tol: float = DEFAULT_TOL
+    classify_tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        for name in ("identity_tol", "classify_tol"):
-            object.__setattr__(self, name, _check_tolerance(name, getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, _check_tolerance(f.name, getattr(self, f.name)))
 
 
 @dataclass

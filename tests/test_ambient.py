@@ -142,6 +142,13 @@ def test_singular_metric_raises():
             _JetGeometry(line, sp, [x[:1]])
 
 
+def test_validation_holds_each_pivot_to_1e_10():
+    # the pivots of diag(1, 5e-10) are 1 and 5e-10, above the floor of 1e-10
+    # and below 10 times it, so the metric is positive definite
+    report = validate_at(product_of([["1"]], 1, [["5e-10"]], 1), [[0.1, 0.2]])
+    assert report.positive_definite and report.passed
+
+
 def test_cov_derivative_constant_field_flat():
     sp = product_of("flat", 1, "flat", 1)
     # the line through (0.3, 0.4) with velocity (1, 0): its tangent projector

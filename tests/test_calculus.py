@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from prodgeo import calculus
-from prodgeo.ambient import product_of
+from prodgeo.ambient import AmbientSpace, product_of
 from prodgeo.catalog import catalog_get, catalog_list, random_trig_immersion, flat_product
 from prodgeo.subgeom import Immersion, _JetGeometry, point_geometry
 from prodgeo.verify import verify
@@ -266,6 +266,20 @@ def test_lemma_checks_fail_on_corrupted_ambient():
     r1, r2 = outcome.lemmas.values()
     assert not r1.passed and r1.max_residual > 1e-3
     assert not r2.passed and r2.max_residual > 1e-3
+
+
+def test_lemma_checks_hold_the_worst_residual_to_tol():
+    # a reflection of R^2 turning slowly along x1: F is not parallel, and
+    # along the curve (u1, 0.3 u1^2) at u = 0.2 and 0.9 the worst residuals
+    # are 4.9e-8 for lemma 1 and 4.2e-8 for lemma 2, above tol = 1e-8 and
+    # below 10 tol, so neither lemma passes
+    space = AmbientSpace(2, [["1", "0"], ["0", "1"]],
+                         [["cos(5e-8 * x1)", "sin(5e-8 * x1)"],
+                          ["sin(5e-8 * x1)", "-cos(5e-8 * x1)"]])
+    curve = Immersion(1, ("u1", "0.3 * u1^2"))
+    outcome = verify(space, curve, [(0.2,), (0.9,)], theorems=False, strict=False)
+    for key, report in outcome.lemmas.items():
+        assert 1e-8 < report.max_residual < 1e-7 and not report.passed, key
 
 
 def test_lemma_checks_pass_on_random_immersions():

@@ -56,12 +56,18 @@ def test_differences_name_each_moved_field_by_kind():
     entry["verdicts"]["verdicts.consistent"] = False
     entry["floats"]["points.norms.phi"][0] *= 1 + 1e-10  # beyond 1e-12 relative
     entry["floats"]["points.residuals.lemma1"][0] += 1e-10  # both below 1e-9: agree
-    del current["report"]["circle.ini"]["verdicts"]["line 1"]
+    lines = current["report"]["circle.ini"]["verdicts"]
+    del lines["line 1"]
+    # a number printed 12 wide takes its column's padding: no verdict moved
+    assert "#            #" in lines["line 12"]
+    lines["line 12"] = lines["line 12"].replace("#            #", "##", 1)
+    lines["line 13"] = lines["line 13"].replace("invariant=n", "invariant=y")  # a changed word
     moved = corpus.differences(reference, current)
     assert [(kind, where) for kind, where, _ in moved] == [
         ("exit code", "check-json circle.ini"),
         ("verdict", "check-json circle.ini verdicts.consistent"),
         ("float", "check-json circle.ini points.norms.phi"),
         ("verdict", "report circle.ini line 1"),
+        ("verdict", "report circle.ini line 13"),
     ]
     assert corpus.summary(moved).splitlines()[0] == "exit code (1):"

@@ -558,6 +558,52 @@ def test_pseudo_umbilical_flag_holds_the_gap_to_tol():
     assert result.points["flags"]["pseudo_umbilical"] == [False] and not result.pseudo_umbilical
 
 
+def _line(t: float) -> Immersion:
+    """The line at angle ``t`` to the first factor of R x R: |phi| = |cos 2t|
+    and |omega| = |sin 2t|."""
+    return Immersion(1, (f"{math.cos(t)!r} * u1", f"{math.sin(t)!r} * u1"))
+
+
+def _plane(s: float) -> Immersion:
+    """The plane (u1, cos s u2, sin s u2, 0) of R^2 x R^2: phi = diag(1, cos 2s)
+    and |omega phi| = |sin 2s cos 2s|."""
+    return Immersion(2, ("u1", f"{math.cos(s)!r} * u2", f"{math.sin(s)!r} * u2", "0"))
+
+
+# predicate: its measure, an immersion, space and samples where the measure
+# is 5e-8, and the class and minimality verdicts there at tol = 1e-8
+_PREDICATE_EDGES = {
+    # the curve (u1, 2.5e-8 u1^2) at its vertex has curvature 5e-8
+    "minimal": ("H_norm", Immersion(1, ("u1", "2.5e-8 * u1^2")), FLAT11, [(0.0,)],
+                ("invariant", False)),
+    "invariant": ("omega_norm", _line(2.5e-8), FLAT11, [(0.3,)], ("generic", True)),
+    "anti_invariant": ("phi_norm", _line(math.pi / 4 - 2.5e-8), FLAT11, [(0.3,)],
+                       ("generic", True)),
+    "semi_invariant": ("omega_phi_norm", _plane(math.pi / 4 + 2.5e-8), FLAT22,
+                       [(0.1, 0.2), (0.5, -0.3)], ("generic", True)),
+}
+
+
+@pytest.mark.parametrize("predicate", _PREDICATE_EDGES)
+def test_each_class_predicate_holds_its_measure_to_tol(predicate):
+    # each measure is 5e-8, above tol = 1e-8 and below 10 tol, at every
+    # point, so the predicate is false there and the class or minimality it
+    # decides does not hold; the rank of phi is the same at every point
+    measure, immersion, space, samples, verdict = _PREDICATE_EDGES[predicate]
+    geo = _JetGeometry(immersion, space, samples)
+    assert all(1e-8 < value < 1e-7 for value in getattr(geo, measure))
+    result = aggregate_classification(geo, 1e-8)
+    assert len(set(result.points["rank_phi"])) == 1
+    assert (result.classification, result.minimal) == verdict
+
+
+def test_jacobian_rank_holds_the_smallest_singular_value_to_1e_8():
+    # the map (5e-8 u1, 0) has one singular value, 5e-8: above the rank floor
+    # of 1e-8 and below 10 times it, so the map is immersed and classifies
+    result = classify(Immersion(1, ("5e-8 * u1", "0")), FLAT11, [(0.0,)])
+    assert result.classification == "invariant" and result.minimal
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_classify_rejects_a_tolerance_verify_rejects(tol):
     # a NaN threshold passed nothing and an infinite one everything, so the

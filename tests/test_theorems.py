@@ -76,6 +76,28 @@ def test_t4_circle_spot_value_and_pointwise_branch():
     assert verdict.biconditional_consistent
 
 
+def test_t4_perpendicular_branch_holds_the_obstruction_to_tol():
+    # near u = 0 the circle's T4 obstruction |H|^2 |g(omega phi X, CH)| is
+    # 5e-8, above tol = 1e-8 and below 10 tol: omega phi e is not
+    # perpendicular to CH, and no branch of the disjunction holds
+    scn = catalog_get("circle")
+    verdict = verify(scn.space, scn.immersion, [(2.5e-8,)], lemmas=False).theorems["t4"]
+    assert 1e-8 < verdict.points["obstruction"][0] < 1e-7
+    assert verdict.points["branches"] == {"minimal": [False], "semi_invariant": [False],
+                                          "perpendicular": [False]}
+    assert not verdict.disjunction_pointwise and not verdict.disjunction_global
+
+
+def test_identity_verdict_holds_the_residual_to_tol():
+    # near u = pi/4 the circle's T3 identity residual is |phi| = 5e-8, above
+    # tol = 1e-8 and below 10 tol, so the identity does not hold there
+    scn = catalog_get("circle")
+    verdict = verify(scn.space, scn.immersion, [(math.pi / 4 - 2.5e-8,)],
+                     lemmas=False).theorems["t3"]
+    assert 1e-8 < verdict.points["identity"][0] < 1e-7
+    assert not verdict.identity_holds_everywhere and verdict.biconditional_consistent
+
+
 def test_t4_semi_invariant_plane_two_branches():
     scn = catalog_get("semi-invariant-plane")
     verdict = verify(scn.space, scn.immersion, lemmas=False).theorems["t4"]
